@@ -7,8 +7,8 @@ Subcommands:
   inspect  summarize a matrix or graph JSON document
 
 Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
-assertion failure. A flat key=value config file can preset any run flag;
-explicit flags win.
+assertion failure, 5 out of memory. A flat key=value config file can
+preset any run flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ class DataError(Exception):
 class StageError(Exception):
     def __init__(self, stage: str, t, cause: BaseException):
         at = "" if t is None else f" at t={t}"
-        super().__init__(f"stage {stage!r} failed{at}: {cause}")
+        if isinstance(cause, MemoryError):
+            super().__init__(f"stage {stage!r}{at} ran out of memory")
+        else:
+            super().__init__(f"stage {stage!r} failed{at}: {cause}")
         self.cause = cause
 
 
@@ -267,17 +270,14 @@ def _feature_pair_matrices(fsets, pair_mats, config: PipelineConfig):
     return _timed("feature-lift", lambda: _pmap(one, range(len(pair_mats)), config.jobs))
 
 
-def _feature_layers(fsets, labs, domain: GridDomain) -> list[list[trackgraph.GraphNode]]:
+def _feature_layers(fsets, labs, domain: GridDomain) -> list[trackgraph.NodeColumns]:
     layers = []
     for t, (fs, lab) in enumerate(zip(fsets, labs)):
-        layer = []
-        for k in range(fs.n_features):
-            rep = features.representative_extremum(fs.index_sets[k], lab)
-            layer.append(
-                trackgraph.GraphNode(t, k, "feature", rep.vertex, rep.value,
-                                     domain.position(rep.vertex))
-            )
-        layers.append(layer)
+        reps = [features.representative_extremum(s, lab) for s in fs.index_sets]
+        vertex = np.array([r.vertex for r in reps], dtype=np.int64)
+        value = np.array([r.value for r in reps], dtype=np.float64)
+        layers.append(trackgraph.NodeColumns.for_step(t, "feature", vertex, value,
+                                                      domain.positions(vertex)))
     return layers
 
 
@@ -292,14 +292,17 @@ def _build_graph(labs, fsets, pair_mats, fpair_mats, config: PipelineConfig, str
         cm_f = [m[2] for m in fpair_mats]
         cm_b = [m[3] for m in fpair_mats]
     g = _timed("graph-assembly", lambda: trackgraph.assemble(layers, cm_f, cm_b, policy, strategy))
-    g = trackgraph.threshold_filter(g, config.effective_p_min(strategy), config.require)
+    p_min = config.effective_p_min(strategy)
+    g = _timed("probability-filter",
+               lambda: trackgraph.threshold_filter(g, p_min, config.require))
     predicate = trackgraph.SemanticPredicate(
         config.value_min, config.value_max, config.box_min, config.box_max, config.max_jump
     )
     if predicate != trackgraph.SemanticPredicate():
-        g = trackgraph.semantic_filter(g, labs[0].domain, predicate)
+        g = _timed("semantic-filter",
+                   lambda: trackgraph.semantic_filter(g, labs[0].domain, predicate))
     meta = {**g.meta, "config": config.echo(strategy)}
-    return trackgraph.TrackingGraph(g.nodes, g.edges, meta)
+    return trackgraph.TrackingGraph(g.node_columns, g.edge_columns, meta)
 
 
 def _write_matrices(out: Path, pair_mats, prefix: str = "") -> None:
@@ -363,8 +366,8 @@ def compare(config: PipelineConfig, strategies) -> int:
                 probs[("backward", t + 1, i, j)] = p
         per_strategy[strategy] = {
             "entries": len(support),
-            "graph_edges": len(g.edges),
-            "tracks": len({n.track for n in g.nodes}),
+            "graph_edges": len(g.edge_columns),
+            "tracks": np.unique(g.node_columns.track).size,
             "support": support,
             "probs": probs,
         }
@@ -634,6 +637,8 @@ def main(argv=None) -> int:
         return 2
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
+        if isinstance(e.cause, MemoryError):
+            return 5
         return 4 if isinstance(e.cause, AssertionError) else 3
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -38,10 +38,19 @@ def _csr_from_entries(rows: int, ii, jj, cc):
     cc = np.asarray(cc, dtype=np.int64)
     order = np.lexsort((jj, ii))
     ii, jj, cc = ii[order], jj[order], cc[order]
+    return _indptr(rows, ii), jj, cc
+
+
+def _indptr(rows: int, row_of: np.ndarray) -> np.ndarray:
+    """CSR row pointers for entries whose sorted row ids are ``row_of``."""
     indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.add.at(indptr, ii + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, jj, cc
+    np.cumsum(np.bincount(row_of, minlength=rows), out=indptr[1:])
+    return indptr
+
+
+def _row_of(m) -> np.ndarray:
+    """Row id of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.rows), np.diff(m.indptr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +108,8 @@ class OverlapMatrix:
         return out
 
     def transpose(self, row_denominators) -> "OverlapMatrix":
-        row_of = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        indptr, indices, counts = _csr_from_entries(self.cols, self.indices, row_of, self.counts)
+        indptr, indices, counts = _csr_from_entries(self.cols, self.indices, _row_of(self),
+                                                    self.counts)
         direction = "backward" if self.direction == "forward" else "forward"
         return type(self)(
             self.cols, self.rows, direction, self.strategy, indptr, indices, counts,
@@ -231,17 +240,17 @@ def manifold_overlap(
 
     Returns the forward matrix at t and the backward matrix at t+1; the
     backward matrix is the exact transpose. Parameter-free and global: one
-    pass over the vertices accumulates every joint label count.
+    pass over the vertices counts every joint label pair that occurs, so
+    memory grows with the vertex count, not with n_t * n_n.
     """
     _check_pair(labeling_t, labeling_next)
     n_t, n_n = labeling_t.n_extrema, labeling_next.n_extrema
     joint = labeling_t.label.astype(np.int64) * n_n + labeling_next.label
-    flat = np.bincount(joint, minlength=n_t * n_n)
-    nz = np.flatnonzero(flat)
-    ii, jj, cc = nz // n_n, nz % n_n, flat[nz]
-    indptr, indices, counts = _csr_from_entries(n_t, ii, jj, cc)
+    keys, counts = np.unique(joint, return_counts=True)
+    # sorted row-major keys are already in CSR order
+    ii, indices = np.divmod(keys, n_n)
     forward = OverlapMatrix(
-        n_t, n_n, "forward", "manifold-overlap", indptr, indices, counts,
+        n_t, n_n, "forward", "manifold-overlap", _indptr(n_t, ii), indices, counts,
         labeling_t.sizes.astype(np.int64),
     )
     backward = forward.transpose(labeling_next.sizes.astype(np.int64))
@@ -265,8 +274,7 @@ def binary_correspondence(
 
 def normalize(o: OverlapMatrix) -> CorrespondenceMatrix:
     """Divide each row by its denominator; sparsity is preserved."""
-    row_of = np.repeat(np.arange(o.rows), np.diff(o.indptr))
-    probs = o.counts / o.row_denominators[row_of]
+    probs = o.counts / o.row_denominators[_row_of(o)]
     return CorrespondenceMatrix(
         o.rows, o.cols, o.direction, o.strategy,
         o.indptr, o.indices, o.counts, o.row_denominators, probs,
@@ -283,14 +291,10 @@ def matrix_to_doc(m: OverlapMatrix | CorrespondenceMatrix, t: int) -> dict:
         "strategy": m.strategy,
         "rows": int(m.rows),
         "cols": int(m.cols),
-        "denominators": [int(x) for x in m.row_denominators],
-        "entries": [[i, j, int(c)] for i, j, c in zip(*_entry_triples(m))],
+        "denominators": m.row_denominators.tolist(),
+        "entries": [list(e) for e in zip(_row_of(m).tolist(), m.indices.tolist(),
+                                         m.counts.tolist())],
     }
-
-
-def _entry_triples(m):
-    row_of = np.repeat(np.arange(m.rows), np.diff(m.indptr))
-    return row_of.tolist(), m.indices.tolist(), m.counts.tolist()
 
 
 def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix | CorrespondenceMatrix, int]:
@@ -307,10 +311,38 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix | CorrespondenceMatrix, int]
     return o, int(doc["t"])
 
 
+def _fill(template: str, sep: str, columns) -> str:
+    """``template % row`` for each row of the columns, joined by sep, in
+    one formatting call."""
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for k, c in enumerate(columns):
+        cells[:, k] = c
+    return sep.join([template] * cells.shape[0]) % tuple(cells.ravel().tolist())
+
+
+def _json_list(template: str, columns, depth: int) -> str:
+    """A JSON list laid out as ``json.dumps(indent=2)`` lays out a list at
+    this nesting depth; item k is ``template`` filled with row k."""
+    if not len(columns[0]):
+        return "[]"
+    pad = "  " * (depth + 1)
+    return "[\n" + pad + _fill(template, ",\n" + pad, columns) + "\n" + "  " * depth + "]"
+
+
 def save_matrix(m, t: int, path) -> None:
-    Path(path).write_text(
-        json.dumps(matrix_to_doc(m, t), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` would, straight from the CSR arrays."""
+    entries = _json_list("[\n      %d,\n      %d,\n      %d\n    ]",
+                         [_row_of(m), m.indices, m.counts], 1)
+    kind = "correspondence" if isinstance(m, CorrespondenceMatrix) else "overlap"
+    text = (
+        f'{{\n  "cols": {int(m.cols)},'
+        f'\n  "denominators": {_json_list("%d", [m.row_denominators], 1)},'
+        f'\n  "direction": {json.dumps(m.direction)},\n  "entries": {entries},'
+        f'\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
+        f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'
     )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_matrix(path) -> tuple[OverlapMatrix | CorrespondenceMatrix, int]:

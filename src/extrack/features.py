@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import CorrespondenceMatrix, OverlapMatrix, _csr_from_entries
+from .correspond import CorrespondenceMatrix, OverlapMatrix, _csr_from_entries, _row_of
 from .morse import Extremum, ManifoldLabeling
 
 
@@ -101,7 +101,7 @@ def feature_overlap(
     """
     mem_t = features_t.membership(o.rows)
     mem_o = features_other.membership(o.cols)
-    row_of = np.repeat(np.arange(o.rows), np.diff(o.indptr))
+    row_of = _row_of(o)
     acc: dict[tuple[int, int], int] = {}
     for i, j, c in zip(row_of, o.indices, o.counts):
         k, l = int(mem_t[i]), int(mem_o[j])
@@ -145,8 +145,7 @@ def feature_correspondence(
 ) -> FeatureCorrespondenceMatrix:
     """Divide feature overlap rows by the feature denominators."""
     denom = fo.row_denominators if denominators is None else np.asarray(denominators, np.int64)
-    row_of = np.repeat(np.arange(fo.rows), np.diff(fo.indptr))
-    probs = fo.counts / denom[row_of]
+    probs = fo.counts / denom[_row_of(fo)]
     return FeatureCorrespondenceMatrix(
         fo.rows, fo.cols, fo.direction, fo.strategy,
         fo.indptr, fo.indices, fo.counts, denom, probs,

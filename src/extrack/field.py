@@ -93,9 +93,13 @@ class GridDomain:
         """World position of a vertex (coordinate times spacing, per axis)."""
         return tuple(c * s for c, s in zip(self.coords_of(v), self.spacing))
 
-    def positions(self) -> np.ndarray:
-        """World positions of all vertices, shape (vertex_count, rank)."""
-        return _positions(self)
+    def positions(self, vertices=None) -> np.ndarray:
+        """World positions of the given vertices (all when omitted), shape
+        (n, rank); each row equals ``position`` of that vertex."""
+        if vertices is None:
+            return _positions(self)
+        coords = np.stack(np.unravel_index(np.asarray(vertices, np.int64), self.dims), axis=-1)
+        return coords * np.asarray(self.spacing)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:

@@ -242,19 +242,14 @@ def simplify(
     if not cancel.any():
         return labeling
 
-    partners = labeling._partners
-    resolved: dict[int, int] = {}
-
-    def resolve(i: int) -> int:
-        # partner persistence is >= own persistence, so chains stay short
-        if i not in resolved:
-            resolved[i] = i if not cancel[i] else resolve(int(partners[i]))
-        return resolved[i]
-
+    # cancelled extrema point at their merge partner, survivors at
+    # themselves; partners are elder, so the pointers form a forest
+    ptr = np.where(cancel, labeling._partners, np.arange(labeling.n_extrema))
+    root = _resolve_roots(ptr)
     survivors = np.flatnonzero(~cancel)
     new_id = np.full(labeling.n_extrema, -1, dtype=np.int64)
     new_id[survivors] = np.arange(survivors.size)
-    remap = np.array([new_id[resolve(i)] for i in range(labeling.n_extrema)])
+    remap = new_id[root]
 
     label = remap[labeling.label]
     sizes = np.bincount(label, minlength=survivors.size)
@@ -264,9 +259,6 @@ def simplify(
         for i in survivors
     )
     saddles = labeling._saddles[survivors]
-    partners = np.array(
-        [-1 if labeling._partners[i] < 0 else int(new_id[resolve(int(labeling._partners[i]))])
-         for i in survivors],
-        dtype=np.int64,
-    )
+    old_partners = labeling._partners[survivors]
+    partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)])
     return ManifoldLabeling(labeling.kind, labeling.domain, label, extrema, sizes, saddles, partners)

@@ -7,17 +7,26 @@ whose strongest predecessor is unique, and which is in turn that
 predecessor's strongest successor, continues the predecessor's track;
 every other node starts a fresh track. All tie-breaks go to the lower id,
 so identical inputs always produce identical graphs.
+
+The graph is held as column arrays (``NodeColumns``, ``EdgeColumns``);
+assembly, track propagation, the filters and both writers work on those
+columns. ``GraphNode``/``GraphEdge`` objects are built only when a caller
+reads ``TrackingGraph.nodes``, ``.edges`` or ``.layer(t)``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Literal, Sequence
 
-from .field import GridDomain, minimum_image_distance
-from .correspond import CorrespondenceMatrix
-from .morse import ManifoldLabeling
+import numpy as np
+
+from .correspond import CorrespondenceMatrix, _fill, _json_list, _row_of
+from .field import GridDomain
+from .morse import ManifoldLabeling, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
 
@@ -61,95 +70,266 @@ class ConnectivityPolicy:
             raise ValueError(f"unknown strength rule {self.strength!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class TrackingGraph:
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
-    meta: dict = field(default_factory=dict)
+def _pos_array(pos, n: int) -> np.ndarray:
+    a = np.asarray(pos, np.float64)
+    if a.ndim == 2:
+        return a
+    return a.reshape(n, -1) if n else np.empty((0, 0))
 
-    def __post_init__(self):
-        ids = {(n.t, n.id) for n in self.nodes}
-        for e in self.edges:
-            # edges may only span one step, between known nodes
-            assert (e.t, e.i) in ids and (e.t + 1, e.j) in ids
-            assert 0.0 <= e.strength <= 1.0
-            assert e.p_forward is not None or e.p_backward is not None
+
+@dataclass(frozen=True, eq=False)
+class NodeColumns:
+    """Nodes as parallel arrays, sorted by (t, id).
+
+    ``pos`` has shape (n, rank); ``track`` is -1 until tracks are assigned.
+    Iterating yields ``GraphNode`` objects, so one layer of columns reads
+    like the list of nodes it stands for.
+    """
+
+    t: np.ndarray
+    id: np.ndarray
+    kind: np.ndarray
+    vertex: np.ndarray
+    value: np.ndarray
+    pos: np.ndarray
+    track: np.ndarray
+
+    @classmethod
+    def for_step(cls, t: int, kind: str, vertex, value, pos) -> "NodeColumns":
+        """One time step's nodes with ids 0..n-1 and no tracks yet."""
+        n = len(vertex)
+        return cls(np.full(n, t, np.int64), np.arange(n, dtype=np.int64), np.full(n, kind),
+                   np.asarray(vertex, np.int64), np.asarray(value, np.float64),
+                   _pos_array(pos, n), np.full(n, -1, np.int64))
+
+    @classmethod
+    def build(cls, t, id, kind, vertex, value, pos, track) -> "NodeColumns":
+        """Columns from unsorted per-node sequences."""
+        n = len(t)
+        t, id = np.asarray(t, np.int64).reshape(n), np.asarray(id, np.int64).reshape(n)
+        order = np.lexsort((id, t))
+        return cls(t[order], id[order], np.asarray(kind, str).reshape(n)[order],
+                   np.asarray(vertex, np.int64).reshape(n)[order],
+                   np.asarray(value, np.float64).reshape(n)[order],
+                   _pos_array(pos, n)[order],
+                   np.asarray(track, np.int64).reshape(n)[order])
+
+    @classmethod
+    def from_objects(cls, nodes: Iterable[GraphNode]) -> "NodeColumns":
+        nodes = list(nodes)
+        return cls.build([n.t for n in nodes], [n.id for n in nodes], [n.kind for n in nodes],
+                         [n.vertex for n in nodes], [n.value for n in nodes],
+                         [n.pos for n in nodes], [n.track for n in nodes])
+
+    @classmethod
+    def concat(cls, parts: Sequence["NodeColumns"]) -> "NodeColumns":
+        parts = [p for p in parts if len(p)]  # an empty part has no rank
+        if not parts:
+            return cls.build([], [], [], [], [], [], [])
+        return cls(*(np.concatenate([getattr(p, f) for p in parts])
+                     for f in ("t", "id", "kind", "vertex", "value", "pos", "track")))
+
+    def take(self, keep: np.ndarray) -> "NodeColumns":
+        return NodeColumns(self.t[keep], self.id[keep], self.kind[keep], self.vertex[keep],
+                           self.value[keep], self.pos[keep], self.track[keep])
+
+    def with_tracks(self, track: np.ndarray) -> "NodeColumns":
+        return NodeColumns(self.t, self.id, self.kind, self.vertex, self.value, self.pos, track)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __iter__(self):
+        pos = [tuple(p) for p in self.pos.tolist()]
+        return map(GraphNode, self.t.tolist(), self.id.tolist(), self.kind.tolist(),
+                   self.vertex.tolist(), self.value.tolist(), pos, self.track.tolist())
+
+    def rows(self, t: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Row of each (t, id) pair, -1 where no such node exists."""
+        if not len(self) or not t.size:
+            return np.full(t.size, -1, np.int64)
+        lo = min(self.id.min(), ids.min())
+        span = max(self.id.max(), ids.max()) - lo + 1
+        key = self.t * span + (self.id - lo)  # ascending: rows are (t, id)-sorted
+        want = t * span + (ids - lo)
+        row = np.minimum(np.searchsorted(key, want), key.size - 1)
+        return np.where(key[row] == want, row, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """Edges as parallel arrays, sorted by (t, i, j).
+
+    Edge k joins node (t[k], i[k]) to node (t[k] + 1, j[k]); ``pf``/``pb``
+    are NaN where that direction has no matrix entry.
+    """
+
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    pf: np.ndarray
+    pb: np.ndarray
+    strength: np.ndarray
+
+    @classmethod
+    def build(cls, t, i, j, pf, pb, strength) -> "EdgeColumns":
+        """Columns from unsorted per-edge sequences."""
+        n = len(t)
+        t, i, j = (np.asarray(a, np.int64).reshape(n) for a in (t, i, j))
+        order = np.lexsort((j, i, t))
+        return cls(t[order], i[order], j[order],
+                   *(np.asarray(a, np.float64).reshape(n)[order] for a in (pf, pb, strength)))
+
+    @classmethod
+    def from_objects(cls, edges: Iterable[GraphEdge]) -> "EdgeColumns":
+        edges = list(edges)
+        nan = float("nan")
+        return cls.build([e.t for e in edges], [e.i for e in edges], [e.j for e in edges],
+                         [nan if e.p_forward is None else e.p_forward for e in edges],
+                         [nan if e.p_backward is None else e.p_backward for e in edges],
+                         [e.strength for e in edges])
+
+    @classmethod
+    def concat(cls, parts: Sequence["EdgeColumns"]) -> "EdgeColumns":
+        if not parts:
+            return cls.build([], [], [], [], [], [])
+        return cls(*(np.concatenate([getattr(p, f) for p in parts])
+                     for f in ("t", "i", "j", "pf", "pb", "strength")))
+
+    def take(self, keep: np.ndarray) -> "EdgeColumns":
+        return EdgeColumns(self.t[keep], self.i[keep], self.j[keep],
+                           self.pf[keep], self.pb[keep], self.strength[keep])
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __iter__(self):
+        def opt(a):
+            return [None if p != p else p for p in a.tolist()]
+
+        return map(GraphEdge, self.t.tolist(), self.i.tolist(), self.j.tolist(),
+                   opt(self.pf), opt(self.pb), self.strength.tolist())
+
+
+class TrackingGraph:
+    """Nodes, edges and metadata of one tracking graph.
+
+    ``nodes`` and ``edges`` are either ``GraphNode``/``GraphEdge``
+    sequences or column tables; both are stored as columns.
+    """
+
+    def __init__(self, nodes, edges, meta: dict | None = None):
+        self.node_columns = nodes if isinstance(nodes, NodeColumns) else NodeColumns.from_objects(nodes)
+        self.edge_columns = (edges if isinstance(edges, EdgeColumns)
+                             else EdgeColumns.from_objects(edges))
+        self.meta = {} if meta is None else meta
+        e = self.edge_columns
+        # edges may only span one step, between known nodes
+        assert (self.node_columns.rows(e.t, e.i) >= 0).all()
+        assert (self.node_columns.rows(e.t + 1, e.j) >= 0).all()
+        assert ((e.strength >= 0.0) & (e.strength <= 1.0)).all()
+        assert (~np.isnan(e.pf) | ~np.isnan(e.pb)).all()
+
+    @cached_property
+    def nodes(self) -> tuple[GraphNode, ...]:
+        return tuple(self.node_columns)
+
+    @cached_property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        return tuple(self.edge_columns)
 
     @property
     def n_layers(self) -> int:
-        return 1 + max((n.t for n in self.nodes), default=-1)
+        return 1 + int(self.node_columns.t.max(initial=-1))
 
     def layer(self, t: int) -> list[GraphNode]:
-        return [n for n in self.nodes if n.t == t]
+        return list(self.node_columns.take(self.node_columns.t == t))
 
     def edge_set(self) -> set[tuple[int, int, int]]:
-        return {(e.t, e.i, e.j) for e in self.edges}
+        e = self.edge_columns
+        return set(zip(e.t.tolist(), e.i.tolist(), e.j.tolist()))
 
 
-def _edge_strength(rule: Strength, pf: float | None, pb: float | None) -> float:
-    present = [p for p in (pf, pb) if p is not None]
-    if rule == "max":
-        return max(present)
-    if rule == "min":
-        return min(present)
-    return sum(present) / len(present)
-
-
-def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[list[GraphNode]]:
-    """Node stubs (track unset) for each step's extrema."""
+def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
+    """Node columns (track unset) for each step's extrema."""
     layers = []
     for t, lab in enumerate(labelings):
-        layers.append(
-            [
-                GraphNode(t, e.id, "extremum", e.vertex, e.value, lab.domain.position(e.vertex))
-                for e in lab.extrema
-            ]
-        )
+        vertex = np.fromiter((e.vertex for e in lab.extrema), np.int64, lab.n_extrema)
+        value = np.fromiter((e.value for e in lab.extrema), np.float64, lab.n_extrema)
+        layers.append(NodeColumns.for_step(t, "extremum", vertex, value,
+                                        lab.domain.positions(vertex)))
     return layers
 
 
-def _propagate_tracks(
-    layers: list[list[GraphNode]], edges: list[GraphEdge]
-) -> tuple[GraphNode, ...]:
-    """Assign track ids layer by layer along strongest edges."""
-    incoming: dict[int, dict[int, list[GraphEdge]]] = {}
-    for e in edges:
-        incoming.setdefault(e.t + 1, {}).setdefault(e.j, []).append(e)
+def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
+    """Track id per node row, assigned along strongest edges."""
+    n = len(nodes)
+    src = nodes.rows(edges.t, edges.i)
+    dst = nodes.rows(edges.t + 1, edges.j)
+    s = edges.strength
 
-    next_track = 0
-    track_of: dict[tuple[int, int], int] = {}
-    out = []
-    for t, layer in enumerate(layers):
-        # resolve which node, if any, continues each predecessor's track
-        heir_of: dict[int, tuple[float, int]] = {}
-        best_pred: dict[int, tuple[float, int]] = {}
-        for node in sorted(layer, key=lambda n: n.id):
-            cands = incoming.get(t, {}).get(node.id, [])
-            if not cands:
-                continue
-            top = max(e.strength for e in cands)
-            winners = [e.i for e in cands if e.strength == top]
-            if len(winners) != 1:
-                continue  # ambiguous merge: fresh track
-            i = winners[0]
-            best_pred[node.id] = (top, i)
-            cur = heir_of.get(i)
-            if cur is None or (top, -node.id) > (cur[0], -cur[1]):
-                heir_of[i] = (top, node.id)
-        for node in sorted(layer, key=lambda n: n.id):
-            pred = best_pred.get(node.id)
-            if pred is not None and heir_of[pred[1]][1] == node.id:
-                track = track_of[(t - 1, pred[1])]
-            else:
-                track = next_track
-                next_track += 1
-            track_of[(t, node.id)] = track
-            out.append(replace(node, track=track))
-    return tuple(out)
+    # each node's strongest incoming edge; an exact tie means no predecessor
+    order = np.lexsort((-s, dst))
+    dst_o, src_o, s_o = dst[order], src[order], s[order]
+    first = np.ones(dst_o.size, dtype=bool)
+    first[1:] = dst_o[1:] != dst_o[:-1]
+    top = np.full(n, -np.inf)
+    top[dst_o[first]] = s_o[first]
+    pred = np.full(n, -1, np.int64)
+    pred[dst_o[first]] = src_o[first]
+    n_top = np.bincount(dst_o[s_o == top[dst_o]], minlength=n)
+    pred[n_top != 1] = -1
+
+    # each predecessor's heir: the strongest claimant, ties to the lower id
+    claim = np.flatnonzero(pred >= 0)
+    claim = claim[np.lexsort((nodes.id[claim], -top[claim], pred[claim]))]
+    heir = np.ones(claim.size, dtype=bool)
+    heir[1:] = pred[claim[1:]] != pred[claim[:-1]]
+
+    # heirs point at their predecessor; the rest start fresh tracks,
+    # numbered in (t, id) order, which is row order
+    ptr = np.arange(n)
+    ptr[claim[heir]] = pred[claim[heir]]
+    root = _resolve_roots(ptr)
+    fresh_id = np.cumsum(ptr == np.arange(n)) - 1
+    return fresh_id[root]
+
+
+def _lookup(keys: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[k] where keys[k] == at, NaN where at is not among keys."""
+    out = np.full(at.size, np.nan)
+    if keys.size:
+        order = np.argsort(keys, kind="stable")
+        k = order[np.minimum(np.searchsorted(keys, at, sorter=order), keys.size - 1)]
+        hit = keys[k] == at
+        out[hit] = values[k[hit]]
+    return out
+
+
+def _pair_edges(t: int, fwd: CorrespondenceMatrix, bwd: CorrespondenceMatrix,
+                policy: ConnectivityPolicy) -> EdgeColumns:
+    """Edges between layers t and t+1 from one forward/backward matrix pair."""
+    n_n = max(fwd.cols, 1)
+    f_key = _row_of(fwd) * n_n + fwd.indices
+    b_key = bwd.indices * n_n + _row_of(bwd)  # transposed: (i, j) of layer t, t+1
+    keys = np.intersect1d(f_key, b_key) if policy.bidirectional else np.union1d(f_key, b_key)
+    pf = _lookup(f_key, keys, fwd.probs)
+    pb = _lookup(b_key, keys, bwd.probs)
+    if policy.strength == "max":
+        strength = np.fmax(pf, pb)
+    elif policy.strength == "min":
+        strength = np.fmin(pf, pb)
+    else:
+        # the mean of the present probabilities; a sum of two rounds once
+        # and halving is exact, as in sum([pf, pb]) / 2
+        both = ~np.isnan(pf) & ~np.isnan(pb)
+        strength = np.where(both, (pf + pb) / 2, np.fmax(pf, pb))
+    i, j = np.divmod(keys, n_n)
+    return EdgeColumns(np.full(keys.size, t, np.int64), i, j, pf, pb, strength)
 
 
 def assemble(
-    layers: list[list[GraphNode]],
+    layers: Sequence[NodeColumns | Sequence[GraphNode]],
     cm_forward: Sequence[CorrespondenceMatrix],
     cm_backward: Sequence[CorrespondenceMatrix],
     policy: ConnectivityPolicy,
@@ -163,26 +343,33 @@ def assemble(
     """
     if len(cm_forward) != len(layers) - 1 or len(cm_backward) != len(layers) - 1:
         raise ValueError("need exactly one matrix pair per consecutive layer pair")
-    edges: list[GraphEdge] = []
+    layers = [x if isinstance(x, NodeColumns) else NodeColumns.from_objects(x) for x in layers]
+    parts = []
     for t in range(len(layers) - 1):
         fwd, bwd = cm_forward[t], cm_backward[t]
         n_t, n_n = len(layers[t]), len(layers[t + 1])
         if (fwd.rows, fwd.cols) != (n_t, n_n) or (bwd.rows, bwd.cols) != (n_n, n_t):
             raise ValueError(f"matrix shape mismatch at step {t}")
-        pairs = {(i, j) for i, j, _ in fwd.items()}
-        back_pairs = {(i, j) for j, i, _ in bwd.items()}
-        keep = pairs & back_pairs if policy.bidirectional else pairs | back_pairs
-        for i, j in sorted(keep):
-            pf = fwd.prob(i, j) or None
-            pb = bwd.prob(j, i) or None
-            edges.append(GraphEdge(t, i, j, pf, pb, _edge_strength(policy.strength, pf, pb)))
-    nodes = _propagate_tracks(layers, edges)
+        parts.append(_pair_edges(t, fwd, bwd, policy))
+    edges = EdgeColumns.concat(parts)
+    nodes = NodeColumns.concat(layers)
+    nodes = nodes.with_tracks(_propagate_tracks(nodes, edges))
     meta = {
         "strategy": strategy,
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
         "thresholds": {},
     }
-    return TrackingGraph(nodes, tuple(edges), meta)
+    return TrackingGraph(nodes, edges, meta)
+
+
+def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.ndarray,
+                key: str, threshold: dict) -> TrackingGraph:
+    nodes = g.node_columns if keep_nodes is None else g.node_columns.take(keep_nodes)
+    edges = g.edge_columns.take(keep_edges)
+    nodes = nodes.with_tracks(_propagate_tracks(nodes, edges))
+    meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
+    meta["thresholds"][key] = threshold
+    return TrackingGraph(nodes, edges, meta)
 
 
 def threshold_filter(g: TrackingGraph, p_min: float, require: Literal["any", "both"] = "any") -> TrackingGraph:
@@ -195,20 +382,11 @@ def threshold_filter(g: TrackingGraph, p_min: float, require: Literal["any", "bo
         raise ValueError(f"p_min must be in [0, 1], got {p_min}")
     if require not in ("any", "both"):
         raise ValueError(f"unknown requirement {require!r}")
-
-    def keep(e: GraphEdge) -> bool:
-        present = [p for p in (e.p_forward, e.p_backward) if p is not None]
-        if require == "both" and len(present) < 2:
-            return False
-        hits = [p > p_min for p in present]
-        return all(hits) if require == "both" else any(hits)
-
-    edges = tuple(e for e in g.edges if keep(e))
-    layers = [g.layer(t) for t in range(g.n_layers)]
-    nodes = _propagate_tracks(layers, list(edges))
-    meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
-    meta["thresholds"]["probability"] = {"p_min": p_min, "require": require}
-    return TrackingGraph(nodes, edges, meta)
+    e = g.edge_columns
+    # NaN (absent direction) compares False, so it never clears the bar
+    hit_f, hit_b = e.pf > p_min, e.pb > p_min
+    keep = hit_f & hit_b if require == "both" else hit_f | hit_b
+    return _refiltered(g, None, keep, "probability", {"p_min": p_min, "require": require})
 
 
 @dataclass(frozen=True)
@@ -227,40 +405,46 @@ class SemanticPredicate:
             if any(a > b for a, b in zip(self.box_min, self.box_max)):
                 raise ValueError("inverted spatial box")
 
-    def admits_node(self, n: GraphNode) -> bool:
-        if self.value_min is not None and n.value < self.value_min:
-            return False
-        if self.value_max is not None and n.value > self.value_max:
-            return False
-        if self.box_min is not None and any(x < b for x, b in zip(n.pos, self.box_min)):
-            return False
-        if self.box_max is not None and any(x > b for x, b in zip(n.pos, self.box_max)):
-            return False
-        return True
+    def admits(self, value: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Mask of the nodes (values, positions) inside the value window and box."""
+        ok = np.ones(value.size, dtype=bool)
+        if self.value_min is not None:
+            ok &= ~(value < self.value_min)
+        if self.value_max is not None:
+            ok &= ~(value > self.value_max)
+        # like zip, compare only the axes both the box and the positions have
+        if self.box_min is not None:
+            k = min(len(self.box_min), pos.shape[1])
+            ok &= ~(pos[:, :k] < np.asarray(self.box_min[:k], np.float64)).any(axis=1)
+        if self.box_max is not None:
+            k = min(len(self.box_max), pos.shape[1])
+            ok &= ~(pos[:, :k] > np.asarray(self.box_max[:k], np.float64)).any(axis=1)
+        return ok
+
+
+def _minimum_image_distances(domain: GridDomain, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Row-wise ``field.minimum_image_distance``, with the same float steps."""
+    total = np.zeros(pa.shape[0])
+    for a in range(domain.rank):
+        delta = np.abs(pa[:, a] - pb[:, a])
+        if domain.periodic[a]:
+            period = domain.dims[a] * domain.spacing[a]
+            delta = np.mod(delta, period)
+            delta = np.minimum(delta, period - delta)
+        total = total + delta * delta
+    return np.sqrt(total)
 
 
 def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPredicate) -> TrackingGraph:
     """Drop nodes outside the value/box constraints and edges that jump
     farther than allowed (minimum-image distance on periodic axes)."""
-    kept_nodes = tuple(n for n in g.nodes if predicate.admits_node(n))
-    alive = {(n.t, n.id) for n in kept_nodes}
-    pos_of = {(n.t, n.id): n.pos for n in g.nodes}
-
-    def keep(e: GraphEdge) -> bool:
-        if (e.t, e.i) not in alive or (e.t + 1, e.j) not in alive:
-            return False
-        if predicate.max_jump is not None:
-            jump = minimum_image_distance(domain, pos_of[(e.t, e.i)], pos_of[(e.t + 1, e.j)])
-            if jump > predicate.max_jump:
-                return False
-        return True
-
-    edges = tuple(e for e in g.edges if keep(e))
-    n_layers = g.n_layers
-    layers = [[n for n in kept_nodes if n.t == t] for t in range(n_layers)]
-    nodes = _propagate_tracks(layers, list(edges))
-    meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
-    meta["thresholds"]["semantic"] = {
+    n, e = g.node_columns, g.edge_columns
+    alive = predicate.admits(n.value, n.pos)
+    src, dst = n.rows(e.t, e.i), n.rows(e.t + 1, e.j)
+    keep = alive[src] & alive[dst]
+    if predicate.max_jump is not None:
+        keep &= ~(_minimum_image_distances(domain, n.pos[src], n.pos[dst]) > predicate.max_jump)
+    threshold = {
         k: list(v) if isinstance(v, tuple) else v
         for k, v in (
             ("value_min", predicate.value_min),
@@ -271,15 +455,12 @@ def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPre
         )
         if v is not None
     }
-    return TrackingGraph(nodes, edges, meta)
+    return _refiltered(g, alive, keep, "semantic", threshold)
 
 
 def strength_bin(s: float) -> int:
     """Quartile bin of a probability, 0..3."""
-    for b, edge in enumerate(_BIN_EDGES):
-        if s <= edge:
-            return b
-    return 3
+    return int(np.searchsorted(_BIN_EDGES, s))
 
 
 def export(g: TrackingGraph, format: Literal["json", "dot"]) -> str:
@@ -290,38 +471,66 @@ def export(g: TrackingGraph, format: Literal["json", "dot"]) -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
+def _texts(a: np.ndarray, fmt) -> np.ndarray:
+    """``fmt(x)`` for every float, calling fmt once per distinct bit pattern
+    (so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(np.ascontiguousarray(a, np.float64).view(np.int64),
+                              return_inverse=True)
+    return np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)[inverse]
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` spells it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_texts(a: np.ndarray) -> np.ndarray:
+    return _texts(a, float.__repr__ if np.isfinite(a).all() else _json_float)
+
+
 def _export_json(g: TrackingGraph) -> str:
-    nodes = [
-        {
-            "t": n.t, "id": n.id, "kind": n.kind, "vertex": n.vertex,
-            "value": n.value, "pos": list(n.pos), "track": n.track,
-        }
-        for n in sorted(g.nodes, key=lambda n: (n.t, n.id))
-    ]
-    edges = []
-    for e in sorted(g.edges, key=lambda e: (e.t, e.i, e.j)):
-        doc = {"t": e.t, "i": e.i, "j": e.j, "strength": e.strength}
-        if e.p_forward is not None:
-            doc["pf"] = e.p_forward
-        if e.p_backward is not None:
-            doc["pb"] = e.p_backward
-        edges.append(doc)
-    return json.dumps({"meta": g.meta, "nodes": nodes, "edges": edges},
-                      sort_keys=True, indent=2) + "\n"
+    """The graph document as ``json.dumps(doc, sort_keys=True, indent=2)``
+    lays it out, written straight from the columns."""
+    n, e = g.node_columns, g.edge_columns
+    rank = n.pos.shape[1]
+    pos = "[]" if rank == 0 else "[\n" + ",\n".join(["        %s"] * rank) + "\n      ]"
+    node_tmpl = ('{\n      "id": %d,\n      "kind": %s,\n      "pos": ' + pos
+                 + ',\n      "t": %d,\n      "track": %d,\n      "value": %s,'
+                 '\n      "vertex": %d\n    }')
+    kinds, kind_of = np.unique(n.kind, return_inverse=True)
+    quoted = np.array([json.dumps(k) for k in kinds.tolist()], dtype=object)
+    nodes = _json_list(node_tmpl, [
+        n.id, quoted[kind_of], *(_json_texts(n.pos[:, a]) for a in range(rank)),
+        n.t, n.track, _json_texts(n.value), n.vertex,
+    ], 1)
+
+    def optional(name: str, p: np.ndarray) -> np.ndarray:
+        # the key is left out where the direction has no probability
+        present = ~np.isnan(p)
+        line = f'      "{name}": ' + _json_texts(np.where(present, p, 0.0)) + ",\n"
+        return np.where(present, line, "")
+
+    edge_tmpl = '{\n      "i": %d,\n      "j": %d,\n%s%s      "strength": %s,\n      "t": %d\n    }'
+    edges = _json_list(edge_tmpl, [
+        e.i, e.j, optional("pb", e.pb), optional("pf", e.pf),
+        _json_texts(e.strength), e.t,
+    ], 1)
+    meta = json.dumps(g.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "edges": {edges},\n  "meta": {meta},\n  "nodes": {nodes}\n}}\n'
 
 
 def import_graph(text: str) -> TrackingGraph:
     """Inverse of the JSON export; stored track ids are kept as-is."""
     doc = json.loads(text)
-    nodes = tuple(
-        GraphNode(n["t"], n["id"], n["kind"], n["vertex"], n["value"],
-                  tuple(n["pos"]), n["track"])
-        for n in doc["nodes"]
-    )
-    edges = tuple(
-        GraphEdge(e["t"], e["i"], e["j"], e.get("pf"), e.get("pb"), e["strength"])
-        for e in doc["edges"]
-    )
+    nd, ed = doc["nodes"], doc["edges"]
+    nan = float("nan")
+    nodes = NodeColumns.build(*([x[k] for x in nd]
+                                for k in ("t", "id", "kind", "vertex", "value", "pos", "track")))
+    edges = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
+                              [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
+                              [x["strength"] for x in ed])
     return TrackingGraph(nodes, edges, doc.get("meta", {}))
 
 
@@ -334,22 +543,25 @@ def _export_dot(g: TrackingGraph) -> str:
         "  rankdir=LR;",
         "  node [shape=circle, style=filled];",
     ]
+    n, e = g.node_columns, g.edge_columns
+    colors = np.array(_TRACK_COLORS, dtype=object)
+    node_lines = _fill(
+        '    n%d_%d [label="t%d #%d\\n%s", fillcolor="%s", tooltip="track %d"];', "\n",
+        [n.t, n.id, n.t, n.id, _texts(n.value, "{:.4g}".format),
+         colors[n.track % len(_TRACK_COLORS)], n.track],
+    ).split("\n") if len(n) else []
+    bounds = np.searchsorted(n.t, np.arange(g.n_layers + 1)).tolist()
     for t in range(g.n_layers):
-        layer = sorted(g.layer(t), key=lambda n: n.id)
         lines.append(f"  subgraph layer_{t} {{")
         lines.append("    rank=same;")
-        for n in layer:
-            color = _TRACK_COLORS[n.track % len(_TRACK_COLORS)]
-            label = f"t{n.t} #{n.id}\\n{n.value:.4g}"
-            lines.append(
-                f'    n{n.t}_{n.id} [label="{label}", fillcolor="{color}", tooltip="track {n.track}"];'
-            )
+        lines.extend(node_lines[bounds[t]:bounds[t + 1]])
         lines.append("  }")
-    for e in sorted(g.edges, key=lambda e: (e.t, e.i, e.j)):
-        width = _BIN_WIDTHS[strength_bin(e.strength)]
-        lines.append(
-            f"  n{e.t}_{e.i} -> n{e.t + 1}_{e.j} "
-            f'[penwidth={width}, label="{e.strength:.3f}"];'
-        )
+    if len(e):
+        widths = np.array([str(w) for w in _BIN_WIDTHS], dtype=object)
+        lines.append(_fill(
+            '  n%d_%d -> n%d_%d [penwidth=%s, label="%s"];', "\n",
+            [e.t, e.i, e.t + 1, e.j, widths[np.searchsorted(_BIN_EDGES, e.strength)],
+             _texts(e.strength, "{:.3f}".format)],
+        ))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,13 +7,16 @@ arithmetic rather than against themselves.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 
 import numpy as np
 
-from extrack.field import GridDomain, ScalarFieldSeries
+from extrack.correspond import matrix_to_doc
+from extrack.field import GridDomain, ScalarFieldSeries, minimum_image_distance
 from extrack.morse import Extremum, ManifoldLabeling
+from extrack.trackgraph import _BIN_WIDTHS, _TRACK_COLORS, GraphEdge, GraphNode, TrackingGraph
 
 
 def grid_series(values_per_step, spacing=None, periodic=None) -> ScalarFieldSeries:
@@ -109,3 +112,204 @@ def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> lis
                     nxt.append(u)
         frontier = nxt
     return sorted(dist)
+
+
+# Reference implementations of the tracking graph and the artifact writers:
+# one Python object per node, edge and matrix entry, kept as the judges of
+# the column-array code in extrack.trackgraph and extrack.correspond.
+
+
+def oracle_matrix_json(m, t: int) -> str:
+    """A matrix file's text through the standard library encoder."""
+    return json.dumps(matrix_to_doc(m, t), sort_keys=True, indent=2) + "\n"
+
+
+def oracle_extremum_layers(labelings):
+    return [
+        [GraphNode(t, e.id, "extremum", e.vertex, e.value, lab.domain.position(e.vertex))
+         for e in lab.extrema]
+        for t, lab in enumerate(labelings)
+    ]
+
+
+def _oracle_edge_strength(rule, pf, pb):
+    present = [p for p in (pf, pb) if p is not None]
+    if rule == "max":
+        return max(present)
+    if rule == "min":
+        return min(present)
+    return sum(present) / len(present)
+
+
+def oracle_propagate_tracks(layers, edges):
+    """Track ids layer by layer along strongest edges, per node object."""
+    incoming: dict = {}
+    for e in edges:
+        incoming.setdefault(e.t + 1, {}).setdefault(e.j, []).append(e)
+
+    next_track = 0
+    track_of: dict = {}
+    out = []
+    for t, layer in enumerate(layers):
+        heir_of: dict = {}
+        best_pred: dict = {}
+        for node in sorted(layer, key=lambda n: n.id):
+            cands = incoming.get(t, {}).get(node.id, [])
+            if not cands:
+                continue
+            top = max(e.strength for e in cands)
+            winners = [e.i for e in cands if e.strength == top]
+            if len(winners) != 1:
+                continue  # ambiguous merge: fresh track
+            i = winners[0]
+            best_pred[node.id] = (top, i)
+            cur = heir_of.get(i)
+            if cur is None or (top, -node.id) > (cur[0], -cur[1]):
+                heir_of[i] = (top, node.id)
+        for node in sorted(layer, key=lambda n: n.id):
+            pred = best_pred.get(node.id)
+            if pred is not None and heir_of[pred[1]][1] == node.id:
+                track = track_of[(t - 1, pred[1])]
+            else:
+                track = next_track
+                next_track += 1
+            track_of[(t, node.id)] = track
+            out.append(GraphNode(node.t, node.id, node.kind, node.vertex, node.value,
+                                 node.pos, track))
+    return tuple(out)
+
+
+def oracle_assemble(layers, cm_forward, cm_backward, policy, strategy=None):
+    """Edges from set joins and one ``prob`` lookup per direction and edge."""
+    edges = []
+    for t in range(len(layers) - 1):
+        fwd, bwd = cm_forward[t], cm_backward[t]
+        pairs = {(i, j) for i, j, _ in fwd.items()}
+        back_pairs = {(i, j) for j, i, _ in bwd.items()}
+        keep = pairs & back_pairs if policy.bidirectional else pairs | back_pairs
+        for i, j in sorted(keep):
+            pf = fwd.prob(i, j) or None
+            pb = bwd.prob(j, i) or None
+            edges.append(GraphEdge(t, i, j, pf, pb, _oracle_edge_strength(policy.strength, pf, pb)))
+    nodes = oracle_propagate_tracks([list(layer) for layer in layers], edges)
+    meta = {
+        "strategy": strategy,
+        "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
+        "thresholds": {},
+    }
+    return TrackingGraph(nodes, tuple(edges), meta)
+
+
+def oracle_threshold_filter(g, p_min, require="any"):
+    def keep(e):
+        present = [p for p in (e.p_forward, e.p_backward) if p is not None]
+        if require == "both" and len(present) < 2:
+            return False
+        hits = [p > p_min for p in present]
+        return all(hits) if require == "both" else any(hits)
+
+    edges = tuple(e for e in g.edges if keep(e))
+    nodes = oracle_propagate_tracks([g.layer(t) for t in range(g.n_layers)], list(edges))
+    meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
+    meta["thresholds"]["probability"] = {"p_min": p_min, "require": require}
+    return TrackingGraph(nodes, edges, meta)
+
+
+def oracle_semantic_filter(g, domain, predicate):
+    def admits(n):
+        p = predicate
+        if p.value_min is not None and n.value < p.value_min:
+            return False
+        if p.value_max is not None and n.value > p.value_max:
+            return False
+        if p.box_min is not None and any(x < b for x, b in zip(n.pos, p.box_min)):
+            return False
+        if p.box_max is not None and any(x > b for x, b in zip(n.pos, p.box_max)):
+            return False
+        return True
+
+    kept_nodes = tuple(n for n in g.nodes if admits(n))
+    alive = {(n.t, n.id) for n in kept_nodes}
+    pos_of = {(n.t, n.id): n.pos for n in g.nodes}
+
+    def keep(e):
+        if (e.t, e.i) not in alive or (e.t + 1, e.j) not in alive:
+            return False
+        if predicate.max_jump is not None:
+            jump = minimum_image_distance(domain, pos_of[(e.t, e.i)], pos_of[(e.t + 1, e.j)])
+            if jump > predicate.max_jump:
+                return False
+        return True
+
+    edges = tuple(e for e in g.edges if keep(e))
+    layers = [[n for n in kept_nodes if n.t == t] for t in range(g.n_layers)]
+    nodes = oracle_propagate_tracks(layers, list(edges))
+    meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
+    meta["thresholds"]["semantic"] = {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in (
+            ("value_min", predicate.value_min),
+            ("value_max", predicate.value_max),
+            ("box_min", predicate.box_min),
+            ("box_max", predicate.box_max),
+            ("max_jump", predicate.max_jump),
+        )
+        if v is not None
+    }
+    return TrackingGraph(nodes, edges, meta)
+
+
+def oracle_export_json(g) -> str:
+    nodes = [
+        {
+            "t": n.t, "id": n.id, "kind": n.kind, "vertex": n.vertex,
+            "value": n.value, "pos": list(n.pos), "track": n.track,
+        }
+        for n in sorted(g.nodes, key=lambda n: (n.t, n.id))
+    ]
+    edges = []
+    for e in sorted(g.edges, key=lambda e: (e.t, e.i, e.j)):
+        doc = {"t": e.t, "i": e.i, "j": e.j, "strength": e.strength}
+        if e.p_forward is not None:
+            doc["pf"] = e.p_forward
+        if e.p_backward is not None:
+            doc["pb"] = e.p_backward
+        edges.append(doc)
+    return json.dumps({"meta": g.meta, "nodes": nodes, "edges": edges},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def oracle_export_dot(g) -> str:
+    def strength_bin(s):
+        for b, edge in enumerate((0.25, 0.5, 0.75)):
+            if s <= edge:
+                return b
+        return 3
+
+    lines = [
+        "// tracking graph: layers = time steps, columns left to right",
+        "// edge width bins by strength: (0,0.25] (0.25,0.5] (0.5,0.75] (0.75,1]",
+        "// node fill keyed by track id",
+        "digraph tracking {",
+        "  rankdir=LR;",
+        "  node [shape=circle, style=filled];",
+    ]
+    for t in range(g.n_layers):
+        layer = sorted(g.layer(t), key=lambda n: n.id)
+        lines.append(f"  subgraph layer_{t} {{")
+        lines.append("    rank=same;")
+        for n in layer:
+            color = _TRACK_COLORS[n.track % len(_TRACK_COLORS)]
+            label = f"t{n.t} #{n.id}\\n{n.value:.4g}"
+            lines.append(
+                f'    n{n.t}_{n.id} [label="{label}", fillcolor="{color}", tooltip="track {n.track}"];'
+            )
+        lines.append("  }")
+    for e in sorted(g.edges, key=lambda e: (e.t, e.i, e.j)):
+        width = _BIN_WIDTHS[strength_bin(e.strength)]
+        lines.append(
+            f"  n{e.t}_{e.i} -> n{e.t + 1}_{e.j} "
+            f'[penwidth={width}, label="{e.strength:.3f}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

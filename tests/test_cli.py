@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import subprocess
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extrack import correspond, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, save_script
@@ -244,6 +246,34 @@ class TestExitCodes:
     def test_unknown_compare_strategy(self, ridge_file):
         assert main(["compare", "--input", str(ridge_file),
                      "--strategies", "binary,psychic"]) == 2
+
+
+class TestStageReports:
+    def test_memory_exhaustion_exits_5_naming_the_stage(self, ridge_file, tmp_path,
+                                                        monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(correspond, "manifold_overlap", exhausted)
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out")]) == 5
+        assert "stage 'correspondence' at t=0 ran out of memory" in capsys.readouterr().err
+
+    def test_filters_are_timed_stages(self, ridge_file, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="extrack")
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     "--verbose", "--max-jump", "50"]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith("[probability-filter] ") for m in messages)
+        assert any(m.startswith("[semantic-filter] ") for m in messages)
+
+    def test_filter_failure_names_its_stage(self, ridge_file, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(trackgraph, "semantic_filter", broken)
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     "--max-jump", "50"]) == 3
+        assert "stage 'semantic-filter' failed: boom" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -13,9 +13,11 @@ from extrack.correspond import (
     sampling_overlap,
     save_matrix,
 )
+from extrack.features import FeatureOverlapMatrix
 from extrack.field import GridDomain
-from extrack.morse import label_manifolds
-from helpers import brute_combinatorial_ball, fake_labeling, random_series
+from extrack.morse import Extremum, ManifoldLabeling, label_manifolds, simplify
+from extrack.synth import oracle_overlap
+from helpers import brute_combinatorial_ball, fake_labeling, oracle_matrix_json, random_series
 
 
 def random_labeling_pair(rng, dims=(8, 8), periodic=None):
@@ -75,6 +77,45 @@ class TestManifoldOverlap:
         lab_b = fake_labeling(GridDomain((4, 4), spacing=(2.0, 2.0)), [0] * 16)
         with pytest.raises(ValueError, match="domain"):
             manifold_overlap(lab_a, lab_b)
+
+
+    @pytest.mark.parametrize("dims,periodic", [
+        ((16, 12), (True, False)),
+        ((6, 7, 5), (False, False, True)),
+    ])
+    def test_matches_oracle_on_plateaus(self, dims, periodic):
+        rng = np.random.default_rng(22)
+        dom = GridDomain(dims, periodic=periodic)
+        for pct in (0.0, 5.0, 30.0):
+            # four distinct values: flat plateaus, ties broken by vertex id
+            a, b = (rng.integers(0, 4, dom.vertex_count).astype(float) for _ in range(2))
+            lab_t = simplify(label_manifolds(a, dom, "minimum"), a, pct)
+            lab_n = simplify(label_manifolds(b, dom, "minimum"), b, pct)
+            fwd, bwd = manifold_overlap(lab_t, lab_n)
+            want = oracle_overlap(lab_t, lab_n)
+            assert np.array_equal(fwd.to_dense(), want)
+            assert np.array_equal(bwd.to_dense(), want.T)
+
+    def test_memory_follows_vertices_not_extremum_pairs(self):
+        # 2**17 one-vertex manifolds per step: a dense n_t * n_n count table
+        # would hold 2**34 int64 entries (128 GiB)
+        dom = GridDomain((512, 256))
+        n = dom.vertex_count
+        perm = np.random.default_rng(23).permutation(n)
+
+        def one_vertex_manifolds(label):
+            at = np.argsort(label)
+            extrema = tuple(Extremum(i, int(v), 0.0, np.inf, "minimum")
+                            for i, v in enumerate(at.tolist()))
+            return ManifoldLabeling("ascending", dom, label, extrema, np.ones(n, np.int64))
+
+        fwd, bwd = manifold_overlap(one_vertex_manifolds(np.arange(n)),
+                                    one_vertex_manifolds(perm))
+        assert (fwd.rows, fwd.cols) == (n, n)
+        assert np.array_equal(fwd.indptr, np.arange(n + 1))
+        assert np.array_equal(fwd.indices, perm)
+        assert np.array_equal(bwd.indices, np.argsort(perm))
+        assert (fwd.counts == 1).all() and (bwd.counts == 1).all()
 
 
 class TestSamplingNeighborhood:
@@ -217,6 +258,26 @@ class TestSerialization:
         back, _ = load_matrix(p)
         assert isinstance(back, CorrespondenceMatrix)
         assert np.array_equal(back.to_dense(), c.to_dense())
+
+    def test_writer_matches_json_module(self, tmp_path):
+        rng = np.random.default_rng(24)
+        lab_t, lab_n, dom = random_labeling_pair(rng, periodic=(True, False))
+        fwd, bwd = manifold_overlap(lab_t, lab_n)
+        empty = np.zeros(0, np.int64)
+        matrices = [
+            fwd, bwd, normalize(fwd), normalize(bwd),
+            sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "forward"),
+            binary_correspondence(lab_n, lab_t, "backward"),
+            # partial features: stored rows can be empty, or every row
+            FeatureOverlapMatrix(2, 3, "forward", "manifold-overlap", np.zeros(3, np.int64),
+                                 empty, empty, np.array([5, 6])),
+            OverlapMatrix(0, 4, "forward", "manifold-overlap", np.zeros(1, np.int64),
+                          empty, empty, empty),
+        ]
+        for t, m in enumerate(matrices):
+            p = tmp_path / f"m{t}.json"
+            save_matrix(m, t, p)
+            assert p.read_text(encoding="utf-8") == oracle_matrix_json(m, t)
 
     def test_doc_shape_is_stable(self):
         dom = GridDomain((4, 4))

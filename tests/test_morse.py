@@ -209,6 +209,23 @@ class TestSimplify:
         with pytest.raises(ValueError):
             simplify(lab, vals + 1.0, 0.5)
 
+    def test_long_partner_chain(self):
+        # 3000 wells along a 2 x 12000 strip, each deeper than the one to its
+        # left, behind barriers that rise to the right: every well merges into
+        # its right neighbour, so the merge partners form one 2999-long chain
+        k, r = np.divmod(np.arange(12000), 4)
+        row = np.select([r == 0, r == 1, r == 2], [-k, 0.25, k + 0.5], -0.25).astype(float)
+        tail = k == 2999
+        row[tail] = r[tail] - 2999.0
+        step = np.tile(row, 2)
+        dom = GridDomain((2, 12000))
+        lab = label_manifolds(step, dom, "minimum")
+        assert lab.n_extrema == 3000
+        assert lab._partners[:-1].tolist() == list(range(1, 3000))
+        out = simplify(lab, step, 100.0)
+        assert out.n_extrema == 1 and out.extrema[0].vertex == 4 * 2999
+        assert (out.label == 0).all() and out._partners.tolist() == [-1]
+
     def test_maxima_simplification(self):
         vals, dom = path_values([0, -10, -1, -10, -9.97])
         lab = label_manifolds(vals, dom, "maximum")

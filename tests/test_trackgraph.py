@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,14 @@ from extrack.trackgraph import (
     semantic_filter,
     strength_bin,
     threshold_filter,
+)
+from helpers import (
+    oracle_assemble,
+    oracle_export_dot,
+    oracle_export_json,
+    oracle_extremum_layers,
+    oracle_semantic_filter,
+    oracle_threshold_filter,
 )
 
 
@@ -363,3 +372,110 @@ class TestGraphInvariants:
             for n in layer:
                 assert n.pos == series.domain.position(n.vertex)
                 assert labs[t].label[n.vertex] == n.id
+
+
+def random_cm(rng, rows, cols, direction, density=0.5):
+    """Sparse probabilities count/denominator with small per-row
+    denominators, so equal strengths (ties) are common."""
+    denom = rng.choice([2, 3, 4, 7], size=rows)
+    counts = rng.integers(1, denom[:, None] + 1, size=(rows, cols))
+    dense = np.where(rng.random((rows, cols)) < density, counts, 0)
+    ii, jj = np.nonzero(dense)
+    indptr, indices, cc = _csr_from_entries(rows, ii, jj, dense[ii, jj])
+    return CorrespondenceMatrix(rows, cols, direction, "manifold-overlap", indptr, indices,
+                                cc, denom.astype(np.int64), cc / denom[ii])
+
+
+def random_layers(rng, domain, sizes):
+    layers = []
+    for t, n in enumerate(sizes):
+        vertices = rng.integers(0, domain.vertex_count, size=n).tolist()
+        values = (rng.integers(-21, 21, size=n) / 7).tolist()
+        layers.append([GraphNode(t, i, "extremum", v, x, domain.position(v))
+                       for i, (v, x) in enumerate(zip(vertices, values))])
+    return layers
+
+
+def assert_same_graph(new, old):
+    assert [dataclasses.astuple(n) for n in new.nodes] == [dataclasses.astuple(n) for n in old.nodes]
+    assert [dataclasses.astuple(e) for e in new.edges] == [dataclasses.astuple(e) for e in old.edges]
+    assert new.meta == old.meta
+    assert export(new, "json") == oracle_export_json(old)
+    assert export(new, "dot") == oracle_export_dot(old)
+
+
+POLICIES = [ConnectivityPolicy(b, s) for b in (True, False) for s in ("max", "avg", "min")]
+
+
+class TestAgainstOracles:
+    """Column-array assembly, tracks, filters and writers against the
+    per-object reference implementations in tests/helpers.py."""
+
+    def check_pipeline(self, layers, cm_f, cm_b, domain, predicates):
+        for policy in POLICIES:
+            new = assemble(layers, cm_f, cm_b, policy, strategy="manifold-overlap")
+            old = oracle_assemble(layers, cm_f, cm_b, policy, strategy="manifold-overlap")
+            assert_same_graph(new, old)
+            for p_min in (0.0, 0.25, 0.5, 1.0):
+                for require in ("any", "both"):
+                    assert_same_graph(threshold_filter(new, p_min, require),
+                                      oracle_threshold_filter(old, p_min, require))
+            kept = threshold_filter(new, 0.25, "any")
+            kept_old = oracle_threshold_filter(old, 0.25, "any")
+            for pred in predicates:
+                assert_same_graph(semantic_filter(kept, domain, pred),
+                                  oracle_semantic_filter(kept_old, domain, pred))
+
+    def test_random_sparse_matrices_with_ties(self):
+        rng = np.random.default_rng(90)
+        domain = GridDomain((7, 6), spacing=(1.0, 0.5), periodic=(True, False))
+        predicates = [
+            SemanticPredicate(max_jump=1.0),
+            SemanticPredicate(max_jump=2.5, value_min=-2.0),
+            SemanticPredicate(value_max=0.0, box_min=(1.0, 0.0), box_max=(5.0, 2.0)),
+            SemanticPredicate(max_jump=0.0),
+        ]
+        for _ in range(25):
+            sizes = rng.integers(1, 8, size=rng.integers(2, 5)).tolist()
+            layers = random_layers(rng, domain, sizes)
+            cm_f = [random_cm(rng, a, b, "forward") for a, b in zip(sizes, sizes[1:])]
+            cm_b = [random_cm(rng, b, a, "backward") for a, b in zip(sizes, sizes[1:])]
+            self.check_pipeline(layers, cm_f, cm_b, domain, predicates)
+
+    @pytest.mark.parametrize("dims,periodic,kind", [
+        ((20, 18), (False, True), "minimum"),
+        ((9, 8, 7), (True, False, False), "maximum"),
+    ])
+    def test_noisy_labelings(self, dims, periodic, kind):
+        from extrack.correspond import manifold_overlap, normalize, sampling_overlap
+        from extrack.morse import label_manifolds, simplify
+
+        rng = np.random.default_rng(91)
+        domain = GridDomain(dims, periodic=periodic)
+        # few distinct values: plateaus and tied probabilities everywhere
+        steps = [rng.integers(0, 5, domain.vertex_count).astype(float) for _ in range(3)]
+        labs = [simplify(label_manifolds(s, domain, kind), s, 10.0) for s in steps]
+        layers = extremum_layers(labs)
+        assert [list(layer) for layer in layers] == oracle_extremum_layers(labs)
+
+        predicates = [SemanticPredicate(max_jump=2.0), SemanticPredicate(max_jump=4.0, value_min=2.0)]
+        pairs = [manifold_overlap(a, b) for a, b in zip(labs, labs[1:])]
+        self.check_pipeline(layers, [normalize(f) for f, _ in pairs],
+                            [normalize(b) for _, b in pairs], domain, predicates)
+        cm_f = [normalize(sampling_overlap(a, b, domain, "euclidean", 1.5, "forward"))
+                for a, b in zip(labs, labs[1:])]
+        cm_b = [normalize(sampling_overlap(b, a, domain, "euclidean", 1.5, "backward"))
+                for a, b in zip(labs, labs[1:])]
+        self.check_pipeline(layers, cm_f, cm_b, domain, predicates)
+
+    def test_import_round_trip_matches_oracle_bytes(self):
+        rng = np.random.default_rng(92)
+        domain = GridDomain((5, 5))
+        layers = random_layers(rng, domain, [4, 5, 3])
+        cm_f = [random_cm(rng, 4, 5, "forward"), random_cm(rng, 5, 3, "forward")]
+        cm_b = [random_cm(rng, 5, 4, "backward"), random_cm(rng, 3, 5, "backward")]
+        g = oracle_assemble(layers, cm_f, cm_b, ConnectivityPolicy(bidirectional=False))
+        text = oracle_export_json(g)
+        back = import_graph(text)
+        assert_same_graph(back, g)
+        assert export(back, "json") == text
