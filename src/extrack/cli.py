@@ -166,8 +166,6 @@ def _timed(stage: str, fn, *args, t=None):
         out = fn(*args)
     except (ConfigError, DataError, StageError):
         raise
-    except AssertionError as e:
-        raise StageError(stage, t, e) from e
     except Exception as e:
         raise StageError(stage, t, e) from e
     log.info("[%s] %.3fs", stage, time.perf_counter() - t0)

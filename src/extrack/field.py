@@ -112,6 +112,32 @@ def _freudenthal_offsets(rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(ups + [tuple(-x for x in o) for o in ups])
 
 
+def offset_slices(domain: GridDomain):
+    """Freudenthal adjacency as slice pairs on the grid reshaped to ``dims``.
+
+    Yields ``(k, src, dst)`` for each of the K/2 positive offsets k of
+    ``_freudenthal_offsets``: ``grid[dst]`` holds the +k neighbor of each
+    vertex of ``grid[src]``, and ``grid[src]`` the -k neighbor (slot
+    k + K/2 of ``neighbor_table``) of each vertex of ``grid[dst]``. A
+    periodic axis the offset steps along adds a wrap piece (``[n-1:n]`` to
+    ``[0:1]``), so one offset yields up to 2**rank pieces. Together the
+    pieces cover every valid (vertex, slot) of ``neighbor_table`` exactly
+    once, in one direction or the other, without building a (V, K) table.
+    """
+    offsets = _freudenthal_offsets(domain.rank)
+    for k, off in enumerate(offsets[: len(offsets) // 2]):
+        per_axis = []
+        for o, n, per in zip(off, domain.dims, domain.periodic):
+            if not o:
+                per_axis.append(((slice(None), slice(None)),))
+            elif per:
+                per_axis.append(((slice(0, n - 1), slice(1, n)), (slice(n - 1, n), slice(0, 1))))
+            else:
+                per_axis.append(((slice(0, n - 1), slice(1, n)),))
+        for pieces in product(*per_axis):
+            yield k, tuple(s for s, _ in pieces), tuple(d for _, d in pieces)
+
+
 @lru_cache(maxsize=16)
 def _positions(domain: GridDomain) -> np.ndarray:
     coords = np.indices(domain.dims).reshape(domain.rank, -1).T

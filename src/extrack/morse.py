@@ -8,6 +8,16 @@ basin into the merge partner's basin.
 Ties are broken by vertex index everywhere (simulation of simplicity), so
 flat plateaus resolve deterministically. Maxima reuse the minima path on
 the negated field.
+
+Both descent and the merge sweep walk the grid one Freudenthal offset at a
+time through ``field.offset_slices``, so labeling needs O(V) memory and no
+(V, K) neighbor table. Persistence follows the elder rule (Edelsbrunner,
+Letscher and Zomorodian, 2002) over a union-find of basins that sees only
+the lowest saddle edge of each pair of adjacent basins: any later edge
+between the same two basins joins components already joined, as in
+Kruskal's algorithm. Edges that share a saddle vertex keep their order in
+the full edge enumeration, because that order decides which basin a
+younger extremum merges into.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .field import GridDomain, neighbor_table
+from .field import GridDomain, offset_slices
 
 ExtremumKind = Literal["minimum", "maximum"]
 ManifoldKind = Literal["ascending", "descending"]
@@ -90,17 +100,22 @@ def _descent_pointers(w: np.ndarray, domain: GridDomain) -> np.ndarray:
     """One steepest-descent step per vertex under the (value, id) order.
 
     Returns ptr where ptr[v] is the lexicographically smallest neighbor if
-    that neighbor precedes v, else v itself (v is a minimum of w).
+    that neighbor precedes v, else v itself (v is a minimum of w). Every
+    offset piece updates a running (value, id) best per vertex in both
+    directions, so no (V, K) table is built.
     """
-    nbr, valid = neighbor_table(domain)
-    v_ids = np.arange(w.size)
-    nv = np.where(valid, w[nbr], np.inf)
-    # argmin of (value, id) per row: min value first, min id among those
-    row_min = nv.min(axis=1)
-    tied_ids = np.where(nv == row_min[:, None], nbr, w.size)
-    best = tied_ids.min(axis=1)
-    move = (row_min < w) | ((row_min == w) & (best < v_ids))
-    return np.where(move, best, v_ids)
+    grid = w.reshape(domain.dims)
+    ids = np.arange(w.size).reshape(domain.dims)
+    best_w = grid.copy()
+    best = ids.copy()
+    for _, src, dst in offset_slices(domain):
+        for here, there in ((src, dst), (dst, src)):
+            cw, ci = grid[there], ids[there]
+            bw, bi = best_w[here], best[here]
+            take = (cw < bw) | ((cw == bw) & (ci < bi))
+            np.copyto(bw, cw, where=take)
+            np.copyto(bi, ci, where=take)
+    return best.reshape(-1)
 
 
 def _resolve_roots(ptr: np.ndarray) -> np.ndarray:
@@ -113,6 +128,16 @@ def _resolve_roots(ptr: np.ndarray) -> np.ndarray:
         root = nxt
 
 
+def _first_per_pair(pair: np.ndarray, key: np.ndarray):
+    """Each distinct pair once, ascending, with its smallest key."""
+    if not pair.size:
+        return pair, key
+    order = np.argsort(pair)
+    pair = pair[order]
+    starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+    return pair[starts], np.minimum.reduceat(key[order], starts)
+
+
 def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertices: np.ndarray):
     """0-dimensional persistence of the minima of w by basin merging.
 
@@ -120,6 +145,17 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
     (each basin's sublevel slice stays connected through its descent
     paths), so a union-find over basins processing boundary edges in
     ascending saddle order reproduces the vertex sweep.
+
+    The sweep visits one edge per unordered basin pair: the first in sweep
+    order. Every later edge between the same two basins joins components
+    that are already one (the Kruskal argument), so dropping it changes
+    nothing. The sweep order is the (value, id) order of the saddle, the
+    edge's TotalOrder-larger endpoint, and among edges sharing a saddle
+    vertex the order of their first directed slot ``v * K + k`` in
+    ``neighbor_table``. That tie order matters: such edges all touch
+    ``label[s]``, and which of them comes first decides which basin
+    becomes a younger extremum's partner, and so what ``simplify``
+    relabels.
 
     Returns (persistence, saddles, partners) per extremum; the global
     minimum gets +inf persistence, saddle and partner -1.
@@ -131,20 +167,31 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
     if n_ex == 1:
         return pers, saddles, partners
 
-    nbr, valid = neighbor_table(domain)
-    boundary = valid & (label[nbr] != label[:, None])
-    vv, kk = np.nonzero(boundary)
-    uu = nbr[vv, kk]
-    # the saddle of an edge is its TotalOrder-larger endpoint; each
-    # undirected edge shows up twice, the second hit is a no-op union
-    swap = (w[uu] > w[vv]) | ((w[uu] == w[vv]) & (uu > vv))
-    sad = np.where(swap, uu, vv)
-    order = np.lexsort((sad, w[sad]))
-    lab_a = label[vv][order]
-    lab_b = label[uu][order]
-    sad = sad[order]
+    # sweep key: saddle rank, then the edge's first directed slot v * K + k;
+    # one per undirected edge, and it fits in int64 while V * V * K < 2**63
+    n_slots = 2 * (2**domain.rank - 1)
+    n_keys = w.size * n_slots
+    asc = np.argsort(w, kind="stable")
+    rank = np.empty_like(asc)
+    rank[asc] = np.arange(w.size)
+    lab = label.reshape(domain.dims)
+    rnk = rank.reshape(domain.dims)
+    ids = np.arange(w.size).reshape(domain.dims)
+    pairs, keys = [], []
+    for k, src, dst in offset_slices(domain):
+        cut = lab[src] != lab[dst]
+        la, lb = lab[src][cut], lab[dst][cut]
+        slot = np.minimum(ids[src][cut] * n_slots + k, ids[dst][cut] * n_slots + (k + n_slots // 2))
+        key = np.maximum(rnk[src][cut], rnk[dst][cut]) * n_keys + slot
+        pair, key = _first_per_pair(np.minimum(la, lb) * n_ex + np.maximum(la, lb), key)
+        pairs.append(pair)
+        keys.append(key)
+    pair, key = _first_per_pair(np.concatenate(pairs), np.concatenate(keys))
+    order = np.argsort(key)
+    pair, key = pair[order], key[order]
+    sad = asc[key // n_keys]
 
-    uf = np.arange(n_ex)
+    uf = list(range(n_ex))
 
     def find(x: int) -> int:
         while uf[x] != x:
@@ -152,21 +199,21 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
             x = uf[x]
         return x
 
-    ex_w = w[ex_vertices]
-    for e in range(sad.size):
-        ra, rb = find(int(lab_a[e])), find(int(lab_b[e]))
+    ex_rank = rank[ex_vertices].tolist()
+    dead, elders, at = [], [], []
+    for e, (a, b) in enumerate(zip((pair // n_ex).tolist(), (pair % n_ex).tolist())):
+        ra, rb = find(a), find(b)
         if ra == rb:
             continue
         # elder rule: the younger component representative dies here
-        if (ex_w[ra], ra) < (ex_w[rb], rb):
-            elder, young = ra, rb
-        else:
-            elder, young = rb, ra
-        s = int(sad[e])
-        pers[young] = w[s] - ex_w[young]
-        saddles[young] = s
-        partners[young] = elder
+        elder, young = (ra, rb) if ex_rank[ra] < ex_rank[rb] else (rb, ra)
         uf[young] = elder
+        dead.append(young)
+        elders.append(elder)
+        at.append(e)
+    partners[dead] = elders
+    saddles[dead] = sad[at]
+    pers[dead] = w[saddles[dead]] - w[ex_vertices[dead]]
     return pers, saddles, partners
 
 

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from extrack.correspond import matrix_to_doc
-from extrack.field import GridDomain, ScalarFieldSeries, minimum_image_distance
+from extrack.field import GridDomain, ScalarFieldSeries, minimum_image_distance, neighbor_table
 from extrack.morse import Extremum, ManifoldLabeling
 from extrack.trackgraph import _BIN_WIDTHS, _TRACK_COLORS, GraphEdge, GraphNode, TrackingGraph
 
@@ -112,6 +112,85 @@ def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> lis
                     nxt.append(u)
         frontier = nxt
     return sorted(dist)
+
+
+# Reference implementations of steepest descent and the merge sweep: one
+# (V, K) neighbor table and one union-find step per directed boundary
+# edge, kept as the judges of the offset-slice code in extrack.morse.
+
+
+def oracle_descent_pointers(w: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """One steepest-descent step per vertex under the (value, id) order.
+
+    Returns ptr where ptr[v] is the lexicographically smallest neighbor if
+    that neighbor precedes v, else v itself (v is a minimum of w).
+    """
+    nbr, valid = neighbor_table(domain)
+    v_ids = np.arange(w.size)
+    nv = np.where(valid, w[nbr], np.inf)
+    # argmin of (value, id) per row: min value first, min id among those
+    row_min = nv.min(axis=1)
+    tied_ids = np.where(nv == row_min[:, None], nbr, w.size)
+    best = tied_ids.min(axis=1)
+    move = (row_min < w) | ((row_min == w) & (best < v_ids))
+    return np.where(move, best, v_ids)
+
+
+def oracle_merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertices: np.ndarray):
+    """0-dimensional persistence of the minima of w by basin merging.
+
+    Only edges between different basins can merge sublevel components
+    (each basin's sublevel slice stays connected through its descent
+    paths), so a union-find over basins processing boundary edges in
+    ascending saddle order reproduces the vertex sweep.
+
+    Returns (persistence, saddles, partners) per extremum; the global
+    minimum gets +inf persistence, saddle and partner -1.
+    """
+    n_ex = ex_vertices.size
+    pers = np.full(n_ex, np.inf)
+    saddles = np.full(n_ex, -1, dtype=np.int64)
+    partners = np.full(n_ex, -1, dtype=np.int64)
+    if n_ex == 1:
+        return pers, saddles, partners
+
+    nbr, valid = neighbor_table(domain)
+    boundary = valid & (label[nbr] != label[:, None])
+    vv, kk = np.nonzero(boundary)
+    uu = nbr[vv, kk]
+    # the saddle of an edge is its TotalOrder-larger endpoint; each
+    # undirected edge shows up twice, the second hit is a no-op union
+    swap = (w[uu] > w[vv]) | ((w[uu] == w[vv]) & (uu > vv))
+    sad = np.where(swap, uu, vv)
+    order = np.lexsort((sad, w[sad]))
+    lab_a = label[vv][order]
+    lab_b = label[uu][order]
+    sad = sad[order]
+
+    uf = np.arange(n_ex)
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    ex_w = w[ex_vertices]
+    for e in range(sad.size):
+        ra, rb = find(int(lab_a[e])), find(int(lab_b[e]))
+        if ra == rb:
+            continue
+        # elder rule: the younger component representative dies here
+        if (ex_w[ra], ra) < (ex_w[rb], rb):
+            elder, young = ra, rb
+        else:
+            elder, young = rb, ra
+        s = int(sad[e])
+        pers[young] = w[s] - ex_w[young]
+        saddles[young] = s
+        partners[young] = elder
+        uf[young] = elder
+    return pers, saddles, partners
 
 
 # Reference implementations of the tracking graph and the artifact writers:

@@ -1,12 +1,15 @@
 import json
 import logging
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extrack
 from extrack import correspond, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, load_labels, load_series, save_series
@@ -346,3 +349,22 @@ class TestEntryPoint:
         r = subprocess.run([exe, "run", "--strategy", "telepathy"],
                            capture_output=True, text=True)
         assert r.returncode == 2
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _run(*args):
+        src = str(Path(extrack.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "extrack", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_synth_runs(self, tmp_path):
+        out = tmp_path / "cli.xtrk"
+        r = self._run("synth", "--preset", "ridge", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert out.exists()
+
+    def test_no_arguments_exits_2(self):
+        assert self._run().returncode == 2

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from extrack.field import GridDomain, vertex_neighbors
-from extrack.morse import TotalOrder, label_manifolds, persistence_pairs, simplify
+from extrack.morse import (TotalOrder, _descent_pointers, _merge_sweep, _resolve_roots,
+                           label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
-from helpers import grid_series
+from helpers import grid_series, oracle_descent_pointers, oracle_merge_sweep
 
 
 def path_values(row):
@@ -232,3 +235,87 @@ class TestSimplify:
         s = simplify(lab, vals, 0.5)
         assert [e.vertex for e in s.extrema] == [0, 2]
         assert s.extrema[1].value == -1.0
+
+
+class TestAgainstOracles:
+    """Offset-slice descent and the one-edge-per-pair sweep against the (V, K)
+    table versions, exactly, on every periodic combination."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (6, 8), (9, 11),
+                                      (2, 2, 2), (2, 3, 3), (3, 2, 4), (5, 5, 6), (6, 5, 7)])
+    def test_descent_and_sweep_match(self, dims):
+        rng = np.random.default_rng(sum(dims) * len(dims))
+        for periodic in product((False, True), repeat=len(dims)):
+            dom = GridDomain(dims, periodic=periodic)
+            for trial in range(4):
+                if trial < 3:  # values in {0, 1, 2}: plateaus and shared saddles
+                    values = rng.integers(0, 3, size=dom.vertex_count).astype(float)
+                else:
+                    values = rng.permutation(dom.vertex_count).astype(float)
+                for w in (values, -values):  # minima, then maxima
+                    ptr = _descent_pointers(w, dom)
+                    assert np.array_equal(ptr, oracle_descent_pointers(w, dom)), periodic
+                    ex = np.flatnonzero(ptr == np.arange(w.size))
+                    label = np.searchsorted(ex, _resolve_roots(ptr))
+                    got = _merge_sweep(w, dom, label, ex)
+                    want = oracle_merge_sweep(w, dom, label, ex)
+                    for g, o in zip(got, want):
+                        assert g.dtype == o.dtype and np.array_equal(g, o), periodic
+
+    # Basins A (value 0), B (value 1) and C (value 3) meet only at one saddle
+    # s (value 5), which drains into B. Swept in slot order, s's edge to A
+    # comes before its edge to C: B dies into A, then C into A. The other
+    # order would kill C into B, and simplifying at 30 % of the range 9
+    # (between the persistences 2 and 4) would move C's basin into B's.
+    SHARED_SADDLE = [
+        # the order is set by the other endpoints: A's neighbor has the lower id
+        dict(step=[[0, 2, 9, 9, 9],
+                   [9, 9, 5, 4, 3],
+                   [9, 9, 1, 9, 9]],
+             periodic=(False, False), extrema=[0, 9, 12], saddle=7,
+             persistence=[math.inf, 2.0, 4.0], partners=[-1, 0, 0],
+             simplified=[[0, 0, 0, 0, 0],
+                         [0, 0, 1, 0, 0],
+                         [0, 1, 1, 1, 0]]),
+        # s is the lower id of both edges, so its own slots set the order: the
+        # +(1, 1) slot to A precedes the -(0, 1) slot that wraps around to C
+        dict(step=[[9, 9, 9, 9, 9, 9],
+                   [1, 9, 9, 9, 9, 9],
+                   [5, 9, 9, 9, 3, 4.5],
+                   [9, 4, 9, 9, 9, 9],
+                   [9, 9, 0, 9, 9, 9]],
+             periodic=(False, True), extrema=[6, 16, 26], saddle=12,
+             persistence=[4.0, 2.0, math.inf], partners=[2, 2, -1],
+             simplified=[[0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 1, 1, 0],
+                         [0, 0, 0, 1, 1, 1],
+                         [1, 1, 1, 0, 1, 1],
+                         [1, 1, 1, 1, 0, 1]]),
+    ]
+
+    @pytest.mark.parametrize("case", SHARED_SADDLE)
+    def test_three_basins_sharing_one_saddle(self, case):
+        step = np.array(case["step"], dtype=float)
+        dom = GridDomain(step.shape, periodic=case["periodic"])
+        lab = label_manifolds(step.ravel(), dom, "minimum")
+        assert [e.vertex for e in lab.extrema] == case["extrema"]
+        assert [e.persistence for e in lab.extrema] == case["persistence"]
+        assert lab._saddles.tolist() == [-1 if p < 0 else case["saddle"] for p in case["partners"]]
+        assert lab._partners.tolist() == case["partners"]
+        s = simplify(lab, step.ravel(), 30.0)
+        assert s.n_extrema == 2
+        assert s.label.reshape(step.shape).tolist() == case["simplified"]
+
+
+def test_labeling_memory_is_linear_in_the_field():
+    # white noise: one extremum per ~15 vertices, so any per-edge or (V, K)
+    # table shows up as a multiple of the field's bytes
+    dom = GridDomain((48, 48, 48), periodic=(True, False, False))
+    step = np.random.default_rng(3).standard_normal(dom.vertex_count)
+    tracemalloc.start()
+    try:
+        simplify(label_manifolds(step, dom, "minimum"), step, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * step.nbytes
