@@ -451,27 +451,31 @@ def cmd_inspect(args) -> int:
     except json.JSONDecodeError as e:
         raise DataError(f"{args.path}: not JSON: {e}") from e
     w = sys.stdout.write
-    if isinstance(doc, dict) and "entries" in doc and "direction" in doc:
-        w(f"{doc['kind']} matrix, {doc['strategy']}, {doc['direction']} at t={doc['t']}\n")
-        w(f"shape {doc['rows']} x {doc['cols']}, {len(doc['entries'])} stored entries\n")
-        denom = doc["denominators"]
-        for e in doc["entries"][:20]:
-            i, j, c = e
-            w(f"  ({i} -> {j}): {c}/{denom[i]} = {c / denom[i]:.4f}\n")
-        if len(doc["entries"]) > 20:
-            w(f"  ... {len(doc['entries']) - 20} more\n")
-        return 0
-    if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
-        nodes, edges = doc["nodes"], doc["edges"]
-        layers = 1 + max((n["t"] for n in nodes), default=-1)
-        tracks = len({n["track"] for n in nodes})
-        w(f"tracking graph: {layers} layers, {len(nodes)} nodes, {len(edges)} edges, {tracks} tracks\n")
-        meta = doc.get("meta", {})
-        if meta.get("strategy"):
-            w(f"strategy {meta['strategy']}, policy {meta.get('policy')}\n")
-        for e in sorted(edges, key=lambda e: -e["strength"])[:10]:
-            w(f"  t{e['t']} {e['i']} -> {e['j']}  strength {e['strength']:.4f}\n")
-        return 0
+    try:
+        if isinstance(doc, dict) and "entries" in doc and "direction" in doc:
+            w(f"{doc['kind']} matrix, {doc['strategy']}, {doc['direction']} at t={doc['t']}\n")
+            w(f"shape {doc['rows']} x {doc['cols']}, {len(doc['entries'])} stored entries\n")
+            denom = doc["denominators"]
+            for e in doc["entries"][:20]:
+                i, j, c = e
+                w(f"  ({i} -> {j}): {c}/{denom[i]} = {c / denom[i]:.4f}\n")
+            if len(doc["entries"]) > 20:
+                w(f"  ... {len(doc['entries']) - 20} more\n")
+            return 0
+        if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
+            nodes, edges = doc["nodes"], doc["edges"]
+            layers = 1 + max((n["t"] for n in nodes), default=-1)
+            tracks = len({n["track"] for n in nodes})
+            w(f"tracking graph: {layers} layers, {len(nodes)} nodes, {len(edges)} edges, {tracks} tracks\n")
+            meta = doc.get("meta", {})
+            if meta.get("strategy"):
+                w(f"strategy {meta['strategy']}, policy {meta.get('policy')}\n")
+            for e in sorted(edges, key=lambda e: -e["strength"])[:10]:
+                w(f"  t{e['t']} {e['i']} -> {e['j']}  strength {e['strength']:.4f}\n")
+            return 0
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        what = "matrix" if "entries" in doc else "graph"
+        raise DataError(f"{args.path}: malformed {what} document: {e!r}") from e
     raise DataError(f"{args.path}: neither a matrix nor a graph document")
 
 

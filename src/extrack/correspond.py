@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Literal
 
@@ -27,25 +28,29 @@ from .morse import Extremum, ManifoldLabeling
 Direction = Literal["forward", "backward"]
 Strategy = Literal["sampling-euclidean", "sampling-combinatorial", "manifold-overlap", "binary"]
 SamplingMode = Literal["euclidean", "combinatorial"]
+Kind = Literal["overlap", "correspondence"]
 
 STRATEGY_OF_MODE = {"euclidean": "sampling-euclidean", "combinatorial": "sampling-combinatorial"}
 
 
-def _csr_from_entries(rows: int, ii, jj, cc):
-    """Sort (i, j, count) triples into CSR arrays."""
+def _csr(rows: int, cols: int, ii, jj, cc=None):
+    """CSR arrays (indptr, indices, counts) of a rows x cols matrix from
+    (i, j) entries in any order; each entry adds its count from cc, or 1
+    without cc, and repeated (i, j) keys sum."""
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
-    cc = np.asarray(cc, dtype=np.int64)
-    order = np.lexsort((jj, ii))
-    ii, jj, cc = ii[order], jj[order], cc[order]
-    return _indptr(rows, ii), jj, cc
-
-
-def _indptr(rows: int, row_of: np.ndarray) -> np.ndarray:
-    """CSR row pointers for entries whose sorted row ids are ``row_of``."""
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=rows), out=indptr[1:])
-    return indptr
+    if not ((ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)).all():
+        raise ValueError("entry outside the matrix")
+    keys = ii * cols + jj
+    if cc is None:
+        keys, counts = np.unique(keys, return_counts=True)
+    else:
+        keys, inv = np.unique(keys, return_inverse=True)
+        counts = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(counts, inv, np.asarray(cc, dtype=np.int64))
+    # sorted row-major keys are already in CSR order
+    indptr = np.searchsorted(keys, np.arange(rows + 1, dtype=np.int64) * cols)
+    return indptr, keys % max(cols, 1), counts
 
 
 def _row_of(m) -> np.ndarray:
@@ -55,7 +60,12 @@ def _row_of(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OverlapMatrix:
-    """Sparse integer matrix of shared-vertex counts, row-compressed."""
+    """Sparse integer counts over row denominators, row-compressed.
+
+    ``kind`` picks what ``items`` and ``to_dense`` return: the counts of an
+    overlap matrix, or the probabilities ``probs`` of a correspondence
+    matrix. Feature rows may fall short of their denominator.
+    """
 
     rows: int
     cols: int
@@ -65,101 +75,84 @@ class OverlapMatrix:
     indices: np.ndarray
     counts: np.ndarray
     row_denominators: np.ndarray
+    kind: Kind = "overlap"
 
     def __post_init__(self):
-        assert self.indptr.size == self.rows + 1
+        assert self.kind in ("overlap", "correspondence")
+        assert self.indptr.size == self.rows + 1 and self.indptr[0] == 0
         assert self.indices.size == self.counts.size == self.indptr[-1]
-        assert (self.counts >= 1).all(), "zero counts must be absent"
+        assert self.row_denominators.size == self.rows
+        assert ((self.indices >= 0) & (self.indices < self.cols)).all()
         assert (self.row_denominators > 0).all()
-        csum = np.concatenate(([0], np.cumsum(self.counts)))
-        self._validate_row_sums(csum[self.indptr[1:]] - csum[self.indptr[:-1]])
+        assert (self.counts >= 1).all(), "zero counts must be absent"
+        assert (self.counts <= self.row_denominators[_row_of(self)]).all()
         for a in (self.indptr, self.indices, self.counts, self.row_denominators):
             a.flags.writeable = False
 
-    def _validate_row_sums(self, row_sums: np.ndarray) -> None:
-        # balls are fully labeled and manifolds partition the domain, so
-        # extremum-level rows always account for their whole denominator
-        assert (row_sums == self.row_denominators).all()
+    @cached_property
+    def probs(self) -> np.ndarray:
+        # derived on first use, so an overlap and its normalized twin
+        # never both hold a copy
+        probs = self.counts / self.row_denominators[_row_of(self)]
+        probs.flags.writeable = False
+        return probs
+
+    @property
+    def values(self) -> np.ndarray:
+        """Stored values of this kind: probabilities or counts."""
+        return self.probs if self.kind == "correspondence" else self.counts
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(self.indptr[i], self.indptr[i + 1])
         return self.indices[sl], self.counts[sl]
 
+    def _at(self, i: int, j: int, values: np.ndarray, absent):
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + np.searchsorted(self.indices[lo:hi], j)
+        return values[k] if k < hi and self.indices[k] == j else absent
+
     def entry(self, i: int, j: int) -> int:
-        jj, cc = self.row(i)
-        k = np.searchsorted(jj, j)
-        if k < jj.size and jj[k] == j:
-            return int(cc[k])
-        return 0
+        return int(self._at(i, j, self.counts, 0))
+
+    def prob(self, i: int, j: int) -> float:
+        return float(self._at(i, j, self.probs, 0.0))
 
     def items(self):
-        for i in range(self.rows):
-            jj, cc = self.row(i)
-            for j, c in zip(jj, cc):
-                yield int(i), int(j), int(c)
+        return zip(_row_of(self).tolist(), self.indices.tolist(), self.values.tolist())
 
     def support(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.items()}
+        return set(zip(_row_of(self).tolist(), self.indices.tolist()))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, j, c in self.items():
-            out[i, j] = c
+        out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
+        out[_row_of(self), self.indices] = self.values
         return out
 
+    def row_sums(self) -> np.ndarray:
+        """Summed counts per row."""
+        csum = np.concatenate(([0], np.cumsum(self.counts)))
+        return csum[self.indptr[1:]] - csum[self.indptr[:-1]]
+
+    def unassigned_mass(self) -> np.ndarray:
+        """Per-row share of the denominator that no stored entry accounts
+        for, e.g. mass pointing outside the other step's features."""
+        return (self.row_denominators - self.row_sums()) / self.row_denominators
+
     def transpose(self, row_denominators) -> "OverlapMatrix":
-        indptr, indices, counts = _csr_from_entries(self.cols, self.indices, _row_of(self),
-                                                    self.counts)
         direction = "backward" if self.direction == "forward" else "forward"
-        return type(self)(
-            self.cols, self.rows, direction, self.strategy, indptr, indices, counts,
-            np.asarray(row_denominators, dtype=np.int64),
+        return OverlapMatrix(
+            self.cols, self.rows, direction, self.strategy,
+            *_csr(self.cols, self.rows, self.indices, _row_of(self), self.counts),
+            np.asarray(row_denominators, dtype=np.int64), self.kind,
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CorrespondenceMatrix:
-    """Row-normalized overlap: entry (i, j) is a probability in (0, 1]."""
-
-    rows: int
-    cols: int
-    direction: Direction
-    strategy: Strategy
-    indptr: np.ndarray
-    indices: np.ndarray
-    counts: np.ndarray
-    row_denominators: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        assert self.indptr.size == self.rows + 1
-        assert self.indices.size == self.counts.size == self.probs.size == self.indptr[-1]
-        assert ((self.probs > 0) & (self.probs <= 1)).all()
-        for a in (self.indptr, self.indices, self.counts, self.row_denominators, self.probs):
-            a.flags.writeable = False
-
-    row = OverlapMatrix.row
-    support = OverlapMatrix.support
-
-    def items(self):
-        for i in range(self.rows):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            for j, p in zip(self.indices[sl], self.probs[sl]):
-                yield int(i), int(j), float(p)
-
-    def prob(self, i: int, j: int) -> float:
-        jj = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        pp = self.probs[self.indptr[i]:self.indptr[i + 1]]
-        k = np.searchsorted(jj, j)
-        if k < jj.size and jj[k] == j:
-            return float(pp[k])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        for i, j, p in self.items():
-            out[i, j] = p
-        return out
+def _complete_rows(m: OverlapMatrix) -> OverlapMatrix:
+    """``m``, after checking that every row accounts for its whole
+    denominator: balls are fully labeled and manifolds partition the
+    domain, so extremum-level rows always do."""
+    assert (m.row_sums() == m.row_denominators).all()
+    return m
 
 
 def _check_pair(a: ManifoldLabeling, b: ManifoldLabeling):
@@ -217,20 +210,14 @@ def sampling_overlap(
     _check_pair(labeling_t, labeling_other)
     if domain != labeling_t.domain:
         raise ValueError("domain does not match the labelings")
-    ii, jj, cc = [], [], []
-    denom = np.empty(labeling_t.n_extrema, dtype=np.int64)
-    for m in labeling_t.extrema:
-        ball = sampling_neighborhood(m, domain, mode, d, lattice_units)
-        denom[m.id] = ball.size
-        labels, counts = np.unique(labeling_other.label[ball], return_counts=True)
-        ii.extend([m.id] * labels.size)
-        jj.extend(labels.tolist())
-        cc.extend(counts.tolist())
-    indptr, indices, counts = _csr_from_entries(labeling_t.n_extrema, ii, jj, cc)
-    return OverlapMatrix(
-        labeling_t.n_extrema, labeling_other.n_extrema, direction, STRATEGY_OF_MODE[mode],
-        indptr, indices, counts, denom,
-    )
+    n, cols = labeling_t.n_extrema, labeling_other.n_extrema
+    balls = [sampling_neighborhood(m, domain, mode, d, lattice_units) for m in labeling_t.extrema]
+    denom = np.array([b.size for b in balls], dtype=np.int64)
+    ii = np.repeat(np.arange(n), denom)
+    jj = labeling_other.label[np.concatenate(balls)]
+    return _complete_rows(OverlapMatrix(
+        n, cols, direction, STRATEGY_OF_MODE[mode], *_csr(n, cols, ii, jj), denom,
+    ))
 
 
 def manifold_overlap(
@@ -245,48 +232,39 @@ def manifold_overlap(
     """
     _check_pair(labeling_t, labeling_next)
     n_t, n_n = labeling_t.n_extrema, labeling_next.n_extrema
-    joint = labeling_t.label.astype(np.int64) * n_n + labeling_next.label
-    keys, counts = np.unique(joint, return_counts=True)
-    # sorted row-major keys are already in CSR order
-    ii, indices = np.divmod(keys, n_n)
-    forward = OverlapMatrix(
-        n_t, n_n, "forward", "manifold-overlap", _indptr(n_t, ii), indices, counts,
+    forward = _complete_rows(OverlapMatrix(
+        n_t, n_n, "forward", "manifold-overlap",
+        *_csr(n_t, n_n, labeling_t.label, labeling_next.label),
         labeling_t.sizes.astype(np.int64),
-    )
-    backward = forward.transpose(labeling_next.sizes.astype(np.int64))
-    return forward, backward
+    ))
+    return forward, _complete_rows(forward.transpose(labeling_next.sizes.astype(np.int64)))
 
 
 def binary_correspondence(
     labeling_t: ManifoldLabeling, labeling_other: ManifoldLabeling, direction: Direction
-) -> CorrespondenceMatrix:
+) -> OverlapMatrix:
     """One-to-one baseline: an extremum maps with probability 1 to the
     manifold of the other step that contains its vertex."""
     _check_pair(labeling_t, labeling_other)
-    n = labeling_t.n_extrema
-    jj = [int(labeling_other.label[m.vertex]) for m in labeling_t.extrema]
-    indptr, indices, counts = _csr_from_entries(n, np.arange(n), jj, np.ones(n, dtype=np.int64))
-    return CorrespondenceMatrix(
-        n, labeling_other.n_extrema, direction, "binary", indptr, indices, counts,
-        np.ones(n, dtype=np.int64), np.ones(n, dtype=np.float64),
-    )
+    n, cols = labeling_t.n_extrema, labeling_other.n_extrema
+    jj = labeling_other.label[[m.vertex for m in labeling_t.extrema]]
+    return _complete_rows(OverlapMatrix(
+        n, cols, direction, "binary", *_csr(n, cols, np.arange(n), jj),
+        np.ones(n, dtype=np.int64), "correspondence",
+    ))
 
 
-def normalize(o: OverlapMatrix) -> CorrespondenceMatrix:
-    """Divide each row by its denominator; sparsity is preserved."""
-    probs = o.counts / o.row_denominators[_row_of(o)]
-    return CorrespondenceMatrix(
-        o.rows, o.cols, o.direction, o.strategy,
-        o.indptr, o.indices, o.counts, o.row_denominators, probs,
-    )
+def normalize(o: OverlapMatrix) -> OverlapMatrix:
+    """Read each row divided by its denominator; shares o's arrays."""
+    return replace(o, kind="correspondence")
 
 
-def matrix_to_doc(m: OverlapMatrix | CorrespondenceMatrix, t: int) -> dict:
+def matrix_to_doc(m: OverlapMatrix, t: int) -> dict:
     """JSON document for either matrix kind; stores integer counts so the
     normalization stays reproducible."""
     return {
         "t": int(t),
-        "kind": "correspondence" if isinstance(m, CorrespondenceMatrix) else "overlap",
+        "kind": m.kind,
         "direction": m.direction,
         "strategy": m.strategy,
         "rows": int(m.rows),
@@ -297,18 +275,14 @@ def matrix_to_doc(m: OverlapMatrix | CorrespondenceMatrix, t: int) -> dict:
     }
 
 
-def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix | CorrespondenceMatrix, int]:
+def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = doc["entries"]
-    ii = [e[0] for e in entries]
-    jj = [e[1] for e in entries]
-    cc = [e[2] for e in entries]
-    indptr, indices, counts = _csr_from_entries(rows, ii, jj, cc)
-    denom = np.asarray(doc["denominators"], dtype=np.int64)
-    o = OverlapMatrix(rows, cols, doc["direction"], doc["strategy"], indptr, indices, counts, denom)
-    if doc["kind"] == "correspondence":
-        return normalize(o), int(doc["t"])
-    return o, int(doc["t"])
+    ii, jj, cc = np.asarray(doc["entries"], dtype=np.int64).reshape(-1, 3).T
+    m = OverlapMatrix(
+        rows, cols, doc["direction"], doc["strategy"], *_csr(rows, cols, ii, jj, cc),
+        np.asarray(doc["denominators"], dtype=np.int64), doc["kind"],
+    )
+    return m, int(doc["t"])
 
 
 def _fill(template: str, sep: str, columns) -> str:
@@ -334,16 +308,15 @@ def save_matrix(m, t: int, path) -> None:
     indent=2)`` would, straight from the CSR arrays."""
     entries = _json_list("[\n      %d,\n      %d,\n      %d\n    ]",
                          [_row_of(m), m.indices, m.counts], 1)
-    kind = "correspondence" if isinstance(m, CorrespondenceMatrix) else "overlap"
     text = (
         f'{{\n  "cols": {int(m.cols)},'
         f'\n  "denominators": {_json_list("%d", [m.row_denominators], 1)},'
         f'\n  "direction": {json.dumps(m.direction)},\n  "entries": {entries},'
-        f'\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
+        f'\n  "kind": "{m.kind}",\n  "rows": {int(m.rows)},'
         f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'
     )
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_matrix(path) -> tuple[OverlapMatrix | CorrespondenceMatrix, int]:
+def load_matrix(path) -> tuple[OverlapMatrix, int]:
     return doc_to_matrix(json.loads(Path(path).read_text(encoding="utf-8")))

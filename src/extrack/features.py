@@ -15,12 +15,12 @@ shortfall is reported as unassigned mass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .correspond import CorrespondenceMatrix, OverlapMatrix, _csr_from_entries, _row_of
+from .correspond import OverlapMatrix, _csr, _row_of
 from .morse import Extremum, ManifoldLabeling
 
 
@@ -62,28 +62,13 @@ class FeatureSet:
 
     def membership(self, n_extrema: int) -> np.ndarray:
         """Extremum id -> feature position, -1 where uncovered."""
+        ids = np.array([i for s in self.index_sets for i in s], dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= n_extrema)]
+        if bad.size:
+            raise ValueError(f"extremum id {bad[0]} out of range (step has {n_extrema})")
         out = np.full(n_extrema, -1, dtype=np.int64)
-        for k, s in enumerate(self.index_sets):
-            for i in s:
-                if not 0 <= i < n_extrema:
-                    raise ValueError(f"extremum id {i} out of range (step has {n_extrema})")
-                out[i] = k
+        out[ids] = np.repeat(np.arange(self.n_features), [len(s) for s in self.index_sets])
         return out
-
-
-class FeatureOverlapMatrix(OverlapMatrix):
-    def _validate_row_sums(self, row_sums: np.ndarray) -> None:
-        # partial partitions may leave mass outside the listed features
-        assert (row_sums <= self.row_denominators).all()
-
-
-class FeatureCorrespondenceMatrix(CorrespondenceMatrix):
-    def unassigned_mass(self) -> np.ndarray:
-        """Per-row probability mass pointing outside the other step's features."""
-        out = np.ones(self.rows)
-        for i in range(self.rows):
-            out[i] -= self.probs[self.indptr[i]:self.indptr[i + 1]].sum()
-        return np.maximum(out, 0.0)
 
 
 def singleton_features(t: int, n_extrema: int) -> FeatureSet:
@@ -93,30 +78,23 @@ def singleton_features(t: int, n_extrema: int) -> FeatureSet:
 
 def feature_overlap(
     features_t: FeatureSet, features_other: FeatureSet, o: OverlapMatrix
-) -> FeatureOverlapMatrix:
+) -> OverlapMatrix:
     """Block-sum the extremum overlap into feature overlap.
 
     Entries whose extremum belongs to no feature on either side are
     dropped; their mass shows up later as unassigned.
     """
-    mem_t = features_t.membership(o.rows)
-    mem_o = features_other.membership(o.cols)
-    row_of = _row_of(o)
-    acc: dict[tuple[int, int], int] = {}
-    for i, j, c in zip(row_of, o.indices, o.counts):
-        k, l = int(mem_t[i]), int(mem_o[j])
-        if k < 0 or l < 0:
-            continue
-        acc[(k, l)] = acc.get((k, l), 0) + int(c)
-    ii = [k for k, _ in acc]
-    jj = [l for _, l in acc]
-    cc = [acc[key] for key in acc]
-    indptr, indices, counts = _csr_from_entries(features_t.n_features, ii, jj, cc)
-    denom = feature_denominators(features_t, o)
-    return FeatureOverlapMatrix(
-        features_t.n_features, features_other.n_features, o.direction, o.strategy,
-        indptr, indices, counts, denom,
+    k = features_t.membership(o.rows)[_row_of(o)]
+    l = features_other.membership(o.cols)[o.indices]
+    keep = (k >= 0) & (l >= 0)
+    rows, cols = features_t.n_features, features_other.n_features
+    fo = OverlapMatrix(
+        rows, cols, o.direction, o.strategy, *_csr(rows, cols, k[keep], l[keep], o.counts[keep]),
+        feature_denominators(features_t, o),
     )
+    # partial partitions may leave mass outside the listed features
+    assert (fo.row_sums() <= fo.row_denominators).all()
+    return fo
 
 
 def feature_denominators(features_t: FeatureSet, o_forward_all: OverlapMatrix) -> np.ndarray:
@@ -128,28 +106,18 @@ def feature_denominators(features_t: FeatureSet, o_forward_all: OverlapMatrix) -
     deduplication of overlapping balls.
     """
     o = o_forward_all
-    if o.strategy == "manifold-overlap":
-        csum = np.concatenate(([0], np.cumsum(o.counts)))
-        per_row = csum[o.indptr[1:]] - csum[o.indptr[:-1]]
-    else:
-        per_row = o.row_denominators
-    out = np.empty(features_t.n_features, dtype=np.int64)
-    for k, s in enumerate(features_t.index_sets):
-        out[k] = sum(int(per_row[i]) for i in s)
+    per_row = o.row_sums() if o.strategy == "manifold-overlap" else o.row_denominators
+    mem = features_t.membership(o.rows)
+    out = np.zeros(features_t.n_features, dtype=np.int64)
+    np.add.at(out, mem[mem >= 0], per_row[mem >= 0])
     assert (out > 0).all(), "a feature with an extremum cannot have zero mass"
     return out
 
 
-def feature_correspondence(
-    fo: FeatureOverlapMatrix, denominators=None
-) -> FeatureCorrespondenceMatrix:
+def feature_correspondence(fo: OverlapMatrix, denominators=None) -> OverlapMatrix:
     """Divide feature overlap rows by the feature denominators."""
     denom = fo.row_denominators if denominators is None else np.asarray(denominators, np.int64)
-    probs = fo.counts / denom[_row_of(fo)]
-    return FeatureCorrespondenceMatrix(
-        fo.rows, fo.cols, fo.direction, fo.strategy,
-        fo.indptr, fo.indices, fo.counts, denom, probs,
-    )
+    return replace(fo, row_denominators=denom, kind="correspondence")
 
 
 def representative_extremum(index_set, labeling: ManifoldLabeling) -> Extremum:

@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .correspond import CorrespondenceMatrix, _fill, _json_list, _row_of
+from .correspond import OverlapMatrix, _fill, _json_list, _row_of
 from .field import GridDomain
 from .morse import ManifoldLabeling, _resolve_roots
 
@@ -306,7 +306,7 @@ def _lookup(keys: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_edges(t: int, fwd: CorrespondenceMatrix, bwd: CorrespondenceMatrix,
+def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
                 policy: ConnectivityPolicy) -> EdgeColumns:
     """Edges between layers t and t+1 from one forward/backward matrix pair."""
     n_n = max(fwd.cols, 1)
@@ -330,8 +330,8 @@ def _pair_edges(t: int, fwd: CorrespondenceMatrix, bwd: CorrespondenceMatrix,
 
 def assemble(
     layers: Sequence[NodeColumns | Sequence[GraphNode]],
-    cm_forward: Sequence[CorrespondenceMatrix],
-    cm_backward: Sequence[CorrespondenceMatrix],
+    cm_forward: Sequence[OverlapMatrix],
+    cm_backward: Sequence[OverlapMatrix],
     policy: ConnectivityPolicy,
     strategy: str | None = None,
 ) -> TrackingGraph:

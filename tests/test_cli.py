@@ -189,6 +189,26 @@ class TestFeaturePipeline:
         assert {n["kind"] for n in graph["nodes"]} == {"feature"}
         assert len(graph["nodes"]) == 3
 
+    def test_every_written_matrix_reloads_byte_identically(self, ridge_file, tmp_path):
+        # step 1 lists no features (singletons); extremum 1 of step 0 is in
+        # no feature, so feature rows of step 1 fall short of their mass
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps([{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out),
+                     "--features", str(fpath)]) == 0
+        paths = sorted(p for p in out.glob("*.json")
+                       if "overlap_" in p.name or "correspondence_" in p.name)
+        assert len(paths) == 8
+        loaded = []
+        for p in paths:
+            m, t = correspond.load_matrix(p)
+            again = tmp_path / "again.json"
+            correspond.save_matrix(m, t, again)
+            assert again.read_bytes() == p.read_bytes(), p.name
+            loaded.append(m)
+        assert sum((m.row_sums() < m.row_denominators).any() for m in loaded) == 2
+
 
 class TestConfigFile:
     def test_flags_beat_config(self, ridge_file, tmp_path):
@@ -330,6 +350,25 @@ class TestInspect:
 
     def test_missing_file(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.json")]) == 3
+
+    def test_malformed_matrix_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"t": 0, "kind": "overlap", "direction": "forward",
+                                 "strategy": "binary", "rows": 1, "cols": 1,
+                                 "denominators": [1], "entries": [[1, 0, 1]]}))
+        assert main(["inspect", str(p)]) == 3
+        assert "malformed matrix document" in capsys.readouterr().err
+
+    def test_malformed_graph_is_a_data_error(self, ridge_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--input", str(ridge_file), "--out", str(out)])
+        doc = json.loads((out / "graph.json").read_text())
+        del doc["nodes"][0]["track"]
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["inspect", str(p)]) == 3
+        assert "malformed graph document" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from extrack.correspond import (
-    CorrespondenceMatrix,
     OverlapMatrix,
+    _csr,
     binary_correspondence,
     load_matrix,
     manifold_overlap,
@@ -13,7 +13,6 @@ from extrack.correspond import (
     sampling_overlap,
     save_matrix,
 )
-from extrack.features import FeatureOverlapMatrix
 from extrack.field import GridDomain
 from extrack.morse import Extremum, ManifoldLabeling, label_manifolds, simplify
 from extrack.synth import oracle_overlap
@@ -243,7 +242,7 @@ class TestSerialization:
         first = p.read_bytes()
         back, t = load_matrix(p)
         assert t == 3
-        assert isinstance(back, OverlapMatrix)
+        assert back.kind == "overlap"
         assert np.array_equal(back.to_dense(), fwd.to_dense())
         assert back.direction == fwd.direction and back.strategy == fwd.strategy
         save_matrix(back, t, p)
@@ -256,7 +255,7 @@ class TestSerialization:
         p = tmp_path / "c.json"
         save_matrix(c, 0, p)
         back, _ = load_matrix(p)
-        assert isinstance(back, CorrespondenceMatrix)
+        assert back.kind == "correspondence"
         assert np.array_equal(back.to_dense(), c.to_dense())
 
     def test_writer_matches_json_module(self, tmp_path):
@@ -269,8 +268,8 @@ class TestSerialization:
             sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "forward"),
             binary_correspondence(lab_n, lab_t, "backward"),
             # partial features: stored rows can be empty, or every row
-            FeatureOverlapMatrix(2, 3, "forward", "manifold-overlap", np.zeros(3, np.int64),
-                                 empty, empty, np.array([5, 6])),
+            OverlapMatrix(2, 3, "forward", "manifold-overlap", np.zeros(3, np.int64),
+                          empty, empty, np.array([5, 6])),
             OverlapMatrix(0, 4, "forward", "manifold-overlap", np.zeros(1, np.int64),
                           empty, empty, empty),
         ]
@@ -316,3 +315,65 @@ class TestMatrixInvariants:
         fwd, _ = manifold_overlap(lab, lab)
         with pytest.raises(ValueError):
             fwd.counts[0] = 99
+
+
+def dense_of(rows, cols, indptr, indices, counts):
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[np.repeat(np.arange(rows), np.diff(indptr)), indices] = counts
+    return out
+
+
+class TestCsr:
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_matches_dense_oracle(self, with_counts):
+        rng = np.random.default_rng(40)
+        # (rows, cols, entries): repeated keys, a single cell, empty input,
+        # no rows and no columns
+        for rows, cols, n in [(5, 7, 60), (9, 3, 4), (1, 1, 9), (6, 2, 0), (0, 4, 0), (3, 0, 0)]:
+            ii = rng.integers(0, max(rows, 1), n)
+            jj = rng.integers(0, max(cols, 1), n)
+            cc = rng.integers(1, 5, n) if with_counts else None
+            indptr, indices, counts = _csr(rows, cols, ii, jj, cc)
+            assert indptr.size == rows + 1 and indptr[0] == 0
+            assert indptr[-1] == indices.size == counts.size
+            keys = np.repeat(np.arange(rows), np.diff(indptr)) * cols + indices
+            assert (np.diff(keys) > 0).all(), "row-major order, each key once"
+            expect = np.zeros((rows, cols), dtype=np.int64)
+            np.add.at(expect, (ii, jj), 1 if cc is None else cc)
+            assert np.array_equal(dense_of(rows, cols, indptr, indices, counts), expect)
+
+    def test_unsorted_lists_by_hand(self):
+        indptr, indices, counts = _csr(3, 4, [2, 0, 2, 2], [1, 3, 0, 1], [5, 1, 2, 3])
+        assert indptr.tolist() == [0, 1, 1, 3]
+        assert indices.tolist() == [3, 0, 1]
+        assert counts.tolist() == [1, 2, 8]
+
+    def test_entry_outside_the_matrix_rejected(self):
+        # column 3 of row 0 would otherwise land in row 1 as column 0
+        with pytest.raises(ValueError, match="outside"):
+            _csr(2, 3, [0], [3])
+        with pytest.raises(ValueError, match="outside"):
+            _csr(2, 3, [2], [0])
+
+    @pytest.mark.parametrize("dims,periodic", [((9, 8), None), ((5, 4, 6), (True, False, True))])
+    def test_transpose_twice_is_identity(self, dims, periodic):
+        rng = np.random.default_rng(41)
+        lab_t, lab_n, _ = random_labeling_pair(rng, dims, periodic)
+        fwd, _ = manifold_overlap(lab_t, lab_n)
+        for m in (fwd, normalize(fwd)):
+            col_sums = np.bincount(m.indices, weights=m.counts, minlength=m.cols).astype(np.int64)
+            back = m.transpose(col_sums).transpose(m.row_denominators)
+            for name in ("indptr", "indices", "counts", "row_denominators"):
+                assert np.array_equal(getattr(back, name), getattr(m, name)), name
+            assert (back.direction, back.kind) == (m.direction, m.kind)
+
+    def test_normalize_shares_the_overlap_arrays(self):
+        rng = np.random.default_rng(42)
+        lab_t, lab_n, _ = random_labeling_pair(rng)
+        o, _ = manifold_overlap(lab_t, lab_n)
+        c = normalize(o)
+        assert c.indptr is o.indptr and c.indices is o.indices and c.counts is o.counts
+        assert (o.kind, c.kind) == ("overlap", "correspondence")
+        assert np.array_equal(c.probs, o.counts / np.repeat(o.row_denominators, np.diff(o.indptr)))
+        # probs is derived per matrix on first use, not stored by normalize
+        assert "probs" not in vars(o)

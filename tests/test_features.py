@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from extrack.correspond import manifold_overlap, sampling_neighborhood, sampling_overlap
+from extrack.correspond import (
+    OverlapMatrix,
+    manifold_overlap,
+    sampling_neighborhood,
+    sampling_overlap,
+)
 from extrack.features import (
-    FeatureCorrespondenceMatrix,
-    FeatureOverlapMatrix,
     FeatureSet,
     feature_correspondence,
     feature_denominators,
@@ -246,7 +249,15 @@ class TestMatrixSubclasses:
         _, lab_t, lab_n = toy_pair()
         fwd, _ = manifold_overlap(lab_t, lab_n)
         fo = feature_overlap(FeatureSet(0, ((0,),)), FeatureSet(1, ((1,),)), fwd)
-        assert isinstance(fo, FeatureOverlapMatrix)
+        assert fo.row_sums().tolist() == [2] and fo.row_denominators.tolist() == [10]
         fc = feature_correspondence(fo)
-        assert isinstance(fc, FeatureCorrespondenceMatrix)
-        assert fo.transpose([8]).__class__ is FeatureOverlapMatrix
+        assert fc.kind == "correspondence" and fc.unassigned_mass().tolist() == [0.8]
+        assert fo.transpose([8]).kind == "overlap"
+        assert fc.transpose([8]).kind == "correspondence"
+
+    def test_lifted_rows_may_not_exceed_their_denominator(self):
+        # each count fits its denominator, but the row sums to 2 of 1
+        o = OverlapMatrix(1, 2, "forward", "sampling-euclidean", np.array([0, 2]),
+                          np.array([0, 1]), np.array([1, 1]), np.array([1]))
+        with pytest.raises(AssertionError):
+            feature_overlap(singleton_features(0, 1), singleton_features(1, 2), o)

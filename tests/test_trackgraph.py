@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from extrack.correspond import CorrespondenceMatrix, _csr_from_entries
+from extrack.correspond import OverlapMatrix, _csr
 from extrack.field import GridDomain
 from extrack.trackgraph import (
     ConnectivityPolicy,
@@ -31,14 +31,14 @@ from helpers import (
 
 
 def cm(dense, direction, denom=1000):
-    """CorrespondenceMatrix from a dense probability array."""
+    """Correspondence matrix from a dense probability array."""
     dense = np.asarray(dense, dtype=float)
     ii, jj = np.nonzero(dense)
     cc = np.rint(dense[ii, jj] * denom).astype(np.int64)
-    indptr, indices, counts = _csr_from_entries(dense.shape[0], ii, jj, cc)
-    return CorrespondenceMatrix(
+    return OverlapMatrix(
         dense.shape[0], dense.shape[1], direction, "manifold-overlap",
-        indptr, indices, counts, np.full(dense.shape[0], denom, np.int64), counts / denom,
+        *_csr(*dense.shape, ii, jj, cc), np.full(dense.shape[0], denom, np.int64),
+        "correspondence",
     )
 
 
@@ -381,9 +381,9 @@ def random_cm(rng, rows, cols, direction, density=0.5):
     counts = rng.integers(1, denom[:, None] + 1, size=(rows, cols))
     dense = np.where(rng.random((rows, cols)) < density, counts, 0)
     ii, jj = np.nonzero(dense)
-    indptr, indices, cc = _csr_from_entries(rows, ii, jj, dense[ii, jj])
-    return CorrespondenceMatrix(rows, cols, direction, "manifold-overlap", indptr, indices,
-                                cc, denom.astype(np.int64), cc / denom[ii])
+    return OverlapMatrix(rows, cols, direction, "manifold-overlap",
+                         *_csr(rows, cols, ii, jj, dense[ii, jj]), denom.astype(np.int64),
+                         "correspondence")
 
 
 def random_layers(rng, domain, sizes):
