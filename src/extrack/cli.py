@@ -453,14 +453,15 @@ def cmd_inspect(args) -> int:
     w = sys.stdout.write
     try:
         if isinstance(doc, dict) and "entries" in doc and "direction" in doc:
-            w(f"{doc['kind']} matrix, {doc['strategy']}, {doc['direction']} at t={doc['t']}\n")
-            w(f"shape {doc['rows']} x {doc['cols']}, {len(doc['entries'])} stored entries\n")
-            denom = doc["denominators"]
-            for e in doc["entries"][:20]:
-                i, j, c = e
+            m, t = correspond.doc_to_matrix(doc)
+            w(f"{m.kind} matrix, {m.strategy}, {m.direction} at t={t}\n")
+            w(f"shape {m.rows} x {m.cols}, {m.counts.size} stored entries\n")
+            denom = m.row_denominators.tolist()
+            head = (correspond._row_of(m)[:20], m.indices[:20], m.counts[:20])
+            for i, j, c in zip(*(a.tolist() for a in head)):
                 w(f"  ({i} -> {j}): {c}/{denom[i]} = {c / denom[i]:.4f}\n")
-            if len(doc["entries"]) > 20:
-                w(f"  ... {len(doc['entries']) - 20} more\n")
+            if m.counts.size > 20:
+                w(f"  ... {m.counts.size - 20} more\n")
             return 0
         if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
             nodes, edges = doc["nodes"], doc["edges"]

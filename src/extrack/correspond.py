@@ -14,7 +14,6 @@ matrix into a row-stochastic correspondence matrix.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .field import GridDomain, euclidean_ball, neighbor_table
+from .field import GridDomain, sampling_offsets, stencil_vertices
 from .morse import Extremum, ManifoldLabeling
 
 Direction = Literal["forward", "backward"]
@@ -172,28 +171,18 @@ def sampling_neighborhood(
     """Vertex set within distance d of an extremum, sorted by id.
 
     Euclidean mode measures world distance (or plain lattice distance when
-    ``lattice_units`` is set); combinatorial mode takes floor(d) hops of
-    breadth-first search over the grid triangulation.
+    ``lattice_units`` is set); combinatorial mode takes floor(d) hops over
+    the grid triangulation. One neighborhood of the offset stencil that
+    ``sampling_overlap`` applies to every extremum at once; the library
+    itself does not call it.
     """
-    if d < 0:
-        raise ValueError(f"d must be non-negative, got {d}")
-    if mode == "euclidean":
-        dom = GridDomain(domain.dims, None, domain.periodic) if lattice_units else domain
-        return euclidean_ball(dom, m.vertex, d)
-    if mode == "combinatorial":
-        depth = math.floor(d)
-        nbr, valid = neighbor_table(domain)
-        inside = np.zeros(domain.vertex_count, dtype=bool)
-        inside[m.vertex] = True
-        frontier = np.array([m.vertex])
-        for _ in range(depth):
-            step = np.unique(nbr[frontier][valid[frontier]])
-            frontier = step[~inside[step]]
-            if frontier.size == 0:
-                break
-            inside[frontier] = True
-        return np.flatnonzero(inside)
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    offsets = sampling_offsets(domain, mode, d, lattice_units)
+    ids, inside = stencil_vertices(domain, offsets, [m.vertex])
+    return np.sort(ids[inside])
+
+
+def _extremum_vertices(labeling: ManifoldLabeling) -> np.ndarray:
+    return np.fromiter((m.vertex for m in labeling.extrema), np.int64, labeling.n_extrema)
 
 
 def sampling_overlap(
@@ -206,17 +195,33 @@ def sampling_overlap(
     lattice_units: bool = False,
 ) -> OverlapMatrix:
     """Count how each extremum's neighborhood spreads over the other
-    step's manifolds; the row denominator is the neighborhood size."""
+    step's manifolds; the row denominator is the neighborhood size.
+
+    Every neighborhood is one offset stencil translated to its extremum,
+    gathered for a block of extrema at a time; a block holds about V
+    (extremum, offset) pairs, so its temporaries stay O(V).
+    """
     _check_pair(labeling_t, labeling_other)
     if domain != labeling_t.domain:
         raise ValueError("domain does not match the labelings")
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
-    balls = [sampling_neighborhood(m, domain, mode, d, lattice_units) for m in labeling_t.extrema]
-    denom = np.array([b.size for b in balls], dtype=np.int64)
-    ii = np.repeat(np.arange(n), denom)
-    jj = labeling_other.label[np.concatenate(balls)]
+    offsets = sampling_offsets(domain, mode, d, lattice_units)
+    centers = _extremum_vertices(labeling_t)
+    step = max(1, domain.vertex_count // offsets.shape[0])
+    keys, counts, denom = [], [], []
+    for lo in range(0, n, step):
+        ids, inside = stencil_vertices(domain, offsets, centers[lo:lo + step])
+        size = inside.sum(axis=1)
+        rows = np.repeat(np.arange(lo, lo + size.size), size)
+        k, c = np.unique(rows * cols + labeling_other.label[ids[inside]], return_counts=True)
+        keys.append(k)
+        counts.append(c)
+        denom.append(size)
+    keys = np.concatenate(keys)
     return _complete_rows(OverlapMatrix(
-        n, cols, direction, STRATEGY_OF_MODE[mode], *_csr(n, cols, ii, jj), denom,
+        n, cols, direction, STRATEGY_OF_MODE[mode],
+        *_csr(n, cols, keys // cols, keys % cols, np.concatenate(counts)),
+        np.concatenate(denom),
     ))
 
 
@@ -247,7 +252,7 @@ def binary_correspondence(
     manifold of the other step that contains its vertex."""
     _check_pair(labeling_t, labeling_other)
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
-    jj = labeling_other.label[[m.vertex for m in labeling_t.extrema]]
+    jj = labeling_other.label[_extremum_vertices(labeling_t)]
     return _complete_rows(OverlapMatrix(
         n, cols, direction, "binary", *_csr(n, cols, np.arange(n), jj),
         np.ones(n, dtype=np.int64), "correspondence",
@@ -276,12 +281,29 @@ def matrix_to_doc(m: OverlapMatrix, t: int) -> dict:
 
 
 def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
+    """The matrix of a document read from outside; every invariant of the
+    type is checked with a ``ValueError``, so ``python -O`` loads no
+    malformed document either."""
+    if doc["kind"] not in ("overlap", "correspondence"):
+        raise ValueError(f"unknown matrix kind {doc['kind']!r}")
+    if doc["direction"] not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {doc['direction']!r}")
     rows, cols = int(doc["rows"]), int(doc["cols"])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative shape {rows} x {cols}")
+    denom = np.asarray(doc["denominators"], dtype=np.int64).reshape(-1)
+    if denom.size != rows:
+        raise ValueError(f"{denom.size} denominators for {rows} rows")
+    if (denom < 1).any():
+        raise ValueError("denominators must be positive")
     ii, jj, cc = np.asarray(doc["entries"], dtype=np.int64).reshape(-1, 3).T
-    m = OverlapMatrix(
-        rows, cols, doc["direction"], doc["strategy"], *_csr(rows, cols, ii, jj, cc),
-        np.asarray(doc["denominators"], dtype=np.int64), doc["kind"],
-    )
+    if (cc < 1).any():
+        raise ValueError("entry counts must be at least 1")
+    indptr, indices, counts = _csr(rows, cols, ii, jj, cc)
+    if (counts > np.repeat(denom, np.diff(indptr))).any():
+        raise ValueError("an entry count exceeds its row denominator")
+    m = OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],
+                      indptr, indices, counts, denom, doc["kind"])
     return m, int(doc["t"])
 
 

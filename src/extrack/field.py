@@ -153,6 +153,9 @@ def neighbor_table(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(nbr, valid)`` where invalid slots (clipped at a non-periodic
     boundary) hold the vertex's own index. Rows may contain duplicates on
     tiny periodic axes. Both arrays are read-only and shared via a cache.
+    Only ``vertex_neighbors`` and the reference implementations in the test
+    suite read it; labeling walks ``offset_slices`` and sampling
+    neighborhoods use ``sampling_offsets``.
     """
     dims = np.asarray(domain.dims)
     v_ids = np.arange(domain.vertex_count)
@@ -185,32 +188,86 @@ def vertex_neighbors(domain: GridDomain, v: int) -> list[int]:
     return [int(u) for u in ids if u != v]
 
 
+@lru_cache(maxsize=16)
+def sampling_offsets(
+    domain: GridDomain, mode: str, d: float, lattice_units: bool = False
+) -> np.ndarray:
+    """Lattice offsets of a sampling neighborhood, shape (S, rank).
+
+    Every neighborhood of radius ``d`` is a translate of this one set:
+    ``euclidean`` keeps the offsets o with ``sum_a (|o_a| s_a)**2 <= d**2``
+    (s the spacing, or 1 under ``lattice_units``); ``combinatorial`` keeps
+    those within floor(d) Freudenthal hops, ``max(0, max o) + max(0,
+    -min o)``. Each axis reaches at most its length - 1 either way, so the
+    set has fewer than 2**rank * V rows however large d is. On periodic
+    axes offsets are reduced to residues in [0, n) and duplicates dropped,
+    so no two offsets reach the same vertex; on the others they stay signed
+    and ``stencil_vertices`` clips them. Read-only and shared via a cache.
+    """
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be a finite non-negative number, got {d}")
+    if mode == "euclidean":
+        spacing = (1.0,) * domain.rank if lattice_units else domain.spacing
+        axes = []
+        for n, sp in zip(domain.dims, spacing):
+            o = np.arange(-(n - 1), n)
+            axes.append(o[np.abs(o) * sp <= d])
+        grids = np.meshgrid(*axes, indexing="ij")
+        # summed per axis in axis order: another order rounds differently
+        # and can move a point lying on the sphere across it
+        d2 = sum((np.abs(g) * sp) ** 2 for g, sp in zip(grids, spacing))
+        keep = d2 <= d * d
+    elif mode == "combinatorial":
+        hops = math.floor(d)
+        grids = np.meshgrid(*(np.arange(-min(hops, n - 1), min(hops, n - 1) + 1)
+                              for n in domain.dims), indexing="ij")
+        top = np.maximum(0, np.maximum.reduce(grids))
+        bottom = np.maximum(0, -np.minimum.reduce(grids))
+        keep = top + bottom <= hops
+    else:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    offsets = np.stack([g[keep] for g in grids], axis=-1)
+    for a, (n, per) in enumerate(zip(domain.dims, domain.periodic)):
+        if per:
+            offsets[:, a] %= n
+    if any(domain.periodic):
+        offsets = np.unique(offsets, axis=0)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def stencil_vertices(domain: GridDomain, offsets: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Each center translated by each offset of ``sampling_offsets``.
+
+    Returns ``(ids, inside)``, both (len(centers), S): the vertex reached,
+    wrapping periodic axes, and whether it lies in the domain; where it does
+    not (clipped on a non-periodic axis) ``ids`` holds no vertex.
+    """
+    coords = np.unravel_index(np.asarray(centers, dtype=np.int64), domain.dims)
+    ids = np.zeros((coords[0].size, offsets.shape[0]), dtype=np.int64)
+    inside = np.ones(ids.shape, dtype=bool)
+    stride = 1
+    for a in reversed(range(domain.rank)):
+        n = domain.dims[a]
+        x = coords[a][:, None] + offsets[None, :, a]
+        if domain.periodic[a]:
+            x[x >= n] -= n
+        else:
+            inside &= (x >= 0) & (x < n)
+        x *= stride
+        ids += x
+        stride *= n
+    return ids, inside
+
+
 def euclidean_ball(domain: GridDomain, center: int, d: float) -> np.ndarray:
     """Vertices within world distance ``d`` of ``center`` (minimum image).
 
     Always contains the center; returned sorted by vertex id.
     """
-    if d < 0:
-        raise ValueError(f"d must be non-negative, got {d}")
-    cc = domain.coords_of(center)
-    # Per-axis candidate coordinates and their squared axis distance.
-    axis_coords = []
-    axis_d2 = []
-    for a, (n, sp, per) in enumerate(zip(domain.dims, domain.spacing, domain.periodic)):
-        cs = np.arange(n)
-        delta = np.abs(cs - cc[a])
-        if per:
-            delta = np.minimum(delta, n - delta)
-        da = delta * sp
-        keep = da <= d
-        axis_coords.append(cs[keep])
-        axis_d2.append((da[keep]) ** 2)
-    grids = np.meshgrid(*axis_d2, indexing="ij")
-    total = sum(grids)
-    mask = total <= d * d
-    coord_grids = np.meshgrid(*axis_coords, indexing="ij")
-    ids = np.ravel_multi_index(tuple(g[mask] for g in coord_grids), domain.dims)
-    return np.sort(ids)
+    domain._check_vertex(center)
+    ids, inside = stencil_vertices(domain, sampling_offsets(domain, "euclidean", d), [center])
+    return np.sort(ids[inside])
 
 
 def minimum_image_distance(domain: GridDomain, pa: Sequence[float], pb: Sequence[float]) -> float:

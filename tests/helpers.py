@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+import extrack
 from extrack.correspond import matrix_to_doc
 from extrack.field import GridDomain, ScalarFieldSeries, minimum_image_distance, neighbor_table
 from extrack.morse import Extremum, ManifoldLabeling
@@ -112,6 +117,34 @@ def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> lis
                     nxt.append(u)
         frontier = nxt
     return sorted(dist)
+
+
+def oracle_sampling_overlap(lab_t, lab_other, domain: GridDomain, mode, d, lattice_units=False):
+    """Dense sampling counts and row denominators, one brute-force
+    neighborhood per extremum."""
+    counts = np.zeros((lab_t.n_extrema, lab_other.n_extrema), dtype=np.int64)
+    denom = np.zeros(lab_t.n_extrema, dtype=np.int64)
+    for m in lab_t.extrema:
+        if mode == "combinatorial":
+            ball = brute_combinatorial_ball(domain, m.vertex, math.floor(d))
+        elif lattice_units:
+            ball = brute_ball(GridDomain(domain.dims, None, domain.periodic), m.vertex, d)
+        else:
+            ball = brute_ball(domain, m.vertex, d)
+        denom[m.id] = len(ball)
+        for v in ball:
+            counts[m.id, lab_other.label[v]] += 1
+    return counts, denom
+
+
+def run_python(*args, optimize=False):
+    """``python [-O] args`` in a child that imports this checkout's extrack;
+    ``-O`` strips every ``assert``."""
+    src = str(Path(extrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 # Reference implementations of steepest descent and the merge sweep: one

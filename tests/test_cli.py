@@ -1,20 +1,17 @@
 import json
 import logging
-import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import extrack
 from extrack import correspond, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, save_script
-from helpers import random_series
+from helpers import random_series, run_python
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +356,19 @@ class TestInspect:
         assert main(["inspect", str(p)]) == 3
         assert "malformed matrix document" in capsys.readouterr().err
 
+    def test_count_above_denominator_is_a_data_error(self, tmp_path, capsys):
+        # 3 of 2: printed as 3/2 = 1.5000 unless the document is validated
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"t": 0, "kind": "overlap", "direction": "forward",
+                                 "strategy": "binary", "rows": 1, "cols": 2,
+                                 "denominators": [2], "entries": [[0, 1, 3]]}))
+        assert main(["inspect", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert "malformed matrix document" in captured.err and "1.5" not in captured.out
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert "malformed matrix document" in r.stderr
+
     def test_malformed_graph_is_a_data_error(self, ridge_file, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--input", str(ridge_file), "--out", str(out)])
@@ -393,11 +403,7 @@ class TestEntryPoint:
 class TestModuleEntryPoint:
     @staticmethod
     def _run(*args):
-        src = str(Path(extrack.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run([sys.executable, "-m", "extrack", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+        return run_python("-m", "extrack", *args)
 
     def test_synth_runs(self, tmp_path):
         out = tmp_path / "cli.xtrk"

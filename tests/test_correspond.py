@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from extrack.correspond import (
     OverlapMatrix,
     _csr,
     binary_correspondence,
+    doc_to_matrix,
     load_matrix,
     manifold_overlap,
     matrix_to_doc,
@@ -13,10 +17,17 @@ from extrack.correspond import (
     sampling_overlap,
     save_matrix,
 )
-from extrack.field import GridDomain
+from extrack.field import GridDomain, euclidean_ball, sampling_offsets
 from extrack.morse import Extremum, ManifoldLabeling, label_manifolds, simplify
 from extrack.synth import oracle_overlap
-from helpers import brute_combinatorial_ball, fake_labeling, oracle_matrix_json, random_series
+from helpers import (
+    brute_combinatorial_ball,
+    fake_labeling,
+    oracle_matrix_json,
+    oracle_sampling_overlap,
+    random_series,
+    run_python,
+)
 
 
 def random_labeling_pair(rng, dims=(8, 8), periodic=None):
@@ -163,6 +174,19 @@ class TestSamplingNeighborhood:
         with pytest.raises(ValueError):
             sampling_neighborhood(m, dom, "nearest", 1.0)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
+    def test_non_finite_radius_rejected(self, mode, d):
+        dom = GridDomain((4, 4))
+        lab = fake_labeling(dom, [0] * 8 + [1] * 8)
+        m = lab.extrema[0]
+        with pytest.raises(ValueError, match="finite non-negative"):
+            sampling_neighborhood(m, dom, mode, d)
+        with pytest.raises(ValueError, match="finite non-negative"):
+            sampling_overlap(lab, lab, dom, mode, d, "forward")
+        with pytest.raises(ValueError, match="finite non-negative"):
+            euclidean_ball(dom, m.vertex, d)
+
 
 class TestSamplingOverlap:
     def test_row_denominators_are_ball_sizes(self):
@@ -196,6 +220,70 @@ class TestSamplingOverlap:
         with pytest.raises(ValueError, match="domain"):
             sampling_overlap(lab_t, lab_n, GridDomain((5, 5), spacing=(3.0, 3.0)),
                              "euclidean", 1.0, "forward")
+
+
+def plateau_labeling_pair(rng, dom):
+    # four distinct values: flat plateaus, ties broken by vertex id
+    a, b = (rng.integers(0, 4, dom.vertex_count).astype(float) for _ in range(2))
+    return label_manifolds(a, dom, "minimum"), label_manifolds(b, dom, "minimum")
+
+
+class TestSamplingStencil:
+    """``sampling_overlap`` gathers every extremum's neighborhood through
+    one offset stencil; each row is judged against a brute-force
+    neighborhood of that extremum."""
+
+    @pytest.mark.parametrize("dims,spacing,periodic", [
+        ((2, 3), None, (True, True)),
+        ((3, 2), (0.5, 1.5), (True, True)),
+        ((7, 3), (0.5, 1.5), (False, True)),
+        ((9, 8), (1.0, 2.0), None),
+        ((2, 5, 3), (1.0, 0.5, 2.0), (True, False, True)),
+        ((4, 3, 5), (1.5, 1.0, 0.5), None),
+        ((3, 2, 4), None, (True, True, True)),
+    ])
+    @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
+    def test_matches_brute_force_neighborhoods(self, dims, spacing, periodic, mode):
+        dom = GridDomain(dims, spacing, periodic)
+        lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(50), dom)
+        for d in (0, 0.5, 1, 2.5, 4):
+            for lattice in (False, True):
+                o = sampling_overlap(lab_t, lab_n, dom, mode, d, "forward", lattice)
+                counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, d, lattice)
+                assert np.array_equal(o.to_dense(), counts), (d, lattice)
+                assert np.array_equal(o.row_denominators, denom), (d, lattice)
+
+    @pytest.mark.parametrize("dims,periodic", [((4, 3), (False, True)), ((3, 2, 4), (True, False, False))])
+    @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
+    def test_radius_beyond_the_grid_is_the_whole_domain(self, dims, periodic, mode):
+        dom = GridDomain(dims, (0.5,) * len(dims), periodic)
+        lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(51), dom)
+        offsets = sampling_offsets(dom, mode, 1e6)
+        # each axis reaches at most its length - 1: O(V), not (2d + 1)**rank
+        assert offsets.shape[0] <= np.prod([2 * n - 1 for n in dims])
+        assert len({tuple(o) for o in offsets.tolist()}) == offsets.shape[0]
+        o = sampling_overlap(lab_t, lab_n, dom, mode, 1e6, "forward")
+        assert (o.row_denominators == dom.vertex_count).all()
+        assert np.array_equal(o.to_dense(), np.tile(lab_n.sizes, (lab_t.n_extrema, 1)))
+
+    @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
+    def test_extrema_span_several_blocks(self, mode):
+        # a block holds about V (extremum, offset) pairs, so here each block
+        # takes a few rows and the extrema fill several of them
+        dom = GridDomain((12, 12), periodic=(True, False))
+        lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(52), dom)
+        per_block = dom.vertex_count // sampling_offsets(dom, mode, 2.5).shape[0]
+        assert 1 < per_block < lab_t.n_extrema // 2
+        o = sampling_overlap(lab_t, lab_n, dom, mode, 2.5, "backward")
+        counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, 2.5)
+        assert np.array_equal(o.to_dense(), counts)
+        assert np.array_equal(o.row_denominators, denom)
+
+    def test_tiny_periodic_axis_reaches_each_vertex_once(self):
+        dom = GridDomain((2, 2), periodic=(True, True))
+        for mode in ("euclidean", "combinatorial"):
+            offsets = sampling_offsets(dom, mode, 3)
+            assert sorted(map(tuple, offsets.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestNormalization:
@@ -288,6 +376,67 @@ class TestSerialization:
             "strategy": "manifold-overlap", "rows": 1, "cols": 1,
             "denominators": [16], "entries": [[0, 0, 16]],
         }
+
+
+def matrix_doc(**changes):
+    doc = {"t": 0, "kind": "overlap", "direction": "forward", "strategy": "binary",
+           "rows": 2, "cols": 2, "denominators": [2, 3], "entries": [[0, 1, 2], [1, 0, 3]]}
+    return {**doc, **changes}
+
+
+# documents read from outside that the matrix type must not hold, each
+# with the message its check gives
+MALFORMED_DOCS = {
+    "zero denominator": (matrix_doc(denominators=[0, 3], entries=[[1, 0, 3]]), "positive"),
+    "negative denominator": (matrix_doc(denominators=[-1, 3], entries=[[1, 0, 3]]), "positive"),
+    "count above denominator": (matrix_doc(entries=[[0, 1, 3]]), "exceeds"),
+    "repeated entries summing above denominator":
+        (matrix_doc(entries=[[0, 1, 1], [0, 1, 2]]), "exceeds"),
+    "zero count": (matrix_doc(entries=[[0, 1, 0]]), "at least 1"),
+    "negative count": (matrix_doc(entries=[[0, 1, -1]]), "at least 1"),
+    "short denominators": (matrix_doc(denominators=[2]), "1 denominators for 2 rows"),
+    "long denominators": (matrix_doc(denominators=[2, 3, 4]), "3 denominators for 2 rows"),
+    "unknown kind": (matrix_doc(kind="probability"), "kind"),
+    "unknown direction": (matrix_doc(direction="sideways"), "direction"),
+    "entry outside the matrix": (matrix_doc(entries=[[2, 0, 1]]), "outside"),
+    "negative column count": (matrix_doc(cols=-1, entries=[]), "negative shape"),
+}
+
+
+class TestLoadValidation:
+    def test_well_formed_document_loads(self):
+        m, t = doc_to_matrix(matrix_doc())
+        assert t == 0 and m.to_dense().tolist() == [[0, 2], [3, 0]]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_malformed_document_raises_value_error(self, name, tmp_path):
+        doc, message = MALFORMED_DOCS[name]
+        with pytest.raises(ValueError, match=message):
+            doc_to_matrix(doc)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_matrix(p)
+
+    def test_checks_survive_python_O(self, tmp_path):
+        # the checks must not be asserts, which -O strips
+        script = tmp_path / "check.py"
+        script.write_text(
+            "import json, sys\n"
+            "from extrack.correspond import doc_to_matrix\n"
+            "docs = json.loads(open(sys.argv[1]).read())\n"
+            "for name, doc in docs.items():\n"
+            "    try:\n"
+            "        doc_to_matrix(doc)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    print('loaded:', name)\n"
+        )
+        docs = tmp_path / "docs.json"
+        docs.write_text(json.dumps({name: doc for name, (doc, _) in MALFORMED_DOCS.items()}))
+        r = run_python(str(script), str(docs), optimize=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == ""
 
 
 class TestMatrixInvariants:
