@@ -304,12 +304,13 @@ def _build_graph(labs, fsets, pair_mats, fpair_mats, config: PipelineConfig, str
 
 
 def _write_matrices(out: Path, pair_mats, prefix: str = "") -> None:
+    # each overlap is written right before its normalized twin, which shares
+    # its arrays, so save_matrix formats their common body once
     for t, (o_f, o_b, c_f, c_b) in enumerate(pair_mats):
-        if o_f is not None:
-            correspond.save_matrix(o_f, t, out / f"{prefix}overlap_forward_{t:04d}.json")
-            correspond.save_matrix(o_b, t + 1, out / f"{prefix}overlap_backward_{t + 1:04d}.json")
-        correspond.save_matrix(c_f, t, out / f"{prefix}correspondence_forward_{t:04d}.json")
-        correspond.save_matrix(c_b, t + 1, out / f"{prefix}correspondence_backward_{t + 1:04d}.json")
+        for o, c, s, direction in ((o_f, c_f, t, "forward"), (o_b, c_b, t + 1, "backward")):
+            if o is not None:
+                correspond.save_matrix(o, s, out / f"{prefix}overlap_{direction}_{s:04d}.json")
+            correspond.save_matrix(c, s, out / f"{prefix}correspondence_{direction}_{s:04d}.json")
 
 
 def run(config: PipelineConfig) -> int:
@@ -445,7 +446,8 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
+        text = Path(args.path).read_text(encoding="utf-8")
+        doc = json.loads(text)
     except FileNotFoundError as e:
         raise DataError(str(e)) from e
     except json.JSONDecodeError as e:
@@ -464,15 +466,15 @@ def cmd_inspect(args) -> int:
                 w(f"  ... {m.counts.size - 20} more\n")
             return 0
         if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
-            nodes, edges = doc["nodes"], doc["edges"]
-            layers = 1 + max((n["t"] for n in nodes), default=-1)
-            tracks = len({n["track"] for n in nodes})
-            w(f"tracking graph: {layers} layers, {len(nodes)} nodes, {len(edges)} edges, {tracks} tracks\n")
-            meta = doc.get("meta", {})
-            if meta.get("strategy"):
-                w(f"strategy {meta['strategy']}, policy {meta.get('policy')}\n")
-            for e in sorted(edges, key=lambda e: -e["strength"])[:10]:
-                w(f"  t{e['t']} {e['i']} -> {e['j']}  strength {e['strength']:.4f}\n")
+            g = trackgraph.import_graph(text)
+            n, e = g.node_columns, g.edge_columns
+            tracks = np.unique(n.track).size
+            w(f"tracking graph: {g.n_layers} layers, {len(n)} nodes, {len(e)} edges, {tracks} tracks\n")
+            if g.meta.get("strategy"):
+                w(f"strategy {g.meta['strategy']}, policy {g.meta.get('policy')}\n")
+            top = np.argsort(-e.strength, kind="stable")[:10]
+            for t, i, j, s in zip(*(a[top].tolist() for a in (e.t, e.i, e.j, e.strength))):
+                w(f"  t{t} {i} -> {j}  strength {s:.4f}\n")
             return 0
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         what = "matrix" if "entries" in doc else "graph"

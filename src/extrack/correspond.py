@@ -181,10 +181,6 @@ def sampling_neighborhood(
     return np.sort(ids[inside])
 
 
-def _extremum_vertices(labeling: ManifoldLabeling) -> np.ndarray:
-    return np.fromiter((m.vertex for m in labeling.extrema), np.int64, labeling.n_extrema)
-
-
 def sampling_overlap(
     labeling_t: ManifoldLabeling,
     labeling_other: ManifoldLabeling,
@@ -206,7 +202,7 @@ def sampling_overlap(
         raise ValueError("domain does not match the labelings")
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
     offsets = sampling_offsets(domain, mode, d, lattice_units)
-    centers = _extremum_vertices(labeling_t)
+    centers = labeling_t.extrema.vertex
     step = max(1, domain.vertex_count // offsets.shape[0])
     keys, counts, denom = [], [], []
     for lo in range(0, n, step):
@@ -252,7 +248,7 @@ def binary_correspondence(
     manifold of the other step that contains its vertex."""
     _check_pair(labeling_t, labeling_other)
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
-    jj = labeling_other.label[_extremum_vertices(labeling_t)]
+    jj = labeling_other.label[labeling_t.extrema.vertex]
     return _complete_rows(OverlapMatrix(
         n, cols, direction, "binary", *_csr(n, cols, np.arange(n), jj),
         np.ones(n, dtype=np.int64), "correspondence",
@@ -325,14 +321,33 @@ def _json_list(template: str, columns, depth: int) -> str:
     return "[\n" + pad + _fill(template, ",\n" + pad, columns) + "\n" + "  " * depth + "]"
 
 
+# The arrays and text of the last body ``save_matrix`` formatted. An overlap
+# and its normalized twin share their arrays and differ only in "kind", so
+# the second file reuses the text; the arrays are read-only, so the same
+# objects mean the same body.
+_last_body: tuple = (None, None, None, None, None)
+
+
+def _body(m) -> tuple[str, str]:
+    """The denominators and entries lists of m's document as text."""
+    global _last_body
+    arrays = (m.indptr, m.indices, m.counts, m.row_denominators)
+    if all(a is b for a, b in zip(arrays, _last_body)):
+        return _last_body[4]
+    text = (_json_list("%d", [m.row_denominators], 1),
+            _json_list("[\n      %d,\n      %d,\n      %d\n    ]",
+                       [_row_of(m), m.indices, m.counts], 1))
+    _last_body = (*arrays, text)
+    return text
+
+
 def save_matrix(m, t: int, path) -> None:
     """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
     indent=2)`` would, straight from the CSR arrays."""
-    entries = _json_list("[\n      %d,\n      %d,\n      %d\n    ]",
-                         [_row_of(m), m.indices, m.counts], 1)
+    denominators, entries = _body(m)
     text = (
         f'{{\n  "cols": {int(m.cols)},'
-        f'\n  "denominators": {_json_list("%d", [m.row_denominators], 1)},'
+        f'\n  "denominators": {denominators},'
         f'\n  "direction": {json.dumps(m.direction)},\n  "entries": {entries},'
         f'\n  "kind": "{m.kind}",\n  "rows": {int(m.rows)},'
         f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'

@@ -123,8 +123,11 @@ def feature_correspondence(fo: OverlapMatrix, denominators=None) -> OverlapMatri
 def representative_extremum(index_set, labeling: ManifoldLabeling) -> Extremum:
     """The member extremum shown for a feature node: deepest minimum or
     highest maximum, ties to the lower id."""
-    sign = 1.0 if labeling.extremum_kind == "minimum" else -1.0
-    return min((labeling.extrema[i] for i in index_set), key=lambda e: (sign * e.value, e.id))
+    ids = np.asarray(index_set, dtype=np.int64)
+    depth = labeling.extrema.value[ids]
+    if labeling.extremum_kind == "maximum":
+        depth = -depth
+    return labeling.extrema[int(ids[np.lexsort((ids, depth))[0]])]
 
 
 def load_features(path) -> list[FeatureSet]:

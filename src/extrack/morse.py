@@ -11,19 +11,23 @@ the negated field.
 
 Both descent and the merge sweep walk the grid one Freudenthal offset at a
 time through ``field.offset_slices``, so labeling needs O(V) memory and no
-(V, K) neighbor table. Persistence follows the elder rule (Edelsbrunner,
-Letscher and Zomorodian, 2002) over a union-find of basins that sees only
-the lowest saddle edge of each pair of adjacent basins: any later edge
-between the same two basins joins components already joined, as in
-Kruskal's algorithm. Edges that share a saddle vertex keep their order in
-the full edge enumeration, because that order decides which basin a
-younger extremum merges into.
+(V, K) neighbor table. The sweep keeps the lowest saddle edge of each pair
+of adjacent basins and builds the minimum spanning forest of those edges
+with numpy Borůvka rounds; sweep keys are unique, so that forest is
+exactly the set of edges Kruskal's algorithm would merge along.
+Persistence then follows the elder rule (Edelsbrunner, Letscher and
+Zomorodian, 2002) over the forest's n_ex - 1 edges in sweep order. Edges
+that share a saddle vertex keep their order in the full edge enumeration,
+because that order decides which basin a younger extremum merges into.
+
+A labeling holds its extrema as columns (``ExtremumColumns``): vertex,
+value and persistence arrays whose row i is extremum i.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -60,6 +64,54 @@ class Extremum:
 
 
 @dataclass(frozen=True, eq=False)
+class ExtremumColumns:
+    """A labeling's extrema as parallel arrays; row i is extremum i.
+
+    Ids are implicit (``arange``). Indexing and iteration yield
+    ``Extremum`` objects, so the columns read like the tuple of extrema
+    they stand for.
+    """
+
+    kind: ExtremumKind
+    vertex: np.ndarray
+    value: np.ndarray
+    persistence: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("vertex", np.int64), ("value", np.float64),
+                            ("persistence", np.float64)):
+            a = np.asarray(getattr(self, name), dtype=dtype).reshape(-1)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        assert self.vertex.size == self.value.size == self.persistence.size
+
+    @classmethod
+    def from_objects(cls, kind: ExtremumKind, extrema) -> "ExtremumColumns":
+        extrema = tuple(extrema)
+        assert [e.id for e in extrema] == list(range(len(extrema))), "ids must be 0..n-1"
+        assert all(e.kind == kind for e in extrema)
+        return cls(kind, [e.vertex for e in extrema], [e.value for e in extrema],
+                   [e.persistence for e in extrema])
+
+    def take(self, rows: np.ndarray) -> "ExtremumColumns":
+        """The given rows, renumbered 0..len(rows)-1."""
+        return ExtremumColumns(self.kind, self.vertex[rows], self.value[rows],
+                               self.persistence[rows])
+
+    def __len__(self) -> int:
+        return self.vertex.size
+
+    def __getitem__(self, i: int) -> Extremum:
+        i = range(len(self))[i]
+        return Extremum(i, int(self.vertex[i]), float(self.value[i]),
+                        float(self.persistence[i]), self.kind)
+
+    def __iter__(self):
+        return map(Extremum, range(len(self)), self.vertex.tolist(), self.value.tolist(),
+                   self.persistence.tolist(), repeat(self.kind))
+
+
+@dataclass(frozen=True, eq=False)
 class ManifoldLabeling:
     """Partition of the domain's vertices into extremum basins.
 
@@ -67,23 +119,27 @@ class ManifoldLabeling:
     vertex v; ``sizes[i]`` counts the vertices labeled i. The private
     arrays record, per extremum, the merge saddle and the extremum it
     merges into (-1 for the global extremum), which lets ``simplify``
-    relabel without re-running the sweep.
+    relabel without re-running the sweep. ``extrema`` may be given as a
+    sequence of ``Extremum`` with ids 0..n-1; it is stored as columns.
     """
 
     kind: ManifoldKind
     domain: GridDomain
     label: np.ndarray
-    extrema: tuple[Extremum, ...]
+    extrema: ExtremumColumns
     sizes: np.ndarray
     _saddles: np.ndarray = field(repr=False, default=None)
     _partners: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.extrema, ExtremumColumns):
+            object.__setattr__(self, "extrema",
+                               ExtremumColumns.from_objects(self.extremum_kind, self.extrema))
+        assert self.extrema.kind == self.extremum_kind
         assert self.label.size == self.domain.vertex_count
         assert int(self.sizes.sum()) == self.domain.vertex_count
         assert len(self.extrema) == self.sizes.size
-        for e in self.extrema:
-            assert self.label[e.vertex] == e.id
+        assert (self.label[self.extrema.vertex] == np.arange(len(self.extrema))).all()
         self.label.flags.writeable = False
         self.sizes.flags.writeable = False
 
@@ -175,21 +231,28 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
     rank = np.empty_like(asc)
     rank[asc] = np.arange(w.size)
     lab = label.reshape(domain.dims)
-    rnk = rank.reshape(domain.dims)
     ids = np.arange(w.size).reshape(domain.dims)
     pairs, keys = [], []
     for k, src, dst in offset_slices(domain):
-        cut = lab[src] != lab[dst]
-        la, lb = lab[src][cut], lab[dst][cut]
-        slot = np.minimum(ids[src][cut] * n_slots + k, ids[dst][cut] * n_slots + (k + n_slots // 2))
-        key = np.maximum(rnk[src][cut], rnk[dst][cut]) * n_keys + slot
+        v = ids[src][lab[src] != lab[dst]]
+        if not v.size:
+            continue
+        # src and dst are equal-shaped boxes of one C-ordered grid, so their
+        # vertex ids differ by one constant
+        u = v + (ids[dst].flat[0] - ids[src].flat[0])
+        la, lb = label[v], label[u]
+        slot = np.minimum(v * n_slots + k, u * n_slots + (k + n_slots // 2))
+        key = np.maximum(rank[v], rank[u]) * n_keys + slot
         pair, key = _first_per_pair(np.minimum(la, lb) * n_ex + np.maximum(la, lb), key)
         pairs.append(pair)
         keys.append(key)
+    # n_ex > 1 on a connected grid, so some piece has a boundary edge
     pair, key = _first_per_pair(np.concatenate(pairs), np.concatenate(keys))
     order = np.argsort(key)
-    pair, key = pair[order], key[order]
-    sad = asc[key // n_keys]
+    del pairs, keys
+    a, b = np.divmod(pair[order], n_ex)
+    forest = _spanning_forest(a, b, n_ex)
+    sad = asc[key[order[forest]] // n_keys]
 
     uf = list(range(n_ex))
 
@@ -199,22 +262,56 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
             x = uf[x]
         return x
 
+    # every forest edge joins two components, in sweep order; by the elder
+    # rule the younger component representative dies there
     ex_rank = rank[ex_vertices].tolist()
-    dead, elders, at = [], [], []
-    for e, (a, b) in enumerate(zip((pair // n_ex).tolist(), (pair % n_ex).tolist())):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        # elder rule: the younger component representative dies here
+    dead, elders = [], []
+    for ra, rb in zip(a[forest].tolist(), b[forest].tolist()):
+        ra, rb = find(ra), find(rb)
         elder, young = (ra, rb) if ex_rank[ra] < ex_rank[rb] else (rb, ra)
         uf[young] = elder
         dead.append(young)
         elders.append(elder)
-        at.append(e)
     partners[dead] = elders
-    saddles[dead] = sad[at]
-    pers[dead] = w[saddles[dead]] - w[ex_vertices[dead]]
+    saddles[dead] = sad
+    pers[dead] = w[sad] - w[ex_vertices[dead]]
     return pers, saddles, partners
+
+
+def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Ascending positions of the minimum spanning forest's edges.
+
+    Edge k joins nodes a[k] and b[k] of 0..n-1 and weighs k, so weights are
+    unique and the forest is exactly the edge set Kruskal's algorithm
+    merges along. Borůvka rounds: each component picks its lightest edge
+    to another component, components hook along their picks (two
+    components that pick each other share one edge, and the lower id stays
+    root), and pointer doubling relabels; each round at least halves the
+    components that still have an outgoing edge.
+    """
+    comp = np.arange(n)
+    edge = np.arange(a.size)
+    picked = []
+    while True:
+        ca, cb = comp[a], comp[b]
+        out = ca != cb
+        if not out.any():
+            break
+        a, b, edge, ca, cb = a[out], b[out], edge[out], ca[out], cb[out]
+        k = np.arange(edge.size)
+        lightest = np.full(n, edge.size)
+        np.minimum.at(lightest, ca, k)
+        np.minimum.at(lightest, cb, k)
+        c = np.flatnonzero(lightest < edge.size)
+        k = lightest[c]
+        other = np.where(ca[k] == c, cb[k], ca[k])
+        parent = np.arange(n)
+        parent[c] = other
+        mutual = parent[other] == c
+        parent[c[mutual & (c < other)]] = c[mutual & (c < other)]
+        picked.append(edge[k[~(mutual & (c > other))]])
+        comp = _resolve_roots(parent)[comp]
+    return np.sort(np.concatenate(picked)) if picked else edge[:0]
 
 
 def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLabeling:
@@ -237,10 +334,7 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     sizes = np.bincount(label, minlength=ex_vertices.size)
 
     pers, saddles, partners = _merge_sweep(w, domain, label, ex_vertices)
-    extrema = tuple(
-        Extremum(i, int(v), float(values[v]), float(pers[i]), kind)
-        for i, v in enumerate(ex_vertices)
-    )
+    extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
     return ManifoldLabeling(_MANIFOLD_OF[kind], domain, label, extrema, sizes, saddles, partners)
 
 
@@ -251,11 +345,10 @@ def persistence_pairs(step, domain: GridDomain, kind: ExtremumKind):
     extremum-vertex order.
     """
     lab = label_manifolds(step, domain, kind)
-    out = []
-    for e in lab.extrema:
-        s = int(lab._saddles[e.id])
-        out.append((e.vertex, None if s < 0 else s, e.persistence))
-    return out
+    saddles = lab._saddles.astype(object)
+    saddles[lab._saddles < 0] = None
+    ex = lab.extrema
+    return list(zip(ex.vertex.tolist(), saddles.tolist(), ex.persistence.tolist()))
 
 
 def simplify(
@@ -277,15 +370,14 @@ def simplify(
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != labeling.domain.vertex_count:
         raise ValueError("step length does not match the labeling's domain")
-    for e in labeling.extrema:
-        if values[e.vertex] != e.value:
-            raise ValueError("labeling was not produced from this step")
+    ex = labeling.extrema
+    if (values[ex.vertex] != ex.value).any():
+        raise ValueError("labeling was not produced from this step")
     if value_range is None:
         value_range = float(values.max() - values.min())
     threshold = threshold_pct / 100.0 * value_range
 
-    pers = np.array([e.persistence for e in labeling.extrema])
-    cancel = pers < threshold
+    cancel = ex.persistence < threshold
     if not cancel.any():
         return labeling
 
@@ -300,11 +392,7 @@ def simplify(
 
     label = remap[labeling.label]
     sizes = np.bincount(label, minlength=survivors.size)
-    extrema = tuple(
-        Extremum(int(new_id[i]), labeling.extrema[i].vertex, labeling.extrema[i].value,
-                 labeling.extrema[i].persistence, labeling.extrema[i].kind)
-        for i in survivors
-    )
+    extrema = ex.take(survivors)
     saddles = labeling._saddles[survivors]
     old_partners = labeling._partners[survivors]
     partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)])

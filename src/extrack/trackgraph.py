@@ -254,10 +254,9 @@ def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
     """Node columns (track unset) for each step's extrema."""
     layers = []
     for t, lab in enumerate(labelings):
-        vertex = np.fromiter((e.vertex for e in lab.extrema), np.int64, lab.n_extrema)
-        value = np.fromiter((e.value for e in lab.extrema), np.float64, lab.n_extrema)
-        layers.append(NodeColumns.for_step(t, "extremum", vertex, value,
-                                        lab.domain.positions(vertex)))
+        ex = lab.extrema
+        layers.append(NodeColumns.for_step(t, "extremum", ex.vertex, ex.value,
+                                           lab.domain.positions(ex.vertex)))
     return layers
 
 
@@ -521,17 +520,51 @@ def _export_json(g: TrackingGraph) -> str:
     return f'{{\n  "edges": {edges},\n  "meta": {meta},\n  "nodes": {nodes}\n}}\n'
 
 
+_NODE_KEYS = ("t", "id", "kind", "vertex", "value", "pos", "track")
+_EDGE_KEYS = ("t", "i", "j", "strength")
+
+
+def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
+    """The ``name`` list of a graph document, each record holding ``keys``."""
+    records = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"a graph document needs a {name!r} list")
+    for k, x in enumerate(records):
+        missing = [key for key in keys if key not in x] if isinstance(x, dict) else list(keys)
+        if missing:
+            raise ValueError(f"{name}[{k}] lacks {', '.join(missing)}")
+    return records
+
+
 def import_graph(text: str) -> TrackingGraph:
-    """Inverse of the JSON export; stored track ids are kept as-is."""
+    """Inverse of the JSON export; stored track ids are kept as-is.
+
+    The document comes from outside, so every check raises ``ValueError``
+    (also under ``python -O``): required keys, edges between nodes that
+    exist in layers t and t+1, and probabilities and strengths in (0, 1].
+    """
     doc = json.loads(text)
-    nd, ed = doc["nodes"], doc["edges"]
+    nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("graph meta must be an object")
     nan = float("nan")
-    nodes = NodeColumns.build(*([x[k] for x in nd]
-                                for k in ("t", "id", "kind", "vertex", "value", "pos", "track")))
-    edges = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
-                              [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
-                              [x["strength"] for x in ed])
-    return TrackingGraph(nodes, edges, doc.get("meta", {}))
+    nodes = NodeColumns.build(*([x[k] for x in nd] for k in _NODE_KEYS))
+    e = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
+                          [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
+                          [x["strength"] for x in ed])
+    absent = (nodes.rows(e.t, e.i) < 0) | (nodes.rows(e.t + 1, e.j) < 0)
+    if absent.any():
+        k = int(np.argmax(absent))
+        raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} names a node that does not exist")
+    if not ((e.strength > 0.0) & (e.strength <= 1.0)).all():  # NaN fails too
+        raise ValueError("edge strengths must lie in (0, 1]")
+    for name, p in (("pf", e.pf), ("pb", e.pb)):
+        if ((p <= 0.0) | (p > 1.0)).any():  # NaN, an absent direction, passes
+            raise ValueError(f"edge {name} values must lie in (0, 1]")
+    if (np.isnan(e.pf) & np.isnan(e.pb)).any():
+        raise ValueError("an edge needs pf or pb")
+    return TrackingGraph(nodes, e, meta)
 
 
 def _export_dot(g: TrackingGraph) -> str:

@@ -226,6 +226,38 @@ def oracle_merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_
     return pers, saddles, partners
 
 
+def oracle_spanning_forest(a, b, n: int) -> list[int]:
+    """Kruskal's algorithm over edges k = (a[k], b[k]) taken in position
+    order: the positions of the edges that join two components."""
+    uf = list(range(n))
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            x = uf[x]
+        return x
+
+    out = []
+    for k, (u, v) in enumerate(zip(a, b)):
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            uf[ru] = rv
+            out.append(k)
+    return out
+
+
+def oracle_extrema(w: np.ndarray, values: np.ndarray, domain: GridDomain, kind):
+    """The tuple of ``Extremum`` objects a labeling of w stands for, from
+    the oracle descent and sweep."""
+    ptr = oracle_descent_pointers(w, domain)
+    ex = np.flatnonzero(ptr == np.arange(w.size))
+    root = ptr
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    pers = oracle_merge_sweep(w, domain, np.searchsorted(ex, root), ex)[0]
+    return tuple(Extremum(i, int(v), float(values[v]), float(pers[i]), kind)
+                 for i, v in enumerate(ex))
+
+
 # Reference implementations of the tracking graph and the artifact writers:
 # one Python object per node, edge and matrix entry, kept as the judges of
 # the column-array code in extrack.trackgraph and extrack.correspond.

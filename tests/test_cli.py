@@ -11,7 +11,7 @@ from extrack import correspond, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, save_script
-from helpers import random_series, run_python
+from helpers import oracle_matrix_json, random_series, run_python
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,29 @@ class TestFeaturePipeline:
         assert sum((m.row_sums() < m.row_denominators).any() for m in loaded) == 2
 
 
+class TestMatrixPairs:
+    @pytest.mark.parametrize("strategy", ["manifold-overlap", "sampling-euclidean"])
+    def test_twins_share_their_body(self, ridge_file, tmp_path, strategy):
+        # each correspondence file is its overlap file with another "kind";
+        # extremum 1 of step 0 is in no feature, so one lift is partial
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps([{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out), "--strategy", strategy,
+                     "--features", str(fpath)]) == 0
+        pairs = sorted(out.glob("*overlap_*.json"))
+        assert len(pairs) == 4
+        for p in pairs:
+            twin = p.with_name(p.name.replace("overlap_", "correspondence_"))
+            for path in (p, twin):
+                m, t = correspond.load_matrix(path)
+                assert path.read_text() == oracle_matrix_json(m, t), path.name
+            a, b = p.read_text().splitlines(), twin.read_text().splitlines()
+            k = a.index('  "kind": "overlap",')
+            assert len(a) == len(b) and b[k] == '  "kind": "correspondence",'
+            assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [k]
+
+
 class TestConfigFile:
     def test_flags_beat_config(self, ridge_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -379,6 +402,42 @@ class TestInspect:
         capsys.readouterr()
         assert main(["inspect", str(p)]) == 3
         assert "malformed graph document" in capsys.readouterr().err
+
+    def test_graph_lists_strongest_edges_first(self, tmp_path, capsys):
+        node = {"t": 0, "id": 0, "kind": "extremum", "vertex": 0, "value": 0.0,
+                "pos": [0.0], "track": 0}
+        nodes = [{**node, "t": t, "id": i} for t in (0, 1) for i in range(3)]
+        strengths = [0.2, 0.9, 0.5, 0.9, 0.1, 0.3, 0.7, 0.4, 0.6]
+        edges = [{"t": 0, "i": k // 3, "j": k % 3, "pf": s, "strength": s}
+                 for k, s in enumerate(strengths)]
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"meta": {}, "nodes": nodes, "edges": edges}))
+        assert main(["inspect", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "tracking graph: 2 layers, 6 nodes, 9 edges, 1 tracks"
+        # ties keep (t, i, j) order
+        assert lines[1:4] == ["  t0 0 -> 1  strength 0.9000", "  t0 1 -> 0  strength 0.9000",
+                              "  t0 2 -> 0  strength 0.7000"]
+
+    def test_graph_is_validated(self, ridge_file, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text('{"meta": {}, "nodes": [{"t": 0, "track": 0}], '
+                     '"edges": [{"t": 0, "i": 5, "j": 9, "strength": 7.0}]}')
+        assert main(["inspect", str(p)]) == 3
+        assert "malformed graph document" in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        # a run's own graph with one edge pointing past its layer, and with
+        # a strength above 1: both were printed before
+        out = tmp_path / "out"
+        main(["run", "--input", str(ridge_file), "--out", str(out)])
+        for key, value, message in (("j", 99, "does not exist"), ("strength", 7.0, "(0, 1]")):
+            doc = json.loads((out / "graph.json").read_text())
+            doc["edges"][0][key] = value
+            p.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["inspect", str(p)]) == 3
+            assert message in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -353,6 +354,10 @@ class TestSerialization:
         empty = np.zeros(0, np.int64)
         matrices = [
             fwd, bwd, normalize(fwd), normalize(bwd),
+            # written right after a matrix whose arrays it shares: the twin,
+            # then a lift with other denominators over the same entries
+            fwd, normalize(fwd),
+            dataclasses.replace(fwd, row_denominators=fwd.row_denominators + 1),
             sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "forward"),
             binary_correspondence(lab_n, lab_t, "backward"),
             # partial features: stored rows can be empty, or every row

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from extrack.field import GridDomain, vertex_neighbors
-from extrack.morse import (TotalOrder, _descent_pointers, _merge_sweep, _resolve_roots,
-                           label_manifolds, persistence_pairs, simplify)
+from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_pointers,
+                           _merge_sweep, _resolve_roots, _spanning_forest, label_manifolds,
+                           persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
-from helpers import grid_series, oracle_descent_pointers, oracle_merge_sweep
+from helpers import (grid_series, oracle_descent_pointers, oracle_extrema, oracle_merge_sweep,
+                     oracle_spanning_forest)
 
 
 def path_values(row):
@@ -102,6 +104,44 @@ class TestLabelManifolds:
         # the four corners tie in value but are not adjacent
         assert [e.vertex for e in lab.extrema] == [0, 2, 6, 8]
         assert [e.persistence for e in lab.extrema] == [math.inf, 1.0, 1.0, 1.0]
+
+
+class TestExtremumColumns:
+    FIELD = np.random.default_rng(21).integers(0, 4, size=(9, 8)).astype(float)
+
+    def test_reads_as_the_extremum_tuple(self):
+        dom = GridDomain(self.FIELD.shape, periodic=(True, False))
+        values = self.FIELD.ravel()
+        for kind, w in (("minimum", values), ("maximum", -values)):
+            lab = label_manifolds(values, dom, kind)
+            want = oracle_extrema(w, values, dom, kind)
+            assert tuple(lab.extrema) == want and len(lab.extrema) == len(want) > 3
+            assert [lab.extrema[i] for i in range(len(want))] == list(want)
+            assert lab.extrema[-1] == want[-1]
+            assert [type(x) for x in lab.extrema[0].__dict__.values()] == [int, int, float, float, str]
+            with pytest.raises(IndexError):
+                lab.extrema[len(want)]
+            # survivors keep their fields and are renumbered densely
+            s = simplify(lab, values, 20.0)
+            kept = [e for e in want if e.persistence >= 0.2 * 3.0]
+            assert tuple(s.extrema) == tuple(Extremum(i, e.vertex, e.value, e.persistence, kind)
+                                             for i, e in enumerate(kept))
+
+    def test_labeling_from_a_tuple_of_extrema(self):
+        dom = GridDomain(self.FIELD.shape)
+        values = self.FIELD.ravel()
+        lab = label_manifolds(values, dom, "minimum")
+        again = ManifoldLabeling(lab.kind, dom, lab.label.copy(), tuple(lab.extrema),
+                                 lab.sizes.copy(), lab._saddles, lab._partners)
+        for name in ("vertex", "value", "persistence"):
+            got, want = getattr(again.extrema, name), getattr(lab.extrema, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        s, t = simplify(again, values, 20.0), simplify(lab, values, 20.0)
+        assert tuple(s.extrema) == tuple(t.extrema) and np.array_equal(s.label, t.label)
+        assert persistence_pairs(values, dom, "minimum") == oracle_merge_tree(values, dom, "minimum")
+        with pytest.raises(AssertionError):  # ids are implicit: 0..n-1 in order
+            ManifoldLabeling(lab.kind, dom, lab.label.copy(), tuple(lab.extrema)[::-1],
+                             lab.sizes.copy())
 
 
 class TestPersistencePairs:
@@ -211,6 +251,10 @@ class TestSimplify:
         lab = label_manifolds(vals, dom, "minimum")
         with pytest.raises(ValueError):
             simplify(lab, vals + 1.0, 0.5)
+        one_off = vals.copy()
+        one_off[lab.extrema.vertex[-1]] -= 1.0  # a single extremum moved
+        with pytest.raises(ValueError):
+            simplify(lab, one_off, 0.5)
 
     def test_long_partner_chain(self):
         # 3000 wells along a 2 x 12000 strip, each deeper than the one to its
@@ -241,8 +285,9 @@ class TestAgainstOracles:
     """Offset-slice descent and the one-edge-per-pair sweep against the (V, K)
     table versions, exactly, on every periodic combination."""
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (6, 8), (9, 11),
-                                      (2, 2, 2), (2, 3, 3), (3, 2, 4), (5, 5, 6), (6, 5, 7)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (6, 8), (9, 11), (3, 40), (31, 37),
+                                      (2, 2, 2), (2, 3, 3), (3, 2, 4), (5, 5, 6), (6, 5, 7),
+                                      (2, 3, 30), (11, 10, 12)])
     def test_descent_and_sweep_match(self, dims):
         rng = np.random.default_rng(sum(dims) * len(dims))
         for periodic in product((False, True), repeat=len(dims)):
@@ -261,6 +306,67 @@ class TestAgainstOracles:
                     want = oracle_merge_sweep(w, dom, label, ex)
                     for g, o in zip(got, want):
                         assert g.dtype == o.dtype and np.array_equal(g, o), periodic
+
+    @pytest.mark.parametrize("case", ["rising", "falling", "random", "zigzag", "star"])
+    @pytest.mark.parametrize("volume", [False, True])
+    def test_forest_hostile_basin_graphs(self, case, volume):
+        # long basin chains whose lightest edges all point one way (so the
+        # hooks of a Borůvka round form one long path), and a star whose
+        # leaves all hook onto the centre; each chain also runs around a
+        # periodic axis, where it closes into a cycle
+        rng = np.random.default_rng(len(case) + 7 * volume)
+        fields = []
+        if case == "star":
+            k = 120
+            c = np.arange(2 * k + 1)
+            step = np.full((4, c.size), 100.0)  # walls: one tied plateau
+            step[0] = 0.001 * c
+            step[1, ::2] = 5.0 + rng.random(k + 1)
+            step[2, ::2] = -1.0 - rng.random(k + 1)
+            fields.append((step, (False, False)))
+            fields.append((step, (False, True)))
+        else:
+            k = 150
+            barrier = {"rising": np.arange(k) + 10.0, "falling": 10.0 + k - np.arange(k),
+                       "random": 10.0 + rng.permutation(k),
+                       "zigzag": 10.0 + np.where(np.arange(k) % 2, np.arange(k), k + np.arange(k))}
+            row = np.empty(2 * k)
+            row[0::2] = -1.0 - rng.permutation(k)  # wells, all below every barrier
+            row[1::2] = barrier[case]
+            for periodic in (False, True):
+                fields.append((np.tile(row, (2, 1)), (False, periodic)))
+        for step, periodic in fields:
+            if volume:  # along axis 0, across a periodic axis of length 3 (and 2 for chains)
+                rows = step.shape[0]
+                step = np.broadcast_to(step.T[:, :, None], (step.shape[1], rows, 3))
+                step = step + 0.01 * (np.arange(3) == 1)  # ties along axis 1 stay
+                periodic = (periodic[1], rows == 2, True)
+            dom = GridDomain(step.shape, periodic=periodic)
+            values = np.ascontiguousarray(step, dtype=float).reshape(-1)
+            for kind, w in (("minimum", values), ("maximum", -values)):
+                ptr = _descent_pointers(w, dom)
+                ex = np.flatnonzero(ptr == np.arange(w.size))
+                label = np.searchsorted(ex, _resolve_roots(ptr))
+                got = _merge_sweep(w, dom, label, ex)
+                want = oracle_merge_sweep(w, dom, label, ex)
+                for g, o in zip(got, want):
+                    assert np.array_equal(g, o), (periodic, kind)
+                assert persistence_pairs(values, dom, kind) == oracle_merge_tree(values, dom, kind)
+            assert ex.size > 100
+
+    def test_spanning_forest_matches_kruskal(self):
+        rng = np.random.default_rng(41)
+        graphs = [(np.array([], int), np.array([], int), 1),
+                  (np.array([0, 1]), np.array([1, 0]), 2),  # a pair joined twice
+                  (np.arange(499), np.arange(1, 500), 500),  # path, light to heavy
+                  (np.arange(499, 0, -1), np.arange(498, -1, -1), 500),  # heavy to light
+                  (np.zeros(300, int), np.arange(1, 301), 301),  # star
+                  (rng.permutation(np.arange(1, 301)), np.zeros(300, int), 301)]
+        for n, m in ((5, 3), (40, 30), (60, 400), (300, 2000), (2000, 1500)):
+            a, b = rng.integers(0, n, m), rng.integers(0, n, m)  # multi-edges, some forests
+            graphs.append((a, b, n))
+        for a, b, n in graphs:
+            assert _spanning_forest(a, b, n).tolist() == oracle_spanning_forest(a, b, n)
 
     # Basins A (value 0), B (value 1) and C (value 3) meet only at one saddle
     # s (value 5), which drains into B. Swept in slot order, s's edge to A

@@ -27,6 +27,7 @@ from helpers import (
     oracle_extremum_layers,
     oracle_semantic_filter,
     oracle_threshold_filter,
+    run_python,
 )
 
 
@@ -372,6 +373,69 @@ class TestGraphInvariants:
             for n in layer:
                 assert n.pos == series.domain.position(n.vertex)
                 assert labs[t].label[n.vertex] == n.id
+
+
+def graph_doc(**edge):
+    """A two-layer graph document with one edge, updated by ``edge``."""
+    node = {"t": 0, "id": 0, "kind": "extremum", "vertex": 0, "value": 0.0,
+            "pos": [0.0, 0.0], "track": 0}
+    doc = {"meta": {}, "nodes": [node, {**node, "t": 1}],
+           "edges": [{"t": 0, "i": 0, "j": 0, "pf": 0.5, "pb": 1.0, "strength": 1.0}]}
+    doc["edges"][0].update(edge)
+    doc["edges"][0] = {k: v for k, v in doc["edges"][0].items() if v is not None}
+    return doc
+
+
+MALFORMED_GRAPHS = {
+    "bare node": ({"meta": {}, "nodes": [{"t": 0, "track": 0}],
+                   "edges": [{"t": 0, "i": 5, "j": 9, "strength": 7.0}]},
+                  r"nodes\[0\] lacks id, kind, vertex, value, pos"),
+    "node not an object": ({**graph_doc(), "nodes": [3]}, r"nodes\[0\] lacks t, id"),
+    "nodes not a list": ({**graph_doc(), "nodes": {}}, "needs a 'nodes' list"),
+    "edge without strength": (graph_doc(strength=None), r"edges\[0\] lacks strength"),
+    "meta not an object": ({**graph_doc(), "meta": []}, "meta must be an object"),
+    "absent source": (graph_doc(i=5), "names a node that does not exist"),
+    "absent target": (graph_doc(j=9), "names a node that does not exist"),
+    "past the last layer": (graph_doc(t=1), "names a node that does not exist"),
+    "strength above 1": (graph_doc(strength=7.0), r"strengths must lie in \(0, 1\]"),
+    "strength 0": (graph_doc(strength=0.0), r"strengths must lie in \(0, 1\]"),
+    "pf above 1": (graph_doc(pf=1.5), r"pf values must lie in \(0, 1\]"),
+    "pb 0": (graph_doc(pb=0.0), r"pb values must lie in \(0, 1\]"),
+    "no probability": (graph_doc(pf=None, pb=None), "needs pf or pb"),
+}
+
+
+class TestImportValidation:
+    def test_well_formed_document_loads(self):
+        for edge in ({}, {"pf": None}, {"pb": None}):
+            g = import_graph(json.dumps(graph_doc(**edge)))
+            assert g.edge_set() == {(0, 0, 0)}
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+    def test_malformed_document_raises_value_error(self, name):
+        doc, message = MALFORMED_GRAPHS[name]
+        with pytest.raises(ValueError, match=message):
+            import_graph(json.dumps(doc))
+
+    def test_checks_survive_python_O(self, tmp_path):
+        # the checks must not be asserts, which -O strips
+        script = tmp_path / "check.py"
+        script.write_text(
+            "import json, sys\n"
+            "from extrack.trackgraph import import_graph\n"
+            "docs = json.loads(open(sys.argv[1]).read())\n"
+            "for name, doc in docs.items():\n"
+            "    try:\n"
+            "        import_graph(json.dumps(doc))\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    print('loaded:', name)\n"
+        )
+        docs = tmp_path / "docs.json"
+        docs.write_text(json.dumps({name: doc for name, (doc, _) in MALFORMED_GRAPHS.items()}))
+        r = run_python(str(script), str(docs), optimize=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == ""
 
 
 def random_cm(rng, rows, cols, direction, density=0.5):
