@@ -63,7 +63,8 @@ class OverlapMatrix:
 
     ``kind`` picks what ``items`` and ``to_dense`` return: the counts of an
     overlap matrix, or the probabilities ``probs`` of a correspondence
-    matrix. Feature rows may fall short of their denominator.
+    matrix. Feature rows may fall short of their denominator. Entries are
+    stored row-major with one per (i, j), as ``_csr`` builds them.
     """
 
     rows: int
@@ -82,6 +83,7 @@ class OverlapMatrix:
         assert self.indices.size == self.counts.size == self.indptr[-1]
         assert self.row_denominators.size == self.rows
         assert ((self.indices >= 0) & (self.indices < self.cols)).all()
+        assert (np.diff(_row_of(self) * self.cols + self.indices) > 0).all()
         assert (self.row_denominators > 0).all()
         assert (self.counts >= 1).all(), "zero counts must be absent"
         assert (self.counts <= self.row_denominators[_row_of(self)]).all()

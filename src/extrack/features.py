@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +35,25 @@ class FeatureSet:
     feature_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        sets = tuple(tuple(sorted(int(i) for i in s)) for s in self.index_sets)
+        n = len(self.index_sets)
+        sizes = np.fromiter(map(len, self.index_sets), dtype=np.int64, count=n)
+        ids = np.fromiter(chain.from_iterable(self.index_sets), dtype=np.int64,
+                          count=int(sizes.sum()))
+        owner = np.repeat(np.arange(n), sizes)
+        ids = ids[np.lexsort((ids, owner))]  # each set sorted, sets in order
+        flat, ends = ids.tolist(), np.cumsum(sizes).tolist()
+        sets = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
         object.__setattr__(self, "index_sets", sets)
-        seen: set[int] = set()
-        for s in sets:
-            if not s:
-                raise ValueError("empty feature index set")
-            if seen & set(s):
-                raise ValueError(f"extremum ids {sorted(seen & set(s))} appear in two features")
-            seen |= set(s)
+        # an id clashes in every set after the first one that lists it; the
+        # first set that is empty or clashes decides the error
+        keys, first = np.unique(ids, return_index=True)
+        clash = owner[first][np.searchsorted(keys, ids)] < owner
+        bad_set = owner[clash].min() if clash.any() else n
+        if (sizes[:bad_set] == 0).any():
+            raise ValueError("empty feature index set")
+        if bad_set < n:
+            dup = np.unique(ids[clash & (owner == bad_set)])
+            raise ValueError(f"extremum ids {dup.tolist()} appear in two features")
         if self.labels is not None:
             if len(self.labels) != len(sets):
                 raise ValueError("labels must match the number of features")
@@ -51,7 +62,7 @@ class FeatureSet:
         ids = self.feature_ids or tuple(range(len(sets)))
         if len(set(ids)) != len(sets):
             raise ValueError("feature ids must be unique")
-        object.__setattr__(self, "feature_ids", tuple(int(i) for i in ids))
+        object.__setattr__(self, "feature_ids", tuple(map(int, ids)))
 
     @property
     def n_features(self) -> int:

@@ -7,14 +7,17 @@ basin into the merge partner's basin.
 
 Ties are broken by vertex index everywhere (simulation of simplicity), so
 flat plateaus resolve deterministically. Maxima reuse the minima path on
-the negated field.
+the negated field. Labeling sorts each step once into that strict order
+(``asc`` and its inverse ``rank``, int32 while vertex ids fit) and then
+compares only ranks.
 
 Both descent and the merge sweep walk the grid one Freudenthal offset at a
 time through ``field.offset_slices``, so labeling needs O(V) memory and no
-(V, K) neighbor table. The sweep keeps the lowest saddle edge of each pair
-of adjacent basins and builds the minimum spanning forest of those edges
-with numpy Borůvka rounds; sweep keys are unique, so that forest is
-exactly the set of edges Kruskal's algorithm would merge along.
+(V, K) neighbor table. Descent is a running minimum of the rank plane.
+The sweep keeps the lowest saddle edge of each pair of adjacent basins and
+builds the minimum spanning forest of those edges with numpy Borůvka
+rounds; sweep keys are unique, so that forest is exactly the set of edges
+Kruskal's algorithm would merge along.
 Persistence then follows the elder rule (Edelsbrunner, Letscher and
 Zomorodian, 2002) over the forest's n_ex - 1 edges in sweep order. Edges
 that share a saddle vertex keep their order in the full edge enumeration,
@@ -51,7 +54,41 @@ class TotalOrder:
 
     def ascending(self) -> np.ndarray:
         """All vertex ids sorted ascending under the order."""
-        return np.argsort(self.values, kind="stable")
+        return _total_order(self.values)[0]
+
+
+def _id_dtype(n: int):
+    """The integer type of ids 0..n-1: int32 while n fits, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _total_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(asc, rank)`` of the strict (value, id) order on w.
+
+    ``asc`` lists the vertex ids ascending under the order, equal to
+    ``np.argsort(w, kind="stable")``, and ``rank`` is its inverse; both
+    have ``_id_dtype(w.size)``. The default (unstable, SIMD) argsort does
+    the work, and only the runs of equal values are re-sorted by id.
+    """
+    n = w.size
+    asc = np.argsort(w)
+    ws = w[asc]
+    tie = ws[1:] == ws[:-1]  # position p + 1 equals position p
+    del ws
+    if tie.any():
+        # run id per position, and the positions of runs longer than one
+        run = np.concatenate(([0], np.cumsum(~tie)))
+        pos = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        key = run[pos] * n + asc[pos]  # runs ascend with the position
+        key.sort()
+        asc[pos] = key % n
+        del run, pos, key
+    del tie
+    dt = _id_dtype(n)
+    asc = asc.astype(dt)
+    rank = np.empty(n, dtype=dt)
+    rank[asc] = np.arange(n, dtype=dt)
+    return asc, rank
 
 
 @dataclass(frozen=True)
@@ -152,26 +189,22 @@ class ManifoldLabeling:
         return len(self.extrema)
 
 
-def _descent_pointers(w: np.ndarray, domain: GridDomain) -> np.ndarray:
+def _descent_pointers(asc: np.ndarray, rank: np.ndarray, domain: GridDomain) -> np.ndarray:
     """One steepest-descent step per vertex under the (value, id) order.
 
-    Returns ptr where ptr[v] is the lexicographically smallest neighbor if
-    that neighbor precedes v, else v itself (v is a minimum of w). Every
-    offset piece updates a running (value, id) best per vertex in both
-    directions, so no (V, K) table is built.
+    Takes the order as ``_total_order`` returns it. Returns ptr where
+    ptr[v] is the lexicographically smallest neighbor if that neighbor
+    precedes v, else v itself (v is a minimum). Every offset piece lowers a
+    running minimum of the rank plane in both directions, so no (V, K)
+    table is built.
     """
-    grid = w.reshape(domain.dims)
-    ids = np.arange(w.size).reshape(domain.dims)
-    best_w = grid.copy()
-    best = ids.copy()
+    r = rank.reshape(domain.dims)
+    best = r.copy()
     for _, src, dst in offset_slices(domain):
         for here, there in ((src, dst), (dst, src)):
-            cw, ci = grid[there], ids[there]
-            bw, bi = best_w[here], best[here]
-            take = (cw < bw) | ((cw == bw) & (ci < bi))
-            np.copyto(bw, cw, where=take)
-            np.copyto(bi, ci, where=take)
-    return best.reshape(-1)
+            b = best[here]
+            np.minimum(b, r[there], out=b)
+    return asc[best.reshape(-1)]
 
 
 def _resolve_roots(ptr: np.ndarray) -> np.ndarray:
@@ -194,24 +227,28 @@ def _first_per_pair(pair: np.ndarray, key: np.ndarray):
     return pair[starts], np.minimum.reduceat(key[order], starts)
 
 
-def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertices: np.ndarray):
+def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridDomain,
+                 label: np.ndarray, ex_vertices: np.ndarray):
     """0-dimensional persistence of the minima of w by basin merging.
 
-    Only edges between different basins can merge sublevel components
-    (each basin's sublevel slice stays connected through its descent
-    paths), so a union-find over basins processing boundary edges in
-    ascending saddle order reproduces the vertex sweep.
+    ``asc``/``rank`` are w's order from ``_total_order``. Only edges
+    between different basins can merge sublevel components (each basin's
+    sublevel slice stays connected through its descent paths), so a
+    union-find over basins processing boundary edges in ascending saddle
+    order reproduces the vertex sweep.
 
     The sweep visits one edge per unordered basin pair: the first in sweep
     order. Every later edge between the same two basins joins components
     that are already one (the Kruskal argument), so dropping it changes
-    nothing. The sweep order is the (value, id) order of the saddle, the
-    edge's TotalOrder-larger endpoint, and among edges sharing a saddle
-    vertex the order of their first directed slot ``v * K + k`` in
-    ``neighbor_table``. That tie order matters: such edges all touch
-    ``label[s]``, and which of them comes first decides which basin
-    becomes a younger extremum's partner, and so what ``simplify``
-    relabels.
+    nothing. The sweep order is the rank of the saddle, the edge's
+    TotalOrder-larger endpoint, and among edges sharing a saddle vertex the
+    order of their first directed slot ``v * K + k`` in ``neighbor_table``.
+    That tie order matters: such edges all touch ``label[s]``, and which of
+    them comes first decides which basin becomes a younger extremum's
+    partner, and so what ``simplify`` relabels.
+
+    Vertex ids, labels and ranks are gathered in their own (int32) type,
+    pair codes in int32 while n_ex**2 fits; sweep keys are int64.
 
     Returns (persistence, saddles, partners) per extremum; the global
     minimum gets +inf persistence, saddle and partner -1.
@@ -225,31 +262,38 @@ def _merge_sweep(w: np.ndarray, domain: GridDomain, label: np.ndarray, ex_vertic
 
     # sweep key: saddle rank, then the edge's first directed slot v * K + k;
     # one per undirected edge, and it fits in int64 while V * V * K < 2**63
-    n_slots = 2 * (2**domain.rank - 1)
+    n_slots = np.int64(2 * (2**domain.rank - 1))
     n_keys = w.size * n_slots
-    asc = np.argsort(w, kind="stable")
-    rank = np.empty_like(asc)
-    rank[asc] = np.arange(w.size)
+    pair_dtype = _id_dtype(n_ex * n_ex)
     lab = label.reshape(domain.dims)
-    ids = np.arange(w.size).reshape(domain.dims)
+    ids = np.arange(w.size, dtype=rank.dtype).reshape(domain.dims)
     pairs, keys = [], []
     for k, src, dst in offset_slices(domain):
         v = ids[src][lab[src] != lab[dst]]
         if not v.size:
             continue
         # src and dst are equal-shaped boxes of one C-ordered grid, so their
-        # vertex ids differ by one constant
-        u = v + (ids[dst].flat[0] - ids[src].flat[0])
+        # vertex ids differ by one constant c; the edge's first directed
+        # slot is v's +k slot if c > 0, else u's -k slot
+        c = ids[dst].flat[0] - ids[src].flat[0]
+        u = v + c
         la, lb = label[v], label[u]
-        slot = np.minimum(v * n_slots + k, u * n_slots + (k + n_slots // 2))
-        key = np.maximum(rank[v], rank[u]) * n_keys + slot
-        pair, key = _first_per_pair(np.minimum(la, lb) * n_ex + np.maximum(la, lb), key)
+        pair = np.minimum(la, lb).astype(pair_dtype) * n_ex + np.maximum(la, lb)
+        del la, lb
+        first, slot = (v, k) if c > 0 else (u, k + n_slots // 2)
+        key = (np.maximum(rank[v], rank[u]) * np.int64(w.size) + first) * n_slots + slot
+        del v, u, first
+        pair, key = _first_per_pair(pair, key)
         pairs.append(pair)
         keys.append(key)
+    del ids
     # n_ex > 1 on a connected grid, so some piece has a boundary edge
-    pair, key = _first_per_pair(np.concatenate(pairs), np.concatenate(keys))
+    pair = np.concatenate(pairs)
+    del pairs
+    key = np.concatenate(keys)
+    del keys
+    pair, key = _first_per_pair(pair, key)
     order = np.argsort(key)
-    del pairs, keys
     a, b = np.divmod(pair[order], n_ex)
     forest = _spanning_forest(a, b, n_ex)
     sad = asc[key[order[forest]] // n_keys]
@@ -320,20 +364,29 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     Minima produce ascending manifolds, maxima descending ones (computed
     on the negated field). Each vertex moves to its (value, id)-smallest
     neighbor while one precedes it; the terminal vertices are the extrema,
-    numbered densely in vertex order.
+    numbered densely in vertex order. Values must be finite.
     """
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != domain.vertex_count:
         raise ValueError("step length does not match the domain")
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"step contains a non-finite value at vertex {bad}")
     w = -values if kind == "maximum" else values
 
-    ptr = _descent_pointers(w, domain)
-    root = _resolve_roots(ptr)
-    ex_vertices = np.flatnonzero(ptr == np.arange(w.size))
-    label = np.searchsorted(ex_vertices, root)
+    asc, rank = _total_order(w)
+    ptr = _descent_pointers(asc, rank, domain)
+    is_extremum = ptr == np.arange(w.size, dtype=rank.dtype)
+    ex_vertices = np.flatnonzero(is_extremum)
+    # extremum ids in vertex order: the running count of extrema, minus one
+    id_map = np.cumsum(is_extremum, dtype=rank.dtype)
+    id_map -= 1
+    del is_extremum
+    label = id_map[_resolve_roots(ptr)]
+    del ptr, id_map
     sizes = np.bincount(label, minlength=ex_vertices.size)
 
-    pers, saddles, partners = _merge_sweep(w, domain, label, ex_vertices)
+    pers, saddles, partners = _merge_sweep(w, asc, rank, domain, label, ex_vertices)
     extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
     return ManifoldLabeling(_MANIFOLD_OF[kind], domain, label, extrema, sizes, saddles, partners)
 
@@ -386,7 +439,7 @@ def simplify(
     ptr = np.where(cancel, labeling._partners, np.arange(labeling.n_extrema))
     root = _resolve_roots(ptr)
     survivors = np.flatnonzero(~cancel)
-    new_id = np.full(labeling.n_extrema, -1, dtype=np.int64)
+    new_id = np.full(labeling.n_extrema, -1, dtype=labeling.label.dtype)
     new_id[survivors] = np.arange(survivors.size)
     remap = new_id[root]
 
@@ -395,5 +448,5 @@ def simplify(
     extrema = ex.take(survivors)
     saddles = labeling._saddles[survivors]
     old_partners = labeling._partners[survivors]
-    partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)])
+    partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)].astype(np.int64))
     return ManifoldLabeling(labeling.kind, labeling.domain, label, extrema, sizes, saddles, partners)

@@ -454,6 +454,33 @@ class TestMatrixInvariants:
             dense = o.to_dense()
             assert np.count_nonzero(dense) == o.counts.size
 
+    def test_int32_labels_give_the_same_matrices(self):
+        # label_manifolds and simplify return int32 labels; the matrices must
+        # equal those of the same partition held as int64
+        rng = np.random.default_rng(22)
+        for dims, periodic in (((9, 8), (True, False)), ((5, 6, 4), (False, True, True))):
+            series = random_series(rng, dims, 2, periodic)
+            dom, (step_t, step_n) = series.domain, series.steps
+            lab_t = label_manifolds(step_t, dom, "minimum")
+            lab_n = simplify(label_manifolds(step_n, dom, "minimum"), step_n, 20.0)
+            wide = [ManifoldLabeling(lab.kind, dom, lab.label.astype(np.int64), lab.extrema,
+                                     lab.sizes.copy(), lab._saddles, lab._partners)
+                    for lab in (lab_t, lab_n)]
+            assert lab_t.label.dtype == lab_n.label.dtype == np.int32
+            assert lab_n.n_extrema > 1 and wide[0].label.dtype == np.int64
+
+            def matrices(a, b):
+                return [*manifold_overlap(a, b), binary_correspondence(a, b, "forward"),
+                        binary_correspondence(b, a, "backward"),
+                        sampling_overlap(a, b, dom, "euclidean", 1.5, "forward"),
+                        sampling_overlap(b, a, dom, "combinatorial", 2, "backward")]
+
+            for got, want in zip(matrices(lab_t, lab_n), matrices(*wide)):
+                for name in ("indptr", "indices", "counts", "row_denominators"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == w.dtype and np.array_equal(g, w), name
+                assert oracle_matrix_json(got, 0) == oracle_matrix_json(want, 0)
+
     def test_entry_and_prob_lookup(self):
         dom = GridDomain((4, 4))
         lab_t = fake_labeling(dom, [0] * 10 + [1] * 6)
@@ -462,6 +489,15 @@ class TestMatrixInvariants:
         assert fwd.entry(0, 1) == 2 and fwd.entry(1, 0) == 0
         c = normalize(fwd)
         assert c.prob(0, 0) == 0.8 and c.prob(1, 0) == 0.0
+
+    def test_entries_must_be_row_major_and_unique(self):
+        one = np.ones(2, np.int64)
+        OverlapMatrix(1, 3, "forward", "binary", np.array([0, 2]), np.array([0, 2]), one,
+                      np.array([2]))
+        for indices in ([2, 0], [1, 1]):
+            with pytest.raises(AssertionError):
+                OverlapMatrix(1, 3, "forward", "binary", np.array([0, 2]), np.array(indices),
+                              one, np.array([2]))
 
     def test_matrices_are_immutable(self):
         dom = GridDomain((4, 4))

@@ -52,6 +52,28 @@ class TestFeatureSet:
         with pytest.raises(ValueError, match="two features"):
             FeatureSet(0, ((0, 1), (1, 2)))
 
+    def test_first_offending_set_names_the_error(self):
+        # the message lists the ids of the first set that repeats an earlier
+        # set's ids; an empty set before it wins, one after it does not
+        cases = [
+            (((3, 1), (5,), (7, 5, 3, 1), (9, 7)), r"extremum ids \[1, 3, 5\] appear"),
+            (((0,), (2,), (), (2, 0)), "empty feature index set"),
+            (((0, 1), (1, 2), ()), r"extremum ids \[1\] appear"),
+            ((tuple(range(0, 40000, 2)), (39999, 40000, 1, 0), ()), r"extremum ids \[0\] appear"),
+        ]
+        for sets, message in cases:
+            with pytest.raises(ValueError, match=message):
+                FeatureSet(0, sets)
+        # an id repeated inside one set is no clash
+        assert FeatureSet(0, ((2, np.int64(2)), (1,))).index_sets == ((2, 2), (1,))
+
+    def test_singletons(self):
+        fs = singleton_features(3, 5)
+        assert fs.index_sets == ((0,), (1,), (2,), (3,), (4,))
+        assert fs.feature_ids == (0, 1, 2, 3, 4) and fs.t == 3
+        assert all(type(i) is int for s in fs.index_sets for i in s)
+        assert singleton_features(0, 0).index_sets == ()
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="labels"):
             FeatureSet(0, ((0,), (1,)), labels=("a",))

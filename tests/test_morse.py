@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from extrack.field import GridDomain, vertex_neighbors
-from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_pointers,
-                           _merge_sweep, _resolve_roots, _spanning_forest, label_manifolds,
-                           persistence_pairs, simplify)
+from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_pointers, _id_dtype,
+                           _merge_sweep, _resolve_roots, _spanning_forest, _total_order,
+                           label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
 from helpers import (grid_series, oracle_descent_pointers, oracle_extrema, oracle_merge_sweep,
                      oracle_spanning_forest)
@@ -34,6 +34,36 @@ class TestTotalOrder:
         for u in range(7):
             for v in range(7):
                 assert o.less(u, v) == (u < v)
+
+    @pytest.mark.parametrize("dims,periodic", [((7, 9), (True, False)), ((2, 5), (True, True)),
+                                               ((4, 3, 5), (False, True, True)),
+                                               ((2, 3, 2), (True, True, True))])
+    def test_rank_order_is_the_stable_argsort(self, dims, periodic):
+        dom = GridDomain(dims, periodic=periodic)
+        v = dom.vertex_count
+        rng = np.random.default_rng(v)
+        signed_zeros = np.where(rng.random(v) < 0.5, -0.0, 0.0)
+        fields = {
+            "three values": rng.integers(0, 3, v).astype(float),
+            "signed zeros": signed_zeros,
+            "signed zeros and ones": signed_zeros + rng.integers(0, 2, v),
+            "infinities": rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], v),
+            "constant": np.full(v, 2.5),
+            "sorted": np.arange(v, dtype=float),
+            "reversed": np.arange(v, 0, -1, dtype=float),
+            "sorted plateaus": np.arange(v) // 3 * 1.0,
+            "distinct": rng.permutation(v).astype(float),
+        }
+        for name, w in fields.items():
+            asc, rank = _total_order(w)
+            assert asc.dtype == rank.dtype == np.int32, name
+            assert np.array_equal(asc, np.argsort(w, kind="stable")), name
+            assert np.array_equal(rank[asc], np.arange(v)), name
+            assert np.array_equal(TotalOrder(w).ascending(), asc), name
+            for x in (w, -w):  # minima and maxima
+                asc, rank = _total_order(x)
+                ptr = _descent_pointers(asc, rank, dom)
+                assert np.array_equal(ptr, oracle_descent_pointers(x, dom)), name
 
 
 class TestLabelManifolds:
@@ -97,6 +127,31 @@ class TestLabelManifolds:
         for e_max, e_min in zip(lab_max.extrema, lab_min.extrema):
             assert e_max.value == vals[e_max.vertex]
             assert e_max.persistence == e_min.persistence
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN used to become an extremum of its own
+        vals = np.arange(9, dtype=float)
+        vals[4] = bad
+        vals[7] = np.nan
+        dom = GridDomain((3, 3))
+        for kind in ("minimum", "maximum"):
+            with pytest.raises(ValueError, match="non-finite value at vertex 4$"):
+                label_manifolds(vals, dom, kind)
+            with pytest.raises(ValueError, match="non-finite value at vertex 4$"):
+                persistence_pairs(vals, dom, kind)
+
+    def test_labels_are_int32(self):
+        rng = np.random.default_rng(8)
+        dom = GridDomain((9, 7, 5), periodic=(False, True, False))
+        vals = rng.standard_normal(dom.vertex_count)
+        for kind in ("minimum", "maximum"):
+            lab = label_manifolds(vals, dom, kind)
+            s = simplify(lab, vals, 30.0)
+            assert lab.label.dtype == s.label.dtype == np.int32
+            assert s.n_extrema < lab.n_extrema
+            assert lab._saddles.dtype == lab._partners.dtype == np.int64
+            assert s._saddles.dtype == s._partners.dtype == np.int64
 
     def test_maxima_of_bowl_are_corners(self):
         vals = [[5, 4, 5], [4, 1, 4], [5, 4, 5]]
@@ -298,14 +353,18 @@ class TestAgainstOracles:
                 else:
                     values = rng.permutation(dom.vertex_count).astype(float)
                 for w in (values, -values):  # minima, then maxima
-                    ptr = _descent_pointers(w, dom)
+                    asc, rank = _total_order(w)
+                    ptr = _descent_pointers(asc, rank, dom)
                     assert np.array_equal(ptr, oracle_descent_pointers(w, dom)), periodic
                     ex = np.flatnonzero(ptr == np.arange(w.size))
                     label = np.searchsorted(ex, _resolve_roots(ptr))
-                    got = _merge_sweep(w, dom, label, ex)
+                    got = _merge_sweep(w, asc, rank, dom, label, ex)
                     want = oracle_merge_sweep(w, dom, label, ex)
                     for g, o in zip(got, want):
                         assert g.dtype == o.dtype and np.array_equal(g, o), periodic
+                    lab = label_manifolds(w, dom, "minimum")
+                    assert np.array_equal(lab.label, label), periodic
+                    assert np.array_equal(lab._saddles, want[1]), periodic
 
     @pytest.mark.parametrize("case", ["rising", "falling", "random", "zigzag", "star"])
     @pytest.mark.parametrize("volume", [False, True])
@@ -344,15 +403,38 @@ class TestAgainstOracles:
             dom = GridDomain(step.shape, periodic=periodic)
             values = np.ascontiguousarray(step, dtype=float).reshape(-1)
             for kind, w in (("minimum", values), ("maximum", -values)):
-                ptr = _descent_pointers(w, dom)
+                asc, rank = _total_order(w)
+                ptr = _descent_pointers(asc, rank, dom)
                 ex = np.flatnonzero(ptr == np.arange(w.size))
                 label = np.searchsorted(ex, _resolve_roots(ptr))
-                got = _merge_sweep(w, dom, label, ex)
+                got = _merge_sweep(w, asc, rank, dom, label, ex)
                 want = oracle_merge_sweep(w, dom, label, ex)
                 for g, o in zip(got, want):
                     assert np.array_equal(g, o), (periodic, kind)
                 assert persistence_pairs(values, dom, kind) == oracle_merge_tree(values, dom, kind)
             assert ex.size > 100
+
+    def test_int64_pair_codes(self):
+        # 47 000 wells along a 2 x 94 000 strip behind random barriers: more
+        # than 46 341 extrema, so n_ex**2 passes 2**31 and the sweep's basin
+        # pair codes must be int64
+        k = 47_000
+        rng = np.random.default_rng(43)
+        row = np.empty(2 * k)
+        row[0::2] = -1.0 - rng.integers(0, 1000, k)  # tied wells and barriers
+        row[1::2] = rng.integers(0, 1000, k)
+        values = np.tile(row, 2)
+        dom = GridDomain((2, 2 * k), periodic=(False, True))
+        for w in (values, -values):
+            asc, rank = _total_order(w)
+            ptr = _descent_pointers(asc, rank, dom)
+            ex = np.flatnonzero(ptr == np.arange(w.size))
+            label = np.searchsorted(ex, _resolve_roots(ptr))
+            assert ex.size > 46_341 and _id_dtype(ex.size**2) == np.int64
+            got = _merge_sweep(w, asc, rank, dom, label, ex)
+            want = oracle_merge_sweep(w, dom, label, ex)
+            for g, o in zip(got, want):
+                assert g.dtype == o.dtype and np.array_equal(g, o)
 
     def test_spanning_forest_matches_kruskal(self):
         rng = np.random.default_rng(41)
@@ -425,3 +507,4 @@ def test_labeling_memory_is_linear_in_the_field():
     finally:
         tracemalloc.stop()
     assert peak <= 30 * step.nbytes
+    assert peak <= 16 * step.nbytes

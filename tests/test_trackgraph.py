@@ -506,6 +506,24 @@ class TestAgainstOracles:
             cm_b = [random_cm(rng, b, a, "backward") for a, b in zip(sizes, sizes[1:])]
             self.check_pipeline(layers, cm_f, cm_b, domain, predicates)
 
+    def test_one_sided_and_disjoint_supports(self):
+        # empty matrices, one direction only, disjoint supports and keys
+        # that interleave, so the backward-only keys land before, between
+        # and after the forward ones
+        rng = np.random.default_rng(93)
+        domain = GridDomain((4, 5))
+        layers = random_layers(rng, domain, [3, 4])
+        # (i, j) of layers t and t+1; the backward matrix is built transposed
+        f = np.array([[0, 0.5, 0, 0.5], [0, 0, 0, 0], [1.0, 0, 0, 0]])
+        b = np.array([[0.5, 0, 0.5, 0], [0, 1.0, 0, 0], [0.5, 0, 0, 0.5]])
+        zero = np.zeros((3, 4))
+        for fd, bd in ((f, b), (f, zero), (zero, b), (zero, zero), (f, f), (b, f),
+                       (f, np.maximum(f, b))):
+            cm_f, cm_b = [cm(fd, "forward", 2)], [cm(bd.T, "backward", 2)]
+            for policy in POLICIES:
+                assert_same_graph(assemble(layers, cm_f, cm_b, policy),
+                                  oracle_assemble(layers, cm_f, cm_b, policy))
+
     @pytest.mark.parametrize("dims,periodic,kind", [
         ((20, 18), (False, True), "minimum"),
         ((9, 8, 7), (True, False, False), "maximum"),
