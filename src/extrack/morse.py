@@ -77,7 +77,7 @@ def _total_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del ws
     if tie.any():
         # run id per position, and the positions of runs longer than one
-        run = np.concatenate(([0], np.cumsum(~tie)))
+        run = np.concatenate(([0], np.cumsum(~tie, dtype=np.int64)))
         pos = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
         key = run[pos] * n + asc[pos]  # runs ascend with the position
         key.sort()
@@ -281,7 +281,7 @@ def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridD
         pair = np.minimum(la, lb).astype(pair_dtype) * n_ex + np.maximum(la, lb)
         del la, lb
         first, slot = (v, k) if c > 0 else (u, k + n_slots // 2)
-        key = (np.maximum(rank[v], rank[u]) * np.int64(w.size) + first) * n_slots + slot
+        key = (np.maximum(rank[v], rank[u]).astype(np.int64) * w.size + first) * n_slots + slot
         del v, u, first
         pair, key = _first_per_pair(pair, key)
         pairs.append(pair)

@@ -294,6 +294,16 @@ def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
     return fresh_id[root]
 
 
+def _lookup(keys: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[k] where the ascending keys[k] == at, NaN where at is absent."""
+    out = np.full(at.size, np.nan)
+    if keys.size:
+        k = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+        hit = keys[k] == at
+        out[hit] = values[k[hit]]
+    return out
+
+
 def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
                 policy: ConnectivityPolicy) -> EdgeColumns:
     """Edges between layers t and t+1 from one forward/backward matrix pair."""
@@ -302,26 +312,13 @@ def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
     b_key = bwd.indices * n_n + _row_of(bwd)  # transposed: (i, j) of layer t, t+1
     order = np.argsort(b_key)
     b_key, b_probs = b_key[order], bwd.probs[order]
-    # at[k]: the forward keys below b_key[k]; in_f[k]: b_key[k] is one of them
-    at = np.searchsorted(f_key, b_key)
-    in_f = np.zeros(b_key.size, dtype=bool)
-    if f_key.size:
-        in_f = f_key[np.minimum(at, f_key.size - 1)] == b_key
     if policy.bidirectional:
-        keys, pf, pb = b_key[in_f], fwd.probs[at[in_f]], b_probs[in_f]
+        pf = _lookup(f_key, b_key, fwd.probs)
+        both = ~np.isnan(pf)  # probabilities are positive: NaN marks absence
+        keys, pf, pb = b_key[both], pf[both], b_probs[both]
     else:
-        # merge the sorted keys: a backward-only key lands after the forward
-        # keys below it and the backward-only keys before it
-        only_b = ~in_f
-        pos = at[only_b] + np.arange(np.count_nonzero(only_b))
-        from_f = np.ones(f_key.size + pos.size, dtype=bool)
-        from_f[pos] = False
-        f_pos = np.flatnonzero(from_f)
-        keys = np.empty(from_f.size, dtype=np.int64)
-        keys[f_pos], keys[pos] = f_key, b_key[only_b]
-        pf, pb = np.full(keys.size, np.nan), np.full(keys.size, np.nan)
-        pf[f_pos] = fwd.probs
-        pb[pos], pb[f_pos[at[in_f]]] = b_probs[only_b], b_probs[in_f]
+        keys = np.union1d(f_key, b_key)
+        pf, pb = _lookup(f_key, keys, fwd.probs), _lookup(b_key, keys, b_probs)
     if policy.strength == "max":
         strength = np.fmax(pf, pb)
     elif policy.strength == "min":
