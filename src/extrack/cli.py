@@ -172,14 +172,36 @@ def _timed(stage: str, fn, *args, t=None):
     return out
 
 
-def _load_input(config: PipelineConfig) -> ScalarFieldSeries:
+def _why(e: OSError | UnicodeDecodeError) -> str:
+    """What an OS or decoding error says about its file, without the path."""
+    if isinstance(e, UnicodeDecodeError):
+        return f"not UTF-8 text ({e.reason} at byte {e.start})"
+    return e.strerror or str(e)
+
+
+def _path_error(path, e: OSError | UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: {_why(e)}")
+
+
+def _output_dir(path: str) -> Path:
+    out = Path(path)
     try:
-        parts = [field.load_series(p, config.format) for p in config.input]
-    except SeriesFormatError as e:
-        off = "" if e.offset is None else f" (byte offset {e.offset})"
-        raise DataError(f"{config.input}: {e}{off}") from e
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise DataError(str(e)) from e
+        raise DataError(f"{path}: cannot create the output directory: {_why(e)}") from e
+    return out
+
+
+def _load_input(config: PipelineConfig) -> ScalarFieldSeries:
+    parts = []
+    for p in config.input:
+        try:
+            parts.append(field.load_series(p, config.format))
+        except SeriesFormatError as e:
+            off = "" if e.offset is None else f" (byte offset {e.offset})"
+            raise DataError(f"{p}: {e}{off}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise _path_error(p, e) from e
     if len(parts) == 1:
         return parts[0]
     try:
@@ -240,8 +262,8 @@ def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.
     """Feature sets per step; steps missing from the file get singletons."""
     try:
         loaded = {fs.t: fs for fs in features.load_features(path)}
-    except FileNotFoundError as e:
-        raise DataError(str(e)) from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise _path_error(path, e) from e
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: bad feature file: {e}") from e
     out = []
@@ -315,8 +337,7 @@ def _write_matrices(out: Path, pair_mats, prefix: str = "") -> None:
 
 def run(config: PipelineConfig) -> int:
     """Full pipeline; writes artifacts into the output directory."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config.out)
     series = _timed("load", lambda: _load_input(config))
     labs = _label_all(series, config)
     if config.dump_labels:
@@ -336,14 +357,13 @@ def _write_outputs(out: Path, pair_mats, fpair, g) -> None:
     _write_matrices(out, pair_mats)
     if fpair is not None:
         _write_matrices(out, fpair, prefix="feature_")
-    (out / "graph.json").write_text(trackgraph.export(g, "json"), encoding="utf-8")
-    (out / "graph.dot").write_text(trackgraph.export(g, "dot"), encoding="utf-8")
+    trackgraph.save_graph(g, "json", out / "graph.json")
+    trackgraph.save_graph(g, "dot", out / "graph.dot")
 
 
 def compare(config: PipelineConfig, strategies) -> int:
     """Run several strategies on one set of labelings; write a report."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config.out)
     series = _timed("load", lambda: _load_input(config))
     labs = _label_all(series, config)
     fsets = _feature_sets_for(labs, config.features) if config.features is not None else None
@@ -428,8 +448,8 @@ def cmd_synth(args) -> int:
     else:
         try:
             script = synth.load_script(args.script)
-        except FileNotFoundError as e:
-            raise DataError(str(e)) from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise _path_error(args.script, e) from e
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{args.script}: bad script: {e}") from e
     series = synth.generate(script)
@@ -437,9 +457,12 @@ def cmd_synth(args) -> int:
         series = ScalarFieldSeries(
             series.domain, tuple(s.astype(np.float32) for s in series.steps)
         )
-    field.save_series(series, args.out)
-    if args.save_script:
-        synth.save_script(script, args.save_script)
+    try:
+        field.save_series(series, args.out)
+        if args.save_script:
+            synth.save_script(script, args.save_script)
+    except OSError as e:
+        raise _path_error(e.filename or args.out, e) from e
     log.info("wrote %s (%d steps, dims %s)", args.out, series.n_steps, series.domain.dims)
     return 0
 
@@ -448,8 +471,8 @@ def cmd_inspect(args) -> int:
     try:
         text = Path(args.path).read_text(encoding="utf-8")
         doc = json.loads(text)
-    except FileNotFoundError as e:
-        raise DataError(str(e)) from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise _path_error(args.path, e) from e
     except json.JSONDecodeError as e:
         raise DataError(f"{args.path}: not JSON: {e}") from e
     w = sys.stdout.write
@@ -526,8 +549,8 @@ _CONFIG_KEYS = {
 def _read_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as e:
-        raise ConfigError(str(e)) from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {_why(e)}") from e
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

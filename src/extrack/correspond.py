@@ -14,6 +14,7 @@ matrix into a row-stochastic correspondence matrix.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -305,56 +306,117 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     return m, int(doc["t"])
 
 
-def _fill(template: str, sep: str, columns) -> str:
-    """``template % row`` for each row of the columns, joined by sep, in
-    one formatting call."""
-    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for k, c in enumerate(columns):
-        cells[:, k] = c
-    return sep.join([template] * cells.shape[0]) % tuple(cells.ravel().tolist())
+# Rows per block of the artifact writers: it bounds the temporaries the
+# writers hold at once, however long the document.
+_BLOCK = 8192
+_SLOT = re.compile(r"%[ds]")
 
 
-def _json_list(template: str, columns, depth: int) -> str:
-    """A JSON list laid out as ``json.dumps(indent=2)`` lays out a list at
-    this nesting depth; item k is ``template`` filled with row k."""
-    if not len(columns[0]):
-        return "[]"
-    pad = "  " * (depth + 1)
-    return "[\n" + pad + _fill(template, ",\n" + pad, columns) + "\n" + "  " * depth + "]"
+def _digits(v: np.ndarray) -> np.ndarray:
+    """Decimal ASCII of each integer, one row per value of a NUL-padded
+    uint8 matrix; a leading sign column exists only when a value is negative."""
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |v| in uint64, also for the int64 minimum
+    top = int(mag.max())
+    if top < 2**32:
+        mag = mag.astype(np.uint32)
+    sign = int(neg.any())
+    out = np.empty((v.size, sign + len(str(top))), np.uint8)
+    if sign:
+        out[:, 0] = np.where(neg, ord("-"), 0)
+    last = out.shape[1] - 1
+    for k in range(last, sign - 1, -1):
+        rest, d = np.divmod(mag, 10)
+        d += ord("0")
+        if k < last:
+            d[mag == 0] = 0  # a leading zero
+        out[:, k] = d
+        mag = rest
+    return out
 
 
-# The arrays and text of the last body ``save_matrix`` formatted. An overlap
-# and its normalized twin share their arrays and differ only in "kind", so
-# the second file reuses the text; the arrays are read-only, so the same
-# objects mean the same body.
+def _texts(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt(x)`` of each value, one row per value of a NUL-padded uint8
+    matrix; fmt is called once per distinct value (per bit pattern for
+    floats, so -0.0 and 0.0 stay apart)."""
+    floats = values.dtype.kind == "f"
+    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    table = np.array(list(map(fmt, distinct.tolist())), dtype=bytes)
+    return table[inverse].view(np.uint8).reshape(inverse.size, table.itemsize)
+
+
+def _rows(template: str, sep: str, columns, lo: int, hi: int):
+    """Rows lo..hi-1 of ``template`` joined by sep, as ASCII bytes, one
+    chunk per block of at most ``_BLOCK`` rows.
+
+    Slot k of the template takes row i of column k: a ``%d`` slot an
+    integer array, a ``%s`` slot a (values, fmt) pair spelled by ``_texts``.
+    Each block tiles a skeleton row whose slots are NUL, copies the cells
+    into the slots and drops the NUL padding.
+    """
+    pieces = [p.encode("ascii") for p in _SLOT.split(template)]
+    pieces[-1] += sep.encode("ascii")
+    for a in range(lo, hi, _BLOCK):
+        b = min(a + _BLOCK, hi)
+        cells = [_texts(c[0][a:b], c[1]) if isinstance(c, tuple) else _digits(c[a:b])
+                 for c in columns]
+        skeleton = b"".join(p + bytes(c.shape[1]) for p, c in zip(pieces, cells)) + pieces[-1]
+        block = np.tile(np.frombuffer(skeleton, np.uint8), (b - a, 1))
+        at = 0
+        for p, c in zip(pieces, cells):
+            at += len(p)
+            block[:, at:at + c.shape[1]] = c
+            at += c.shape[1]
+        chunk = block.tobytes().translate(None, b"\0")
+        yield chunk[:len(chunk) - len(sep)] if b == hi else chunk
+
+
+def _json_list(template: str, columns, n: int):
+    """Chunks of a JSON list laid out as ``json.dumps(indent=2)`` lays out a
+    value of the top-level object; item k is ``template`` filled with row k."""
+    if not n:
+        yield b"[]"
+        return
+    yield b"[\n    "
+    yield from _rows(template, ",\n    ", columns, 0, n)
+    yield b"\n  ]"
+
+
+# The arrays and chunks of the last body ``save_matrix`` formatted. An
+# overlap and its normalized twin share their arrays and differ only in
+# "kind", so the second file reuses the chunks; the arrays are read-only, so
+# the same objects mean the same body.
 _last_body: tuple = (None, None, None, None, None)
 
 
-def _body(m) -> tuple[str, str]:
-    """The denominators and entries lists of m's document as text."""
+def _body(m) -> tuple[list[bytes], list[bytes]]:
+    """The denominators and entries lists of m's document as chunks."""
     global _last_body
     arrays = (m.indptr, m.indices, m.counts, m.row_denominators)
     if all(a is b for a, b in zip(arrays, _last_body)):
         return _last_body[4]
-    text = (_json_list("%d", [m.row_denominators], 1),
-            _json_list("[\n      %d,\n      %d,\n      %d\n    ]",
-                       [_row_of(m), m.indices, m.counts], 1))
-    _last_body = (*arrays, text)
-    return text
+    body = (list(_json_list("%d", [m.row_denominators], m.rows)),
+            list(_json_list("[\n      %d,\n      %d,\n      %d\n    ]",
+                            [_row_of(m), m.indices, m.counts], m.counts.size)))
+    _last_body = (*arrays, body)
+    return body
 
 
 def save_matrix(m, t: int, path) -> None:
     """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` would, straight from the CSR arrays."""
+    indent=2)`` would, straight from the CSR arrays, in ASCII chunks."""
     denominators, entries = _body(m)
-    text = (
-        f'{{\n  "cols": {int(m.cols)},'
-        f'\n  "denominators": {denominators},'
-        f'\n  "direction": {json.dumps(m.direction)},\n  "entries": {entries},'
-        f'\n  "kind": "{m.kind}",\n  "rows": {int(m.rows)},'
-        f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write(f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode())
+        fh.writelines(denominators)
+        fh.write(f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode())
+        fh.writelines(entries)
+        fh.write(f',\n  "kind": "{m.kind}",\n  "rows": {int(m.rows)},'
+                 f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
 
 
 def load_matrix(path) -> tuple[OverlapMatrix, int]:

@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _fill, _json_list, _row_of
+from .correspond import OverlapMatrix, _json_list, _row_of, _rows
 from .field import GridDomain
 from .morse import ManifoldLabeling, _resolve_roots
 
@@ -467,20 +467,27 @@ def strength_bin(s: float) -> int:
     return int(np.searchsorted(_BIN_EDGES, s))
 
 
-def export(g: TrackingGraph, format: Literal["json", "dot"]) -> str:
+def _chunks(g: TrackingGraph, format: str):
     if format == "json":
-        return _export_json(g)
+        return _json_chunks(g)
     if format == "dot":
-        return _export_dot(g)
+        return _dot_chunks(g)
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _texts(a: np.ndarray, fmt) -> np.ndarray:
-    """``fmt(x)`` for every float, calling fmt once per distinct bit pattern
-    (so -0.0 and 0.0 stay apart)."""
-    bits, inverse = np.unique(np.ascontiguousarray(a, np.float64).view(np.int64),
-                              return_inverse=True)
-    return np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)[inverse]
+def export(g: TrackingGraph, format: Literal["json", "dot"]) -> str:
+    """The graph document as text; ``save_graph`` writes the same bytes."""
+    # decoding chunk by chunk, rather than decoding one joined bytes object,
+    # never holds the document's bytes and its text at once
+    return "".join([c.decode("ascii") for c in _chunks(g, format)])
+
+
+def save_graph(g: TrackingGraph, format: Literal["json", "dot"], path) -> None:
+    """Write ``export(g, format)`` to path block by block, as ASCII with
+    ``\\n`` line ends, without holding the document whole."""
+    chunks = _chunks(g, format)
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def _json_float(x: float) -> str:
@@ -490,39 +497,38 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _json_texts(a: np.ndarray) -> np.ndarray:
-    return _texts(a, float.__repr__ if np.isfinite(a).all() else _json_float)
+def _json_floats(a: np.ndarray) -> tuple:
+    """A float column spelled as ``json.dumps`` spells floats."""
+    return a, float.__repr__ if np.isfinite(a).all() else _json_float
 
 
-def _export_json(g: TrackingGraph) -> str:
+def _optional(name: str):
+    """Spells an edge probability's line, or nothing where it is absent (NaN)."""
+    return lambda p: "" if p != p else f'      "{name}": {_json_float(p)},\n'
+
+
+def _json_chunks(g: TrackingGraph):
     """The graph document as ``json.dumps(doc, sort_keys=True, indent=2)``
     lays it out, written straight from the columns."""
     n, e = g.node_columns, g.edge_columns
+    edge_tmpl = '{\n      "i": %d,\n      "j": %d,\n%s%s      "strength": %s,\n      "t": %d\n    }'
+    yield b'{\n  "edges": '
+    yield from _json_list(edge_tmpl, [
+        e.i, e.j, (e.pb, _optional("pb")), (e.pf, _optional("pf")),
+        _json_floats(e.strength), e.t,
+    ], len(e))
+    meta = json.dumps(g.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield f',\n  "meta": {meta},\n  "nodes": '.encode()
     rank = n.pos.shape[1]
     pos = "[]" if rank == 0 else "[\n" + ",\n".join(["        %s"] * rank) + "\n      ]"
     node_tmpl = ('{\n      "id": %d,\n      "kind": %s,\n      "pos": ' + pos
                  + ',\n      "t": %d,\n      "track": %d,\n      "value": %s,'
                  '\n      "vertex": %d\n    }')
-    kinds, kind_of = np.unique(n.kind, return_inverse=True)
-    quoted = np.array([json.dumps(k) for k in kinds.tolist()], dtype=object)
-    nodes = _json_list(node_tmpl, [
-        n.id, quoted[kind_of], *(_json_texts(n.pos[:, a]) for a in range(rank)),
-        n.t, n.track, _json_texts(n.value), n.vertex,
-    ], 1)
-
-    def optional(name: str, p: np.ndarray) -> np.ndarray:
-        # the key is left out where the direction has no probability
-        present = ~np.isnan(p)
-        line = f'      "{name}": ' + _json_texts(np.where(present, p, 0.0)) + ",\n"
-        return np.where(present, line, "")
-
-    edge_tmpl = '{\n      "i": %d,\n      "j": %d,\n%s%s      "strength": %s,\n      "t": %d\n    }'
-    edges = _json_list(edge_tmpl, [
-        e.i, e.j, optional("pb", e.pb), optional("pf", e.pf),
-        _json_texts(e.strength), e.t,
-    ], 1)
-    meta = json.dumps(g.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
-    return f'{{\n  "edges": {edges},\n  "meta": {meta},\n  "nodes": {nodes}\n}}\n'
+    yield from _json_list(node_tmpl, [
+        n.id, (n.kind, json.dumps), *(_json_floats(n.pos[:, a]) for a in range(rank)),
+        n.t, n.track, _json_floats(n.value), n.vertex,
+    ], len(n))
+    yield b"\n}\n"
 
 
 _NODE_KEYS = ("t", "id", "kind", "vertex", "value", "pos", "track")
@@ -572,34 +578,27 @@ def import_graph(text: str) -> TrackingGraph:
     return TrackingGraph(nodes, e, meta)
 
 
-def _export_dot(g: TrackingGraph) -> str:
-    lines = [
-        "// tracking graph: layers = time steps, columns left to right",
-        "// edge width bins by strength: (0,0.25] (0.25,0.5] (0.5,0.75] (0.75,1]",
-        "// node fill keyed by track id",
-        "digraph tracking {",
-        "  rankdir=LR;",
-        "  node [shape=circle, style=filled];",
-    ]
+def _dot_chunks(g: TrackingGraph):
+    yield (
+        "// tracking graph: layers = time steps, columns left to right\n"
+        "// edge width bins by strength: (0,0.25] (0.25,0.5] (0.5,0.75] (0.75,1]\n"
+        "// node fill keyed by track id\n"
+        "digraph tracking {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=circle, style=filled];\n"
+    ).encode()
     n, e = g.node_columns, g.edge_columns
-    colors = np.array(_TRACK_COLORS, dtype=object)
-    node_lines = _fill(
-        '    n%d_%d [label="t%d #%d\\n%s", fillcolor="%s", tooltip="track %d"];', "\n",
-        [n.t, n.id, n.t, n.id, _texts(n.value, "{:.4g}".format),
-         colors[n.track % len(_TRACK_COLORS)], n.track],
-    ).split("\n") if len(n) else []
+    node_tmpl = '    n%d_%d [label="t%d #%d\\n%s", fillcolor="%s", tooltip="track %d"];\n'
+    node_cols = [n.t, n.id, n.t, n.id, (n.value, "%.4g".__mod__),
+                 (n.track % len(_TRACK_COLORS), _TRACK_COLORS.__getitem__), n.track]
     bounds = np.searchsorted(n.t, np.arange(g.n_layers + 1)).tolist()
     for t in range(g.n_layers):
-        lines.append(f"  subgraph layer_{t} {{")
-        lines.append("    rank=same;")
-        lines.extend(node_lines[bounds[t]:bounds[t + 1]])
-        lines.append("  }")
-    if len(e):
-        widths = np.array([str(w) for w in _BIN_WIDTHS], dtype=object)
-        lines.append(_fill(
-            '  n%d_%d -> n%d_%d [penwidth=%s, label="%s"];', "\n",
-            [e.t, e.i, e.t + 1, e.j, widths[np.searchsorted(_BIN_EDGES, e.strength)],
-             _texts(e.strength, "{:.3f}".format)],
-        ))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  subgraph layer_{t} {{\n    rank=same;\n".encode()
+        yield from _rows(node_tmpl, "", node_cols, bounds[t], bounds[t + 1])
+        yield b"  }\n"
+    yield from _rows('  n%d_%d -> n%d_%d [penwidth=%s, label="%s"];\n', "", [
+        e.t, e.i, e.t + 1, e.j,
+        (np.searchsorted(_BIN_EDGES, e.strength), lambda b: str(_BIN_WIDTHS[b])),
+        (e.strength, "%.3f".__mod__),
+    ], 0, len(e))
+    yield b"}\n"

@@ -55,6 +55,11 @@ class TestSynth:
         assert main(["synth", "--script", str(tmp_path / "gone.json"),
                      "--out", str(tmp_path / "x.xtrk")]) == 3
 
+    def test_unwritable_out_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.xtrk"
+        assert main(["synth", "--preset", "ridge", "--out", str(out)]) == 3
+        assert f"{out}: " in capsys.readouterr().err
+
 
 class TestRun:
     def test_default_pipeline_artifacts(self, ridge_file, tmp_path):
@@ -289,6 +294,29 @@ class TestExitCodes:
     def test_unknown_compare_strategy(self, ridge_file):
         assert main(["compare", "--input", str(ridge_file),
                      "--strategies", "binary,psychic"]) == 2
+
+    def test_inspect_directory_is_a_data_error(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 3
+        assert f"{tmp_path}: " in capsys.readouterr().err
+
+    def test_inspect_undecodable_file_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["inspect", str(p)]) == 3
+        assert f"{p}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_out_is_an_existing_file(self, ridge_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        assert main(["run", "--input", str(ridge_file), "--out", str(taken)]) == 3
+        assert f"{taken}: cannot create the output directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep me"
+
+    def test_out_below_a_file(self, ridge_file, tmp_path, capsys):
+        below = tmp_path / "taken" / "sub"
+        below.parent.write_text("")
+        assert main(["run", "--input", str(ridge_file), "--out", str(below)]) == 3
+        assert f"{below}: cannot create the output directory" in capsys.readouterr().err
 
 
 class TestStageReports:

@@ -371,6 +371,28 @@ class TestSerialization:
             save_matrix(m, t, p)
             assert p.read_text(encoding="utf-8") == oracle_matrix_json(m, t)
 
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_writer_in_blocks_matches_json_module(self, block, tmp_path, monkeypatch):
+        # counts and denominators at and above 2^32, rows with no entries at
+        # the start, the end and between blocks, and an empty matrix; each
+        # overlap is followed by its twin, which reuses the formatted body
+        from extrack import correspond
+
+        if block is not None:
+            monkeypatch.setattr(correspond, "_BLOCK", block)
+        big = 2**32
+        ii = np.array([1, 1, 2, 5, 5, 5, 6, 8])
+        jj = np.array([0, 3, 2, 1, 2, 3, 0, 3])
+        cc = np.array([1, big, big + 1, 7, 2**62, 9, 10, 3])
+        denom = np.array([1, 2 * big, big + 1, 4, 5, 2**62 + 16, 10, 6, 3, 1])
+        m = OverlapMatrix(10, 4, "forward", "sampling-euclidean", *_csr(10, 4, ii, jj, cc), denom)
+        empty = np.zeros(0, np.int64)
+        e = OverlapMatrix(0, 0, "backward", "binary", np.zeros(1, np.int64), empty, empty, empty)
+        for t, x in enumerate((m, normalize(m), e, normalize(e), m)):
+            p = tmp_path / f"m{t}.json"
+            save_matrix(x, t, p)
+            assert p.read_bytes() == oracle_matrix_json(x, t).encode("ascii")
+
     def test_doc_shape_is_stable(self):
         dom = GridDomain((4, 4))
         lab = fake_labeling(dom, [0] * 16)

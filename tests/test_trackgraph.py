@@ -1,21 +1,27 @@
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from extrack import correspond
 from extrack.correspond import OverlapMatrix, _csr
 from extrack.field import GridDomain
 from extrack.trackgraph import (
     ConnectivityPolicy,
+    EdgeColumns,
     GraphEdge,
     GraphNode,
+    NodeColumns,
     SemanticPredicate,
     TrackingGraph,
     assemble,
     export,
     extremum_layers,
     import_graph,
+    save_graph,
     semantic_filter,
     strength_bin,
     threshold_filter,
@@ -346,6 +352,96 @@ class TestExport:
         assert export(import_graph(export(g, "json")), "json") == export(g, "json")
         dot = export(g, "dot")
         assert dot.rstrip().endswith("}")
+
+
+# node values and positions the small random graphs never reach
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, -1.5e300, 0.0, 0.1, 2.5]
+BIG_VERTICES = [0, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1]
+
+
+def special_graph(rank: int, kind: str, with_edges: bool = True) -> TrackingGraph:
+    """Layers of 5, 4, 0 and 3 nodes with special values, huge vertex ids
+    and negative tracks; one-sided and two-sided edges from layer 0 to 1."""
+    nodes = []
+    for t, size in enumerate((5, 4, 0, 3)):
+        for i in range(size):
+            k = 3 * t + i
+            pos = tuple(SPECIAL_FLOATS[(k + a) % len(SPECIAL_FLOATS)] for a in range(rank))
+            nodes.append(GraphNode(t, i, kind, BIG_VERTICES[k % len(BIG_VERTICES)],
+                                   SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)], pos, k % 4 - 1))
+    edges = [
+        GraphEdge(0, 0, 0, 0.5, None, 0.5),
+        GraphEdge(0, 0, 3, None, 0.25, 0.25),
+        GraphEdge(0, 1, 1, 1.0, 1.0, 1.0),
+        GraphEdge(0, 2, 1, 1 / 3, 2 / 3, 2 / 3),
+        GraphEdge(0, 3, 2, 1e-300, None, 1e-300),
+        GraphEdge(0, 4, 0, None, 0.75, 0.0),
+        GraphEdge(0, 4, 2, 0.7500001, 0.26, 0.7500001),
+    ] if with_edges else []
+    return TrackingGraph(nodes, edges, {"strategy": "test", "thresholds": {}})
+
+
+def assert_writers_match(g, tmp_path):
+    want = {"json": oracle_export_json(g), "dot": oracle_export_dot(g)}
+    for fmt, text in want.items():
+        assert export(g, fmt) == text, fmt
+        path = tmp_path / f"graph.{fmt}"
+        save_graph(g, fmt, path)
+        assert path.read_bytes() == text.encode("ascii"), fmt
+
+
+class TestWriters:
+    """Both graph writers against the per-object oracles on inputs the
+    random graphs never reach, with blocks of 3 rows and of the default size."""
+
+    @pytest.fixture(params=[3, None], ids=["block3", "default-block"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(correspond, "_BLOCK", request.param)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["extremum", "feature"])
+    def test_special_values(self, block, rank, kind, tmp_path):
+        assert_writers_match(special_graph(rank, kind), tmp_path)
+
+    def test_graph_without_edges(self, block, tmp_path):
+        assert_writers_match(special_graph(2, "extremum", with_edges=False), tmp_path)
+
+    def test_empty_graph(self, block, tmp_path):
+        assert_writers_match(TrackingGraph((), ()), tmp_path)
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        n = correspond._BLOCK + 5
+        layers = [NodeColumns.for_step(t, "extremum", np.arange(n) * 977, np.arange(n) / 7,
+                                       np.arange(2 * n).reshape(n, 2) / 3) for t in (0, 1)]
+        i = np.arange(n)
+        edges = EdgeColumns.build(np.zeros(n), i, (i * 5) % n, np.where(i % 3, i / n, np.nan),
+                                  np.where(i % 3 == 1, np.nan, 0.5), np.maximum(i / n, 0.5))
+        g = TrackingGraph(NodeColumns.concat(layers), edges)
+        assert_writers_match(g, tmp_path)
+
+    def test_writers_stream(self, tmp_path):
+        # a graph of several blocks: writing it must never hold as much
+        # memory as the document it writes
+        n = 4 * correspond._BLOCK
+        rng = np.random.default_rng(94)
+        layers = [NodeColumns.for_step(t, "extremum", rng.integers(0, 2**40, n),
+                                       rng.standard_normal(n), rng.random((n, 2)) * 100)
+                  for t in (0, 1)]
+        i = np.arange(n)
+        p = rng.integers(1, 8, n) / 8
+        g = TrackingGraph(NodeColumns.concat(layers),
+                          EdgeColumns.build(np.zeros(n), i, rng.permutation(n), p, p, p))
+        for fmt in ("json", "dot"):
+            path = tmp_path / f"graph.{fmt}"
+            tracemalloc.start()
+            try:
+                save_graph(g, fmt, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < path.stat().st_size, (fmt, peak, path.stat().st_size)
+        assert (tmp_path / "graph.json").read_bytes() == export(g, "json").encode("ascii")
 
 
 class TestGraphInvariants:
