@@ -7,8 +7,9 @@ Subcommands:
   inspect  summarize a matrix or graph JSON document
 
 Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
-assertion failure, 5 out of memory. A flat key=value config file can
-preset any run flag; explicit flags win.
+assertion failure, 5 out of memory. Every step of run and compare is a
+named stage, and any other failure inside it names the stage and step. A
+flat key=value config file can preset any run flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -152,23 +153,31 @@ class PipelineConfig:
         return doc
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, threaded when jobs > 1."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _stage(name: str, fn, steps=None, jobs: int = 1):
+    """Run one named stage: ``fn()``, or ``fn(t)`` for each step t, in
+    order, on up to ``jobs`` threads; returns the result or the per-step
+    results in step order and logs the stage's wall time.
 
+    Configuration, data and stage errors pass through; any other exception
+    becomes a ``StageError`` naming the stage and, per step, the step.
+    """
+    def call(t=None):
+        try:
+            return fn() if steps is None else fn(t)
+        except (ConfigError, DataError, StageError):
+            raise
+        except Exception as e:
+            raise StageError(name, t, e) from e
 
-def _timed(stage: str, fn, *args, t=None):
     t0 = time.perf_counter()
-    try:
-        out = fn(*args)
-    except (ConfigError, DataError, StageError):
-        raise
-    except Exception as e:
-        raise StageError(stage, t, e) from e
-    log.info("[%s] %.3fs", stage, time.perf_counter() - t0)
+    if steps is None:
+        out = call()
+    elif jobs <= 1:
+        out = [call(t) for t in steps]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            out = list(pool.map(call, steps))
+    log.info("[%s] %.3fs", name, time.perf_counter() - t0)
     return out
 
 
@@ -216,46 +225,31 @@ def _label_all(series: ScalarFieldSeries, config: PipelineConfig) -> list[Manifo
         value_range = float(max(s.max() for s in series.steps) - min(s.min() for s in series.steps))
 
     def one(t: int) -> ManifoldLabeling:
-        try:
-            lab = label_manifolds(series.steps[t], series.domain, config.kind)
-            return simplify(lab, series.steps[t], config.persistence_pct, value_range)
-        except AssertionError:
-            raise
-        except Exception as e:
-            raise StageError("labeling", t, e) from e
+        lab = label_manifolds(series.steps[t], series.domain, config.kind)
+        return simplify(lab, series.steps[t], config.persistence_pct, value_range)
 
-    return _timed("labeling", lambda: _pmap(one, range(series.n_steps), config.jobs))
+    return _stage("labeling", one, range(series.n_steps), config.jobs)
 
 
 def _pair_matrices(labs: list[ManifoldLabeling], domain: GridDomain, config: PipelineConfig,
                    strategy: str):
-    """Per consecutive pair: (overlap fwd, overlap bwd, corr fwd, corr bwd).
-
-    Binary mode has no overlap matrices; those slots hold None.
-    """
+    """Per consecutive pair: the (forward, backward) overlap matrices, or
+    the binary correspondence matrices, which have no overlap."""
     lattice = config.distance_units == "lattice"
 
     def one(t: int):
-        try:
-            if strategy == "manifold-overlap":
-                o_f, o_b = correspond.manifold_overlap(labs[t], labs[t + 1])
-                return o_f, o_b, correspond.normalize(o_f), correspond.normalize(o_b)
-            if strategy in ("sampling-euclidean", "sampling-combinatorial"):
-                mode = strategy.split("-", 1)[1]
-                o_f = correspond.sampling_overlap(labs[t], labs[t + 1], domain, mode,
-                                                  config.d, "forward", lattice)
-                o_b = correspond.sampling_overlap(labs[t + 1], labs[t], domain, mode,
-                                                  config.d, "backward", lattice)
-                return o_f, o_b, correspond.normalize(o_f), correspond.normalize(o_b)
-            c_f = correspond.binary_correspondence(labs[t], labs[t + 1], "forward")
-            c_b = correspond.binary_correspondence(labs[t + 1], labs[t], "backward")
-            return None, None, c_f, c_b
-        except AssertionError:
-            raise
-        except Exception as e:
-            raise StageError("correspondence", t, e) from e
+        if strategy == "manifold-overlap":
+            return correspond.manifold_overlap(labs[t], labs[t + 1])
+        if strategy in ("sampling-euclidean", "sampling-combinatorial"):
+            mode = strategy.split("-", 1)[1]
+            return (correspond.sampling_overlap(labs[t], labs[t + 1], domain, mode,
+                                                config.d, "forward", lattice),
+                    correspond.sampling_overlap(labs[t + 1], labs[t], domain, mode,
+                                                config.d, "backward", lattice))
+        return (correspond.binary_correspondence(labs[t], labs[t + 1], "forward"),
+                correspond.binary_correspondence(labs[t + 1], labs[t], "backward"))
 
-    return _timed("correspondence", lambda: _pmap(one, range(len(labs) - 1), config.jobs))
+    return _stage("correspondence", one, range(len(labs) - 1), config.jobs)
 
 
 def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.FeatureSet]:
@@ -275,19 +269,14 @@ def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.
     return out
 
 
-def _feature_pair_matrices(fsets, pair_mats, config: PipelineConfig):
+def _feature_pair_matrices(fsets, pairs, config: PipelineConfig):
+    """Per consecutive pair: the (forward, backward) feature overlaps."""
     def one(t: int):
-        try:
-            o_f, o_b, c_f, c_b = pair_mats[t]
-            fo_f = features.feature_overlap(fsets[t], fsets[t + 1], o_f if o_f is not None else c_f)
-            fo_b = features.feature_overlap(fsets[t + 1], fsets[t], o_b if o_b is not None else c_b)
-            return fo_f, fo_b, features.feature_correspondence(fo_f), features.feature_correspondence(fo_b)
-        except AssertionError:
-            raise
-        except Exception as e:
-            raise StageError("feature-lift", t, e) from e
+        forward, backward = pairs[t]
+        return (features.feature_overlap(fsets[t], fsets[t + 1], forward),
+                features.feature_overlap(fsets[t + 1], fsets[t], backward))
 
-    return _timed("feature-lift", lambda: _pmap(one, range(len(pair_mats)), config.jobs))
+    return _stage("feature-lift", one, range(len(pairs)), config.jobs)
 
 
 def _feature_layers(fsets, labs, domain: GridDomain) -> list[trackgraph.NodeColumns]:
@@ -301,116 +290,103 @@ def _feature_layers(fsets, labs, domain: GridDomain) -> list[trackgraph.NodeColu
     return layers
 
 
-def _build_graph(labs, fsets, pair_mats, fpair_mats, config: PipelineConfig, strategy: str):
+def _build_graph(labs, fsets, pairs, config: PipelineConfig, strategy: str):
+    """The filtered graph over the extrema, or over the feature sets when
+    given; ``pairs`` are the matrices of those nodes."""
     policy = trackgraph.ConnectivityPolicy(config.connect == "bidirectional", config.strength)
-    if fsets is None:
-        layers = trackgraph.extremum_layers(labs)
-        cm_f = [m[2] for m in pair_mats]
-        cm_b = [m[3] for m in pair_mats]
-    else:
-        layers = _feature_layers(fsets, labs, labs[0].domain)
-        cm_f = [m[2] for m in fpair_mats]
-        cm_b = [m[3] for m in fpair_mats]
-    g = _timed("graph-assembly", lambda: trackgraph.assemble(layers, cm_f, cm_b, policy, strategy))
+
+    def assembled():
+        if fsets is None:
+            layers = trackgraph.extremum_layers(labs)
+        else:
+            layers = _feature_layers(fsets, labs, labs[0].domain)
+        return trackgraph.assemble(layers, [f for f, _ in pairs], [b for _, b in pairs],
+                                   policy, strategy)
+
+    g = _stage("graph-assembly", assembled)
     p_min = config.effective_p_min(strategy)
-    g = _timed("probability-filter",
+    g = _stage("probability-filter",
                lambda: trackgraph.threshold_filter(g, p_min, config.require))
     predicate = trackgraph.SemanticPredicate(
         config.value_min, config.value_max, config.box_min, config.box_max, config.max_jump
     )
     if predicate != trackgraph.SemanticPredicate():
-        g = _timed("semantic-filter",
+        g = _stage("semantic-filter",
                    lambda: trackgraph.semantic_filter(g, labs[0].domain, predicate))
     meta = {**g.meta, "config": config.echo(strategy)}
     return trackgraph.TrackingGraph(g.node_columns, g.edge_columns, meta)
 
 
-def _write_matrices(out: Path, pair_mats, prefix: str = "") -> None:
-    # each overlap is written right before its normalized twin, which shares
+def _write_matrices(out: Path, pairs, prefix: str = "") -> None:
+    # an overlap is written right before its normalized twin, which shares
     # its arrays, so save_matrix formats their common body once
-    for t, (o_f, o_b, c_f, c_b) in enumerate(pair_mats):
-        for o, c, s, direction in ((o_f, c_f, t, "forward"), (o_b, c_b, t + 1, "backward")):
-            if o is not None:
-                correspond.save_matrix(o, s, out / f"{prefix}overlap_{direction}_{s:04d}.json")
-            correspond.save_matrix(c, s, out / f"{prefix}correspondence_{direction}_{s:04d}.json")
+    for t, pair in enumerate(pairs):
+        for m, s in zip(pair, (t, t + 1)):
+            name = f"{m.direction}_{s:04d}.json"
+            if m.kind == "overlap":
+                correspond.save_matrix(m, s, out / f"{prefix}overlap_{name}")
+            correspond.save_matrix(correspond.normalize(m), s,
+                                   out / f"{prefix}correspondence_{name}")
 
 
 def run(config: PipelineConfig) -> int:
     """Full pipeline; writes artifacts into the output directory."""
     out = _output_dir(config.out)
-    series = _timed("load", lambda: _load_input(config))
+    series = _stage("load", lambda: _load_input(config))
     labs = _label_all(series, config)
     if config.dump_labels:
-        for t, lab in enumerate(labs):
-            field.save_labels(lab.label, series.domain, out / f"labels_{t:04d}.xtrk")
-    pair_mats = _pair_matrices(labs, series.domain, config, config.strategy)
-    fsets = fpair = None
+        _stage("dump-labels", lambda t: field.save_labels(labs[t].label, series.domain,
+                                                          out / f"labels_{t:04d}.xtrk"),
+               range(len(labs)))
+    pairs = _pair_matrices(labs, series.domain, config, config.strategy)
+    fsets = fpairs = None
     if config.features is not None:
-        fsets = _feature_sets_for(labs, config.features)
-        fpair = _feature_pair_matrices(fsets, pair_mats, config)
-    g = _build_graph(labs, fsets, pair_mats, fpair, config, config.strategy)
-    _timed("export", lambda: _write_outputs(out, pair_mats, fpair, g))
+        fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
+        fpairs = _feature_pair_matrices(fsets, pairs, config)
+    g = _build_graph(labs, fsets, pairs if fpairs is None else fpairs, config, config.strategy)
+    _stage("export", lambda: _write_outputs(out, pairs, fpairs, g))
     return 0
 
 
-def _write_outputs(out: Path, pair_mats, fpair, g) -> None:
-    _write_matrices(out, pair_mats)
-    if fpair is not None:
-        _write_matrices(out, fpair, prefix="feature_")
+def _write_outputs(out: Path, pairs, fpairs, g) -> None:
+    _write_matrices(out, pairs)
+    if fpairs is not None:
+        _write_matrices(out, fpairs, prefix="feature_")
     trackgraph.save_graph(g, "json", out / "graph.json")
     trackgraph.save_graph(g, "dot", out / "graph.dot")
 
 
-def compare(config: PipelineConfig, strategies) -> int:
-    """Run several strategies on one set of labelings; write a report."""
-    out = _output_dir(config.out)
-    series = _timed("load", lambda: _load_input(config))
-    labs = _label_all(series, config)
-    fsets = _feature_sets_for(labs, config.features) if config.features is not None else None
+def _probs(pairs) -> dict:
+    """Probability of every stored entry, keyed (direction, step, i, j)."""
+    probs = {}
+    for t, pair in enumerate(pairs):
+        for m, s in zip(pair, (t, t + 1)):
+            for i, j, p in zip(correspond._row_of(m).tolist(), m.indices.tolist(),
+                               m.probs.tolist()):
+                probs[(m.direction, s, i, j)] = p
+    return probs
 
-    per_strategy = {}
-    binary_support = None
-    for strategy in strategies:
-        pair_mats = _pair_matrices(labs, series.domain, config, strategy)
-        fpair = _feature_pair_matrices(fsets, pair_mats, config) if fsets is not None else None
-        g = _build_graph(labs, fsets, pair_mats, fpair, config, strategy)
-        support = set()
-        probs = {}
-        for t, (_, _, c_f, c_b) in enumerate(pair_mats):
-            for i, j, p in c_f.items():
-                support.add(("forward", t, i, j))
-                probs[("forward", t, i, j)] = p
-            for i, j, p in c_b.items():
-                support.add(("backward", t + 1, i, j))
-                probs[("backward", t + 1, i, j)] = p
-        per_strategy[strategy] = {
-            "entries": len(support),
-            "graph_edges": len(g.edge_columns),
-            "tracks": np.unique(g.node_columns.track).size,
-            "support": support,
-            "probs": probs,
-        }
-        if strategy == "binary":
-            binary_support = support
 
+def _write_report(out: Path, strategies, per_strategy) -> None:
+    binary = per_strategy["binary"]["probs"] if "binary" in per_strategy else None
     report = {"strategies": {}, "binary_pairs": []}
     for strategy in strategies:
         info = per_strategy[strategy]
         entry = {
-            "correspondence_entries": info["entries"],
+            "correspondence_entries": len(info["probs"]),
             "graph_edges": info["graph_edges"],
             "tracks": info["tracks"],
         }
-        if binary_support is not None:
-            kept = binary_support & info["support"]
-            entry["binary_retention_pct"] = round(100.0 * len(kept) / len(binary_support), 3) \
-                if binary_support else 100.0
+        if binary is not None:
+            kept = binary.keys() & info["probs"].keys()
+            entry["binary_retention_pct"] = round(100.0 * len(kept) / len(binary), 3) \
+                if binary else 100.0
             entry["mean_prob_on_binary_pairs"] = round(
                 float(np.mean([info["probs"][k] for k in sorted(kept)])), 6
             ) if kept else None
         report["strategies"][strategy] = entry
-    if binary_support is not None:
-        for key in sorted(binary_support):
+    if binary is not None:
+        for key in sorted(binary):
             direction, t, i, j = key
             report["binary_pairs"].append({
                 "direction": direction, "t": t, "i": i, "j": j,
@@ -433,6 +409,28 @@ def compare(config: PipelineConfig, strategies) -> int:
     text = "\n".join(lines) + "\n"
     (out / "compare.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
+
+
+def compare(config: PipelineConfig, strategies) -> int:
+    """Run several strategies on one set of labelings; write a report."""
+    out = _output_dir(config.out)
+    series = _stage("load", lambda: _load_input(config))
+    labs = _label_all(series, config)
+    fsets = None
+    if config.features is not None:
+        fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
+
+    per_strategy = {}
+    for strategy in strategies:
+        pairs = _pair_matrices(labs, series.domain, config, strategy)
+        fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
+        g = _build_graph(labs, fsets, pairs if fpairs is None else fpairs, config, strategy)
+        per_strategy[strategy] = _stage("report", lambda: {
+            "probs": _probs(pairs),
+            "graph_edges": len(g.edge_columns),
+            "tracks": np.unique(g.node_columns.track).size,
+        })
+    _stage("report", lambda: _write_report(out, strategies, per_strategy))
     return 0
 
 
@@ -515,10 +513,11 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_point(s: str) -> tuple[float, ...]:
+    # a ValueError, which argparse reports as a usage error (exit 2)
     try:
         return tuple(float(x) for x in s.split(","))
     except ValueError as e:
-        raise ConfigError(f"not a comma-separated point: {s!r}") from e
+        raise ValueError(f"not a comma-separated point: {s!r}") from e
 
 
 _CONFIG_KEYS = {

@@ -117,12 +117,13 @@ def offset_slices(domain: GridDomain):
 
     Yields ``(k, src, dst)`` for each of the K/2 positive offsets k of
     ``_freudenthal_offsets``: ``grid[dst]`` holds the +k neighbor of each
-    vertex of ``grid[src]``, and ``grid[src]`` the -k neighbor (slot
-    k + K/2 of ``neighbor_table``) of each vertex of ``grid[dst]``. A
+    vertex of ``grid[src]``, and ``grid[src]`` the -k neighbor (offset
+    k + K/2 of ``_freudenthal_offsets``) of each vertex of ``grid[dst]``. A
     periodic axis the offset steps along adds a wrap piece (``[n-1:n]`` to
     ``[0:1]``), so one offset yields up to 2**rank pieces. Together the
-    pieces cover every valid (vertex, slot) of ``neighbor_table`` exactly
-    once, in one direction or the other, without building a (V, K) table.
+    pieces cover every (vertex, offset) pair that stays in the domain
+    exactly once, in one direction or the other, without building a
+    (V, K) neighbor table.
     """
     offsets = _freudenthal_offsets(domain.rank)
     for k, off in enumerate(offsets[: len(offsets) // 2]):
@@ -144,48 +145,6 @@ def _positions(domain: GridDomain) -> np.ndarray:
     pos = coords * np.asarray(domain.spacing)
     pos.flags.writeable = False
     return pos
-
-
-@lru_cache(maxsize=16)
-def neighbor_table(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex Freudenthal neighbors as a padded (V, K) table.
-
-    Returns ``(nbr, valid)`` where invalid slots (clipped at a non-periodic
-    boundary) hold the vertex's own index. Rows may contain duplicates on
-    tiny periodic axes. Both arrays are read-only and shared via a cache.
-    Only ``vertex_neighbors`` and the reference implementations in the test
-    suite read it; labeling walks ``offset_slices`` and sampling
-    neighborhoods use ``sampling_offsets``.
-    """
-    dims = np.asarray(domain.dims)
-    v_ids = np.arange(domain.vertex_count)
-    coords = np.indices(domain.dims).reshape(domain.rank, -1)
-    offsets = _freudenthal_offsets(domain.rank)
-    nbr = np.empty((domain.vertex_count, len(offsets)), dtype=np.int64)
-    valid = np.ones_like(nbr, dtype=bool)
-    for k, off in enumerate(offsets):
-        nc = coords + np.asarray(off)[:, None]
-        ok = np.ones(domain.vertex_count, dtype=bool)
-        for a in range(domain.rank):
-            if domain.periodic[a]:
-                nc[a] %= dims[a]
-            else:
-                ok &= (nc[a] >= 0) & (nc[a] < dims[a])
-                np.clip(nc[a], 0, dims[a] - 1, out=nc[a])
-        ids = np.ravel_multi_index(tuple(nc), domain.dims)
-        nbr[:, k] = np.where(ok, ids, v_ids)
-        valid[:, k] = ok
-    nbr.flags.writeable = False
-    valid.flags.writeable = False
-    return nbr, valid
-
-
-def vertex_neighbors(domain: GridDomain, v: int) -> list[int]:
-    """Sorted 1-ring of a vertex under the fixed lattice triangulation."""
-    domain._check_vertex(v)
-    nbr, valid = neighbor_table(domain)
-    ids = np.unique(nbr[v][valid[v]])
-    return [int(u) for u in ids if u != v]
 
 
 @lru_cache(maxsize=16)
@@ -260,6 +219,14 @@ def stencil_vertices(domain: GridDomain, offsets: np.ndarray, centers) -> tuple[
     return ids, inside
 
 
+def vertex_neighbors(domain: GridDomain, v: int) -> list[int]:
+    """Sorted 1-ring of a vertex under the fixed lattice triangulation: the
+    combinatorial stencil of radius 1 around it, less the vertex itself."""
+    domain._check_vertex(v)
+    ids, inside = stencil_vertices(domain, sampling_offsets(domain, "combinatorial", 1), [v])
+    return [int(u) for u in np.unique(ids[inside]) if u != v]
+
+
 def euclidean_ball(domain: GridDomain, center: int, d: float) -> np.ndarray:
     """Vertices within world distance ``d`` of ``center`` (minimum image).
 
@@ -270,17 +237,19 @@ def euclidean_ball(domain: GridDomain, center: int, d: float) -> np.ndarray:
     return np.sort(ids[inside])
 
 
-def minimum_image_distance(domain: GridDomain, pa: Sequence[float], pb: Sequence[float]) -> float:
-    """World distance between two positions, wrapping periodic axes."""
-    total = 0.0
+def minimum_image_distance(domain: GridDomain, pa, pb):
+    """World distance between positions, wrapping periodic axes: a float
+    for two positions, an array for two (n, rank) arrays of rows."""
+    pa, pb = np.asarray(pa, np.float64), np.asarray(pb, np.float64)
+    total = np.zeros(pa.shape[:-1])
     for a in range(domain.rank):
-        delta = abs(float(pa[a]) - float(pb[a]))
+        delta = np.abs(pa[..., a] - pb[..., a])
         if domain.periodic[a]:
             period = domain.dims[a] * domain.spacing[a]
-            delta %= period
-            delta = min(delta, period - delta)
-        total += delta * delta
-    return math.sqrt(total)
+            delta = delta % period
+            delta = np.minimum(delta, period - delta)
+        total = total + delta * delta
+    return float(np.sqrt(total)) if total.ndim == 0 else np.sqrt(total)
 
 
 @dataclass(frozen=True, eq=False)

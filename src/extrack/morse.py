@@ -242,7 +242,8 @@ def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridD
     that are already one (the Kruskal argument), so dropping it changes
     nothing. The sweep order is the rank of the saddle, the edge's
     TotalOrder-larger endpoint, and among edges sharing a saddle vertex the
-    order of their first directed slot ``v * K + k`` in ``neighbor_table``.
+    order of their first directed slot ``v * K + k``, where k indexes the K
+    offsets of ``field._freudenthal_offsets`` (positive ones first).
     That tie order matters: such edges all touch ``label[s]``, and which of
     them comes first decides which basin becomes a younger extremum's
     partner, and so what ``simplify`` relabels.

@@ -25,7 +25,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .correspond import OverlapMatrix, _json_list, _row_of, _rows
-from .field import GridDomain
+from .field import GridDomain, minimum_image_distance
 from .morse import ManifoldLabeling, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
@@ -426,19 +426,6 @@ class SemanticPredicate:
         return ok
 
 
-def _minimum_image_distances(domain: GridDomain, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Row-wise ``field.minimum_image_distance``, with the same float steps."""
-    total = np.zeros(pa.shape[0])
-    for a in range(domain.rank):
-        delta = np.abs(pa[:, a] - pb[:, a])
-        if domain.periodic[a]:
-            period = domain.dims[a] * domain.spacing[a]
-            delta = np.mod(delta, period)
-            delta = np.minimum(delta, period - delta)
-        total = total + delta * delta
-    return np.sqrt(total)
-
-
 def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPredicate) -> TrackingGraph:
     """Drop nodes outside the value/box constraints and edges that jump
     farther than allowed (minimum-image distance on periodic axes)."""
@@ -447,7 +434,7 @@ def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPre
     src, dst = n.rows(e.t, e.i), n.rows(e.t + 1, e.j)
     keep = alive[src] & alive[dst]
     if predicate.max_jump is not None:
-        keep &= ~(_minimum_image_distances(domain, n.pos[src], n.pos[dst]) > predicate.max_jump)
+        keep &= ~(minimum_image_distance(domain, n.pos[src], n.pos[dst]) > predicate.max_jump)
     threshold = {
         k: list(v) if isinstance(v, tuple) else v
         for k, v in (

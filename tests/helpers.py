@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 import extrack
 from extrack.correspond import matrix_to_doc
-from extrack.field import GridDomain, ScalarFieldSeries, minimum_image_distance, neighbor_table
+from extrack.field import GridDomain, ScalarFieldSeries, _freudenthal_offsets, minimum_image_distance
 from extrack.morse import Extremum, ManifoldLabeling
 from extrack.trackgraph import _BIN_WIDTHS, _TRACK_COLORS, GraphEdge, GraphNode, TrackingGraph
 
@@ -150,6 +151,39 @@ def run_python(*args, optimize=False):
 # Reference implementations of steepest descent and the merge sweep: one
 # (V, K) neighbor table and one union-find step per directed boundary
 # edge, kept as the judges of the offset-slice code in extrack.morse.
+
+
+@lru_cache(maxsize=16)
+def neighbor_table(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex Freudenthal neighbors as a padded (V, K) table.
+
+    Returns ``(nbr, valid)`` where invalid slots (clipped at a non-periodic
+    boundary) hold the vertex's own index. Rows may contain duplicates on
+    tiny periodic axes. Both arrays are read-only and shared via a cache.
+    Only the reference implementations below read it; labeling walks
+    ``offset_slices`` and stencils use ``sampling_offsets``.
+    """
+    dims = np.asarray(domain.dims)
+    v_ids = np.arange(domain.vertex_count)
+    coords = np.indices(domain.dims).reshape(domain.rank, -1)
+    offsets = _freudenthal_offsets(domain.rank)
+    nbr = np.empty((domain.vertex_count, len(offsets)), dtype=np.int64)
+    valid = np.ones_like(nbr, dtype=bool)
+    for k, off in enumerate(offsets):
+        nc = coords + np.asarray(off)[:, None]
+        ok = np.ones(domain.vertex_count, dtype=bool)
+        for a in range(domain.rank):
+            if domain.periodic[a]:
+                nc[a] %= dims[a]
+            else:
+                ok &= (nc[a] >= 0) & (nc[a] < dims[a])
+                np.clip(nc[a], 0, dims[a] - 1, out=nc[a])
+        ids = np.ravel_multi_index(tuple(nc), domain.dims)
+        nbr[:, k] = np.where(ok, ids, v_ids)
+        valid[:, k] = ok
+    nbr.flags.writeable = False
+    valid.flags.writeable = False
+    return nbr, valid
 
 
 def oracle_descent_pointers(w: np.ndarray, domain: GridDomain) -> np.ndarray:

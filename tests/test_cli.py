@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrack import correspond, trackgraph
+from extrack import cli, correspond, features, field, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, save_script
@@ -266,6 +266,18 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
 
+    def test_malformed_point_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(tmp_path / "x"), "--box-min", "a,b"])
+        assert exc.value.code == 2
+        assert "--box-min" in capsys.readouterr().err
+
+    def test_malformed_point_in_config_reports_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("strategy = binary\nbox-max = 1,b\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "bad.cfg:2: not a comma-separated point: '1,b'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_no_input_is_a_config_error(self):
@@ -345,6 +357,41 @@ class TestStageReports:
         assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
                      "--max-jump", "50"]) == 3
         assert "stage 'semantic-filter' failed: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, target, extra, message", [
+        ("run", (features, "load_features"), ["--features"], "stage 'feature-load' ran"),
+        ("run", (features, "representative_extremum"), ["--features"],
+         "stage 'graph-assembly' ran"),
+        ("run", (field, "save_labels"), ["--dump-labels"], "stage 'dump-labels' at t=0 ran"),
+        ("compare", (cli, "_write_report"), [], "stage 'report' ran"),
+    ], ids=["load_features", "representative_extremum", "save_labels", "write_report"])
+    def test_every_stage_reports_memory_exhaustion(self, ridge_file, tmp_path, monkeypatch,
+                                                   capsys, command, target, extra, message):
+        def exhausted(*args):
+            raise MemoryError()
+
+        if extra == ["--features"]:
+            feats = tmp_path / "features.json"
+            feats.write_text('[{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]')
+            extra = ["--features", str(feats)]
+        monkeypatch.setattr(*target, exhausted)
+        assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     *extra]) == 5
+        assert f"{message} out of memory" in capsys.readouterr().err
+
+    def test_assertion_in_one_step_names_the_step(self, ridge_file, tmp_path, monkeypatch,
+                                                  capsys):
+        calls = []
+        real = cli.label_manifolds
+
+        def broken_second_step(*args):
+            calls.append(1)
+            assert len(calls) < 2, "invariant broken"
+            return real(*args)
+
+        monkeypatch.setattr(cli, "label_manifolds", broken_second_step)
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out")]) == 4
+        assert "stage 'labeling' failed at t=1: invariant broken" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -71,6 +71,10 @@ class TestNeighbors:
             GridDomain((4, 5), periodic=(True, False)),
             GridDomain((3, 4, 5)),
             GridDomain((3, 4, 5), periodic=(False, True, True)),
+            # on a periodic axis of length 2 the +1 and -1 steps meet
+            GridDomain((2, 3), periodic=(True, True)),
+            GridDomain((2, 2, 2), periodic=(True, True, True)),
+            GridDomain((2, 5, 2), periodic=(True, False, False)),
         ]
         for d in cases:
             for v in range(d.vertex_count):
@@ -133,6 +137,27 @@ def test_minimum_image_distance():
         va, vb = rng.integers(d.vertex_count, size=2)
         pa, pb = d.position(int(va)), d.position(int(vb))
         assert minimum_image_distance(d, pa, pb) == pytest.approx(brute_minimum_image(d, pa, pb))
+
+
+def test_minimum_image_distance_rows_match_one_position_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [
+        GridDomain((4, 8), spacing=(0.7, 1.3), periodic=(False, True)),
+        GridDomain((5, 6), spacing=(0.1, 3.0), periodic=(True, True)),
+        GridDomain((3, 4, 5), spacing=(0.3, 1.0, 2.5), periodic=(True, False, True)),
+    ]
+    for d in cases:
+        extent = np.asarray(d.dims) * np.asarray(d.spacing)
+        # off-lattice positions, some beyond one period away
+        pa = rng.uniform(-1.5, 1.5, (40, d.rank)) * extent
+        pb = rng.uniform(-1.5, 1.5, (40, d.rank)) * extent
+        rows = minimum_image_distance(d, pa, pb)
+        assert isinstance(rows, np.ndarray) and rows.shape == (40,)
+        for k in range(40):
+            one = minimum_image_distance(d, tuple(pa[k]), tuple(pb[k]))
+            assert isinstance(one, float)
+            assert one == rows[k] == brute_minimum_image(d, pa[k].tolist(), pb[k].tolist())
+        assert minimum_image_distance(d, pa[:0], pb[:0]).shape == (0,)
 
 
 class TestSeries:
