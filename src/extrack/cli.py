@@ -15,6 +15,7 @@ flat key=value config file can preset any run flag; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -253,13 +254,21 @@ def _pair_matrices(labs: list[ManifoldLabeling], domain: GridDomain, config: Pip
 
 
 def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.FeatureSet]:
-    """Feature sets per step; steps missing from the file get singletons."""
+    """Feature sets per step; steps missing from the file get singletons.
+    A step may be listed once, and only if the series has it."""
     try:
-        loaded = {fs.t: fs for fs in features.load_features(path)}
+        sets = features.load_features(path)
     except (OSError, UnicodeDecodeError) as e:
         raise _path_error(path, e) from e
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: bad feature file: {e}") from e
+    loaded = {}
+    for fs in sets:
+        if not 0 <= fs.t < len(labs):
+            raise DataError(f"{path}: step {fs.t} is outside the series (steps 0..{len(labs) - 1})")
+        if fs.t in loaded:
+            raise DataError(f"{path}: step {fs.t} is listed twice")
+        loaded[fs.t] = fs
     out = []
     for t, lab in enumerate(labs):
         fs = loaded.get(t)
@@ -279,31 +288,25 @@ def _feature_pair_matrices(fsets, pairs, config: PipelineConfig):
     return _stage("feature-lift", one, range(len(pairs)), config.jobs)
 
 
-def _feature_layers(fsets, labs, domain: GridDomain) -> list[trackgraph.NodeColumns]:
+def _node_layers(labs, fsets) -> list[trackgraph.NodeColumns]:
+    """Node columns per step: the extrema, or each feature shown at its
+    representative extremum when feature sets are given."""
+    if fsets is None:
+        return trackgraph.extremum_layers(labs)
     layers = []
     for t, (fs, lab) in enumerate(zip(fsets, labs)):
-        reps = [features.representative_extremum(s, lab) for s in fs.index_sets]
-        vertex = np.array([r.vertex for r in reps], dtype=np.int64)
-        value = np.array([r.value for r in reps], dtype=np.float64)
-        layers.append(trackgraph.NodeColumns.for_step(t, "feature", vertex, value,
-                                                      domain.positions(vertex)))
+        ex = lab.extrema.take(features.representative_extremum(fs, lab))
+        layers.append(trackgraph.NodeColumns.for_step(t, "feature", ex.vertex, ex.value,
+                                                      lab.domain.positions(ex.vertex)))
     return layers
 
 
-def _build_graph(labs, fsets, pairs, config: PipelineConfig, strategy: str):
-    """The filtered graph over the extrema, or over the feature sets when
-    given; ``pairs`` are the matrices of those nodes."""
+def _build_graph(layers, domain: GridDomain, pairs, config: PipelineConfig, strategy: str):
+    """The filtered graph over the nodes that ``layers()`` gives;
+    ``pairs`` are the matrices of those nodes."""
     policy = trackgraph.ConnectivityPolicy(config.connect == "bidirectional", config.strength)
-
-    def assembled():
-        if fsets is None:
-            layers = trackgraph.extremum_layers(labs)
-        else:
-            layers = _feature_layers(fsets, labs, labs[0].domain)
-        return trackgraph.assemble(layers, [f for f, _ in pairs], [b for _, b in pairs],
-                                   policy, strategy)
-
-    g = _stage("graph-assembly", assembled)
+    g = _stage("graph-assembly", lambda: trackgraph.assemble(
+        layers(), [f for f, _ in pairs], [b for _, b in pairs], policy, strategy))
     p_min = config.effective_p_min(strategy)
     g = _stage("probability-filter",
                lambda: trackgraph.threshold_filter(g, p_min, config.require))
@@ -312,7 +315,7 @@ def _build_graph(labs, fsets, pairs, config: PipelineConfig, strategy: str):
     )
     if predicate != trackgraph.SemanticPredicate():
         g = _stage("semantic-filter",
-                   lambda: trackgraph.semantic_filter(g, labs[0].domain, predicate))
+                   lambda: trackgraph.semantic_filter(g, domain, predicate))
     meta = {**g.meta, "config": config.echo(strategy)}
     return trackgraph.TrackingGraph(g.node_columns, g.edge_columns, meta)
 
@@ -343,7 +346,8 @@ def run(config: PipelineConfig) -> int:
     if config.features is not None:
         fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
         fpairs = _feature_pair_matrices(fsets, pairs, config)
-    g = _build_graph(labs, fsets, pairs if fpairs is None else fpairs, config, config.strategy)
+    g = _build_graph(lambda: _node_layers(labs, fsets), series.domain,
+                     pairs if fpairs is None else fpairs, config, config.strategy)
     _stage("export", lambda: _write_outputs(out, pairs, fpairs, g))
     return 0
 
@@ -356,49 +360,43 @@ def _write_outputs(out: Path, pairs, fpairs, g) -> None:
     trackgraph.save_graph(g, "dot", out / "graph.dot")
 
 
-def _probs(pairs) -> dict:
-    """Probability of every stored entry, keyed (direction, step, i, j)."""
-    probs = {}
-    for t, pair in enumerate(pairs):
-        for m, s in zip(pair, (t, t + 1)):
-            for i, j, p in zip(correspond._row_of(m).tolist(), m.indices.tolist(),
-                               m.probs.tolist()):
-                probs[(m.direction, s, i, j)] = p
-    return probs
-
-
 def _write_report(out: Path, strategies, per_strategy) -> None:
-    binary = per_strategy["binary"]["probs"] if "binary" in per_strategy else None
-    report = {"strategies": {}, "binary_pairs": []}
-    for strategy in strategies:
-        info = per_strategy[strategy]
-        entry = {
-            "correspondence_entries": len(info["probs"]),
-            "graph_edges": info["graph_edges"],
-            "tracks": info["tracks"],
-        }
-        if binary is not None:
-            kept = binary.keys() & info["probs"].keys()
-            entry["binary_retention_pct"] = round(100.0 * len(kept) / len(binary), 3) \
-                if binary else 100.0
-            entry["mean_prob_on_binary_pairs"] = round(
-                float(np.mean([info["probs"][k] for k in sorted(kept)])), 6
-            ) if kept else None
-        report["strategies"][strategy] = entry
-    if binary is not None:
-        for key in sorted(binary):
-            direction, t, i, j = key
-            report["binary_pairs"].append({
-                "direction": direction, "t": t, "i": i, "j": j,
-                "probs": {s: round(per_strategy[s]["probs"].get(key, 0.0), 6) for s in strategies},
-            })
+    """compare.json and compare.txt from each strategy's (matrix, step) list,
+    in (direction, step) order, and report entry: every binary entry is looked
+    up by its row-major key in each strategy's matrix of the same position."""
+    def cat(parts, dtype=np.int64):
+        return np.concatenate([np.empty(0, dtype), *parts])
 
-    (out / "compare.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    def keys(m):  # ascending, as CSR entries are row-major
+        return correspond._row_of(m) * m.cols + m.indices
+
+    names = sorted(per_strategy)
+    binary = per_strategy["binary"][0] if "binary" in per_strategy else []
+    sizes = [b.indices.size for b, _ in binary]
+    columns = [(np.repeat([b.direction for b, _ in binary], sizes), json.dumps),
+               cat(correspond._row_of(b) for b, _ in binary), cat(b.indices for b, _ in binary)]
+    summary = {s: dict(per_strategy[s][1]) for s in names}
+    for s, entry in summary.items():
+        p = cat((trackgraph._lookup(keys(m), keys(b), m.probs)
+                 for (m, _), (b, _) in zip(per_strategy[s][0], binary)), np.float64)
+        hit = p[~np.isnan(p)]  # in key order, so np.mean sums as it always has
+        if "binary" in per_strategy:
+            entry["binary_retention_pct"] = round(100.0 * hit.size / p.size, 3) if p.size else 100.0
+            entry["mean_prob_on_binary_pairs"] = round(float(np.mean(hit)), 6) if hit.size else None
+        columns.append((np.where(np.isnan(p), 0.0, p), lambda x: float.__repr__(round(x, 6))))
+    columns.append(np.repeat([t for _, t in binary], sizes))
+    pair_tmpl = ('{\n      "direction": %s,\n      "i": %d,\n      "j": %d,\n      "probs": {'
+                 + ",".join(f"\n        {json.dumps(s)}: %s" for s in names)
+                 + '\n      },\n      "t": %d\n    }')
+    with open(out / "compare.json", "wb") as fh:
+        fh.write(b'{\n  "binary_pairs": ')
+        fh.writelines(correspond._json_list(pair_tmpl, columns, sum(sizes)))
+        doc = json.dumps(summary, sort_keys=True, indent=2).replace("\n", "\n  ")
+        fh.write(f',\n  "strategies": {doc}\n}}\n'.encode())
+
     lines = [f"{'strategy':24} {'entries':>8} {'edges':>6} {'tracks':>7} {'retention':>10} {'mean-p':>8}"]
     for strategy in strategies:
-        e = report["strategies"][strategy]
+        e = summary[strategy]
         ret = e.get("binary_retention_pct")
         mp = e.get("mean_prob_on_binary_pairs")
         lines.append(
@@ -412,24 +410,27 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
 
 
 def compare(config: PipelineConfig, strategies) -> int:
-    """Run several strategies on one set of labelings; write a report."""
+    """Run several strategies on shared labelings and node layers; write a report."""
     out = _output_dir(config.out)
     series = _stage("load", lambda: _load_input(config))
     labs = _label_all(series, config)
     fsets = None
     if config.features is not None:
         fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
+    layers = functools.cache(lambda: _node_layers(labs, fsets))  # built by the first assembly
 
     per_strategy = {}
     for strategy in strategies:
         pairs = _pair_matrices(labs, series.domain, config, strategy)
         fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
-        g = _build_graph(labs, fsets, pairs if fpairs is None else fpairs, config, strategy)
-        per_strategy[strategy] = _stage("report", lambda: {
-            "probs": _probs(pairs),
+        g = _build_graph(layers, series.domain, pairs if fpairs is None else fpairs, config, strategy)
+        # backward before forward, the order of their (direction, step) keys
+        mats = [(b, t + 1) for t, (_, b) in enumerate(pairs)] + [(f, t) for t, (f, _) in enumerate(pairs)]
+        per_strategy[strategy] = _stage("report", lambda: (mats, {
+            "correspondence_entries": sum(m.indices.size for m, _ in mats),
             "graph_edges": len(g.edge_columns),
             "tracks": np.unique(g.node_columns.track).size,
-        })
+        }))
     _stage("report", lambda: _write_report(out, strategies, per_strategy))
     return 0
 
@@ -513,11 +514,19 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_point(s: str) -> tuple[float, ...]:
-    # a ValueError, which argparse reports as a usage error (exit 2)
     try:
         return tuple(float(x) for x in s.split(","))
     except ValueError as e:
         raise ValueError(f"not a comma-separated point: {s!r}") from e
+
+
+def _point_flag(s: str) -> tuple[float, ...]:
+    # argparse prints an ArgumentTypeError's message as the usage error
+    # (exit 2); for a ValueError it would print this function's name instead
+    try:
+        return _parse_point(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 _CONFIG_KEYS = {
@@ -588,8 +597,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--require", choices=["any", "both"])
     p.add_argument("--value-min", type=float, dest="value_min")
     p.add_argument("--value-max", type=float, dest="value_max")
-    p.add_argument("--box-min", type=_parse_point, dest="box_min")
-    p.add_argument("--box-max", type=_parse_point, dest="box_max")
+    p.add_argument("--box-min", type=_point_flag, dest="box_min")
+    p.add_argument("--box-max", type=_point_flag, dest="box_max")
     p.add_argument("--max-jump", type=float, dest="max_jump")
     p.add_argument("--features", help="feature-set JSON side file")
     p.add_argument("--out", help="output directory (default out)")

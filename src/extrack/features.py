@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .correspond import OverlapMatrix, _csr, _row_of
-from .morse import Extremum, ManifoldLabeling
+from .morse import ManifoldLabeling
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class FeatureSet:
 
     def __post_init__(self):
         n = len(self.index_sets)
-        sizes = np.fromiter(map(len, self.index_sets), dtype=np.int64, count=n)
-        ids = np.fromiter(chain.from_iterable(self.index_sets), dtype=np.int64,
-                          count=int(sizes.sum()))
-        owner = np.repeat(np.arange(n), sizes)
+        ids, owner, sizes = _members(self.index_sets)
         ids = ids[np.lexsort((ids, owner))]  # each set sorted, sets in order
         flat, ends = ids.tolist(), np.cumsum(sizes).tolist()
         sets = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
@@ -73,13 +70,20 @@ class FeatureSet:
 
     def membership(self, n_extrema: int) -> np.ndarray:
         """Extremum id -> feature position, -1 where uncovered."""
-        ids = np.array([i for s in self.index_sets for i in s], dtype=np.int64)
+        ids, owner, _ = _members(self.index_sets)
         bad = ids[(ids < 0) | (ids >= n_extrema)]
         if bad.size:
             raise ValueError(f"extremum id {bad[0]} out of range (step has {n_extrema})")
         out = np.full(n_extrema, -1, dtype=np.int64)
-        out[ids] = np.repeat(np.arange(self.n_features), [len(s) for s in self.index_sets])
+        out[ids] = owner
         return out
+
+
+def _members(index_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The listed ids in set order, each id's set position, the set sizes."""
+    sizes = np.fromiter(map(len, index_sets), dtype=np.int64, count=len(index_sets))
+    ids = np.fromiter(chain.from_iterable(index_sets), dtype=np.int64, count=int(sizes.sum()))
+    return ids, np.repeat(np.arange(sizes.size), sizes), sizes
 
 
 def singleton_features(t: int, n_extrema: int) -> FeatureSet:
@@ -131,14 +135,15 @@ def feature_correspondence(fo: OverlapMatrix, denominators=None) -> OverlapMatri
     return replace(fo, row_denominators=denom, kind="correspondence")
 
 
-def representative_extremum(index_set, labeling: ManifoldLabeling) -> Extremum:
-    """The member extremum shown for a feature node: deepest minimum or
-    highest maximum, ties to the lower id."""
-    ids = np.asarray(index_set, dtype=np.int64)
+def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) -> np.ndarray:
+    """The id of the member extremum shown for each feature node, in
+    feature order: deepest minimum or highest maximum, ties to the lower id."""
+    ids, owner, sizes = _members(features.index_sets)
     depth = labeling.extrema.value[ids]
     if labeling.extremum_kind == "maximum":
         depth = -depth
-    return labeling.extrema[int(ids[np.lexsort((ids, depth))[0]])]
+    # sets are non-empty, so each group's first row starts at its set's offset
+    return ids[np.lexsort((ids, depth, owner))][np.cumsum(sizes) - sizes]
 
 
 def load_features(path) -> list[FeatureSet]:

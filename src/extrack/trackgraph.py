@@ -538,8 +538,9 @@ def import_graph(text: str) -> TrackingGraph:
     """Inverse of the JSON export; stored track ids are kept as-is.
 
     The document comes from outside, so every check raises ``ValueError``
-    (also under ``python -O``): required keys, edges between nodes that
-    exist in layers t and t+1, and probabilities and strengths in (0, 1].
+    (also under ``python -O``): required keys, each node (t, id) listed
+    once with t >= 0, edges between nodes that exist in layers t and t+1,
+    and probabilities and strengths in (0, 1].
     """
     doc = json.loads(text)
     nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
@@ -548,6 +549,13 @@ def import_graph(text: str) -> TrackingGraph:
         raise ValueError("graph meta must be an object")
     nan = float("nan")
     nodes = NodeColumns.build(*([x[k] for x in nd] for k in _NODE_KEYS))
+    # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
+    if len(nodes) and nodes.t[0] < 0:
+        raise ValueError(f"node t{nodes.t[0]} #{nodes.id[0]} has a negative step")
+    twice = np.flatnonzero((np.diff(nodes.t) == 0) & (np.diff(nodes.id) == 0))
+    if twice.size:
+        k = twice[0]
+        raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
     e = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
                           [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
                           [x["strength"] for x in ed])

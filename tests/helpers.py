@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import extrack
-from extrack.correspond import matrix_to_doc
+from extrack.correspond import _row_of, matrix_to_doc
 from extrack.field import GridDomain, ScalarFieldSeries, _freudenthal_offsets, minimum_image_distance
 from extrack.morse import Extremum, ManifoldLabeling
 from extrack.trackgraph import _BIN_WIDTHS, _TRACK_COLORS, GraphEdge, GraphNode, TrackingGraph
@@ -491,3 +491,52 @@ def oracle_export_dot(g) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_compare_report(strategies, per_strategy) -> tuple[str, str]:
+    """The texts of compare.json and compare.txt from one dict per strategy
+    keyed (direction, step, i, j), one dict per binary pair and
+    ``json.dumps``. ``per_strategy`` maps each strategy to its (matrix,
+    step) list and its report entry, as ``cli._write_report`` receives them;
+    only the entry's ``graph_edges`` and ``tracks`` are read."""
+    probs = {}
+    for strategy, (mats, _) in per_strategy.items():
+        probs[strategy] = {}
+        for m, s in mats:
+            for i, j, p in zip(_row_of(m).tolist(), m.indices.tolist(), m.probs.tolist()):
+                probs[strategy][(m.direction, s, i, j)] = p
+    binary = probs.get("binary")
+    report = {"strategies": {}, "binary_pairs": []}
+    for strategy in strategies:
+        _, given = per_strategy[strategy]
+        entry = {
+            "correspondence_entries": len(probs[strategy]),
+            "graph_edges": given["graph_edges"],
+            "tracks": given["tracks"],
+        }
+        if binary is not None:
+            kept = binary.keys() & probs[strategy].keys()
+            entry["binary_retention_pct"] = round(100.0 * len(kept) / len(binary), 3) \
+                if binary else 100.0
+            entry["mean_prob_on_binary_pairs"] = round(
+                float(np.mean([probs[strategy][k] for k in sorted(kept)])), 6
+            ) if kept else None
+        report["strategies"][strategy] = entry
+    if binary is not None:
+        for key in sorted(binary):
+            direction, t, i, j = key
+            report["binary_pairs"].append({
+                "direction": direction, "t": t, "i": i, "j": j,
+                "probs": {s: round(probs[s].get(key, 0.0), 6) for s in strategies},
+            })
+    lines = [f"{'strategy':24} {'entries':>8} {'edges':>6} {'tracks':>7} {'retention':>10} {'mean-p':>8}"]
+    for strategy in strategies:
+        e = report["strategies"][strategy]
+        ret = e.get("binary_retention_pct")
+        mp = e.get("mean_prob_on_binary_pairs")
+        lines.append(
+            f"{strategy:24} {e['correspondence_entries']:>8} {e['graph_edges']:>6} "
+            f"{e['tracks']:>7} {'' if ret is None else f'{ret:9.1f}%':>10} "
+            f"{'' if mp is None else f'{mp:8.4f}':>8}"
+        )
+    return json.dumps(report, sort_keys=True, indent=2) + "\n", "\n".join(lines) + "\n"

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrack import cli, correspond, features, field, trackgraph
+from extrack import cli, correspond, features, field, morse, trackgraph
 from extrack.cli import main
-from extrack.field import GridDomain, load_labels, load_series, save_series
-from extrack.synth import GaussianBlob, GaussianScript, generate, save_script
-from helpers import oracle_matrix_json, random_series, run_python
+from extrack.field import GridDomain, ScalarFieldSeries, load_labels, load_series, save_series
+from extrack.synth import GaussianBlob, GaussianScript, generate, random_script, save_script
+from helpers import oracle_compare_report, oracle_matrix_json, random_series, run_python
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,37 @@ class TestFeaturePipeline:
         assert sum((m.row_sums() < m.row_denominators).any() for m in loaded) == 2
 
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_no_extremum_object_is_built(self, ridge_file, tmp_path, monkeypatch, command):
+        # feature nodes read their representative's vertex and value from
+        # the extremum columns
+        def no_objects(*args):
+            raise AssertionError("an Extremum object was built")
+
+        monkeypatch.setattr(morse, "Extremum", no_objects)
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps([{"t": 1, "features": [{"id": 0, "extrema": [1, 0]}]}]))
+        assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     "--features", str(fpath)]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("steps, message", [
+        ((0, 0), "step 0 is listed twice"),
+        ((7,), "step 7 is outside the series (steps 0..1)"),
+        ((-1,), "step -1 is outside the series (steps 0..1)"),
+    ], ids=["twice", "past-the-end", "negative"])
+    def test_bad_feature_file_steps_are_data_errors(self, ridge_file, tmp_path, capsys,
+                                                     command, steps, message):
+        # before, the last entry of a repeated step won and a step outside
+        # the series was dropped, both with exit 0
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps([{"t": t, "features": [{"id": 0, "extrema": [k]}]}
+                                     for k, t in enumerate(steps)]))
+        assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     "--features", str(fpath)]) == 3
+        assert f"{fpath}: {message}" in capsys.readouterr().err
+
+
 class TestMatrixPairs:
     @pytest.mark.parametrize("strategy", ["manifold-overlap", "sampling-euclidean"])
     def test_twins_share_their_body(self, ridge_file, tmp_path, strategy):
@@ -271,6 +302,15 @@ class TestConfigFile:
             main(["run", "--input", str(tmp_path / "x"), "--box-min", "a,b"])
         assert exc.value.code == 2
         assert "--box-min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--box-min", "--box-max"])
+    def test_malformed_point_flag_gives_the_reason(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(tmp_path / "x"), flag, "a,b"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not a comma-separated point: 'a,b'" in err
+        assert "_parse_point" not in err and "_point_flag" not in err
 
     def test_malformed_point_in_config_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -419,6 +459,131 @@ class TestCompare:
         assert set(report["strategies"]) == {"binary", "manifold-overlap"}
 
 
+def noisy_file(path: Path, n_steps: int = 4) -> Path:
+    """A 48x40 blob series plus white noise, periodic along the first axis:
+    hundreds of minima per step."""
+    rng = np.random.default_rng(3)
+    clean = generate(random_script(rng, (48, 40), 4, n_blobs=12, periodic=(True, False)))
+    steps = tuple(s + 0.3 * rng.standard_normal(s.size) for s in clean.steps)
+    save_series(ScalarFieldSeries(clean.domain, steps[:n_steps]), path)
+    return path
+
+
+class TestCompareReport:
+    """compare.json and compare.txt, streamed from the matrices, against the
+    per-entry dict formulation on the very matrices the report read."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, ridge_file):
+        d = tmp_path_factory.mktemp("compare")
+        # steps 0 and 1 cluster some extrema and leave the rest uncovered;
+        # steps 2 and 3 are absent (singletons)
+        (d / "features.json").write_text(json.dumps([
+            {"t": t, "features": [{"id": 0, "extrema": [0, 1, 2]}, {"id": 4, "extrema": [5]},
+                                  {"id": 2, "extrema": [8, 3, 7]}]}
+            for t in (0, 1)
+        ]))
+        return {"ridge": ridge_file, "noisy": noisy_file(d / "noisy.xtrk"),
+                "one-step": noisy_file(d / "one.xtrk", n_steps=1),
+                "features": d / "features.json"}
+
+    @pytest.mark.parametrize("series, extra", [
+        ("ridge", []),
+        ("noisy", []),
+        ("noisy", ["--features"]),
+        ("noisy", ["--strategies", "binary"]),
+        ("noisy", ["--strategies", "sampling-euclidean,manifold-overlap"]),
+        ("noisy", ["--strategies", "manifold-overlap,binary,manifold-overlap", "--connect", "any"]),
+        ("one-step", []),
+    ], ids=["ridge", "noisy", "noisy-features", "binary-only", "no-binary", "repeated",
+            "one-step"])
+    def test_report_matches_the_per_entry_oracle(self, inputs, tmp_path, monkeypatch,
+                                                 series, extra):
+        if extra == ["--features"]:
+            extra = ["--features", str(inputs["features"])]
+        oracle = []
+        real = cli._write_report
+
+        def write_and_judge(out, strategies, per_strategy):
+            oracle.append(oracle_compare_report(strategies, per_strategy))
+            real(out, strategies, per_strategy)
+
+        monkeypatch.setattr(cli, "_write_report", write_and_judge)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", str(inputs[series]), "--out", str(out), *extra]) == 0
+        (want_json, want_txt), = oracle
+        assert (out / "compare.json").read_bytes() == want_json.encode()
+        assert (out / "compare.txt").read_bytes() == want_txt.encode()
+        report = json.loads(want_json)
+        if series == "noisy" and "binary" in report["strategies"]:
+            assert len(report["binary_pairs"]) > 100
+
+    def test_report_where_supports_miss_binary_pairs(self, tmp_path, capsys):
+        # real strategies keep every binary pair; random matrices also test
+        # misses (written 0.0), an empty support, and probabilities with
+        # more than six decimals
+        rng = np.random.default_rng(8)
+        sizes = [5, 7, 4, 6]
+
+        def random_matrix(rows, cols, direction, density):
+            denom = rng.choice([3, 7, 997, 1000], size=rows)
+            counts = rng.integers(1, denom[:, None] + 1, size=(rows, cols))
+            dense = np.where(rng.random((rows, cols)) < density, counts, 0)
+            ii, jj = np.nonzero(dense)
+            return correspond.OverlapMatrix(rows, cols, direction, "manifold-overlap",
+                                            *correspond._csr(rows, cols, ii, jj, dense[ii, jj]),
+                                            denom)
+
+        per_strategy = {}
+        for k, (s, density) in enumerate([("binary", 0.3), ("manifold-overlap", 0.5),
+                                          ("sampling-euclidean", 0.8),
+                                          ("sampling-combinatorial", 0.0)]):
+            # (matrix, step) in key order: backward matrices, then forward
+            mats = ([(random_matrix(b, a, "backward", density), t + 1)
+                     for t, (a, b) in enumerate(zip(sizes, sizes[1:]))]
+                    + [(random_matrix(a, b, "forward", density), t)
+                       for t, (a, b) in enumerate(zip(sizes, sizes[1:]))])
+            entries = sum(m.indices.size for m, _ in mats)
+            per_strategy[s] = (mats, {"correspondence_entries": entries,
+                                      "graph_edges": k, "tracks": 2 * k})
+        reports = []
+        for strategies in (["sampling-euclidean", "binary", "manifold-overlap",
+                            "sampling-combinatorial"], ["manifold-overlap"]):
+            chosen = {s: per_strategy[s] for s in strategies}
+            cli._write_report(tmp_path, strategies, chosen)
+            capsys.readouterr()
+            want_json, want_txt = oracle_compare_report(strategies, chosen)
+            assert (tmp_path / "compare.json").read_bytes() == want_json.encode()
+            assert (tmp_path / "compare.txt").read_bytes() == want_txt.encode()
+            reports.append(json.loads(want_json))
+        full, alone = reports
+        assert 0 < full["strategies"]["manifold-overlap"]["binary_retention_pct"] < 100
+        assert full["strategies"]["sampling-combinatorial"]["binary_retention_pct"] == 0.0
+        assert full["strategies"]["sampling-combinatorial"]["mean_prob_on_binary_pairs"] is None
+        assert alone["binary_pairs"] == [] and "binary_retention_pct" not in str(alone)
+
+    def test_one_step_keeps_the_binary_keys(self, inputs, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", str(inputs["one-step"]), "--out", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        assert report["binary_pairs"] == []
+        for entry in report["strategies"].values():
+            assert entry["binary_retention_pct"] == 100.0
+            assert entry["mean_prob_on_binary_pairs"] is None
+
+    def test_layers_are_built_once(self, ridge_file, tmp_path, monkeypatch):
+        calls = []
+        real = trackgraph.extremum_layers
+
+        def counted(labs):
+            calls.append(1)
+            return real(labs)
+
+        monkeypatch.setattr(trackgraph, "extremum_layers", counted)
+        assert main(["compare", "--input", str(ridge_file), "--out", str(tmp_path / "c")]) == 0
+        assert len(calls) == 1
+
+
 class TestInspect:
     def test_matrix_summary(self, ridge_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -513,6 +678,23 @@ class TestInspect:
             capsys.readouterr()
             assert main(["inspect", str(p)]) == 3
             assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([{"t": 0, "id": 0}] * 2, "node t0 #0 is listed twice"),
+        ([{"t": -2, "id": 0}], "node t-2 #0 has a negative step"),
+    ], ids=["twice", "negative-step"])
+    def test_repeated_or_negative_node_is_a_data_error(self, tmp_path, capsys, nodes, message):
+        # both were accepted before; a node at t=-2 vanished from the DOT export
+        node = {"kind": "extremum", "vertex": 0, "value": 0.0, "pos": [0.0, 0.0], "track": 0}
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"meta": {}, "nodes": [{**node, **n} for n in nodes],
+                                 "edges": []}))
+        assert main(["inspect", str(p)]) == 3
+        assert message in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr
 
 
 class TestEntryPoint:

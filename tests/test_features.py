@@ -217,19 +217,39 @@ class TestRepresentative:
     def test_deepest_minimum_wins(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, values=[5.0, 1.0, 3.0] * 2)
-        rep = representative_extremum((0, 1, 2), lab)
-        assert rep.id == 1
+        rep = representative_extremum(FeatureSet(0, ((0, 1, 2),)), lab)
+        assert rep.tolist() == [1]
 
     def test_tie_breaks_to_lower_id(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, values=[2.0, 2.0, 2.0] * 2)
-        assert representative_extremum((2, 1), lab).id == 1
+        assert representative_extremum(FeatureSet(0, ((2, 1),)), lab).tolist() == [1]
 
     def test_highest_maximum_wins(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, kind="descending",
                             values=[5.0, 1.0, 3.0] * 2)
-        assert representative_extremum((0, 1, 2), lab).id == 0
+        assert representative_extremum(FeatureSet(0, ((0, 1, 2),)), lab).tolist() == [0]
+
+    @pytest.mark.parametrize("kind", ["ascending", "descending"])
+    def test_matches_brute_force_per_set(self, kind):
+        # few distinct values, so most sets hold ties; partial coverage and
+        # sets listed in any order
+        rng = np.random.default_rng(17)
+        sign = 1.0 if kind == "ascending" else -1.0
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            values = rng.integers(-2, 3, n).astype(float)
+            lab = fake_labeling(GridDomain((2, 2 * n)), np.repeat(np.arange(n), 4), kind, values)
+            fs = random_partition(rng, n, coverage=rng.uniform(0.3, 1.0))
+            want = [min(s, key=lambda i: (sign * values[i], i)) for s in fs.index_sets]
+            got = representative_extremum(fs, lab)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    def test_no_features_no_representatives(self):
+        lab = fake_labeling(GridDomain((2, 3)), [0, 1, 2] * 2)
+        assert representative_extremum(FeatureSet(0, ()), lab).tolist() == []
 
 
 class TestFeatureIO:

@@ -498,6 +498,10 @@ MALFORMED_GRAPHS = {
     "pf above 1": (graph_doc(pf=1.5), r"pf values must lie in \(0, 1\]"),
     "pb 0": (graph_doc(pb=0.0), r"pb values must lie in \(0, 1\]"),
     "no probability": (graph_doc(pf=None, pb=None), "needs pf or pb"),
+    "node listed twice": ({**graph_doc(), "nodes": graph_doc()["nodes"] * 2},
+                          "node t0 #0 is listed twice"),
+    "negative step": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "t": -2}],
+                       "edges": []}, "node t-2 #0 has a negative step"),
 }
 
 
