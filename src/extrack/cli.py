@@ -659,9 +659,11 @@ def main(argv=None) -> int:
             return run(_config_from_args(args))
         if args.command == "compare":
             strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-            for s in strategies:
+            for k, s in enumerate(strategies):
                 if s not in STRATEGIES:
                     raise ConfigError(f"unknown strategy {s!r}")
+                if s in strategies[:k]:
+                    raise ConfigError(f"strategy {s!r} is listed twice in --strategies")
             if not strategies:
                 raise ConfigError("empty strategy list")
             return compare(_config_from_args(args), strategies)

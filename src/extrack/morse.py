@@ -6,22 +6,28 @@ descent, and optionally cancel low-persistence extrema by relabeling their
 basin into the merge partner's basin.
 
 Ties are broken by vertex index everywhere (simulation of simplicity), so
-flat plateaus resolve deterministically. Maxima reuse the minima path on
-the negated field. Labeling sorts each step once into that strict order
-(``asc`` and its inverse ``rank``, int32 while vertex ids fit) and then
-compares only ranks.
+flat plateaus resolve deterministically. Labeling sorts each step once
+into that strict order (``asc`` and its inverse ``rank``, int32 while
+vertex ids fit), by ascending value for minima and by descending value for
+maxima, ties to the lower id either way, and then compares only ranks;
+maxima run the minima path on that order, with no negated copy of the
+field.
 
 Both descent and the merge sweep walk the grid one Freudenthal offset at a
 time through ``field.offset_slices``, so labeling needs O(V) memory and no
 (V, K) neighbor table. Descent is a running minimum of the rank plane.
-The sweep keeps the lowest saddle edge of each pair of adjacent basins and
-builds the minimum spanning forest of those edges with numpy Borůvka
-rounds; sweep keys are unique, so that forest is exactly the set of edges
-Kruskal's algorithm would merge along.
+The sweep keeps the lowest saddle edge of each pair of adjacent basins:
+each offset piece packs its boundary edges into one int64 code (basin
+pair, saddle rank, a 1-bit tie class) and sorts the codes in place, and
+the first edge of each pair merges into a running sorted array (see
+``_merge_sweep``). It then builds the minimum spanning forest of those
+edges with numpy Borůvka rounds; sweep keys are unique, so that forest is
+exactly the set of edges Kruskal's algorithm would merge along.
 Persistence then follows the elder rule (Edelsbrunner, Letscher and
 Zomorodian, 2002) over the forest's n_ex - 1 edges in sweep order. Edges
 that share a saddle vertex keep their order in the full edge enumeration,
-because that order decides which basin a younger extremum merges into.
+because that order decides which basin a younger extremum merges into; a
+per-domain table of tie classes encodes it in the sweep key.
 
 A labeling holds its extrema as columns (``ExtremumColumns``): vertex,
 value and persistence arrays whose row i is extremum i.
@@ -62,16 +68,21 @@ def _id_dtype(n: int):
     return np.int32 if n < 2**31 else np.int64
 
 
-def _total_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(asc, rank)`` of the strict (value, id) order on w.
+def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(asc, rank)`` of the strict order on w: by value, ascending or
+    ``descending``, ties to the lower vertex id either way.
 
-    ``asc`` lists the vertex ids ascending under the order, equal to
-    ``np.argsort(w, kind="stable")``, and ``rank`` is its inverse; both
-    have ``_id_dtype(w.size)``. The default (unstable, SIMD) argsort does
-    the work, and only the runs of equal values are re-sorted by id.
+    ``asc`` lists the vertex ids in that order, equal to
+    ``np.argsort(w, kind="stable")`` (``np.argsort(-w, kind="stable")``
+    when descending), and ``rank`` is its inverse; both have
+    ``_id_dtype(w.size)``. The default (unstable, SIMD) argsort does the
+    work, read backwards when descending, and only the runs of equal
+    values are re-sorted by id.
     """
     n = w.size
     asc = np.argsort(w)
+    if descending:
+        asc = asc[::-1]
     ws = w[asc]
     tie = ws[1:] == ws[:-1]  # position p + 1 equals position p
     del ws
@@ -217,42 +228,96 @@ def _resolve_roots(ptr: np.ndarray) -> np.ndarray:
         root = nxt
 
 
-def _first_per_pair(pair: np.ndarray, key: np.ndarray):
-    """Each distinct pair once, ascending, with its smallest key."""
-    if not pair.size:
-        return pair, key
-    order = np.argsort(pair)
-    pair = pair[order]
-    starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-    return pair[starts], np.minimum.reduceat(key[order], starts)
+# Bit width of the packed edge codes, so that every code is a non-negative
+# int64. Only tests lower it, to force the split over pair-code ranges.
+_CODE_BITS = 63
 
 
-def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridDomain,
-                 label: np.ndarray, ex_vertices: np.ndarray):
-    """0-dimensional persistence of the minima of w by basin merging.
+def _boundary_pieces(domain: GridDomain):
+    """The pieces of ``offset_slices`` with their sweep tie classes.
 
-    ``asc``/``rank`` are w's order from ``_total_order``. Only edges
-    between different basins can merge sublevel components (each basin's
-    sublevel slice stays connected through its descent paths), so a
-    union-find over basins processing boundary edges in ascending saddle
-    order reproduces the vertex sweep.
+    Returns ``(pieces, n_cls)``; each piece is ``(src, dst, up, cls)``.
+    Vertex ids in ``dst`` exceed those in ``src`` by one constant c, and
+    ``up`` says c > 0. Edges that share a saddle s sweep in the order of
+    their first directed slot ``(first, slot)``: first is the edge's lower
+    vertex id, so s itself or s - |c|, and slot is k if c > 0, else the
+    opposite slot k + K/2. So their order is that of the tie classes
+    ``(first - s, slot)``; the domain's classes, sorted, are numbered
+    0..n_cls-1. ``cls[1]`` is the class of the piece's edges whose saddle
+    is the lower vertex id, ``(0, slot)``, and ``cls[0]`` that of the
+    others, ``(-|c|, slot)``, always the smaller of the two.
+    """
+    half = 2**domain.rank - 1
+    pieces = []
+    for k, src, dst in offset_slices(domain):
+        c = int(np.ravel_multi_index([b.start or 0 for b in dst], domain.dims)
+                - np.ravel_multi_index([b.start or 0 for b in src], domain.dims))
+        slot = k if c > 0 else k + half
+        pieces.append((src, dst, c > 0, ((-abs(c), slot), (0, slot))))
+    number = {t: i for i, t in enumerate(sorted({t for *_, ts in pieces for t in ts}))}
+    return [(src, dst, up, np.array([number[t] for t in ts], np.uint8))
+            for src, dst, up, ts in pieces], len(number)
+
+
+def _firsts(code: np.ndarray, kb: int) -> np.ndarray:
+    """The first code of each run of equal ``code >> kb`` in sorted code."""
+    pair = code >> kb
+    first = np.empty(code.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    del pair
+    return code[first]
+
+
+def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridDomain,
+                 label: np.ndarray, ex_vertices: np.ndarray, descending: bool = False):
+    """0-dimensional persistence of the minima of values (of the maxima
+    when ``descending``) by basin merging.
+
+    ``asc``/``rank`` are the order from ``_total_order(values,
+    descending)``. Only edges between different basins can merge sublevel
+    components (each basin's sublevel slice stays connected through its
+    descent paths), so a union-find over basins processing boundary edges
+    in ascending saddle order reproduces the vertex sweep.
 
     The sweep visits one edge per unordered basin pair: the first in sweep
     order. Every later edge between the same two basins joins components
     that are already one (the Kruskal argument), so dropping it changes
-    nothing. The sweep order is the rank of the saddle, the edge's
-    TotalOrder-larger endpoint, and among edges sharing a saddle vertex the
+    nothing. The sweep order is the rank of the saddle, the edge's larger
+    endpoint in the order, and among edges sharing a saddle vertex the
     order of their first directed slot ``v * K + k``, where k indexes the K
-    offsets of ``field._freudenthal_offsets`` (positive ones first).
-    That tie order matters: such edges all touch ``label[s]``, and which of
-    them comes first decides which basin becomes a younger extremum's
-    partner, and so what ``simplify`` relabels.
+    offsets of ``field._freudenthal_offsets`` (positive ones first). That
+    tie order matters: such edges all touch ``label[s]``, and which of them
+    comes first decides which basin becomes a younger extremum's partner,
+    and so what ``simplify`` relabels. ``_boundary_pieces`` reduces it to
+    a small table of tie classes, so an edge's sweep key is
+    ``rank(s) << cb | class``, with cb = bits(n_cls - 1).
 
-    Vertex ids, labels and ranks are gathered in their own (int32) type,
-    pair codes in int32 while n_ex**2 fits; sweep keys are int64.
+    Each offset piece packs its boundary edges into one int64 code each,
+    ``(pair << vb | rank(s)) << 1 | lower``: pair = lo * n_ex + hi for the
+    basin labels lo < hi, vb = bits(V - 1), and ``lower`` set where the
+    saddle is the edge's lower vertex id (the piece's own 1-bit class, in
+    class order). One in-place value sort groups each basin pair with its
+    first edge in front, and the firsts merge into running sorted arrays
+    of ``(pair << vb | rank(s)) << cb | class``; there a pair keeps its
+    lowest code, the first edge in sweep order. No boundary edge is
+    argsorted.
+
+    Where a code would not fit in 63 bits, the same loop runs over ranges
+    of pair codes (lo-major, so ranges of the lower label), each packed
+    relative to its start: ``2**(62 - vb)`` pairs per piece sort and
+    ``2**(63 - vb - cb)`` per running array, at least 2**26 each for any
+    V < 2**31. The per-piece bit keeps the sorts to one range up to about
+    200³ white noise; only the running arrays split there. Beyond the
+    order, the labels and the running arrays, a piece holds a few int32
+    and two int64 arrays of its boundary edges.
+
+    The running arrays give one first edge per pair, with its sweep key
+    as the weight for ``_spanning_forest``; the elder rule then visits the
+    forest's n_ex - 1 edges in sweep order.
 
     Returns (persistence, saddles, partners) per extremum; the global
-    minimum gets +inf persistence, saddle and partner -1.
+    extremum gets +inf persistence, saddle and partner -1.
     """
     n_ex = ex_vertices.size
     pers = np.full(n_ex, np.inf)
@@ -261,43 +326,76 @@ def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridD
     if n_ex == 1:
         return pers, saddles, partners
 
-    # sweep key: saddle rank, then the edge's first directed slot v * K + k;
-    # one per undirected edge, and it fits in int64 while V * V * K < 2**63
-    n_slots = np.int64(2 * (2**domain.rank - 1))
-    n_keys = w.size * n_slots
-    pair_dtype = _id_dtype(n_ex * n_ex)
-    lab = label.reshape(domain.dims)
-    ids = np.arange(w.size, dtype=rank.dtype).reshape(domain.dims)
-    pairs, keys = [], []
-    for k, src, dst in offset_slices(domain):
-        v = ids[src][lab[src] != lab[dst]]
-        if not v.size:
-            continue
-        # src and dst are equal-shaped boxes of one C-ordered grid, so their
-        # vertex ids differ by one constant c; the edge's first directed
-        # slot is v's +k slot if c > 0, else u's -k slot
-        c = ids[dst].flat[0] - ids[src].flat[0]
-        u = v + c
-        la, lb = label[v], label[u]
-        pair = np.minimum(la, lb).astype(pair_dtype) * n_ex + np.maximum(la, lb)
+    pieces, n_cls = _boundary_pieces(domain)
+    vb = (values.size - 1).bit_length()  # bits of a rank
+    cb = (n_cls - 1).bit_length()  # bits of a tie class, at least 1
+    n_pairs = (n_ex - 1) * n_ex  # pair codes lo * n_ex + hi, lo < hi < n_ex
+    sort_span = 1 << max(0, _CODE_BITS - 1 - vb)  # pair codes per piece sort
+    run_span = 1 << max(0, _CODE_BITS - cb - vb)  # pair codes per running array
+    runs = [np.empty(0, np.int64)] * -(-n_pairs // run_span)
+    lab, r = label.reshape(domain.dims), rank.reshape(domain.dims)
+    for src, dst, up, cls in pieces:
+        at = np.flatnonzero(lab[src] != lab[dst])
+        la, lb = np.take(lab[src], at), np.take(lab[dst], at)
+        s, t = np.take(r[src], at), np.take(r[dst], at)
+        del at
+        lower = s > t if up else t > s
+        np.maximum(s, t, out=s)  # the saddle's rank
+        del t
+        pair = np.minimum(la, lb, dtype=np.int64)
+        pair *= n_ex
+        pair += np.maximum(la, lb, out=la)
         del la, lb
-        first, slot = (v, k) if c > 0 else (u, k + n_slots // 2)
-        key = (np.maximum(rank[v], rank[u]).astype(np.int64) * w.size + first) * n_slots + slot
-        del v, u, first
-        pair, key = _first_per_pair(pair, key)
-        pairs.append(pair)
-        keys.append(key)
-    del ids
-    # n_ex > 1 on a connected grid, so some piece has a boundary edge
-    pair = np.concatenate(pairs)
-    del pairs
-    key = np.concatenate(keys)
-    del keys
-    pair, key = _first_per_pair(pair, key)
-    order = np.argsort(key)
-    a, b = np.divmod(pair[order], n_ex)
-    forest = _spanning_forest(a, b, n_ex)
-    sad = asc[key[order[forest]] // n_keys]
+        firsts = []
+        for p0 in range(0, n_pairs, sort_span):
+            if sort_span >= n_pairs:  # one range: pack the codes in place over pair
+                part, code = slice(None), pair
+            else:
+                part = (pair >= p0) & (pair < p0 + sort_span)
+                code = pair[part] - p0
+            code <<= vb
+            code |= s[part]
+            code <<= 1
+            code |= lower[part]
+            code.sort()
+            firsts.append((p0, _firsts(code, vb + 1)))
+            del code
+        del pair, s, lower
+        for p0, code in firsts:
+            # each running array's share, the tie class in place of the lower bit
+            starts = np.arange(0, min(sort_span, n_pairs - p0), run_span, dtype=np.int64)
+            shares = np.split(code, np.searchsorted(code, starts[1:] << vb + 1))
+            for j, (start, share) in enumerate(zip(starts, shares), p0 // run_span):
+                if share.size:
+                    new = share >> 1
+                    new -= start << vb
+                    new <<= cb
+                    new |= cls[share & 1]
+                    both = np.concatenate((runs[j], new))
+                    runs[j] = new = None
+                    both.sort(kind="stable")  # two sorted runs: one merge pass
+                    runs[j] = _firsts(both, vb + cb)
+                    del both
+        del firsts, code, shares, share
+
+    # the first edges: basin labels, and sweep keys as forest weights
+    n = sum(run.size for run in runs)
+    a, b = np.empty(n, label.dtype), np.empty(n, label.dtype)
+    key = np.empty(n, np.int64)
+    end = 0
+    for j in range(len(runs)):
+        run, runs[j] = runs[j], None
+        part = slice(end, end + run.size)
+        end += run.size
+        key[part] = run & (1 << vb + cb) - 1
+        run >>= vb + cb
+        run += j * run_span
+        a[part], b[part] = np.divmod(run, n_ex)
+        del run
+    forest = _spanning_forest(a, b, n_ex, key)
+    sad = asc[key[forest] >> cb]
+    a, b = a[forest], b[forest]
+    del key, forest
 
     uf = list(range(n_ex))
 
@@ -311,7 +409,7 @@ def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridD
     # rule the younger component representative dies there
     ex_rank = rank[ex_vertices].tolist()
     dead, elders = [], []
-    for ra, rb in zip(a[forest].tolist(), b[forest].tolist()):
+    for ra, rb in zip(a.tolist(), b.tolist()):
         ra, rb = find(ra), find(rb)
         elder, young = (ra, rb) if ex_rank[ra] < ex_rank[rb] else (rb, ra)
         uf[young] = elder
@@ -319,53 +417,65 @@ def _merge_sweep(w: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridD
         elders.append(elder)
     partners[dead] = elders
     saddles[dead] = sad
-    pers[dead] = w[sad] - w[ex_vertices[dead]]
+    if descending:
+        pers[dead] = values[ex_vertices[dead]] - values[sad]
+    else:
+        pers[dead] = values[sad] - values[ex_vertices[dead]]
     return pers, saddles, partners
 
 
-def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Ascending positions of the minimum spanning forest's edges.
+def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
+    """Positions of the minimum spanning forest's edges, by ascending weight.
 
-    Edge k joins nodes a[k] and b[k] of 0..n-1 and weighs k, so weights are
-    unique and the forest is exactly the edge set Kruskal's algorithm
-    merges along. Borůvka rounds: each component picks its lightest edge
-    to another component, components hook along their picks (two
-    components that pick each other share one edge, and the lower id stays
-    root), and pointer doubling relabels; each round at least halves the
-    components that still have an outgoing edge.
+    Edge k joins nodes a[k] and b[k] of 0..n-1 and weighs ``weight[k]``.
+    Weights are unique, so the forest is exactly the edge set Kruskal's
+    algorithm merges along, in the order it merges them. Borůvka rounds:
+    each component picks its lightest edge to another component (the edge
+    whose weight is the component's minimum, so no edge list is sorted),
+    components hook along their picks (two components that pick each other
+    share one edge, and the lower id stays root), and pointer doubling
+    relabels; each round at least halves the components that still have an
+    outgoing edge.
     """
-    comp = np.arange(n)
-    edge = np.arange(a.size)
+    ca, cb, w, edge = a, b, weight, np.arange(a.size, dtype=_id_dtype(a.size))
+    ids = np.arange(n, dtype=np.result_type(a, b))
     picked = []
     while True:
-        ca, cb = comp[a], comp[b]
         out = ca != cb
         if not out.any():
             break
-        a, b, edge, ca, cb = a[out], b[out], edge[out], ca[out], cb[out]
-        k = np.arange(edge.size)
-        lightest = np.full(n, edge.size)
-        np.minimum.at(lightest, ca, k)
-        np.minimum.at(lightest, cb, k)
-        c = np.flatnonzero(lightest < edge.size)
-        k = lightest[c]
-        other = np.where(ca[k] == c, cb[k], ca[k])
-        parent = np.arange(n)
-        parent[c] = other
-        mutual = parent[other] == c
-        parent[c[mutual & (c < other)]] = c[mutual & (c < other)]
-        picked.append(edge[k[~(mutual & (c > other))]])
-        comp = _resolve_roots(parent)[comp]
-    return np.sort(np.concatenate(picked)) if picked else edge[:0]
+        if not out.all():
+            ca, cb, w, edge = ca[out], cb[out], w[out], edge[out]
+        del out
+        lightest = np.full(n, np.iinfo(np.int64).max)
+        np.minimum.at(lightest, ca, w)
+        np.minimum.at(lightest, cb, w)
+        by_a, by_b = w == lightest[ca], w == lightest[cb]
+        del lightest
+        parent = ids.copy()
+        parent[ca[by_a]] = cb[by_a]
+        parent[cb[by_b]] = ca[by_b]
+        mutual = (parent[parent] == ids) & (ids < parent)
+        parent[mutual] = ids[mutual]
+        picked.append(edge[by_a | by_b])
+        del by_a, by_b, mutual
+        root = _resolve_roots(parent)
+        ca, cb = root[ca], root[cb]
+    forest = np.concatenate(picked) if picked else edge[:0]
+    fw = weight[forest]
+    order = np.empty_like(forest)
+    order[np.searchsorted(np.sort(fw), fw)] = forest
+    return order
 
 
 def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLabeling:
     """Assign every vertex to an extremum by discrete steepest descent.
 
-    Minima produce ascending manifolds, maxima descending ones (computed
-    on the negated field). Each vertex moves to its (value, id)-smallest
-    neighbor while one precedes it; the terminal vertices are the extrema,
-    numbered densely in vertex order. Values must be finite.
+    Minima produce ascending manifolds, maxima descending ones (the same
+    path on the descending (value, id) order, ties still to the lower id).
+    Each vertex moves to its first neighbor in that order while one
+    precedes it; the terminal vertices are the extrema, numbered densely in
+    vertex order. Values must be finite.
     """
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != domain.vertex_count:
@@ -373,11 +483,11 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"step contains a non-finite value at vertex {bad}")
-    w = -values if kind == "maximum" else values
+    descending = kind == "maximum"
 
-    asc, rank = _total_order(w)
+    asc, rank = _total_order(values, descending)
     ptr = _descent_pointers(asc, rank, domain)
-    is_extremum = ptr == np.arange(w.size, dtype=rank.dtype)
+    is_extremum = ptr == np.arange(values.size, dtype=rank.dtype)
     ex_vertices = np.flatnonzero(is_extremum)
     # extremum ids in vertex order: the running count of extrema, minus one
     id_map = np.cumsum(is_extremum, dtype=rank.dtype)
@@ -387,7 +497,8 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     del ptr, id_map
     sizes = np.bincount(label, minlength=ex_vertices.size)
 
-    pers, saddles, partners = _merge_sweep(w, asc, rank, domain, label, ex_vertices)
+    pers, saddles, partners = _merge_sweep(values, asc, rank, domain, label, ex_vertices,
+                                           descending)
     extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
     return ManifoldLabeling(_MANIFOLD_OF[kind], domain, label, extrema, sizes, saddles, partners)
 

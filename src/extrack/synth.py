@@ -54,21 +54,32 @@ class GaussianScript:
 
 
 def generate(script: GaussianScript) -> ScalarFieldSeries:
-    """Evaluate base + sum of Gaussians at every vertex and step."""
+    """Evaluate base + sum of Gaussians at every vertex and step.
+
+    A blob's squared distance is summed over the axes in axis order from
+    one short array per axis, broadcast over the grid, so no (V, rank)
+    position table is built and a step needs two arrays of V values.
+    """
     domain = script.domain
-    pos = domain.positions()
+    axes = [np.arange(n) * s for n, s in zip(domain.dims, domain.spacing)]
     steps = []
     for t in range(script.n_steps):
         f = np.full(domain.vertex_count, float(script.base))
         for blob in script.blobs:
-            delta = np.abs(pos - np.asarray(blob.path[t]))
-            for a in range(domain.rank):
+            d2 = 0.0
+            for a, (x, c) in enumerate(zip(axes, blob.path[t])):
+                delta = np.abs(x - c)
                 if domain.periodic[a]:
                     period = domain.dims[a] * domain.spacing[a]
-                    delta[:, a] %= period
-                    delta[:, a] = np.minimum(delta[:, a], period - delta[:, a])
-            d2 = (delta**2).sum(axis=1)
-            f += blob.amplitude * np.exp(-d2 / (2.0 * blob.sigma**2))
+                    delta %= period
+                    delta = np.minimum(delta, period - delta)
+                d2 = d2 + (delta**2).reshape([-1 if b == a else 1 for b in range(domain.rank)])
+            d2 = d2.reshape(-1)
+            np.negative(d2, out=d2)
+            d2 /= 2.0 * blob.sigma**2
+            np.exp(d2, out=d2)
+            d2 *= blob.amplitude
+            f += d2
         steps.append(f)
     return ScalarFieldSeries(domain, tuple(steps))
 

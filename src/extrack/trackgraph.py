@@ -539,8 +539,8 @@ def import_graph(text: str) -> TrackingGraph:
 
     The document comes from outside, so every check raises ``ValueError``
     (also under ``python -O``): required keys, each node (t, id) listed
-    once with t >= 0, edges between nodes that exist in layers t and t+1,
-    and probabilities and strengths in (0, 1].
+    once with t >= 0, each edge (t, i, j) listed once between nodes that
+    exist in layers t and t+1, and probabilities and strengths in (0, 1].
     """
     doc = json.loads(text)
     nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
@@ -563,6 +563,11 @@ def import_graph(text: str) -> TrackingGraph:
     if absent.any():
         k = int(np.argmax(absent))
         raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} names a node that does not exist")
+    # edges are (t, i, j)-sorted too
+    twice = np.flatnonzero((e.t[1:] == e.t[:-1]) & (e.i[1:] == e.i[:-1]) & (e.j[1:] == e.j[:-1]))
+    if twice.size:
+        k = twice[0]
+        raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} is listed twice")
     if not ((e.strength > 0.0) & (e.strength <= 1.0)).all():  # NaN fails too
         raise ValueError("edge strengths must lie in (0, 1]")
     for name, p in (("pf", e.pf), ("pb", e.pb)):

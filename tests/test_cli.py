@@ -347,6 +347,14 @@ class TestExitCodes:
         assert main(["compare", "--input", str(ridge_file),
                      "--strategies", "binary,psychic"]) == 2
 
+    def test_repeated_compare_strategy(self, ridge_file, tmp_path, capsys):
+        # it used to run twice and print its compare.txt row twice
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", str(ridge_file), "--out", str(out),
+                     "--strategies", "manifold-overlap,binary,manifold-overlap"]) == 2
+        assert "strategy 'manifold-overlap' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_directory_is_a_data_error(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 3
         assert f"{tmp_path}: " in capsys.readouterr().err
@@ -493,9 +501,9 @@ class TestCompareReport:
         ("noisy", ["--features"]),
         ("noisy", ["--strategies", "binary"]),
         ("noisy", ["--strategies", "sampling-euclidean,manifold-overlap"]),
-        ("noisy", ["--strategies", "manifold-overlap,binary,manifold-overlap", "--connect", "any"]),
+        ("noisy", ["--strategies", "manifold-overlap,binary", "--connect", "any"]),
         ("one-step", []),
-    ], ids=["ridge", "noisy", "noisy-features", "binary-only", "no-binary", "repeated",
+    ], ids=["ridge", "noisy", "noisy-features", "binary-only", "no-binary", "connect-any",
             "one-step"])
     def test_report_matches_the_per_entry_oracle(self, inputs, tmp_path, monkeypatch,
                                                  series, extra):
@@ -695,6 +703,21 @@ class TestInspect:
         r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
         assert r.returncode == 3, r.stderr
         assert message in r.stderr
+
+    def test_repeated_edge_is_a_data_error(self, tmp_path, capsys):
+        # inspect used to print "2 edges" for one edge listed twice, and the
+        # DOT export drew both
+        node = {"id": 0, "kind": "extremum", "vertex": 0, "value": 0.0, "pos": [0.0, 0.0],
+                "track": 0}
+        edges = [{"t": 0, "i": 0, "j": 0, "pf": 1.0, "strength": s} for s in (0.5, 0.9)]
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"meta": {}, "nodes": [{**node, "t": t} for t in (0, 1)],
+                                 "edges": edges}))
+        assert main(["inspect", str(p)]) == 3
+        assert "edge t0 0 -> 0 is listed twice" in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert "edge t0 0 -> 0 is listed twice" in r.stderr
 
 
 class TestEntryPoint:

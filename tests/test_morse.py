@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from extrack import morse
 from extrack.field import GridDomain, vertex_neighbors
 from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_pointers, _id_dtype,
                            _merge_sweep, _resolve_roots, _spanning_forest, _total_order,
@@ -12,6 +13,30 @@ from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_poin
 from extrack.synth import oracle_merge_tree
 from helpers import (grid_series, oracle_descent_pointers, oracle_extrema, oracle_merge_sweep,
                      oracle_spanning_forest)
+
+
+def check_sweep(values, dom, descending, monkeypatch=None):
+    """``_merge_sweep`` on the (descending, for maxima) order of values
+    against ``oracle_merge_sweep`` on the field it sweeps (``-values`` for
+    maxima), bit for bit. With ``monkeypatch``, the packed codes are
+    narrowed so that each offset piece sorts two to four pair-code ranges
+    and the running arrays split into many more. Returns the extremum count."""
+    w = -values if descending else values
+    asc, rank = _total_order(values, descending)
+    assert np.array_equal(asc, np.argsort(w, kind="stable"))
+    ptr = _descent_pointers(asc, rank, dom)
+    assert np.array_equal(ptr, oracle_descent_pointers(w, dom))
+    ex = np.flatnonzero(ptr == np.arange(values.size))
+    label = np.searchsorted(ex, _resolve_roots(ptr))
+    if monkeypatch is not None:
+        n_pairs = (ex.size - 1) * ex.size
+        monkeypatch.setattr(morse, "_CODE_BITS",
+                            (values.size - 1).bit_length() + n_pairs.bit_length() - 1)
+    got = _merge_sweep(values, asc, rank, dom, label, ex, descending)
+    want = oracle_merge_sweep(w, dom, label, ex)
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and g.tobytes() == o.tobytes()
+    return ex.size
 
 
 def path_values(row):
@@ -60,6 +85,10 @@ class TestTotalOrder:
             assert np.array_equal(asc, np.argsort(w, kind="stable")), name
             assert np.array_equal(rank[asc], np.arange(v)), name
             assert np.array_equal(TotalOrder(w).ascending(), asc), name
+            desc, rank = _total_order(w, descending=True)
+            assert desc.dtype == rank.dtype == np.int32, name
+            assert np.array_equal(desc, np.argsort(-w, kind="stable")), name
+            assert np.array_equal(rank[desc], np.arange(v)), name
             for x in (w, -w):  # minima and maxima
                 asc, rank = _total_order(x)
                 ptr = _descent_pointers(asc, rank, dom)
@@ -336,6 +365,51 @@ class TestSimplify:
         assert s.extrema[1].value == -1.0
 
 
+HOSTILE_CASES = ["rising", "falling", "random", "zigzag", "star"]
+
+
+def hostile_fields(case, volume):
+    """Fields whose basin graphs are hard on Borůvka, as (values, domain).
+
+    Long basin chains whose lightest edges all point one way (so the hooks
+    of a Borůvka round form one long path), and a star whose leaves all
+    hook onto the centre; each chain also runs around a periodic axis,
+    where it closes into a cycle. ``volume`` stacks them along axis 0,
+    across a periodic axis of length 3 (and 2 for chains).
+    """
+    rng = np.random.default_rng(len(case) + 7 * volume)
+    fields = []
+    if case == "star":
+        k = 120
+        c = np.arange(2 * k + 1)
+        step = np.full((4, c.size), 100.0)  # walls: one tied plateau
+        step[0] = 0.001 * c
+        step[1, ::2] = 5.0 + rng.random(k + 1)
+        step[2, ::2] = -1.0 - rng.random(k + 1)
+        fields.append((step, (False, False)))
+        fields.append((step, (False, True)))
+    else:
+        k = 150
+        barrier = {"rising": np.arange(k) + 10.0, "falling": 10.0 + k - np.arange(k),
+                   "random": 10.0 + rng.permutation(k),
+                   "zigzag": 10.0 + np.where(np.arange(k) % 2, np.arange(k), k + np.arange(k))}
+        row = np.empty(2 * k)
+        row[0::2] = -1.0 - rng.permutation(k)  # wells, all below every barrier
+        row[1::2] = barrier[case]
+        for periodic in (False, True):
+            fields.append((np.tile(row, (2, 1)), (False, periodic)))
+    out = []
+    for step, periodic in fields:
+        if volume:
+            rows = step.shape[0]
+            step = np.broadcast_to(step.T[:, :, None], (step.shape[1], rows, 3))
+            step = step + 0.01 * (np.arange(3) == 1)  # ties along axis 1 stay
+            periodic = (periodic[1], rows == 2, True)
+        out.append((np.ascontiguousarray(step, dtype=float).reshape(-1),
+                    GridDomain(step.shape, periodic=periodic)))
+    return out
+
+
 class TestAgainstOracles:
     """Offset-slice descent and the one-edge-per-pair sweep against the (V, K)
     table versions, exactly, on every periodic combination."""
@@ -366,42 +440,10 @@ class TestAgainstOracles:
                     assert np.array_equal(lab.label, label), periodic
                     assert np.array_equal(lab._saddles, want[1]), periodic
 
-    @pytest.mark.parametrize("case", ["rising", "falling", "random", "zigzag", "star"])
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
     @pytest.mark.parametrize("volume", [False, True])
     def test_forest_hostile_basin_graphs(self, case, volume):
-        # long basin chains whose lightest edges all point one way (so the
-        # hooks of a Borůvka round form one long path), and a star whose
-        # leaves all hook onto the centre; each chain also runs around a
-        # periodic axis, where it closes into a cycle
-        rng = np.random.default_rng(len(case) + 7 * volume)
-        fields = []
-        if case == "star":
-            k = 120
-            c = np.arange(2 * k + 1)
-            step = np.full((4, c.size), 100.0)  # walls: one tied plateau
-            step[0] = 0.001 * c
-            step[1, ::2] = 5.0 + rng.random(k + 1)
-            step[2, ::2] = -1.0 - rng.random(k + 1)
-            fields.append((step, (False, False)))
-            fields.append((step, (False, True)))
-        else:
-            k = 150
-            barrier = {"rising": np.arange(k) + 10.0, "falling": 10.0 + k - np.arange(k),
-                       "random": 10.0 + rng.permutation(k),
-                       "zigzag": 10.0 + np.where(np.arange(k) % 2, np.arange(k), k + np.arange(k))}
-            row = np.empty(2 * k)
-            row[0::2] = -1.0 - rng.permutation(k)  # wells, all below every barrier
-            row[1::2] = barrier[case]
-            for periodic in (False, True):
-                fields.append((np.tile(row, (2, 1)), (False, periodic)))
-        for step, periodic in fields:
-            if volume:  # along axis 0, across a periodic axis of length 3 (and 2 for chains)
-                rows = step.shape[0]
-                step = np.broadcast_to(step.T[:, :, None], (step.shape[1], rows, 3))
-                step = step + 0.01 * (np.arange(3) == 1)  # ties along axis 1 stay
-                periodic = (periodic[1], rows == 2, True)
-            dom = GridDomain(step.shape, periodic=periodic)
-            values = np.ascontiguousarray(step, dtype=float).reshape(-1)
+        for values, dom in hostile_fields(case, volume):
             for kind, w in (("minimum", values), ("maximum", -values)):
                 asc, rank = _total_order(w)
                 ptr = _descent_pointers(asc, rank, dom)
@@ -410,9 +452,39 @@ class TestAgainstOracles:
                 got = _merge_sweep(w, asc, rank, dom, label, ex)
                 want = oracle_merge_sweep(w, dom, label, ex)
                 for g, o in zip(got, want):
-                    assert np.array_equal(g, o), (periodic, kind)
+                    assert np.array_equal(g, o), (dom.periodic, kind)
                 assert persistence_pairs(values, dom, kind) == oracle_merge_tree(values, dom, kind)
             assert ex.size > 100
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 7), (9, 11), (31, 37), (2, 2, 2), (3, 2, 3),
+                                      (2, 3, 30), (6, 5, 7)])
+    def test_descending_and_split_sweeps_match(self, dims, monkeypatch):
+        # maxima on the descending order of the values themselves, then both
+        # kinds with narrowed codes; plateaus, signed zeros and distinct
+        # values on every periodic combination, so periodic axes of length
+        # 2 and 3 in 2D and 3D
+        rng = np.random.default_rng(3 * sum(dims) + len(dims))
+        for periodic in product((False, True), repeat=len(dims)):
+            dom = GridDomain(dims, periodic=periodic)
+            v = dom.vertex_count
+            for values in (rng.integers(0, 3, v).astype(float),
+                           rng.choice([-0.0, 0.0, 1.0], v),
+                           rng.permutation(v).astype(float)):
+                check_sweep(values, dom, descending=True)
+                assert (persistence_pairs(values, dom, "maximum")
+                        == oracle_merge_tree(values, dom, "maximum")), periodic
+                with monkeypatch.context() as m:
+                    for descending in (False, True):
+                        check_sweep(values, dom, descending, m)
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_hostile_graphs_descending_and_split(self, case, monkeypatch):
+        for volume in (False, True):
+            for values, dom in hostile_fields(case, volume):
+                assert check_sweep(values, dom, descending=True) > 100
+                with monkeypatch.context() as m:
+                    for descending in (False, True):
+                        check_sweep(values, dom, descending, m)
 
     def test_int64_pair_codes(self):
         # 47 000 wells along a 2 x 94 000 strip behind random barriers: more
@@ -443,12 +515,18 @@ class TestAgainstOracles:
                   (np.arange(499), np.arange(1, 500), 500),  # path, light to heavy
                   (np.arange(499, 0, -1), np.arange(498, -1, -1), 500),  # heavy to light
                   (np.zeros(300, int), np.arange(1, 301), 301),  # star
-                  (rng.permutation(np.arange(1, 301)), np.zeros(300, int), 301)]
+                  (rng.permutation(np.arange(1, 301)), np.zeros(300, int), 301),
+                  (np.array([0, 0, 1]), np.array([0, 1, 1]), 2)]  # lightest edges are loops
         for n, m in ((5, 3), (40, 30), (60, 400), (300, 2000), (2000, 1500)):
             a, b = rng.integers(0, n, m), rng.integers(0, n, m)  # multi-edges, some forests
             graphs.append((a, b, n))
         for a, b, n in graphs:
-            assert _spanning_forest(a, b, n).tolist() == oracle_spanning_forest(a, b, n)
+            assert _spanning_forest(a, b, n, np.arange(len(a))).tolist() == \
+                oracle_spanning_forest(a, b, n)
+            # the same edges listed in another order, weighed by their old position
+            perm = rng.permutation(len(a))
+            got = _spanning_forest(a[perm], b[perm], n, perm)
+            assert perm[got].tolist() == oracle_spanning_forest(a, b, n)
 
     # Basins A (value 0), B (value 1) and C (value 3) meet only at one saddle
     # s (value 5), which drains into B. Swept in slot order, s's edge to A
@@ -497,14 +575,17 @@ class TestAgainstOracles:
 
 def test_labeling_memory_is_linear_in_the_field():
     # white noise: one extremum per ~15 vertices, so any per-edge or (V, K)
-    # table shows up as a multiple of the field's bytes
+    # table shows up as a multiple of the field's bytes; maxima must not
+    # add a negated copy of the field
     dom = GridDomain((48, 48, 48), periodic=(True, False, False))
     step = np.random.default_rng(3).standard_normal(dom.vertex_count)
-    tracemalloc.start()
-    try:
-        simplify(label_manifolds(step, dom, "minimum"), step, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * step.nbytes
-    assert peak <= 16 * step.nbytes
+    for kind in ("minimum", "maximum"):
+        tracemalloc.start()
+        try:
+            simplify(label_manifolds(step, dom, kind), step, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * step.nbytes, kind
+        assert peak <= 16 * step.nbytes, kind
+        assert peak <= 8 * step.nbytes, kind

@@ -502,6 +502,9 @@ MALFORMED_GRAPHS = {
                           "node t0 #0 is listed twice"),
     "negative step": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "t": -2}],
                        "edges": []}, "node t-2 #0 has a negative step"),
+    "edge listed twice": ({**graph_doc(), "edges": graph_doc()["edges"]
+                           + graph_doc(strength=0.9, pf=None)["edges"]},
+                          "edge t0 0 -> 0 is listed twice"),
 }
 
 
