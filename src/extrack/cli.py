@@ -316,8 +316,9 @@ def _build_graph(layers, domain: GridDomain, pairs, config: PipelineConfig, stra
     if predicate != trackgraph.SemanticPredicate():
         g = _stage("semantic-filter",
                    lambda: trackgraph.semantic_filter(g, domain, predicate))
-    meta = {**g.meta, "config": config.echo(strategy)}
-    return trackgraph.TrackingGraph(g.node_columns, g.edge_columns, meta)
+    g.meta["config"] = config.echo(strategy)  # the filter gave g a meta dict of its own
+    _stage("tracks", lambda: g.node_columns)  # derived once, for this graph only
+    return g
 
 
 def _write_matrices(out: Path, pairs, prefix: str = "") -> None:
@@ -468,8 +469,8 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
-        doc = json.loads(text)
+        # parsed once: the text is dropped as soon as the tree stands
+        doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:
         raise _path_error(args.path, e) from e
     except json.JSONDecodeError as e:
@@ -488,7 +489,7 @@ def cmd_inspect(args) -> int:
                 w(f"  ... {m.counts.size - 20} more\n")
             return 0
         if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
-            g = trackgraph.import_graph(text)
+            g = trackgraph.doc_to_graph(doc)
             n, e = g.node_columns, g.edge_columns
             tracks = np.unique(n.track).size
             w(f"tracking graph: {g.n_layers} layers, {len(n)} nodes, {len(e)} edges, {tracks} tracks\n")

@@ -72,14 +72,12 @@ class GridDomain:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "periodic", periodic)
+        # stored once; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "vertex_count", math.prod(dims))
 
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    @property
-    def vertex_count(self) -> int:
-        return int(np.prod(self.dims))
 
     def coords_of(self, v: int) -> tuple[int, ...]:
         """Lattice coordinate of a linear vertex index (C order)."""

@@ -10,15 +10,20 @@ so identical inputs always produce identical graphs.
 
 The graph is held as column arrays (``NodeColumns``, ``EdgeColumns``);
 assembly, track propagation, the filters and both writers work on those
-columns. ``GraphNode``/``GraphEdge`` objects are built only when a caller
-reads ``TrackingGraph.nodes``, ``.edges`` or ``.layer(t)``.
+columns. Each edge carries the node rows of its two endpoints: ``assemble``
+reads them off the layer offsets, the filters carry them along, and a graph
+from outside resolves them with one search. Graphs built by ``assemble``
+and the filters derive their track ids when their nodes are first read, so
+a graph that only feeds the next filter never propagates tracks.
+``GraphNode``/``GraphEdge`` objects are built only when a caller reads
+``TrackingGraph.nodes``, ``.edges`` or ``.layer(t)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
@@ -161,7 +166,9 @@ class EdgeColumns:
     """Edges as parallel arrays, sorted by (t, i, j).
 
     Edge k joins node (t[k], i[k]) to node (t[k] + 1, j[k]); ``pf``/``pb``
-    are NaN where that direction has no matrix entry.
+    are NaN where that direction has no matrix entry. ``src``/``dst`` are
+    the rows of those two nodes in the graph's ``NodeColumns``, or None
+    until a ``TrackingGraph`` resolves them.
     """
 
     t: np.ndarray
@@ -170,6 +177,8 @@ class EdgeColumns:
     pf: np.ndarray
     pb: np.ndarray
     strength: np.ndarray
+    src: np.ndarray | None = None
+    dst: np.ndarray | None = None
 
     @classmethod
     def build(cls, t, i, j, pf, pb, strength) -> "EdgeColumns":
@@ -197,8 +206,12 @@ class EdgeColumns:
                      for f in ("t", "i", "j", "pf", "pb", "strength")))
 
     def take(self, keep: np.ndarray) -> "EdgeColumns":
+        rows = () if self.src is None else (self.src[keep], self.dst[keep])
         return EdgeColumns(self.t[keep], self.i[keep], self.j[keep],
-                           self.pf[keep], self.pb[keep], self.strength[keep])
+                           self.pf[keep], self.pb[keep], self.strength[keep], *rows)
+
+    def with_rows(self, src: np.ndarray, dst: np.ndarray) -> "EdgeColumns":
+        return replace(self, src=src, dst=dst)
 
     def __len__(self) -> int:
         return self.t.size
@@ -215,20 +228,39 @@ class TrackingGraph:
     """Nodes, edges and metadata of one tracking graph.
 
     ``nodes`` and ``edges`` are either ``GraphNode``/``GraphEdge``
-    sequences or column tables; both are stored as columns.
+    sequences or column tables; both are stored as columns. Edges without
+    node rows get them from one search; the node tracks are kept as given.
     """
 
     def __init__(self, nodes, edges, meta: dict | None = None):
-        self.node_columns = nodes if isinstance(nodes, NodeColumns) else NodeColumns.from_objects(nodes)
-        self.edge_columns = (edges if isinstance(edges, EdgeColumns)
-                             else EdgeColumns.from_objects(edges))
+        n = nodes if isinstance(nodes, NodeColumns) else NodeColumns.from_objects(nodes)
+        e = edges if isinstance(edges, EdgeColumns) else EdgeColumns.from_objects(edges)
+        if e.src is None:
+            e = e.with_rows(*_edge_rows(n, e))
+        self._nodes, self.edge_columns = n, e
+        self._tracks_pending = False
         self.meta = {} if meta is None else meta
-        e = self.edge_columns
         # edges may only span one step, between known nodes
-        assert (self.node_columns.rows(e.t, e.i) >= 0).all()
-        assert (self.node_columns.rows(e.t + 1, e.j) >= 0).all()
+        assert ((e.src >= 0) & (e.src < len(n)) & (e.dst >= 0) & (e.dst < len(n))).all()
+        assert ((n.t[e.src] == e.t) & (n.id[e.src] == e.i)
+                & (n.t[e.dst] == e.t + 1) & (n.id[e.dst] == e.j)).all()
         assert ((e.strength >= 0.0) & (e.strength <= 1.0)).all()
         assert (~np.isnan(e.pf) | ~np.isnan(e.pb)).all()
+
+    @classmethod
+    def _with_derived_tracks(cls, nodes: NodeColumns, edges: EdgeColumns,
+                             meta: dict) -> "TrackingGraph":
+        """A graph whose tracks follow its edges, propagated on first read."""
+        g = cls(nodes, edges, meta)
+        g._tracks_pending = True
+        return g
+
+    @property
+    def node_columns(self) -> NodeColumns:
+        if self._tracks_pending:
+            self._nodes = self._nodes.with_tracks(_propagate_tracks(self._nodes, self.edge_columns))
+            self._tracks_pending = False
+        return self._nodes
 
     @cached_property
     def nodes(self) -> tuple[GraphNode, ...]:
@@ -240,7 +272,7 @@ class TrackingGraph:
 
     @property
     def n_layers(self) -> int:
-        return 1 + int(self.node_columns.t.max(initial=-1))
+        return 1 + int(self._nodes.t.max(initial=-1))
 
     def layer(self, t: int) -> list[GraphNode]:
         return list(self.node_columns.take(self.node_columns.t == t))
@@ -260,35 +292,39 @@ def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
     return layers
 
 
+def _edge_rows(nodes: NodeColumns, e: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of every edge's two end nodes, -1 where absent, from one search."""
+    rows = nodes.rows(np.concatenate([e.t, e.t + 1]), np.concatenate([e.i, e.j]))
+    return rows[:len(e)], rows[len(e):]
+
+
 def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
     """Track id per node row, assigned along strongest edges."""
     n = len(nodes)
-    src = nodes.rows(edges.t, edges.i)
-    dst = nodes.rows(edges.t + 1, edges.j)
-    s = edges.strength
+    src, dst, s = edges.src, edges.dst, edges.strength
 
     # each node's strongest incoming edge; an exact tie means no predecessor
-    order = np.lexsort((-s, dst))
-    dst_o, src_o, s_o = dst[order], src[order], s[order]
-    first = np.ones(dst_o.size, dtype=bool)
-    first[1:] = dst_o[1:] != dst_o[:-1]
     top = np.full(n, -np.inf)
-    top[dst_o[first]] = s_o[first]
+    np.maximum.at(top, dst, s)
+    at_top = s == top[dst]
     pred = np.full(n, -1, np.int64)
-    pred[dst_o[first]] = src_o[first]
-    n_top = np.bincount(dst_o[s_o == top[dst_o]], minlength=n)
-    pred[n_top != 1] = -1
+    pred[dst[at_top]] = src[at_top]
+    pred[np.bincount(dst[at_top], minlength=n) != 1] = -1
 
-    # each predecessor's heir: the strongest claimant, ties to the lower id
+    # each predecessor's heir: the strongest claimant, ties to the lower id,
+    # which is the lower row, as all claimants share one layer
     claim = np.flatnonzero(pred >= 0)
-    claim = claim[np.lexsort((nodes.id[claim], -top[claim], pred[claim]))]
-    heir = np.ones(claim.size, dtype=bool)
-    heir[1:] = pred[claim[1:]] != pred[claim[:-1]]
+    best = np.full(n, -np.inf)
+    np.maximum.at(best, pred[claim], top[claim])
+    claim = claim[top[claim] == best[pred[claim]]]
+    heir = np.full(n, n, np.int64)
+    np.minimum.at(heir, pred[claim], claim)
 
     # heirs point at their predecessor; the rest start fresh tracks,
     # numbered in (t, id) order, which is row order
     ptr = np.arange(n)
-    ptr[claim[heir]] = pred[claim[heir]]
+    has_heir = np.flatnonzero(heir < n)
+    ptr[heir[has_heir]] = has_heir
     root = _resolve_roots(ptr)
     fresh_id = np.cumsum(ptr == np.arange(n)) - 1
     return fresh_id[root]
@@ -356,24 +392,28 @@ def assemble(
             raise ValueError(f"matrix shape mismatch at step {t}")
         parts.append(_pair_edges(t, fwd, bwd, policy))
     edges = EdgeColumns.concat(parts)
-    nodes = NodeColumns.concat(layers)
-    nodes = nodes.with_tracks(_propagate_tracks(nodes, edges))
+    if all(np.array_equal(x.id, np.arange(len(x))) for x in layers):
+        # matrix index k is node id k, the k-th node of its layer
+        offset = np.cumsum([0] + [len(x) for x in layers])
+        edges = edges.with_rows(offset[edges.t] + edges.i, offset[edges.t + 1] + edges.j)
     meta = {
         "strategy": strategy,
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
         "thresholds": {},
     }
-    return TrackingGraph(nodes, edges, meta)
+    return TrackingGraph._with_derived_tracks(NodeColumns.concat(layers), edges, meta)
 
 
 def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.ndarray,
                 key: str, threshold: dict) -> TrackingGraph:
-    nodes = g.node_columns if keep_nodes is None else g.node_columns.take(keep_nodes)
-    edges = g.edge_columns.take(keep_edges)
-    nodes = nodes.with_tracks(_propagate_tracks(nodes, edges))
+    nodes, edges = g._nodes, g.edge_columns.take(keep_edges)  # tracks are derived anew
+    if keep_nodes is not None:
+        nodes = nodes.take(keep_nodes)
+        row = np.cumsum(keep_nodes) - 1  # a kept node's row among the kept
+        edges = edges.with_rows(row[edges.src], row[edges.dst])
     meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
     meta["thresholds"][key] = threshold
-    return TrackingGraph(nodes, edges, meta)
+    return TrackingGraph._with_derived_tracks(nodes, edges, meta)
 
 
 def threshold_filter(g: TrackingGraph, p_min: float, require: Literal["any", "both"] = "any") -> TrackingGraph:
@@ -429,12 +469,11 @@ class SemanticPredicate:
 def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPredicate) -> TrackingGraph:
     """Drop nodes outside the value/box constraints and edges that jump
     farther than allowed (minimum-image distance on periodic axes)."""
-    n, e = g.node_columns, g.edge_columns
+    n, e = g._nodes, g.edge_columns
     alive = predicate.admits(n.value, n.pos)
-    src, dst = n.rows(e.t, e.i), n.rows(e.t + 1, e.j)
-    keep = alive[src] & alive[dst]
+    keep = alive[e.src] & alive[e.dst]
     if predicate.max_jump is not None:
-        keep &= ~(minimum_image_distance(domain, n.pos[src], n.pos[dst]) > predicate.max_jump)
+        keep &= ~(minimum_image_distance(domain, n.pos[e.src], n.pos[e.dst]) > predicate.max_jump)
     threshold = {
         k: list(v) if isinstance(v, tuple) else v
         for k, v in (
@@ -535,14 +574,18 @@ def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
 
 
 def import_graph(text: str) -> TrackingGraph:
-    """Inverse of the JSON export; stored track ids are kept as-is.
+    """Inverse of the JSON export; stored track ids are kept as-is."""
+    return doc_to_graph(json.loads(text))
+
+
+def doc_to_graph(doc) -> TrackingGraph:
+    """The graph of a parsed graph document; stored track ids are kept as-is.
 
     The document comes from outside, so every check raises ``ValueError``
     (also under ``python -O``): required keys, each node (t, id) listed
     once with t >= 0, each edge (t, i, j) listed once between nodes that
     exist in layers t and t+1, and probabilities and strengths in (0, 1].
     """
-    doc = json.loads(text)
     nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -559,7 +602,8 @@ def import_graph(text: str) -> TrackingGraph:
     e = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
                           [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
                           [x["strength"] for x in ed])
-    absent = (nodes.rows(e.t, e.i) < 0) | (nodes.rows(e.t + 1, e.j) < 0)
+    src, dst = _edge_rows(nodes, e)
+    absent = (src < 0) | (dst < 0)
     if absent.any():
         k = int(np.argmax(absent))
         raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} names a node that does not exist")
@@ -575,7 +619,7 @@ def import_graph(text: str) -> TrackingGraph:
             raise ValueError(f"edge {name} values must lie in (0, 1]")
     if (np.isnan(e.pf) & np.isnan(e.pb)).any():
         raise ValueError("an edge needs pf or pb")
-    return TrackingGraph(nodes, e, meta)
+    return TrackingGraph(nodes, e.with_rows(src, dst), meta)
 
 
 def _dot_chunks(g: TrackingGraph):

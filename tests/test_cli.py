@@ -442,6 +442,58 @@ class TestStageReports:
         assert "stage 'labeling' failed at t=1: invariant broken" in capsys.readouterr().err
 
 
+SEMANTIC_FLAGS = ["--value-min", "-11", "--box-min", "0,0", "--box-max", "39,25",
+                  "--max-jump", "8"]
+
+
+class TestGraphWork:
+    """Edges carry their node rows from assembly on, and track ids are
+    derived once, for the graph that is written or reported."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"propagations": 0, "row searches": 0}
+        propagate, rows = trackgraph._propagate_tracks, trackgraph.NodeColumns.rows
+
+        def counted_propagate(*args):
+            counts["propagations"] += 1
+            return propagate(*args)
+
+        def counted_rows(self, *args):
+            counts["row searches"] += 1
+            return rows(self, *args)
+
+        monkeypatch.setattr(trackgraph, "_propagate_tracks", counted_propagate)
+        monkeypatch.setattr(trackgraph.NodeColumns, "rows", counted_rows)
+        return counts
+
+    @pytest.mark.parametrize("extra", [[], SEMANTIC_FLAGS, ["--features"]],
+                             ids=["default", "semantic", "features"])
+    def test_run_propagates_once_and_never_searches_rows(self, ridge_file, tmp_path, counts,
+                                                         extra):
+        if extra == ["--features"]:
+            feats = tmp_path / "features.json"
+            feats.write_text('[{"t": 0, "features": [{"id": 0, "extrema": [0, 1]}]}]')
+            extra = ["--features", str(feats)]
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                     *extra]) == 0
+        assert counts == {"propagations": 1, "row searches": 0}
+
+    def test_compare_propagates_once_per_strategy(self, ridge_file, tmp_path, counts):
+        assert main(["compare", "--input", str(ridge_file), "--out", str(tmp_path / "cmp"),
+                     *SEMANTIC_FLAGS]) == 0
+        assert counts == {"propagations": len(cli.STRATEGIES), "row searches": 0}
+
+    def test_semantic_flags_drop_a_node_and_its_edge(self, ridge_file, tmp_path):
+        # the box drops node t0 #1 and with it edge t0 1 -> 1; the rest stays
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out), *SEMANTIC_FLAGS]) == 0
+        doc = json.loads((out / "graph.json").read_text())
+        assert [(n["t"], n["id"], n["track"]) for n in doc["nodes"]] == \
+            [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
+        assert [(e["t"], e["i"], e["j"]) for e in doc["edges"]] == [(0, 0, 0)]
+
+
 class TestCompare:
     def test_report_files_and_retention(self, ridge_file, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -610,6 +662,16 @@ class TestInspect:
         assert main(["inspect", str(out / "graph.json")]) == 0
         text = capsys.readouterr().out
         assert "2 layers, 4 nodes, 2 edges, 2 tracks" in text
+
+    @pytest.mark.parametrize("name", ["graph.json", "correspondence_forward_0000.json"])
+    def test_document_is_parsed_once(self, ridge_file, tmp_path, monkeypatch, name):
+        out = tmp_path / "out"
+        main(["run", "--input", str(ridge_file), "--out", str(out)])
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        assert main(["inspect", str(out / name)]) == 0
+        assert len(calls) == 1
 
     def test_rejects_other_json(self, tmp_path):
         p = tmp_path / "other.json"

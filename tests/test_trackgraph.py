@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from extrack import correspond
+from extrack import correspond, trackgraph
 from extrack.correspond import OverlapMatrix, _csr
 from extrack.field import GridDomain
 from extrack.trackgraph import (
@@ -17,6 +17,7 @@ from extrack.trackgraph import (
     NodeColumns,
     SemanticPredicate,
     TrackingGraph,
+    _edge_rows,
     assemble,
     export,
     extremum_layers,
@@ -31,6 +32,7 @@ from helpers import (
     oracle_export_dot,
     oracle_export_json,
     oracle_extremum_layers,
+    oracle_propagate_tracks,
     oracle_semantic_filter,
     oracle_threshold_filter,
     run_python,
@@ -664,3 +666,119 @@ class TestAgainstOracles:
         back = import_graph(text)
         assert_same_graph(back, g)
         assert export(back, "json") == text
+
+
+def sparse_layer(rng, domain, t, n, kind):
+    """n nodes with distinct ids drawn from 0..3n-1, so some matrix
+    indices below n name no node."""
+    ids = np.sort(rng.choice(3 * n, size=n, replace=False))
+    vertices = rng.integers(0, domain.vertex_count, size=n)
+    values = rng.integers(-6, 6, size=n) / 3
+    return [GraphNode(t, int(i), kind, int(v), float(x), domain.position(int(v)))
+            for i, v, x in zip(ids, vertices, values)]
+
+
+def column_layer(rng, domain, t, n, kind):
+    vertices = rng.integers(0, domain.vertex_count, size=n)
+    return NodeColumns.for_step(t, kind, vertices, rng.integers(-6, 6, size=n) / 3,
+                                domain.positions(vertices))
+
+
+def tied_cm(rng, rows, cols, direction, live_rows, live_cols):
+    """Probabilities in quarters (many exact ties), nonzero only where both
+    indices name a node."""
+    dense = rng.integers(0, 5, size=(rows, cols)) * (rng.random((rows, cols)) < 0.6) / 4
+    dense[~np.isin(np.arange(rows), live_rows)] = 0
+    dense[:, ~np.isin(np.arange(cols), live_cols)] = 0
+    return cm(dense, direction, 4)
+
+
+def assert_oracle_tracks(g):
+    """The graph's tracks are those the per-object oracle derives from its
+    own edges, and its carried node rows are those a search finds."""
+    layers = [g.layer(t) for t in range(g.n_layers)]
+    expect = oracle_propagate_tracks(layers, list(g.edges))
+    assert [n.track for n in g.nodes] == [n.track for n in expect]
+    e = g.edge_columns
+    src, dst = _edge_rows(g.node_columns, e)
+    np.testing.assert_array_equal(e.src, src)
+    np.testing.assert_array_equal(e.dst, dst)
+
+
+class TestCarriedRows:
+    """Node rows carried from assembly through both filters, and tracks
+    derived once, for the graph that is read."""
+
+    @pytest.mark.parametrize("layout", ["columns", "sparse-objects", "mixed"])
+    def test_tracks_through_both_filters_match_the_oracle(self, layout):
+        rng = np.random.default_rng({"columns": 94, "sparse-objects": 95, "mixed": 96}[layout])
+        domain = GridDomain((6, 7), spacing=(1.0, 0.5), periodic=(False, True))
+        predicates = [
+            SemanticPredicate(value_min=-1.0),
+            SemanticPredicate(value_max=0.5, max_jump=2.0),
+            SemanticPredicate(box_min=(1.0, 0.5), box_max=(4.0, 2.5)),
+            SemanticPredicate(value_min=-1.5, box_max=(5.0, 2.0), max_jump=1.5),
+        ]
+        for _ in range(12):
+            sizes = rng.integers(1, 9, size=rng.integers(2, 6)).tolist()
+            layers = []
+            for t, n in enumerate(sizes):
+                kind = ("extremum", "feature")[rng.integers(2)]
+                sparse = layout == "sparse-objects" or (layout == "mixed" and rng.random() < 0.5)
+                layers.append(sparse_layer(rng, domain, t, n, kind) if sparse
+                              else column_layer(rng, domain, t, n, kind))
+            ids = [np.array([x.id for x in layer]) if isinstance(layer, list) else layer.id
+                   for layer in layers]
+            cm_f = [tied_cm(rng, a, b, "forward", ids[t], ids[t + 1])
+                    for t, (a, b) in enumerate(zip(sizes, sizes[1:]))]
+            cm_b = [tied_cm(rng, b, a, "backward", ids[t + 1], ids[t])
+                    for t, (a, b) in enumerate(zip(sizes, sizes[1:]))]
+            for policy in POLICIES:
+                g = assemble(layers, cm_f, cm_b, policy)
+                h = threshold_filter(g, 0.25, "any")
+                for pred in predicates:
+                    k = semantic_filter(h, domain, pred)
+                    assert_oracle_tracks(k)
+                assert_oracle_tracks(h)
+                assert_oracle_tracks(g)
+
+    def test_value_window_and_box_drop_nodes(self):
+        # the remap of carried rows is exercised only when nodes go
+        rng = np.random.default_rng(97)
+        domain = GridDomain((6, 7))
+        layers = [column_layer(rng, domain, t, 8, "extremum") for t in range(3)]
+        ids = [layer.id for layer in layers]
+        cm_f = [tied_cm(rng, 8, 8, "forward", ids[t], ids[t + 1]) for t in range(2)]
+        cm_b = [tied_cm(rng, 8, 8, "backward", ids[t + 1], ids[t]) for t in range(2)]
+        g = assemble(layers, cm_f, cm_b, ConnectivityPolicy(bidirectional=False))
+        for pred in (SemanticPredicate(value_min=0.0), SemanticPredicate(box_max=(3.0, 3.0))):
+            out = semantic_filter(g, domain, pred)
+            assert 0 < len(out.node_columns) < len(g.node_columns)
+            assert_oracle_tracks(out)
+
+    def test_filtered_away_graph_never_propagates(self, monkeypatch):
+        calls = []
+        propagate = trackgraph._propagate_tracks
+        monkeypatch.setattr(trackgraph, "_propagate_tracks",
+                            lambda *a: calls.append(1) or propagate(*a))
+        g = assemble(mk_layers([2, 2, 2]), [cm(np.eye(2), "forward")] * 2,
+                     [cm(np.eye(2), "backward")] * 2, ConnectivityPolicy())
+        h = semantic_filter(threshold_filter(g, 0.5), GridDomain((4, 4)),
+                            SemanticPredicate(max_jump=1.0))
+        assert calls == []
+        assert {n.track for n in h.nodes} == {0, 1}
+        h.layer(1)
+        export(h, "json")
+        assert calls == [1]
+
+    def test_carried_row_to_an_absent_node_raises(self):
+        nodes = NodeColumns.concat([NodeColumns.for_step(t, "extremum", [0, 1], [0.0, 1.0],
+                                                         [[0.0, 0.0], [1.0, 0.0]])
+                                    for t in range(2)])
+        edge = EdgeColumns.build([0], [0], [1], [1.0], [np.nan], [1.0])
+        TrackingGraph(nodes, edge.with_rows(np.array([0]), np.array([3])))
+        for src, dst in (([0], [4]), ([-1], [3]), ([0], [2]), ([1], [3]), ([2], [3])):
+            with pytest.raises(AssertionError):
+                TrackingGraph(nodes, edge.with_rows(np.array(src), np.array(dst)))
+        with pytest.raises(AssertionError):  # no carried rows: found by search
+            TrackingGraph(nodes, EdgeColumns.build([0], [0], [2], [1.0], [np.nan], [1.0]))
