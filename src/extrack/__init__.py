@@ -14,7 +14,6 @@ from .field import (
 from .morse import (
     Extremum,
     ManifoldLabeling,
-    TotalOrder,
     label_manifolds,
     persistence_pairs,
     simplify,
@@ -66,7 +65,6 @@ __all__ = [
     "vertex_neighbors",
     "Extremum",
     "ManifoldLabeling",
-    "TotalOrder",
     "label_manifolds",
     "persistence_pairs",
     "simplify",

@@ -18,12 +18,12 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .field import GridDomain, sampling_offsets, stencil_vertices
-from .morse import Extremum, ManifoldLabeling
+from .morse import ManifoldLabeling
 
 Direction = Literal["forward", "backward"]
 Strategy = Literal["sampling-euclidean", "sampling-combinatorial", "manifold-overlap", "binary"]
@@ -53,6 +53,15 @@ def _csr(rows: int, cols: int, ii, jj, cc=None):
     return indptr, keys % max(cols, 1), counts
 
 
+def _ints(value, what: str) -> np.ndarray:
+    """A document's integer value or list as int64; ``ValueError`` naming it
+    unless numpy reads it as integers (no float, even if integral, bool or str)."""
+    a = np.asarray(value)
+    if a.size and a.dtype.kind != "i":
+        raise ValueError(f"{what} must be integers, got {a.dtype} values")
+    return a.astype(np.int64, copy=False)
+
+
 def _row_of(m) -> np.ndarray:
     """Row id of every stored entry of a CSR matrix."""
     return np.repeat(np.arange(m.rows), np.diff(m.indptr))
@@ -62,8 +71,8 @@ def _row_of(m) -> np.ndarray:
 class OverlapMatrix:
     """Sparse integer counts over row denominators, row-compressed.
 
-    ``kind`` picks what ``items`` and ``to_dense`` return: the counts of an
-    overlap matrix, or the probabilities ``probs`` of a correspondence
+    ``kind`` picks what ``values`` and ``to_dense`` return: the counts of
+    an overlap matrix, or the probabilities ``probs`` of a correspondence
     matrix. Feature rows may fall short of their denominator. Entries are
     stored row-major with one per (i, j), as ``_csr`` builds them.
     """
@@ -103,27 +112,6 @@ class OverlapMatrix:
     def values(self) -> np.ndarray:
         """Stored values of this kind: probabilities or counts."""
         return self.probs if self.kind == "correspondence" else self.counts
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        sl = slice(self.indptr[i], self.indptr[i + 1])
-        return self.indices[sl], self.counts[sl]
-
-    def _at(self, i: int, j: int, values: np.ndarray, absent):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = lo + np.searchsorted(self.indices[lo:hi], j)
-        return values[k] if k < hi and self.indices[k] == j else absent
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._at(i, j, self.counts, 0))
-
-    def prob(self, i: int, j: int) -> float:
-        return float(self._at(i, j, self.probs, 0.0))
-
-    def items(self):
-        return zip(_row_of(self).tolist(), self.indices.tolist(), self.values.tolist())
-
-    def support(self) -> set[tuple[int, int]]:
-        return set(zip(_row_of(self).tolist(), self.indices.tolist()))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
@@ -165,22 +153,22 @@ def _check_pair(a: ManifoldLabeling, b: ManifoldLabeling):
 
 
 def sampling_neighborhood(
-    m: Extremum,
+    vertex: int,
     domain: GridDomain,
     mode: SamplingMode,
     d: float,
     lattice_units: bool = False,
 ) -> np.ndarray:
-    """Vertex set within distance d of an extremum, sorted by id.
+    """Vertex set within distance d of a vertex, sorted by id.
 
     Euclidean mode measures world distance (or plain lattice distance when
     ``lattice_units`` is set); combinatorial mode takes floor(d) hops over
     the grid triangulation. One neighborhood of the offset stencil that
-    ``sampling_overlap`` applies to every extremum at once; the library
-    itself does not call it.
+    ``sampling_overlap`` applies to every extremum's vertex at once; the
+    library itself does not call it.
     """
     offsets = sampling_offsets(domain, mode, d, lattice_units)
-    ids, inside = stencil_vertices(domain, offsets, [m.vertex])
+    ids, inside = stencil_vertices(domain, offsets, [vertex])
     return np.sort(ids[inside])
 
 
@@ -281,21 +269,22 @@ def matrix_to_doc(m: OverlapMatrix, t: int) -> dict:
 
 def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     """The matrix of a document read from outside; every invariant of the
-    type is checked with a ``ValueError``, so ``python -O`` loads no
-    malformed document either."""
-    if doc["kind"] not in ("overlap", "correspondence"):
-        raise ValueError(f"unknown matrix kind {doc['kind']!r}")
-    if doc["direction"] not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {doc['direction']!r}")
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    type, integral shapes, steps, denominators and entries included, is
+    checked with a ``ValueError``, so ``python -O`` loads no malformed
+    document either."""
+    for key, names in (("kind", get_args(Kind)), ("direction", get_args(Direction)),
+                       ("strategy", get_args(Strategy))):
+        if doc[key] not in names:
+            raise ValueError(f"unknown matrix {key} {doc[key]!r}")
+    rows, cols = (int(_ints(doc[key], repr(key))) for key in ("rows", "cols"))
     if rows < 0 or cols < 0:
         raise ValueError(f"negative shape {rows} x {cols}")
-    denom = np.asarray(doc["denominators"], dtype=np.int64).reshape(-1)
+    denom = _ints(doc["denominators"], "'denominators'").reshape(-1)
     if denom.size != rows:
         raise ValueError(f"{denom.size} denominators for {rows} rows")
     if (denom < 1).any():
         raise ValueError("denominators must be positive")
-    ii, jj, cc = np.asarray(doc["entries"], dtype=np.int64).reshape(-1, 3).T
+    ii, jj, cc = _ints(doc["entries"], "'entries'").reshape(-1, 3).T
     if (cc < 1).any():
         raise ValueError("entry counts must be at least 1")
     indptr, indices, counts = _csr(rows, cols, ii, jj, cc)
@@ -303,7 +292,7 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
         raise ValueError("an entry count exceeds its row denominator")
     m = OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],
                       indptr, indices, counts, denom, doc["kind"])
-    return m, int(doc["t"])
+    return m, int(_ints(doc["t"], "'t'"))
 
 
 # Rows per block of the artifact writers: it bounds the temporaries the

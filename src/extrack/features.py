@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _csr, _row_of
+from .correspond import OverlapMatrix, _csr, _ints, _row_of
 from .morse import ManifoldLabeling
 
 
@@ -64,9 +64,6 @@ class FeatureSet:
     @property
     def n_features(self) -> int:
         return len(self.index_sets)
-
-    def covered(self) -> set[int]:
-        return {i for s in self.index_sets for i in s}
 
     def membership(self, n_extrema: int) -> np.ndarray:
         """Extremum id -> feature position, -1 where uncovered."""
@@ -148,21 +145,21 @@ def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) ->
 
 def load_features(path) -> list[FeatureSet]:
     """Read feature sets from JSON: one object or a list of objects of the
-    form {t, features: [{id, label?, extrema: [...]}, ...]}."""
+    form {t, features: [{id, label?, extrema: [...]}, ...]}. A step, a
+    feature id or an extremum id that is not an integer raises
+    ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(doc, dict):
         doc = [doc]
     out = []
     for entry in doc:
-        feats = sorted(entry["features"], key=lambda f: int(f["id"]))
-        out.append(
-            FeatureSet(
-                int(entry["t"]),
-                tuple(tuple(int(i) for i in f["extrema"]) for f in feats),
-                tuple(f.get("label") for f in feats),
-                tuple(int(f["id"]) for f in feats),
-            )
-        )
+        ids = _ints([f["id"] for f in entry["features"]], "feature 'id'")
+        order = np.argsort(ids, kind="stable")
+        feats = [entry["features"][k] for k in order]
+        sets = tuple(f["extrema"] for f in feats)
+        _ints(list(chain.from_iterable(sets)), "feature 'extrema'")
+        out.append(FeatureSet(int(_ints(entry["t"], "'t'")), sets,
+                              tuple(f.get("label") for f in feats), tuple(ids[order].tolist())))
     out.sort(key=lambda fs: fs.t)
     return out
 

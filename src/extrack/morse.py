@@ -49,20 +49,6 @@ ManifoldKind = Literal["ascending", "descending"]
 _MANIFOLD_OF = {"minimum": "ascending", "maximum": "descending"}
 
 
-class TotalOrder:
-    """Strict total order on vertices: lexicographic (value, vertex id)."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64).reshape(-1)
-
-    def less(self, u: int, v: int) -> bool:
-        return (self.values[u], u) < (self.values[v], v)
-
-    def ascending(self) -> np.ndarray:
-        """All vertex ids sorted ascending under the order."""
-        return _total_order(self.values)[0]
-
-
 def _id_dtype(n: int):
     """The integer type of ids 0..n-1: int32 while n fits, else int64."""
     return np.int32 if n < 2**31 else np.int64
@@ -115,9 +101,9 @@ class Extremum:
 class ExtremumColumns:
     """A labeling's extrema as parallel arrays; row i is extremum i.
 
-    Ids are implicit (``arange``). Indexing and iteration yield
-    ``Extremum`` objects, so the columns read like the tuple of extrema
-    they stand for.
+    Ids are implicit (``arange``). Indexing and iteration yield read-only
+    ``Extremum`` views, so the columns read like the tuple of extrema they
+    stand for.
     """
 
     kind: ExtremumKind
@@ -132,14 +118,6 @@ class ExtremumColumns:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         assert self.vertex.size == self.value.size == self.persistence.size
-
-    @classmethod
-    def from_objects(cls, kind: ExtremumKind, extrema) -> "ExtremumColumns":
-        extrema = tuple(extrema)
-        assert [e.id for e in extrema] == list(range(len(extrema))), "ids must be 0..n-1"
-        assert all(e.kind == kind for e in extrema)
-        return cls(kind, [e.vertex for e in extrema], [e.value for e in extrema],
-                   [e.persistence for e in extrema])
 
     def take(self, rows: np.ndarray) -> "ExtremumColumns":
         """The given rows, renumbered 0..len(rows)-1."""
@@ -167,8 +145,7 @@ class ManifoldLabeling:
     vertex v; ``sizes[i]`` counts the vertices labeled i. The private
     arrays record, per extremum, the merge saddle and the extremum it
     merges into (-1 for the global extremum), which lets ``simplify``
-    relabel without re-running the sweep. ``extrema`` may be given as a
-    sequence of ``Extremum`` with ids 0..n-1; it is stored as columns.
+    relabel without re-running the sweep.
     """
 
     kind: ManifoldKind
@@ -180,9 +157,6 @@ class ManifoldLabeling:
     _partners: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.extrema, ExtremumColumns):
-            object.__setattr__(self, "extrema",
-                               ExtremumColumns.from_objects(self.extremum_kind, self.extrema))
         assert self.extrema.kind == self.extremum_kind
         assert self.label.size == self.domain.vertex_count
         assert int(self.sizes.sum()) == self.domain.vertex_count

@@ -15,8 +15,9 @@ reads them off the layer offsets, the filters carry them along, and a graph
 from outside resolves them with one search. Graphs built by ``assemble``
 and the filters derive their track ids when their nodes are first read, so
 a graph that only feeds the next filter never propagates tracks.
-``GraphNode``/``GraphEdge`` objects are built only when a caller reads
-``TrackingGraph.nodes``, ``.edges`` or ``.layer(t)``.
+Every entry point takes columns; ``GraphNode``/``GraphEdge`` objects are
+read-only output views, built only when a caller reads
+``TrackingGraph.nodes`` or ``.edges``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _json_list, _row_of, _rows
+from .correspond import OverlapMatrix, _ints, _json_list, _row_of, _rows
 from .field import GridDomain, minimum_image_distance
 from .morse import ManifoldLabeling, _resolve_roots
 
@@ -120,13 +121,6 @@ class NodeColumns:
                    np.asarray(track, np.int64).reshape(n)[order])
 
     @classmethod
-    def from_objects(cls, nodes: Iterable[GraphNode]) -> "NodeColumns":
-        nodes = list(nodes)
-        return cls.build([n.t for n in nodes], [n.id for n in nodes], [n.kind for n in nodes],
-                         [n.vertex for n in nodes], [n.value for n in nodes],
-                         [n.pos for n in nodes], [n.track for n in nodes])
-
-    @classmethod
     def concat(cls, parts: Sequence["NodeColumns"]) -> "NodeColumns":
         parts = [p for p in parts if len(p)]  # an empty part has no rank
         if not parts:
@@ -190,15 +184,6 @@ class EdgeColumns:
                    *(np.asarray(a, np.float64).reshape(n)[order] for a in (pf, pb, strength)))
 
     @classmethod
-    def from_objects(cls, edges: Iterable[GraphEdge]) -> "EdgeColumns":
-        edges = list(edges)
-        nan = float("nan")
-        return cls.build([e.t for e in edges], [e.i for e in edges], [e.j for e in edges],
-                         [nan if e.p_forward is None else e.p_forward for e in edges],
-                         [nan if e.p_backward is None else e.p_backward for e in edges],
-                         [e.strength for e in edges])
-
-    @classmethod
     def concat(cls, parts: Sequence["EdgeColumns"]) -> "EdgeColumns":
         if not parts:
             return cls.build([], [], [], [], [], [])
@@ -225,19 +210,16 @@ class EdgeColumns:
 
 
 class TrackingGraph:
-    """Nodes, edges and metadata of one tracking graph.
+    """Nodes, edges and metadata of one tracking graph, as columns.
 
-    ``nodes`` and ``edges`` are either ``GraphNode``/``GraphEdge``
-    sequences or column tables; both are stored as columns. Edges without
-    node rows get them from one search; the node tracks are kept as given.
+    Edges without node rows get them from one search; the node tracks are
+    kept as given.
     """
 
-    def __init__(self, nodes, edges, meta: dict | None = None):
-        n = nodes if isinstance(nodes, NodeColumns) else NodeColumns.from_objects(nodes)
-        e = edges if isinstance(edges, EdgeColumns) else EdgeColumns.from_objects(edges)
-        if e.src is None:
-            e = e.with_rows(*_edge_rows(n, e))
-        self._nodes, self.edge_columns = n, e
+    def __init__(self, nodes: NodeColumns, edges: EdgeColumns, meta: dict | None = None):
+        if edges.src is None:
+            edges = edges.with_rows(*_edge_rows(nodes, edges))
+        self._nodes, self.edge_columns = n, e = nodes, edges
         self._tracks_pending = False
         self.meta = {} if meta is None else meta
         # edges may only span one step, between known nodes
@@ -274,22 +256,12 @@ class TrackingGraph:
     def n_layers(self) -> int:
         return 1 + int(self._nodes.t.max(initial=-1))
 
-    def layer(self, t: int) -> list[GraphNode]:
-        return list(self.node_columns.take(self.node_columns.t == t))
-
-    def edge_set(self) -> set[tuple[int, int, int]]:
-        e = self.edge_columns
-        return set(zip(e.t.tolist(), e.i.tolist(), e.j.tolist()))
-
 
 def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
     """Node columns (track unset) for each step's extrema."""
-    layers = []
-    for t, lab in enumerate(labelings):
-        ex = lab.extrema
-        layers.append(NodeColumns.for_step(t, "extremum", ex.vertex, ex.value,
-                                           lab.domain.positions(ex.vertex)))
-    return layers
+    return [NodeColumns.for_step(t, "extremum", lab.extrema.vertex, lab.extrema.value,
+                                 lab.domain.positions(lab.extrema.vertex))
+            for t, lab in enumerate(labelings)]
 
 
 def _edge_rows(nodes: NodeColumns, e: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +341,7 @@ def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
 
 
 def assemble(
-    layers: Sequence[NodeColumns | Sequence[GraphNode]],
+    layers: Sequence[NodeColumns],
     cm_forward: Sequence[OverlapMatrix],
     cm_backward: Sequence[OverlapMatrix],
     policy: ConnectivityPolicy,
@@ -379,11 +351,14 @@ def assemble(
 
     ``cm_forward[t]`` maps layer t to t+1; ``cm_backward[t]`` maps layer
     t+1 back to t. A bidirectional policy requires both entries for an
-    edge; otherwise either direction suffices.
+    edge; otherwise either direction suffices. Matrix index k is node k
+    of its layer, so each layer's ids must be 0..n-1.
     """
     if len(cm_forward) != len(layers) - 1 or len(cm_backward) != len(layers) - 1:
         raise ValueError("need exactly one matrix pair per consecutive layer pair")
-    layers = [x if isinstance(x, NodeColumns) else NodeColumns.from_objects(x) for x in layers]
+    for t, x in enumerate(layers):
+        if not np.array_equal(x.id, np.arange(len(x))):
+            raise ValueError(f"layer {t} has node ids other than 0..{len(x) - 1}")
     parts = []
     for t in range(len(layers) - 1):
         fwd, bwd = cm_forward[t], cm_backward[t]
@@ -392,10 +367,8 @@ def assemble(
             raise ValueError(f"matrix shape mismatch at step {t}")
         parts.append(_pair_edges(t, fwd, bwd, policy))
     edges = EdgeColumns.concat(parts)
-    if all(np.array_equal(x.id, np.arange(len(x))) for x in layers):
-        # matrix index k is node id k, the k-th node of its layer
-        offset = np.cumsum([0] + [len(x) for x in layers])
-        edges = edges.with_rows(offset[edges.t] + edges.i, offset[edges.t + 1] + edges.j)
+    offset = np.cumsum([0] + [len(x) for x in layers])
+    edges = edges.with_rows(offset[edges.t] + edges.i, offset[edges.t + 1] + edges.j)
     meta = {
         "strategy": strategy,
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
@@ -573,6 +546,12 @@ def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
     return records
 
 
+def _column(records: list[dict], name: str, key: str):
+    """``key`` of every record; an integer key as a checked int64 array."""
+    c = [x[key] for x in records]
+    return _ints(c, f"{name} {key!r}") if key in ("t", "id", "vertex", "track", "i", "j") else c
+
+
 def import_graph(text: str) -> TrackingGraph:
     """Inverse of the JSON export; stored track ids are kept as-is."""
     return doc_to_graph(json.loads(text))
@@ -582,16 +561,17 @@ def doc_to_graph(doc) -> TrackingGraph:
     """The graph of a parsed graph document; stored track ids are kept as-is.
 
     The document comes from outside, so every check raises ``ValueError``
-    (also under ``python -O``): required keys, each node (t, id) listed
-    once with t >= 0, each edge (t, i, j) listed once between nodes that
-    exist in layers t and t+1, and probabilities and strengths in (0, 1].
+    (also under ``python -O``): required keys, integers in the integer
+    keys, each node (t, id) listed once with t >= 0, each edge (t, i, j)
+    listed once between nodes that exist in layers t and t+1, and
+    probabilities and strengths in (0, 1].
     """
     nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
     nan = float("nan")
-    nodes = NodeColumns.build(*([x[k] for x in nd] for k in _NODE_KEYS))
+    nodes = NodeColumns.build(*(_column(nd, "node", k) for k in _NODE_KEYS))
     # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
     if len(nodes) and nodes.t[0] < 0:
         raise ValueError(f"node t{nodes.t[0]} #{nodes.id[0]} has a negative step")
@@ -599,9 +579,9 @@ def doc_to_graph(doc) -> TrackingGraph:
     if twice.size:
         k = twice[0]
         raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
-    e = EdgeColumns.build([x["t"] for x in ed], [x["i"] for x in ed], [x["j"] for x in ed],
+    e = EdgeColumns.build(*(_column(ed, "edge", k) for k in _EDGE_KEYS[:3]),
                           [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
-                          [x["strength"] for x in ed])
+                          _column(ed, "edge", "strength"))
     src, dst = _edge_rows(nodes, e)
     absent = (src < 0) | (dst < 0)
     if absent.any():

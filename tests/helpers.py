@@ -21,8 +21,9 @@ import numpy as np
 import extrack
 from extrack.correspond import _row_of, matrix_to_doc
 from extrack.field import GridDomain, ScalarFieldSeries, _freudenthal_offsets, minimum_image_distance
-from extrack.morse import Extremum, ManifoldLabeling
-from extrack.trackgraph import _BIN_WIDTHS, _TRACK_COLORS, GraphEdge, GraphNode, TrackingGraph
+from extrack.morse import Extremum, ExtremumColumns, ManifoldLabeling
+from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, EdgeColumns, GraphEdge, GraphNode,
+                                NodeColumns, TrackingGraph)
 
 
 def grid_series(values_per_step, spacing=None, periodic=None) -> ScalarFieldSeries:
@@ -102,7 +103,7 @@ def fake_labeling(domain: GridDomain, label, kind="ascending", values=None) -> M
         val = 0.0 if values is None else float(values[i])
         extrema.append(Extremum(i, v, val, math.inf, ex_kind))
     sizes = np.bincount(label, minlength=n)
-    return ManifoldLabeling(kind, domain, label.copy(), tuple(extrema), sizes)
+    return ManifoldLabeling(kind, domain, label.copy(), extremum_columns(ex_kind, extrema), sizes)
 
 
 def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> list[int]:
@@ -292,6 +293,84 @@ def oracle_extrema(w: np.ndarray, values: np.ndarray, domain: GridDomain, kind):
                  for i, v in enumerate(ex))
 
 
+# Adapters from per-object test inputs to the library's columns, and
+# per-entry views of its results. The library takes columns only and
+# builds objects only as output views.
+
+
+def extremum_columns(kind, extrema) -> ExtremumColumns:
+    """The columns of a sequence of ``Extremum``; row i is the i-th one, as
+    ids are implicit."""
+    extrema = list(extrema)
+    return ExtremumColumns(kind, [e.vertex for e in extrema], [e.value for e in extrema],
+                           [e.persistence for e in extrema])
+
+
+def layer_of(nodes) -> NodeColumns:
+    """The columns of a sequence of ``GraphNode``, sorted by (t, id)."""
+    nodes = list(nodes)
+    return NodeColumns.build(*([getattr(n, k) for n in nodes]
+                               for k in ("t", "id", "kind", "vertex", "value", "pos", "track")))
+
+
+def edges_of(edges) -> EdgeColumns:
+    """The columns of a sequence of ``GraphEdge``, sorted by (t, i, j);
+    an absent probability (None) becomes NaN."""
+    edges = list(edges)
+    nan = float("nan")
+    return EdgeColumns.build([e.t for e in edges], [e.i for e in edges], [e.j for e in edges],
+                             [nan if e.p_forward is None else e.p_forward for e in edges],
+                             [nan if e.p_backward is None else e.p_backward for e in edges],
+                             [e.strength for e in edges])
+
+
+def graph_of(nodes, edges, meta=None) -> TrackingGraph:
+    """A graph of ``GraphNode``/``GraphEdge`` sequences."""
+    return TrackingGraph(layer_of(nodes), edges_of(edges), meta)
+
+
+def nodes_at(g, t: int) -> list[GraphNode]:
+    """The nodes of layer t, by id."""
+    return [n for n in g.nodes if n.t == t]
+
+
+def edge_set(g) -> set[tuple[int, int, int]]:
+    """Every edge of g as (t, i, j)."""
+    e = g.edge_columns
+    return set(zip(e.t.tolist(), e.i.tolist(), e.j.tolist()))
+
+
+def items(m):
+    """(i, j, value) per stored entry, the value of m's kind."""
+    return zip(_row_of(m).tolist(), m.indices.tolist(), m.values.tolist())
+
+
+def support(m) -> set[tuple[int, int]]:
+    """The (i, j) of every stored entry."""
+    return set(zip(_row_of(m).tolist(), m.indices.tolist()))
+
+
+def _at(m, i: int, j: int, values: np.ndarray):
+    hit = np.flatnonzero((_row_of(m) == i) & (m.indices == j))
+    return values[hit[0]] if hit.size else 0
+
+
+def entry(m, i: int, j: int) -> int:
+    """The count at (i, j), 0 where no entry is stored."""
+    return int(_at(m, i, j, m.counts))
+
+
+def prob(m, i: int, j: int) -> float:
+    """The probability at (i, j), 0.0 where no entry is stored."""
+    return float(_at(m, i, j, m.probs))
+
+
+def row(m, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and counts of row i."""
+    sl = slice(m.indptr[i], m.indptr[i + 1])
+    return m.indices[sl], m.counts[sl]
+
+
 # Reference implementations of the tracking graph and the artifact writers:
 # one Python object per node, edge and matrix entry, kept as the judges of
 # the column-array code in extrack.trackgraph and extrack.correspond.
@@ -362,12 +441,12 @@ def oracle_assemble(layers, cm_forward, cm_backward, policy, strategy=None):
     edges = []
     for t in range(len(layers) - 1):
         fwd, bwd = cm_forward[t], cm_backward[t]
-        pairs = {(i, j) for i, j, _ in fwd.items()}
-        back_pairs = {(i, j) for j, i, _ in bwd.items()}
+        pairs = support(fwd)
+        back_pairs = {(i, j) for j, i in support(bwd)}
         keep = pairs & back_pairs if policy.bidirectional else pairs | back_pairs
         for i, j in sorted(keep):
-            pf = fwd.prob(i, j) or None
-            pb = bwd.prob(j, i) or None
+            pf = prob(fwd, i, j) or None
+            pb = prob(bwd, j, i) or None
             edges.append(GraphEdge(t, i, j, pf, pb, _oracle_edge_strength(policy.strength, pf, pb)))
     nodes = oracle_propagate_tracks([list(layer) for layer in layers], edges)
     meta = {
@@ -375,7 +454,7 @@ def oracle_assemble(layers, cm_forward, cm_backward, policy, strategy=None):
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
         "thresholds": {},
     }
-    return TrackingGraph(nodes, tuple(edges), meta)
+    return graph_of(nodes, edges, meta)
 
 
 def oracle_threshold_filter(g, p_min, require="any"):
@@ -387,10 +466,10 @@ def oracle_threshold_filter(g, p_min, require="any"):
         return all(hits) if require == "both" else any(hits)
 
     edges = tuple(e for e in g.edges if keep(e))
-    nodes = oracle_propagate_tracks([g.layer(t) for t in range(g.n_layers)], list(edges))
+    nodes = oracle_propagate_tracks([nodes_at(g, t) for t in range(g.n_layers)], list(edges))
     meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
     meta["thresholds"]["probability"] = {"p_min": p_min, "require": require}
-    return TrackingGraph(nodes, edges, meta)
+    return graph_of(nodes, edges, meta)
 
 
 def oracle_semantic_filter(g, domain, predicate):
@@ -434,7 +513,7 @@ def oracle_semantic_filter(g, domain, predicate):
         )
         if v is not None
     }
-    return TrackingGraph(nodes, edges, meta)
+    return graph_of(nodes, edges, meta)
 
 
 def oracle_export_json(g) -> str:
@@ -473,7 +552,7 @@ def oracle_export_dot(g) -> str:
         "  node [shape=circle, style=filled];",
     ]
     for t in range(g.n_layers):
-        layer = sorted(g.layer(t), key=lambda n: n.id)
+        layer = sorted(nodes_at(g, t), key=lambda n: n.id)
         lines.append(f"  subgraph layer_{t} {{")
         lines.append("    rank=same;")
         for n in layer:

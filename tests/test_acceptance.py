@@ -36,6 +36,7 @@ from extrack.trackgraph import (
     strength_bin,
     threshold_filter,
 )
+from helpers import edge_set, items, prob, support
 from test_features import random_partition
 
 N_RANDOM_SERIES = 100
@@ -118,9 +119,9 @@ def test_criterion_3_binary_equals_zero_distance_sampling():
             c_bin = binary_correspondence(a, b, "forward")
             for mode in ("euclidean", "combinatorial"):
                 c_zero = normalize(sampling_overlap(a, b, dom, mode, 0.0, "forward"))
-                assert c_bin.support() == c_zero.support()
-                for i, j, p in c_bin.items():
-                    assert c_zero.prob(i, j) == p == 1.0
+                assert support(c_bin) == support(c_zero)
+                for i, j, p in items(c_bin):
+                    assert prob(c_zero, i, j) == p == 1.0
     print(f"PASS 3: binary correspondence equals normalized d=0 sampling "
           f"entry-for-entry on {N_RANDOM_SERIES} random series (both modes)")
 
@@ -142,33 +143,33 @@ def test_criterion_4_ridge_scenario():
     layers = extremum_layers(labs)
     bin_f = binary_correspondence(lab0, lab1, "forward")
     bin_b = binary_correspondence(lab1, lab0, "backward")
-    assert bin_b.prob(B1, A0) == 1.0 and bin_b.prob(B1, B0) == 0.0
+    assert prob(bin_b, B1, A0) == 1.0 and prob(bin_b, B1, B0) == 0.0
     g_bin = threshold_filter(
         assemble(layers, [bin_f], [bin_b], ConnectivityPolicy()), 0.0, "any"
     )
-    assert g_bin.edge_set() == {(0, A0, A1)}, "binary graph must miss the B edge"
+    assert edge_set(g_bin) == {(0, A0, A1)}, "binary graph must miss the B edge"
     assert len({n.track for n in g_bin.nodes}) == 3
 
     # (b) Euclidean sampling sees both candidates, A0 more probable
     for d, (to_a, to_b) in ((1.0, (4 / 5, 1 / 5)), (2.0, (9 / 13, 4 / 13))):
         c_bwd = normalize(sampling_overlap(lab1, lab0, dom, "euclidean", d, "backward"))
-        assert c_bwd.prob(B1, A0) == to_a
-        assert c_bwd.prob(B1, B0) == to_b
-        assert c_bwd.prob(B1, A0) > c_bwd.prob(B1, B0) > 0.0
+        assert prob(c_bwd, B1, A0) == to_a
+        assert prob(c_bwd, B1, B0) == to_b
+        assert prob(c_bwd, B1, A0) > prob(c_bwd, B1, B0) > 0.0
 
     # (c) manifold overlap favors B0 instead
     fwd, bwd = manifold_overlap(lab0, lab1)
     assert fwd.to_dense().tolist() == [[997, 46], [15, 542]]
     c_bwd = normalize(bwd)
-    assert c_bwd.prob(B1, B0) == 542 / 588
-    assert c_bwd.prob(B1, A0) == 46 / 588
-    assert c_bwd.prob(B1, B0) > c_bwd.prob(B1, A0) > 0.0
+    assert prob(c_bwd, B1, B0) == 542 / 588
+    assert prob(c_bwd, B1, A0) == 46 / 588
+    assert prob(c_bwd, B1, B0) > prob(c_bwd, B1, A0) > 0.0
 
     # and its default graph carries both tracks through
     g = threshold_filter(
         assemble(layers, [normalize(fwd)], [c_bwd], ConnectivityPolicy()), 0.25, "any"
     )
-    assert g.edge_set() == {(0, A0, A1), (0, B0, B1)}
+    assert edge_set(g) == {(0, A0, A1), (0, B0, B1)}
     assert len({n.track for n in g.nodes}) == 2
 
     elapsed = time.perf_counter() - t0
@@ -183,13 +184,13 @@ def test_criterion_5_binary_support_subset_of_probabilistic():
         dom = series.domain
         for a, b in zip(labs, labs[1:]):
             for src, dst, direction in ((a, b, "forward"), (b, a, "backward")):
-                base = binary_correspondence(src, dst, direction).support()
+                base = support(binary_correspondence(src, dst, direction))
                 fwd, bwd = manifold_overlap(src, dst)
-                assert base <= fwd.support()
+                assert base <= support(fwd)
                 for mode in ("euclidean", "combinatorial"):
                     for d in (0.0, 1.0, 2.0):
                         o = sampling_overlap(src, dst, dom, mode, d, direction)
-                        assert base <= o.support()
+                        assert base <= support(o)
                         checked += 1
     print(f"PASS 5: binary support contained in probabilistic support "
           f"({checked} matrix checks: both modes, d in {{0,1,2}}, manifold)")

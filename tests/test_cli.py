@@ -21,6 +21,11 @@ def ridge_file(tmp_path_factory):
     return path
 
 
+# a well-formed one-row matrix document
+MATRIX = {"t": 0, "kind": "overlap", "direction": "forward", "strategy": "binary",
+          "rows": 1, "cols": 2, "denominators": [2], "entries": [[0, 1, 1]]}
+
+
 def read_tree(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
@@ -241,6 +246,18 @@ class TestFeaturePipeline:
         assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
                      "--features", str(fpath)]) == 3
         assert f"{fpath}: {message}" in capsys.readouterr().err
+
+    def test_non_integral_feature_file_is_a_data_error(self, ridge_file, tmp_path, capsys):
+        # it used to read as step 0, feature 0, extrema [0, 1] and exit 0
+        fpath = tmp_path / "features.json"
+        fpath.write_text('{"t": 0.9, "features": [{"id": 0.4, "extrema": [0.6, true]}]}')
+        argv = ["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                "--features", str(fpath)]
+        assert main(argv) == 3
+        assert "bad feature file: feature 'id' must be integers" in capsys.readouterr().err
+        r = run_python("-m", "extrack", *argv, optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert "feature 'id' must be integers" in r.stderr
 
 
 class TestMatrixPairs:
@@ -701,6 +718,29 @@ class TestInspect:
         r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
         assert r.returncode == 3, r.stderr
         assert "malformed matrix document" in r.stderr
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**MATRIX, "rows": 1.9, "denominators": [2.7], "entries": [[0, 1.5, 1.2]]},
+         "'rows' must be integers"),
+        ({**MATRIX, "denominators": [2.7]}, "'denominators' must be integers"),
+        ({**MATRIX, "entries": [[0, 1.5, 1.2]]}, "'entries' must be integers"),
+        ({**MATRIX, "strategy": "nonsense"}, "unknown matrix strategy 'nonsense'"),
+        ({"meta": {}, "edges": [], "nodes": [{"t": 0.7, "id": 1.9, "kind": "extremum",
+                                              "vertex": 2.5, "value": 0.0, "pos": [0.0],
+                                              "track": 0}]},
+         "node 't' must be integers"),
+    ], ids=["matrix-shape", "matrix-denominators", "matrix-entries", "matrix-strategy",
+            "graph-node"])
+    def test_non_integral_or_unknown_values_are_data_errors(self, tmp_path, capsys, doc,
+                                                            message):
+        # each used to be truncated or taken as it stood, with exit 0
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(doc))
+        assert main(["inspect", str(p)]) == 3
+        assert message in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr
 
     def test_malformed_graph_is_a_data_error(self, ridge_file, tmp_path, capsys):
         out = tmp_path / "out"

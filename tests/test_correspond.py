@@ -19,15 +19,19 @@ from extrack.correspond import (
     save_matrix,
 )
 from extrack.field import GridDomain, euclidean_ball, sampling_offsets
-from extrack.morse import Extremum, ManifoldLabeling, label_manifolds, simplify
+from extrack.morse import ExtremumColumns, ManifoldLabeling, label_manifolds, simplify
 from extrack.synth import oracle_overlap
 from helpers import (
     brute_combinatorial_ball,
+    entry,
     fake_labeling,
     oracle_matrix_json,
     oracle_sampling_overlap,
+    prob,
     random_series,
+    row,
     run_python,
+    support,
 )
 
 
@@ -115,9 +119,7 @@ class TestManifoldOverlap:
         perm = np.random.default_rng(23).permutation(n)
 
         def one_vertex_manifolds(label):
-            at = np.argsort(label)
-            extrema = tuple(Extremum(i, int(v), 0.0, np.inf, "minimum")
-                            for i, v in enumerate(at.tolist()))
+            extrema = ExtremumColumns("minimum", np.argsort(label), np.zeros(n), np.full(n, np.inf))
             return ManifoldLabeling("ascending", dom, label, extrema, np.ones(n, np.int64))
 
         fwd, bwd = manifold_overlap(one_vertex_manifolds(np.arange(n)),
@@ -132,20 +134,17 @@ class TestManifoldOverlap:
 class TestSamplingNeighborhood:
     def test_zero_radius_is_the_vertex_itself(self):
         dom = GridDomain((5, 5))
-        m = fake_labeling(dom, [0] * 25).extrema[0]
+        v = fake_labeling(dom, [0] * 25).extrema[0].vertex
         for mode in ("euclidean", "combinatorial"):
-            assert sampling_neighborhood(m, dom, mode, 0.0).tolist() == [m.vertex]
+            assert sampling_neighborhood(v, dom, mode, 0.0).tolist() == [v]
 
     def test_combinatorial_ball_sizes_interior(self):
         dom = GridDomain((9, 9))
-        lab = np.zeros(81, dtype=int)
-        m = fake_labeling(dom, lab).extrema[0]
         center = dom.vertex_at((4, 4))
-        m = type(m)(0, center, 0.0, float("inf"), "minimum")
-        assert sampling_neighborhood(m, dom, "combinatorial", 1).size == 7
-        assert sampling_neighborhood(m, dom, "combinatorial", 2).size == 19
+        assert sampling_neighborhood(center, dom, "combinatorial", 1).size == 7
+        assert sampling_neighborhood(center, dom, "combinatorial", 2).size == 19
         # fractional depth floors
-        assert sampling_neighborhood(m, dom, "combinatorial", 1.9).size == 7
+        assert sampling_neighborhood(center, dom, "combinatorial", 1.9).size == 7
 
     def test_combinatorial_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -153,27 +152,24 @@ class TestSamplingNeighborhood:
         for _ in range(25):
             v = int(rng.integers(dom.vertex_count))
             depth = int(rng.integers(0, 4))
-            m_ = fake_labeling(dom, [0] * dom.vertex_count).extrema[0]
-            m_ = type(m_)(0, v, 0.0, float("inf"), "minimum")
-            got = sampling_neighborhood(m_, dom, "combinatorial", depth).tolist()
+            got = sampling_neighborhood(v, dom, "combinatorial", depth).tolist()
             assert got == brute_combinatorial_ball(dom, v, depth)
 
     def test_euclidean_units_flag(self):
         dom = GridDomain((9, 9), spacing=(10.0, 10.0))
-        m = fake_labeling(dom, [0] * 81).extrema[0]
-        m = type(m)(0, dom.vertex_at((4, 4)), 0.0, float("inf"), "minimum")
+        center = dom.vertex_at((4, 4))
         # world units: spacing 10 means radius 1 only reaches the center
-        assert sampling_neighborhood(m, dom, "euclidean", 1.0).size == 1
+        assert sampling_neighborhood(center, dom, "euclidean", 1.0).size == 1
         # lattice units ignore spacing: von Neumann ball of 5
-        assert sampling_neighborhood(m, dom, "euclidean", 1.0, lattice_units=True).size == 5
+        assert sampling_neighborhood(center, dom, "euclidean", 1.0, lattice_units=True).size == 5
 
     def test_negative_radius_rejected(self):
         dom = GridDomain((4, 4))
-        m = fake_labeling(dom, [0] * 16).extrema[0]
+        v = fake_labeling(dom, [0] * 16).extrema[0].vertex
         with pytest.raises(ValueError):
-            sampling_neighborhood(m, dom, "euclidean", -0.5)
+            sampling_neighborhood(v, dom, "euclidean", -0.5)
         with pytest.raises(ValueError):
-            sampling_neighborhood(m, dom, "nearest", 1.0)
+            sampling_neighborhood(v, dom, "nearest", 1.0)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
@@ -182,7 +178,7 @@ class TestSamplingNeighborhood:
         lab = fake_labeling(dom, [0] * 8 + [1] * 8)
         m = lab.extrema[0]
         with pytest.raises(ValueError, match="finite non-negative"):
-            sampling_neighborhood(m, dom, mode, d)
+            sampling_neighborhood(m.vertex, dom, mode, d)
         with pytest.raises(ValueError, match="finite non-negative"):
             sampling_overlap(lab, lab, dom, mode, d, "forward")
         with pytest.raises(ValueError, match="finite non-negative"):
@@ -195,9 +191,9 @@ class TestSamplingOverlap:
         lab_t, lab_n, dom = random_labeling_pair(rng)
         o = sampling_overlap(lab_t, lab_n, dom, "combinatorial", 2, "forward")
         for m in lab_t.extrema:
-            ball = sampling_neighborhood(m, dom, "combinatorial", 2)
+            ball = sampling_neighborhood(m.vertex, dom, "combinatorial", 2)
             assert o.row_denominators[m.id] == ball.size
-            jj, cc = o.row(m.id)
+            jj, cc = row(o, m.id)
             assert cc.sum() == ball.size
 
     def test_binary_equals_zero_radius_sampling(self):
@@ -304,19 +300,19 @@ class TestNormalization:
         rng = np.random.default_rng(17)
         for _ in range(10):
             lab_t, lab_n, dom = random_labeling_pair(rng, dims=(7, 7))
-            base = binary_correspondence(lab_t, lab_n, "forward").support()
+            base = support(binary_correspondence(lab_t, lab_n, "forward"))
             fwd, _ = manifold_overlap(lab_t, lab_n)
-            assert base <= fwd.support()
+            assert base <= support(fwd)
             for d in (0.0, 1.0, 2.0):
                 o = sampling_overlap(lab_t, lab_n, dom, "euclidean", d, "forward")
-                assert base <= o.support()
+                assert base <= support(o)
 
     def test_support_grows_with_radius(self):
         rng = np.random.default_rng(18)
         lab_t, lab_n, dom = random_labeling_pair(rng)
         prev: set = set()
         for d in (0.0, 1.0, 2.0, 3.0):
-            cur = sampling_overlap(lab_t, lab_n, dom, "euclidean", d, "forward").support()
+            cur = support(sampling_overlap(lab_t, lab_n, dom, "euclidean", d, "forward"))
             assert prev <= cur
             prev = cur
 
@@ -427,6 +423,16 @@ MALFORMED_DOCS = {
     "unknown direction": (matrix_doc(direction="sideways"), "direction"),
     "entry outside the matrix": (matrix_doc(entries=[[2, 0, 1]]), "outside"),
     "negative column count": (matrix_doc(cols=-1, entries=[]), "negative shape"),
+    "unknown strategy": (matrix_doc(strategy="nonsense"), "unknown matrix strategy 'nonsense'"),
+    # non-integral numbers are refused, not truncated
+    "fractional rows": (matrix_doc(rows=1.9), "'rows' must be integers"),
+    "fractional columns": (matrix_doc(cols=2.0), "'cols' must be integers"),
+    "boolean rows": (matrix_doc(rows=True), "'rows' must be integers"),
+    "fractional step": (matrix_doc(t=0.5), "'t' must be integers"),
+    "fractional denominator": (matrix_doc(denominators=[2.7, 3]), "'denominators' must be integers"),
+    "fractional entry": (matrix_doc(entries=[[0, 1.5, 1.2], [1, 0, 3]]),
+                         "'entries' must be integers"),
+    "string count": (matrix_doc(entries=[[0, 1, "2"], [1, 0, 3]]), "'entries' must be integers"),
 }
 
 
@@ -508,9 +514,9 @@ class TestMatrixInvariants:
         lab_t = fake_labeling(dom, [0] * 10 + [1] * 6)
         lab_n = fake_labeling(dom, [0] * 8 + [1] * 8)
         fwd, _ = manifold_overlap(lab_t, lab_n)
-        assert fwd.entry(0, 1) == 2 and fwd.entry(1, 0) == 0
+        assert entry(fwd, 0, 1) == 2 and entry(fwd, 1, 0) == 0
         c = normalize(fwd)
-        assert c.prob(0, 0) == 0.8 and c.prob(1, 0) == 0.0
+        assert prob(c, 0, 0) == 0.8 and prob(c, 1, 0) == 0.0
 
     def test_entries_must_be_row_major_and_unique(self):
         one = np.ones(2, np.int64)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ class TestFeatureSet:
     def test_membership_and_coverage(self):
         fs = FeatureSet(2, ((4, 1), (3,)))
         assert fs.index_sets == ((1, 4), (3,))
-        assert fs.covered() == {1, 3, 4}
+        assert {i for s in fs.index_sets for i in s} == {1, 3, 4}
         assert fs.membership(6).tolist() == [-1, 0, -1, 1, 0, -1]
         with pytest.raises(ValueError, match="out of range"):
             fs.membership(4)
@@ -196,12 +198,13 @@ class TestDenominators:
         o = sampling_overlap(lab_t, lab_n, dom, "euclidean", 3.0, "forward")
         ft = FeatureSet(0, (tuple(range(lab_t.n_extrema)),))
         got = feature_denominators(ft, o)
-        balls = [sampling_neighborhood(m, dom, "euclidean", 3.0).size for m in lab_t.extrema]
+        balls = [sampling_neighborhood(v, dom, "euclidean", 3.0).size
+                 for v in lab_t.extrema.vertex.tolist()]
         assert got.tolist() == [sum(balls)]
         # overlapping balls are counted twice on purpose
         union = set()
-        for m in lab_t.extrema:
-            union |= set(sampling_neighborhood(m, dom, "euclidean", 3.0).tolist())
+        for v in lab_t.extrema.vertex.tolist():
+            union |= set(sampling_neighborhood(v, dom, "euclidean", 3.0).tolist())
         if len(union) < sum(balls):
             assert got[0] > len(union)
 
@@ -284,6 +287,23 @@ class TestFeatureIO:
         assert [fs.t for fs in back] == [0, 2]
         assert back[1].feature_ids == (0, 1)
         assert back[1].index_sets == ((3,), (5,))
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"t": 0.9, "features": [{"id": 0.4, "extrema": [0.6, True]}]}, "feature 'id'"),
+        ({"t": 0.9, "features": [{"id": 0, "extrema": [0]}]}, "'t'"),
+        ({"t": 1.0, "features": [{"id": 0, "extrema": [0]}]}, "'t'"),
+        ({"t": 0, "features": [{"id": 1, "extrema": [0]}, {"id": "2", "extrema": [1]}]},
+         "feature 'id'"),
+        ({"t": 0, "features": [{"id": 0, "extrema": [0.6, True]}]}, "feature 'extrema'"),
+        ({"t": 0, "features": [{"id": 0, "extrema": [2]}, {"id": 1, "extrema": [2.0]}]},
+         "feature 'extrema'"),
+    ])
+    def test_non_integral_numbers_are_refused(self, tmp_path, doc, key):
+        # they used to be truncated: step 0, feature 0, extrema [0, 1]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{key} must be integers"):
+            load_features(p)
 
 
 class TestMatrixSubclasses:

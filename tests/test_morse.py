@@ -7,12 +7,12 @@ import pytest
 
 from extrack import morse
 from extrack.field import GridDomain, vertex_neighbors
-from extrack.morse import (Extremum, ManifoldLabeling, TotalOrder, _descent_pointers, _id_dtype,
+from extrack.morse import (Extremum, ManifoldLabeling, _descent_pointers, _id_dtype,
                            _merge_sweep, _resolve_roots, _spanning_forest, _total_order,
                            label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
-from helpers import (grid_series, oracle_descent_pointers, oracle_extrema, oracle_merge_sweep,
-                     oracle_spanning_forest)
+from helpers import (extremum_columns, grid_series, oracle_descent_pointers, oracle_extrema,
+                     oracle_merge_sweep, oracle_spanning_forest)
 
 
 def check_sweep(values, dom, descending, monkeypatch=None):
@@ -47,18 +47,19 @@ def path_values(row):
 
 class TestTotalOrder:
     def test_lexicographic(self):
-        o = TotalOrder([3.0, 1.0, 1.0])
-        assert o.less(1, 2)  # same value, lower id first
-        assert o.less(2, 0)
-        assert not o.less(0, 1)
+        asc, rank = _total_order(np.array([3.0, 1.0, 1.0]))
+        assert asc.tolist() == [1, 2, 0]
+        assert rank[1] < rank[2]  # same value, lower id first
+        assert rank[2] < rank[0]
+        assert not rank[0] < rank[1]
 
     def test_no_two_equal(self):
-        o = TotalOrder([5.0] * 7)
-        asc = list(o.ascending())
+        asc, rank = _total_order(np.full(7, 5.0))
+        asc = asc.tolist()
         assert asc == sorted(asc)  # ids break all ties
         for u in range(7):
             for v in range(7):
-                assert o.less(u, v) == (u < v)
+                assert (rank[u] < rank[v]) == (u < v)
 
     @pytest.mark.parametrize("dims,periodic", [((7, 9), (True, False)), ((2, 5), (True, True)),
                                                ((4, 3, 5), (False, True, True)),
@@ -84,7 +85,6 @@ class TestTotalOrder:
             assert asc.dtype == rank.dtype == np.int32, name
             assert np.array_equal(asc, np.argsort(w, kind="stable")), name
             assert np.array_equal(rank[asc], np.arange(v)), name
-            assert np.array_equal(TotalOrder(w).ascending(), asc), name
             desc, rank = _total_order(w, descending=True)
             assert desc.dtype == rank.dtype == np.int32, name
             assert np.array_equal(desc, np.argsort(-w, kind="stable")), name
@@ -126,11 +126,10 @@ class TestLabelManifolds:
         rng = np.random.default_rng(5)
         dom = GridDomain((7, 7), periodic=(True, False))
         vals = rng.standard_normal(49)
-        order = TotalOrder(vals)
         lab = label_manifolds(vals, dom, "minimum")
         for e in lab.extrema:
             for u in vertex_neighbors(dom, e.vertex):
-                assert order.less(e.vertex, u)
+                assert (vals[e.vertex], e.vertex) < (vals[u], u)
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(6)
@@ -215,7 +214,8 @@ class TestExtremumColumns:
         dom = GridDomain(self.FIELD.shape)
         values = self.FIELD.ravel()
         lab = label_manifolds(values, dom, "minimum")
-        again = ManifoldLabeling(lab.kind, dom, lab.label.copy(), tuple(lab.extrema),
+        again = ManifoldLabeling(lab.kind, dom, lab.label.copy(),
+                                 extremum_columns("minimum", tuple(lab.extrema)),
                                  lab.sizes.copy(), lab._saddles, lab._partners)
         for name in ("vertex", "value", "persistence"):
             got, want = getattr(again.extrema, name), getattr(lab.extrema, name)
@@ -224,7 +224,8 @@ class TestExtremumColumns:
         assert tuple(s.extrema) == tuple(t.extrema) and np.array_equal(s.label, t.label)
         assert persistence_pairs(values, dom, "minimum") == oracle_merge_tree(values, dom, "minimum")
         with pytest.raises(AssertionError):  # ids are implicit: 0..n-1 in order
-            ManifoldLabeling(lab.kind, dom, lab.label.copy(), tuple(lab.extrema)[::-1],
+            ManifoldLabeling(lab.kind, dom, lab.label.copy(),
+                             extremum_columns("minimum", tuple(lab.extrema)[::-1]),
                              lab.sizes.copy())
 
 

@@ -28,6 +28,10 @@ from extrack.trackgraph import (
     threshold_filter,
 )
 from helpers import (
+    edge_set,
+    graph_of,
+    layer_of,
+    nodes_at,
     oracle_assemble,
     oracle_export_dot,
     oracle_export_json,
@@ -53,7 +57,7 @@ def cm(dense, direction, denom=1000):
 
 def mk_layers(sizes):
     return [
-        [GraphNode(t, i, "extremum", i, float(i), (float(i), 0.0)) for i in range(n)]
+        layer_of(GraphNode(t, i, "extremum", i, float(i), (float(i), 0.0)) for i in range(n))
         for t, n in enumerate(sizes)
     ]
 
@@ -80,9 +84,9 @@ class TestAssembly:
         fwd = cm([[1.0, 0.0], [0.0, 1.0]], "forward")
         bwd = cm([[0.6, 0.4], [0.0, 0.0]], "backward")  # rows are t+1 nodes
         strict = assemble(mk_layers([2, 2]), [fwd], [bwd], ConnectivityPolicy(bidirectional=True))
-        assert strict.edge_set() == {(0, 0, 0)}
+        assert edge_set(strict) == {(0, 0, 0)}
         loose = assemble(mk_layers([2, 2]), [fwd], [bwd], ConnectivityPolicy(bidirectional=False))
-        assert loose.edge_set() == {(0, 0, 0), (0, 1, 0), (0, 1, 1)}
+        assert edge_set(loose) == {(0, 0, 0), (0, 1, 0), (0, 1, 1)}
         by_pair = {(e.i, e.j): e for e in loose.edges}
         assert by_pair[(1, 1)].p_backward is None  # forward-only pair
         assert by_pair[(1, 0)].p_forward is None  # backward-only pair
@@ -184,14 +188,14 @@ class TestThresholdFilter:
     def test_strictly_greater_than(self):
         g = self.graph()
         # pair (0,1): pf 0.2, pb 0.25; any-direction bar at exactly 0.25 kills it
-        assert (0, 0, 1) in g.edge_set()
+        assert (0, 0, 1) in edge_set(g)
         out = threshold_filter(g, 0.25, "any")
-        assert out.edge_set() == {(0, 0, 0), (0, 1, 1)}
+        assert edge_set(out) == {(0, 0, 0), (0, 1, 1)}
 
     def test_any_versus_both(self):
         g = self.graph()
-        keep_any = threshold_filter(g, 0.2, "any").edge_set()
-        keep_both = threshold_filter(g, 0.2, "both").edge_set()
+        keep_any = edge_set(threshold_filter(g, 0.2, "any"))
+        keep_both = edge_set(threshold_filter(g, 0.2, "both"))
         assert (0, 0, 1) in keep_any  # pb 0.25 clears the bar alone
         assert (0, 0, 1) not in keep_both  # pf 0.2 does not strictly clear it
 
@@ -199,17 +203,17 @@ class TestThresholdFilter:
         fwd = cm([[1.0]], "forward")
         bwd = cm(np.zeros((1, 1)), "backward")
         g = assemble(mk_layers([1, 1]), [fwd], [bwd], ConnectivityPolicy(bidirectional=False))
-        assert threshold_filter(g, 0.0, "any").edge_set() == {(0, 0, 0)}
-        assert threshold_filter(g, 0.0, "both").edge_set() == set()
+        assert edge_set(threshold_filter(g, 0.0, "any")) == {(0, 0, 0)}
+        assert edge_set(threshold_filter(g, 0.0, "both")) == set()
 
     def test_zero_bar_keeps_everything(self):
         g = self.graph()
-        assert threshold_filter(g, 0.0, "any").edge_set() == g.edge_set()
+        assert edge_set(threshold_filter(g, 0.0, "any")) == edge_set(g)
 
     def test_unit_bar_drops_everything_and_recomputes_tracks(self):
         g = self.graph()
         out = threshold_filter(g, 1.0, "any")
-        assert out.edge_set() == set()
+        assert edge_set(out) == set()
         assert sorted(n.track for n in out.nodes) == [0, 1, 2, 3]
 
     def test_filter_is_idempotent(self):
@@ -233,10 +237,10 @@ class TestThresholdFilter:
 class TestSemanticFilter:
     def graph(self):
         layers = [
-            [GraphNode(0, 0, "extremum", 0, -5.0, (0.0, 0.0)),
-             GraphNode(0, 1, "extremum", 5, -1.0, (1.0, 1.0))],
-            [GraphNode(1, 0, "extremum", 0, -4.0, (0.0, 0.0)),
-             GraphNode(1, 1, "extremum", 10, -0.5, (2.0, 2.0))],
+            layer_of([GraphNode(0, 0, "extremum", 0, -5.0, (0.0, 0.0)),
+                      GraphNode(0, 1, "extremum", 5, -1.0, (1.0, 1.0))]),
+            layer_of([GraphNode(1, 0, "extremum", 0, -4.0, (0.0, 0.0)),
+                      GraphNode(1, 1, "extremum", 10, -0.5, (2.0, 2.0))]),
         ]
         fwd = cm([[0.9, 0.1], [0.2, 0.8]], "forward")
         bwd = cm([[0.9, 0.2], [0.1, 0.8]], "backward")
@@ -245,7 +249,7 @@ class TestSemanticFilter:
     def test_empty_predicate_changes_nothing(self):
         g = self.graph()
         out = semantic_filter(g, GridDomain((4, 4)), SemanticPredicate())
-        assert out.edge_set() == g.edge_set()
+        assert edge_set(out) == edge_set(g)
         assert {(n.t, n.id) for n in out.nodes} == {(n.t, n.id) for n in g.nodes}
         assert out.meta["thresholds"]["semantic"] == {}
 
@@ -253,7 +257,7 @@ class TestSemanticFilter:
         g = self.graph()
         out = semantic_filter(g, GridDomain((4, 4)), SemanticPredicate(value_max=-2.0))
         assert {(n.t, n.id) for n in out.nodes} == {(0, 0), (1, 0)}
-        assert out.edge_set() == {(0, 0, 0)}
+        assert edge_set(out) == {(0, 0, 0)}
 
     def test_box_filter_uses_world_positions(self):
         g = self.graph()
@@ -264,20 +268,20 @@ class TestSemanticFilter:
     def test_zero_jump_keeps_only_stationary_edges(self):
         g = self.graph()
         out = semantic_filter(g, GridDomain((4, 4)), SemanticPredicate(max_jump=0.0))
-        assert out.edge_set() == {(0, 0, 0)}
+        assert edge_set(out) == {(0, 0, 0)}
 
     def test_jump_measures_minimum_image(self):
         dom = GridDomain((2, 10), periodic=(False, True))
         layers = [
-            [GraphNode(0, 0, "extremum", 0, 0.0, (0.0, 0.0))],
-            [GraphNode(1, 0, "extremum", 9, 0.0, (0.0, 9.0))],
+            layer_of([GraphNode(0, 0, "extremum", 0, 0.0, (0.0, 0.0))]),
+            layer_of([GraphNode(1, 0, "extremum", 9, 0.0, (0.0, 9.0))]),
         ]
         g = assemble(layers, [cm([[1.0]], "forward")], [cm([[1.0]], "backward")],
                      ConnectivityPolicy())
         # wrap distance is 1, straight-line would be 9
-        assert semantic_filter(g, dom, SemanticPredicate(max_jump=1.0)).edge_set() == {(0, 0, 0)}
+        assert edge_set(semantic_filter(g, dom, SemanticPredicate(max_jump=1.0))) == {(0, 0, 0)}
         no_wrap = GridDomain((2, 10))
-        assert semantic_filter(g, no_wrap, SemanticPredicate(max_jump=1.0)).edge_set() == set()
+        assert edge_set(semantic_filter(g, no_wrap, SemanticPredicate(max_jump=1.0))) == set()
 
     def test_inverted_ranges_rejected(self):
         with pytest.raises(ValueError, match="value"):
@@ -349,7 +353,7 @@ class TestExport:
             export(self.graph(), "gexf")
 
     def test_empty_graph_documents(self):
-        g = TrackingGraph((), ())
+        g = graph_of((), ())
         assert g.n_layers == 0
         assert export(import_graph(export(g, "json")), "json") == export(g, "json")
         dot = export(g, "dot")
@@ -380,7 +384,7 @@ def special_graph(rank: int, kind: str, with_edges: bool = True) -> TrackingGrap
         GraphEdge(0, 4, 0, None, 0.75, 0.0),
         GraphEdge(0, 4, 2, 0.7500001, 0.26, 0.7500001),
     ] if with_edges else []
-    return TrackingGraph(nodes, edges, {"strategy": "test", "thresholds": {}})
+    return graph_of(nodes, edges, {"strategy": "test", "thresholds": {}})
 
 
 def assert_writers_match(g, tmp_path):
@@ -410,7 +414,7 @@ class TestWriters:
         assert_writers_match(special_graph(2, "extremum", with_edges=False), tmp_path)
 
     def test_empty_graph(self, block, tmp_path):
-        assert_writers_match(TrackingGraph((), ()), tmp_path)
+        assert_writers_match(graph_of((), ()), tmp_path)
 
     def test_more_rows_than_one_block(self, tmp_path):
         n = correspond._BLOCK + 5
@@ -450,13 +454,13 @@ class TestGraphInvariants:
     def test_edges_must_reference_known_nodes(self):
         node = GraphNode(0, 0, "extremum", 0, 0.0, (0.0, 0.0))
         with pytest.raises(AssertionError):
-            TrackingGraph((node,), (GraphEdge(0, 0, 1, 1.0, None, 1.0),))
+            graph_of((node,), (GraphEdge(0, 0, 1, 1.0, None, 1.0),))
 
     def test_edges_need_at_least_one_probability(self):
         nodes = (GraphNode(0, 0, "extremum", 0, 0.0, (0.0,)),
                  GraphNode(1, 0, "extremum", 0, 0.0, (0.0,)))
         with pytest.raises(AssertionError):
-            TrackingGraph(nodes, (GraphEdge(0, 0, 0, None, None, 0.5),))
+            graph_of(nodes, (GraphEdge(0, 0, 0, None, None, 0.5),))
 
     def test_extremum_layers_carry_positions(self):
         from extrack.morse import label_manifolds
@@ -507,6 +511,20 @@ MALFORMED_GRAPHS = {
     "edge listed twice": ({**graph_doc(), "edges": graph_doc()["edges"]
                            + graph_doc(strength=0.9, pf=None)["edges"]},
                           "edge t0 0 -> 0 is listed twice"),
+    # non-integral numbers are refused, not truncated
+    "fractional node step": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "t": 0.7},
+                                                       graph_doc()["nodes"][1]]},
+                             "node 't' must be integers"),
+    "fractional node id": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "id": 1.9},
+                                                     graph_doc()["nodes"][1]]},
+                           "node 'id' must be integers"),
+    "fractional vertex": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "vertex": 2.5},
+                                                    graph_doc()["nodes"][1]]},
+                          "node 'vertex' must be integers"),
+    "boolean track": ({**graph_doc(), "nodes": [{**n, "track": True} for n in graph_doc()["nodes"]]},
+                      "node 'track' must be integers"),
+    "integral float edge target": (graph_doc(j=0.0), "edge 'j' must be integers"),
+    "string edge step": (graph_doc(t="0"), "edge 't' must be integers"),
 }
 
 
@@ -514,7 +532,7 @@ class TestImportValidation:
     def test_well_formed_document_loads(self):
         for edge in ({}, {"pf": None}, {"pb": None}):
             g = import_graph(json.dumps(graph_doc(**edge)))
-            assert g.edge_set() == {(0, 0, 0)}
+            assert edge_set(g) == {(0, 0, 0)}
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
     def test_malformed_document_raises_value_error(self, name):
@@ -560,8 +578,8 @@ def random_layers(rng, domain, sizes):
     for t, n in enumerate(sizes):
         vertices = rng.integers(0, domain.vertex_count, size=n).tolist()
         values = (rng.integers(-21, 21, size=n) / 7).tolist()
-        layers.append([GraphNode(t, i, "extremum", v, x, domain.position(v))
-                       for i, (v, x) in enumerate(zip(vertices, values))])
+        layers.append(layer_of(GraphNode(t, i, "extremum", v, x, domain.position(v))
+                               for i, (v, x) in enumerate(zip(vertices, values))))
     return layers
 
 
@@ -668,16 +686,6 @@ class TestAgainstOracles:
         assert export(back, "json") == text
 
 
-def sparse_layer(rng, domain, t, n, kind):
-    """n nodes with distinct ids drawn from 0..3n-1, so some matrix
-    indices below n name no node."""
-    ids = np.sort(rng.choice(3 * n, size=n, replace=False))
-    vertices = rng.integers(0, domain.vertex_count, size=n)
-    values = rng.integers(-6, 6, size=n) / 3
-    return [GraphNode(t, int(i), kind, int(v), float(x), domain.position(int(v)))
-            for i, v, x in zip(ids, vertices, values)]
-
-
 def column_layer(rng, domain, t, n, kind):
     vertices = rng.integers(0, domain.vertex_count, size=n)
     return NodeColumns.for_step(t, kind, vertices, rng.integers(-6, 6, size=n) / 3,
@@ -696,7 +704,7 @@ def tied_cm(rng, rows, cols, direction, live_rows, live_cols):
 def assert_oracle_tracks(g):
     """The graph's tracks are those the per-object oracle derives from its
     own edges, and its carried node rows are those a search finds."""
-    layers = [g.layer(t) for t in range(g.n_layers)]
+    layers = [nodes_at(g, t) for t in range(g.n_layers)]
     expect = oracle_propagate_tracks(layers, list(g.edges))
     assert [n.track for n in g.nodes] == [n.track for n in expect]
     e = g.edge_columns
@@ -709,9 +717,9 @@ class TestCarriedRows:
     """Node rows carried from assembly through both filters, and tracks
     derived once, for the graph that is read."""
 
-    @pytest.mark.parametrize("layout", ["columns", "sparse-objects", "mixed"])
+    @pytest.mark.parametrize("layout", ["columns"])
     def test_tracks_through_both_filters_match_the_oracle(self, layout):
-        rng = np.random.default_rng({"columns": 94, "sparse-objects": 95, "mixed": 96}[layout])
+        rng = np.random.default_rng(94)
         domain = GridDomain((6, 7), spacing=(1.0, 0.5), periodic=(False, True))
         predicates = [
             SemanticPredicate(value_min=-1.0),
@@ -724,11 +732,8 @@ class TestCarriedRows:
             layers = []
             for t, n in enumerate(sizes):
                 kind = ("extremum", "feature")[rng.integers(2)]
-                sparse = layout == "sparse-objects" or (layout == "mixed" and rng.random() < 0.5)
-                layers.append(sparse_layer(rng, domain, t, n, kind) if sparse
-                              else column_layer(rng, domain, t, n, kind))
-            ids = [np.array([x.id for x in layer]) if isinstance(layer, list) else layer.id
-                   for layer in layers]
+                layers.append(column_layer(rng, domain, t, n, kind))
+            ids = [layer.id for layer in layers]
             cm_f = [tied_cm(rng, a, b, "forward", ids[t], ids[t + 1])
                     for t, (a, b) in enumerate(zip(sizes, sizes[1:]))]
             cm_b = [tied_cm(rng, b, a, "backward", ids[t + 1], ids[t])
@@ -741,6 +746,18 @@ class TestCarriedRows:
                     assert_oracle_tracks(k)
                 assert_oracle_tracks(h)
                 assert_oracle_tracks(g)
+
+    def test_layer_ids_other_than_0_to_n_minus_1_raise(self):
+        # matrix index k is node k of its layer: there is no row search
+        rng = np.random.default_rng(95)
+        dense = column_layer(rng, GridDomain((6, 7)), 0, 3, "extremum")
+        sparse = [layer_of(GraphNode(1, i, "extremum", 0, 0.0, (0.0, 0.0)) for i in ids)
+                  for ids in ([0, 2, 5], [1, 2, 3], [0, 1, 1])]
+        unsorted = dataclasses.replace(dense, t=np.ones(3, np.int64), id=np.array([1, 0, 2]))
+        for layer in [*sparse, unsorted]:
+            with pytest.raises(ValueError, match=r"layer 1 has node ids other than 0\.\.2"):
+                assemble([dense, layer], [cm(np.eye(3), "forward")],
+                         [cm(np.eye(3), "backward")], ConnectivityPolicy())
 
     def test_value_window_and_box_drop_nodes(self):
         # the remap of carried rows is exercised only when nodes go
@@ -767,7 +784,7 @@ class TestCarriedRows:
                             SemanticPredicate(max_jump=1.0))
         assert calls == []
         assert {n.track for n in h.nodes} == {0, 1}
-        h.layer(1)
+        nodes_at(h, 1)
         export(h, "json")
         assert calls == [1]
 
@@ -782,3 +799,36 @@ class TestCarriedRows:
                 TrackingGraph(nodes, edge.with_rows(np.array(src), np.array(dst)))
         with pytest.raises(AssertionError):  # no carried rows: found by search
             TrackingGraph(nodes, EdgeColumns.build([0], [0], [2], [1.0], [np.nan], [1.0]))
+
+
+def test_library_takes_columns_only():
+    # objects are output views: no entry point accepts one, and no
+    # accessor exists only to serve tests
+    import inspect
+    import re
+    from pathlib import Path
+
+    import extrack
+    from extrack import cli, features, field, morse, synth
+
+    for path in Path(extrack.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "def from_objects" not in text and "class TotalOrder" not in text, path.name
+    assert not hasattr(extrack, "TotalOrder") and not hasattr(morse, "TotalOrder")
+    for cls, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support")),
+                       (TrackingGraph, ("layer", "edge_set")), (features.FeatureSet, ("covered",))):
+        assert not [n for n in names if hasattr(cls, n)], cls
+    objects = re.compile(r"\b(GraphNode|GraphEdge|Extremum)\b")
+    for mod in (cli, correspond, features, field, morse, synth, trackgraph):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                fns = [obj]
+            elif inspect.isclass(obj):
+                fns = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            else:
+                continue
+            for f in fns:
+                for p in inspect.signature(f).parameters.values():
+                    assert not objects.search(str(p.annotation)), (f.__qualname__, p.name)
