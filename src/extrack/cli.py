@@ -368,18 +368,15 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
     def cat(parts, dtype=np.int64):
         return np.concatenate([np.empty(0, dtype), *parts])
 
-    def keys(m):  # ascending, as CSR entries are row-major
-        return correspond._row_of(m) * m.cols + m.indices
-
     names = sorted(per_strategy)
     binary = per_strategy["binary"][0] if "binary" in per_strategy else []
-    sizes = [b.indices.size for b, _ in binary]
+    sizes = [b.keys.size for b, _ in binary]
     columns = [(np.repeat([b.direction for b, _ in binary], sizes), json.dumps),
-               cat(correspond._row_of(b) for b, _ in binary), cat(b.indices for b, _ in binary)]
+               cat(b.i for b, _ in binary), cat(b.j for b, _ in binary)]
     summary = {s: dict(per_strategy[s][1]) for s in names}
     for s, entry in summary.items():
-        p = cat((trackgraph._lookup(keys(m), keys(b), m.probs)
-                 for (m, _), (b, _) in zip(per_strategy[s][0], binary)), np.float64)
+        p = cat((m.probs_at(b.keys) for (m, _), (b, _) in zip(per_strategy[s][0], binary)),
+                np.float64)
         hit = p[~np.isnan(p)]  # in key order, so np.mean sums as it always has
         if "binary" in per_strategy:
             entry["binary_retention_pct"] = round(100.0 * hit.size / p.size, 3) if p.size else 100.0
@@ -428,7 +425,7 @@ def compare(config: PipelineConfig, strategies) -> int:
         # backward before forward, the order of their (direction, step) keys
         mats = [(b, t + 1) for t, (_, b) in enumerate(pairs)] + [(f, t) for t, (f, _) in enumerate(pairs)]
         per_strategy[strategy] = _stage("report", lambda: (mats, {
-            "correspondence_entries": sum(m.indices.size for m, _ in mats),
+            "correspondence_entries": sum(m.keys.size for m, _ in mats),
             "graph_edges": len(g.edge_columns),
             "tracks": np.unique(g.node_columns.track).size,
         }))
@@ -482,7 +479,7 @@ def cmd_inspect(args) -> int:
             w(f"{m.kind} matrix, {m.strategy}, {m.direction} at t={t}\n")
             w(f"shape {m.rows} x {m.cols}, {m.counts.size} stored entries\n")
             denom = m.row_denominators.tolist()
-            head = (correspond._row_of(m)[:20], m.indices[:20], m.counts[:20])
+            head = (m.i[:20], m.j[:20], m.counts[:20])
             for i, j, c in zip(*(a.tolist() for a in head)):
                 w(f"  ({i} -> {j}): {c}/{denom[i]} = {c / denom[i]:.4f}\n")
             if m.counts.size > 20:

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -33,80 +34,118 @@ Kind = Literal["overlap", "correspondence"]
 STRATEGY_OF_MODE = {"euclidean": "sampling-euclidean", "combinatorial": "sampling-combinatorial"}
 
 
-def _csr(rows: int, cols: int, ii, jj, cc=None):
-    """CSR arrays (indptr, indices, counts) of a rows x cols matrix from
-    (i, j) entries in any order; each entry adds its count from cc, or 1
-    without cc, and repeated (i, j) keys sum."""
+def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
+    """Ascending row-major keys ``i * cols + j`` and their counts, one per
+    (i, j), of a rows x cols matrix from (i, j) entries in any order; each
+    entry adds its count from cc, or 1 without cc, and repeated (i, j) sum."""
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     if not ((ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)).all():
         raise ValueError("entry outside the matrix")
     keys = ii * cols + jj
     if cc is None:
-        keys, counts = np.unique(keys, return_counts=True)
-    else:
-        keys, inv = np.unique(keys, return_inverse=True)
-        counts = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(counts, inv, np.asarray(cc, dtype=np.int64))
-    # sorted row-major keys are already in CSR order
-    indptr = np.searchsorted(keys, np.arange(rows + 1, dtype=np.int64) * cols)
-    return indptr, keys % max(cols, 1), counts
+        return np.unique(keys, return_counts=True)
+    keys, inv = np.unique(keys, return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inv, np.asarray(cc, dtype=np.int64))
+    return keys, counts
+
+
+def _find(keys: np.ndarray, at) -> np.ndarray:
+    """Position of each ``at`` in the ascending ``keys``, -1 where absent."""
+    if not keys.size:
+        return np.full(np.shape(at), -1, np.int64)
+    k = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+    return np.where(keys[k] == at, k, -1)
 
 
 def _ints(value, what: str) -> np.ndarray:
     """A document's integer value or list as int64; ``ValueError`` naming it
-    unless numpy reads it as integers (no float, even if integral, bool or str)."""
+    unless every number in it is a JSON integer (no float, even if integral,
+    no bool and no str)."""
+    return _numbers(value, what, "i", "integers").astype(np.int64, copy=False)
+
+
+def _reals(value, what: str) -> np.ndarray:
+    """A document's number or list of numbers as float64; ``ValueError``
+    naming it unless every value in it is a JSON number (no bool, no str)."""
+    return _numbers(value, what, "if", "numbers").astype(np.float64, copy=False)
+
+
+def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
     a = np.asarray(value)
-    if a.size and a.dtype.kind != "i":
-        raise ValueError(f"{what} must be integers, got {a.dtype} values")
-    return a.astype(np.int64, copy=False)
-
-
-def _row_of(m) -> np.ndarray:
-    """Row id of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(m.rows), np.diff(m.indptr))
+    if a.size and a.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
+    # numpy reads true and false among numbers as 1 and 0: one pass over the
+    # parsed values finds them
+    flat = value
+    for _ in range(a.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if a.ndim and bool in map(type, flat):
+        raise ValueError(f"{what} must be {noun}, got a boolean")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class OverlapMatrix:
-    """Sparse integer counts over row denominators, row-compressed.
+    """Sparse integer counts over row denominators, one ascending row-major
+    key ``i * cols + j`` per stored entry; only this type packs the keys.
 
     ``kind`` picks what ``values`` and ``to_dense`` return: the counts of
     an overlap matrix, or the probabilities ``probs`` of a correspondence
-    matrix. Feature rows may fall short of their denominator. Entries are
-    stored row-major with one per (i, j), as ``_csr`` builds them.
+    matrix. Feature rows may fall short of their denominator.
     """
 
     rows: int
     cols: int
     direction: Direction
     strategy: Strategy
-    indptr: np.ndarray
-    indices: np.ndarray
+    keys: np.ndarray
     counts: np.ndarray
     row_denominators: np.ndarray
     kind: Kind = "overlap"
 
     def __post_init__(self):
         assert self.kind in ("overlap", "correspondence")
-        assert self.indptr.size == self.rows + 1 and self.indptr[0] == 0
-        assert self.indices.size == self.counts.size == self.indptr[-1]
+        assert self.keys.size == self.counts.size
         assert self.row_denominators.size == self.rows
-        assert ((self.indices >= 0) & (self.indices < self.cols)).all()
-        assert (np.diff(_row_of(self) * self.cols + self.indices) > 0).all()
+        assert (np.diff(self.keys) > 0).all(), "one entry per (i, j), row-major"
+        assert not self.keys.size or 0 <= self.keys[0] <= self.keys[-1] < self.rows * self.cols
         assert (self.row_denominators > 0).all()
         assert (self.counts >= 1).all(), "zero counts must be absent"
-        assert (self.counts <= self.row_denominators[_row_of(self)]).all()
-        for a in (self.indptr, self.indices, self.counts, self.row_denominators):
+        assert (self.counts <= self.row_denominators[self.i]).all()
+        for a in (self.keys, self.counts, self.row_denominators):
             a.flags.writeable = False
+
+    @property
+    def i(self) -> np.ndarray:
+        """Row of every stored entry."""
+        return self.keys // max(self.cols, 1)
+
+    @property
+    def j(self) -> np.ndarray:
+        """Column of every stored entry."""
+        return self.keys % max(self.cols, 1)
+
+    def key(self, i, j) -> np.ndarray:
+        """Row-major key of each (i, j) of this shape."""
+        return np.asarray(i, np.int64) * self.cols + j
+
+    def unkey(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of each row-major key of this shape."""
+        return np.divmod(keys, max(self.cols, 1))
 
     @cached_property
     def probs(self) -> np.ndarray:
         # derived on first use, so an overlap and its normalized twin
         # never both hold a copy
-        probs = self.counts / self.row_denominators[_row_of(self)]
+        probs = self.counts / self.row_denominators[self.i]
         probs.flags.writeable = False
         return probs
+
+    def probs_at(self, keys) -> np.ndarray:
+        """The probability at each row-major key, NaN where no entry is stored."""
+        return np.append(self.probs, np.nan)[_find(self.keys, keys)]  # -1 reads the NaN
 
     @property
     def values(self) -> np.ndarray:
@@ -115,13 +154,14 @@ class OverlapMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
-        out[_row_of(self), self.indices] = self.values
+        out[self.i, self.j] = self.values
         return out
 
     def row_sums(self) -> np.ndarray:
         """Summed counts per row."""
-        csum = np.concatenate(([0], np.cumsum(self.counts)))
-        return csum[self.indptr[1:]] - csum[self.indptr[:-1]]
+        out = np.zeros(self.rows, dtype=np.int64)
+        np.add.at(out, self.i, self.counts)
+        return out
 
     def unassigned_mass(self) -> np.ndarray:
         """Per-row share of the denominator that no stored entry accounts
@@ -132,7 +172,7 @@ class OverlapMatrix:
         direction = "backward" if self.direction == "forward" else "forward"
         return OverlapMatrix(
             self.cols, self.rows, direction, self.strategy,
-            *_csr(self.cols, self.rows, self.indices, _row_of(self), self.counts),
+            *_keys_and_counts(self.cols, self.rows, self.j, self.i, self.counts),
             np.asarray(row_denominators, dtype=np.int64), self.kind,
         )
 
@@ -204,11 +244,10 @@ def sampling_overlap(
         keys.append(k)
         counts.append(c)
         denom.append(size)
-    keys = np.concatenate(keys)
+    # blocks cover ascending row ranges, so their unique keys ascend overall
     return _complete_rows(OverlapMatrix(
-        n, cols, direction, STRATEGY_OF_MODE[mode],
-        *_csr(n, cols, keys // cols, keys % cols, np.concatenate(counts)),
-        np.concatenate(denom),
+        n, cols, direction, STRATEGY_OF_MODE[mode], np.concatenate(keys),
+        np.concatenate(counts), np.concatenate(denom),
     ))
 
 
@@ -226,7 +265,7 @@ def manifold_overlap(
     n_t, n_n = labeling_t.n_extrema, labeling_next.n_extrema
     forward = _complete_rows(OverlapMatrix(
         n_t, n_n, "forward", "manifold-overlap",
-        *_csr(n_t, n_n, labeling_t.label, labeling_next.label),
+        *_keys_and_counts(n_t, n_n, labeling_t.label, labeling_next.label),
         labeling_t.sizes.astype(np.int64),
     ))
     return forward, _complete_rows(forward.transpose(labeling_next.sizes.astype(np.int64)))
@@ -239,11 +278,10 @@ def binary_correspondence(
     manifold of the other step that contains its vertex."""
     _check_pair(labeling_t, labeling_other)
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
-    jj = labeling_other.label[labeling_t.extrema.vertex]
-    return _complete_rows(OverlapMatrix(
-        n, cols, direction, "binary", *_csr(n, cols, np.arange(n), jj),
-        np.ones(n, dtype=np.int64), "correspondence",
-    ))
+    keys = np.arange(n, dtype=np.int64) * cols + labeling_other.label[labeling_t.extrema.vertex]
+    one = np.ones(n, dtype=np.int64)
+    return _complete_rows(OverlapMatrix(n, cols, direction, "binary", keys, one, one,
+                                        "correspondence"))
 
 
 def normalize(o: OverlapMatrix) -> OverlapMatrix:
@@ -262,8 +300,7 @@ def matrix_to_doc(m: OverlapMatrix, t: int) -> dict:
         "rows": int(m.rows),
         "cols": int(m.cols),
         "denominators": m.row_denominators.tolist(),
-        "entries": [list(e) for e in zip(_row_of(m).tolist(), m.indices.tolist(),
-                                         m.counts.tolist())],
+        "entries": [list(e) for e in zip(m.i.tolist(), m.j.tolist(), m.counts.tolist())],
     }
 
 
@@ -279,6 +316,8 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     rows, cols = (int(_ints(doc[key], repr(key))) for key in ("rows", "cols"))
     if rows < 0 or cols < 0:
         raise ValueError(f"negative shape {rows} x {cols}")
+    if rows * cols >= 2**63:  # every key i * cols + j must fit in int64
+        raise ValueError(f"shape {rows} x {cols} has more cells than int64 keys can index")
     denom = _ints(doc["denominators"], "'denominators'").reshape(-1)
     if denom.size != rows:
         raise ValueError(f"{denom.size} denominators for {rows} rows")
@@ -287,11 +326,11 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     ii, jj, cc = _ints(doc["entries"], "'entries'").reshape(-1, 3).T
     if (cc < 1).any():
         raise ValueError("entry counts must be at least 1")
-    indptr, indices, counts = _csr(rows, cols, ii, jj, cc)
-    if (counts > np.repeat(denom, np.diff(indptr))).any():
+    keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
+    if (counts > denom[keys // max(cols, 1)]).any():
         raise ValueError("an entry count exceeds its row denominator")
     m = OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],
-                      indptr, indices, counts, denom, doc["kind"])
+                      keys, counts, denom, doc["kind"])
     return m, int(_ints(doc["t"], "'t'"))
 
 
@@ -379,25 +418,25 @@ def _json_list(template: str, columns, n: int):
 # overlap and its normalized twin share their arrays and differ only in
 # "kind", so the second file reuses the chunks; the arrays are read-only, so
 # the same objects mean the same body.
-_last_body: tuple = (None, None, None, None, None)
+_last_body: tuple = (None, None, None, None)
 
 
 def _body(m) -> tuple[list[bytes], list[bytes]]:
     """The denominators and entries lists of m's document as chunks."""
     global _last_body
-    arrays = (m.indptr, m.indices, m.counts, m.row_denominators)
+    arrays = (m.keys, m.counts, m.row_denominators)
     if all(a is b for a, b in zip(arrays, _last_body)):
-        return _last_body[4]
+        return _last_body[3]
     body = (list(_json_list("%d", [m.row_denominators], m.rows)),
             list(_json_list("[\n      %d,\n      %d,\n      %d\n    ]",
-                            [_row_of(m), m.indices, m.counts], m.counts.size)))
+                            [m.i, m.j, m.counts], m.counts.size)))
     _last_body = (*arrays, body)
     return body
 
 
 def save_matrix(m, t: int, path) -> None:
     """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` would, straight from the CSR arrays, in ASCII chunks."""
+    indent=2)`` would, straight from the entry arrays, in ASCII chunks."""
     denominators, entries = _body(m)
     with open(path, "wb") as fh:
         fh.write(f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode())

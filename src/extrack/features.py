@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _csr, _ints, _row_of
+from .correspond import OverlapMatrix, _ints, _keys_and_counts
 from .morse import ManifoldLabeling
 
 
@@ -96,14 +96,13 @@ def feature_overlap(
     Entries whose extremum belongs to no feature on either side are
     dropped; their mass shows up later as unassigned.
     """
-    k = features_t.membership(o.rows)[_row_of(o)]
-    l = features_other.membership(o.cols)[o.indices]
+    k = features_t.membership(o.rows)[o.i]
+    l = features_other.membership(o.cols)[o.j]
     keep = (k >= 0) & (l >= 0)
     rows, cols = features_t.n_features, features_other.n_features
-    fo = OverlapMatrix(
-        rows, cols, o.direction, o.strategy, *_csr(rows, cols, k[keep], l[keep], o.counts[keep]),
-        feature_denominators(features_t, o),
-    )
+    keys, counts = _keys_and_counts(rows, cols, k[keep], l[keep], o.counts[keep])
+    fo = OverlapMatrix(rows, cols, o.direction, o.strategy, keys, counts,
+                       feature_denominators(features_t, o))
     # partial partitions may leave mass outside the listed features
     assert (fo.row_sums() <= fo.row_denominators).all()
     return fo

@@ -12,9 +12,10 @@ The graph is held as column arrays (``NodeColumns``, ``EdgeColumns``);
 assembly, track propagation, the filters and both writers work on those
 columns. Each edge carries the node rows of its two endpoints: ``assemble``
 reads them off the layer offsets, the filters carry them along, and a graph
-from outside resolves them with one search. Graphs built by ``assemble``
-and the filters derive their track ids when their nodes are first read, so
-a graph that only feeds the next filter never propagates tracks.
+from outside resolves them with one search per end. Graphs built by
+``assemble`` and the filters derive their track ids when their nodes are
+first read, so a graph that only feeds the next filter never propagates
+tracks.
 Every entry point takes columns; ``GraphNode``/``GraphEdge`` objects are
 read-only output views, built only when a caller reads
 ``TrackingGraph.nodes`` or ``.edges``.
@@ -30,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _ints, _json_list, _row_of, _rows
+from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _rows
 from .field import GridDomain, minimum_image_distance
 from .morse import ManifoldLabeling, _resolve_roots
 
@@ -145,14 +146,15 @@ class NodeColumns:
 
     def rows(self, t: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Row of each (t, id) pair, -1 where no such node exists."""
-        if not len(self) or not t.size:
-            return np.full(t.size, -1, np.int64)
-        lo = min(self.id.min(), ids.min())
-        span = max(self.id.max(), ids.max()) - lo + 1
-        key = self.t * span + (self.id - lo)  # ascending: rows are (t, id)-sorted
-        want = t * span + (ids - lo)
-        row = np.minimum(np.searchsorted(key, want), key.size - 1)
-        return np.where(key[row] == want, row, -1)
+        # a node's key packs two ranks below len(self) + 1: the first row of
+        # its step and the position of its id among the sorted ids, so it is
+        # exact for any int64 values and ascends, as rows are (t, id)-sorted.
+        # An absent id ranks len(self) (-1 % base), which no node has, and
+        # an absent step (-1) makes the key negative
+        known = np.sort(self.id)
+        base = known.size + 1
+        key = np.searchsorted(self.t, self.t) * base + np.searchsorted(known, self.id)
+        return _find(key, _find(self.t, t) * base + _find(known, ids) % base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +214,8 @@ class EdgeColumns:
 class TrackingGraph:
     """Nodes, edges and metadata of one tracking graph, as columns.
 
-    Edges without node rows get them from one search; the node tracks are
-    kept as given.
+    Edges without node rows get them from one search per end; the node
+    tracks are kept as given.
     """
 
     def __init__(self, nodes: NodeColumns, edges: EdgeColumns, meta: dict | None = None):
@@ -265,9 +267,8 @@ def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
 
 
 def _edge_rows(nodes: NodeColumns, e: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of every edge's two end nodes, -1 where absent, from one search."""
-    rows = nodes.rows(np.concatenate([e.t, e.t + 1]), np.concatenate([e.i, e.j]))
-    return rows[:len(e)], rows[len(e):]
+    """Rows of every edge's two end nodes, -1 where absent."""
+    return nodes.rows(e.t, e.i), nodes.rows(e.t + 1, e.j)
 
 
 def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
@@ -302,31 +303,17 @@ def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
     return fresh_id[root]
 
 
-def _lookup(keys: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[k] where the ascending keys[k] == at, NaN where at is absent."""
-    out = np.full(at.size, np.nan)
-    if keys.size:
-        k = np.minimum(np.searchsorted(keys, at), keys.size - 1)
-        hit = keys[k] == at
-        out[hit] = values[k[hit]]
-    return out
-
-
 def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
                 policy: ConnectivityPolicy) -> EdgeColumns:
     """Edges between layers t and t+1 from one forward/backward matrix pair."""
-    n_n = max(fwd.cols, 1)
-    f_key = _row_of(fwd) * n_n + fwd.indices  # ascending: CSR entries are row-major
-    b_key = bwd.indices * n_n + _row_of(bwd)  # transposed: (i, j) of layer t, t+1
-    order = np.argsort(b_key)
-    b_key, b_probs = b_key[order], bwd.probs[order]
     if policy.bidirectional:
-        pf = _lookup(f_key, b_key, fwd.probs)
-        both = ~np.isnan(pf)  # probabilities are positive: NaN marks absence
-        keys, pf, pb = b_key[both], pf[both], b_probs[both]
+        pb = bwd.probs_at(bwd.key(fwd.j, fwd.i))  # each forward entry's transpose
+        both = ~np.isnan(pb)  # probabilities are positive: NaN marks absence
+        i, j, pf, pb = fwd.i[both], fwd.j[both], fwd.probs[both], pb[both]
     else:
-        keys = np.union1d(f_key, b_key)
-        pf, pb = _lookup(f_key, keys, fwd.probs), _lookup(b_key, keys, b_probs)
+        keys = np.union1d(fwd.keys, fwd.key(bwd.j, bwd.i))
+        i, j = fwd.unkey(keys)
+        pf, pb = fwd.probs_at(keys), bwd.probs_at(bwd.key(j, i))
     if policy.strength == "max":
         strength = np.fmax(pf, pb)
     elif policy.strength == "min":
@@ -336,8 +323,7 @@ def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
         # and halving is exact, as in sum([pf, pb]) / 2
         both = ~np.isnan(pf) & ~np.isnan(pb)
         strength = np.where(both, (pf + pb) / 2, np.fmax(pf, pb))
-    i, j = np.divmod(keys, n_n)
-    return EdgeColumns(np.full(keys.size, t, np.int64), i, j, pf, pb, strength)
+    return EdgeColumns(np.full(i.size, t, np.int64), i, j, pf, pb, strength)
 
 
 def assemble(
@@ -546,10 +532,18 @@ def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
     return records
 
 
-def _column(records: list[dict], name: str, key: str):
-    """``key`` of every record; an integer key as a checked int64 array."""
-    c = [x[key] for x in records]
-    return _ints(c, f"{name} {key!r}") if key in ("t", "id", "vertex", "track", "i", "j") else c
+def _column(records: list[dict], name: str, key: str, default=None):
+    """``key`` of every record, ``default`` where it is absent, checked: an
+    integer key as int64, a node kind as one of the two, a number as float64."""
+    c = [x.get(key, default) for x in records]
+    if key in ("t", "id", "vertex", "track", "i", "j"):
+        return _ints(c, f"{name} {key!r}")
+    if key != "kind":
+        return _reals(c, f"{name} {key!r}")
+    bad = [k for k in c if k not in ("extremum", "feature")]
+    if bad:
+        raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
+    return c
 
 
 def import_graph(text: str) -> TrackingGraph:
@@ -562,9 +556,10 @@ def doc_to_graph(doc) -> TrackingGraph:
 
     The document comes from outside, so every check raises ``ValueError``
     (also under ``python -O``): required keys, integers in the integer
-    keys, each node (t, id) listed once with t >= 0, each edge (t, i, j)
-    listed once between nodes that exist in layers t and t+1, and
-    probabilities and strengths in (0, 1].
+    keys, numbers in the others, a known node kind, each node (t, id)
+    listed once with t >= 0, each edge (t, i, j) listed once between nodes
+    that exist in layers t and t+1, and probabilities and strengths in
+    (0, 1].
     """
     nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
     meta = doc.get("meta", {})
@@ -580,7 +575,7 @@ def doc_to_graph(doc) -> TrackingGraph:
         k = twice[0]
         raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
     e = EdgeColumns.build(*(_column(ed, "edge", k) for k in _EDGE_KEYS[:3]),
-                          [x.get("pf", nan) for x in ed], [x.get("pb", nan) for x in ed],
+                          _column(ed, "edge", "pf", nan), _column(ed, "edge", "pb", nan),
                           _column(ed, "edge", "strength"))
     src, dst = _edge_rows(nodes, e)
     absent = (src < 0) | (dst < 0)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import extrack
-from extrack.correspond import _row_of, matrix_to_doc
+from extrack.correspond import _keys_and_counts, matrix_to_doc
 from extrack.field import GridDomain, ScalarFieldSeries, _freudenthal_offsets, minimum_image_distance
 from extrack.morse import Extremum, ExtremumColumns, ManifoldLabeling
 from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, EdgeColumns, GraphEdge, GraphNode,
@@ -342,16 +342,16 @@ def edge_set(g) -> set[tuple[int, int, int]]:
 
 def items(m):
     """(i, j, value) per stored entry, the value of m's kind."""
-    return zip(_row_of(m).tolist(), m.indices.tolist(), m.values.tolist())
+    return zip(m.i.tolist(), m.j.tolist(), m.values.tolist())
 
 
 def support(m) -> set[tuple[int, int]]:
     """The (i, j) of every stored entry."""
-    return set(zip(_row_of(m).tolist(), m.indices.tolist()))
+    return set(zip(m.i.tolist(), m.j.tolist()))
 
 
 def _at(m, i: int, j: int, values: np.ndarray):
-    hit = np.flatnonzero((_row_of(m) == i) & (m.indices == j))
+    hit = np.flatnonzero((m.i == i) & (m.j == j))
     return values[hit[0]] if hit.size else 0
 
 
@@ -365,10 +365,19 @@ def prob(m, i: int, j: int) -> float:
     return float(_at(m, i, j, m.probs))
 
 
+def assert_oracle_entries(m, dense) -> None:
+    """m stores one strictly ascending row-major key per nonzero cell of the
+    dense oracle, with that cell's count."""
+    ii, jj = np.nonzero(dense)
+    keys, counts = _keys_and_counts(*dense.shape, ii, jj, dense[ii, jj])
+    assert (np.diff(m.keys) > 0).all()
+    assert np.array_equal(m.keys, keys) and np.array_equal(m.counts, counts)
+
+
 def row(m, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Column indices and counts of row i."""
-    sl = slice(m.indptr[i], m.indptr[i + 1])
-    return m.indices[sl], m.counts[sl]
+    at = m.i == i
+    return m.j[at], m.counts[at]
 
 
 # Reference implementations of the tracking graph and the artifact writers:
@@ -582,7 +591,7 @@ def oracle_compare_report(strategies, per_strategy) -> tuple[str, str]:
     for strategy, (mats, _) in per_strategy.items():
         probs[strategy] = {}
         for m, s in mats:
-            for i, j, p in zip(_row_of(m).tolist(), m.indices.tolist(), m.probs.tolist()):
+            for i, j, p in zip(m.i.tolist(), m.j.tolist(), m.probs.tolist()):
                 probs[strategy][(m.direction, s, i, j)] = p
     binary = probs.get("binary")
     report = {"strategies": {}, "binary_pairs": []}

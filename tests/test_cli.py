@@ -608,7 +608,8 @@ class TestCompareReport:
             dense = np.where(rng.random((rows, cols)) < density, counts, 0)
             ii, jj = np.nonzero(dense)
             return correspond.OverlapMatrix(rows, cols, direction, "manifold-overlap",
-                                            *correspond._csr(rows, cols, ii, jj, dense[ii, jj]),
+                                            *correspond._keys_and_counts(rows, cols, ii, jj,
+                                                                         dense[ii, jj]),
                                             denom)
 
         per_strategy = {}
@@ -620,7 +621,7 @@ class TestCompareReport:
                      for t, (a, b) in enumerate(zip(sizes, sizes[1:]))]
                     + [(random_matrix(a, b, "forward", density), t)
                        for t, (a, b) in enumerate(zip(sizes, sizes[1:]))])
-            entries = sum(m.indices.size for m, _ in mats)
+            entries = sum(m.keys.size for m, _ in mats)
             per_strategy[s] = (mats, {"correspondence_entries": entries,
                                       "graph_edges": k, "tracks": 2 * k})
         reports = []

@@ -7,7 +7,8 @@ import pytest
 
 from extrack.correspond import (
     OverlapMatrix,
-    _csr,
+    _find,
+    _keys_and_counts,
     binary_correspondence,
     doc_to_matrix,
     load_matrix,
@@ -22,6 +23,7 @@ from extrack.field import GridDomain, euclidean_ball, sampling_offsets
 from extrack.morse import ExtremumColumns, ManifoldLabeling, label_manifolds, simplify
 from extrack.synth import oracle_overlap
 from helpers import (
+    assert_oracle_entries,
     brute_combinatorial_ball,
     entry,
     fake_labeling,
@@ -110,6 +112,8 @@ class TestManifoldOverlap:
             want = oracle_overlap(lab_t, lab_n)
             assert np.array_equal(fwd.to_dense(), want)
             assert np.array_equal(bwd.to_dense(), want.T)
+            assert_oracle_entries(fwd, want)
+            assert_oracle_entries(bwd, want.T)
 
     def test_memory_follows_vertices_not_extremum_pairs(self):
         # 2**17 one-vertex manifolds per step: a dense n_t * n_n count table
@@ -125,9 +129,9 @@ class TestManifoldOverlap:
         fwd, bwd = manifold_overlap(one_vertex_manifolds(np.arange(n)),
                                     one_vertex_manifolds(perm))
         assert (fwd.rows, fwd.cols) == (n, n)
-        assert np.array_equal(fwd.indptr, np.arange(n + 1))
-        assert np.array_equal(fwd.indices, perm)
-        assert np.array_equal(bwd.indices, np.argsort(perm))
+        assert np.array_equal(fwd.i, np.arange(n))
+        assert np.array_equal(fwd.j, perm)
+        assert np.array_equal(bwd.j, np.argsort(perm))
         assert (fwd.counts == 1).all() and (bwd.counts == 1).all()
 
 
@@ -203,6 +207,10 @@ class TestSamplingOverlap:
             c_bin = binary_correspondence(lab_t, lab_n, "forward")
             c_zero = normalize(sampling_overlap(lab_t, lab_n, dom, "euclidean", 0.0, "forward"))
             assert np.array_equal(c_bin.to_dense(), c_zero.to_dense())
+            want = np.zeros((lab_t.n_extrema, lab_n.n_extrema), np.int64)
+            for m in lab_t.extrema:
+                want[m.id, lab_n.label[m.vertex]] = 1
+            assert_oracle_entries(c_bin, want)
 
     def test_binary_is_identity_on_identical_steps(self):
         rng = np.random.default_rng(14)
@@ -249,6 +257,7 @@ class TestSamplingStencil:
                 counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, d, lattice)
                 assert np.array_equal(o.to_dense(), counts), (d, lattice)
                 assert np.array_equal(o.row_denominators, denom), (d, lattice)
+                assert_oracle_entries(o, counts)
 
     @pytest.mark.parametrize("dims,periodic", [((4, 3), (False, True)), ((3, 2, 4), (True, False, False))])
     @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
@@ -275,6 +284,7 @@ class TestSamplingStencil:
         counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, 2.5)
         assert np.array_equal(o.to_dense(), counts)
         assert np.array_equal(o.row_denominators, denom)
+        assert_oracle_entries(o, counts)  # the blocks' keys ascend across blocks
 
     def test_tiny_periodic_axis_reaches_each_vertex_once(self):
         dom = GridDomain((2, 2), periodic=(True, True))
@@ -357,10 +367,8 @@ class TestSerialization:
             sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "forward"),
             binary_correspondence(lab_n, lab_t, "backward"),
             # partial features: stored rows can be empty, or every row
-            OverlapMatrix(2, 3, "forward", "manifold-overlap", np.zeros(3, np.int64),
-                          empty, empty, np.array([5, 6])),
-            OverlapMatrix(0, 4, "forward", "manifold-overlap", np.zeros(1, np.int64),
-                          empty, empty, empty),
+            OverlapMatrix(2, 3, "forward", "manifold-overlap", empty, empty, np.array([5, 6])),
+            OverlapMatrix(0, 4, "forward", "manifold-overlap", empty, empty, empty),
         ]
         for t, m in enumerate(matrices):
             p = tmp_path / f"m{t}.json"
@@ -381,9 +389,10 @@ class TestSerialization:
         jj = np.array([0, 3, 2, 1, 2, 3, 0, 3])
         cc = np.array([1, big, big + 1, 7, 2**62, 9, 10, 3])
         denom = np.array([1, 2 * big, big + 1, 4, 5, 2**62 + 16, 10, 6, 3, 1])
-        m = OverlapMatrix(10, 4, "forward", "sampling-euclidean", *_csr(10, 4, ii, jj, cc), denom)
+        m = OverlapMatrix(10, 4, "forward", "sampling-euclidean",
+                          *_keys_and_counts(10, 4, ii, jj, cc), denom)
         empty = np.zeros(0, np.int64)
-        e = OverlapMatrix(0, 0, "backward", "binary", np.zeros(1, np.int64), empty, empty, empty)
+        e = OverlapMatrix(0, 0, "backward", "binary", empty, empty, empty)
         for t, x in enumerate((m, normalize(m), e, normalize(e), m)):
             p = tmp_path / f"m{t}.json"
             save_matrix(x, t, p)
@@ -433,6 +442,16 @@ MALFORMED_DOCS = {
     "fractional entry": (matrix_doc(entries=[[0, 1.5, 1.2], [1, 0, 3]]),
                          "'entries' must be integers"),
     "string count": (matrix_doc(entries=[[0, 1, "2"], [1, 0, 3]]), "'entries' must be integers"),
+    # numpy reads a bool among integers as 0 or 1
+    "boolean among counts": (matrix_doc(entries=[[0, 1, 2], [1, 0, True]]),
+                             "'entries' must be integers, got a boolean"),
+    "boolean among denominators": (matrix_doc(denominators=[2, True], entries=[[0, 1, 1]]),
+                                   "'denominators' must be integers, got a boolean"),
+    # row-major keys i * cols + j must fit in int64
+    "shape of 2**63 cells": (matrix_doc(rows=2, cols=2**62, denominators=[1, 1],
+                                        entries=[[1, 0, 1]]), "shape 2 x 4611686018427387904"),
+    "shape of 2**64 cells": (matrix_doc(rows=2**32, cols=2**32, entries=[]),
+                             "shape 4294967296 x 4294967296"),
 }
 
 
@@ -440,6 +459,16 @@ class TestLoadValidation:
     def test_well_formed_document_loads(self):
         m, t = doc_to_matrix(matrix_doc())
         assert t == 0 and m.to_dense().tolist() == [[0, 2], [3, 0]]
+        # entries in any order, a repeated (i, j) summing
+        m, _ = doc_to_matrix(matrix_doc(rows=3, cols=4, denominators=[9, 9, 9],
+                                        entries=[[2, 1, 1], [0, 3, 2], [2, 0, 4], [2, 1, 5]]))
+        assert_oracle_entries(m, np.array([[0, 0, 0, 2], [0, 0, 0, 0], [4, 6, 0, 0]]))
+
+    def test_largest_keyed_shape_loads(self):
+        # the last cell's key is 2**63 - 2, one below the int64 maximum
+        m, _ = doc_to_matrix(matrix_doc(rows=1, cols=2**63 - 1, denominators=[1],
+                                        entries=[[0, 2**63 - 2, 1]]))
+        assert m.keys.tolist() == [2**63 - 2] and m.j.tolist() == [2**63 - 2]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
     def test_malformed_document_raises_value_error(self, name, tmp_path):
@@ -504,7 +533,7 @@ class TestMatrixInvariants:
                         sampling_overlap(b, a, dom, "combinatorial", 2, "backward")]
 
             for got, want in zip(matrices(lab_t, lab_n), matrices(*wide)):
-                for name in ("indptr", "indices", "counts", "row_denominators"):
+                for name in ("keys", "counts", "row_denominators"):
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.dtype == w.dtype and np.array_equal(g, w), name
                 assert oracle_matrix_json(got, 0) == oracle_matrix_json(want, 0)
@@ -520,12 +549,11 @@ class TestMatrixInvariants:
 
     def test_entries_must_be_row_major_and_unique(self):
         one = np.ones(2, np.int64)
-        OverlapMatrix(1, 3, "forward", "binary", np.array([0, 2]), np.array([0, 2]), one,
-                      np.array([2]))
-        for indices in ([2, 0], [1, 1]):
+        OverlapMatrix(1, 3, "forward", "binary", np.array([0, 2]), one, np.array([2]))
+        # out of order, repeated, and past either end of the 1 x 3 matrix
+        for keys in ([2, 0], [1, 1], [-1, 0], [0, 3]):
             with pytest.raises(AssertionError):
-                OverlapMatrix(1, 3, "forward", "binary", np.array([0, 2]), np.array(indices),
-                              one, np.array([2]))
+                OverlapMatrix(1, 3, "forward", "binary", np.array(keys), one, np.array([2]))
 
     def test_matrices_are_immutable(self):
         dom = GridDomain((4, 4))
@@ -535,13 +563,43 @@ class TestMatrixInvariants:
             fwd.counts[0] = 99
 
 
-def dense_of(rows, cols, indptr, indices, counts):
+class TestFind:
+    def test_positions_and_absent_keys(self):
+        keys = np.array([2, 5, 9])
+        at = np.array([9, 0, 5, 10, 2, 6, -1])
+        assert _find(keys, at).tolist() == [2, -1, 1, -1, 0, -1, -1]
+        assert _find(keys, np.zeros(0, np.int64)).size == 0
+        assert _find(np.zeros(0, np.int64), np.array([0, 3])).tolist() == [-1, -1]
+
+    def test_probs_at_stored_and_absent_cells(self):
+        # probabilities 1/4, 2/4, 1/4 at (0, 1), (1, 0), (1, 2) of a 2 x 3 matrix
+        m = OverlapMatrix(2, 3, "forward", "manifold-overlap", np.array([1, 3, 5]),
+                          np.array([1, 2, 1]), np.array([4, 4]), "correspondence")
+        ii, jj = np.array([1, 0, 1, 0, 1, 1]), np.array([2, 1, 0, 0, 1, 2])
+        got = m.probs_at(m.key(ii, jj))
+        np.testing.assert_array_equal(got, [0.25, 0.25, 0.5, np.nan, np.nan, 0.25])
+        assert [a.tolist() for a in m.unkey(m.key(ii, jj))] == [ii.tolist(), jj.tolist()]
+        assert (m.i.tolist(), m.j.tolist()) == ([0, 1, 1], [1, 0, 2])
+
+    @pytest.mark.parametrize("rows,cols", [(0, 4), (4, 0), (0, 0)])
+    def test_matrices_without_cells(self, rows, cols):
+        empty = np.zeros(0, np.int64)
+        m = OverlapMatrix(rows, cols, "forward", "binary", empty, empty,
+                          np.ones(rows, np.int64), "correspondence")
+        assert np.isnan(m.probs_at(np.array([0, 1, 5]))).all()
+        assert m.probs_at(empty).size == 0 and _find(m.keys, np.array([0])).tolist() == [-1]
+        assert m.i.size == m.j.size == 0
+        assert m.to_dense().shape == (rows, cols) and m.row_sums().tolist() == [0] * rows
+        assert m.transpose(np.ones(cols, np.int64)).keys.size == 0
+
+
+def dense_of(rows, cols, keys, counts):
     out = np.zeros((rows, cols), dtype=np.int64)
-    out[np.repeat(np.arange(rows), np.diff(indptr)), indices] = counts
+    out[keys // max(cols, 1), keys % max(cols, 1)] = counts
     return out
 
 
-class TestCsr:
+class TestKeysAndCounts:
     @pytest.mark.parametrize("with_counts", [False, True])
     def test_matches_dense_oracle(self, with_counts):
         rng = np.random.default_rng(40)
@@ -551,27 +609,25 @@ class TestCsr:
             ii = rng.integers(0, max(rows, 1), n)
             jj = rng.integers(0, max(cols, 1), n)
             cc = rng.integers(1, 5, n) if with_counts else None
-            indptr, indices, counts = _csr(rows, cols, ii, jj, cc)
-            assert indptr.size == rows + 1 and indptr[0] == 0
-            assert indptr[-1] == indices.size == counts.size
-            keys = np.repeat(np.arange(rows), np.diff(indptr)) * cols + indices
+            keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
+            assert keys.dtype == counts.dtype == np.int64 and keys.size == counts.size
             assert (np.diff(keys) > 0).all(), "row-major order, each key once"
+            assert ((keys >= 0) & (keys < rows * cols)).all()
             expect = np.zeros((rows, cols), dtype=np.int64)
             np.add.at(expect, (ii, jj), 1 if cc is None else cc)
-            assert np.array_equal(dense_of(rows, cols, indptr, indices, counts), expect)
+            assert np.array_equal(dense_of(rows, cols, keys, counts), expect)
 
     def test_unsorted_lists_by_hand(self):
-        indptr, indices, counts = _csr(3, 4, [2, 0, 2, 2], [1, 3, 0, 1], [5, 1, 2, 3])
-        assert indptr.tolist() == [0, 1, 1, 3]
-        assert indices.tolist() == [3, 0, 1]
+        keys, counts = _keys_and_counts(3, 4, [2, 0, 2, 2], [1, 3, 0, 1], [5, 1, 2, 3])
+        assert keys.tolist() == [0 * 4 + 3, 2 * 4 + 0, 2 * 4 + 1]
         assert counts.tolist() == [1, 2, 8]
 
     def test_entry_outside_the_matrix_rejected(self):
         # column 3 of row 0 would otherwise land in row 1 as column 0
         with pytest.raises(ValueError, match="outside"):
-            _csr(2, 3, [0], [3])
+            _keys_and_counts(2, 3, [0], [3])
         with pytest.raises(ValueError, match="outside"):
-            _csr(2, 3, [2], [0])
+            _keys_and_counts(2, 3, [2], [0])
 
     @pytest.mark.parametrize("dims,periodic", [((9, 8), None), ((5, 4, 6), (True, False, True))])
     def test_transpose_twice_is_identity(self, dims, periodic):
@@ -579,9 +635,9 @@ class TestCsr:
         lab_t, lab_n, _ = random_labeling_pair(rng, dims, periodic)
         fwd, _ = manifold_overlap(lab_t, lab_n)
         for m in (fwd, normalize(fwd)):
-            col_sums = np.bincount(m.indices, weights=m.counts, minlength=m.cols).astype(np.int64)
+            col_sums = np.bincount(m.j, weights=m.counts, minlength=m.cols).astype(np.int64)
             back = m.transpose(col_sums).transpose(m.row_denominators)
-            for name in ("indptr", "indices", "counts", "row_denominators"):
+            for name in ("keys", "counts", "row_denominators"):
                 assert np.array_equal(getattr(back, name), getattr(m, name)), name
             assert (back.direction, back.kind) == (m.direction, m.kind)
 
@@ -590,8 +646,8 @@ class TestCsr:
         lab_t, lab_n, _ = random_labeling_pair(rng)
         o, _ = manifold_overlap(lab_t, lab_n)
         c = normalize(o)
-        assert c.indptr is o.indptr and c.indices is o.indices and c.counts is o.counts
+        assert c.keys is o.keys and c.counts is o.counts
         assert (o.kind, c.kind) == ("overlap", "correspondence")
-        assert np.array_equal(c.probs, o.counts / np.repeat(o.row_denominators, np.diff(o.indptr)))
+        assert np.array_equal(c.probs, o.counts / o.row_denominators[o.keys // o.cols])
         # probs is derived per matrix on first use, not stored by normalize
         assert "probs" not in vars(o)

@@ -21,7 +21,7 @@ from extrack.features import (
 )
 from extrack.field import GridDomain
 from extrack.morse import label_manifolds
-from helpers import fake_labeling, random_series
+from helpers import assert_oracle_entries, fake_labeling, random_series
 
 
 def random_partition(rng, n, coverage=1.0):
@@ -161,6 +161,7 @@ class TestLift:
                 if a >= 0 and b >= 0:
                     expect[a, b] += 1
             assert np.array_equal(fo.to_dense(), expect)
+            assert_oracle_entries(fo, expect)
 
     def test_transpose_commutes_with_lift(self):
         rng = np.random.default_rng(33)
@@ -297,6 +298,11 @@ class TestFeatureIO:
         ({"t": 0, "features": [{"id": 0, "extrema": [0.6, True]}]}, "feature 'extrema'"),
         ({"t": 0, "features": [{"id": 0, "extrema": [2]}, {"id": 1, "extrema": [2.0]}]},
          "feature 'extrema'"),
+        # a bool among integers: numpy reads it as 0 or 1
+        ({"t": 0, "features": [{"id": 0, "extrema": [2]}, {"id": 1, "extrema": [True]}]},
+         "feature 'extrema'"),
+        ({"t": 0, "features": [{"id": 0, "extrema": [2]}, {"id": True, "extrema": [1]}]},
+         "feature 'id'"),
     ])
     def test_non_integral_numbers_are_refused(self, tmp_path, doc, key):
         # they used to be truncated: step 0, feature 0, extrema [0, 1]
@@ -319,7 +325,7 @@ class TestMatrixSubclasses:
 
     def test_lifted_rows_may_not_exceed_their_denominator(self):
         # each count fits its denominator, but the row sums to 2 of 1
-        o = OverlapMatrix(1, 2, "forward", "sampling-euclidean", np.array([0, 2]),
-                          np.array([0, 1]), np.array([1, 1]), np.array([1]))
+        o = OverlapMatrix(1, 2, "forward", "sampling-euclidean", np.array([0, 1]),
+                          np.array([1, 1]), np.array([1]))
         with pytest.raises(AssertionError):
             feature_overlap(singleton_features(0, 1), singleton_features(1, 2), o)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from extrack import correspond, trackgraph
-from extrack.correspond import OverlapMatrix, _csr
+from extrack.correspond import OverlapMatrix, _keys_and_counts
 from extrack.field import GridDomain
 from extrack.trackgraph import (
     ConnectivityPolicy,
@@ -50,7 +50,7 @@ def cm(dense, direction, denom=1000):
     cc = np.rint(dense[ii, jj] * denom).astype(np.int64)
     return OverlapMatrix(
         dense.shape[0], dense.shape[1], direction, "manifold-overlap",
-        *_csr(*dense.shape, ii, jj, cc), np.full(dense.shape[0], denom, np.int64),
+        *_keys_and_counts(*dense.shape, ii, jj, cc), np.full(dense.shape[0], denom, np.int64),
         "correspondence",
     )
 
@@ -525,6 +525,25 @@ MALFORMED_GRAPHS = {
                       "node 'track' must be integers"),
     "integral float edge target": (graph_doc(j=0.0), "edge 'j' must be integers"),
     "string edge step": (graph_doc(t="0"), "edge 't' must be integers"),
+    # numpy reads a bool among integers as 0 or 1, and a numeric string as its number
+    "boolean among node ids": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "id": True},
+                                                         graph_doc()["nodes"][1]]},
+                               "node 'id' must be integers, got a boolean"),
+    "unknown node kind": ({**graph_doc(), "nodes": [{**n, "kind": "banana"}
+                                                    for n in graph_doc()["nodes"]]},
+                          "node kind 'banana' is neither 'extremum' nor 'feature'"),
+    "string value": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "value": "1.5"},
+                                               graph_doc()["nodes"][1]]},
+                     "node 'value' must be numbers"),
+    "string position": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "pos": ["2.0", "0"]},
+                                                  graph_doc()["nodes"][1]]},
+                        "node 'pos' must be numbers"),
+    "boolean among positions": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0],
+                                                           "pos": [1.0, True]},
+                                                          graph_doc()["nodes"][1]]},
+                                "node 'pos' must be numbers, got a boolean"),
+    "boolean strength": (graph_doc(strength=True), "edge 'strength' must be numbers"),
+    "string pf": (graph_doc(pf="0.5"), "edge 'pf' must be numbers"),
 }
 
 
@@ -533,6 +552,32 @@ class TestImportValidation:
         for edge in ({}, {"pf": None}, {"pb": None}):
             g = import_graph(json.dumps(graph_doc(**edge)))
             assert edge_set(g) == {(0, 0, 0)}
+
+    def test_node_ids_far_apart_load(self):
+        # (t, id) keys packed as t * span + id would wrap here
+        node = graph_doc()["nodes"][0]
+        doc = {"meta": {}, "nodes": [{**node, "t": t, "id": i}
+                                     for t, i in ((0, 0), (0, 2**62), (3, 0), (4, 0))],
+               "edges": [{"t": 3, "i": 0, "j": 0, "pf": 1.0, "strength": 1.0}]}
+        g = import_graph(json.dumps(doc))
+        assert edge_set(g) == {(3, 0, 0)} and g.n_layers == 5
+
+    def test_node_rows_are_exact_for_any_int64_ids(self):
+        rng = np.random.default_rng(95)
+        big = np.iinfo(np.int64)
+        for _ in range(20):
+            n = int(rng.integers(0, 12))
+            t = rng.integers(0, 4, n)
+            ids = rng.choice(np.array([big.min, -2**62, -1, 0, 1, 2**62, big.max - 1, big.max]), n)
+            keep = np.unique(np.stack([t, ids], axis=1), axis=0)
+            nodes = NodeColumns.build(keep[:, 0], keep[:, 1], ["extremum"] * len(keep),
+                                      np.zeros(len(keep)), np.zeros(len(keep)),
+                                      np.zeros((len(keep), 1)), np.zeros(len(keep)))
+            where = {(a, b): k for k, (a, b) in enumerate(zip(nodes.t.tolist(), nodes.id.tolist()))}
+            qt = rng.integers(-1, 5, 30)
+            qi = rng.choice(np.array([big.min, -2**62, -1, 0, 1, 2**62, big.max - 1, big.max]), 30)
+            want = [where.get(q, -1) for q in zip(qt.tolist(), qi.tolist())]
+            assert nodes.rows(qt, qi).tolist() == want
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
     def test_malformed_document_raises_value_error(self, name):
@@ -569,7 +614,8 @@ def random_cm(rng, rows, cols, direction, density=0.5):
     dense = np.where(rng.random((rows, cols)) < density, counts, 0)
     ii, jj = np.nonzero(dense)
     return OverlapMatrix(rows, cols, direction, "manifold-overlap",
-                         *_csr(rows, cols, ii, jj, dense[ii, jj]), denom.astype(np.int64),
+                         *_keys_and_counts(rows, cols, ii, jj, dense[ii, jj]),
+                         denom.astype(np.int64),
                          "correspondence")
 
 
@@ -643,6 +689,20 @@ class TestAgainstOracles:
         for fd, bd in ((f, b), (f, zero), (zero, b), (zero, zero), (f, f), (b, f),
                        (f, np.maximum(f, b))):
             cm_f, cm_b = [cm(fd, "forward", 2)], [cm(bd.T, "backward", 2)]
+            for policy in POLICIES:
+                assert_same_graph(assemble(layers, cm_f, cm_b, policy),
+                                  oracle_assemble(layers, cm_f, cm_b, policy))
+
+    def test_empty_feature_layer(self):
+        # a step whose feature file lists no feature: its matrices have no
+        # rows or no columns
+        rng = np.random.default_rng(94)
+        domain = GridDomain((4, 5))
+        for sizes in ([3, 0, 2], [0, 4], [2, 0], [0, 0]):
+            layers = [layer_of(dataclasses.replace(n, kind="feature") for n in layer)
+                      for layer in random_layers(rng, domain, sizes)]
+            cm_f = [random_cm(rng, a, b, "forward") for a, b in zip(sizes, sizes[1:])]
+            cm_b = [random_cm(rng, b, a, "backward") for a, b in zip(sizes, sizes[1:])]
             for policy in POLICIES:
                 assert_same_graph(assemble(layers, cm_f, cm_b, policy),
                                   oracle_assemble(layers, cm_f, cm_b, policy))
