@@ -6,10 +6,8 @@ from .field import (
     GridDomain,
     ScalarFieldSeries,
     SeriesFormatError,
-    euclidean_ball,
     load_series,
     save_series,
-    vertex_neighbors,
 )
 from .morse import (
     Extremum,
@@ -23,7 +21,6 @@ from .correspond import (
     binary_correspondence,
     manifold_overlap,
     normalize,
-    sampling_neighborhood,
     sampling_overlap,
 )
 from .features import (
@@ -59,10 +56,8 @@ __all__ = [
     "GridDomain",
     "ScalarFieldSeries",
     "SeriesFormatError",
-    "euclidean_ball",
     "load_series",
     "save_series",
-    "vertex_neighbors",
     "Extremum",
     "ManifoldLabeling",
     "label_manifolds",
@@ -72,7 +67,6 @@ __all__ = [
     "binary_correspondence",
     "manifold_overlap",
     "normalize",
-    "sampling_neighborhood",
     "sampling_overlap",
     "FeatureSet",
     "feature_correspondence",

@@ -74,13 +74,17 @@ def _reals(value, what: str) -> np.ndarray:
 
 def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
     a = np.asarray(value)
-    if a.size and a.dtype.kind not in kinds:
-        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
-    # numpy reads true and false among numbers as 1 and 0: one pass over the
-    # parsed values finds them
-    flat = value
-    for _ in range(a.ndim - 1):
+    # numpy reads true and false among numbers as 1 and 0, and an integer
+    # outside int64 as uint64, float64 or object: passes over the parsed
+    # values find them
+    flat = [value]
+    for _ in range(a.ndim):
         flat = chain.from_iterable(flat)
+    if a.size and a.dtype.kind not in kinds:
+        big = next((x for x in flat if type(x) is int and not -2**63 <= x < 2**63), None)
+        if big is not None:
+            raise ValueError(f"{what} must be {noun}, got {big}, which does not fit in int64")
+        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
     if a.ndim and bool in map(type, flat):
         raise ValueError(f"{what} must be {noun}, got a boolean")
     return a
@@ -190,26 +194,6 @@ def _check_pair(a: ManifoldLabeling, b: ManifoldLabeling):
         raise ValueError("labelings live on different domains")
     if a.kind != b.kind:
         raise ValueError(f"labelings track different kinds ({a.kind} vs {b.kind})")
-
-
-def sampling_neighborhood(
-    vertex: int,
-    domain: GridDomain,
-    mode: SamplingMode,
-    d: float,
-    lattice_units: bool = False,
-) -> np.ndarray:
-    """Vertex set within distance d of a vertex, sorted by id.
-
-    Euclidean mode measures world distance (or plain lattice distance when
-    ``lattice_units`` is set); combinatorial mode takes floor(d) hops over
-    the grid triangulation. One neighborhood of the offset stencil that
-    ``sampling_overlap`` applies to every extremum's vertex at once; the
-    library itself does not call it.
-    """
-    offsets = sampling_offsets(domain, mode, d, lattice_units)
-    ids, inside = stencil_vertices(domain, offsets, [vertex])
-    return np.sort(ids[inside])
 
 
 def sampling_overlap(
@@ -329,9 +313,11 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
     if (counts > denom[keys // max(cols, 1)]).any():
         raise ValueError("an entry count exceeds its row denominator")
-    m = OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],
-                      keys, counts, denom, doc["kind"])
-    return m, int(_ints(doc["t"], "'t'"))
+    t = int(_ints(doc["t"], "'t'"))
+    if t < 0:
+        raise ValueError(f"negative step t={t}")
+    return OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],
+                         keys, counts, denom, doc["kind"]), t
 
 
 # Rows per block of the artifact writers: it bounds the temporaries the

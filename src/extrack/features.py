@@ -15,7 +15,7 @@ shortfall is reported as unassigned mass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -25,22 +25,26 @@ from .correspond import OverlapMatrix, _ints, _keys_and_counts
 from .morse import ManifoldLabeling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
-    """Disjoint extremum-index sets for one time step."""
+    """Disjoint extremum-id sets for one time step, as columns: ``members``
+    holds each feature's ids one feature after another, ascending within a
+    feature, and ``sizes`` the id count per feature. ``owner``, each
+    member's feature position, is derived once here."""
 
     t: int
-    index_sets: tuple[tuple[int, ...], ...]
-    labels: tuple[str | None, ...] | None = None
-    feature_ids: tuple[int, ...] | None = None
+    members: np.ndarray
+    sizes: np.ndarray
+    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.index_sets)
-        ids, owner, sizes = _members(self.index_sets)
+        ids = np.asarray(self.members, dtype=np.int64)
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        if ids.ndim != 1 or sizes.ndim != 1 or sizes.sum() != ids.size:
+            raise ValueError("feature members must be one flat id list that sizes split")
+        n = sizes.size
+        owner = np.repeat(np.arange(n), sizes)
         ids = ids[np.lexsort((ids, owner))]  # each set sorted, sets in order
-        flat, ends = ids.tolist(), np.cumsum(sizes).tolist()
-        sets = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-        object.__setattr__(self, "index_sets", sets)
         # an id clashes in every set after the first one that lists it; the
         # first set that is empty or clashes decides the error
         keys, first = np.unique(ids, return_index=True)
@@ -51,41 +55,27 @@ class FeatureSet:
         if bad_set < n:
             dup = np.unique(ids[clash & (owner == bad_set)])
             raise ValueError(f"extremum ids {dup.tolist()} appear in two features")
-        if self.labels is not None:
-            if len(self.labels) != len(sets):
-                raise ValueError("labels must match the number of features")
-            if all(x is None for x in self.labels):
-                object.__setattr__(self, "labels", None)
-        ids = self.feature_ids or tuple(range(len(sets)))
-        if len(set(ids)) != len(sets):
-            raise ValueError("feature ids must be unique")
-        object.__setattr__(self, "feature_ids", tuple(map(int, ids)))
+        for name, a in (("members", ids), ("sizes", sizes), ("owner", owner)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_features(self) -> int:
-        return len(self.index_sets)
+        return self.sizes.size
 
     def membership(self, n_extrema: int) -> np.ndarray:
         """Extremum id -> feature position, -1 where uncovered."""
-        ids, owner, _ = _members(self.index_sets)
-        bad = ids[(ids < 0) | (ids >= n_extrema)]
+        bad = self.members[(self.members < 0) | (self.members >= n_extrema)]
         if bad.size:
             raise ValueError(f"extremum id {bad[0]} out of range (step has {n_extrema})")
         out = np.full(n_extrema, -1, dtype=np.int64)
-        out[ids] = owner
+        out[self.members] = self.owner
         return out
-
-
-def _members(index_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The listed ids in set order, each id's set position, the set sizes."""
-    sizes = np.fromiter(map(len, index_sets), dtype=np.int64, count=len(index_sets))
-    ids = np.fromiter(chain.from_iterable(index_sets), dtype=np.int64, count=int(sizes.sum()))
-    return ids, np.repeat(np.arange(sizes.size), sizes), sizes
 
 
 def singleton_features(t: int, n_extrema: int) -> FeatureSet:
     """One feature per extremum; the identity lift."""
-    return FeatureSet(t, tuple((i,) for i in range(n_extrema)))
+    return FeatureSet(t, np.arange(n_extrema), np.ones(n_extrema, dtype=np.int64))
 
 
 def feature_overlap(
@@ -125,16 +115,15 @@ def feature_denominators(features_t: FeatureSet, o_forward_all: OverlapMatrix) -
     return out
 
 
-def feature_correspondence(fo: OverlapMatrix, denominators=None) -> OverlapMatrix:
+def feature_correspondence(fo: OverlapMatrix) -> OverlapMatrix:
     """Divide feature overlap rows by the feature denominators."""
-    denom = fo.row_denominators if denominators is None else np.asarray(denominators, np.int64)
-    return replace(fo, row_denominators=denom, kind="correspondence")
+    return replace(fo, kind="correspondence")
 
 
 def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) -> np.ndarray:
     """The id of the member extremum shown for each feature node, in
     feature order: deepest minimum or highest maximum, ties to the lower id."""
-    ids, owner, sizes = _members(features.index_sets)
+    ids, owner, sizes = features.members, features.owner, features.sizes
     depth = labeling.extrema.value[ids]
     if labeling.extremum_kind == "maximum":
         depth = -depth
@@ -144,9 +133,10 @@ def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) ->
 
 def load_features(path) -> list[FeatureSet]:
     """Read feature sets from JSON: one object or a list of objects of the
-    form {t, features: [{id, label?, extrema: [...]}, ...]}. A step, a
-    feature id or an extremum id that is not an integer raises
-    ``ValueError``."""
+    form {t, features: [{id, label?, extrema: [...]}, ...]}, features in
+    stable ``id`` order; a label is accepted and not read. A step, a
+    feature id or an extremum id that is not an integer, or a feature id
+    listed twice in a step, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(doc, dict):
         doc = [doc]
@@ -154,28 +144,11 @@ def load_features(path) -> list[FeatureSet]:
     for entry in doc:
         ids = _ints([f["id"] for f in entry["features"]], "feature 'id'")
         order = np.argsort(ids, kind="stable")
-        feats = [entry["features"][k] for k in order]
-        sets = tuple(f["extrema"] for f in feats)
-        _ints(list(chain.from_iterable(sets)), "feature 'extrema'")
-        out.append(FeatureSet(int(_ints(entry["t"], "'t'")), sets,
-                              tuple(f.get("label") for f in feats), tuple(ids[order].tolist())))
+        sets = [entry["features"][k]["extrema"] for k in order]
+        members = _ints(list(chain.from_iterable(sets)), "feature 'extrema'")
+        out.append(FeatureSet(int(_ints(entry["t"], "'t'")), members, list(map(len, sets))))
+        # checked last, so the set's own errors come first
+        if (np.diff(ids[order]) == 0).any():
+            raise ValueError("feature ids must be unique")
     out.sort(key=lambda fs: fs.t)
     return out
-
-
-def save_features(sets, path) -> None:
-    doc = [
-        {
-            "t": fs.t,
-            "features": [
-                {
-                    "id": fs.feature_ids[k],
-                    **({"label": fs.labels[k]} if fs.labels and fs.labels[k] else {}),
-                    "extrema": list(fs.index_sets[k]),
-                }
-                for k in range(fs.n_features)
-            ],
-        }
-        for fs in sets
-    ]
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")

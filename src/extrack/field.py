@@ -217,24 +217,6 @@ def stencil_vertices(domain: GridDomain, offsets: np.ndarray, centers) -> tuple[
     return ids, inside
 
 
-def vertex_neighbors(domain: GridDomain, v: int) -> list[int]:
-    """Sorted 1-ring of a vertex under the fixed lattice triangulation: the
-    combinatorial stencil of radius 1 around it, less the vertex itself."""
-    domain._check_vertex(v)
-    ids, inside = stencil_vertices(domain, sampling_offsets(domain, "combinatorial", 1), [v])
-    return [int(u) for u in np.unique(ids[inside]) if u != v]
-
-
-def euclidean_ball(domain: GridDomain, center: int, d: float) -> np.ndarray:
-    """Vertices within world distance ``d`` of ``center`` (minimum image).
-
-    Always contains the center; returned sorted by vertex id.
-    """
-    domain._check_vertex(center)
-    ids, inside = stencil_vertices(domain, sampling_offsets(domain, "euclidean", d), [center])
-    return np.sort(ids[inside])
-
-
 def minimum_image_distance(domain: GridDomain, pa, pb):
     """World distance between positions, wrapping periodic axes: a float
     for two positions, an array for two (n, rank) arrays of rows."""

@@ -13,15 +13,18 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 import extrack
 from extrack.correspond import _keys_and_counts, matrix_to_doc
-from extrack.field import GridDomain, ScalarFieldSeries, _freudenthal_offsets, minimum_image_distance
+from extrack.features import FeatureSet
+from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
+                           minimum_image_distance, sampling_offsets, stencil_vertices)
 from extrack.morse import Extremum, ExtremumColumns, ManifoldLabeling
+from extrack.synth import _oracle_neighbors as brute_neighbors  # the one brute-force 1-ring
 from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, EdgeColumns, GraphEdge, GraphNode,
                                 NodeColumns, TrackingGraph)
 
@@ -54,30 +57,6 @@ def brute_ball(domain: GridDomain, center: int, d: float) -> list[int]:
         if d2 <= d * d + 1e-12:
             out.append(v)
     return out
-
-
-def brute_neighbors(domain: GridDomain, v: int) -> list[int]:
-    """Freudenthal 1-ring from the offset definition, one offset at a time."""
-    ups = [o for o in product((0, 1), repeat=domain.rank) if any(o)]
-    offsets = ups + [tuple(-x for x in o) for o in ups]
-    vc = domain.coords_of(v)
-    out = set()
-    for off in offsets:
-        nc = []
-        ok = True
-        for a in range(domain.rank):
-            c = vc[a] + off[a]
-            if domain.periodic[a]:
-                c %= domain.dims[a]
-            elif not 0 <= c < domain.dims[a]:
-                ok = False
-                break
-            nc.append(c)
-        if ok:
-            u = domain.vertex_at(nc)
-            if u != v:
-                out.add(u)
-    return sorted(out)
 
 
 def brute_minimum_image(domain: GridDomain, pa, pb) -> float:
@@ -304,6 +283,28 @@ def extremum_columns(kind, extrema) -> ExtremumColumns:
     extrema = list(extrema)
     return ExtremumColumns(kind, [e.vertex for e in extrema], [e.value for e in extrema],
                            [e.persistence for e in extrema])
+
+
+def feature_set(t: int, sets) -> FeatureSet:
+    """The columns of a sequence of extremum-id sequences, one per feature."""
+    sets = [list(s) for s in sets]
+    return FeatureSet(t, np.array(list(chain.from_iterable(sets)), dtype=np.int64),
+                      [len(s) for s in sets])
+
+
+def index_sets(fs) -> tuple[tuple[int, ...], ...]:
+    """The extremum ids of each feature of fs, in feature order."""
+    ends = np.cumsum(fs.sizes).tolist()
+    flat = fs.members.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+
+
+def neighborhood(domain: GridDomain, v: int, mode, d, lattice_units=False) -> np.ndarray:
+    """The sorted vertices of v's sampling neighborhood, through the
+    library's one offset stencil; the combinatorial one of radius 1 is v's
+    1-ring plus v."""
+    ids, inside = stencil_vertices(domain, sampling_offsets(domain, mode, d, lattice_units), [v])
+    return np.sort(ids[inside])
 
 
 def layer_of(nodes) -> NodeColumns:

@@ -722,16 +722,17 @@ class TestInspect:
 
     @pytest.mark.parametrize("doc, message", [
         ({**MATRIX, "rows": 1.9, "denominators": [2.7], "entries": [[0, 1.5, 1.2]]},
-         "'rows' must be integers"),
-        ({**MATRIX, "denominators": [2.7]}, "'denominators' must be integers"),
-        ({**MATRIX, "entries": [[0, 1.5, 1.2]]}, "'entries' must be integers"),
+         "'rows' must be integers, got float64 values"),
+        ({**MATRIX, "denominators": [2.7]}, "'denominators' must be integers, got float64 values"),
+        ({**MATRIX, "entries": [[0, 1.5, 1.2]]}, "'entries' must be integers, got float64 values"),
         ({**MATRIX, "strategy": "nonsense"}, "unknown matrix strategy 'nonsense'"),
+        ({**MATRIX, "t": -5}, "negative step t=-5"),
         ({"meta": {}, "edges": [], "nodes": [{"t": 0.7, "id": 1.9, "kind": "extremum",
                                               "vertex": 2.5, "value": 0.0, "pos": [0.0],
                                               "track": 0}]},
          "node 't' must be integers"),
     ], ids=["matrix-shape", "matrix-denominators", "matrix-entries", "matrix-strategy",
-            "graph-node"])
+            "matrix-negative-step", "graph-node"])
     def test_non_integral_or_unknown_values_are_data_errors(self, tmp_path, capsys, doc,
                                                             message):
         # each used to be truncated or taken as it stood, with exit 0
@@ -821,6 +822,43 @@ class TestInspect:
         r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
         assert r.returncode == 3, r.stderr
         assert "edge t0 0 -> 0 is listed twice" in r.stderr
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("matrix", "rows", 2**63),
+        ("matrix", "t", 2**64),
+        ("matrix", "denominators", [1, 2**63]),
+        ("graph", "id", -2**63 - 1),
+        ("graph", "vertex", 2**63),
+        ("features", "id", 2**63),
+        ("features", "t", -2**63 - 1),
+        ("features", "extrema", [1, 2**64]),
+    ])
+    def test_integers_outside_int64_are_named(self, ridge_file, tmp_path, capsys, kind, key,
+                                              value):
+        # numpy reads them as uint64, object or float64 values; the message
+        # must name the integer instead
+        if kind == "matrix":
+            doc = {**MATRIX, key: value}
+        elif kind == "graph":
+            node = {"t": 0, "id": 0, "kind": "extremum", "vertex": 0, "value": 0.0,
+                    "pos": [0.0], "track": 0}
+            doc = {"meta": {}, "nodes": [{**node, key: value}], "edges": []}
+        else:
+            doc = {"t": 0, "features": [{"id": 0, "extrema": [0]}]}
+            (doc if key == "t" else doc["features"][0])[key] = value
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(doc))
+        argv = ["inspect", str(p)]
+        if kind == "features":
+            argv = ["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
+                    "--features", str(p)]
+        big = value[-1] if isinstance(value, list) else value
+        message = f"'{key}' must be integers, got {big}, which does not fit in int64"
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        r = run_python("-m", "extrack", *argv, optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr
 
 
 class TestEntryPoint:

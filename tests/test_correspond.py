@@ -15,11 +15,10 @@ from extrack.correspond import (
     manifold_overlap,
     matrix_to_doc,
     normalize,
-    sampling_neighborhood,
     sampling_overlap,
     save_matrix,
 )
-from extrack.field import GridDomain, euclidean_ball, sampling_offsets
+from extrack.field import GridDomain, sampling_offsets
 from extrack.morse import ExtremumColumns, ManifoldLabeling, label_manifolds, simplify
 from extrack.synth import oracle_overlap
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     brute_combinatorial_ball,
     entry,
     fake_labeling,
+    neighborhood,
     oracle_matrix_json,
     oracle_sampling_overlap,
     prob,
@@ -140,15 +140,15 @@ class TestSamplingNeighborhood:
         dom = GridDomain((5, 5))
         v = fake_labeling(dom, [0] * 25).extrema[0].vertex
         for mode in ("euclidean", "combinatorial"):
-            assert sampling_neighborhood(v, dom, mode, 0.0).tolist() == [v]
+            assert neighborhood(dom, v, mode, 0.0).tolist() == [v]
 
     def test_combinatorial_ball_sizes_interior(self):
         dom = GridDomain((9, 9))
         center = dom.vertex_at((4, 4))
-        assert sampling_neighborhood(center, dom, "combinatorial", 1).size == 7
-        assert sampling_neighborhood(center, dom, "combinatorial", 2).size == 19
+        assert neighborhood(dom, center, "combinatorial", 1).size == 7
+        assert neighborhood(dom, center, "combinatorial", 2).size == 19
         # fractional depth floors
-        assert sampling_neighborhood(center, dom, "combinatorial", 1.9).size == 7
+        assert neighborhood(dom, center, "combinatorial", 1.9).size == 7
 
     def test_combinatorial_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -156,24 +156,24 @@ class TestSamplingNeighborhood:
         for _ in range(25):
             v = int(rng.integers(dom.vertex_count))
             depth = int(rng.integers(0, 4))
-            got = sampling_neighborhood(v, dom, "combinatorial", depth).tolist()
+            got = neighborhood(dom, v, "combinatorial", depth).tolist()
             assert got == brute_combinatorial_ball(dom, v, depth)
 
     def test_euclidean_units_flag(self):
         dom = GridDomain((9, 9), spacing=(10.0, 10.0))
         center = dom.vertex_at((4, 4))
         # world units: spacing 10 means radius 1 only reaches the center
-        assert sampling_neighborhood(center, dom, "euclidean", 1.0).size == 1
+        assert neighborhood(dom, center, "euclidean", 1.0).size == 1
         # lattice units ignore spacing: von Neumann ball of 5
-        assert sampling_neighborhood(center, dom, "euclidean", 1.0, lattice_units=True).size == 5
+        assert neighborhood(dom, center, "euclidean", 1.0, lattice_units=True).size == 5
 
     def test_negative_radius_rejected(self):
         dom = GridDomain((4, 4))
         v = fake_labeling(dom, [0] * 16).extrema[0].vertex
         with pytest.raises(ValueError):
-            sampling_neighborhood(v, dom, "euclidean", -0.5)
+            neighborhood(dom, v, "euclidean", -0.5)
         with pytest.raises(ValueError):
-            sampling_neighborhood(v, dom, "nearest", 1.0)
+            neighborhood(dom, v, "nearest", 1.0)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode", ["euclidean", "combinatorial"])
@@ -182,11 +182,9 @@ class TestSamplingNeighborhood:
         lab = fake_labeling(dom, [0] * 8 + [1] * 8)
         m = lab.extrema[0]
         with pytest.raises(ValueError, match="finite non-negative"):
-            sampling_neighborhood(m.vertex, dom, mode, d)
+            neighborhood(dom, m.vertex, mode, d)
         with pytest.raises(ValueError, match="finite non-negative"):
             sampling_overlap(lab, lab, dom, mode, d, "forward")
-        with pytest.raises(ValueError, match="finite non-negative"):
-            euclidean_ball(dom, m.vertex, d)
 
 
 class TestSamplingOverlap:
@@ -195,7 +193,7 @@ class TestSamplingOverlap:
         lab_t, lab_n, dom = random_labeling_pair(rng)
         o = sampling_overlap(lab_t, lab_n, dom, "combinatorial", 2, "forward")
         for m in lab_t.extrema:
-            ball = sampling_neighborhood(m.vertex, dom, "combinatorial", 2)
+            ball = neighborhood(dom, m.vertex, "combinatorial", 2)
             assert o.row_denominators[m.id] == ball.size
             jj, cc = row(o, m.id)
             assert cc.sum() == ball.size

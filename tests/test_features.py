@@ -1,27 +1,24 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from extrack.correspond import (
-    OverlapMatrix,
-    manifold_overlap,
-    sampling_neighborhood,
-    sampling_overlap,
-)
+from extrack.cli import main
+from extrack.correspond import OverlapMatrix, manifold_overlap, sampling_overlap
 from extrack.features import (
-    FeatureSet,
     feature_correspondence,
     feature_denominators,
     feature_overlap,
     load_features,
     representative_extremum,
-    save_features,
     singleton_features,
 )
-from extrack.field import GridDomain
+from extrack.field import GridDomain, save_series
 from extrack.morse import label_manifolds
-from helpers import assert_oracle_entries, fake_labeling, random_series
+from extrack.synth import generate, ridge_script
+from helpers import (assert_oracle_entries, fake_labeling, feature_set, index_sets, neighborhood,
+                     random_series)
 
 
 def random_partition(rng, n, coverage=1.0):
@@ -35,7 +32,7 @@ def random_partition(rng, n, coverage=1.0):
         size = int(rng.integers(1, 4))
         sets.append(tuple(ids[k:k + size]))
         k += size
-    return FeatureSet(0, tuple(sets))
+    return feature_set(0, sets)
 
 
 def toy_pair():
@@ -48,11 +45,11 @@ def toy_pair():
 class TestFeatureSet:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            FeatureSet(0, ((0,), ()))
+            feature_set(0, ((0,), ()))
 
     def test_shared_extremum_rejected(self):
         with pytest.raises(ValueError, match="two features"):
-            FeatureSet(0, ((0, 1), (1, 2)))
+            feature_set(0, ((0, 1), (1, 2)))
 
     def test_first_offending_set_names_the_error(self):
         # the message lists the ids of the first set that repeats an earlier
@@ -65,29 +62,47 @@ class TestFeatureSet:
         ]
         for sets, message in cases:
             with pytest.raises(ValueError, match=message):
-                FeatureSet(0, sets)
+                feature_set(0, sets)
         # an id repeated inside one set is no clash
-        assert FeatureSet(0, ((2, np.int64(2)), (1,))).index_sets == ((2, 2), (1,))
+        assert index_sets(feature_set(0, ((2, np.int64(2)), (1,)))) == ((2, 2), (1,))
 
     def test_singletons(self):
         fs = singleton_features(3, 5)
-        assert fs.index_sets == ((0,), (1,), (2,), (3,), (4,))
-        assert fs.feature_ids == (0, 1, 2, 3, 4) and fs.t == 3
-        assert all(type(i) is int for s in fs.index_sets for i in s)
-        assert singleton_features(0, 0).index_sets == ()
+        assert index_sets(fs) == ((0,), (1,), (2,), (3,), (4,))
+        assert fs.n_features == 5 and fs.t == 3
+        assert all(a.dtype == np.int64 for a in (fs.members, fs.sizes, fs.owner))
+        assert index_sets(singleton_features(0, 0)) == ()
 
-    def test_label_count_must_match(self):
-        with pytest.raises(ValueError, match="labels"):
-            FeatureSet(0, ((0,), (1,)), labels=("a",))
+    def test_labels_are_accepted_and_not_read(self, tmp_path):
+        # however many features carry a label, and whatever it holds, the
+        # columns equal those of the same file without labels
+        plain = [{"id": 0, "extrema": [0]}, {"id": 1, "extrema": [1]}]
+        labelled = [{"id": 0, "label": "a", "extrema": [0]},
+                    {"id": 1, "label": None, "extrema": [1]}]
+        got = []
+        for feats in (plain, labelled):
+            p = tmp_path / "features.json"
+            p.write_text(json.dumps({"t": 0, "features": feats}))
+            (fs,) = load_features(p)
+            got.append((fs.members.tolist(), fs.sizes.tolist()))
+        assert got[0] == got[1] == ([0, 1], [1, 1])
 
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_ids_rejected(self, tmp_path, capsys):
+        p = tmp_path / "features.json"
+        p.write_text(json.dumps({"t": 0, "features": [{"id": 3, "extrema": [0]},
+                                                      {"id": 3, "extrema": [1]}]}))
         with pytest.raises(ValueError, match="unique"):
-            FeatureSet(0, ((0,), (1,)), feature_ids=(3, 3))
+            load_features(p)
+        series = tmp_path / "ridge.xtrk"
+        save_series(generate(ridge_script()), series)
+        assert main(["run", "--input", str(series), "--out", str(tmp_path / "out"),
+                     "--features", str(p)]) == 3
+        assert "feature ids must be unique" in capsys.readouterr().err
 
     def test_membership_and_coverage(self):
-        fs = FeatureSet(2, ((4, 1), (3,)))
-        assert fs.index_sets == ((1, 4), (3,))
-        assert {i for s in fs.index_sets for i in s} == {1, 3, 4}
+        fs = feature_set(2, ((4, 1), (3,)))
+        assert index_sets(fs) == ((1, 4), (3,))
+        assert {i for s in index_sets(fs) for i in s} == {1, 3, 4}
         assert fs.membership(6).tolist() == [-1, 0, -1, 1, 0, -1]
         with pytest.raises(ValueError, match="out of range"):
             fs.membership(4)
@@ -111,8 +126,8 @@ class TestLift:
     def test_block_sum_by_hand(self):
         _, lab_t, lab_n = toy_pair()
         fwd, _ = manifold_overlap(lab_t, lab_n)  # [[8, 2], [0, 6]]
-        ft = FeatureSet(0, ((0, 1),))
-        fn = FeatureSet(1, ((0,), (1,)))
+        ft = feature_set(0, ((0, 1),))
+        fn = feature_set(1, ((0,), (1,)))
         fo = feature_overlap(ft, fn, fwd)
         assert fo.to_dense().tolist() == [[8, 8]]
         assert fo.row_denominators.tolist() == [16]
@@ -122,7 +137,7 @@ class TestLift:
         _, lab_t, lab_n = toy_pair()
         fwd, _ = manifold_overlap(lab_t, lab_n)
         # only extremum 0 on this side, only manifold 1 on the other
-        fo = feature_overlap(FeatureSet(0, ((0,),)), FeatureSet(1, ((1,),)), fwd)
+        fo = feature_overlap(feature_set(0, ((0,),)), feature_set(1, ((1,),)), fwd)
         assert fo.to_dense().tolist() == [[2]]
         fc = feature_correspondence(fo)
         assert fc.to_dense().tolist() == [[0.2]]
@@ -187,7 +202,7 @@ class TestDenominators:
         fwd, _ = manifold_overlap(lab_t, lab_n)
         ft = random_partition(rng, lab_t.n_extrema, coverage=0.8)
         got = feature_denominators(ft, fwd)
-        expect = [sum(int(lab_t.sizes[i]) for i in s) for s in ft.index_sets]
+        expect = [sum(int(lab_t.sizes[i]) for i in s) for s in index_sets(ft)]
         assert got.tolist() == expect
 
     def test_sampling_denominator_sums_ball_sizes_without_dedup(self):
@@ -197,23 +212,24 @@ class TestDenominators:
         lab_t = label_manifolds(series.steps[0], dom, "minimum")
         lab_n = label_manifolds(series.steps[1], dom, "minimum")
         o = sampling_overlap(lab_t, lab_n, dom, "euclidean", 3.0, "forward")
-        ft = FeatureSet(0, (tuple(range(lab_t.n_extrema)),))
+        ft = feature_set(0, (range(lab_t.n_extrema),))
         got = feature_denominators(ft, o)
-        balls = [sampling_neighborhood(v, dom, "euclidean", 3.0).size
+        balls = [neighborhood(dom, v, "euclidean", 3.0).size
                  for v in lab_t.extrema.vertex.tolist()]
         assert got.tolist() == [sum(balls)]
         # overlapping balls are counted twice on purpose
         union = set()
         for v in lab_t.extrema.vertex.tolist():
-            union |= set(sampling_neighborhood(v, dom, "euclidean", 3.0).tolist())
+            union |= set(neighborhood(dom, v, "euclidean", 3.0).tolist())
         if len(union) < sum(balls):
             assert got[0] > len(union)
 
     def test_explicit_denominator_override(self):
+        # the correspondence divides by the matrix's own denominators
         _, lab_t, lab_n = toy_pair()
         fwd, _ = manifold_overlap(lab_t, lab_n)
-        fo = feature_overlap(FeatureSet(0, ((0,),)), FeatureSet(1, ((0,), (1,))), fwd)
-        fc = feature_correspondence(fo, denominators=[20])
+        fo = feature_overlap(feature_set(0, ((0,),)), feature_set(1, ((0,), (1,))), fwd)
+        fc = feature_correspondence(dataclasses.replace(fo, row_denominators=np.array([20])))
         assert fc.to_dense().tolist() == [[0.4, 0.1]]
 
 
@@ -221,19 +237,19 @@ class TestRepresentative:
     def test_deepest_minimum_wins(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, values=[5.0, 1.0, 3.0] * 2)
-        rep = representative_extremum(FeatureSet(0, ((0, 1, 2),)), lab)
+        rep = representative_extremum(feature_set(0, ((0, 1, 2),)), lab)
         assert rep.tolist() == [1]
 
     def test_tie_breaks_to_lower_id(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, values=[2.0, 2.0, 2.0] * 2)
-        assert representative_extremum(FeatureSet(0, ((2, 1),)), lab).tolist() == [1]
+        assert representative_extremum(feature_set(0, ((2, 1),)), lab).tolist() == [1]
 
     def test_highest_maximum_wins(self):
         dom = GridDomain((2, 3))
         lab = fake_labeling(dom, [0, 1, 2] * 2, kind="descending",
                             values=[5.0, 1.0, 3.0] * 2)
-        assert representative_extremum(FeatureSet(0, ((0, 1, 2),)), lab).tolist() == [0]
+        assert representative_extremum(feature_set(0, ((0, 1, 2),)), lab).tolist() == [0]
 
     @pytest.mark.parametrize("kind", ["ascending", "descending"])
     def test_matches_brute_force_per_set(self, kind):
@@ -246,37 +262,37 @@ class TestRepresentative:
             values = rng.integers(-2, 3, n).astype(float)
             lab = fake_labeling(GridDomain((2, 2 * n)), np.repeat(np.arange(n), 4), kind, values)
             fs = random_partition(rng, n, coverage=rng.uniform(0.3, 1.0))
-            want = [min(s, key=lambda i: (sign * values[i], i)) for s in fs.index_sets]
+            want = [min(s, key=lambda i: (sign * values[i], i)) for s in index_sets(fs)]
             got = representative_extremum(fs, lab)
             assert got.dtype == np.int64
             assert got.tolist() == want
 
     def test_no_features_no_representatives(self):
         lab = fake_labeling(GridDomain((2, 3)), [0, 1, 2] * 2)
-        assert representative_extremum(FeatureSet(0, ()), lab).tolist() == []
+        assert representative_extremum(feature_set(0, ()), lab).tolist() == []
 
 
 class TestFeatureIO:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        sets = [
-            FeatureSet(0, ((0, 2), (1,)), labels=("storm", None), feature_ids=(0, 1)),
-            FeatureSet(1, ((3,),)),
-        ]
-        p = tmp_path / "features.json"
-        save_features(sets, p)
-        first = p.read_bytes()
-        back = load_features(p)
-        assert back == sets
-        save_features(back, p)
-        assert p.read_bytes() == first
+    def test_labels_and_id_order_do_not_change_the_columns(self, tmp_path):
+        # labels are not read, and features are taken in stable id order
+        plain = [{"t": 0, "features": [{"id": 0, "extrema": [0, 2]}, {"id": 1, "extrema": [1]}]},
+                 {"t": 1, "features": [{"id": 0, "extrema": [3]}]}]
+        shuffled = [{"t": 1, "features": [{"id": 0, "label": "calm", "extrema": [3]}]},
+                    {"t": 0, "features": [{"id": 1, "extrema": [1]},
+                                          {"id": 0, "label": "storm", "extrema": [2, 0]}]}]
+        got = []
+        for doc in (plain, shuffled):
+            p = tmp_path / "features.json"
+            p.write_text(json.dumps(doc))
+            got.append([(fs.t, index_sets(fs)) for fs in load_features(p)])
+        assert got[0] == got[1] == [(0, ((0, 2), (1,))), (1, ((3,),))]
 
     def test_single_object_form(self, tmp_path):
         p = tmp_path / "one.json"
         p.write_text('{"t": 4, "features": [{"id": 7, "extrema": [2, 0]}]}')
         (fs,) = load_features(p)
         assert fs.t == 4
-        assert fs.index_sets == ((0, 2),)
-        assert fs.feature_ids == (7,)
+        assert index_sets(fs) == ((0, 2),)
 
     def test_sets_come_back_sorted_by_t_and_id(self, tmp_path):
         p = tmp_path / "many.json"
@@ -286,8 +302,7 @@ class TestFeatureIO:
         )
         back = load_features(p)
         assert [fs.t for fs in back] == [0, 2]
-        assert back[1].feature_ids == (0, 1)
-        assert back[1].index_sets == ((3,), (5,))
+        assert index_sets(back[1]) == ((3,), (5,))
 
     @pytest.mark.parametrize("doc, key", [
         ({"t": 0.9, "features": [{"id": 0.4, "extrema": [0.6, True]}]}, "feature 'id'"),
@@ -316,7 +331,7 @@ class TestMatrixSubclasses:
     def test_partial_rows_accepted_by_feature_matrices(self):
         _, lab_t, lab_n = toy_pair()
         fwd, _ = manifold_overlap(lab_t, lab_n)
-        fo = feature_overlap(FeatureSet(0, ((0,),)), FeatureSet(1, ((1,),)), fwd)
+        fo = feature_overlap(feature_set(0, ((0,),)), feature_set(1, ((1,),)), fwd)
         assert fo.row_sums().tolist() == [2] and fo.row_denominators.tolist() == [10]
         fc = feature_correspondence(fo)
         assert fc.kind == "correspondence" and fc.unassigned_mass().tolist() == [0.8]

@@ -7,16 +7,19 @@ from extrack.field import (
     GridDomain,
     ScalarFieldSeries,
     SeriesFormatError,
-    euclidean_ball,
     load_labels,
     load_series,
     minimum_image_distance,
     save_labels,
     save_series,
     stack_series,
-    vertex_neighbors,
 )
-from helpers import brute_ball, brute_minimum_image, brute_neighbors, random_series
+from helpers import brute_ball, brute_minimum_image, brute_neighbors, neighborhood, random_series
+
+
+def ring(d, v):
+    """v's 1-ring: the combinatorial stencil of radius 1, less v."""
+    return [u for u in neighborhood(d, v, "combinatorial", 1).tolist() if u != v]
 
 
 class TestGridDomain:
@@ -58,12 +61,12 @@ class TestGridDomain:
 class TestNeighbors:
     def test_2d_interior_has_six(self):
         d = GridDomain((4, 4))
-        assert vertex_neighbors(d, 5) == [0, 1, 4, 6, 9, 10]
+        assert ring(d, 5) == [0, 1, 4, 6, 9, 10]
 
     def test_3d_interior_has_fourteen(self):
         d = GridDomain((3, 3, 3))
         center = d.vertex_at((1, 1, 1))
-        assert len(vertex_neighbors(d, center)) == 14
+        assert len(ring(d, center)) == 14
 
     def test_matches_offset_definition_everywhere(self):
         cases = [
@@ -78,36 +81,36 @@ class TestNeighbors:
         ]
         for d in cases:
             for v in range(d.vertex_count):
-                assert vertex_neighbors(d, v) == brute_neighbors(d, v), (d, v)
+                assert ring(d, v) == brute_neighbors(d, v), (d, v)
 
     def test_symmetry(self):
         # u in N(v) iff v in N(u), including across periodic seams
         d = GridDomain((4, 4, 3), periodic=(True, False, True))
-        rings = [set(vertex_neighbors(d, v)) for v in range(d.vertex_count)]
-        for v, ring in enumerate(rings):
-            for u in ring:
+        rings = [set(ring(d, v)) for v in range(d.vertex_count)]
+        for v, nbrs in enumerate(rings):
+            for u in nbrs:
                 assert v in rings[u]
 
     def test_out_of_range_vertex(self):
-        with pytest.raises(IndexError):
-            vertex_neighbors(GridDomain((4, 4)), 16)
+        with pytest.raises(ValueError):
+            ring(GridDomain((4, 4)), 16)
 
 
 class TestEuclideanBall:
     def test_unit_ball_interior(self):
         d = GridDomain((5, 5))
         center = d.vertex_at((2, 2))
-        ball = set(euclidean_ball(d, center, 1.0))
+        ball = set(neighborhood(d, center, "euclidean", 1.0))
         assert ball == {center, center - 1, center + 1, center - 5, center + 5}
 
     def test_zero_radius_is_singleton(self):
         d = GridDomain((5, 5))
-        assert list(euclidean_ball(d, 7, 0.0)) == [7]
+        assert list(neighborhood(d, 7, "euclidean", 0.0)) == [7]
 
     def test_periodic_ring(self):
         # wide row spacing keeps the ball on one ring; wraps across the seam
         d = GridDomain((2, 8), spacing=(10.0, 1.0), periodic=(False, True))
-        assert list(euclidean_ball(d, 0, 1.0)) == [0, 1, 7]
+        assert list(neighborhood(d, 0, "euclidean", 1.0)) == [0, 1, 7]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -120,12 +123,12 @@ class TestEuclideanBall:
             for _ in range(20):
                 center = int(rng.integers(d.vertex_count))
                 radius = float(rng.uniform(0, 4))
-                got = list(euclidean_ball(d, center, radius))
+                got = list(neighborhood(d, center, "euclidean", radius))
                 assert got == brute_ball(d, center, radius), (d, center, radius)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            euclidean_ball(GridDomain((4, 4)), 0, -1.0)
+            neighborhood(GridDomain((4, 4)), 0, "euclidean", -1.0)
 
 
 def test_minimum_image_distance():

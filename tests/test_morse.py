@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from extrack import morse
-from extrack.field import GridDomain, vertex_neighbors
+from extrack.field import GridDomain
 from extrack.morse import (Extremum, ManifoldLabeling, _descent_pointers, _id_dtype,
                            _merge_sweep, _resolve_roots, _spanning_forest, _total_order,
                            label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
-from helpers import (extremum_columns, grid_series, oracle_descent_pointers, oracle_extrema,
-                     oracle_merge_sweep, oracle_spanning_forest)
+from helpers import (extremum_columns, grid_series, neighborhood, oracle_descent_pointers,
+                     oracle_extrema, oracle_merge_sweep, oracle_spanning_forest)
 
 
 def check_sweep(values, dom, descending, monkeypatch=None):
@@ -128,8 +128,8 @@ class TestLabelManifolds:
         vals = rng.standard_normal(49)
         lab = label_manifolds(vals, dom, "minimum")
         for e in lab.extrema:
-            for u in vertex_neighbors(dom, e.vertex):
-                assert (vals[e.vertex], e.vertex) < (vals[u], u)
+            for u in neighborhood(dom, e.vertex, "combinatorial", 1).tolist():
+                assert u == e.vertex or (vals[e.vertex], e.vertex) < (vals[u], u)
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(6)

@@ -875,9 +875,15 @@ def test_library_takes_columns_only():
         text = path.read_text(encoding="utf-8")
         assert "def from_objects" not in text and "class TotalOrder" not in text, path.name
     assert not hasattr(extrack, "TotalOrder") and not hasattr(morse, "TotalOrder")
-    for cls, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support")),
-                       (TrackingGraph, ("layer", "edge_set")), (features.FeatureSet, ("covered",))):
-        assert not [n for n in names if hasattr(cls, n)], cls
+    for owner, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support")),
+                         (TrackingGraph, ("layer", "edge_set")),
+                         (features.FeatureSet, ("covered",)),
+                         (features.singleton_features(0, 2), ("index_sets", "labels", "feature_ids")),
+                         (features, ("save_features", "_members")),
+                         (field, ("euclidean_ball", "vertex_neighbors")),
+                         (correspond, ("sampling_neighborhood",)),
+                         (extrack, ("euclidean_ball", "vertex_neighbors", "sampling_neighborhood"))):
+        assert not [n for n in names if hasattr(owner, n)], owner
     objects = re.compile(r"\b(GraphNode|GraphEdge|Extremum)\b")
     for mod in (cli, correspond, features, field, morse, synth, trackgraph):
         for obj in vars(mod).values():
