@@ -40,6 +40,16 @@ DEFAULT_P_MIN = {
     "sampling-combinatorial": 0.1,
     "binary": 0.0,
 }
+# the values each choice-valued flag and config key accepts
+CHOICES = {
+    "format": ("raw-f64", "raw-f32", "csv"),
+    "kind": ("minimum", "maximum", "min", "max"),
+    "strategy": STRATEGIES,
+    "distance_units": ("world", "lattice"),
+    "connect": ("bidirectional", "any"),
+    "strength": ("max", "avg", "min"),
+    "require": ("any", "both"),
+}
 
 
 class ConfigError(Exception):
@@ -62,6 +72,9 @@ class StageError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The settings of one run; the flag and config-file parsers check the
+    choice-valued ones against ``CHOICES``."""
+
     input: tuple[str, ...]
     format: str = "raw-f64"
     kind: str = "minimum"
@@ -87,26 +100,12 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.input:
             raise ConfigError("no input file given")
-        if self.format not in ("raw-f64", "raw-f32", "csv"):
-            raise ConfigError(f"unknown format {self.format!r}")
-        if self.kind not in ("minimum", "maximum"):
-            raise ConfigError(f"kind must be minimum or maximum, got {self.kind!r}")
         if not 0.0 <= self.persistence_pct <= 100.0:
             raise ConfigError(f"persistence-pct must be in [0, 100], got {self.persistence_pct}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.d < 0 or not math.isfinite(self.d):
             raise ConfigError(f"d must be a finite non-negative number, got {self.d}")
-        if self.distance_units not in ("world", "lattice"):
-            raise ConfigError(f"distance-units must be world or lattice, got {self.distance_units!r}")
-        if self.connect not in ("bidirectional", "any"):
-            raise ConfigError(f"connect must be bidirectional or any, got {self.connect!r}")
-        if self.strength not in ("max", "avg", "min"):
-            raise ConfigError(f"unknown strength rule {self.strength!r}")
         if self.p_min is not None and not 0.0 <= self.p_min <= 1.0:
             raise ConfigError(f"p-min must be in [0, 1], got {self.p_min}")
-        if self.require not in ("any", "both"):
-            raise ConfigError(f"require must be any or both, got {self.require!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if (self.value_min is not None and self.value_max is not None
@@ -232,8 +231,7 @@ def _label_all(series: ScalarFieldSeries, config: PipelineConfig) -> list[Manifo
     return _stage("labeling", one, range(series.n_steps), config.jobs)
 
 
-def _pair_matrices(labs: list[ManifoldLabeling], domain: GridDomain, config: PipelineConfig,
-                   strategy: str):
+def _pair_matrices(labs: list[ManifoldLabeling], config: PipelineConfig, strategy: str):
     """Per consecutive pair: the (forward, backward) overlap matrices, or
     the binary correspondence matrices, which have no overlap."""
     lattice = config.distance_units == "lattice"
@@ -243,10 +241,10 @@ def _pair_matrices(labs: list[ManifoldLabeling], domain: GridDomain, config: Pip
             return correspond.manifold_overlap(labs[t], labs[t + 1])
         if strategy in ("sampling-euclidean", "sampling-combinatorial"):
             mode = strategy.split("-", 1)[1]
-            return (correspond.sampling_overlap(labs[t], labs[t + 1], domain, mode,
-                                                config.d, "forward", lattice),
-                    correspond.sampling_overlap(labs[t + 1], labs[t], domain, mode,
-                                                config.d, "backward", lattice))
+            return (correspond.sampling_overlap(labs[t], labs[t + 1], mode, config.d,
+                                                "forward", lattice),
+                    correspond.sampling_overlap(labs[t + 1], labs[t], mode, config.d,
+                                                "backward", lattice))
         return (correspond.binary_correspondence(labs[t], labs[t + 1], "forward"),
                 correspond.binary_correspondence(labs[t + 1], labs[t], "backward"))
 
@@ -342,7 +340,7 @@ def run(config: PipelineConfig) -> int:
         _stage("dump-labels", lambda t: field.save_labels(labs[t].label, series.domain,
                                                           out / f"labels_{t:04d}.xtrk"),
                range(len(labs)))
-    pairs = _pair_matrices(labs, series.domain, config, config.strategy)
+    pairs = _pair_matrices(labs, config, config.strategy)
     fsets = fpairs = None
     if config.features is not None:
         fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
@@ -419,7 +417,7 @@ def compare(config: PipelineConfig, strategies) -> int:
 
     per_strategy = {}
     for strategy in strategies:
-        pairs = _pair_matrices(labs, series.domain, config, strategy)
+        pairs = _pair_matrices(labs, config, strategy)
         fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
         g = _build_graph(layers, series.domain, pairs if fpairs is None else fpairs, config, strategy)
         # backward before forward, the order of their (direction, step) keys
@@ -493,7 +491,7 @@ def cmd_inspect(args) -> int:
             if g.meta.get("strategy"):
                 w(f"strategy {g.meta['strategy']}, policy {g.meta.get('policy')}\n")
             top = np.argsort(-e.strength, kind="stable")[:10]
-            for t, i, j, s in zip(*(a[top].tolist() for a in (e.t, e.i, e.j, e.strength))):
+            for t, i, j, s in zip(*(a[top].tolist() for a in (*g.edge_ends(), e.strength))):
                 w(f"  t{t} {i} -> {j}  strength {s:.4f}\n")
             return 0
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -527,19 +525,30 @@ def _point_flag(s: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+def _choice(key: str):
+    """A config-file parser for the choice-valued ``key``."""
+    def parse(s: str) -> str:
+        if s not in CHOICES[key]:
+            raise ValueError(f"invalid {key.replace('_', '-')} {s!r} "
+                             f"(choose from {', '.join(CHOICES[key])})")
+        return s
+
+    return parse
+
+
 _CONFIG_KEYS = {
     "input": lambda s: tuple(s.split(",")),
-    "format": str,
-    "kind": str,
+    "format": _choice("format"),
+    "kind": _choice("kind"),
     "persistence_pct": float,
     "global_range": _parse_bool,
-    "strategy": str,
+    "strategy": _choice("strategy"),
     "d": float,
-    "distance_units": str,
-    "connect": str,
-    "strength": str,
+    "distance_units": _choice("distance_units"),
+    "connect": _choice("connect"),
+    "strength": _choice("strength"),
     "p_min": float,
-    "require": str,
+    "require": _choice("require"),
     "value_min": float,
     "value_max": float,
     "box_min": _parse_point,
@@ -579,20 +588,20 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verbose", action="store_true", help="log stage timings")
     p.add_argument("--config", help="flat key = value file; explicit flags win")
     p.add_argument("--input", nargs="+", help="series file(s); csv mode takes one per step")
-    p.add_argument("--format", choices=["raw-f64", "raw-f32", "csv"])
-    p.add_argument("--kind", choices=["minimum", "maximum", "min", "max"])
+    p.add_argument("--format", choices=CHOICES["format"])
+    p.add_argument("--kind", choices=CHOICES["kind"])
     p.add_argument("--persistence-pct", type=float, dest="persistence_pct",
                    help="persistence threshold, percent of range (default 0.5)")
     p.add_argument("--global-range", action="store_const", const=True, dest="global_range",
                    help="use the series-wide range for the threshold")
-    p.add_argument("--strategy", choices=list(STRATEGIES))
+    p.add_argument("--strategy", choices=CHOICES["strategy"])
     p.add_argument("--d", type=float, help="sampling distance (default 2)")
-    p.add_argument("--distance-units", choices=["world", "lattice"], dest="distance_units")
-    p.add_argument("--connect", choices=["bidirectional", "any"])
-    p.add_argument("--strength", choices=["max", "avg", "min"])
+    p.add_argument("--distance-units", choices=CHOICES["distance_units"], dest="distance_units")
+    p.add_argument("--connect", choices=CHOICES["connect"])
+    p.add_argument("--strength", choices=CHOICES["strength"])
     p.add_argument("--p-min", type=float, dest="p_min",
                    help="probability threshold (default 0.25 manifold, 0.1 sampling)")
-    p.add_argument("--require", choices=["any", "both"])
+    p.add_argument("--require", choices=CHOICES["require"])
     p.add_argument("--value-min", type=float, dest="value_min")
     p.add_argument("--value-max", type=float, dest="value_max")
     p.add_argument("--box-min", type=_point_flag, dest="box_min")

@@ -23,7 +23,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .field import GridDomain, sampling_offsets, stencil_vertices
+from .field import sampling_offsets, stencil_vertices
 from .morse import ManifoldLabeling
 
 Direction = Literal["forward", "backward"]
@@ -68,8 +68,28 @@ def _ints(value, what: str) -> np.ndarray:
 
 def _reals(value, what: str) -> np.ndarray:
     """A document's number or list of numbers as float64; ``ValueError``
-    naming it unless every value in it is a JSON number (no bool, no str)."""
+    naming it unless every value in it is a JSON number (no bool, no str)
+    that a float64 holds. An integer is read as a float64 whatever its size,
+    also outside int64, where numpy alone reads uint64 or object values."""
+    a = np.asarray(value)
+    if a.dtype.kind in "uO" and all(type(x) in (int, float) for x in _flat(value, a.ndim)):
+        def real(x):
+            try:
+                return float(x)
+            except OverflowError:
+                raise ValueError(f"{what} must be numbers, got {x}, "
+                                 "which does not fit in float64") from None
+
+        return np.array([real(x) for x in _flat(value, a.ndim)], np.float64).reshape(a.shape)
     return _numbers(value, what, "if", "numbers").astype(np.float64, copy=False)
+
+
+def _flat(value, ndim: int):
+    """The parsed values of an ``ndim``-deep nested list, in order."""
+    flat = [value]
+    for _ in range(ndim):
+        flat = chain.from_iterable(flat)
+    return flat
 
 
 def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
@@ -77,16 +97,15 @@ def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
     # numpy reads true and false among numbers as 1 and 0, and an integer
     # outside int64 as uint64, float64 or object: passes over the parsed
     # values find them
-    flat = [value]
-    for _ in range(a.ndim):
-        flat = chain.from_iterable(flat)
-    if a.size and a.dtype.kind not in kinds:
-        big = next((x for x in flat if type(x) is int and not -2**63 <= x < 2**63), None)
-        if big is not None:
-            raise ValueError(f"{what} must be {noun}, got {big}, which does not fit in int64")
-        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
-    if a.ndim and bool in map(type, flat):
+    if a.ndim and bool in map(type, _flat(value, a.ndim)):
         raise ValueError(f"{what} must be {noun}, got a boolean")
+    if a.size and a.dtype.kind not in kinds:
+        if "f" not in kinds:  # a real-valued key reads any integer (see _reals)
+            big = next((x for x in _flat(value, a.ndim)
+                        if type(x) is int and not -2**63 <= x < 2**63), None)
+            if big is not None:
+                raise ValueError(f"{what} must be {noun}, got {big}, which does not fit in int64")
+        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
     return a
 
 
@@ -192,29 +211,28 @@ def _complete_rows(m: OverlapMatrix) -> OverlapMatrix:
 def _check_pair(a: ManifoldLabeling, b: ManifoldLabeling):
     if a.domain != b.domain:
         raise ValueError("labelings live on different domains")
-    if a.kind != b.kind:
-        raise ValueError(f"labelings track different kinds ({a.kind} vs {b.kind})")
+    if a.extrema.kind != b.extrema.kind:
+        raise ValueError(f"labelings track different kinds ({a.extrema.kind} vs {b.extrema.kind})")
 
 
 def sampling_overlap(
     labeling_t: ManifoldLabeling,
     labeling_other: ManifoldLabeling,
-    domain: GridDomain,
     mode: SamplingMode,
     d: float,
     direction: Direction,
     lattice_units: bool = False,
 ) -> OverlapMatrix:
     """Count how each extremum's neighborhood spreads over the other
-    step's manifolds; the row denominator is the neighborhood size.
+    step's manifolds; the row denominator is the neighborhood size. The
+    stencil lives on the domain the two labelings share.
 
     Every neighborhood is one offset stencil translated to its extremum,
     gathered for a block of extrema at a time; a block holds about V
     (extremum, offset) pairs, so its temporaries stay O(V).
     """
     _check_pair(labeling_t, labeling_other)
-    if domain != labeling_t.domain:
-        raise ValueError("domain does not match the labelings")
+    domain = labeling_t.domain
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
     offsets = sampling_offsets(domain, mode, d, lattice_units)
     centers = labeling_t.extrema.vertex

@@ -125,7 +125,7 @@ def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) ->
     feature order: deepest minimum or highest maximum, ties to the lower id."""
     ids, owner, sizes = features.members, features.owner, features.sizes
     depth = labeling.extrema.value[ids]
-    if labeling.extremum_kind == "maximum":
+    if labeling.extrema.kind == "maximum":
         depth = -depth
     # sets are non-empty, so each group's first row starts at its set's offset
     return ids[np.lexsort((ids, depth, owner))][np.cumsum(sizes) - sizes]

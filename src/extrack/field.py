@@ -91,11 +91,9 @@ class GridDomain:
         """World position of a vertex (coordinate times spacing, per axis)."""
         return tuple(c * s for c, s in zip(self.coords_of(v), self.spacing))
 
-    def positions(self, vertices=None) -> np.ndarray:
-        """World positions of the given vertices (all when omitted), shape
-        (n, rank); each row equals ``position`` of that vertex."""
-        if vertices is None:
-            return _positions(self)
+    def positions(self, vertices) -> np.ndarray:
+        """World positions of the given vertices, shape (n, rank); each row
+        equals ``position`` of that vertex."""
         coords = np.stack(np.unravel_index(np.asarray(vertices, np.int64), self.dims), axis=-1)
         return coords * np.asarray(self.spacing)
 
@@ -135,14 +133,6 @@ def offset_slices(domain: GridDomain):
                 per_axis.append(((slice(0, n - 1), slice(1, n)),))
         for pieces in product(*per_axis):
             yield k, tuple(s for s, _ in pieces), tuple(d for _, d in pieces)
-
-
-@lru_cache(maxsize=16)
-def _positions(domain: GridDomain) -> np.ndarray:
-    coords = np.indices(domain.dims).reshape(domain.rank, -1).T
-    pos = coords * np.asarray(domain.spacing)
-    pos.flags.writeable = False
-    return pos
 
 
 @lru_cache(maxsize=16)
@@ -238,7 +228,6 @@ class ScalarFieldSeries:
 
     domain: GridDomain
     steps: tuple[np.ndarray, ...]
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.steps:
@@ -260,11 +249,6 @@ class ScalarFieldSeries:
             arr.flags.writeable = False
             steps.append(arr)
         object.__setattr__(self, "steps", tuple(steps))
-        if self.timestamps is not None:
-            ts = tuple(str(x) for x in self.timestamps)
-            if len(ts) != len(steps):
-                raise ValueError("timestamps must match the number of steps")
-            object.__setattr__(self, "timestamps", ts)
 
     @property
     def n_steps(self) -> int:
@@ -436,8 +420,4 @@ def stack_series(parts: Sequence[ScalarFieldSeries]) -> ScalarFieldSeries:
     for p in parts[1:]:
         if p.domain != domain:
             raise ValueError("all parts must share one domain")
-    steps = tuple(s for p in parts for s in p.steps)
-    stamps = None
-    if all(p.timestamps is not None for p in parts):
-        stamps = tuple(t for p in parts for t in p.timestamps)
-    return ScalarFieldSeries(domain, steps, stamps)
+    return ScalarFieldSeries(domain, tuple(s for p in parts for s in p.steps))

@@ -44,9 +44,6 @@ import numpy as np
 from .field import GridDomain, offset_slices
 
 ExtremumKind = Literal["minimum", "maximum"]
-ManifoldKind = Literal["ascending", "descending"]
-
-_MANIFOLD_OF = {"minimum": "ascending", "maximum": "descending"}
 
 
 def _id_dtype(n: int):
@@ -145,10 +142,10 @@ class ManifoldLabeling:
     vertex v; ``sizes[i]`` counts the vertices labeled i. The private
     arrays record, per extremum, the merge saddle and the extremum it
     merges into (-1 for the global extremum), which lets ``simplify``
-    relabel without re-running the sweep.
+    relabel without re-running the sweep. Minima have ascending manifolds
+    and maxima descending ones; ``extrema.kind`` says which.
     """
 
-    kind: ManifoldKind
     domain: GridDomain
     label: np.ndarray
     extrema: ExtremumColumns
@@ -157,17 +154,12 @@ class ManifoldLabeling:
     _partners: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        assert self.extrema.kind == self.extremum_kind
         assert self.label.size == self.domain.vertex_count
         assert int(self.sizes.sum()) == self.domain.vertex_count
         assert len(self.extrema) == self.sizes.size
         assert (self.label[self.extrema.vertex] == np.arange(len(self.extrema))).all()
         self.label.flags.writeable = False
         self.sizes.flags.writeable = False
-
-    @property
-    def extremum_kind(self) -> ExtremumKind:
-        return "minimum" if self.kind == "ascending" else "maximum"
 
     @property
     def n_extrema(self) -> int:
@@ -451,6 +443,8 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     precedes it; the terminal vertices are the extrema, numbered densely in
     vertex order. Values must be finite.
     """
+    if kind not in ("minimum", "maximum"):
+        raise ValueError(f"kind must be 'minimum' or 'maximum', got {kind!r}")
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != domain.vertex_count:
         raise ValueError("step length does not match the domain")
@@ -474,7 +468,7 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     pers, saddles, partners = _merge_sweep(values, asc, rank, domain, label, ex_vertices,
                                            descending)
     extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
-    return ManifoldLabeling(_MANIFOLD_OF[kind], domain, label, extrema, sizes, saddles, partners)
+    return ManifoldLabeling(domain, label, extrema, sizes, saddles, partners)
 
 
 def persistence_pairs(step, domain: GridDomain, kind: ExtremumKind):
@@ -535,4 +529,4 @@ def simplify(
     saddles = labeling._saddles[survivors]
     old_partners = labeling._partners[survivors]
     partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)].astype(np.int64))
-    return ManifoldLabeling(labeling.kind, labeling.domain, label, extrema, sizes, saddles, partners)
+    return ManifoldLabeling(labeling.domain, label, extrema, sizes, saddles, partners)

@@ -10,9 +10,12 @@ so identical inputs always produce identical graphs.
 
 The graph is held as column arrays (``NodeColumns``, ``EdgeColumns``);
 assembly, track propagation, the filters and both writers work on those
-columns. Each edge carries the node rows of its two endpoints: ``assemble``
-reads them off the layer offsets, the filters carry them along, and a graph
-from outside resolves them with one search per end. Graphs built by
+columns. An edge is the pair of node rows of its two ends (``src``,
+``dst``), and nothing else names them: ``assemble`` reads the rows off the
+layer offsets, the filters carry them along, and ``doc_to_graph`` finds
+them with one search per end. The (t, i, j) of the documents, the DOT
+output and the ``GraphEdge`` views is derived from the rows in one place,
+``TrackingGraph.edge_ends``. Graphs built by
 ``assemble`` and the filters derive their track ids when their nodes are
 first read, so a graph that only feeds the next filter never propagates
 tracks.
@@ -159,75 +162,49 @@ class NodeColumns:
 
 @dataclass(frozen=True, eq=False)
 class EdgeColumns:
-    """Edges as parallel arrays, sorted by (t, i, j).
+    """Edges as parallel arrays, sorted by (src, dst).
 
-    Edge k joins node (t[k], i[k]) to node (t[k] + 1, j[k]); ``pf``/``pb``
-    are NaN where that direction has no matrix entry. ``src``/``dst`` are
-    the rows of those two nodes in the graph's ``NodeColumns``, or None
-    until a ``TrackingGraph`` resolves them.
+    Edge k joins node row ``src[k]`` of the graph's ``NodeColumns`` to node
+    row ``dst[k]`` one step later; as nodes are (t, id)-sorted, this is
+    (t, i, j) order. ``pf``/``pb`` are NaN where that direction has no
+    matrix entry.
     """
 
-    t: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     pf: np.ndarray
     pb: np.ndarray
     strength: np.ndarray
-    src: np.ndarray | None = None
-    dst: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, t, i, j, pf, pb, strength) -> "EdgeColumns":
-        """Columns from unsorted per-edge sequences."""
-        n = len(t)
-        t, i, j = (np.asarray(a, np.int64).reshape(n) for a in (t, i, j))
-        order = np.lexsort((j, i, t))
-        return cls(t[order], i[order], j[order],
-                   *(np.asarray(a, np.float64).reshape(n)[order] for a in (pf, pb, strength)))
 
     @classmethod
     def concat(cls, parts: Sequence["EdgeColumns"]) -> "EdgeColumns":
         if not parts:
-            return cls.build([], [], [], [], [], [])
+            rows, probs = np.empty(0, np.int64), np.empty(0)
+            return cls(rows, rows, probs, probs, probs)
         return cls(*(np.concatenate([getattr(p, f) for p in parts])
-                     for f in ("t", "i", "j", "pf", "pb", "strength")))
+                     for f in ("src", "dst", "pf", "pb", "strength")))
 
     def take(self, keep: np.ndarray) -> "EdgeColumns":
-        rows = () if self.src is None else (self.src[keep], self.dst[keep])
-        return EdgeColumns(self.t[keep], self.i[keep], self.j[keep],
-                           self.pf[keep], self.pb[keep], self.strength[keep], *rows)
-
-    def with_rows(self, src: np.ndarray, dst: np.ndarray) -> "EdgeColumns":
-        return replace(self, src=src, dst=dst)
+        return EdgeColumns(self.src[keep], self.dst[keep], self.pf[keep], self.pb[keep],
+                           self.strength[keep])
 
     def __len__(self) -> int:
-        return self.t.size
-
-    def __iter__(self):
-        def opt(a):
-            return [None if p != p else p for p in a.tolist()]
-
-        return map(GraphEdge, self.t.tolist(), self.i.tolist(), self.j.tolist(),
-                   opt(self.pf), opt(self.pb), self.strength.tolist())
+        return self.src.size
 
 
 class TrackingGraph:
     """Nodes, edges and metadata of one tracking graph, as columns.
 
-    Edges without node rows get them from one search per end; the node
-    tracks are kept as given.
+    The node tracks are kept as given.
     """
 
     def __init__(self, nodes: NodeColumns, edges: EdgeColumns, meta: dict | None = None):
-        if edges.src is None:
-            edges = edges.with_rows(*_edge_rows(nodes, edges))
         self._nodes, self.edge_columns = n, e = nodes, edges
         self._tracks_pending = False
         self.meta = {} if meta is None else meta
         # edges may only span one step, between known nodes
         assert ((e.src >= 0) & (e.src < len(n)) & (e.dst >= 0) & (e.dst < len(n))).all()
-        assert ((n.t[e.src] == e.t) & (n.id[e.src] == e.i)
-                & (n.t[e.dst] == e.t + 1) & (n.id[e.dst] == e.j)).all()
+        assert (n.t[e.dst] == n.t[e.src] + 1).all()
         assert ((e.strength >= 0.0) & (e.strength <= 1.0)).all()
         assert (~np.isnan(e.pf) | ~np.isnan(e.pb)).all()
 
@@ -246,13 +223,24 @@ class TrackingGraph:
             self._tracks_pending = False
         return self._nodes
 
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, i, j) of every edge: it joins node (t, i) to node (t + 1, j)."""
+        n, e = self._nodes, self.edge_columns
+        return n.t[e.src], n.id[e.src], n.id[e.dst]
+
     @cached_property
     def nodes(self) -> tuple[GraphNode, ...]:
         return tuple(self.node_columns)
 
     @cached_property
     def edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(self.edge_columns)
+        e = self.edge_columns
+
+        def opt(a):
+            return [None if p != p else p for p in a.tolist()]
+
+        return tuple(map(GraphEdge, *(a.tolist() for a in self.edge_ends()),
+                         opt(e.pf), opt(e.pb), e.strength.tolist()))
 
     @property
     def n_layers(self) -> int:
@@ -264,11 +252,6 @@ def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
     return [NodeColumns.for_step(t, "extremum", lab.extrema.vertex, lab.extrema.value,
                                  lab.domain.positions(lab.extrema.vertex))
             for t, lab in enumerate(labelings)]
-
-
-def _edge_rows(nodes: NodeColumns, e: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of every edge's two end nodes, -1 where absent."""
-    return nodes.rows(e.t, e.i), nodes.rows(e.t + 1, e.j)
 
 
 def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
@@ -303,9 +286,10 @@ def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
     return fresh_id[root]
 
 
-def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
+def _pair_edges(first_t: int, first_next: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
                 policy: ConnectivityPolicy) -> EdgeColumns:
-    """Edges between layers t and t+1 from one forward/backward matrix pair."""
+    """Edges between two consecutive layers, whose first node rows are
+    ``first_t`` and ``first_next``, from one forward/backward matrix pair."""
     if policy.bidirectional:
         pb = bwd.probs_at(bwd.key(fwd.j, fwd.i))  # each forward entry's transpose
         both = ~np.isnan(pb)  # probabilities are positive: NaN marks absence
@@ -323,7 +307,8 @@ def _pair_edges(t: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
         # and halving is exact, as in sum([pf, pb]) / 2
         both = ~np.isnan(pf) & ~np.isnan(pb)
         strength = np.where(both, (pf + pb) / 2, np.fmax(pf, pb))
-    return EdgeColumns(np.full(i.size, t, np.int64), i, j, pf, pb, strength)
+    # matrix keys ascend row-major, so the rows come out (src, dst)-sorted
+    return EdgeColumns(first_t + i, first_next + j, pf, pb, strength)
 
 
 def assemble(
@@ -345,22 +330,21 @@ def assemble(
     for t, x in enumerate(layers):
         if not np.array_equal(x.id, np.arange(len(x))):
             raise ValueError(f"layer {t} has node ids other than 0..{len(x) - 1}")
+    first = np.cumsum([0] + [len(x) for x in layers]).tolist()
     parts = []
     for t in range(len(layers) - 1):
         fwd, bwd = cm_forward[t], cm_backward[t]
         n_t, n_n = len(layers[t]), len(layers[t + 1])
         if (fwd.rows, fwd.cols) != (n_t, n_n) or (bwd.rows, bwd.cols) != (n_n, n_t):
             raise ValueError(f"matrix shape mismatch at step {t}")
-        parts.append(_pair_edges(t, fwd, bwd, policy))
-    edges = EdgeColumns.concat(parts)
-    offset = np.cumsum([0] + [len(x) for x in layers])
-    edges = edges.with_rows(offset[edges.t] + edges.i, offset[edges.t + 1] + edges.j)
+        parts.append(_pair_edges(first[t], first[t + 1], fwd, bwd, policy))
     meta = {
         "strategy": strategy,
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
         "thresholds": {},
     }
-    return TrackingGraph._with_derived_tracks(NodeColumns.concat(layers), edges, meta)
+    return TrackingGraph._with_derived_tracks(NodeColumns.concat(layers),
+                                              EdgeColumns.concat(parts), meta)
 
 
 def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.ndarray,
@@ -369,7 +353,7 @@ def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.
     if keep_nodes is not None:
         nodes = nodes.take(keep_nodes)
         row = np.cumsum(keep_nodes) - 1  # a kept node's row among the kept
-        edges = edges.with_rows(row[edges.src], row[edges.dst])
+        edges = replace(edges, src=row[edges.src], dst=row[edges.dst])
     meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
     meta["thresholds"][key] = threshold
     return TrackingGraph._with_derived_tracks(nodes, edges, meta)
@@ -496,12 +480,13 @@ def _json_chunks(g: TrackingGraph):
     """The graph document as ``json.dumps(doc, sort_keys=True, indent=2)``
     lays it out, written straight from the columns."""
     n, e = g.node_columns, g.edge_columns
+    t, i, j = g.edge_ends()
     edge_tmpl = '{\n      "i": %d,\n      "j": %d,\n%s%s      "strength": %s,\n      "t": %d\n    }'
     yield b'{\n  "edges": '
     yield from _json_list(edge_tmpl, [
-        e.i, e.j, (e.pb, _optional("pb")), (e.pf, _optional("pf")),
-        _json_floats(e.strength), e.t,
+        i, j, (e.pb, _optional("pb")), (e.pf, _optional("pf")), _json_floats(e.strength), t,
     ], len(e))
+    del t, i, j
     meta = json.dumps(g.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
     yield f',\n  "meta": {meta},\n  "nodes": '.encode()
     rank = n.pos.shape[1]
@@ -565,7 +550,6 @@ def doc_to_graph(doc) -> TrackingGraph:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
-    nan = float("nan")
     nodes = NodeColumns.build(*(_column(nd, "node", k) for k in _NODE_KEYS))
     # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
     if len(nodes) and nodes.t[0] < 0:
@@ -574,19 +558,22 @@ def doc_to_graph(doc) -> TrackingGraph:
     if twice.size:
         k = twice[0]
         raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
-    e = EdgeColumns.build(*(_column(ed, "edge", k) for k in _EDGE_KEYS[:3]),
-                          _column(ed, "edge", "pf", nan), _column(ed, "edge", "pb", nan),
-                          _column(ed, "edge", "strength"))
-    src, dst = _edge_rows(nodes, e)
-    absent = (src < 0) | (dst < 0)
-    if absent.any():
-        k = int(np.argmax(absent))
-        raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} names a node that does not exist")
-    # edges are (t, i, j)-sorted too
-    twice = np.flatnonzero((e.t[1:] == e.t[:-1]) & (e.i[1:] == e.i[:-1]) & (e.j[1:] == e.j[:-1]))
+    t, i, j, pf, pb, strength = (_column(ed, "edge", k, float("nan"))
+                                 for k in ("t", "i", "j", "pf", "pb", "strength"))
+    src, dst = nodes.rows(t, i), nodes.rows(t + 1, j)
+    absent = np.flatnonzero((src < 0) | (dst < 0))
+    if absent.size:
+        k = absent[np.lexsort((j[absent], i[absent], t[absent]))[0]]
+        raise ValueError(f"edge t{t[k]} {i[k]} -> {j[k]} names a node that does not exist")
+    del t, i, j
+    # (src, dst) order is (t, i, j) order: a repeat lies next to its twin
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    twice = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
     if twice.size:
-        k = twice[0]
-        raise ValueError(f"edge t{e.t[k]} {e.i[k]} -> {e.j[k]} is listed twice")
+        a, b = src[twice[0]], dst[twice[0]]
+        raise ValueError(f"edge t{nodes.t[a]} {nodes.id[a]} -> {nodes.id[b]} is listed twice")
+    e = EdgeColumns(src, dst, pf[order], pb[order], strength[order])
     if not ((e.strength > 0.0) & (e.strength <= 1.0)).all():  # NaN fails too
         raise ValueError("edge strengths must lie in (0, 1]")
     for name, p in (("pf", e.pf), ("pb", e.pb)):
@@ -594,7 +581,7 @@ def doc_to_graph(doc) -> TrackingGraph:
             raise ValueError(f"edge {name} values must lie in (0, 1]")
     if (np.isnan(e.pf) & np.isnan(e.pb)).any():
         raise ValueError("an edge needs pf or pb")
-    return TrackingGraph(nodes, e.with_rows(src, dst), meta)
+    return TrackingGraph(nodes, e, meta)
 
 
 def _dot_chunks(g: TrackingGraph):
@@ -615,8 +602,9 @@ def _dot_chunks(g: TrackingGraph):
         yield f"  subgraph layer_{t} {{\n    rank=same;\n".encode()
         yield from _rows(node_tmpl, "", node_cols, bounds[t], bounds[t + 1])
         yield b"  }\n"
+    t, i, j = g.edge_ends()
     yield from _rows('  n%d_%d -> n%d_%d [penwidth=%s, label="%s"];\n', "", [
-        e.t, e.i, e.t + 1, e.j,
+        t, i, t + 1, j,
         (np.searchsorted(_BIN_EDGES, e.strength), lambda b: str(_BIN_WIDTHS[b])),
         (e.strength, "%.3f".__mod__),
     ], 0, len(e))

@@ -71,18 +71,17 @@ def brute_minimum_image(domain: GridDomain, pa, pb) -> float:
     return math.sqrt(d2)
 
 
-def fake_labeling(domain: GridDomain, label, kind="ascending", values=None) -> ManifoldLabeling:
+def fake_labeling(domain: GridDomain, label, kind="minimum", values=None) -> ManifoldLabeling:
     """Hand-built labeling: extremum i sits at the first vertex labeled i."""
     label = np.asarray(label, dtype=np.int64).reshape(-1)
     n = int(label.max()) + 1
-    ex_kind = "minimum" if kind == "ascending" else "maximum"
     extrema = []
     for i in range(n):
         v = int(np.flatnonzero(label == i)[0])
         val = 0.0 if values is None else float(values[i])
-        extrema.append(Extremum(i, v, val, math.inf, ex_kind))
+        extrema.append(Extremum(i, v, val, math.inf, kind))
     sizes = np.bincount(label, minlength=n)
-    return ManifoldLabeling(kind, domain, label.copy(), extremum_columns(ex_kind, extrema), sizes)
+    return ManifoldLabeling(domain, label.copy(), extremum_columns(kind, extrema), sizes)
 
 
 def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> list[int]:
@@ -314,20 +313,24 @@ def layer_of(nodes) -> NodeColumns:
                                for k in ("t", "id", "kind", "vertex", "value", "pos", "track")))
 
 
-def edges_of(edges) -> EdgeColumns:
-    """The columns of a sequence of ``GraphEdge``, sorted by (t, i, j);
-    an absent probability (None) becomes NaN."""
-    edges = list(edges)
-    nan = float("nan")
-    return EdgeColumns.build([e.t for e in edges], [e.i for e in edges], [e.j for e in edges],
-                             [nan if e.p_forward is None else e.p_forward for e in edges],
-                             [nan if e.p_backward is None else e.p_backward for e in edges],
-                             [e.strength for e in edges])
+def edges_of(nodes, t, i, j, pf, pb, strength) -> EdgeColumns:
+    """The columns of edges joining node (t, i) to node (t + 1, j) of the
+    ``NodeColumns`` nodes, sorted by (src, dst); an absent node gets row -1,
+    which ``TrackingGraph`` refuses, and an absent probability (None or
+    NaN) becomes NaN."""
+    t, i, j = (np.asarray(a, np.int64).reshape(-1) for a in (t, i, j))
+    src, dst = nodes.rows(t, i), nodes.rows(t + 1, j)
+    order = np.lexsort((dst, src))
+    return EdgeColumns(src[order], dst[order],
+                       *(np.asarray(a, np.float64).reshape(-1)[order] for a in (pf, pb, strength)))
 
 
 def graph_of(nodes, edges, meta=None) -> TrackingGraph:
     """A graph of ``GraphNode``/``GraphEdge`` sequences."""
-    return TrackingGraph(layer_of(nodes), edges_of(edges), meta)
+    layer, edges = layer_of(nodes), list(edges)
+    columns = ([getattr(e, k) for e in edges]
+               for k in ("t", "i", "j", "p_forward", "p_backward", "strength"))
+    return TrackingGraph(layer, edges_of(layer, *columns), meta)
 
 
 def nodes_at(g, t: int) -> list[GraphNode]:
@@ -337,8 +340,7 @@ def nodes_at(g, t: int) -> list[GraphNode]:
 
 def edge_set(g) -> set[tuple[int, int, int]]:
     """Every edge of g as (t, i, j)."""
-    e = g.edge_columns
-    return set(zip(e.t.tolist(), e.i.tolist(), e.j.tolist()))
+    return set(zip(*(a.tolist() for a in g.edge_ends())))
 
 
 def items(m):

@@ -85,7 +85,7 @@ def test_criterion_1_rows_sum_to_one_within_1e12():
             mats = [
                 normalize(fwd),
                 normalize(bwd),
-                normalize(sampling_overlap(a, b, dom, "euclidean", 2.0, "forward")),
+                normalize(sampling_overlap(a, b, "euclidean", 2.0, "forward")),
                 binary_correspondence(a, b, "forward"),
             ]
             for c in mats:
@@ -118,7 +118,7 @@ def test_criterion_3_binary_equals_zero_distance_sampling():
         for a, b in zip(labs, labs[1:]):
             c_bin = binary_correspondence(a, b, "forward")
             for mode in ("euclidean", "combinatorial"):
-                c_zero = normalize(sampling_overlap(a, b, dom, mode, 0.0, "forward"))
+                c_zero = normalize(sampling_overlap(a, b, mode, 0.0, "forward"))
                 assert support(c_bin) == support(c_zero)
                 for i, j, p in items(c_bin):
                     assert prob(c_zero, i, j) == p == 1.0
@@ -152,7 +152,7 @@ def test_criterion_4_ridge_scenario():
 
     # (b) Euclidean sampling sees both candidates, A0 more probable
     for d, (to_a, to_b) in ((1.0, (4 / 5, 1 / 5)), (2.0, (9 / 13, 4 / 13))):
-        c_bwd = normalize(sampling_overlap(lab1, lab0, dom, "euclidean", d, "backward"))
+        c_bwd = normalize(sampling_overlap(lab1, lab0, "euclidean", d, "backward"))
         assert prob(c_bwd, B1, A0) == to_a
         assert prob(c_bwd, B1, B0) == to_b
         assert prob(c_bwd, B1, A0) > prob(c_bwd, B1, B0) > 0.0
@@ -189,7 +189,7 @@ def test_criterion_5_binary_support_subset_of_probabilistic():
                 assert base <= support(fwd)
                 for mode in ("euclidean", "combinatorial"):
                     for d in (0.0, 1.0, 2.0):
-                        o = sampling_overlap(src, dst, dom, mode, d, direction)
+                        o = sampling_overlap(src, dst, mode, d, direction)
                         assert base <= support(o)
                         checked += 1
     print(f"PASS 5: binary support contained in probabilistic support "

@@ -311,6 +311,22 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "bad.cfg:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", sorted(cli.CHOICES))
+    def test_bad_choice_reports_line(self, tmp_path, capsys, key):
+        # these used to be refused only later, without the file and line
+        cfg = tmp_path / "bad.cfg"
+        flag = key.replace("_", "-")
+        cfg.write_text(f"input = x\n{flag} = nonsense\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"bad.cfg:2: invalid {flag} 'nonsense' (choose from " in capsys.readouterr().err
+        # the file accepts exactly what the flag accepts
+        actions = {a.dest: a for a in cli._build_parser()._subparsers._group_actions[0]
+                   .choices["run"]._actions}
+        assert tuple(actions[key].choices) == cli.CHOICES[key]
+        for value in cli.CHOICES[key]:
+            cfg.write_text(f"{flag} = {value}\n")
+            assert cli._read_config_file(str(cfg)) == {key: value}
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
 
@@ -859,6 +875,55 @@ class TestInspect:
         r = run_python("-m", "extrack", *argv, optimize=True)
         assert r.returncode == 3, r.stderr
         assert message in r.stderr
+
+    @staticmethod
+    def _graph_doc(where, key, value):
+        node = {"id": 0, "kind": "extremum", "vertex": 0, "value": 0.0, "pos": [0.0, 0.0],
+                "track": 0}
+        nodes = [{**node, "t": t} for t in (0, 1)]
+        edges = [{"t": 0, "i": 0, "j": 0, "pf": 1.0, "strength": 1.0}]
+        (nodes if where == "node" else edges)[0][key] = value
+        return {"meta": {}, "nodes": nodes, "edges": edges}
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("node", "value", 2**63),
+        ("node", "value", -2**70),
+        ("node", "pos", [1.0, 2**63]),
+        ("node", "pos", [2**64, 3]),
+    ])
+    def test_any_integer_in_a_real_key_is_a_float(self, tmp_path, where, key, value):
+        # a lone 2**63 used to be refused while [1.0, 2**63] loaded as floats
+        doc = self._graph_doc(where, key, value)
+        g = trackgraph.doc_to_graph(json.loads(json.dumps(doc)))
+        got = getattr(g.node_columns, key)[0]
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        assert main(["inspect", str(p)]) == 0
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("node", "value", 10**400),
+        ("node", "pos", [0.0, -10**400]),
+        ("edge", "pf", 10**400),
+        ("edge", "strength", [2**1024]),
+    ])
+    def test_integer_beyond_float64_is_a_data_error(self, tmp_path, capsys, where, key, value):
+        doc = self._graph_doc(where, key, value)
+        big = value[-1] if isinstance(value, list) else value
+        message = f"{where} '{key}' must be numbers, got {big}, which does not fit in float64"
+        with pytest.raises(ValueError, match=message):
+            trackgraph.doc_to_graph(json.loads(json.dumps(doc)))
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        assert main(["inspect", str(p)]) == 3
+        assert message in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestEntryPoint:

@@ -124,7 +124,7 @@ class TestManifoldOverlap:
 
         def one_vertex_manifolds(label):
             extrema = ExtremumColumns("minimum", np.argsort(label), np.zeros(n), np.full(n, np.inf))
-            return ManifoldLabeling("ascending", dom, label, extrema, np.ones(n, np.int64))
+            return ManifoldLabeling(dom, label, extrema, np.ones(n, np.int64))
 
         fwd, bwd = manifold_overlap(one_vertex_manifolds(np.arange(n)),
                                     one_vertex_manifolds(perm))
@@ -184,14 +184,14 @@ class TestSamplingNeighborhood:
         with pytest.raises(ValueError, match="finite non-negative"):
             neighborhood(dom, m.vertex, mode, d)
         with pytest.raises(ValueError, match="finite non-negative"):
-            sampling_overlap(lab, lab, dom, mode, d, "forward")
+            sampling_overlap(lab, lab, mode, d, "forward")
 
 
 class TestSamplingOverlap:
     def test_row_denominators_are_ball_sizes(self):
         rng = np.random.default_rng(12)
         lab_t, lab_n, dom = random_labeling_pair(rng)
-        o = sampling_overlap(lab_t, lab_n, dom, "combinatorial", 2, "forward")
+        o = sampling_overlap(lab_t, lab_n, "combinatorial", 2, "forward")
         for m in lab_t.extrema:
             ball = neighborhood(dom, m.vertex, "combinatorial", 2)
             assert o.row_denominators[m.id] == ball.size
@@ -203,7 +203,7 @@ class TestSamplingOverlap:
         for _ in range(20):
             lab_t, lab_n, dom = random_labeling_pair(rng, dims=(6, 6))
             c_bin = binary_correspondence(lab_t, lab_n, "forward")
-            c_zero = normalize(sampling_overlap(lab_t, lab_n, dom, "euclidean", 0.0, "forward"))
+            c_zero = normalize(sampling_overlap(lab_t, lab_n, "euclidean", 0.0, "forward"))
             assert np.array_equal(c_bin.to_dense(), c_zero.to_dense())
             want = np.zeros((lab_t.n_extrema, lab_n.n_extrema), np.int64)
             for m in lab_t.extrema:
@@ -218,11 +218,12 @@ class TestSamplingOverlap:
         assert np.array_equal(c.to_dense(), np.eye(lab.n_extrema))
 
     def test_wrong_domain_rejected(self):
+        # the stencil is built on the labelings' own domain, which they must share
         rng = np.random.default_rng(15)
         lab_t, lab_n, _ = random_labeling_pair(rng, dims=(5, 5))
-        with pytest.raises(ValueError, match="domain"):
-            sampling_overlap(lab_t, lab_n, GridDomain((5, 5), spacing=(3.0, 3.0)),
-                             "euclidean", 1.0, "forward")
+        lab_n = dataclasses.replace(lab_n, domain=GridDomain((5, 5), spacing=(3.0, 3.0)))
+        with pytest.raises(ValueError, match="labelings live on different domains"):
+            sampling_overlap(lab_t, lab_n, "euclidean", 1.0, "forward")
 
 
 def plateau_labeling_pair(rng, dom):
@@ -251,7 +252,7 @@ class TestSamplingStencil:
         lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(50), dom)
         for d in (0, 0.5, 1, 2.5, 4):
             for lattice in (False, True):
-                o = sampling_overlap(lab_t, lab_n, dom, mode, d, "forward", lattice)
+                o = sampling_overlap(lab_t, lab_n, mode, d, "forward", lattice)
                 counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, d, lattice)
                 assert np.array_equal(o.to_dense(), counts), (d, lattice)
                 assert np.array_equal(o.row_denominators, denom), (d, lattice)
@@ -266,7 +267,7 @@ class TestSamplingStencil:
         # each axis reaches at most its length - 1: O(V), not (2d + 1)**rank
         assert offsets.shape[0] <= np.prod([2 * n - 1 for n in dims])
         assert len({tuple(o) for o in offsets.tolist()}) == offsets.shape[0]
-        o = sampling_overlap(lab_t, lab_n, dom, mode, 1e6, "forward")
+        o = sampling_overlap(lab_t, lab_n, mode, 1e6, "forward")
         assert (o.row_denominators == dom.vertex_count).all()
         assert np.array_equal(o.to_dense(), np.tile(lab_n.sizes, (lab_t.n_extrema, 1)))
 
@@ -278,7 +279,7 @@ class TestSamplingStencil:
         lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(52), dom)
         per_block = dom.vertex_count // sampling_offsets(dom, mode, 2.5).shape[0]
         assert 1 < per_block < lab_t.n_extrema // 2
-        o = sampling_overlap(lab_t, lab_n, dom, mode, 2.5, "backward")
+        o = sampling_overlap(lab_t, lab_n, mode, 2.5, "backward")
         counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, 2.5)
         assert np.array_equal(o.to_dense(), counts)
         assert np.array_equal(o.row_denominators, denom)
@@ -297,8 +298,8 @@ class TestNormalization:
         rng = np.random.default_rng(16)
         lab_t, lab_n, dom = random_labeling_pair(rng, periodic=periodic)
         mats = [manifold_overlap(lab_t, lab_n)[0],
-                sampling_overlap(lab_t, lab_n, dom, "euclidean", 2.5, "forward"),
-                sampling_overlap(lab_t, lab_n, dom, "combinatorial", 2, "forward")]
+                sampling_overlap(lab_t, lab_n, "euclidean", 2.5, "forward"),
+                sampling_overlap(lab_t, lab_n, "combinatorial", 2, "forward")]
         for o in mats:
             c = normalize(o)
             sums = c.to_dense().sum(axis=1)
@@ -312,7 +313,7 @@ class TestNormalization:
             fwd, _ = manifold_overlap(lab_t, lab_n)
             assert base <= support(fwd)
             for d in (0.0, 1.0, 2.0):
-                o = sampling_overlap(lab_t, lab_n, dom, "euclidean", d, "forward")
+                o = sampling_overlap(lab_t, lab_n, "euclidean", d, "forward")
                 assert base <= support(o)
 
     def test_support_grows_with_radius(self):
@@ -320,7 +321,7 @@ class TestNormalization:
         lab_t, lab_n, dom = random_labeling_pair(rng)
         prev: set = set()
         for d in (0.0, 1.0, 2.0, 3.0):
-            cur = support(sampling_overlap(lab_t, lab_n, dom, "euclidean", d, "forward"))
+            cur = support(sampling_overlap(lab_t, lab_n, "euclidean", d, "forward"))
             assert prev <= cur
             prev = cur
 
@@ -344,7 +345,7 @@ class TestSerialization:
     def test_correspondence_round_trip_preserves_probs(self, tmp_path):
         rng = np.random.default_rng(20)
         lab_t, lab_n, dom = random_labeling_pair(rng)
-        c = normalize(sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "backward"))
+        c = normalize(sampling_overlap(lab_t, lab_n, "combinatorial", 1, "backward"))
         p = tmp_path / "c.json"
         save_matrix(c, 0, p)
         back, _ = load_matrix(p)
@@ -362,7 +363,7 @@ class TestSerialization:
             # then a lift with other denominators over the same entries
             fwd, normalize(fwd),
             dataclasses.replace(fwd, row_denominators=fwd.row_denominators + 1),
-            sampling_overlap(lab_t, lab_n, dom, "combinatorial", 1, "forward"),
+            sampling_overlap(lab_t, lab_n, "combinatorial", 1, "forward"),
             binary_correspondence(lab_n, lab_t, "backward"),
             # partial features: stored rows can be empty, or every row
             OverlapMatrix(2, 3, "forward", "manifold-overlap", empty, empty, np.array([5, 6])),
@@ -504,7 +505,7 @@ class TestMatrixInvariants:
         rng = np.random.default_rng(21)
         lab_t, lab_n, dom = random_labeling_pair(rng)
         for o in (manifold_overlap(lab_t, lab_n)[0],
-                  sampling_overlap(lab_t, lab_n, dom, "euclidean", 1.5, "forward")):
+                  sampling_overlap(lab_t, lab_n, "euclidean", 1.5, "forward")):
             assert (o.counts >= 1).all()
             dense = o.to_dense()
             assert np.count_nonzero(dense) == o.counts.size
@@ -518,7 +519,7 @@ class TestMatrixInvariants:
             dom, (step_t, step_n) = series.domain, series.steps
             lab_t = label_manifolds(step_t, dom, "minimum")
             lab_n = simplify(label_manifolds(step_n, dom, "minimum"), step_n, 20.0)
-            wide = [ManifoldLabeling(lab.kind, dom, lab.label.astype(np.int64), lab.extrema,
+            wide = [ManifoldLabeling(dom, lab.label.astype(np.int64), lab.extrema,
                                      lab.sizes.copy(), lab._saddles, lab._partners)
                     for lab in (lab_t, lab_n)]
             assert lab_t.label.dtype == lab_n.label.dtype == np.int32
@@ -527,8 +528,8 @@ class TestMatrixInvariants:
             def matrices(a, b):
                 return [*manifold_overlap(a, b), binary_correspondence(a, b, "forward"),
                         binary_correspondence(b, a, "backward"),
-                        sampling_overlap(a, b, dom, "euclidean", 1.5, "forward"),
-                        sampling_overlap(b, a, dom, "combinatorial", 2, "backward")]
+                        sampling_overlap(a, b, "euclidean", 1.5, "forward"),
+                        sampling_overlap(b, a, "combinatorial", 2, "backward")]
 
             for got, want in zip(matrices(lab_t, lab_n), matrices(*wide)):
                 for name in ("keys", "counts", "row_denominators"):

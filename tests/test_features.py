@@ -150,7 +150,7 @@ class TestLift:
         lab_t = label_manifolds(series.steps[0], dom, "minimum")
         lab_n = label_manifolds(series.steps[1], dom, "minimum")
         for o in (manifold_overlap(lab_t, lab_n)[0],
-                  sampling_overlap(lab_t, lab_n, dom, "euclidean", 2.0, "forward")):
+                  sampling_overlap(lab_t, lab_n, "euclidean", 2.0, "forward")):
             ft = random_partition(rng, lab_t.n_extrema)
             fn = random_partition(rng, lab_n.n_extrema)
             fc = feature_correspondence(feature_overlap(ft, fn, o))
@@ -211,7 +211,7 @@ class TestDenominators:
         dom = series.domain
         lab_t = label_manifolds(series.steps[0], dom, "minimum")
         lab_n = label_manifolds(series.steps[1], dom, "minimum")
-        o = sampling_overlap(lab_t, lab_n, dom, "euclidean", 3.0, "forward")
+        o = sampling_overlap(lab_t, lab_n, "euclidean", 3.0, "forward")
         ft = feature_set(0, (range(lab_t.n_extrema),))
         got = feature_denominators(ft, o)
         balls = [neighborhood(dom, v, "euclidean", 3.0).size
@@ -247,16 +247,16 @@ class TestRepresentative:
 
     def test_highest_maximum_wins(self):
         dom = GridDomain((2, 3))
-        lab = fake_labeling(dom, [0, 1, 2] * 2, kind="descending",
+        lab = fake_labeling(dom, [0, 1, 2] * 2, kind="maximum",
                             values=[5.0, 1.0, 3.0] * 2)
         assert representative_extremum(feature_set(0, ((0, 1, 2),)), lab).tolist() == [0]
 
-    @pytest.mark.parametrize("kind", ["ascending", "descending"])
+    @pytest.mark.parametrize("kind", ["minimum", "maximum"])
     def test_matches_brute_force_per_set(self, kind):
         # few distinct values, so most sets hold ties; partial coverage and
         # sets listed in any order
         rng = np.random.default_rng(17)
-        sign = 1.0 if kind == "ascending" else -1.0
+        sign = 1.0 if kind == "minimum" else -1.0
         for _ in range(40):
             n = int(rng.integers(1, 40))
             values = rng.integers(-2, 3, n).astype(float)

@@ -53,7 +53,7 @@ class TestGridDomain:
     def test_position_uses_spacing(self):
         d = GridDomain((3, 4), spacing=(2.0, 0.5))
         assert d.position(d.vertex_at((2, 3))) == (4.0, 1.5)
-        pos = d.positions()
+        pos = d.positions(np.arange(d.vertex_count))
         assert pos.shape == (12, 2)
         assert tuple(pos[7]) == d.position(7)
 

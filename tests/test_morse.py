@@ -149,12 +149,24 @@ class TestLabelManifolds:
         lab_max = label_manifolds(vals, dom, "maximum")
         lab_min = label_manifolds(-vals, dom, "minimum")
         assert np.array_equal(lab_max.label, lab_min.label)
-        assert lab_max.kind == "descending"
+        assert lab_max.extrema.kind == "maximum"
         assert [e.vertex for e in lab_max.extrema] == [e.vertex for e in lab_min.extrema]
         # values report the original field, persistence stays positive
         for e_max, e_min in zip(lab_max.extrema, lab_min.extrema):
             assert e_max.value == vals[e_max.vertex]
             assert e_max.persistence == e_min.persistence
+
+    @pytest.mark.parametrize("kind", ["max", "min", "banana", "descending"])
+    def test_unknown_kind_rejected_before_sorting(self, kind, monkeypatch):
+        # an unknown kind used to run the whole labeling, then raise KeyError
+        def no_sort(*args):
+            raise AssertionError("sorted the field")
+
+        monkeypatch.setattr(morse, "_total_order", no_sort)
+        vals, dom = np.arange(9, dtype=float), GridDomain((3, 3))
+        for fn in (label_manifolds, persistence_pairs):
+            with pytest.raises(ValueError, match=f"kind must be 'minimum' or 'maximum', got '{kind}'"):
+                fn(vals, dom, kind)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -214,7 +226,7 @@ class TestExtremumColumns:
         dom = GridDomain(self.FIELD.shape)
         values = self.FIELD.ravel()
         lab = label_manifolds(values, dom, "minimum")
-        again = ManifoldLabeling(lab.kind, dom, lab.label.copy(),
+        again = ManifoldLabeling(dom, lab.label.copy(),
                                  extremum_columns("minimum", tuple(lab.extrema)),
                                  lab.sizes.copy(), lab._saddles, lab._partners)
         for name in ("vertex", "value", "persistence"):
@@ -224,7 +236,7 @@ class TestExtremumColumns:
         assert tuple(s.extrema) == tuple(t.extrema) and np.array_equal(s.label, t.label)
         assert persistence_pairs(values, dom, "minimum") == oracle_merge_tree(values, dom, "minimum")
         with pytest.raises(AssertionError):  # ids are implicit: 0..n-1 in order
-            ManifoldLabeling(lab.kind, dom, lab.label.copy(),
+            ManifoldLabeling(dom, lab.label.copy(),
                              extremum_columns("minimum", tuple(lab.extrema)[::-1]),
                              lab.sizes.copy())
 

@@ -17,7 +17,6 @@ from extrack.trackgraph import (
     NodeColumns,
     SemanticPredicate,
     TrackingGraph,
-    _edge_rows,
     assemble,
     export,
     extremum_layers,
@@ -29,6 +28,7 @@ from extrack.trackgraph import (
 )
 from helpers import (
     edge_set,
+    edges_of,
     graph_of,
     layer_of,
     nodes_at,
@@ -421,9 +421,10 @@ class TestWriters:
         layers = [NodeColumns.for_step(t, "extremum", np.arange(n) * 977, np.arange(n) / 7,
                                        np.arange(2 * n).reshape(n, 2) / 3) for t in (0, 1)]
         i = np.arange(n)
-        edges = EdgeColumns.build(np.zeros(n), i, (i * 5) % n, np.where(i % 3, i / n, np.nan),
-                                  np.where(i % 3 == 1, np.nan, 0.5), np.maximum(i / n, 0.5))
-        g = TrackingGraph(NodeColumns.concat(layers), edges)
+        nodes = NodeColumns.concat(layers)
+        edges = edges_of(nodes, np.zeros(n), i, (i * 5) % n, np.where(i % 3, i / n, np.nan),
+                         np.where(i % 3 == 1, np.nan, 0.5), np.maximum(i / n, 0.5))
+        g = TrackingGraph(nodes, edges)
         assert_writers_match(g, tmp_path)
 
     def test_writers_stream(self, tmp_path):
@@ -436,8 +437,8 @@ class TestWriters:
                   for t in (0, 1)]
         i = np.arange(n)
         p = rng.integers(1, 8, n) / 8
-        g = TrackingGraph(NodeColumns.concat(layers),
-                          EdgeColumns.build(np.zeros(n), i, rng.permutation(n), p, p, p))
+        nodes = NodeColumns.concat(layers)
+        g = TrackingGraph(nodes, edges_of(nodes, np.zeros(n), i, rng.permutation(n), p, p, p))
         for fmt in ("json", "dot"):
             path = tmp_path / f"graph.{fmt}"
             tracemalloc.start()
@@ -511,6 +512,14 @@ MALFORMED_GRAPHS = {
     "edge listed twice": ({**graph_doc(), "edges": graph_doc()["edges"]
                            + graph_doc(strength=0.9, pf=None)["edges"]},
                           "edge t0 0 -> 0 is listed twice"),
+    # each names the first offending edge in (t, i, j) order, whatever the listed order
+    "absent nodes listed out of order": ({**graph_doc(), "edges": graph_doc(i=7)["edges"]
+                                          + graph_doc(i=3)["edges"]},
+                                         "edge t0 3 -> 0 names a node that does not exist"),
+    "repeats listed out of order": ({**graph_doc(), "nodes": graph_doc()["nodes"]
+                                     + [{**graph_doc()["nodes"][0], "id": 1}],
+                                     "edges": [*graph_doc(i=1)["edges"], *graph_doc()["edges"]] * 2},
+                                    "edge t0 0 -> 0 is listed twice"),
     # non-integral numbers are refused, not truncated
     "fractional node step": ({**graph_doc(), "nodes": [{**graph_doc()["nodes"][0], "t": 0.7},
                                                        graph_doc()["nodes"][1]]},
@@ -727,9 +736,9 @@ class TestAgainstOracles:
         pairs = [manifold_overlap(a, b) for a, b in zip(labs, labs[1:])]
         self.check_pipeline(layers, [normalize(f) for f, _ in pairs],
                             [normalize(b) for _, b in pairs], domain, predicates)
-        cm_f = [normalize(sampling_overlap(a, b, domain, "euclidean", 1.5, "forward"))
+        cm_f = [normalize(sampling_overlap(a, b, "euclidean", 1.5, "forward"))
                 for a, b in zip(labs, labs[1:])]
-        cm_b = [normalize(sampling_overlap(b, a, domain, "euclidean", 1.5, "backward"))
+        cm_b = [normalize(sampling_overlap(b, a, "euclidean", 1.5, "backward"))
                 for a, b in zip(labs, labs[1:])]
         self.check_pipeline(layers, cm_f, cm_b, domain, predicates)
 
@@ -763,14 +772,16 @@ def tied_cm(rng, rows, cols, direction, live_rows, live_cols):
 
 def assert_oracle_tracks(g):
     """The graph's tracks are those the per-object oracle derives from its
-    own edges, and its carried node rows are those a search finds."""
+    own edges, its edge ends found by (t, id) lead back to its node rows,
+    and its edges are listed once each, in (src, dst) order."""
     layers = [nodes_at(g, t) for t in range(g.n_layers)]
     expect = oracle_propagate_tracks(layers, list(g.edges))
     assert [n.track for n in g.nodes] == [n.track for n in expect]
-    e = g.edge_columns
-    src, dst = _edge_rows(g.node_columns, e)
-    np.testing.assert_array_equal(e.src, src)
-    np.testing.assert_array_equal(e.dst, dst)
+    n, e = g.node_columns, g.edge_columns
+    t, i, j = g.edge_ends()
+    np.testing.assert_array_equal(n.rows(t, i), e.src)
+    np.testing.assert_array_equal(n.rows(t + 1, j), e.dst)
+    assert (np.diff(e.src * len(n) + e.dst) > 0).all()
 
 
 class TestCarriedRows:
@@ -852,13 +863,17 @@ class TestCarriedRows:
         nodes = NodeColumns.concat([NodeColumns.for_step(t, "extremum", [0, 1], [0.0, 1.0],
                                                          [[0.0, 0.0], [1.0, 0.0]])
                                     for t in range(2)])
-        edge = EdgeColumns.build([0], [0], [1], [1.0], [np.nan], [1.0])
-        TrackingGraph(nodes, edge.with_rows(np.array([0]), np.array([3])))
-        for src, dst in (([0], [4]), ([-1], [3]), ([0], [2]), ([1], [3]), ([2], [3])):
+        def edge(src, dst):
+            return EdgeColumns(np.array([src]), np.array([dst]), np.ones(1), np.full(1, np.nan),
+                               np.ones(1))
+
+        TrackingGraph(nodes, edge(0, 3))
+        # out of range, negative, and both ends in one layer (rows 2 and 3 are step 1)
+        for src, dst in ((0, 4), (-1, 3), (2, 3)):
             with pytest.raises(AssertionError):
-                TrackingGraph(nodes, edge.with_rows(np.array(src), np.array(dst)))
-        with pytest.raises(AssertionError):  # no carried rows: found by search
-            TrackingGraph(nodes, EdgeColumns.build([0], [0], [2], [1.0], [np.nan], [1.0]))
+                TrackingGraph(nodes, edge(src, dst))
+        with pytest.raises(AssertionError):  # node (1, 2) does not exist: row -1
+            TrackingGraph(nodes, edges_of(nodes, [0], [0], [2], [1.0], [np.nan], [1.0]))
 
 
 def test_library_takes_columns_only():
@@ -882,8 +897,20 @@ def test_library_takes_columns_only():
                          (features, ("save_features", "_members")),
                          (field, ("euclidean_ball", "vertex_neighbors")),
                          (correspond, ("sampling_neighborhood",)),
-                         (extrack, ("euclidean_ball", "vertex_neighbors", "sampling_neighborhood"))):
+                         (extrack, ("euclidean_ball", "vertex_neighbors", "sampling_neighborhood")),
+                         (EdgeColumns.concat([]), ("t", "i", "j", "build", "with_rows")),
+                         (trackgraph, ("_edge_rows",)),
+                         (morse, ("ManifoldKind", "_MANIFOLD_OF")),
+                         (morse.ManifoldLabeling, ("extremum_kind", "kind")),
+                         (field.ScalarFieldSeries, ("timestamps",)),
+                         (field, ("_positions",))):
         assert not [n for n in names if hasattr(owner, n)], owner
+    # an edge is its two node rows, held once; (t, i, j) is derived
+    assert [f.name for f in dataclasses.fields(EdgeColumns)] == ["src", "dst", "pf", "pb",
+                                                                  "strength"]
+    assert "domain" not in inspect.signature(correspond.sampling_overlap).parameters
+    with pytest.raises(TypeError):
+        field.GridDomain((2, 2)).positions()
     objects = re.compile(r"\b(GraphNode|GraphEdge|Extremum)\b")
     for mod in (cli, correspond, features, field, morse, synth, trackgraph):
         for obj in vars(mod).values():
