@@ -108,6 +108,12 @@ class PipelineConfig:
             raise ConfigError(f"p-min must be in [0, 1], got {self.p_min}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
+        for key in ("value_min", "value_max", "max_jump", "box_min", "box_max"):
+            v = getattr(self, key)
+            if v is not None and not np.isfinite(v).all():
+                raise ConfigError(f"{key.replace('_', '-')} must be finite, got {v}")
+        if self.max_jump is not None and self.max_jump < 0:
+            raise ConfigError(f"max-jump must not be negative, got {self.max_jump}")
         if (self.value_min is not None and self.value_max is not None
                 and self.value_min > self.value_max):
             raise ConfigError("inverted value range")
@@ -315,7 +321,7 @@ def _build_graph(layers, domain: GridDomain, pairs, config: PipelineConfig, stra
         g = _stage("semantic-filter",
                    lambda: trackgraph.semantic_filter(g, domain, predicate))
     g.meta["config"] = config.echo(strategy)  # the filter gave g a meta dict of its own
-    _stage("tracks", lambda: g.node_columns)  # derived once, for this graph only
+    _stage("tracks", lambda: g.tracks)  # derived once, for this graph only
     return g
 
 
@@ -405,6 +411,13 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
     sys.stdout.write(text)
 
 
+def _n_distinct(a: np.ndarray) -> int:
+    """The number of distinct values in a, counted without ``np.unique``,
+    whose plain form imports ``numpy.ma``."""
+    a = np.sort(a)
+    return int(a.size and 1 + np.count_nonzero(a[1:] != a[:-1]))
+
+
 def compare(config: PipelineConfig, strategies) -> int:
     """Run several strategies on shared labelings and node layers; write a report."""
     out = _output_dir(config.out)
@@ -425,7 +438,7 @@ def compare(config: PipelineConfig, strategies) -> int:
         per_strategy[strategy] = _stage("report", lambda: (mats, {
             "correspondence_entries": sum(m.keys.size for m, _ in mats),
             "graph_edges": len(g.edge_columns),
-            "tracks": np.unique(g.node_columns.track).size,
+            "tracks": _n_distinct(g.tracks),
         }))
     _stage("report", lambda: _write_report(out, strategies, per_strategy))
     return 0
@@ -468,8 +481,8 @@ def cmd_inspect(args) -> int:
         doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:
         raise _path_error(args.path, e) from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{args.path}: not JSON: {e}") from e
+    except ValueError as e:  # also an integer literal past Python's digit limit
+        raise DataError(f"{args.path}: unreadable JSON: {e}") from e
     w = sys.stdout.write
     try:
         if isinstance(doc, dict) and "entries" in doc and "direction" in doc:
@@ -486,8 +499,8 @@ def cmd_inspect(args) -> int:
         if isinstance(doc, dict) and "nodes" in doc and "edges" in doc:
             g = trackgraph.doc_to_graph(doc)
             n, e = g.node_columns, g.edge_columns
-            tracks = np.unique(n.track).size
-            w(f"tracking graph: {g.n_layers} layers, {len(n)} nodes, {len(e)} edges, {tracks} tracks\n")
+            w(f"tracking graph: {g.n_layers} layers, {len(n)} nodes, {len(e)} edges, "
+              f"{_n_distinct(g.tracks)} tracks\n")
             if g.meta.get("strategy"):
                 w(f"strategy {g.meta['strategy']}, policy {g.meta.get('policy')}\n")
             top = np.argsort(-e.strength, kind="stable")[:10]

@@ -178,7 +178,10 @@ def sampling_offsets(
         if per:
             offsets[:, a] %= n
     if any(domain.periodic):
-        offsets = np.unique(offsets, axis=0)
+        # the distinct rows in lexicographic order, as np.unique(axis=0)
+        # gives them, which imports numpy.ma
+        offsets = offsets[np.lexsort(offsets.T[::-1])]
+        offsets = offsets[np.r_[True, (offsets[1:] != offsets[:-1]).any(axis=1)]]
     offsets.flags.writeable = False
     return offsets
 

@@ -15,10 +15,10 @@ columns. An edge is the pair of node rows of its two ends (``src``,
 layer offsets, the filters carry them along, and ``doc_to_graph`` finds
 them with one search per end. The (t, i, j) of the documents, the DOT
 output and the ``GraphEdge`` views is derived from the rows in one place,
-``TrackingGraph.edge_ends``. Graphs built by
-``assemble`` and the filters derive their track ids when their nodes are
-first read, so a graph that only feeds the next filter never propagates
-tracks.
+``TrackingGraph.edge_ends``. A node's track id is not stored with the
+node: it belongs to the graph, ``TrackingGraph.tracks``, derived from the
+edges when first read unless a document gave it, so a graph that only
+feeds the next filter never propagates tracks.
 Every entry point takes columns; ``GraphNode``/``GraphEdge`` objects are
 read-only output views, built only when a caller reads
 ``TrackingGraph.nodes`` or ``.edges``.
@@ -89,12 +89,7 @@ def _pos_array(pos, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodeColumns:
-    """Nodes as parallel arrays, sorted by (t, id).
-
-    ``pos`` has shape (n, rank); ``track`` is -1 until tracks are assigned.
-    Iterating yields ``GraphNode`` objects, so one layer of columns reads
-    like the list of nodes it stands for.
-    """
+    """Nodes as parallel arrays, sorted by (t, id); ``pos`` has shape (n, rank)."""
 
     t: np.ndarray
     id: np.ndarray
@@ -102,50 +97,29 @@ class NodeColumns:
     vertex: np.ndarray
     value: np.ndarray
     pos: np.ndarray
-    track: np.ndarray
 
     @classmethod
     def for_step(cls, t: int, kind: str, vertex, value, pos) -> "NodeColumns":
-        """One time step's nodes with ids 0..n-1 and no tracks yet."""
+        """One time step's nodes with ids 0..n-1."""
         n = len(vertex)
         return cls(np.full(n, t, np.int64), np.arange(n, dtype=np.int64), np.full(n, kind),
                    np.asarray(vertex, np.int64), np.asarray(value, np.float64),
-                   _pos_array(pos, n), np.full(n, -1, np.int64))
-
-    @classmethod
-    def build(cls, t, id, kind, vertex, value, pos, track) -> "NodeColumns":
-        """Columns from unsorted per-node sequences."""
-        n = len(t)
-        t, id = np.asarray(t, np.int64).reshape(n), np.asarray(id, np.int64).reshape(n)
-        order = np.lexsort((id, t))
-        return cls(t[order], id[order], np.asarray(kind, str).reshape(n)[order],
-                   np.asarray(vertex, np.int64).reshape(n)[order],
-                   np.asarray(value, np.float64).reshape(n)[order],
-                   _pos_array(pos, n)[order],
-                   np.asarray(track, np.int64).reshape(n)[order])
+                   _pos_array(pos, n))
 
     @classmethod
     def concat(cls, parts: Sequence["NodeColumns"]) -> "NodeColumns":
         parts = [p for p in parts if len(p)]  # an empty part has no rank
         if not parts:
-            return cls.build([], [], [], [], [], [], [])
+            return cls.for_step(0, "extremum", [], [], [])
         return cls(*(np.concatenate([getattr(p, f) for p in parts])
-                     for f in ("t", "id", "kind", "vertex", "value", "pos", "track")))
+                     for f in ("t", "id", "kind", "vertex", "value", "pos")))
 
     def take(self, keep: np.ndarray) -> "NodeColumns":
         return NodeColumns(self.t[keep], self.id[keep], self.kind[keep], self.vertex[keep],
-                           self.value[keep], self.pos[keep], self.track[keep])
-
-    def with_tracks(self, track: np.ndarray) -> "NodeColumns":
-        return NodeColumns(self.t, self.id, self.kind, self.vertex, self.value, self.pos, track)
+                           self.value[keep], self.pos[keep])
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __iter__(self):
-        pos = [tuple(p) for p in self.pos.tolist()]
-        return map(GraphNode, self.t.tolist(), self.id.tolist(), self.kind.tolist(),
-                   self.vertex.tolist(), self.value.tolist(), pos, self.track.tolist())
 
     def rows(self, t: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Row of each (t, id) pair, -1 where no such node exists."""
@@ -193,44 +167,38 @@ class EdgeColumns:
 
 
 class TrackingGraph:
-    """Nodes, edges and metadata of one tracking graph, as columns.
+    """Nodes, edges and metadata of one tracking graph, as columns, and
+    the track id of each node row: ``tracks`` as given, or else derived
+    from the edges when first read."""
 
-    The node tracks are kept as given.
-    """
-
-    def __init__(self, nodes: NodeColumns, edges: EdgeColumns, meta: dict | None = None):
-        self._nodes, self.edge_columns = n, e = nodes, edges
-        self._tracks_pending = False
+    def __init__(self, nodes: NodeColumns, edges: EdgeColumns, meta: dict | None = None,
+                 tracks: np.ndarray | None = None):
+        self.node_columns, self.edge_columns = n, e = nodes, edges
         self.meta = {} if meta is None else meta
+        if tracks is not None:
+            assert tracks.shape == (len(n),)
+            self.tracks = tracks  # takes the place of the derived value
         # edges may only span one step, between known nodes
         assert ((e.src >= 0) & (e.src < len(n)) & (e.dst >= 0) & (e.dst < len(n))).all()
         assert (n.t[e.dst] == n.t[e.src] + 1).all()
         assert ((e.strength >= 0.0) & (e.strength <= 1.0)).all()
         assert (~np.isnan(e.pf) | ~np.isnan(e.pb)).all()
 
-    @classmethod
-    def _with_derived_tracks(cls, nodes: NodeColumns, edges: EdgeColumns,
-                             meta: dict) -> "TrackingGraph":
-        """A graph whose tracks follow its edges, propagated on first read."""
-        g = cls(nodes, edges, meta)
-        g._tracks_pending = True
-        return g
-
-    @property
-    def node_columns(self) -> NodeColumns:
-        if self._tracks_pending:
-            self._nodes = self._nodes.with_tracks(_propagate_tracks(self._nodes, self.edge_columns))
-            self._tracks_pending = False
-        return self._nodes
+    @cached_property
+    def tracks(self) -> np.ndarray:
+        return _propagate_tracks(self.node_columns, self.edge_columns)
 
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, i, j) of every edge: it joins node (t, i) to node (t + 1, j)."""
-        n, e = self._nodes, self.edge_columns
+        n, e = self.node_columns, self.edge_columns
         return n.t[e.src], n.id[e.src], n.id[e.dst]
 
     @cached_property
     def nodes(self) -> tuple[GraphNode, ...]:
-        return tuple(self.node_columns)
+        n = self.node_columns
+        pos = [tuple(p) for p in n.pos.tolist()]
+        return tuple(map(GraphNode, n.t.tolist(), n.id.tolist(), n.kind.tolist(),
+                         n.vertex.tolist(), n.value.tolist(), pos, self.tracks.tolist()))
 
     @cached_property
     def edges(self) -> tuple[GraphEdge, ...]:
@@ -244,11 +212,11 @@ class TrackingGraph:
 
     @property
     def n_layers(self) -> int:
-        return 1 + int(self._nodes.t.max(initial=-1))
+        return 1 + int(self.node_columns.t.max(initial=-1))
 
 
 def extremum_layers(labelings: Sequence[ManifoldLabeling]) -> list[NodeColumns]:
-    """Node columns (track unset) for each step's extrema."""
+    """Node columns for each step's extrema."""
     return [NodeColumns.for_step(t, "extremum", lab.extrema.vertex, lab.extrema.value,
                                  lab.domain.positions(lab.extrema.vertex))
             for t, lab in enumerate(labelings)]
@@ -318,7 +286,7 @@ def assemble(
     policy: ConnectivityPolicy,
     strategy: str | None = None,
 ) -> TrackingGraph:
-    """Connect consecutive layers per the policy and propagate track ids.
+    """Connect consecutive layers per the policy; tracks follow the edges.
 
     ``cm_forward[t]`` maps layer t to t+1; ``cm_backward[t]`` maps layer
     t+1 back to t. A bidirectional policy requires both entries for an
@@ -343,20 +311,19 @@ def assemble(
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},
         "thresholds": {},
     }
-    return TrackingGraph._with_derived_tracks(NodeColumns.concat(layers),
-                                              EdgeColumns.concat(parts), meta)
+    return TrackingGraph(NodeColumns.concat(layers), EdgeColumns.concat(parts), meta)
 
 
 def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.ndarray,
                 key: str, threshold: dict) -> TrackingGraph:
-    nodes, edges = g._nodes, g.edge_columns.take(keep_edges)  # tracks are derived anew
+    nodes, edges = g.node_columns, g.edge_columns.take(keep_edges)  # tracks are derived anew
     if keep_nodes is not None:
         nodes = nodes.take(keep_nodes)
         row = np.cumsum(keep_nodes) - 1  # a kept node's row among the kept
         edges = replace(edges, src=row[edges.src], dst=row[edges.dst])
     meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
     meta["thresholds"][key] = threshold
-    return TrackingGraph._with_derived_tracks(nodes, edges, meta)
+    return TrackingGraph(nodes, edges, meta)
 
 
 def threshold_filter(g: TrackingGraph, p_min: float, require: Literal["any", "both"] = "any") -> TrackingGraph:
@@ -412,7 +379,7 @@ class SemanticPredicate:
 def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPredicate) -> TrackingGraph:
     """Drop nodes outside the value/box constraints and edges that jump
     farther than allowed (minimum-image distance on periodic axes)."""
-    n, e = g._nodes, g.edge_columns
+    n, e = g.node_columns, g.edge_columns
     alive = predicate.admits(n.value, n.pos)
     keep = alive[e.src] & alive[e.dst]
     if predicate.max_jump is not None:
@@ -496,7 +463,7 @@ def _json_chunks(g: TrackingGraph):
                  '\n      "vertex": %d\n    }')
     yield from _json_list(node_tmpl, [
         n.id, (n.kind, json.dumps), *(_json_floats(n.pos[:, a]) for a in range(rank)),
-        n.t, n.track, _json_floats(n.value), n.vertex,
+        n.t, g.tracks, _json_floats(n.value), n.vertex,
     ], len(n))
     yield b"\n}\n"
 
@@ -550,7 +517,15 @@ def doc_to_graph(doc) -> TrackingGraph:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
-    nodes = NodeColumns.build(*(_column(nd, "node", k) for k in _NODE_KEYS))
+    t, id, kind, vertex, value, pos, track = (_column(nd, "node", k) for k in _NODE_KEYS)
+    n = len(nd)
+    t, id = t.reshape(n), id.reshape(n)
+    order = np.lexsort((id, t))
+    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str).reshape(n)[order],
+                        vertex.reshape(n)[order], value.reshape(n)[order],
+                        _pos_array(pos, n)[order])
+    tracks = track.reshape(n)[order]
+    del id, kind, vertex, value, pos, track
     # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
     if len(nodes) and nodes.t[0] < 0:
         raise ValueError(f"node t{nodes.t[0]} #{nodes.id[0]} has a negative step")
@@ -581,7 +556,7 @@ def doc_to_graph(doc) -> TrackingGraph:
             raise ValueError(f"edge {name} values must lie in (0, 1]")
     if (np.isnan(e.pf) & np.isnan(e.pb)).any():
         raise ValueError("an edge needs pf or pb")
-    return TrackingGraph(nodes, e, meta)
+    return TrackingGraph(nodes, e, meta, tracks)
 
 
 def _dot_chunks(g: TrackingGraph):
@@ -596,7 +571,7 @@ def _dot_chunks(g: TrackingGraph):
     n, e = g.node_columns, g.edge_columns
     node_tmpl = '    n%d_%d [label="t%d #%d\\n%s", fillcolor="%s", tooltip="track %d"];\n'
     node_cols = [n.t, n.id, n.t, n.id, (n.value, "%.4g".__mod__),
-                 (n.track % len(_TRACK_COLORS), _TRACK_COLORS.__getitem__), n.track]
+                 (g.tracks % len(_TRACK_COLORS), _TRACK_COLORS.__getitem__), g.tracks]
     bounds = np.searchsorted(n.t, np.arange(g.n_layers + 1)).tolist()
     for t in range(g.n_layers):
         yield f"  subgraph layer_{t} {{\n    rank=same;\n".encode()

@@ -26,7 +26,7 @@ from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
 from extrack.morse import Extremum, ExtremumColumns, ManifoldLabeling
 from extrack.synth import _oracle_neighbors as brute_neighbors  # the one brute-force 1-ring
 from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, EdgeColumns, GraphEdge, GraphNode,
-                                NodeColumns, TrackingGraph)
+                                NodeColumns, TrackingGraph, _pos_array)
 
 
 def grid_series(values_per_step, spacing=None, periodic=None) -> ScalarFieldSeries:
@@ -307,10 +307,19 @@ def neighborhood(domain: GridDomain, v: int, mode, d, lattice_units=False) -> np
 
 
 def layer_of(nodes) -> NodeColumns:
-    """The columns of a sequence of ``GraphNode``, sorted by (t, id)."""
-    nodes = list(nodes)
-    return NodeColumns.build(*([getattr(n, k) for n in nodes]
-                               for k in ("t", "id", "kind", "vertex", "value", "pos", "track")))
+    """The columns of a sequence of ``GraphNode``, sorted by (t, id); the
+    nodes' tracks are not node columns and are left out."""
+    nodes = sorted(nodes, key=lambda n: (n.t, n.id))
+    return NodeColumns(*(np.array([getattr(n, k) for n in nodes], dtype).reshape(len(nodes))
+                         for k, dtype in (("t", np.int64), ("id", np.int64), ("kind", str),
+                                          ("vertex", np.int64), ("value", np.float64))),
+                       _pos_array([n.pos for n in nodes], len(nodes)))
+
+
+def node_views(layer: NodeColumns) -> list[GraphNode]:
+    """The ``GraphNode`` of each row of ``layer``, with no track (-1)."""
+    no_tracks = np.full(len(layer), -1, np.int64)
+    return list(TrackingGraph(layer, EdgeColumns.concat([]), tracks=no_tracks).nodes)
 
 
 def edges_of(nodes, t, i, j, pf, pb, strength) -> EdgeColumns:
@@ -326,11 +335,14 @@ def edges_of(nodes, t, i, j, pf, pb, strength) -> EdgeColumns:
 
 
 def graph_of(nodes, edges, meta=None) -> TrackingGraph:
-    """A graph of ``GraphNode``/``GraphEdge`` sequences."""
+    """A graph of ``GraphNode``/``GraphEdge`` sequences that keeps the
+    nodes' tracks."""
+    nodes = sorted(nodes, key=lambda n: (n.t, n.id))
     layer, edges = layer_of(nodes), list(edges)
     columns = ([getattr(e, k) for e in edges]
                for k in ("t", "i", "j", "p_forward", "p_backward", "strength"))
-    return TrackingGraph(layer, edges_of(layer, *columns), meta)
+    return TrackingGraph(layer, edges_of(layer, *columns), meta,
+                         np.array([n.track for n in nodes], np.int64))
 
 
 def nodes_at(g, t: int) -> list[GraphNode]:
@@ -460,7 +472,7 @@ def oracle_assemble(layers, cm_forward, cm_backward, policy, strategy=None):
             pf = prob(fwd, i, j) or None
             pb = prob(bwd, j, i) or None
             edges.append(GraphEdge(t, i, j, pf, pb, _oracle_edge_strength(policy.strength, pf, pb)))
-    nodes = oracle_propagate_tracks([list(layer) for layer in layers], edges)
+    nodes = oracle_propagate_tracks([node_views(layer) for layer in layers], edges)
     meta = {
         "strategy": strategy,
         "policy": {"bidirectional": policy.bidirectional, "strength": policy.strength},

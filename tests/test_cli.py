@@ -359,6 +359,28 @@ class TestExitCodes:
     def test_invalid_persistence_pct(self, ridge_file):
         assert main(["run", "--input", str(ridge_file), "--persistence-pct", "150"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--value-min", "nan", "value-min must be finite, got nan"),
+        ("--value-max", "-inf", "value-max must be finite, got -inf"),
+        ("--max-jump", "nan", "max-jump must be finite, got nan"),
+        ("--max-jump", "inf", "max-jump must be finite, got inf"),
+        ("--max-jump", "-1", "max-jump must not be negative, got -1.0"),
+        ("--box-min", "nan,0", "box-min must be finite, got (nan, 0.0)"),
+        ("--box-max", "0,inf", "box-max must be finite, got (0.0, inf)"),
+    ])
+    def test_non_finite_semantic_setting_is_a_config_error(self, ridge_file, tmp_path, capsys,
+                                                           flag, value, message):
+        # NaN used to filter nothing and reach graph.json's meta as a bare
+        # NaN, which is not JSON; a negative max-jump dropped every edge
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out), f"{flag}={value}"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {ridge_file}\n{flag[2:]} = {value}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "gone.xtrk"),
                      "--out", str(tmp_path / "out")]) == 3
@@ -516,6 +538,14 @@ class TestGraphWork:
         assert main(["compare", "--input", str(ridge_file), "--out", str(tmp_path / "cmp"),
                      *SEMANTIC_FLAGS]) == 0
         assert counts == {"propagations": len(cli.STRATEGIES), "row searches": 0}
+
+    def test_inspect_keeps_the_stored_tracks(self, ridge_file, tmp_path, counts, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out)]) == 0
+        counts.update({"propagations": 0, "row searches": 0})
+        assert main(["inspect", str(out / "graph.json")]) == 0
+        assert "2 tracks" in capsys.readouterr().out
+        assert counts == {"propagations": 0, "row searches": 2}  # one search per edge end
 
     def test_semantic_flags_drop_a_node_and_its_edge(self, ridge_file, tmp_path):
         # the box drops node t0 #1 and with it edge t0 1 -> 1; the rest stays
@@ -696,6 +726,17 @@ class TestInspect:
         assert main(["inspect", str(out / "graph.json")]) == 0
         text = capsys.readouterr().out
         assert "2 layers, 4 nodes, 2 edges, 2 tracks" in text
+
+    def test_integer_past_the_digit_limit_is_a_data_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal of more than 4300 digits; it used to end in a traceback
+        p = tmp_path / "g.json"
+        p.write_text('{"meta": {}, "nodes": [], "edges": [], "x": ' + "1" * 5000 + "}")
+        assert main(["inspect", str(p)]) == 3
+        assert f"{p}: unreadable JSON: " in capsys.readouterr().err
+        r = run_python("-m", "extrack", "inspect", str(p), optimize=True)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("name", ["graph.json", "correspondence_forward_0000.json"])
     def test_document_is_parsed_once(self, ridge_file, tmp_path, monkeypatch, name):
@@ -958,3 +999,18 @@ class TestModuleEntryPoint:
 
     def test_no_arguments_exits_2(self):
         assert self._run().returncode == 2
+
+    @pytest.mark.parametrize("command", ["run", "compare", "inspect"])
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path, command):
+        # a plain np.unique imports numpy.ma, 10-14 ms of every process's start
+        series = random_series(np.random.default_rng(7), (12, 10), 3, periodic=(False, True))
+        save_series(series, tmp_path / "p.xtrk")
+        args = ["--input", str(tmp_path / "p.xtrk"), "--out", str(tmp_path / "out")]
+        if command == "inspect":
+            assert main(["run", *args]) == 0
+            args = [str(tmp_path / "out" / "graph.json")]
+        script = ("import sys\nfrom extrack.cli import main\n"
+                  "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
+        r = run_python("-c", script, command, *args)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 False"

@@ -31,6 +31,7 @@ from helpers import (
     edges_of,
     graph_of,
     layer_of,
+    node_views,
     nodes_at,
     oracle_assemble,
     oracle_export_dot,
@@ -470,10 +471,10 @@ class TestGraphInvariants:
         series = random_series(np.random.default_rng(40), (5, 6), 2)
         labs = [label_manifolds(s, series.domain, "minimum") for s in series.steps]
         layers = extremum_layers(labs)
-        assert [n.t for layer in layers for n in layer] == \
-            [t for t, layer in enumerate(layers) for _ in layer]
+        assert [n.t for layer in layers for n in node_views(layer)] == \
+            [t for t, layer in enumerate(layers) for _ in range(len(layer))]
         for t, layer in enumerate(layers):
-            for n in layer:
+            for n in node_views(layer):
                 assert n.pos == series.domain.position(n.vertex)
                 assert labs[t].label[n.vertex] == n.id
 
@@ -571,6 +572,23 @@ class TestImportValidation:
         g = import_graph(json.dumps(doc))
         assert edge_set(g) == {(3, 0, 0)} and g.n_layers == 5
 
+    def test_stored_tracks_are_kept(self, monkeypatch):
+        # a document's track ids are its own, even where the edges disagree
+        doc = graph_doc()
+        doc["nodes"].append({**doc["nodes"][1], "id": 1})
+        for node, track in zip(doc["nodes"], (5, 5, 9)):
+            node["track"] = track
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        propagate = trackgraph._propagate_tracks
+        monkeypatch.setattr(trackgraph, "_propagate_tracks",
+                            lambda *a: pytest.fail("stored tracks were derived anew"))
+        g = import_graph(text)
+        assert g.tracks.tolist() == [5, 5, 9]
+        assert [n.track for n in g.nodes] == [5, 5, 9]
+        assert export(g, "json") == text
+        assert 'tooltip="track 9"' in export(g, "dot")
+        assert propagate(g.node_columns, g.edge_columns).tolist() == [0, 0, 1]
+
     def test_node_rows_are_exact_for_any_int64_ids(self):
         rng = np.random.default_rng(95)
         big = np.iinfo(np.int64)
@@ -579,9 +597,7 @@ class TestImportValidation:
             t = rng.integers(0, 4, n)
             ids = rng.choice(np.array([big.min, -2**62, -1, 0, 1, 2**62, big.max - 1, big.max]), n)
             keep = np.unique(np.stack([t, ids], axis=1), axis=0)
-            nodes = NodeColumns.build(keep[:, 0], keep[:, 1], ["extremum"] * len(keep),
-                                      np.zeros(len(keep)), np.zeros(len(keep)),
-                                      np.zeros((len(keep), 1)), np.zeros(len(keep)))
+            nodes = layer_of(GraphNode(a, b, "extremum", 0, 0.0, (0.0,)) for a, b in keep.tolist())
             where = {(a, b): k for k, (a, b) in enumerate(zip(nodes.t.tolist(), nodes.id.tolist()))}
             qt = rng.integers(-1, 5, 30)
             qi = rng.choice(np.array([big.min, -2**62, -1, 0, 1, 2**62, big.max - 1, big.max]), 30)
@@ -708,7 +724,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(94)
         domain = GridDomain((4, 5))
         for sizes in ([3, 0, 2], [0, 4], [2, 0], [0, 0]):
-            layers = [layer_of(dataclasses.replace(n, kind="feature") for n in layer)
+            layers = [layer_of(dataclasses.replace(n, kind="feature") for n in node_views(layer))
                       for layer in random_layers(rng, domain, sizes)]
             cm_f = [random_cm(rng, a, b, "forward") for a, b in zip(sizes, sizes[1:])]
             cm_b = [random_cm(rng, b, a, "backward") for a, b in zip(sizes, sizes[1:])]
@@ -730,7 +746,7 @@ class TestAgainstOracles:
         steps = [rng.integers(0, 5, domain.vertex_count).astype(float) for _ in range(3)]
         labs = [simplify(label_manifolds(s, domain, kind), s, 10.0) for s in steps]
         layers = extremum_layers(labs)
-        assert [list(layer) for layer in layers] == oracle_extremum_layers(labs)
+        assert [node_views(layer) for layer in layers] == oracle_extremum_layers(labs)
 
         predicates = [SemanticPredicate(max_jump=2.0), SemanticPredicate(max_jump=4.0, value_min=2.0)]
         pairs = [manifold_overlap(a, b) for a, b in zip(labs, labs[1:])]
@@ -891,7 +907,8 @@ def test_library_takes_columns_only():
         assert "def from_objects" not in text and "class TotalOrder" not in text, path.name
     assert not hasattr(extrack, "TotalOrder") and not hasattr(morse, "TotalOrder")
     for owner, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support")),
-                         (TrackingGraph, ("layer", "edge_set")),
+                         (TrackingGraph, ("layer", "edge_set", "_with_derived_tracks")),
+                         (NodeColumns, ("track", "with_tracks", "build", "__iter__")),
                          (features.FeatureSet, ("covered",)),
                          (features.singleton_features(0, 2), ("index_sets", "labels", "feature_ids")),
                          (features, ("save_features", "_members")),
@@ -905,6 +922,9 @@ def test_library_takes_columns_only():
                          (field.ScalarFieldSeries, ("timestamps",)),
                          (field, ("_positions",))):
         assert not [n for n in names if hasattr(owner, n)], owner
+    # a node's track belongs to the graph (TrackingGraph.tracks), not to the node
+    assert [f.name for f in dataclasses.fields(NodeColumns)] == ["t", "id", "kind", "vertex",
+                                                                  "value", "pos"]
     # an edge is its two node rows, held once; (t, i, j) is derived
     assert [f.name for f in dataclasses.fields(EdgeColumns)] == ["src", "dst", "pf", "pb",
                                                                   "strength"]
