@@ -29,12 +29,23 @@ that share a saddle vertex keep their order in the full edge enumeration,
 because that order decides which basin a younger extremum merges into; a
 per-domain table of tie classes encodes it in the sweep key.
 
+Memory: on white noise, labeling and a simplification hold at most about
+3.2 times the field's bytes on top of the field (tracemalloc). ``asc`` is
+dropped after descent, so the forest's saddle vertices are read back from
+``rank``; the sweep works in sub-slabs of at most ``_slab_bound(V)``
+vertices; Borůvka compacts the edges it owns in place; and every other
+pass over a V- or edge-sized array runs in ``_chunks``. Beyond the
+labels, the ranks and the first edges, a phase holds one slab's boundary
+edges, one merge of first edges, or a chunk's temporaries.
+
 A labeling holds its extrema as columns (``ExtremumColumns``): vertex,
 value and persistence arrays whose row i is extremum i.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Literal
@@ -51,6 +62,25 @@ def _id_dtype(n: int):
     return np.int32 if n < 2**31 else np.int64
 
 
+# The fewest items a chunked pass takes at once. Only tests lower it, so
+# that small inputs run every chunked pass over many chunks.
+_CHUNK_MIN = 1 << 13
+
+
+def _chunk_size(n: int) -> int:
+    """Items per chunk of a pass over n: max(_CHUNK_MIN, n / 8), so a
+    chunked pass over a V- or edge-sized array keeps its temporaries to an
+    eighth of it. More chunks would cost time when two steps label on two
+    threads: each chunk takes the interpreter lock again."""
+    return max(_CHUNK_MIN, -(-n // 8))
+
+
+def _chunks(n: int):
+    """Slices covering range(n) in order, ``_chunk_size(n)`` items each."""
+    size = _chunk_size(n)
+    return (slice(i, min(i + size, n)) for i in range(0, n, size))
+
+
 def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``(asc, rank)`` of the strict order on w: by value, ascending or
     ``descending``, ties to the lower vertex id either way.
@@ -60,29 +90,60 @@ def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, n
     when descending), and ``rank`` is its inverse; both have
     ``_id_dtype(w.size)``. The default (unstable, SIMD) argsort does the
     work, read backwards when descending, and only the runs of equal
-    values are re-sorted by id.
+    values are re-sorted by id (``_sort_runs``); the ties are found in
+    chunks, so no sorted copy of w is made.
     """
     n = w.size
-    asc = np.argsort(w)
-    if descending:
-        asc = asc[::-1]
-    ws = w[asc]
-    tie = ws[1:] == ws[:-1]  # position p + 1 equals position p
-    del ws
-    if tie.any():
-        # run id per position, and the positions of runs longer than one
-        run = np.concatenate(([0], np.cumsum(~tie, dtype=np.int64)))
-        pos = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
-        key = run[pos] * n + asc[pos]  # runs ascend with the position
-        key.sort()
-        asc[pos] = key % n
-        del run, pos, key
-    del tie
     dt = _id_dtype(n)
-    asc = asc.astype(dt)
+    asc = np.argsort(w).astype(dt)
+    if descending:
+        asc = asc[::-1].copy()
+    tie = np.empty(max(n - 1, 0), dtype=bool)  # position p + 1 equals position p
+    for c in _chunks(n - 1):
+        np.equal(w[asc[c.start + 1:c.stop + 1]], w[asc[c]], out=tie[c])
+    if tie.any():
+        _sort_runs(asc, tie)
+    del tie
     rank = np.empty(n, dtype=dt)
-    rank[asc] = np.arange(n, dtype=dt)
+    for c in _chunks(n):
+        rank[asc[c]] = np.arange(c.start, c.stop, dtype=dt)
     return asc, rank
+
+
+def _sort_runs(asc: np.ndarray, tie: np.ndarray) -> None:
+    """Sort each run of tied positions of asc by vertex id, in place.
+
+    ``tie[p]`` says that positions p and p + 1 hold equal values. Chunks of
+    positions end where a run ends, so each holds whole runs and sorts
+    them at once under a ``run * n + id`` key; a run longer than a chunk
+    sorts alone, in place.
+    """
+    n, size = asc.size, _chunk_size(asc.size)
+    p = 0
+    while p < n:
+        q = min(p + size, n)
+        if q < n and tie[q - 1]:  # q is inside a run
+            starts = np.flatnonzero(~tie[p:q - 1])
+            if starts.size:  # end the chunk where that run starts
+                q = p + 1 + int(starts[-1])
+            else:  # the run covers the chunk: find its end and sort it alone
+                e = q - 1
+                while e < n - 1 and tie[e]:
+                    window = tie[e:e + size]
+                    k = int(np.argmin(window))  # the first False, if any
+                    e += window.size if window[k] else k
+                asc[p:e + 1].sort()
+                p = e + 1
+                continue
+        inside = tie[p:q - 1]
+        if inside.any():
+            key = np.zeros(q - p, np.int64)
+            np.cumsum(~inside, out=key[1:])  # run number within the chunk
+            key *= n
+            key += asc[p:q]
+            key.sort()
+            asc[p:q] = key % n
+        p = q
 
 
 @dataclass(frozen=True)
@@ -173,7 +234,7 @@ def _descent_pointers(asc: np.ndarray, rank: np.ndarray, domain: GridDomain) -> 
     ptr[v] is the lexicographically smallest neighbor if that neighbor
     precedes v, else v itself (v is a minimum). Every offset piece lowers a
     running minimum of the rank plane in both directions, so no (V, K)
-    table is built.
+    table is built; the ranks then become vertex ids in place.
     """
     r = rank.reshape(domain.dims)
     best = r.copy()
@@ -181,26 +242,83 @@ def _descent_pointers(asc: np.ndarray, rank: np.ndarray, domain: GridDomain) -> 
         for here, there in ((src, dst), (dst, src)):
             b = best[here]
             np.minimum(b, r[there], out=b)
-    return asc[best.reshape(-1)]
+    ptr = best.reshape(-1)
+    for c in _chunks(ptr.size):
+        ptr[c] = asc[ptr[c]]
+    return ptr
+
+
+def _sizes(label: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(label, minlength=n)``, counted in chunks: bincount
+    copies int32 labels to intp first."""
+    sizes = np.zeros(n, np.int64)
+    for c in _chunks(label.size):
+        sizes += np.bincount(label[c], minlength=n)
+    return sizes
 
 
 def _resolve_roots(ptr: np.ndarray) -> np.ndarray:
-    # pointer doubling; chains strictly descend so this terminates
-    root = ptr
+    """Point every node of the pointer forest ptr at its root, in place.
+
+    Pointer doubling, one chunk at a time: a pass sets ptr[v] =
+    ptr[ptr[v]], and reading pointers that earlier chunks of the same pass
+    already advanced only shortens the chains. A pass that moves nothing
+    leaves each pointer at a root. Returns ptr.
+    """
     while True:
-        nxt = root[root]
-        if np.array_equal(nxt, root):
-            return root
-        root = nxt
+        moved = False
+        for c in _chunks(ptr.size):
+            p = ptr[c]
+            nxt = ptr[p]
+            moved = moved or not np.array_equal(nxt, p)
+            p[...] = nxt
+        if not moved:
+            return ptr
+
+
+def _basins(ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(label, ex_vertices)`` from the descent pointers, in ptr's buffer.
+
+    The extrema are the vertices that point at themselves, numbered
+    densely in vertex order; ``label[v]`` is the number of the extremum
+    v's descent ends at. The roots first hold their own number, so each
+    chunk reads its labels through them, without a V-sized id map.
+    """
+    ex_vertices = np.concatenate([
+        np.flatnonzero(ptr[c] == np.arange(c.start, c.stop, dtype=ptr.dtype)) + c.start
+        for c in _chunks(ptr.size)])
+    _resolve_roots(ptr)
+    ptr[ex_vertices] = np.arange(ex_vertices.size, dtype=ptr.dtype)
+    for c in _chunks(ptr.size):
+        lab = ptr[ptr[c]]
+        i, j = np.searchsorted(ex_vertices, (c.start, c.stop))
+        lab[ex_vertices[i:j] - c.start] = np.arange(i, j, dtype=ptr.dtype)
+        ptr[c] = lab
+    return ptr, ex_vertices
 
 
 # Bit width of the packed edge codes, so that every code is a non-negative
 # int64. Only tests lower it, to force the split over pair-code ranges.
 _CODE_BITS = 63
 
+# The sweep merges a running array's pending firsts into it once they hold
+# this share of its size. Tests move it, to merge after every slab or only
+# at the end.
+_MERGE_AT = 1.0
+
+
+def _slab_bound(v: int) -> int:
+    """The most vertices an offset piece of a v-vertex grid sweeps at once.
+
+    Larger pieces split into sub-slabs along axis 0. The floor keeps the
+    pieces of grids up to 256² whole, where splitting only adds calls.
+    """
+    return max(1 << 16, v // 4)
+
 
 def _boundary_pieces(domain: GridDomain):
-    """The pieces of ``offset_slices`` with their sweep tie classes.
+    """The pieces of ``offset_slices`` with their sweep tie classes, as
+    sub-slabs of at most ``_slab_bound(V)`` vertices.
 
     Returns ``(pieces, n_cls)``; each piece is ``(src, dst, up, cls)``.
     Vertex ids in ``dst`` exceed those in ``src`` by one constant c, and
@@ -211,7 +329,9 @@ def _boundary_pieces(domain: GridDomain):
     ``(first - s, slot)``; the domain's classes, sorted, are numbered
     0..n_cls-1. ``cls[1]`` is the class of the piece's edges whose saddle
     is the lower vertex id, ``(0, slot)``, and ``cls[0]`` that of the
-    others, ``(-|c|, slot)``, always the smaller of the two.
+    others, ``(-|c|, slot)``, always the smaller of the two. A piece above
+    the bound splits into runs of axis-0 rows, each with the piece's c and
+    classes.
     """
     half = 2**domain.rank - 1
     pieces = []
@@ -221,30 +341,57 @@ def _boundary_pieces(domain: GridDomain):
         slot = k if c > 0 else k + half
         pieces.append((src, dst, c > 0, ((-abs(c), slot), (0, slot))))
     number = {t: i for i, t in enumerate(sorted({t for *_, ts in pieces for t in ts}))}
-    return [(src, dst, up, np.array([number[t] for t in ts], np.uint8))
-            for src, dst, up, ts in pieces], len(number)
+    bound = _slab_bound(domain.vertex_count)
+    slabs = []
+    for src, dst, up, ts in pieces:
+        cls = np.array([number[t] for t in ts], np.uint8)
+        rows_src, rows_dst = (range(domain.dims[0])[s[0]] for s in (src, dst))
+        size = math.prod(len(range(n)[s]) for n, s in zip(domain.dims, src))
+        step = max(1, bound * len(rows_src) // size)
+        for i in range(0, len(rows_src), step):
+            rs, rd = rows_src[i:i + step], rows_dst[i:i + step]
+            slabs.append(((slice(rs.start, rs.stop),) + src[1:],
+                          (slice(rd.start, rd.stop),) + dst[1:], up, cls))
+    return slabs, len(number)
 
 
 def _firsts(code: np.ndarray, kb: int) -> np.ndarray:
     """The first code of each run of equal ``code >> kb`` in sorted code."""
-    pair = code >> kb
     first = np.empty(code.size, dtype=bool)
     first[:1] = True
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    del pair
+    for c in _chunks(code.size - 1):
+        nxt = slice(c.start + 1, c.stop + 1)
+        np.not_equal(code[nxt] >> kb, code[c] >> kb, out=first[nxt])
     return code[first]
 
 
-def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: GridDomain,
-                 label: np.ndarray, ex_vertices: np.ndarray, descending: bool = False):
+def _saddle_vertices(rank: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The vertex of each of the ascending ``ranks``, read back from rank
+    in chunks."""
+    new = np.empty(ranks.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    want, inv = ranks[new], np.cumsum(new) - 1
+    hit = np.zeros(rank.size, dtype=bool)
+    hit[want] = True
+    vertex = np.empty(want.size, dtype=np.int64)
+    for c in _chunks(rank.size):
+        r = rank[c]
+        v = np.flatnonzero(hit[r])
+        vertex[np.searchsorted(want, r[v])] = v + c.start
+    return vertex[inv]
+
+
+def _merge_sweep(values: np.ndarray, rank: np.ndarray, domain: GridDomain, label: np.ndarray,
+                 ex_vertices: np.ndarray, descending: bool = False):
     """0-dimensional persistence of the minima of values (of the maxima
     when ``descending``) by basin merging.
 
-    ``asc``/``rank`` are the order from ``_total_order(values,
-    descending)``. Only edges between different basins can merge sublevel
-    components (each basin's sublevel slice stays connected through its
-    descent paths), so a union-find over basins processing boundary edges
-    in ascending saddle order reproduces the vertex sweep.
+    ``rank`` is the order from ``_total_order(values, descending)``. Only
+    edges between different basins can merge sublevel components (each
+    basin's sublevel slice stays connected through its descent paths), so
+    a union-find over basins processing boundary edges in ascending saddle
+    order reproduces the vertex sweep.
 
     The sweep visits one edge per unordered basin pair: the first in sweep
     order. Every later edge between the same two basins joins components
@@ -259,38 +406,42 @@ def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: 
     a small table of tie classes, so an edge's sweep key is
     ``rank(s) << cb | class``, with cb = bits(n_cls - 1).
 
-    Each offset piece packs its boundary edges into one int64 code each,
+    Each offset piece, in sub-slabs of at most ``_slab_bound(V)``
+    vertices, packs its boundary edges into one int64 code each,
     ``(pair << vb | rank(s)) << 1 | lower``: pair = lo * n_ex + hi for the
     basin labels lo < hi, vb = bits(V - 1), and ``lower`` set where the
     saddle is the edge's lower vertex id (the piece's own 1-bit class, in
     class order). One in-place value sort groups each basin pair with its
-    first edge in front, and the firsts merge into running sorted arrays
-    of ``(pair << vb | rank(s)) << cb | class``; there a pair keeps its
-    lowest code, the first edge in sweep order. No boundary edge is
-    argsorted.
+    first edge in front. The firsts, as ``(pair << vb | rank(s)) << cb |
+    class``, wait beside running sorted arrays and merge into them once
+    they reach ``_MERGE_AT`` times an array's size, so a merge sorts at
+    most twice the firsts it takes in; there a pair keeps its lowest code,
+    the first edge in sweep order. No boundary edge is argsorted.
 
     Where a code would not fit in 63 bits, the same loop runs over ranges
     of pair codes (lo-major, so ranges of the lower label), each packed
     relative to its start: ``2**(62 - vb)`` pairs per piece sort and
     ``2**(63 - vb - cb)`` per running array, at least 2**26 each for any
     V < 2**31. The per-piece bit keeps the sorts to one range up to about
-    200³ white noise; only the running arrays split there. Beyond the
-    order, the labels and the running arrays, a piece holds a few int32
-    and two int64 arrays of its boundary edges.
+    200³ white noise; only the running arrays split there.
 
-    The running arrays give one first edge per pair, with its sweep key
-    as the weight for ``_spanning_forest``; the elder rule then visits the
-    forest's n_ex - 1 edges in sweep order.
+    Memory, beyond the ranks, the labels and the running arrays (8 bytes
+    per first edge, about V / 2 of them on white noise): a slab holds about
+    21 bytes per boundary edge, and a merge its array, the pending firsts
+    and their concatenation. The forest takes the first edges' basin
+    labels (4 bytes each, twice) beside the keys the codes become in place;
+    every other pass runs in ``_chunks``.
+
+    The first edges go to ``_spanning_forest``, weighted by their sweep
+    keys; the elder rule then visits the forest's n_ex - 1 edges in sweep
+    order, and their saddle vertices are read back from ``rank``.
 
     Returns (persistence, saddles, partners) per extremum; the global
     extremum gets +inf persistence, saddle and partner -1.
     """
     n_ex = ex_vertices.size
-    pers = np.full(n_ex, np.inf)
-    saddles = np.full(n_ex, -1, dtype=np.int64)
-    partners = np.full(n_ex, -1, dtype=np.int64)
     if n_ex == 1:
-        return pers, saddles, partners
+        return np.full(1, np.inf), np.full(1, -1, np.int64), np.full(1, -1, np.int64)
 
     pieces, n_cls = _boundary_pieces(domain)
     vb = (values.size - 1).bit_length()  # bits of a rank
@@ -299,20 +450,31 @@ def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: 
     sort_span = 1 << max(0, _CODE_BITS - 1 - vb)  # pair codes per piece sort
     run_span = 1 << max(0, _CODE_BITS - cb - vb)  # pair codes per running array
     runs = [np.empty(0, np.int64)] * -(-n_pairs // run_span)
+    pending = [[] for _ in runs]
+
+    def merge(fill):
+        # each running array with pending firsts of at least ``fill`` times its size
+        for j, waiting in enumerate(pending):
+            if waiting and sum(p.size for p in waiting) >= fill * runs[j].size:
+                both = np.concatenate([runs[j]] + waiting)
+                runs[j] = None
+                waiting.clear()
+                both.sort()
+                runs[j] = _firsts(both, vb + cb)
+
     lab, r = label.reshape(domain.dims), rank.reshape(domain.dims)
     for src, dst, up, cls in pieces:
         at = np.flatnonzero(lab[src] != lab[dst])
-        la, lb = np.take(lab[src], at), np.take(lab[dst], at)
         s, t = np.take(r[src], at), np.take(r[dst], at)
-        del at
         lower = s > t if up else t > s
         np.maximum(s, t, out=s)  # the saddle's rank
         del t
+        la, lb = np.take(lab[src], at), np.take(lab[dst], at)
+        del at
         pair = np.minimum(la, lb, dtype=np.int64)
         pair *= n_ex
         pair += np.maximum(la, lb, out=la)
         del la, lb
-        firsts = []
         for p0 in range(0, n_pairs, sort_span):
             if sort_span >= n_pairs:  # one range: pack the codes in place over pair
                 part, code = slice(None), pair
@@ -323,11 +485,10 @@ def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: 
             code |= s[part]
             code <<= 1
             code |= lower[part]
+            if code is pair:
+                pair = s = lower = None
             code.sort()
-            firsts.append((p0, _firsts(code, vb + 1)))
-            del code
-        del pair, s, lower
-        for p0, code in firsts:
+            code = _firsts(code, vb + 1)
             # each running array's share, the tie class in place of the lower bit
             starts = np.arange(0, min(sort_span, n_pairs - p0), run_span, dtype=np.int64)
             shares = np.split(code, np.searchsorted(code, starts[1:] << vb + 1))
@@ -337,51 +498,60 @@ def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: 
                     new -= start << vb
                     new <<= cb
                     new |= cls[share & 1]
-                    both = np.concatenate((runs[j], new))
-                    runs[j] = new = None
-                    both.sort(kind="stable")  # two sorted runs: one merge pass
-                    runs[j] = _firsts(both, vb + cb)
-                    del both
-        del firsts, code, shares, share
+                    pending[j].append(new)
+            code = shares = share = new = None
+        pair = s = lower = None
+        merge(_MERGE_AT)
+    merge(0)
 
-    # the first edges: basin labels, and sweep keys as forest weights
+    # the first edges: basin labels, and sweep keys, in place of the codes,
+    # as forest weights
     n = sum(run.size for run in runs)
     a, b = np.empty(n, label.dtype), np.empty(n, label.dtype)
-    key = np.empty(n, np.int64)
     end = 0
-    for j in range(len(runs)):
-        run, runs[j] = runs[j], None
-        part = slice(end, end + run.size)
+    for j, run in enumerate(runs):
+        for c in _chunks(run.size):
+            pair = run[c] >> vb + cb
+            pair += j * run_span
+            a[end + c.start:end + c.stop], b[end + c.start:end + c.stop] = np.divmod(pair, n_ex)
+            run[c] &= (1 << vb + cb) - 1
         end += run.size
-        key[part] = run & (1 << vb + cb) - 1
-        run >>= vb + cb
-        run += j * run_span
-        a[part], b[part] = np.divmod(run, n_ex)
-        del run
-    forest = _spanning_forest(a, b, n_ex, key)
-    sad = asc[key[forest] >> cb]
-    a, b = a[forest], b[forest]
-    del key, forest
-
-    uf = list(range(n_ex))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
+    key = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    runs.clear()
+    run = pair = None
+    a, b, key = _spanning_forest(a, b, n_ex, key)
+    sad = _saddle_vertices(rank, key >> cb)
+    del key
 
     # every forest edge joins two components, in sweep order; by the elder
-    # rule the younger component representative dies there
-    ex_rank = rank[ex_vertices].tolist()
-    dead, elders = [], []
-    for ra, rb in zip(a.tolist(), b.tolist()):
-        ra, rb = find(ra), find(rb)
-        elder, young = (ra, rb) if ex_rank[ra] < ex_rank[rb] else (rb, ra)
-        uf[young] = elder
-        dead.append(young)
-        elders.append(elder)
-    partners[dead] = elders
+    # rule the younger component representative dies there. The union-find
+    # runs on ages (extremum ids renumbered eldest first, so the elder of
+    # two is the smaller), in machine-int arrays rather than lists of
+    # Python ints, and reads the edges a chunk at a time.
+    by_age = np.argsort(rank[ex_vertices])
+    age = np.empty(n_ex, np.int64)
+    age[by_age] = np.arange(n_ex)
+    a, b = age[a], age[b]
+    del age
+    uf = array("q", np.arange(n_ex, dtype=np.int64).tobytes())
+    dead, elders = array("q"), array("q")
+    for c in _chunks(a.size):
+        for ra, rb in zip(a[c].tolist(), b[c].tolist()):
+            while uf[ra] != ra:  # find, halving the path
+                uf[ra] = ra = uf[uf[ra]]
+            while uf[rb] != rb:
+                uf[rb] = rb = uf[uf[rb]]
+            if ra < rb:  # ra becomes the younger
+                ra, rb = rb, ra
+            uf[ra] = rb
+            dead.append(ra)
+            elders.append(rb)
+    del uf, a, b
+    dead = by_age[np.frombuffer(dead, np.int64)]
+    pers = np.full(n_ex, np.inf)
+    saddles = np.full(n_ex, -1, dtype=np.int64)
+    partners = np.full(n_ex, -1, dtype=np.int64)
+    partners[dead] = by_age[np.frombuffer(elders, np.int64)]
     saddles[dead] = sad
     if descending:
         pers[dead] = values[ex_vertices[dead]] - values[sad]
@@ -390,8 +560,9 @@ def _merge_sweep(values: np.ndarray, asc: np.ndarray, rank: np.ndarray, domain: 
     return pers, saddles, partners
 
 
-def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    """Positions of the minimum spanning forest's edges, by ascending weight.
+def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int, weight: np.ndarray):
+    """The minimum spanning forest's edges as ``(a, b, weight)``, by
+    ascending weight.
 
     Edge k joins nodes a[k] and b[k] of 0..n-1 and weighs ``weight[k]``.
     Weights are unique, so the forest is exactly the edge set Kruskal's
@@ -402,36 +573,65 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray, n: int, weight: np.ndarray) -
     share one edge, and the lower id stays root), and pointer doubling
     relabels; each round at least halves the components that still have an
     outgoing edge.
+
+    Takes ownership of the three arrays: each round moves the edges that
+    still leave their component to the front, in place, and reads the
+    components of their ends through an n-sized table, one chunk at a
+    time, so no round copies an edge array.
     """
-    ca, cb, w, edge = a, b, weight, np.arange(a.size, dtype=_id_dtype(a.size))
-    ids = np.arange(n, dtype=np.result_type(a, b))
+    comp = None  # each node's component, the identity until the first hooks
+
+    def ends(c):  # the components of the ends of edges c
+        return (a[c], b[c]) if comp is None else (comp[a[c]], comp[b[c]])
+
+    top = np.iinfo(np.int64).max
     picked = []
+    m = a.size
     while True:
-        out = ca != cb
-        if not out.any():
+        lightest = np.full(n, top)
+        end = 0
+        for c in _chunks(m):
+            ca, cb = ends(c)
+            out = np.flatnonzero(ca != cb)
+            k = out.size
+            if k < c.stop - c.start:
+                ca, cb = ca.take(out), cb.take(out)
+                moved = a[c].take(out), b[c].take(out), weight[c].take(out)
+                c = slice(end, end + k)
+                a[c], b[c], weight[c] = moved
+            elif end < c.start:
+                a[end:end + k], b[end:end + k], weight[end:end + k] = a[c], b[c], weight[c]
+                c = slice(end, end + k)
+            end += k
+            w = weight[c]
+            np.minimum.at(lightest, ca, w)
+            np.minimum.at(lightest, cb, w)
+        m = end
+        if not m:
             break
-        if not out.all():
-            ca, cb, w, edge = ca[out], cb[out], w[out], edge[out]
-        del out
-        lightest = np.full(n, np.iinfo(np.int64).max)
-        np.minimum.at(lightest, ca, w)
-        np.minimum.at(lightest, cb, w)
-        by_a, by_b = w == lightest[ca], w == lightest[cb]
+        parent = np.arange(n, dtype=np.result_type(a, b))
+        for c in _chunks(m):
+            (ca, cb), w = ends(c), weight[c]
+            by_a, by_b = w == lightest[ca], w == lightest[cb]
+            pick = np.flatnonzero(by_a | by_b)
+            for here, there, by in ((ca, cb, by_a), (cb, ca, by_b)):
+                at = np.flatnonzero(by)
+                parent[here.take(at)] = there.take(at)
+            picked.append((a[c].take(pick), b[c].take(pick), w.take(pick)))
         del lightest
-        parent = ids.copy()
-        parent[ca[by_a]] = cb[by_a]
-        parent[cb[by_b]] = ca[by_b]
+        ids = np.arange(n, dtype=parent.dtype)
         mutual = (parent[parent] == ids) & (ids < parent)
         parent[mutual] = ids[mutual]
-        picked.append(edge[by_a | by_b])
-        del by_a, by_b, mutual
-        root = _resolve_roots(parent)
-        ca, cb = root[ca], root[cb]
-    forest = np.concatenate(picked) if picked else edge[:0]
-    fw = weight[forest]
-    order = np.empty_like(forest)
-    order[np.searchsorted(np.sort(fw), fw)] = forest
-    return order
+        del ids, mutual
+        _resolve_roots(parent)
+        comp = parent if comp is None else parent[comp]
+        del parent
+    if not picked:
+        return a[:0], b[:0], weight[:0]
+    fa, fb, fw = map(np.concatenate, zip(*picked))
+    del picked
+    order = np.argsort(fw)
+    return fa[order], fb[order], fw[order]
 
 
 def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLabeling:
@@ -455,18 +655,11 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
 
     asc, rank = _total_order(values, descending)
     ptr = _descent_pointers(asc, rank, domain)
-    is_extremum = ptr == np.arange(values.size, dtype=rank.dtype)
-    ex_vertices = np.flatnonzero(is_extremum)
-    # extremum ids in vertex order: the running count of extrema, minus one
-    id_map = np.cumsum(is_extremum, dtype=rank.dtype)
-    id_map -= 1
-    del is_extremum
-    label = id_map[_resolve_roots(ptr)]
-    del ptr, id_map
-    sizes = np.bincount(label, minlength=ex_vertices.size)
+    del asc
+    label, ex_vertices = _basins(ptr)  # in ptr's buffer
+    sizes = _sizes(label, ex_vertices.size)
 
-    pers, saddles, partners = _merge_sweep(values, asc, rank, domain, label, ex_vertices,
-                                           descending)
+    pers, saddles, partners = _merge_sweep(values, rank, domain, label, ex_vertices, descending)
     extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
     return ManifoldLabeling(domain, label, extrema, sizes, saddles, partners)
 
@@ -493,13 +686,16 @@ def simplify(
     """Cancel extrema with persistence below a percentage of the range.
 
     The threshold is threshold_pct/100 times the step's value range (or an
-    explicit ``value_range``, e.g. a series-global one). Each cancelled
-    extremum's basin is relabeled to the surviving extremum its component
-    merged into, following merge partners transitively. The global
-    extremum (+inf persistence) always survives.
+    explicit ``value_range``, e.g. a series-global one, which must be
+    finite and non-negative). Each cancelled extremum's basin is relabeled
+    to the surviving extremum its component merged into, following merge
+    partners transitively. The global extremum (+inf persistence) always
+    survives.
     """
     if not 0.0 <= threshold_pct <= 100.0:
         raise ValueError(f"threshold_pct must be in [0, 100], got {threshold_pct}")
+    if value_range is not None and not 0.0 <= value_range < math.inf:
+        raise ValueError(f"value_range must be a finite non-negative number, got {value_range}")
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != labeling.domain.vertex_count:
         raise ValueError("step length does not match the labeling's domain")
@@ -516,17 +712,18 @@ def simplify(
 
     # cancelled extrema point at their merge partner, survivors at
     # themselves; partners are elder, so the pointers form a forest
-    ptr = np.where(cancel, labeling._partners, np.arange(labeling.n_extrema))
-    root = _resolve_roots(ptr)
+    root = _resolve_roots(np.where(cancel, labeling._partners, np.arange(labeling.n_extrema)))
     survivors = np.flatnonzero(~cancel)
-    new_id = np.full(labeling.n_extrema, -1, dtype=labeling.label.dtype)
-    new_id[survivors] = np.arange(survivors.size)
-    remap = new_id[root]
+    remap = np.full(labeling.n_extrema, -1, dtype=labeling.label.dtype)
+    remap[survivors] = np.arange(survivors.size)
+    remap = remap[root]
+    del root
 
     label = remap[labeling.label]
-    sizes = np.bincount(label, minlength=survivors.size)
+    sizes = _sizes(label, survivors.size)
     extrema = ex.take(survivors)
     saddles = labeling._saddles[survivors]
-    old_partners = labeling._partners[survivors]
-    partners = np.where(old_partners < 0, -1, remap[np.maximum(old_partners, 0)].astype(np.int64))
+    partners = labeling._partners[survivors]
+    merged = partners >= 0
+    partners[merged] = remap[partners[merged]]
     return ManifoldLabeling(labeling.domain, label, extrema, sizes, saddles, partners)

@@ -352,6 +352,12 @@ class SemanticPredicate:
     max_jump: float | None = None
 
     def __post_init__(self):
+        for name in ("value_min", "value_max", "box_min", "box_max", "max_jump"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v}")
+        if self.max_jump is not None and self.max_jump < 0:
+            raise ValueError(f"max_jump must not be negative, got {self.max_jump}")
         if self.value_min is not None and self.value_max is not None:
             if self.value_min > self.value_max:
                 raise ValueError("inverted value range")

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -163,6 +164,18 @@ def neighbor_table(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
     nbr.flags.writeable = False
     valid.flags.writeable = False
     return nbr, valid
+
+
+def peak_over_field(call, field: np.ndarray) -> float:
+    """The tracemalloc peak of ``call()`` over the field's bytes: what the
+    call holds at once beyond the field, in the unit of every memory bound
+    of the suite."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / field.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_descent_pointers(w: np.ndarray, domain: GridDomain) -> np.ndarray:

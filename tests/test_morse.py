@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,15 +11,31 @@ from extrack.morse import (Extremum, ManifoldLabeling, _descent_pointers, _id_dt
                            label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
 from helpers import (extremum_columns, grid_series, neighborhood, oracle_descent_pointers,
-                     oracle_extrema, oracle_merge_sweep, oracle_spanning_forest)
+                     oracle_extrema, oracle_merge_sweep, oracle_spanning_forest, peak_over_field)
 
 
-def check_sweep(values, dom, descending, monkeypatch=None):
+# Settings that force the sweep's splits, by name: "codes" narrows the packed
+# codes so that each offset piece sorts two to four pair-code ranges and the
+# running arrays split into many more; "slabs" sweeps every piece one row of
+# axis 0 at a time; "merges" merges the firsts into the running arrays after
+# every slab and "once" only at the end; "chunks" runs every chunked pass in
+# chunks of two items.
+SPLITS = {
+    "slabs": ("_slab_bound", lambda v: 1),
+    "merges": ("_MERGE_AT", 0.0),
+    "once": ("_MERGE_AT", math.inf),
+    "chunks": ("_CHUNK_MIN", 2),
+}
+
+
+def check_sweep(values, dom, descending, monkeypatch=None, splits=("codes",)):
     """``_merge_sweep`` on the (descending, for maxima) order of values
     against ``oracle_merge_sweep`` on the field it sweeps (``-values`` for
-    maxima), bit for bit. With ``monkeypatch``, the packed codes are
-    narrowed so that each offset piece sorts two to four pair-code ranges
-    and the running arrays split into many more. Returns the extremum count."""
+    maxima), bit for bit. With ``monkeypatch``, the ``SPLITS`` named in
+    ``splits`` are forced first. Returns the extremum count."""
+    for name in splits:
+        if monkeypatch is not None and name != "codes":
+            monkeypatch.setattr(morse, *SPLITS[name])
     w = -values if descending else values
     asc, rank = _total_order(values, descending)
     assert np.array_equal(asc, np.argsort(w, kind="stable"))
@@ -28,11 +43,11 @@ def check_sweep(values, dom, descending, monkeypatch=None):
     assert np.array_equal(ptr, oracle_descent_pointers(w, dom))
     ex = np.flatnonzero(ptr == np.arange(values.size))
     label = np.searchsorted(ex, _resolve_roots(ptr))
-    if monkeypatch is not None:
+    if monkeypatch is not None and "codes" in splits:
         n_pairs = (ex.size - 1) * ex.size
         monkeypatch.setattr(morse, "_CODE_BITS",
                             (values.size - 1).bit_length() + n_pairs.bit_length() - 1)
-    got = _merge_sweep(values, asc, rank, dom, label, ex, descending)
+    got = _merge_sweep(values, rank, dom, label, ex, descending)
     want = oracle_merge_sweep(w, dom, label, ex)
     for g, o in zip(got, want):
         assert g.dtype == o.dtype and g.tobytes() == o.tobytes()
@@ -335,6 +350,19 @@ class TestSimplify:
         s = simplify(lab, vals, 0.5, value_range=2000.0)
         assert [e.vertex for e in s.extrema] == [0]
 
+    @pytest.mark.parametrize("value_range", [math.nan, -5.0, -1e-300, math.inf, -math.inf])
+    def test_bad_value_range_rejected(self, value_range):
+        # NaN and negative ranges used to cancel nothing and +inf all but the
+        # global minimum, without a word
+        rng = np.random.default_rng(8)
+        dom = GridDomain((8, 8))
+        vals = rng.standard_normal(64)
+        lab = label_manifolds(vals, dom, "minimum")
+        assert lab.n_extrema > 5
+        with pytest.raises(ValueError, match="value_range must be a finite non-negative number"):
+            simplify(lab, vals, 5.0, value_range=value_range)
+        assert simplify(lab, vals, 5.0, value_range=0.0) is lab  # a zero range cancels nothing
+
     def test_threshold_out_of_range(self):
         vals, dom = path_values([1, 5, 0, 5, 1])
         lab = label_manifolds(vals, dom, "minimum")
@@ -445,7 +473,7 @@ class TestAgainstOracles:
                     assert np.array_equal(ptr, oracle_descent_pointers(w, dom)), periodic
                     ex = np.flatnonzero(ptr == np.arange(w.size))
                     label = np.searchsorted(ex, _resolve_roots(ptr))
-                    got = _merge_sweep(w, asc, rank, dom, label, ex)
+                    got = _merge_sweep(w, rank, dom, label, ex)
                     want = oracle_merge_sweep(w, dom, label, ex)
                     for g, o in zip(got, want):
                         assert g.dtype == o.dtype and np.array_equal(g, o), periodic
@@ -462,7 +490,7 @@ class TestAgainstOracles:
                 ptr = _descent_pointers(asc, rank, dom)
                 ex = np.flatnonzero(ptr == np.arange(w.size))
                 label = np.searchsorted(ex, _resolve_roots(ptr))
-                got = _merge_sweep(w, asc, rank, dom, label, ex)
+                got = _merge_sweep(w, rank, dom, label, ex)
                 want = oracle_merge_sweep(w, dom, label, ex)
                 for g, o in zip(got, want):
                     assert np.array_equal(g, o), (dom.periodic, kind)
@@ -499,6 +527,35 @@ class TestAgainstOracles:
                     for descending in (False, True):
                         check_sweep(values, dom, descending, m)
 
+    @pytest.mark.parametrize("splits", [("slabs",), ("merges",), ("once",),
+                                        ("slabs", "merges", "codes"), ("slabs", "once", "codes"),
+                                        ("chunks",), ("chunks", "once", "codes")])
+    def test_sliced_sweeps_match(self, splits, monkeypatch):
+        # every piece in one-row sub-slabs, the firsts merged after every slab
+        # or only once, alone and with narrowed codes, and every chunked pass
+        # in two-item chunks; plateaus, signed zeros and distinct values on
+        # every periodic combination, so periodic axes of length 2 and 3 in
+        # 2D and 3D, where labeling and pairing also run whole under the same
+        # settings; then the Borůvka-hostile graphs
+        rng = np.random.default_rng(len(splits) + 17 * len(splits[0]))
+        for dims in ((2, 3), (3, 7), (9, 11), (2, 2, 2), (3, 2, 3), (6, 5, 7)):
+            for periodic in product((False, True), repeat=len(dims)):
+                dom = GridDomain(dims, periodic=periodic)
+                v = dom.vertex_count
+                for values in (rng.integers(0, 3, v).astype(float), rng.choice([-0.0, 0.0, 1.0], v),
+                               rng.permutation(v).astype(float)):
+                    with monkeypatch.context() as m:
+                        for descending in (False, True):
+                            check_sweep(values, dom, descending, m, splits)
+                        for kind in ("minimum", "maximum"):
+                            assert (persistence_pairs(values, dom, kind)
+                                    == oracle_merge_tree(values, dom, kind)), (periodic, kind)
+        for case in HOSTILE_CASES:
+            for values, dom in hostile_fields(case, volume="codes" not in splits):
+                with monkeypatch.context() as m:
+                    for descending in (False, True):
+                        assert check_sweep(values, dom, descending, m, splits) > 100
+
     def test_int64_pair_codes(self):
         # 47 000 wells along a 2 x 94 000 strip behind random barriers: more
         # than 46 341 extrema, so n_ex**2 passes 2**31 and the sweep's basin
@@ -516,7 +573,7 @@ class TestAgainstOracles:
             ex = np.flatnonzero(ptr == np.arange(w.size))
             label = np.searchsorted(ex, _resolve_roots(ptr))
             assert ex.size > 46_341 and _id_dtype(ex.size**2) == np.int64
-            got = _merge_sweep(w, asc, rank, dom, label, ex)
+            got = _merge_sweep(w, rank, dom, label, ex)
             want = oracle_merge_sweep(w, dom, label, ex)
             for g, o in zip(got, want):
                 assert g.dtype == o.dtype and np.array_equal(g, o)
@@ -534,12 +591,15 @@ class TestAgainstOracles:
             a, b = rng.integers(0, n, m), rng.integers(0, n, m)  # multi-edges, some forests
             graphs.append((a, b, n))
         for a, b, n in graphs:
-            assert _spanning_forest(a, b, n, np.arange(len(a))).tolist() == \
-                oracle_spanning_forest(a, b, n)
-            # the same edges listed in another order, weighed by their old position
+            want = oracle_spanning_forest(a, b, n)
+            # weighed by position, then the same edges listed in another
+            # order, weighed by their old position; the forest owns its
+            # arrays, so it gets copies
             perm = rng.permutation(len(a))
-            got = _spanning_forest(a[perm], b[perm], n, perm)
-            assert perm[got].tolist() == oracle_spanning_forest(a, b, n)
+            for order in (np.arange(len(a)), perm):
+                fa, fb, fw = _spanning_forest(a[order], b[order], n, order.copy())
+                assert fw.tolist() == want
+                assert fa.tolist() == a[want].tolist() and fb.tolist() == b[want].tolist()
 
     # Basins A (value 0), B (value 1) and C (value 3) meet only at one saddle
     # s (value 5), which drains into B. Swept in slot order, s's edge to A
@@ -587,18 +647,17 @@ class TestAgainstOracles:
 
 
 def test_labeling_memory_is_linear_in_the_field():
-    # white noise: one extremum per ~15 vertices, so any per-edge or (V, K)
-    # table shows up as a multiple of the field's bytes; maxima must not
-    # add a negated copy of the field
-    dom = GridDomain((48, 48, 48), periodic=(True, False, False))
-    step = np.random.default_rng(3).standard_normal(dom.vertex_count)
-    for kind in ("minimum", "maximum"):
-        tracemalloc.start()
-        try:
-            simplify(label_manifolds(step, dom, kind), step, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30 * step.nbytes, kind
-        assert peak <= 16 * step.nbytes, kind
-        assert peak <= 8 * step.nbytes, kind
+    # white noise: one extremum per ~15 vertices in 3D and ~7 in 2D, so any
+    # per-edge or (V, K) table shows up as a multiple of the field's bytes;
+    # maxima must not add a negated copy of the field. Both grids have a
+    # periodic first axis, the axis the sweep cuts its sub-slabs along.
+    for dims in ((48, 48, 48), (512, 512)):
+        dom = GridDomain(dims, periodic=(True,) + (False,) * (len(dims) - 1))
+        step = np.random.default_rng(3).standard_normal(dom.vertex_count)
+        for kind in ("minimum", "maximum"):
+            peak = peak_over_field(lambda: simplify(label_manifolds(step, dom, kind), step, 1.0),
+                                   step)
+            assert peak <= 30, (dims, kind)
+            assert peak <= 16, (dims, kind)
+            assert peak <= 8, (dims, kind)
+            assert peak <= 3.5, (dims, kind, peak)

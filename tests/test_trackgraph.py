@@ -290,6 +290,22 @@ class TestSemanticFilter:
         with pytest.raises(ValueError, match="box"):
             SemanticPredicate(box_min=(0.0, 2.0), box_max=(1.0, 1.0))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(value_min=math.nan), "value_min must be finite"),
+        (dict(value_max=math.inf), "value_max must be finite"),
+        (dict(value_min=-math.inf, value_max=0.0), "value_min must be finite"),
+        (dict(box_min=(0.0, math.nan)), "box_min must be finite"),
+        (dict(box_max=(math.inf, 1.0)), "box_max must be finite"),
+        (dict(max_jump=math.nan), "max_jump must be finite"),
+        (dict(max_jump=math.inf), "max_jump must be finite"),
+        (dict(max_jump=-1.0), "max_jump must not be negative"),
+        (dict(value_min=math.nan, max_jump=-1.0), "value_min must be finite"),
+    ])
+    def test_non_finite_bounds_and_negative_jump_rejected(self, kwargs, message):
+        # library callers get the checks the CLI's PipelineConfig makes
+        with pytest.raises(ValueError, match=message):
+            SemanticPredicate(**kwargs)
+
     def test_node_only_filters_commute_with_threshold(self):
         g = self.graph()
         dom = GridDomain((4, 4))
