@@ -8,13 +8,15 @@ Subcommands:
 
 Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
 assertion failure, 5 out of memory. Every step of run and compare is a
-named stage, and any other failure inside it names the stage and step. A
-flat key=value config file can preset any run flag; explicit flags win.
+named stage, as is the whole of synth and of inspect, and any other
+failure inside one names the stage and step. A flat key=value config file
+can preset any run flag, read by that flag's own parser; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -22,7 +24,6 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +71,17 @@ class StageError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+# settings that steer how a run executes, not what it computes; the echo
+# leaves them out, so reruns and parallelism degrees stay byte-identical
+_EXECUTION = ("out", "dump_labels", "jobs")
+_SEMANTIC = tuple(f.name for f in dataclasses.fields(trackgraph.SemanticPredicate))
+
+
+@dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    """The settings of one run; the flag and config-file parsers check the
-    choice-valued ones against ``CHOICES``."""
+    """The settings of one run, as the flags declare them (a ``--config``
+    file is read through the same flags), and the semantic predicate and
+    connectivity policy built from them, whose checks are the settings'."""
 
     input: tuple[str, ...]
     format: str = "raw-f64"
@@ -96,6 +104,8 @@ class PipelineConfig:
     out: str = "out"
     dump_labels: bool = False
     jobs: int = 1
+    predicate: trackgraph.SemanticPredicate = dataclasses.field(init=False, repr=False)
+    policy: trackgraph.ConnectivityPolicy = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.input:
@@ -108,20 +118,13 @@ class PipelineConfig:
             raise ConfigError(f"p-min must be in [0, 1], got {self.p_min}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
-        for key in ("value_min", "value_max", "max_jump", "box_min", "box_max"):
-            v = getattr(self, key)
-            if v is not None and not np.isfinite(v).all():
-                raise ConfigError(f"{key.replace('_', '-')} must be finite, got {v}")
-        if self.max_jump is not None and self.max_jump < 0:
-            raise ConfigError(f"max-jump must not be negative, got {self.max_jump}")
-        if (self.value_min is not None and self.value_max is not None
-                and self.value_min > self.value_max):
-            raise ConfigError("inverted value range")
-        if self.box_min is not None and self.box_max is not None:
-            if len(self.box_min) != len(self.box_max):
-                raise ConfigError("box-min and box-max have different ranks")
-            if any(a > b for a, b in zip(self.box_min, self.box_max)):
-                raise ConfigError("inverted spatial box")
+        try:
+            predicate = trackgraph.SemanticPredicate(**{k: getattr(self, k) for k in _SEMANTIC})
+            policy = trackgraph.ConnectivityPolicy(self.connect == "bidirectional", self.strength)
+        except ValueError as e:  # the library names its fields, the CLI its keys
+            raise ConfigError(str(e).replace("_", "-")) from e
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "policy", policy)
 
     def effective_p_min(self, strategy: str | None = None) -> float:
         if self.p_min is not None:
@@ -129,33 +132,17 @@ class PipelineConfig:
         return DEFAULT_P_MIN[strategy or self.strategy]
 
     def echo(self, strategy: str | None = None) -> dict:
-        """Parameter echo for output metadata.
-
-        Execution knobs (jobs, output paths) are left out so that reruns
-        and different parallelism degrees stay byte-identical.
-        """
+        """Parameter echo for output metadata: every setting but the
+        execution ones, a tuple as a list, and of the semantic bounds only
+        those that are set."""
         strategy = strategy or self.strategy
-        doc = {
-            "input": list(self.input),
-            "format": self.format,
-            "kind": self.kind,
-            "persistence_pct": self.persistence_pct,
-            "global_range": self.global_range,
-            "strategy": strategy,
-            "d": self.d,
-            "distance_units": self.distance_units,
-            "connect": self.connect,
-            "strength": self.strength,
-            "p_min": self.effective_p_min(strategy),
-            "require": self.require,
-            "features": self.features,
-        }
-        for k in ("value_min", "value_max", "max_jump"):
-            if getattr(self, k) is not None:
-                doc[k] = getattr(self, k)
-        for k in ("box_min", "box_max"):
-            if getattr(self, k) is not None:
-                doc[k] = list(getattr(self, k))
+        doc = {}
+        for f in dataclasses.fields(self):
+            if f.init and f.name not in _EXECUTION + _SEMANTIC:
+                v = getattr(self, f.name)
+                doc[f.name] = list(v) if isinstance(v, tuple) else v
+        doc.update(self.predicate.settings(), strategy=strategy,
+                   p_min=self.effective_p_min(strategy))
         return doc
 
 
@@ -308,18 +295,14 @@ def _node_layers(labs, fsets) -> list[trackgraph.NodeColumns]:
 def _build_graph(layers, domain: GridDomain, pairs, config: PipelineConfig, strategy: str):
     """The filtered graph over the nodes that ``layers()`` gives;
     ``pairs`` are the matrices of those nodes."""
-    policy = trackgraph.ConnectivityPolicy(config.connect == "bidirectional", config.strength)
     g = _stage("graph-assembly", lambda: trackgraph.assemble(
-        layers(), [f for f, _ in pairs], [b for _, b in pairs], policy, strategy))
+        layers(), [f for f, _ in pairs], [b for _, b in pairs], config.policy, strategy))
     p_min = config.effective_p_min(strategy)
     g = _stage("probability-filter",
                lambda: trackgraph.threshold_filter(g, p_min, config.require))
-    predicate = trackgraph.SemanticPredicate(
-        config.value_min, config.value_max, config.box_min, config.box_max, config.max_jump
-    )
-    if predicate != trackgraph.SemanticPredicate():
+    if config.predicate.settings():
         g = _stage("semantic-filter",
-                   lambda: trackgraph.semantic_filter(g, domain, predicate))
+                   lambda: trackgraph.semantic_filter(g, domain, config.predicate))
     g.meta["config"] = config.echo(strategy)  # the filter gave g a meta dict of its own
     _stage("tracks", lambda: g.tracks)  # derived once, for this graph only
     return g
@@ -337,23 +320,33 @@ def _write_matrices(out: Path, pairs, prefix: str = "") -> None:
                                    out / f"{prefix}correspondence_{name}")
 
 
-def run(config: PipelineConfig) -> int:
-    """Full pipeline; writes artifacts into the output directory."""
-    out = _output_dir(config.out)
+def _pipeline(config: PipelineConfig, out: Path, strategies):
+    """Load, label, dump the labels and load the features once, then yield
+    each strategy's (matrices, feature matrices or None, filtered graph)."""
     series = _stage("load", lambda: _load_input(config))
     labs = _label_all(series, config)
     if config.dump_labels:
         _stage("dump-labels", lambda t: field.save_labels(labs[t].label, series.domain,
                                                           out / f"labels_{t:04d}.xtrk"),
                range(len(labs)))
-    pairs = _pair_matrices(labs, config, config.strategy)
-    fsets = fpairs = None
+    fsets = None
     if config.features is not None:
         fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
-        fpairs = _feature_pair_matrices(fsets, pairs, config)
-    g = _build_graph(lambda: _node_layers(labs, fsets), series.domain,
-                     pairs if fpairs is None else fpairs, config, config.strategy)
-    _stage("export", lambda: _write_outputs(out, pairs, fpairs, g))
+    layers = functools.cache(lambda: _node_layers(labs, fsets))  # built by the first assembly
+    for k, strategy in enumerate(strategies):
+        pairs = _pair_matrices(labs, config, strategy)
+        fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
+        g = _build_graph(layers, series.domain, pairs if fpairs is None else fpairs, config, strategy)
+        if k == len(strategies) - 1:
+            layers.cache_clear()  # the last graph holds its own copy of the nodes
+        yield pairs, fpairs, g
+
+
+def run(config: PipelineConfig) -> int:
+    """Full pipeline; writes artifacts into the output directory."""
+    out = _output_dir(config.out)
+    for pairs, fpairs, g in _pipeline(config, out, [config.strategy]):
+        _stage("export", lambda: _write_outputs(out, pairs, fpairs, g))
     return 0
 
 
@@ -421,18 +414,8 @@ def _n_distinct(a: np.ndarray) -> int:
 def compare(config: PipelineConfig, strategies) -> int:
     """Run several strategies on shared labelings and node layers; write a report."""
     out = _output_dir(config.out)
-    series = _stage("load", lambda: _load_input(config))
-    labs = _label_all(series, config)
-    fsets = None
-    if config.features is not None:
-        fsets = _stage("feature-load", lambda: _feature_sets_for(labs, config.features))
-    layers = functools.cache(lambda: _node_layers(labs, fsets))  # built by the first assembly
-
     per_strategy = {}
-    for strategy in strategies:
-        pairs = _pair_matrices(labs, config, strategy)
-        fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
-        g = _build_graph(layers, series.domain, pairs if fpairs is None else fpairs, config, strategy)
+    for strategy, (pairs, _, g) in zip(strategies, _pipeline(config, out, strategies)):
         # backward before forward, the order of their (direction, step) keys
         mats = [(b, t + 1) for t, (_, b) in enumerate(pairs)] + [(f, t) for t, (f, _) in enumerate(pairs)]
         per_strategy[strategy] = _stage("report", lambda: (mats, {
@@ -519,59 +502,32 @@ def _parse_bool(s: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
-def _parse_point(s: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in s.split(","))
-    except ValueError as e:
-        raise ValueError(f"not a comma-separated point: {s!r}") from e
+    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _point_flag(s: str) -> tuple[float, ...]:
     # argparse prints an ArgumentTypeError's message as the usage error
     # (exit 2); for a ValueError it would print this function's name instead
     try:
-        return _parse_point(s)
+        return tuple(float(x) for x in s.split(","))
     except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from e
+        raise argparse.ArgumentTypeError(f"not a comma-separated point: {s!r}") from e
 
 
-def _choice(key: str):
-    """A config-file parser for the choice-valued ``key``."""
-    def parse(s: str) -> str:
-        if s not in CHOICES[key]:
-            raise ValueError(f"invalid {key.replace('_', '-')} {s!r} "
-                             f"(choose from {', '.join(CHOICES[key])})")
-        return s
-
-    return parse
-
-
-_CONFIG_KEYS = {
-    "input": lambda s: tuple(s.split(",")),
-    "format": _choice("format"),
-    "kind": _choice("kind"),
-    "persistence_pct": float,
-    "global_range": _parse_bool,
-    "strategy": _choice("strategy"),
-    "d": float,
-    "distance_units": _choice("distance_units"),
-    "connect": _choice("connect"),
-    "strength": _choice("strength"),
-    "p_min": float,
-    "require": _choice("require"),
-    "value_min": float,
-    "value_max": float,
-    "box_min": _parse_point,
-    "box_max": _parse_point,
-    "max_jump": float,
-    "features": str,
-    "out": str,
-    "dump_labels": _parse_bool,
-    "jobs": int,
-}
+def _config_value(action: argparse.Action, s: str):
+    """A config-file value read as ``action``'s flag reads it: a switch's
+    as a boolean, a list's split at commas, and checked against the
+    flag's choices."""
+    if action.nargs == 0:
+        return _parse_bool(s)
+    parse = action.type or str
+    if action.nargs == "+":
+        return tuple(parse(x) for x in s.split(","))
+    v = parse(s)
+    if action.choices is not None and v not in action.choices:
+        raise ValueError(f"invalid {action.dest.replace('_', '-')} {s!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    return v
 
 
 def _read_config_file(path: str) -> dict:
@@ -579,7 +535,7 @@ def _read_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {_why(e)}") from e
-    out = {}
+    settings, out = _settings(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -588,48 +544,60 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in settings:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONFIG_KEYS[key](value.strip())
-        except (ValueError, ConfigError) as e:
+            out[key] = _config_value(settings[key], value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from e
     return out
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Add the run settings' flags to p; returns their actions by key."""
     p.add_argument("--verbose", action="store_true", help="log stage timings")
     p.add_argument("--config", help="flat key = value file; explicit flags win")
-    p.add_argument("--input", nargs="+", help="series file(s); csv mode takes one per step")
-    p.add_argument("--format", choices=CHOICES["format"])
-    p.add_argument("--kind", choices=CHOICES["kind"])
-    p.add_argument("--persistence-pct", type=float, dest="persistence_pct",
-                   help="persistence threshold, percent of range (default 0.5)")
-    p.add_argument("--global-range", action="store_const", const=True, dest="global_range",
-                   help="use the series-wide range for the threshold")
-    p.add_argument("--strategy", choices=CHOICES["strategy"])
-    p.add_argument("--d", type=float, help="sampling distance (default 2)")
-    p.add_argument("--distance-units", choices=CHOICES["distance_units"], dest="distance_units")
-    p.add_argument("--connect", choices=CHOICES["connect"])
-    p.add_argument("--strength", choices=CHOICES["strength"])
-    p.add_argument("--p-min", type=float, dest="p_min",
-                   help="probability threshold (default 0.25 manifold, 0.1 sampling)")
-    p.add_argument("--require", choices=CHOICES["require"])
-    p.add_argument("--value-min", type=float, dest="value_min")
-    p.add_argument("--value-max", type=float, dest="value_max")
-    p.add_argument("--box-min", type=_point_flag, dest="box_min")
-    p.add_argument("--box-max", type=_point_flag, dest="box_max")
-    p.add_argument("--max-jump", type=float, dest="max_jump")
-    p.add_argument("--features", help="feature-set JSON side file")
-    p.add_argument("--out", help="output directory (default out)")
-    p.add_argument("--dump-labels", action="store_const", const=True, dest="dump_labels")
-    p.add_argument("--jobs", type=int)
+    settings = [
+        p.add_argument("--input", nargs="+", help="series file(s); csv mode takes one per step"),
+        p.add_argument("--format", choices=CHOICES["format"]),
+        p.add_argument("--kind", choices=CHOICES["kind"]),
+        p.add_argument("--persistence-pct", type=float, dest="persistence_pct",
+                       help="persistence threshold, percent of range (default 0.5)"),
+        p.add_argument("--global-range", action="store_const", const=True, dest="global_range",
+                       help="use the series-wide range for the threshold"),
+        p.add_argument("--strategy", choices=CHOICES["strategy"]),
+        p.add_argument("--d", type=float, help="sampling distance (default 2)"),
+        p.add_argument("--distance-units", choices=CHOICES["distance_units"],
+                       dest="distance_units"),
+        p.add_argument("--connect", choices=CHOICES["connect"]),
+        p.add_argument("--strength", choices=CHOICES["strength"]),
+        p.add_argument("--p-min", type=float, dest="p_min",
+                       help="probability threshold (default 0.25 manifold, 0.1 sampling)"),
+        p.add_argument("--require", choices=CHOICES["require"]),
+        p.add_argument("--value-min", type=float, dest="value_min"),
+        p.add_argument("--value-max", type=float, dest="value_max"),
+        p.add_argument("--box-min", type=_point_flag, dest="box_min"),
+        p.add_argument("--box-max", type=_point_flag, dest="box_max"),
+        p.add_argument("--max-jump", type=float, dest="max_jump"),
+        p.add_argument("--features", help="feature-set JSON side file"),
+        p.add_argument("--out", help="output directory (default out)"),
+        p.add_argument("--dump-labels", action="store_const", const=True, dest="dump_labels"),
+        p.add_argument("--jobs", type=int),
+    ]
+    return {a.dest: a for a in settings}
+
+
+@functools.cache
+def _settings() -> dict[str, argparse.Action]:
+    """The actions of the run settings' flags by key, which also read the
+    values of a ``--config`` file."""
+    return _add_pipeline_flags(argparse.ArgumentParser())
 
 
 def _config_from_args(args) -> PipelineConfig:
     base = _read_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        v = getattr(args, key, None)
+    for key in _settings():
+        v = getattr(args, key)
         if v is not None:
             base[key] = v
     if "kind" in base:
@@ -688,8 +656,8 @@ def main(argv=None) -> int:
                 raise ConfigError("empty strategy list")
             return compare(_config_from_args(args), strategies)
         if args.command == "synth":
-            return cmd_synth(args)
-        return cmd_inspect(args)
+            return _stage("synth", lambda: cmd_synth(args))
+        return _stage("inspect", lambda: cmd_inspect(args))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,7 +32,12 @@ class GaussianBlob:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         object.__setattr__(self, "path", tuple(tuple(float(x) for x in p) for p in self.path))
+        bad = [x for p in self.path for x in p if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"path coordinates must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class GaussianScript:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("a script needs at least one step")
+        if not math.isfinite(self.base):
+            raise ValueError(f"base must be finite, got {self.base}")
         for b in self.blobs:
             if len(b.path) != self.n_steps:
                 raise ValueError(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Literal, Sequence
 
@@ -352,7 +352,7 @@ class SemanticPredicate:
     max_jump: float | None = None
 
     def __post_init__(self):
-        for name in ("value_min", "value_max", "box_min", "box_max", "max_jump"):
+        for name in ("value_min", "value_max", "max_jump", "box_min", "box_max"):
             v = getattr(self, name)
             if v is not None and not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -362,8 +362,16 @@ class SemanticPredicate:
             if self.value_min > self.value_max:
                 raise ValueError("inverted value range")
         if self.box_min is not None and self.box_max is not None:
+            if len(self.box_min) != len(self.box_max):
+                raise ValueError("box_min and box_max have different ranks")
             if any(a > b for a, b in zip(self.box_min, self.box_max)):
                 raise ValueError("inverted spatial box")
+
+    def settings(self) -> dict:
+        """The bounds that are set, a box as a list: the semantic filter's
+        threshold record, and the CLI's echo of them."""
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     def admits(self, value: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Mask of the nodes (values, positions) inside the value window and box."""
@@ -390,23 +398,7 @@ def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPre
     keep = alive[e.src] & alive[e.dst]
     if predicate.max_jump is not None:
         keep &= ~(minimum_image_distance(domain, n.pos[e.src], n.pos[e.dst]) > predicate.max_jump)
-    threshold = {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in (
-            ("value_min", predicate.value_min),
-            ("value_max", predicate.value_max),
-            ("box_min", predicate.box_min),
-            ("box_max", predicate.box_max),
-            ("max_jump", predicate.max_jump),
-        )
-        if v is not None
-    }
-    return _refiltered(g, alive, keep, "semantic", threshold)
-
-
-def strength_bin(s: float) -> int:
-    """Quartile bin of a probability, 0..3."""
-    return int(np.searchsorted(_BIN_EDGES, s))
+    return _refiltered(g, alive, keep, "semantic", predicate.settings())
 
 
 def _chunks(g: TrackingGraph, format: str):

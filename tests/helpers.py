@@ -575,10 +575,12 @@ def oracle_export_json(g) -> str:
 
 def oracle_export_dot(g) -> str:
     def strength_bin(s):
-        for b, edge in enumerate((0.25, 0.5, 0.75)):
-            if s <= edge:
-                return b
-        return 3
+        """The (lo, hi] bin of (0,.25] (.25,.5] (.5,.75] (.75,1] that holds
+        s; a strength of 0, which only a hand-built graph has, goes first."""
+        edges = (-math.inf, 0.25, 0.5, 0.75, 1.0)
+        bins = [b for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if lo < s <= hi]
+        assert len(bins) == 1, f"strength {s} lies in no bin"
+        return bins[0]
 
     lines = [
         "// tracking graph: layers = time steps, columns left to right",

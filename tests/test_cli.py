@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrack import cli, correspond, features, field, morse, trackgraph
+from extrack import cli, correspond, features, field, morse, synth, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, ScalarFieldSeries, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, random_script, save_script
@@ -64,6 +64,31 @@ class TestSynth:
         out = tmp_path / "missing" / "x.xtrk"
         assert main(["synth", "--preset", "ridge", "--out", str(out)]) == 3
         assert f"{out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blobs, base, dtype, message", [
+        ([{"amplitude": float("nan")}], 0.0, "f64",
+         "bad script: amplitude must be finite, got nan"),
+        ([{"path": [[3.0, float("inf")]]}], 0.0, "f64",
+         "bad script: path coordinates must be finite, got inf"),
+        ([{}], float("nan"), "f64", "bad script: base must be finite, got nan"),
+        ([{"amplitude": 1e39}], 0.0, "f32",
+         "stage 'synth' failed: step 0 contains a non-finite"),
+        ([{"amplitude": 1e308}] * 2, 0.0, "f64",
+         "stage 'synth' failed: step 0 contains a non-finite"),
+    ], ids=["nan-amplitude", "inf-path", "nan-base", "f32-overflow", "f64-overflow"])
+    def test_non_finite_script_is_a_data_error(self, tmp_path, capsys, blobs, base, dtype,
+                                               message):
+        # these used to end in a traceback and exit 1
+        blobs = [{"amplitude": 1.0, "sigma": 2.0, "path": [[3.0, 3.0]], **b} for b in blobs]
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"dims": [8, 8], "n_steps": 1, "base": base,
+                                      "blobs": blobs}))
+        out = tmp_path / "x.xtrk"
+        with np.errstate(over="ignore"):
+            assert main(["synth", "--script", str(script), "--out", str(out),
+                         "--dtype", dtype]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -299,6 +324,23 @@ class TestConfigFile:
         assert echo["strategy"] == "binary"
         assert echo["persistence_pct"] == 0.5
 
+    def test_every_key_form_reads_as_its_flag(self, ridge_file, tmp_path):
+        # a list, two switches, a point, an int, a float and a choice
+        flags = ["--input", str(ridge_file), "--global-range", "--dump-labels",
+                 "--box-min", "0,0", "--jobs", "2", "--max-jump", "8",
+                 "--strategy", "sampling-euclidean"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {ridge_file}\nglobal-range = yes\ndump-labels = on\n"
+                       "box-min = 0,0\njobs = 2\nmax-jump = 8\nstrategy = sampling-euclidean\n")
+        parser = cli._build_parser()
+        assert cli._config_from_args(parser.parse_args(["run", "--config", str(cfg)])) \
+            == cli._config_from_args(parser.parse_args(["run", *flags]))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", *flags, "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
+        assert read_tree(a) == read_tree(b)
+        assert "labels_0001.xtrk" in read_tree(a)
+
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("strategy = binary\nwidgets = 7\n")
@@ -467,19 +509,33 @@ class TestStageReports:
          "stage 'graph-assembly' ran"),
         ("run", (field, "save_labels"), ["--dump-labels"], "stage 'dump-labels' at t=0 ran"),
         ("compare", (cli, "_write_report"), [], "stage 'report' ran"),
-    ], ids=["load_features", "representative_extremum", "save_labels", "write_report"])
+        ("compare", (field, "save_labels"), ["--dump-labels"],
+         "stage 'dump-labels' at t=0 ran"),
+        ("synth", (synth, "generate"), ["--preset", "ridge"], "stage 'synth' ran"),
+        ("inspect", (json, "loads"), [], "stage 'inspect' ran"),
+        ("inspect", (correspond, "doc_to_matrix"), [], "stage 'inspect' ran"),
+    ], ids=["load_features", "representative_extremum", "save_labels", "write_report",
+            "compare_save_labels", "synth_generate", "inspect_loads", "inspect_doc_to_matrix"])
     def test_every_stage_reports_memory_exhaustion(self, ridge_file, tmp_path, monkeypatch,
                                                    capsys, command, target, extra, message):
-        def exhausted(*args):
+        def exhausted(*args, **kwargs):
             raise MemoryError()
 
+        out = tmp_path / "out"
         if extra == ["--features"]:
             feats = tmp_path / "features.json"
             feats.write_text('[{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]')
             extra = ["--features", str(feats)]
+        if command == "inspect":
+            doc = tmp_path / "matrix.json"
+            doc.write_text(json.dumps(MATRIX))
+            argv = [command, str(doc)]
+        elif command == "synth":
+            argv = [command, "--out", str(out), *extra]
+        else:
+            argv = [command, "--input", str(ridge_file), "--out", str(out), *extra]
         monkeypatch.setattr(*target, exhausted)
-        assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
-                     *extra]) == 5
+        assert main(argv) == 5
         assert f"{message} out of memory" in capsys.readouterr().err
 
     def test_assertion_in_one_step_names_the_step(self, ridge_file, tmp_path, monkeypatch,
@@ -694,6 +750,17 @@ class TestCompareReport:
         for entry in report["strategies"].values():
             assert entry["binary_retention_pct"] == 100.0
             assert entry["mean_prob_on_binary_pairs"] is None
+
+    def test_dump_labels_match_run(self, ridge_file, tmp_path):
+        # compare used to accept --dump-labels and write no labels
+        run_out, cmp_out = tmp_path / "run", tmp_path / "cmp"
+        assert main(["run", "--input", str(ridge_file), "--out", str(run_out),
+                     "--dump-labels"]) == 0
+        assert main(["compare", "--input", str(ridge_file), "--out", str(cmp_out),
+                     "--dump-labels"]) == 0
+        labels = {k: v for k, v in read_tree(run_out).items() if k.startswith("labels_")}
+        assert sorted(labels) == ["labels_0000.xtrk", "labels_0001.xtrk"]
+        assert {k: v for k, v in read_tree(cmp_out).items() if k.startswith("labels_")} == labels
 
     def test_layers_are_built_once(self, ridge_file, tmp_path, monkeypatch):
         calls = []

@@ -23,7 +23,6 @@ from extrack.trackgraph import (
     import_graph,
     save_graph,
     semantic_filter,
-    strength_bin,
     threshold_filter,
 )
 from helpers import (
@@ -289,6 +288,8 @@ class TestSemanticFilter:
             SemanticPredicate(value_min=1.0, value_max=0.0)
         with pytest.raises(ValueError, match="box"):
             SemanticPredicate(box_min=(0.0, 2.0), box_max=(1.0, 1.0))
+        with pytest.raises(ValueError, match="box_min and box_max have different ranks"):
+            SemanticPredicate(box_min=(0.0, 0.0), box_max=(1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(value_min=math.nan), "value_min must be finite"),
@@ -362,8 +363,14 @@ class TestExport:
         assert "5.0" in widths
 
     def test_strength_bins(self):
-        assert [strength_bin(s) for s in (0.1, 0.25, 0.26, 0.5, 0.6, 0.75, 0.76, 1.0)] \
-            == [0, 0, 1, 1, 2, 2, 3, 3]
+        # bins are (lo, hi]: a strength on a bin edge takes the lower width
+        strengths = (0.1, 0.25, 0.26, 0.5, 0.6, 0.75, 0.76, 1.0)
+        nodes = [GraphNode(0, 0, "extremum", 0, 0.0, (0.0,))]
+        nodes += [GraphNode(1, j, "extremum", j, 0.0, (0.0,)) for j in range(len(strengths))]
+        edges = [GraphEdge(0, 0, j, s, None, s) for j, s in enumerate(strengths)]
+        widths = [line.split("penwidth=")[1].split(",")[0]
+                  for line in export(graph_of(nodes, edges), "dot").splitlines() if "->" in line]
+        assert widths == ["1.0", "1.0", "2.0", "2.0", "3.5", "3.5", "5.0", "5.0"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
