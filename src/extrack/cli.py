@@ -41,7 +41,7 @@ DEFAULT_P_MIN = {
     "sampling-combinatorial": 0.1,
     "binary": 0.0,
 }
-# the values each choice-valued flag and config key accepts
+# the values each choice-valued flag, config key and setting accepts
 CHOICES = {
     "format": ("raw-f64", "raw-f32", "csv"),
     "kind": ("minimum", "maximum", "min", "max"),
@@ -51,6 +51,11 @@ CHOICES = {
     "strength": ("max", "avg", "min"),
     "require": ("any", "both"),
 }
+
+
+def _invalid_choice(key: str, value) -> str:
+    return (f"invalid {key.replace('_', '-')} {value!r} "
+            f"(choose from {', '.join(CHOICES[key])})")
 
 
 class ConfigError(Exception):
@@ -110,15 +115,20 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.input:
             raise ConfigError("no input file given")
+        aliases = {"min": "minimum", "max": "maximum"}
+        object.__setattr__(self, "kind", aliases.get(self.kind, self.kind))
+        for key, names in CHOICES.items():
+            if getattr(self, key) not in names:
+                raise ConfigError(_invalid_choice(key, getattr(self, key)))
         if not 0.0 <= self.persistence_pct <= 100.0:
             raise ConfigError(f"persistence-pct must be in [0, 100], got {self.persistence_pct}")
         if self.d < 0 or not math.isfinite(self.d):
             raise ConfigError(f"d must be a finite non-negative number, got {self.d}")
-        if self.p_min is not None and not 0.0 <= self.p_min <= 1.0:
-            raise ConfigError(f"p-min must be in [0, 1], got {self.p_min}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         try:
+            if self.p_min is not None:
+                trackgraph.check_p_min(self.p_min)
             predicate = trackgraph.SemanticPredicate(**{k: getattr(self, k) for k in _SEMANTIC})
             policy = trackgraph.ConnectivityPolicy(self.connect == "bidirectional", self.strength)
         except ValueError as e:  # the library names its fields, the CLI its keys
@@ -309,15 +319,15 @@ def _build_graph(layers, domain: GridDomain, pairs, config: PipelineConfig, stra
 
 
 def _write_matrices(out: Path, pairs, prefix: str = "") -> None:
-    # an overlap is written right before its normalized twin, which shares
-    # its arrays, so save_matrix formats their common body once
+    # an overlap and its normalized twin are written in one pass
     for t, pair in enumerate(pairs):
         for m, s in zip(pair, (t, t + 1)):
             name = f"{m.direction}_{s:04d}.json"
+            corr = out / f"{prefix}correspondence_{name}"
             if m.kind == "overlap":
-                correspond.save_matrix(m, s, out / f"{prefix}overlap_{name}")
-            correspond.save_matrix(correspond.normalize(m), s,
-                                   out / f"{prefix}correspondence_{name}")
+                correspond.save_matrix(m, s, out / f"{prefix}overlap_{name}", corr)
+            else:
+                correspond.save_matrix(m, s, corr)
 
 
 def _pipeline(config: PipelineConfig, out: Path, strategies):
@@ -325,8 +335,10 @@ def _pipeline(config: PipelineConfig, out: Path, strategies):
     each strategy's (matrices, feature matrices or None, filtered graph)."""
     series = _stage("load", lambda: _load_input(config))
     labs = _label_all(series, config)
+    domain = series.domain
+    del series  # no stage past labeling reads the fields
     if config.dump_labels:
-        _stage("dump-labels", lambda t: field.save_labels(labs[t].label, series.domain,
+        _stage("dump-labels", lambda t: field.save_labels(labs[t].label, domain,
                                                           out / f"labels_{t:04d}.xtrk"),
                range(len(labs)))
     fsets = None
@@ -336,7 +348,7 @@ def _pipeline(config: PipelineConfig, out: Path, strategies):
     for k, strategy in enumerate(strategies):
         pairs = _pair_matrices(labs, config, strategy)
         fpairs = None if fsets is None else _feature_pair_matrices(fsets, pairs, config)
-        g = _build_graph(layers, series.domain, pairs if fpairs is None else fpairs, config, strategy)
+        g = _build_graph(layers, domain, pairs if fpairs is None else fpairs, config, strategy)
         if k == len(strategies) - 1:
             layers.cache_clear()  # the last graph holds its own copy of the nodes
         yield pairs, fpairs, g
@@ -443,11 +455,13 @@ def cmd_synth(args) -> int:
             raise _path_error(args.script, e) from e
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{args.script}: bad script: {e}") from e
-    series = synth.generate(script)
-    if args.dtype == "f32":
-        series = ScalarFieldSeries(
-            series.domain, tuple(s.astype(np.float32) for s in series.steps)
-        )
+    # an overflow shows as a non-finite value, which the series refuses
+    with np.errstate(over="ignore"):
+        series = synth.generate(script)
+        if args.dtype == "f32":
+            series = ScalarFieldSeries(
+                series.domain, tuple(s.astype(np.float32) for s in series.steps)
+            )
     try:
         field.save_series(series, args.out)
         if args.save_script:
@@ -525,8 +539,7 @@ def _config_value(action: argparse.Action, s: str):
         return tuple(parse(x) for x in s.split(","))
     v = parse(s)
     if action.choices is not None and v not in action.choices:
-        raise ValueError(f"invalid {action.dest.replace('_', '-')} {s!r} "
-                         f"(choose from {', '.join(action.choices)})")
+        raise ValueError(_invalid_choice(action.dest, v))
     return v
 
 
@@ -600,8 +613,6 @@ def _config_from_args(args) -> PipelineConfig:
         v = getattr(args, key)
         if v is not None:
             base[key] = v
-    if "kind" in base:
-        base["kind"] = {"min": "minimum", "max": "maximum"}.get(base["kind"], base["kind"])
     base["input"] = tuple(base.get("input", ()))
     return PipelineConfig(**base)
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -24,7 +26,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .field import sampling_offsets, stencil_vertices
-from .morse import ManifoldLabeling
+from .morse import ManifoldLabeling, _chunks, _id_dtype
 
 Direction = Literal["forward", "backward"]
 Strategy = Literal["sampling-euclidean", "sampling-combinatorial", "manifold-overlap", "binary"]
@@ -37,18 +39,71 @@ STRATEGY_OF_MODE = {"euclidean": "sampling-euclidean", "combinatorial": "samplin
 def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
     """Ascending row-major keys ``i * cols + j`` and their counts, one per
     (i, j), of a rows x cols matrix from (i, j) entries in any order; each
-    entry adds its count from cc, or 1 without cc, and repeated (i, j) sum."""
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
-    if not ((ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)).all():
-        raise ValueError("entry outside the matrix")
-    keys = ii * cols + jj
-    if cc is None:
-        return np.unique(keys, return_counts=True)
-    keys, inv = np.unique(keys, return_inverse=True)
-    counts = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(counts, inv, np.asarray(cc, dtype=np.int64))
-    return keys, counts
+    entry adds its count from cc, or 1 without cc, and repeated (i, j) sum.
+    Both come back as int64.
+
+    The entries are counted ``_chunk_size`` at a time, with int32 keys
+    while rows * cols < 2**31, and the chunks' sorted runs are then merged,
+    so memory grows with the distinct (i, j) plus one chunk, not with the
+    entry count.
+    """
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    cc = None if cc is None else np.asarray(cc, dtype=np.int64)
+    dt = _id_dtype(rows * cols)
+    keys, counts = [np.empty(0, dt)], [np.empty(0, np.int64)]
+    for s in _chunks(ii.size):
+        i, j = ii[s], jj[s]
+        if not ((i >= 0) & (i < rows) & (j >= 0) & (j < cols)).all():
+            raise ValueError("entry outside the matrix")
+        k = i.astype(dt)
+        k *= cols
+        k += j
+        if cc is None:
+            k.sort()
+            u, at = _runs(k)
+            c = np.diff(at, append=k.size)
+        else:
+            order = np.argsort(k)
+            u, at = _runs(k[order])
+            c = np.add.reduceat(cc[s][order], at)
+        keys.append(u)
+        counts.append(c)
+    if len(keys) <= 2:  # no chunk or one chunk: nothing to merge
+        u, c = keys[-1], counts[-1]
+    elif dt == np.int32 and max(c.max(initial=0) for c in counts) < 2**32:
+        # each (key, count) packed into one int64, the key in its high half,
+        # so that one in-place sort merges the runs
+        packed = np.empty(sum(map(len, keys)), np.int64)
+        halves = packed.view(np.int32).reshape(-1, 2)
+        np.concatenate(keys, out=halves[:, _HIGH])
+        np.concatenate(counts, out=halves[:, 1 - _HIGH], casting="unsafe")
+        del keys, counts
+        packed.sort()
+        u, at = _runs(halves[:, _HIGH])
+        packed &= 2**32 - 1  # the counts alone
+        c = np.add.reduceat(packed, at)
+        del packed, halves
+    else:
+        k, c = np.concatenate(keys), np.concatenate(counts)
+        del keys, counts
+        order = np.argsort(k)
+        u, at = _runs(k[order])
+        c = np.add.reduceat(c[order], at)
+    return u.astype(np.int64), c
+
+
+# the int32 half of an int64 that holds its high bits
+_HIGH = int(sys.byteorder == "little")
+
+
+def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the ascending k, and where the run of each
+    starts."""
+    first = np.empty(k.size, bool)
+    first[:1] = True
+    np.not_equal(k[1:], k[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    return k[at], at
 
 
 def _find(keys: np.ndarray, at) -> np.ndarray:
@@ -193,9 +248,11 @@ class OverlapMatrix:
 
     def transpose(self, row_denominators) -> "OverlapMatrix":
         direction = "backward" if self.direction == "forward" else "forward"
+        # int32 rows and columns where they fit: half the counter's input
+        i, j = (a.astype(_id_dtype(max(self.rows, self.cols))) for a in self.unkey(self.keys))
         return OverlapMatrix(
             self.cols, self.rows, direction, self.strategy,
-            *_keys_and_counts(self.cols, self.rows, self.j, self.i, self.counts),
+            *_keys_and_counts(self.cols, self.rows, j, i, self.counts),
             np.asarray(row_denominators, dtype=np.int64), self.kind,
         )
 
@@ -241,12 +298,12 @@ def sampling_overlap(
     for lo in range(0, n, step):
         ids, inside = stencil_vertices(domain, offsets, centers[lo:lo + step])
         size = inside.sum(axis=1)
-        rows = np.repeat(np.arange(lo, lo + size.size), size)
-        k, c = np.unique(rows * cols + labeling_other.label[ids[inside]], return_counts=True)
-        keys.append(k)
+        rows = np.repeat(np.arange(size.size), size)  # relative to the block
+        k, c = _keys_and_counts(size.size, cols, rows, labeling_other.label[ids[inside]])
+        keys.append(k + lo * cols)
         counts.append(c)
         denom.append(size)
-    # blocks cover ascending row ranges, so their unique keys ascend overall
+    # blocks cover ascending row ranges, so their keys ascend overall
     return _complete_rows(OverlapMatrix(
         n, cols, direction, STRATEGY_OF_MODE[mode], np.concatenate(keys),
         np.concatenate(counts), np.concatenate(denom),
@@ -260,8 +317,9 @@ def manifold_overlap(
 
     Returns the forward matrix at t and the backward matrix at t+1; the
     backward matrix is the exact transpose. Parameter-free and global: one
-    pass over the vertices counts every joint label pair that occurs, so
-    memory grows with the vertex count, not with n_t * n_n.
+    chunked pass over the vertices counts every joint label pair that
+    occurs, so beyond the two labelings memory grows with the stored
+    entries plus one chunk of vertices, not with n_t * n_n.
     """
     _check_pair(labeling_t, labeling_next)
     n_t, n_n = labeling_t.n_extrema, labeling_next.n_extrema
@@ -386,16 +444,17 @@ def _rows(template: str, sep: str, columns, lo: int, hi: int):
     chunk per block of at most ``_BLOCK`` rows.
 
     Slot k of the template takes row i of column k: a ``%d`` slot an
-    integer array, a ``%s`` slot a (values, fmt) pair spelled by ``_texts``.
-    Each block tiles a skeleton row whose slots are NUL, copies the cells
-    into the slots and drops the NUL padding.
+    integer array, or a function ``f(a, b)`` giving rows a..b-1 of one, and
+    a ``%s`` slot a (values, fmt) pair spelled by ``_texts``. Each block
+    tiles a skeleton row whose slots are NUL, copies the cells into the
+    slots and drops the NUL padding.
     """
     pieces = [p.encode("ascii") for p in _SLOT.split(template)]
     pieces[-1] += sep.encode("ascii")
     for a in range(lo, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
-        cells = [_texts(c[0][a:b], c[1]) if isinstance(c, tuple) else _digits(c[a:b])
-                 for c in columns]
+        cells = [_texts(c[0][a:b], c[1]) if isinstance(c, tuple)
+                 else _digits(c(a, b) if callable(c) else c[a:b]) for c in columns]
         skeleton = b"".join(p + bytes(c.shape[1]) for p, c in zip(pieces, cells)) + pieces[-1]
         block = np.tile(np.frombuffer(skeleton, np.uint8), (b - a, 1))
         at = 0
@@ -418,37 +477,34 @@ def _json_list(template: str, columns, n: int):
     yield b"\n  ]"
 
 
-# The arrays and chunks of the last body ``save_matrix`` formatted. An
-# overlap and its normalized twin share their arrays and differ only in
-# "kind", so the second file reuses the chunks; the arrays are read-only, so
-# the same objects mean the same body.
-_last_body: tuple = (None, None, None, None)
-
-
-def _body(m) -> tuple[list[bytes], list[bytes]]:
-    """The denominators and entries lists of m's document as chunks."""
-    global _last_body
-    arrays = (m.keys, m.counts, m.row_denominators)
-    if all(a is b for a, b in zip(arrays, _last_body)):
-        return _last_body[3]
-    body = (list(_json_list("%d", [m.row_denominators], m.rows)),
-            list(_json_list("[\n      %d,\n      %d,\n      %d\n    ]",
-                            [m.i, m.j, m.counts], m.counts.size)))
-    _last_body = (*arrays, body)
-    return body
-
-
-def save_matrix(m, t: int, path) -> None:
+def save_matrix(m, t: int, path, twin=None) -> None:
     """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` would, straight from the entry arrays, in ASCII chunks."""
-    denominators, entries = _body(m)
-    with open(path, "wb") as fh:
-        fh.write(f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode())
-        fh.writelines(denominators)
-        fh.write(f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode())
-        fh.writelines(entries)
-        fh.write(f',\n  "kind": "{m.kind}",\n  "rows": {int(m.rows)},'
-                 f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
+    indent=2)`` would, straight from the entry arrays, in ASCII chunks.
+
+    With ``twin``, the overlap m's normalized twin, whose document differs
+    only in "kind", goes there in the same pass: each block is formatted
+    once and written to both files, and none is kept after its write.
+    """
+    assert twin is None or m.kind == "overlap"
+    docs = [(path, m.kind)] + ([] if twin is None else [(twin, "correspondence")])
+    # each block's rows and columns come from its own keys
+    entries = [lambda a, b: m.unkey(m.keys[a:b])[0], lambda a, b: m.unkey(m.keys[a:b])[1],
+               m.counts]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p, _ in docs]
+
+        def write(chunks):
+            for chunk in chunks:
+                for fh in files:
+                    fh.write(chunk)
+
+        write([f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode()])
+        write(_json_list("%d", [m.row_denominators], m.rows))
+        write([f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode()])
+        write(_json_list("[\n      %d,\n      %d,\n      %d\n    ]", entries, m.counts.size))
+        for fh, (_, kind) in zip(files, docs):
+            fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
+                     f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
 
 
 def load_matrix(path) -> tuple[OverlapMatrix, int]:

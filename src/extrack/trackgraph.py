@@ -326,14 +326,19 @@ def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.
     return TrackingGraph(nodes, edges, meta)
 
 
+def check_p_min(p_min: float) -> None:
+    """Refuse a probability threshold outside [0, 1], NaN included."""
+    if not 0.0 <= p_min <= 1.0:
+        raise ValueError(f"p_min must be in [0, 1], got {p_min}")
+
+
 def threshold_filter(g: TrackingGraph, p_min: float, require: Literal["any", "both"] = "any") -> TrackingGraph:
     """Keep edges whose probabilities strictly exceed p_min, then redo tracks.
 
     ``require="any"`` passes an edge if one present direction clears the
     bar; ``"both"`` insists on two directions, both above it.
     """
-    if not 0.0 <= p_min <= 1.0:
-        raise ValueError(f"p_min must be in [0, 1], got {p_min}")
+    check_p_min(p_min)
     if require not in ("any", "both"):
         raise ValueError(f"unknown requirement {require!r}")
     e = g.edge_columns

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import extrack
-from extrack.correspond import _keys_and_counts, matrix_to_doc
+from extrack.correspond import matrix_to_doc
 from extrack.features import FeatureSet
 from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
                            minimum_image_distance, sampling_offsets, stencil_vertices)
@@ -396,8 +396,8 @@ def prob(m, i: int, j: int) -> float:
 def assert_oracle_entries(m, dense) -> None:
     """m stores one strictly ascending row-major key per nonzero cell of the
     dense oracle, with that cell's count."""
-    ii, jj = np.nonzero(dense)
-    keys, counts = _keys_and_counts(*dense.shape, ii, jj, dense[ii, jj])
+    ii, jj = np.nonzero(dense)  # in row-major order
+    keys, counts = ii * dense.shape[1] + jj, dense[ii, jj]
     assert (np.diff(m.keys) > 0).all()
     assert np.array_equal(m.keys, keys) and np.array_equal(m.counts, counts)
 

@@ -1,7 +1,10 @@
+import gc
 import json
 import logging
 import shutil
 import subprocess
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +87,27 @@ class TestSynth:
         script.write_text(json.dumps({"dims": [8, 8], "n_steps": 1, "base": base,
                                       "blobs": blobs}))
         out = tmp_path / "x.xtrk"
-        with np.errstate(over="ignore"):
-            assert main(["synth", "--script", str(script), "--out", str(out),
-                         "--dtype", dtype]) == 3
+        assert main(["synth", "--script", str(script), "--out", str(out),
+                     "--dtype", dtype]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blobs, dtype", [
+        ([{"amplitude": 1e39}], "f32"),
+        ([{"amplitude": 1e308}] * 2, "f64"),
+        ([{"amplitude": -1e39}], "f32"),
+    ], ids=["f32-overflow", "f64-overflow", "f32-negative-overflow"])
+    def test_overflow_prints_only_its_error(self, tmp_path, blobs, dtype):
+        # numpy's RuntimeWarning and its source line used to come first
+        blobs = [{"sigma": 2.0, "path": [[3.0, 3.0]], **b} for b in blobs]
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"dims": [8, 8], "n_steps": 1, "blobs": blobs}))
+        out = tmp_path / "x.xtrk"
+        r = run_python("-m", "extrack", "synth", "--script", str(script), "--out", str(out),
+                       "--dtype", dtype)
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: stage 'synth' failed: step 0 contains a non-finite")
+        assert r.stderr.count("\n") == 1, r.stderr
         assert not out.exists()
 
 
@@ -307,6 +327,49 @@ class TestMatrixPairs:
             assert len(a) == len(b) and b[k] == '  "kind": "correspondence",'
             assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [k]
 
+    @pytest.mark.parametrize("strategy", ["manifold-overlap", "sampling-euclidean", "binary"])
+    def test_no_matrix_text_outlives_the_run(self, tmp_path, strategy):
+        # the writers keep no formatted block once it is written, so of what
+        # extrack.correspond allocates during a run nothing is still held
+        # after it; a first run makes numpy's first-use caches
+        path = tmp_path / "noise.xtrk"
+        save_series(random_series(np.random.default_rng(70), (96, 96), 2), path)
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps([{"t": 0, "features": [{"id": 0, "extrema": [0, 1]}]}]))
+        argv = ["run", "--input", str(path), "--out", str(tmp_path / "out"), "--strategy",
+                strategy, "--d", "3", "--persistence-pct", "0", "--features", str(fpath)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, correspond.__file__)])
+        finally:
+            tracemalloc.stop()
+        largest = max(p.stat().st_size for p in (tmp_path / "out").glob("*correspondence_*"))
+        assert largest > 50_000
+        assert sum(s.size for s in held.statistics("filename")) < 4096
+
+    def test_fields_are_released_after_labeling(self, ridge_file, tmp_path, monkeypatch):
+        # correspondence, assembly and export read the domain, not the fields
+        steps = []
+        real_load, real_overlap = field.load_series, correspond.manifold_overlap
+
+        def load_series(*args):
+            series = real_load(*args)
+            steps.extend(weakref.ref(s) for s in series.steps)
+            return series
+
+        def manifold_overlap(*args):
+            gc.collect()
+            assert steps and all(ref() is None for ref in steps), "a field outlived labeling"
+            return real_overlap(*args)
+
+        monkeypatch.setattr(cli.field, "load_series", load_series)
+        monkeypatch.setattr(cli.correspond, "manifold_overlap", manifold_overlap)
+        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestConfigFile:
     def test_flags_beat_config(self, ridge_file, tmp_path):
@@ -422,6 +485,31 @@ class TestExitCodes:
         cfg.write_text(f"input = {ridge_file}\n{flag[2:]} = {value}\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_p_min_outside_the_unit_interval(self, ridge_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out), "--p-min", "2"]) == 2
+        assert "error: p-min must be in [0, 1], got 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kind_alias_in_code_is_the_kind(self, ridge_file, tmp_path):
+        # a config built in code resolves min/max as the flags do
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.run(cli.PipelineConfig(input=(str(ridge_file),), kind="min", out=str(a))) == 0
+        assert cli.run(cli.PipelineConfig(input=(str(ridge_file),), kind="minimum",
+                                          out=str(b))) == 0
+        assert read_tree(a) == read_tree(b)
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "sideways"), ("format", "raw-f16"), ("strategy", "nearest"),
+        ("distance_units", "miles"), ("connect", "all"), ("strength", "sum"),
+        ("require", "none"),
+    ])
+    def test_unknown_choice_in_code_is_a_config_error(self, ridge_file, tmp_path, key, value):
+        # it used to pass, and kind="sideways" failed only in labeling
+        with pytest.raises(cli.ConfigError, match=f"invalid {key.replace('_', '-')} '{value}'"):
+            cli.PipelineConfig(input=(str(ridge_file),), out=str(tmp_path / "out"),
+                               **{key: value})
 
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "gone.xtrk"),

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from extrack import features, morse
 from extrack.correspond import (
     OverlapMatrix,
     _find,
@@ -378,7 +380,7 @@ class TestSerialization:
     def test_writer_in_blocks_matches_json_module(self, block, tmp_path, monkeypatch):
         # counts and denominators at and above 2^32, rows with no entries at
         # the start, the end and between blocks, and an empty matrix; each
-        # overlap is followed by its twin, which reuses the formatted body
+        # overlap is also written with its twin in one pass
         from extrack import correspond
 
         if block is not None:
@@ -396,6 +398,33 @@ class TestSerialization:
             p = tmp_path / f"m{t}.json"
             save_matrix(x, t, p)
             assert p.read_bytes() == oracle_matrix_json(x, t).encode("ascii")
+        for t, x in enumerate((m, e)):
+            p, twin = tmp_path / f"o{t}.json", tmp_path / f"c{t}.json"
+            save_matrix(x, t, p, twin)
+            assert p.read_bytes() == oracle_matrix_json(x, t).encode("ascii")
+            assert twin.read_bytes() == oracle_matrix_json(normalize(x), t).encode("ascii")
+
+    def test_twin_pair_is_written_within_a_few_blocks(self, tmp_path):
+        # 300k entries, 37 blocks: the pair's write holds a few blocks of
+        # text at once, not a whole document (which took 1.4 documents)
+        from extrack import correspond
+
+        rng = np.random.default_rng(25)
+        keys = np.unique(rng.integers(0, 50_000**2, 300_000))
+        m = OverlapMatrix(50_000, 50_000, "forward", "manifold-overlap", keys,
+                          rng.integers(1, 1000, keys.size), np.full(50_000, 10**6))
+        p, twin = tmp_path / "overlap.json", tmp_path / "correspondence.json"
+        tracemalloc.start()
+        try:
+            save_matrix(m, 2, p, twin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_text = p.stat().st_size * correspond._BLOCK / keys.size
+        assert keys.size > 30 * correspond._BLOCK
+        assert peak < 6 * block_text
+        a, b = p.read_bytes(), twin.read_bytes()
+        assert b == a.replace(b'"kind": "overlap"', b'"kind": "correspondence"')
 
     def test_doc_shape_is_stable(self):
         dom = GridDomain((4, 4))
@@ -650,3 +679,127 @@ class TestKeysAndCounts:
         assert np.array_equal(c.probs, o.counts / o.row_denominators[o.keys // o.cols])
         # probs is derived per matrix on first use, not stored by normalize
         assert "probs" not in vars(o)
+
+
+def dict_count(rows, cols, ii, jj, cc=None):
+    """Keys and counts by one dict entry per (i, j): the counter's judge."""
+    total = {}
+    for n, (i, j) in enumerate(zip(np.asarray(ii).tolist(), np.asarray(jj).tolist())):
+        assert 0 <= i < rows and 0 <= j < cols
+        total[i * cols + j] = total.get(i * cols + j, 0) + (1 if cc is None else int(cc[n]))
+    keys = sorted(total)
+    return keys, [total[k] for k in keys]
+
+
+class TestChunkedCounter:
+    """``_keys_and_counts`` counts its entries a chunk at a time and merges
+    the chunks' runs; a lowered chunk floor runs every input over many
+    chunks."""
+
+    @pytest.fixture(params=[4, 64, None], ids=["chunk-4", "chunk-64", "chunk-default"])
+    def chunk_min(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(morse, "_CHUNK_MIN", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("weights", [None, "small", "huge"])
+    def test_matches_dict_count(self, chunk_min, weights):
+        # repeated entries, rows and columns with no entry, and weights past
+        # 2**32, whose runs cannot be packed beside an int32 key
+        rng = np.random.default_rng(60)
+        for rows, cols, n in [(40, 30, 700), (7, 500, 300), (1, 1, 50), (3, 9, 1), (5, 5, 0)]:
+            ii = rng.integers(0, rows, n)
+            jj = rng.integers(0, cols, n)
+            ii[ii == rows // 2] = 0  # an empty row
+            jj[jj == cols - 1] = 0  # an empty last column
+            cc = {None: None, "small": rng.integers(1, 9, n),
+                  "huge": rng.integers(1, 9, n) * 2**40}[weights]
+            keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
+            assert keys.dtype == counts.dtype == np.int64
+            want_keys, want_counts = dict_count(rows, cols, ii, jj, cc)
+            assert keys.tolist() == want_keys and counts.tolist() == want_counts
+
+    @pytest.mark.parametrize("rows, cols", [
+        (1, 2**31 - 1), (2**16, 2**15 - 1),  # every key fits int32
+        (2**16, 2**15), (3, 2**30), (2**20, 2**20),  # rows * cols >= 2**31: int64 keys
+    ])
+    def test_key_type_switch(self, chunk_min, rows, cols):
+        # the largest keys sit right below rows * cols, past int32 once the
+        # shape reaches 2**31 cells
+        rng = np.random.default_rng(61)
+        ii = np.concatenate([rng.integers(0, rows, 200), np.full(20, rows - 1)])
+        jj = np.concatenate([rng.integers(0, cols, 200), cols - 1 - np.arange(20) % 3])
+        for cc in (None, rng.integers(1, 5, ii.size)):
+            keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
+            want_keys, want_counts = dict_count(rows, cols, ii, jj, cc)
+            assert keys.tolist() == want_keys and counts.tolist() == want_counts
+            assert keys[-1] == rows * cols - 1
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, -1), (0, 6)])
+    def test_entry_outside_the_matrix_in_a_late_chunk(self, chunk_min, i, j):
+        # the bounds are checked chunk by chunk, so the last entry counts too
+        ii = np.append(np.arange(300) % 4, i)
+        jj = np.append(np.arange(300) % 6, j)
+        with pytest.raises(ValueError, match="entry outside the matrix"):
+            _keys_and_counts(4, 6, ii, jj)
+        with pytest.raises(ValueError, match="entry outside the matrix"):
+            _keys_and_counts(4, 6, ii, jj, np.ones(ii.size, np.int64))
+
+    @pytest.mark.parametrize("dims, periodic", [
+        ((2, 9), (True, False)), ((3, 7), (True, True)), ((11, 3), (False, True)),
+        ((2, 3, 5), (True, True, False)), ((3, 4, 2), (True, False, True)),
+    ])
+    def test_strategies_match_their_oracles(self, chunk_min, dims, periodic):
+        # every matrix is built through the counter: manifold overlap, its
+        # transpose, the sampling blocks and the feature lift
+        dom = GridDomain(dims, periodic=periodic)
+        lab_t, lab_n = plateau_labeling_pair(np.random.default_rng(62), dom)
+        fwd, bwd = manifold_overlap(lab_t, lab_n)
+        want = oracle_overlap(lab_t, lab_n)
+        assert np.array_equal(fwd.to_dense(), want) and np.array_equal(bwd.to_dense(), want.T)
+        assert_oracle_entries(fwd, want)
+        assert_oracle_entries(bwd, want.T)
+        for mode in ("euclidean", "combinatorial"):
+            o = sampling_overlap(lab_t, lab_n, mode, 1.5, "forward")
+            counts, denom = oracle_sampling_overlap(lab_t, lab_n, dom, mode, 1.5)
+            assert_oracle_entries(o, counts)
+            assert np.array_equal(o.row_denominators, denom)
+        # features of two consecutive extrema, and the last extremum in none
+        owner = np.arange(lab_t.n_extrema) // 2
+        owner[-1] = -1
+        sets = features.FeatureSet(0, np.flatnonzero(owner >= 0), np.bincount(owner[owner >= 0]))
+        lifted = features.feature_overlap(sets, features.singleton_features(1, lab_n.n_extrema), fwd)
+        block_sum = np.zeros((sets.n_features, lab_n.n_extrema), np.int64)
+        np.add.at(block_sum, owner[owner >= 0], want[owner >= 0])
+        assert_oracle_entries(lifted, block_sum)
+
+    def test_document_entries_are_summed_in_chunks(self, chunk_min):
+        rng = np.random.default_rng(63)
+        ii, jj = rng.integers(0, 6, 400), rng.integers(0, 5, 400)
+        cc = rng.integers(1, 4, 400)
+        doc = matrix_doc(rows=6, cols=5, denominators=[10**6] * 6,
+                         entries=np.stack([ii, jj, cc], axis=1).tolist())
+        m, _ = doc_to_matrix(doc)
+        assert (m.keys.tolist(), m.counts.tolist()) == dict_count(6, 5, ii, jj, cc)
+
+    def test_manifold_overlap_memory_is_bounded_by_the_labeling(self):
+        # 64**3 white noise at 5 %: about 11k manifolds per step and 69k
+        # stored entries. Beyond its two output matrices the overlap holds at
+        # most twice one int32 labeling; counting int64 keys over every
+        # vertex at once held 7.6 times it.
+        dom = GridDomain((64, 64, 64), periodic=(True, False, False))
+        rng = np.random.default_rng(64)
+        labs = []
+        for _ in range(2):
+            w = rng.standard_normal(dom.vertex_count)
+            labs.append(simplify(label_manifolds(w, dom, "minimum"), w, 5.0))
+        assert labs[0].label.dtype == np.int32
+        tracemalloc.start()
+        try:
+            out = manifold_overlap(*labs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for m in out for a in (m.keys, m.counts, m.row_denominators))
+        assert out[0].keys.size > 50_000
+        assert peak - held <= 2 * labs[0].label.nbytes
