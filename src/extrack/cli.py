@@ -7,8 +7,8 @@ Subcommands:
   inspect  summarize a matrix or graph JSON document
 
 Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
-assertion failure, 5 out of memory. Every step of run and compare is a
-named stage, as is the whole of synth and of inspect, and any other
+assertion failure, 5 out of memory or disk. Every step of run and compare
+is a named stage, as is the whole of synth and of inspect, and any other
 failure inside one names the stage and step. A flat key=value config file
 can preset any run flag, read by that flag's own parser; explicit flags win.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import logging
@@ -66,14 +67,24 @@ class DataError(Exception):
     pass
 
 
+# the errnos of a write that ran out of a resource, not into bad data
+_EXHAUSTED = {errno.ENOSPC: "out of disk space", errno.EDQUOT: "over the disk quota",
+              errno.EFBIG: "over the file size limit"}
+
+
 class StageError(Exception):
     def __init__(self, stage: str, t, cause: BaseException):
         at = "" if t is None else f" at t={t}"
+        full = _EXHAUSTED.get(getattr(cause, "errno", None))
+        why = f"{cause.filename}: {_why(cause)}" if getattr(cause, "filename", None) else cause
         if isinstance(cause, MemoryError):
             super().__init__(f"stage {stage!r}{at} ran out of memory")
+        elif full:
+            super().__init__(f"stage {stage!r}{at} ran {full}: {why}")
         else:
-            super().__init__(f"stage {stage!r} failed{at}: {cause}")
+            super().__init__(f"stage {stage!r} failed{at}: {why}")
         self.cause = cause
+        self.exhausted = isinstance(cause, MemoryError) or full is not None
 
 
 # settings that steer how a run executes, not what it computes; the echo
@@ -256,7 +267,8 @@ def _pair_matrices(labs: list[ManifoldLabeling], config: PipelineConfig, strateg
 
 def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.FeatureSet]:
     """Feature sets per step; steps missing from the file get singletons.
-    A step may be listed once, and only if the series has it."""
+    A step may be listed once, only if the series has it, and only with
+    extremum ids that the step has."""
     try:
         sets = features.load_features(path)
     except (OSError, UnicodeDecodeError) as e:
@@ -269,6 +281,10 @@ def _feature_sets_for(labs: list[ManifoldLabeling], path: str) -> list[features.
             raise DataError(f"{path}: step {fs.t} is outside the series (steps 0..{len(labs) - 1})")
         if fs.t in loaded:
             raise DataError(f"{path}: step {fs.t} is listed twice")
+        try:
+            fs.membership(labs[fs.t].n_extrema)
+        except ValueError as e:
+            raise DataError(f"{path}: step {fs.t}: {e}") from e
         loaded[fs.t] = fs
     out = []
     for t, lab in enumerate(labs):
@@ -395,7 +411,7 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
     pair_tmpl = ('{\n      "direction": %s,\n      "i": %d,\n      "j": %d,\n      "probs": {'
                  + ",".join(f"\n        {json.dumps(s)}: %s" for s in names)
                  + '\n      },\n      "t": %d\n    }')
-    with open(out / "compare.json", "wb") as fh:
+    with field.open_output(out / "compare.json") as fh:
         fh.write(b'{\n  "binary_pairs": ')
         fh.writelines(correspond._json_list(pair_tmpl, columns, sum(sizes)))
         doc = json.dumps(summary, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -412,7 +428,8 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
             f"{'' if mp is None else f'{mp:8.4f}':>8}"
         )
     text = "\n".join(lines) + "\n"
-    (out / "compare.txt").write_text(text, encoding="utf-8")
+    with field.open_output(out / "compare.txt") as fh:
+        fh.write(text.encode("utf-8"))
     sys.stdout.write(text)
 
 
@@ -462,12 +479,9 @@ def cmd_synth(args) -> int:
             series = ScalarFieldSeries(
                 series.domain, tuple(s.astype(np.float32) for s in series.steps)
             )
-    try:
-        field.save_series(series, args.out)
-        if args.save_script:
-            synth.save_script(script, args.save_script)
-    except OSError as e:
-        raise _path_error(e.filename or args.out, e) from e
+    field.save_series(series, args.out)
+    if args.save_script:
+        synth.save_script(script, args.save_script)
     log.info("wrote %s (%d steps, dims %s)", args.out, series.n_steps, series.domain.dims)
     return 0
 
@@ -674,7 +688,7 @@ def main(argv=None) -> int:
         return 2
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e.cause, MemoryError):
+        if e.exhausted:
             return 5
         return 4 if isinstance(e.cause, AssertionError) else 3
     except DataError as e:

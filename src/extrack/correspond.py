@@ -25,7 +25,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .field import sampling_offsets, stencil_vertices
+from .field import open_output, sampling_offsets, stencil_vertices
 from .morse import ManifoldLabeling, _chunks, _id_dtype
 
 Direction = Literal["forward", "backward"]
@@ -68,9 +68,7 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
             c = np.add.reduceat(cc[s][order], at)
         keys.append(u)
         counts.append(c)
-    if len(keys) <= 2:  # no chunk or one chunk: nothing to merge
-        u, c = keys[-1], counts[-1]
-    elif dt == np.int32 and max(c.max(initial=0) for c in counts) < 2**32:
+    if dt == np.int32 and max(c.max(initial=0) for c in counts) < 2**32:
         # each (key, count) packed into one int64, the key in its high half,
         # so that one in-place sort merges the runs
         packed = np.empty(sum(map(len, keys)), np.int64)
@@ -491,7 +489,7 @@ def save_matrix(m, t: int, path, twin=None) -> None:
     entries = [lambda a, b: m.unkey(m.keys[a:b])[0], lambda a, b: m.unkey(m.keys[a:b])[1],
                m.counts]
     with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "wb")) for p, _ in docs]
+        files = [stack.enter_context(open_output(p)) for p, _ in docs]
 
         def write(chunks):
             for chunk in chunks:

@@ -3,9 +3,9 @@
 A feature is a set of extremum ids at one time step (for instance the
 several pressure minima of one storm system). Because manifolds are
 disjoint, the overlap of two features is just the block sum of the
-extremum-level overlap matrix, and the feature denominator is recoverable
-from row sums (manifold strategy) or from the summed neighborhood sizes
-(sampling, taken literally without deduplicating overlapping balls).
+extremum-level overlap matrix, and the feature denominator is the sum of
+its members' row denominators: manifold sizes, neighborhood sizes (taken
+literally, without deduplicating overlapping balls), or 1 under binary.
 
 Feature sets come from a JSON side file; they may cover only part of the
 extrema, in which case correspondence rows sum to less than 1 and the
@@ -15,13 +15,13 @@ shortfall is reported as unassigned mass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _ints, _keys_and_counts
+from .correspond import OverlapMatrix, _ints, _keys_and_counts, normalize
 from .morse import ManifoldLabeling
 
 
@@ -99,25 +99,19 @@ def feature_overlap(
 
 
 def feature_denominators(features_t: FeatureSet, o_forward_all: OverlapMatrix) -> np.ndarray:
-    """Normalization mass per feature.
-
-    Manifold strategy: the union size of the member manifolds, recovered
-    by summing each member's full overlap row (disjointness makes this
-    exact). Sampling strategies: the summed neighborhood sizes, with no
-    deduplication of overlapping balls.
-    """
+    """Normalization mass per feature: its members' summed row
+    denominators. Manifolds are disjoint, so under manifold overlap that is
+    their union size; under sampling, overlapping balls count twice."""
     o = o_forward_all
-    per_row = o.row_sums() if o.strategy == "manifold-overlap" else o.row_denominators
     mem = features_t.membership(o.rows)
     out = np.zeros(features_t.n_features, dtype=np.int64)
-    np.add.at(out, mem[mem >= 0], per_row[mem >= 0])
+    np.add.at(out, mem[mem >= 0], o.row_denominators[mem >= 0])
     assert (out > 0).all(), "a feature with an extremum cannot have zero mass"
     return out
 
 
-def feature_correspondence(fo: OverlapMatrix) -> OverlapMatrix:
-    """Divide feature overlap rows by the feature denominators."""
-    return replace(fo, kind="correspondence")
+# a feature overlap's rows read over their feature denominators
+feature_correspondence = normalize
 
 
 def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) -> np.ndarray:

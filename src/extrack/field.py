@@ -10,10 +10,10 @@ all offsets in {0,1}^3 and their negatives.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Literal, Sequence
@@ -135,7 +135,6 @@ def offset_slices(domain: GridDomain):
             yield k, tuple(s for s, _ in pieces), tuple(d for _, d in pieces)
 
 
-@lru_cache(maxsize=16)
 def sampling_offsets(
     domain: GridDomain, mode: str, d: float, lattice_units: bool = False
 ) -> np.ndarray:
@@ -149,7 +148,7 @@ def sampling_offsets(
     set has fewer than 2**rank * V rows however large d is. On periodic
     axes offsets are reduced to residues in [0, n) and duplicates dropped,
     so no two offsets reach the same vertex; on the others they stay signed
-    and ``stencil_vertices`` clips them. Read-only and shared via a cache.
+    and ``stencil_vertices`` clips them. Built anew on every call.
     """
     if not (d >= 0 and math.isfinite(d)):
         raise ValueError(f"d must be a finite non-negative number, got {d}")
@@ -182,7 +181,6 @@ def sampling_offsets(
         # gives them, which imports numpy.ma
         offsets = offsets[np.lexsort(offsets.T[::-1])]
         offsets = offsets[np.r_[True, (offsets[1:] != offsets[:-1]).any(axis=1)]]
-    offsets.flags.writeable = False
     return offsets
 
 
@@ -380,11 +378,28 @@ def _write_raw_header(fh, domain: GridDomain, n_steps: int, dtype_code: int, ver
     fh.write(struct.pack(f"<{rank}d", *domain.spacing))
 
 
+class _Output(io.FileIO):
+    """A file whose failed writes name it; the OS error does not."""
+
+    def write(self, b):
+        try:
+            return super().write(b)
+        except OSError as e:
+            e.filename = str(self.name)
+            raise
+
+
+def open_output(path) -> io.BufferedWriter:
+    """``open(path, "wb")``, whose failed writes, the flush at close's too,
+    name path."""
+    return io.BufferedWriter(_Output(path, "w"))
+
+
 def save_series(series: ScalarFieldSeries, path: str | Path) -> None:
     """Write a series in the raw layout, keeping its value dtype."""
     code = _DTYPE_F32 if series.steps[0].dtype == np.float32 else _DTYPE_F64
     dtype = _DTYPES[code]
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         _write_raw_header(fh, series.domain, series.n_steps, code, RAW_VERSION_SERIES)
         for step in series.steps:
             fh.write(step.astype(dtype, copy=False).tobytes())
@@ -395,7 +410,7 @@ def save_labels(labels: np.ndarray, domain: GridDomain, path: str | Path) -> Non
     arr = np.asarray(labels)
     if arr.size != domain.vertex_count:
         raise ValueError("label array does not match the domain")
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         _write_raw_header(fh, domain, 1, _DTYPE_U32, RAW_VERSION_LABELS)
         fh.write(arr.astype("<u4").tobytes())
 

@@ -113,36 +113,30 @@ def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, n
 def _sort_runs(asc: np.ndarray, tie: np.ndarray) -> None:
     """Sort each run of tied positions of asc by vertex id, in place.
 
-    ``tie[p]`` says that positions p and p + 1 hold equal values. Chunks of
-    positions end where a run ends, so each holds whole runs and sorts
-    them at once under a ``run * n + id`` key; a run longer than a chunk
-    sorts alone, in place.
+    ``tie[p]`` says that positions p and p + 1 hold equal values. A chunk
+    of positions that ends inside a run is extended to that run's end, so
+    each chunk holds whole runs and sorts them at once under a
+    ``run * n + id`` key.
     """
     n, size = asc.size, _chunk_size(asc.size)
     p = 0
     while p < n:
         q = min(p + size, n)
-        if q < n and tie[q - 1]:  # q is inside a run
-            starts = np.flatnonzero(~tie[p:q - 1])
-            if starts.size:  # end the chunk where that run starts
-                q = p + 1 + int(starts[-1])
-            else:  # the run covers the chunk: find its end and sort it alone
-                e = q - 1
-                while e < n - 1 and tie[e]:
-                    window = tie[e:e + size]
-                    k = int(np.argmin(window))  # the first False, if any
-                    e += window.size if window[k] else k
-                asc[p:e + 1].sort()
-                p = e + 1
-                continue
+        while q < n and tie[q - 1]:  # q is inside a run: move it to the run's end
+            window = tie[q - 1:q - 1 + size]
+            k = int(np.argmin(window))  # the first False, if any
+            q += window.size if window[k] else k
         inside = tie[p:q - 1]
         if inside.any():
             key = np.zeros(q - p, np.int64)
-            np.cumsum(~inside, out=key[1:])  # run number within the chunk
+            # run numbers, summed in place (a cumsum of bools makes an int64 copy)
+            np.logical_not(inside, out=key[1:], casting="unsafe")
+            np.cumsum(key, out=key)
             key *= n
             key += asc[p:q]
             key.sort()
-            asc[p:q] = key % n
+            key %= n
+            asc[p:q] = key
         p = q
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import GridDomain, ScalarFieldSeries
+from .correspond import _ints, _reals
+from .field import GridDomain, ScalarFieldSeries, open_output
 from .morse import ExtremumKind, ManifoldLabeling
 
 
@@ -30,8 +31,8 @@ class GaussianBlob:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         object.__setattr__(self, "path", tuple(tuple(float(x) for x in p) for p in self.path))
@@ -57,6 +58,8 @@ class GaussianScript:
                 raise ValueError(
                     f"blob path has {len(b.path)} entries, script has {self.n_steps} steps"
                 )
+            if any(len(p) != self.domain.rank for p in b.path):
+                raise ValueError(f"blob path points must have {self.domain.rank} coordinates")
         object.__setattr__(self, "blobs", tuple(self.blobs))
 
 
@@ -103,17 +106,29 @@ def save_script(script: GaussianScript, path) -> None:
             for b in script.blobs
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
 def load_script(path) -> GaussianScript:
+    """Read a script as strictly as every other document; ``ValueError``
+    names the first key whose value is not of its JSON type."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    domain = GridDomain(doc["dims"], doc.get("spacing"), doc.get("periodic"))
+    periodic = doc.get("periodic")
+    if periodic is not None and not all(type(p) is bool for p in periodic):
+        raise ValueError(f"'periodic' must be booleans, got {periodic!r}")
+    spacing = doc.get("spacing")
+    domain = GridDomain(_ints(doc["dims"], "'dims'").tolist(),
+                        None if spacing is None else _reals(spacing, "'spacing'").tolist(),
+                        periodic)
     blobs = tuple(
-        GaussianBlob(tuple(tuple(p) for p in b["path"]), float(b["amplitude"]), float(b["sigma"]))
+        GaussianBlob(tuple(map(tuple, _reals(b["path"], "'path'").tolist())),
+                     float(_reals(b["amplitude"], "'amplitude'")),
+                     float(_reals(b["sigma"], "'sigma'")))
         for b in doc.get("blobs", [])
     )
-    return GaussianScript(domain, int(doc["n_steps"]), float(doc.get("base", 0.0)), blobs)
+    return GaussianScript(domain, int(_ints(doc["n_steps"], "'n_steps'")),
+                          float(_reals(doc.get("base", 0.0), "'base'")), blobs)
 
 
 def random_script(

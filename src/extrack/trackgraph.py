@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _rows
-from .field import GridDomain, minimum_image_distance
+from .field import GridDomain, minimum_image_distance, open_output
 from .morse import ManifoldLabeling, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
@@ -425,7 +425,7 @@ def save_graph(g: TrackingGraph, format: Literal["json", "dot"], path) -> None:
     """Write ``export(g, format)`` to path block by block, as ASCII with
     ``\\n`` line ends, without holding the document whole."""
     chunks = _chunks(g, format)
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.writelines(chunks)
 
 

@@ -1,7 +1,9 @@
 import gc
 import json
 import logging
+import resource
 import shutil
+import signal
 import subprocess
 import tracemalloc
 import weakref
@@ -90,6 +92,35 @@ class TestSynth:
         assert main(["synth", "--script", str(script), "--out", str(out),
                      "--dtype", dtype]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dims", [8.7, 8], "'dims' must be integers"),
+        ("n_steps", 1.9, "'n_steps' must be integers"),
+        ("n_steps", True, "'n_steps' must be integers"),
+        ("spacing", [1.0, True], "'spacing' must be numbers"),
+        ("base", "0", "'base' must be numbers"),
+        ("periodic", ["no", "no"], "'periodic' must be booleans"),
+        ("amplitude", True, "'amplitude' must be numbers"),
+        ("sigma", "2", "'sigma' must be numbers"),
+        ("sigma", float("inf"), "sigma must be positive and finite, got inf"),
+        ("path", [[3.0, "3"]], "'path' must be numbers"),
+        ("path", [[3.0, 3.0, 1.0]], "blob path points must have 2 coordinates"),
+    ], ids=["fractional-dims", "fractional-steps", "bool-steps", "bool-spacing", "str-base",
+            "str-periodic", "bool-amplitude", "str-sigma", "inf-sigma", "str-path",
+            "3d-path"])
+    def test_script_numbers_are_read_strictly(self, tmp_path, capsys, key, value, message):
+        # each used to be coerced and exit 0: 8.7 read as 8, 1.9 steps as 1,
+        # true as 1.0, "2" as 2.0, "no" as periodic, an infinite sigma as a
+        # flat blob and a third path coordinate as nothing
+        blob = {"amplitude": 1.0, "sigma": 2.0, "path": [[3.0, 3.0]]}
+        doc = {"dims": [8, 8], "n_steps": 1, "blobs": [blob]}
+        (blob if key in blob else doc)[key] = value
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(doc))
+        out = tmp_path / "x.xtrk"
+        assert main(["synth", "--script", str(script), "--out", str(out)]) == 3
+        assert f"{script}: bad script: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("blobs, dtype", [
@@ -291,6 +322,22 @@ class TestFeaturePipeline:
         assert main([command, "--input", str(ridge_file), "--out", str(tmp_path / "out"),
                      "--features", str(fpath)]) == 3
         assert f"{fpath}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_extremum_ids_are_checked_at_load(self, ridge_file, tmp_path, capsys, n_steps,
+                                              bad):
+        # 7 used to fail in graph assembly with numpy's index error, and -1
+        # to exit 0, showing the step's last extremum as the feature's node
+        series = load_series(ridge_file, "raw-f64")
+        path = tmp_path / "series.xtrk"
+        save_series(ScalarFieldSeries(series.domain, series.steps[:n_steps]), path)
+        fpath = tmp_path / "features.json"
+        fpath.write_text(json.dumps({"t": 0, "features": [{"id": 0, "extrema": [0, bad]}]}))
+        assert main(["run", "--input", str(path), "--out", str(tmp_path / "out"),
+                     "--features", str(fpath)]) == 3
+        assert (f"error: {fpath}: step 0: extremum id {bad} out of range (step has 2)"
+                in capsys.readouterr().err)
 
     def test_non_integral_feature_file_is_a_data_error(self, ridge_file, tmp_path, capsys):
         # it used to read as step 0, feature 0, extrema [0, 1] and exit 0
@@ -625,6 +672,28 @@ class TestStageReports:
         monkeypatch.setattr(*target, exhausted)
         assert main(argv) == 5
         assert f"{message} out of memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "stage 'export' ran over the file size limit: {out}/graph.json"),
+        (["run", "--dump-labels"], "stage 'dump-labels' at t=0 ran over the file size limit: "
+                                   "{out}/labels_0000.xtrk"),
+        (["synth", "--preset", "ridge"], "stage 'synth' ran over the file size limit: {out}"),
+    ], ids=["export", "dump-labels", "synth"])
+    def test_a_full_disk_exits_5_naming_stage_and_path(self, ridge_file, tmp_path, argv,
+                                                       message):
+        # a write past the child's 1 KiB file size limit fails with EFBIG,
+        # as one on a full disk fails with ENOSPC; both used to exit 3 as bad data
+        def limit_file_size():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        out = tmp_path / ("big.xtrk" if argv[0] == "synth" else "out")
+        if argv[0] == "run":
+            argv = [*argv, "--input", str(ridge_file)]
+        r = run_python("-m", "extrack", *argv, "--out", str(out), preexec_fn=limit_file_size)
+        assert r.returncode == 5, r.stderr
+        assert r.stderr == f"error: {message.format(out=out)}: File too large\n"
 
     def test_assertion_in_one_step_names_the_step(self, ridge_file, tmp_path, monkeypatch,
                                                   capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from extrack.cli import main
-from extrack.correspond import OverlapMatrix, manifold_overlap, sampling_overlap
+from extrack.correspond import (OverlapMatrix, binary_correspondence, manifold_overlap,
+                                sampling_overlap)
 from extrack.features import (
     feature_correspondence,
     feature_denominators,
@@ -223,6 +224,17 @@ class TestDenominators:
             union |= set(neighborhood(dom, v, "euclidean", 3.0).tolist())
         if len(union) < sum(balls):
             assert got[0] > len(union)
+
+    def test_binary_denominator_counts_the_members(self):
+        # every binary row has denominator 1, so a feature's is its size
+        rng = np.random.default_rng(36)
+        series = random_series(rng, (9, 9), 2)
+        dom = series.domain
+        lab_t = label_manifolds(series.steps[0], dom, "minimum")
+        lab_n = label_manifolds(series.steps[1], dom, "minimum")
+        b = binary_correspondence(lab_t, lab_n, "forward")
+        ft = random_partition(rng, lab_t.n_extrema, coverage=0.8)
+        assert feature_denominators(ft, b).tolist() == [len(s) for s in index_sets(ft)]
 
     def test_explicit_denominator_override(self):
         # the correspondence divides by the matrix's own denominators

@@ -76,15 +76,36 @@ class TestTotalOrder:
             for v in range(7):
                 assert (rank[u] < rank[v]) == (u < v)
 
+    @pytest.mark.parametrize("chunk_min", [None, 4, 64])
     @pytest.mark.parametrize("dims,periodic", [((7, 9), (True, False)), ((2, 5), (True, True)),
                                                ((4, 3, 5), (False, True, True)),
-                                               ((2, 3, 2), (True, True, True))])
-    def test_rank_order_is_the_stable_argsort(self, dims, periodic):
+                                               ((2, 3, 2), (True, True, True)),
+                                               ((24, 20), (True, False))])
+    def test_rank_order_is_the_stable_argsort(self, dims, periodic, chunk_min, monkeypatch):
+        # with chunk_min, the tie runs are sorted in chunks of
+        # _chunk_size(v) positions, which the runs below end at or cross
+        if chunk_min is not None:
+            monkeypatch.setattr(morse, "_CHUNK_MIN", chunk_min)
         dom = GridDomain(dims, periodic=periodic)
         v = dom.vertex_count
+        size = min(morse._chunk_size(v), v)
         rng = np.random.default_rng(v)
         signed_zeros = np.where(rng.random(v) < 0.5, -0.0, 0.0)
+        order = np.random.default_rng(v + 1).permutation(v)
+
+        def plateau(lo, hi):
+            # distinct values but one run over sorted positions lo..hi-1
+            return np.where((order >= lo) & (order < hi), lo, order).astype(float)
+
+        to_chunk_end = plateau(max(size - 3, 0), size)
+        three_chunks = plateau(size // 2, min(2 * size + size // 2, v))
         fields = {
+            # the reversed fields put the same run at the same positions of
+            # the descending order
+            "run to a chunk end": to_chunk_end,
+            "run to a chunk end, reversed": -to_chunk_end,
+            "run over three chunks": three_chunks,
+            "run over three chunks, reversed": -three_chunks,
             "three values": rng.integers(0, 3, v).astype(float),
             "signed zeros": signed_zeros,
             "signed zeros and ones": signed_zeros + rng.integers(0, 2, v),
@@ -661,3 +682,18 @@ def test_labeling_memory_is_linear_in_the_field():
             assert peak <= 16, (dims, kind)
             assert peak <= 8, (dims, kind)
             assert peak <= 3.5, (dims, kind, peak)
+
+
+def test_plateau_labeling_memory_is_linear_in_the_field():
+    # a constant field is one run of ties over the whole order, and a
+    # quantized one a few long runs: sorting the runs by id must stay
+    # within the bound white noise keeps
+    for dims in ((48, 48, 48), (512, 512)):
+        dom = GridDomain(dims, periodic=(True,) + (False,) * (len(dims) - 1))
+        noise = np.random.default_rng(3).standard_normal(dom.vertex_count)
+        for name, step in (("constant", np.zeros(dom.vertex_count)),
+                           ("quantized", np.round(2 * noise))):
+            for kind in ("minimum", "maximum"):
+                peak = peak_over_field(
+                    lambda: simplify(label_manifolds(step, dom, kind), step, 1.0), step)
+                assert peak <= 3.5, (dims, name, kind, peak)
