@@ -233,16 +233,19 @@ def _load_input(config: PipelineConfig) -> ScalarFieldSeries:
         raise DataError(str(e)) from e
 
 
-def _label_all(series: ScalarFieldSeries, config: PipelineConfig) -> list[ManifoldLabeling]:
+def _label_all(steps: list, domain: GridDomain, config: PipelineConfig) -> list[ManifoldLabeling]:
+    """Label and simplify each step, dropping its values once they are."""
     value_range = None
     if config.global_range:
-        value_range = float(max(s.max() for s in series.steps) - min(s.min() for s in series.steps))
+        value_range = float(max(s.max() for s in steps) - min(s.min() for s in steps))
 
     def one(t: int) -> ManifoldLabeling:
-        lab = label_manifolds(series.steps[t], series.domain, config.kind)
-        return simplify(lab, series.steps[t], config.persistence_pct, value_range)
+        lab = label_manifolds(steps[t], domain, config.kind)
+        lab = simplify(lab, steps[t], config.persistence_pct, value_range)
+        steps[t] = None  # no later stage reads the values
+        return lab
 
-    return _stage("labeling", one, range(series.n_steps), config.jobs)
+    return _stage("labeling", one, range(len(steps)), config.jobs)
 
 
 def _pair_matrices(labs: list[ManifoldLabeling], config: PipelineConfig, strategy: str):
@@ -350,9 +353,9 @@ def _pipeline(config: PipelineConfig, out: Path, strategies):
     """Load, label, dump the labels and load the features once, then yield
     each strategy's (matrices, feature matrices or None, filtered graph)."""
     series = _stage("load", lambda: _load_input(config))
-    labs = _label_all(series, config)
-    domain = series.domain
-    del series  # no stage past labeling reads the fields
+    domain, steps = series.domain, list(series.steps)
+    del series  # each step is held once, by steps, until it is labeled
+    labs = _label_all(steps, domain, config)
     if config.dump_labels:
         _stage("dump-labels", lambda t: field.save_labels(labs[t].label, domain,
                                                           out / f"labels_{t:04d}.xtrk"),

@@ -10,8 +10,10 @@ all offsets in {0,1}^3 and their negatives.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import product
@@ -42,6 +44,22 @@ class SeriesFormatError(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
+
+
+class NonFiniteValue(ValueError):
+    """A series step holds a non-finite value; ``step`` and ``vertex`` locate the first."""
+
+    def __init__(self, step: int, vertex: int):
+        super().__init__(f"step {step} contains a non-finite value at vertex {vertex}")
+        self.step, self.vertex = step, vertex
+
+
+def first_non_finite(values: np.ndarray) -> int | None:
+    """Flat (C-order) index of the first non-finite value, or None."""
+    # a NaN or an infinity shows in the minimum or the maximum: no mask is built
+    if np.isfinite(values.min()) and np.isfinite(values.max()):
+        return None
+    return int(np.flatnonzero(~np.isfinite(values))[0])
 
 
 @dataclass(frozen=True)
@@ -238,16 +256,16 @@ class ScalarFieldSeries:
             arr = np.asarray(s)
             if arr.dtype not in (np.float32, np.float64):
                 arr = arr.astype(np.float64)
-            arr = arr.reshape(-1)
             if arr.size != self.domain.vertex_count:
                 raise ValueError(
                     f"step {t} has {arr.size} values, domain has {self.domain.vertex_count} vertices"
                 )
-            if not np.isfinite(arr).all():
-                bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise ValueError(f"step {t} contains a non-finite value at vertex {bad}")
-            arr = arr.copy()
-            arr.flags.writeable = False
+            bad = first_non_finite(arr)
+            if bad is not None:
+                raise NonFiniteValue(t, bad)
+            if arr.ndim != 1 or not isinstance(arr.base, bytes):  # someone could write it
+                arr = arr.flatten()
+                arr.flags.writeable = False
             steps.append(arr)
         object.__setattr__(self, "steps", tuple(steps))
 
@@ -263,71 +281,41 @@ def _read_exact(fh, n: int, what: str, offset: int) -> bytes:
     return buf
 
 
-def _parse_raw_header(fh):
-    off = 0
-    magic = _read_exact(fh, 4, "magic", off)
-    if magic != RAW_MAGIC:
-        raise SeriesFormatError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}", offset=0)
-    off = 4
-    version, rank = struct.unpack("<II", _read_exact(fh, 8, "version/rank", off))
-    off += 8
-    if rank not in (2, 3):
-        raise SeriesFormatError(f"rank must be 2 or 3, got {rank}", offset=8)
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", off))
-    off += 4 * rank
-    (n_steps,) = struct.unpack("<I", _read_exact(fh, 4, "step count", off))
-    off += 4
-    dtype_code, periodic_mask = struct.unpack("<BB", _read_exact(fh, 2, "dtype/periodic", off))
-    off += 2
-    _read_exact(fh, 2, "reserved bytes", off)
-    off += 2
-    spacing = struct.unpack(f"<{rank}d", _read_exact(fh, 8 * rank, "spacing", off))
-    off += 8 * rank
-    if dtype_code not in _DTYPES:
-        raise SeriesFormatError(f"unknown dtype code {dtype_code}", offset=16 + 4 * rank)
-    periodic = tuple(bool(periodic_mask >> a & 1) for a in range(rank))
-    return version, dims, n_steps, dtype_code, periodic, spacing, off
-
-
-def _load_raw(path: Path, expect_code: int) -> ScalarFieldSeries:
+def _read_raw(path, check) -> tuple[GridDomain, list[np.ndarray], int]:
+    """A raw file's domain, steps and payload offset, once ``check(version,
+    dtype code, step count)`` passes. The payload's size is compared with the
+    header's before any of it is read; each step is read into its own bytes."""
     with open(path, "rb") as fh:
-        version, dims, n_steps, code, periodic, spacing, payload_off = _parse_raw_header(fh)
-        if version != RAW_VERSION_SERIES:
-            raise SeriesFormatError(f"unsupported series version {version}", offset=4)
-        if code != expect_code:
-            raise SeriesFormatError(
-                f"dtype code {code} does not match the declared format (expected {expect_code})"
-            )
-        if n_steps < 1:
-            raise SeriesFormatError("series declares zero time steps")
+        magic = _read_exact(fh, 4, "magic", 0)
+        if magic != RAW_MAGIC:
+            raise SeriesFormatError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}", offset=0)
+        version, rank = struct.unpack("<II", _read_exact(fh, 8, "version/rank", 4))
+        if rank not in (2, 3):
+            raise SeriesFormatError(f"rank must be 2 or 3, got {rank}", offset=8)
+        fields, off = [], 12
+        for what, fmt in (("dims", f"<{rank}I"), ("step count", "<I"), ("dtype/periodic", "<BB"),
+                          ("reserved bytes", "2x"), ("spacing", f"<{rank}d")):
+            fields.append(struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), what, off)))
+            off += struct.calcsize(fmt)
+        dims, (n_steps,), (code, periodic_mask), _, spacing = fields
+        if code not in _DTYPES:
+            raise SeriesFormatError(f"unknown dtype code {code}", offset=16 + 4 * rank)
+        check(version, code, n_steps)
         try:
-            domain = GridDomain(dims, spacing, periodic)
+            domain = GridDomain(dims, spacing, [periodic_mask >> a & 1 for a in range(rank)])
         except ValueError as e:
             raise SeriesFormatError(f"invalid domain in header: {e}") from e
-        dtype = _DTYPES[code]
-        n_values = domain.vertex_count * n_steps
-        payload = fh.read()
-    expected = n_values * dtype.itemsize
-    if len(payload) != expected:
-        raise SeriesFormatError(
-            f"payload holds {len(payload)} bytes, header declares {expected} "
-            f"({n_steps} steps x {domain.vertex_count} vertices)",
-            offset=payload_off,
-        )
-    values = np.frombuffer(payload, dtype=dtype)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        idx = int(bad[0])
-        raise SeriesFormatError(
-            f"non-finite value at step {idx // domain.vertex_count}, "
-            f"vertex {idx % domain.vertex_count}",
-            offset=payload_off + idx * dtype.itemsize,
-        )
-    steps = values.reshape(n_steps, domain.vertex_count)
-    return ScalarFieldSeries(domain, tuple(steps[t] for t in range(n_steps)))
+        size = domain.vertex_count * _DTYPES[code].itemsize
+        held = os.fstat(fh.fileno()).st_size - off
+        if held != n_steps * size:
+            raise SeriesFormatError(f"payload holds {held} bytes, header declares {n_steps * size} "
+                                    f"({n_steps} steps x {domain.vertex_count} vertices)", off)
+        steps = [np.frombuffer(_read_exact(fh, size, "payload", off + t * size), _DTYPES[code])
+                 for t in range(n_steps)]
+    return domain, steps, off
 
 
-def _load_csv(path: Path) -> ScalarFieldSeries:
+def _load_csv(path) -> ScalarFieldSeries:
     """One 2D step per file; each text row spans the last axis."""
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -348,61 +336,73 @@ def _load_csv(path: Path) -> ScalarFieldSeries:
     if len(rows) < 2 or len(rows[0]) < 2:
         raise SeriesFormatError(f"csv grid must be at least 2x2, got {len(rows)} rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        r, c = [int(x[0]) for x in np.nonzero(~np.isfinite(arr))]
-        raise SeriesFormatError(f"non-finite value at row {r}, column {c}")
-    domain = GridDomain(arr.shape)
-    return ScalarFieldSeries(domain, (arr.reshape(-1),))
+    try:
+        return ScalarFieldSeries(GridDomain(arr.shape), (arr.reshape(-1),))
+    except NonFiniteValue as e:
+        r, c = divmod(e.vertex, arr.shape[1])
+        raise SeriesFormatError(f"non-finite value at row {r}, column {c}") from e
 
 
 def load_series(path: str | Path, format: SeriesFormat) -> ScalarFieldSeries:
     """Load a series file in the declared format, validating the layout."""
-    path = Path(path)
-    if format == "raw-f32":
-        return _load_raw(path, _DTYPE_F32)
-    if format == "raw-f64":
-        return _load_raw(path, _DTYPE_F64)
     if format == "csv":
         return _load_csv(path)
-    raise ValueError(f"unknown series format {format!r}")
+    expect_code = {"raw-f32": _DTYPE_F32, "raw-f64": _DTYPE_F64}.get(format)
+    if expect_code is None:
+        raise ValueError(f"unknown series format {format!r}")
 
+    def check(version, code, n_steps):
+        if version != RAW_VERSION_SERIES:
+            raise SeriesFormatError(f"unsupported series version {version}", offset=4)
+        if code != expect_code:
+            raise SeriesFormatError(
+                f"dtype code {code} does not match the declared format (expected {expect_code})"
+            )
+        if n_steps < 1:
+            raise SeriesFormatError("series declares zero time steps")
 
-def _write_raw_header(fh, domain: GridDomain, n_steps: int, dtype_code: int, version: int):
-    rank = domain.rank
-    mask = sum(1 << a for a, p in enumerate(domain.periodic) if p)
-    fh.write(RAW_MAGIC)
-    fh.write(struct.pack("<II", version, rank))
-    fh.write(struct.pack(f"<{rank}I", *domain.dims))
-    fh.write(struct.pack("<I", n_steps))
-    fh.write(struct.pack("<BBxx", dtype_code, mask))
-    fh.write(struct.pack(f"<{rank}d", *domain.spacing))
+    domain, steps, off = _read_raw(path, check)
+    try:
+        return ScalarFieldSeries(domain, tuple(steps))
+    except NonFiniteValue as e:
+        at = e.step * domain.vertex_count + e.vertex
+        raise SeriesFormatError(f"non-finite value at step {e.step}, vertex {e.vertex}",
+                                off + at * steps[0].itemsize) from e
 
 
 class _Output(io.FileIO):
-    """A file whose failed writes name it; the OS error does not."""
+    """A file whose failed writes name it (the OS error does not) and delete it."""
 
     def write(self, b):
         try:
             return super().write(b)
         except OSError as e:
             e.filename = str(self.name)
+            with contextlib.suppress(OSError):  # the failed write is the error to report
+                os.unlink(self.name)
             raise
 
 
 def open_output(path) -> io.BufferedWriter:
     """``open(path, "wb")``, whose failed writes, the flush at close's too,
-    name path."""
+    name path and delete the file."""
     return io.BufferedWriter(_Output(path, "w"))
+
+
+def _write_raw(path, domain: GridDomain, steps, code: int, version: int) -> None:
+    rank = domain.rank
+    mask = sum(1 << a for a, p in enumerate(domain.periodic) if p)
+    with open_output(path) as fh:
+        fh.write(RAW_MAGIC + struct.pack(f"<II{rank}IIBBxx{rank}d", version, rank, *domain.dims,
+                                         len(steps), code, mask, *domain.spacing))
+        for step in steps:
+            fh.write(step.astype(_DTYPES[code], copy=False).tobytes())
 
 
 def save_series(series: ScalarFieldSeries, path: str | Path) -> None:
     """Write a series in the raw layout, keeping its value dtype."""
     code = _DTYPE_F32 if series.steps[0].dtype == np.float32 else _DTYPE_F64
-    dtype = _DTYPES[code]
-    with open_output(path) as fh:
-        _write_raw_header(fh, series.domain, series.n_steps, code, RAW_VERSION_SERIES)
-        for step in series.steps:
-            fh.write(step.astype(dtype, copy=False).tobytes())
+    _write_raw(path, series.domain, series.steps, code, RAW_VERSION_SERIES)
 
 
 def save_labels(labels: np.ndarray, domain: GridDomain, path: str | Path) -> None:
@@ -410,24 +410,21 @@ def save_labels(labels: np.ndarray, domain: GridDomain, path: str | Path) -> Non
     arr = np.asarray(labels)
     if arr.size != domain.vertex_count:
         raise ValueError("label array does not match the domain")
-    with open_output(path) as fh:
-        _write_raw_header(fh, domain, 1, _DTYPE_U32, RAW_VERSION_LABELS)
-        fh.write(arr.astype("<u4").tobytes())
+    _write_raw(path, domain, [arr], _DTYPE_U32, RAW_VERSION_LABELS)
 
 
 def load_labels(path: str | Path) -> tuple[np.ndarray, GridDomain]:
-    with open(path, "rb") as fh:
-        version, dims, n_steps, code, periodic, spacing, payload_off = _parse_raw_header(fh)
+    """A label dump's per-vertex labels, as int32, and its domain."""
+    def check(version, code, n_steps):
         if version != RAW_VERSION_LABELS or code != _DTYPE_U32 or n_steps != 1:
             raise SeriesFormatError("not a label dump")
-        domain = GridDomain(dims, spacing, periodic)
-        payload = fh.read()
-    expected = domain.vertex_count * 4
-    if len(payload) != expected:
-        raise SeriesFormatError(
-            f"payload holds {len(payload)} bytes, expected {expected}", offset=payload_off
-        )
-    return np.frombuffer(payload, dtype="<u4").astype(np.int32), domain
+
+    domain, (labels,), off = _read_raw(path, check)
+    wide = np.flatnonzero(labels >= 2**31)
+    if wide.size:
+        v = int(wide[0])
+        raise SeriesFormatError(f"label {labels[v]} at vertex {v} does not fit in int32", off + 4 * v)
+    return labels.astype(np.int32), domain
 
 
 def stack_series(parts: Sequence[ScalarFieldSeries]) -> ScalarFieldSeries:

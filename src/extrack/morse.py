@@ -52,7 +52,7 @@ from typing import Literal
 
 import numpy as np
 
-from .field import GridDomain, offset_slices
+from .field import GridDomain, first_non_finite, offset_slices
 
 ExtremumKind = Literal["minimum", "maximum"]
 
@@ -642,8 +642,8 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     values = np.asarray(step, dtype=np.float64).reshape(-1)
     if values.size != domain.vertex_count:
         raise ValueError("step length does not match the domain")
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    bad = first_non_finite(values)
+    if bad is not None:
         raise ValueError(f"step contains a non-finite value at vertex {bad}")
     descending = kind == "maximum"
 

@@ -398,15 +398,27 @@ class TestMatrixPairs:
         assert largest > 50_000
         assert sum(s.size for s in held.statistics("filename")) < 4096
 
-    def test_fields_are_released_after_labeling(self, ridge_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fields_are_released_after_labeling(self, tmp_path, monkeypatch, jobs):
+        # each step's values are dropped once that step is labeled, and
         # correspondence, assembly and export read the domain, not the fields
         steps = []
-        real_load, real_overlap = field.load_series, correspond.manifold_overlap
+        real_load, real_label = field.load_series, cli.label_manifolds
+        real_overlap = correspond.manifold_overlap
 
         def load_series(*args):
             series = real_load(*args)
             steps.extend(weakref.ref(s) for s in series.steps)
             return series
+
+        def label_manifolds(step, *args):
+            t = next(t for t, ref in enumerate(steps) if ref() is step)
+            gc.collect()
+            # a step labeled before t is still held only while its labeling
+            # runs, on one of the other jobs - 1 threads
+            held = sum(ref() is not None for ref in steps[:t])
+            assert held <= jobs - 1, f"{held} labeled steps outlived their labeling at t={t}"
+            return real_label(step, *args)
 
         def manifold_overlap(*args):
             gc.collect()
@@ -414,8 +426,12 @@ class TestMatrixPairs:
             return real_overlap(*args)
 
         monkeypatch.setattr(cli.field, "load_series", load_series)
+        monkeypatch.setattr(cli, "label_manifolds", label_manifolds)
         monkeypatch.setattr(cli.correspond, "manifold_overlap", manifold_overlap)
-        assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out")]) == 0
+        path = noisy_file(tmp_path / "noisy.xtrk")
+        assert main(["run", "--input", str(path), "--out", str(tmp_path / "out"),
+                     "--jobs", str(jobs)]) == 0
+        assert len(steps) == 4
 
 
 class TestConfigFile:
@@ -694,6 +710,9 @@ class TestStageReports:
         r = run_python("-m", "extrack", *argv, "--out", str(out), preexec_fn=limit_file_size)
         assert r.returncode == 5, r.stderr
         assert r.stderr == f"error: {message.format(out=out)}: File too large\n"
+        # the file whose write failed is not left cut off
+        named = Path(message.format(out=out).rsplit(": ", 1)[1])
+        assert not named.exists()
 
     def test_assertion_in_one_step_names_the_step(self, ridge_file, tmp_path, monkeypatch,
                                                   capsys):

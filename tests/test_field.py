@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from extrack.field import (
     save_series,
     stack_series,
 )
-from helpers import brute_ball, brute_minimum_image, brute_neighbors, neighborhood, random_series
+from helpers import (brute_ball, brute_minimum_image, brute_neighbors, neighborhood,
+                     peak_over_field, random_series)
 
 
 def ring(d, v):
@@ -182,6 +184,17 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.steps[0][0] = 1.0
 
+    def test_only_an_array_no_one_can_write_is_kept_uncopied(self):
+        d = GridDomain((3, 3))
+        owner = np.zeros(9)
+        view = owner.view()
+        view.flags.writeable = False
+        frozen = np.frombuffer(np.arange(9.0).tobytes())
+        s = ScalarFieldSeries(d, (owner, view, frozen))
+        owner[4] = 7.0
+        assert not s.steps[0].any() and not s.steps[1].any()
+        assert np.shares_memory(s.steps[2], frozen)
+
 
 class TestRawFormat:
     def test_round_trip_f64_bit_exact(self, tmp_path):
@@ -233,19 +246,49 @@ class TestRawFormat:
         with pytest.raises(SeriesFormatError, match="dtype"):
             load_series(p, "raw-f32")
 
-    def test_non_finite_payload_located(self, tmp_path):
+    @pytest.mark.parametrize("fmt, code", [("raw-f64", "<d"), ("raw-f32", "<f")])
+    def test_non_finite_payload_located(self, tmp_path, fmt, code):
         d = GridDomain((4, 4))
-        s = ScalarFieldSeries(d, (np.zeros(16), np.zeros(16)))
+        size = struct.calcsize(code)
+        s = ScalarFieldSeries(d, (np.zeros(16, f"<f{size}"),) * 3)
         p = tmp_path / "s.xtrk"
         save_series(s, p)
         data = bytearray(p.read_bytes())
-        header = len(data) - 2 * 16 * 8
-        # poison step 1, vertex 3
-        struct.pack_into("<d", data, header + (16 + 3) * 8, float("inf"))
+        header = len(data) - 3 * 16 * size
+        # poison step 1, vertex 3, and step 2, vertex 0: the first is named
+        struct.pack_into(code, data, header + (16 + 3) * size, float("inf"))
+        struct.pack_into(code, data, header + 32 * size, float("nan"))
         p.write_bytes(bytes(data))
-        with pytest.raises(SeriesFormatError, match="step 1, vertex 3") as ei:
-            load_series(p, "raw-f64")
-        assert ei.value.offset == header + (16 + 3) * 8
+        with pytest.raises(SeriesFormatError, match="step 1, vertex 3$") as ei:
+            load_series(p, fmt)
+        assert ei.value.offset == header + (16 + 3) * size
+
+    @pytest.mark.parametrize("dtype, fmt", [(np.float64, "raw-f64"), (np.float32, "raw-f32")])
+    def test_load_holds_the_series_once(self, tmp_path, dtype, fmt):
+        # each step is read into its own buffer, checked in place and kept
+        # uncopied by the series, so the load holds each value once
+        rng = np.random.default_rng(4)
+        s = random_series(rng, (24, 20, 16), 4)
+        s = ScalarFieldSeries(s.domain, tuple(x.astype(dtype) for x in s.steps))
+        p = tmp_path / "s.xtrk"
+        save_series(s, p)
+        assert peak_over_field(lambda: load_series(p, fmt), np.concatenate(s.steps)) <= 1.1
+
+    def test_oversized_payload_is_refused_unread(self, tmp_path):
+        rng = np.random.default_rng(1)
+        p = tmp_path / "s.xtrk"
+        save_series(random_series(rng, (4, 4), 2), p)
+        with open(p, "ab") as fh:
+            fh.write(bytes(1 << 22))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeriesFormatError, match="payload holds 4194560 bytes") as ei:
+                load_series(p, "raw-f64")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.offset == 44
+        assert peak < 1 << 16
 
     def test_bad_rank_in_header(self, tmp_path):
         p = tmp_path / "bad.xtrk"
@@ -274,6 +317,12 @@ class TestCsvFormat:
         with pytest.raises(SeriesFormatError, match="line 2"):
             load_series(p, "csv")
 
+    def test_non_finite_value_names_row_and_column(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("1,2,3\n4,5,inf\nnan,8,9\n")
+        with pytest.raises(SeriesFormatError, match="row 1, column 2$"):
+            load_series(p, "csv")
+
     def test_stacking_steps(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -295,3 +344,25 @@ def test_label_dump_round_trip(tmp_path):
     # a label dump is not a value series
     with pytest.raises(SeriesFormatError):
         load_series(p, "raw-f64")
+
+
+def test_label_dump_refuses_labels_past_int32(tmp_path):
+    d = GridDomain((3, 5))
+    labels = np.arange(15)
+    labels[[6, 9]] = 2**31 + 5, 2**32 - 1
+    p = tmp_path / "labels.xtrk"
+    save_labels(labels, d, p)
+    header = p.stat().st_size - 15 * 4
+    with pytest.raises(SeriesFormatError, match="label 2147483653 at vertex 6 ") as ei:
+        load_labels(p)
+    assert ei.value.offset == header + 6 * 4
+
+
+def test_label_dump_with_a_bad_domain_is_a_format_error(tmp_path):
+    p = tmp_path / "labels.xtrk"
+    save_labels(np.zeros(15), GridDomain((3, 5)), p)
+    data = bytearray(p.read_bytes())
+    struct.pack_into("<I", data, 12, 1)  # the first axis's length
+    p.write_bytes(bytes(data))
+    with pytest.raises(SeriesFormatError, match="invalid domain in header"):
+        load_labels(p)
