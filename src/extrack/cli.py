@@ -237,7 +237,8 @@ def _label_all(steps: list, domain: GridDomain, config: PipelineConfig) -> list[
     """Label and simplify each step, dropping its values once they are."""
     value_range = None
     if config.global_range:
-        value_range = float(max(s.max() for s in steps) - min(s.min() for s in steps))
+        # in float64, as ``simplify`` takes a step's own range
+        value_range = max(float(s.max()) for s in steps) - min(float(s.min()) for s in steps)
 
     def one(t: int) -> ManifoldLabeling:
         lab = label_manifolds(steps[t], domain, config.kind)

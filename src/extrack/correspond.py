@@ -20,7 +20,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from pathlib import Path
 from typing import Literal, get_args
 
 import numpy as np
@@ -239,11 +238,6 @@ class OverlapMatrix:
         np.add.at(out, self.i, self.counts)
         return out
 
-    def unassigned_mass(self) -> np.ndarray:
-        """Per-row share of the denominator that no stored entry accounts
-        for, e.g. mass pointing outside the other step's features."""
-        return (self.row_denominators - self.row_sums()) / self.row_denominators
-
     def transpose(self, row_denominators) -> "OverlapMatrix":
         direction = "backward" if self.direction == "forward" else "forward"
         # int32 rows and columns where they fit: half the counter's input
@@ -324,9 +318,9 @@ def manifold_overlap(
     forward = _complete_rows(OverlapMatrix(
         n_t, n_n, "forward", "manifold-overlap",
         *_keys_and_counts(n_t, n_n, labeling_t.label, labeling_next.label),
-        labeling_t.sizes.astype(np.int64),
+        labeling_t.sizes,
     ))
-    return forward, _complete_rows(forward.transpose(labeling_next.sizes.astype(np.int64)))
+    return forward, _complete_rows(forward.transpose(labeling_next.sizes))
 
 
 def binary_correspondence(
@@ -345,21 +339,6 @@ def binary_correspondence(
 def normalize(o: OverlapMatrix) -> OverlapMatrix:
     """Read each row divided by its denominator; shares o's arrays."""
     return replace(o, kind="correspondence")
-
-
-def matrix_to_doc(m: OverlapMatrix, t: int) -> dict:
-    """JSON document for either matrix kind; stores integer counts so the
-    normalization stays reproducible."""
-    return {
-        "t": int(t),
-        "kind": m.kind,
-        "direction": m.direction,
-        "strategy": m.strategy,
-        "rows": int(m.rows),
-        "cols": int(m.cols),
-        "denominators": m.row_denominators.tolist(),
-        "entries": [list(e) for e in zip(m.i.tolist(), m.j.tolist(), m.counts.tolist())],
-    }
 
 
 def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
@@ -476,8 +455,12 @@ def _json_list(template: str, columns, n: int):
 
 
 def save_matrix(m, t: int, path, twin=None) -> None:
-    """Write ``matrix_to_doc(m, t)`` as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` would, straight from the entry arrays, in ASCII chunks.
+    """Write m at step t as one JSON document, laid out as ``json.dumps(doc,
+    sort_keys=True, indent=2)`` lays it out, straight from the entry arrays,
+    in ASCII chunks. The document holds ``t``, ``kind``, ``direction``,
+    ``strategy``, ``rows``, ``cols``, the row ``denominators`` and the
+    ``entries`` as ``[i, j, count]`` rows; integer counts keep the
+    normalization reproducible, and ``doc_to_matrix`` reads it back.
 
     With ``twin``, the overlap m's normalized twin, whose document differs
     only in "kind", goes there in the same pass: each block is formatted
@@ -503,7 +486,3 @@ def save_matrix(m, t: int, path, twin=None) -> None:
         for fh, (_, kind) in zip(files, docs):
             fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
                      f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
-
-
-def load_matrix(path) -> tuple[OverlapMatrix, int]:
-    return doc_to_matrix(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -8,8 +8,8 @@ its members' row denominators: manifold sizes, neighborhood sizes (taken
 literally, without deduplicating overlapping balls), or 1 under binary.
 
 Feature sets come from a JSON side file; they may cover only part of the
-extrema, in which case correspondence rows sum to less than 1 and the
-shortfall is reported as unassigned mass.
+extrema, in which case a row's counts sum to less than its denominator and
+its correspondence row to less than 1.
 """
 
 from __future__ import annotations

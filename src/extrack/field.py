@@ -54,6 +54,13 @@ class NonFiniteValue(ValueError):
         self.step, self.vertex = step, vertex
 
 
+def step_values(a) -> np.ndarray:
+    """a as a step's values: float32 and float64 as stored, any other type
+    as a float64 copy. Not reshaped, so a view of a buffer stays that view."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
 def first_non_finite(values: np.ndarray) -> int | None:
     """Flat (C-order) index of the first non-finite value, or None."""
     # a NaN or an infinity shows in the minimum or the maximum: no mask is built
@@ -253,9 +260,7 @@ class ScalarFieldSeries:
             raise ValueError("a series needs at least one time step")
         steps = []
         for t, s in enumerate(self.steps):
-            arr = np.asarray(s)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(np.float64)
+            arr = step_values(s)
             if arr.size != self.domain.vertex_count:
                 raise ValueError(
                     f"step {t} has {arr.size} values, domain has {self.domain.vertex_count} vertices"

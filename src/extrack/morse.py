@@ -29,17 +29,24 @@ that share a saddle vertex keep their order in the full edge enumeration,
 because that order decides which basin a younger extremum merges into; a
 per-domain table of tie classes encodes it in the sweep key.
 
+A step is read in its stored type (``field.step_values``): a float32 step
+is sorted and compared as float32, with no float64 copy, and persistence
+and the value range are taken in float64, so it labels as its float64
+cast does.
+
 Memory: on white noise, labeling and a simplification hold at most about
-3.2 times the field's bytes on top of the field (tracemalloc). ``asc`` is
-dropped after descent, so the forest's saddle vertices are read back from
-``rank``; the sweep works in sub-slabs of at most ``_slab_bound(V)``
-vertices; Borůvka compacts the edges it owns in place; and every other
-pass over a V- or edge-sized array runs in ``_chunks``. Beyond the
-labels, the ranks and the first edges, a phase holds one slab's boundary
-edges, one merge of first edges, or a chunk's temporaries.
+3.1 times the float64 field's bytes on top of the field, for a float32
+step as well (tracemalloc). ``asc`` is dropped after descent, so the
+forest's saddle vertices are read back from ``rank``; the sweep works in
+sub-slabs of at most ``_slab_bound(V)`` vertices; Borůvka compacts the
+edges it owns in place; and every other pass over a V- or edge-sized
+array runs in ``_chunks``. Beyond the labels, the ranks and the first
+edges, a phase holds one slab's boundary edges, one merge of first edges,
+or a chunk's temporaries.
 
 A labeling holds its extrema as columns (``ExtremumColumns``): vertex,
-value and persistence arrays whose row i is extremum i.
+value and persistence arrays whose row i is extremum i. Basin sizes are
+counted from the labels when first read.
 """
 
 from __future__ import annotations
@@ -47,12 +54,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Literal
 
 import numpy as np
 
-from .field import GridDomain, first_non_finite, offset_slices
+from .field import GridDomain, first_non_finite, offset_slices, step_values
 
 ExtremumKind = Literal["minimum", "maximum"]
 
@@ -194,27 +202,32 @@ class ManifoldLabeling:
     """Partition of the domain's vertices into extremum basins.
 
     ``label[v]`` is the dense id of the extremum whose manifold contains
-    vertex v; ``sizes[i]`` counts the vertices labeled i. The private
-    arrays record, per extremum, the merge saddle and the extremum it
-    merges into (-1 for the global extremum), which lets ``simplify``
-    relabel without re-running the sweep. Minima have ascending manifolds
-    and maxima descending ones; ``extrema.kind`` says which.
+    vertex v; ``sizes[i]``, counted on first read, is the number of
+    vertices labeled i. The private arrays record, per extremum, the merge
+    saddle and the extremum it merges into (-1 for the global extremum),
+    which lets ``simplify`` relabel without re-running the sweep. Minima
+    have ascending manifolds and maxima descending ones; ``extrema.kind``
+    says which.
     """
 
     domain: GridDomain
     label: np.ndarray
     extrema: ExtremumColumns
-    sizes: np.ndarray
     _saddles: np.ndarray = field(repr=False, default=None)
     _partners: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         assert self.label.size == self.domain.vertex_count
-        assert int(self.sizes.sum()) == self.domain.vertex_count
-        assert len(self.extrema) == self.sizes.size
+        # every label names an extremum, and each extremum's vertex bears its own
+        assert 0 <= self.label.min() and self.label.max() < len(self.extrema)
         assert (self.label[self.extrema.vertex] == np.arange(len(self.extrema))).all()
         self.label.flags.writeable = False
-        self.sizes.flags.writeable = False
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        sizes = _sizes(self.label, len(self.extrema))
+        sizes.flags.writeable = False
+        return sizes
 
     @property
     def n_extrema(self) -> int:
@@ -547,10 +560,10 @@ def _merge_sweep(values: np.ndarray, rank: np.ndarray, domain: GridDomain, label
     partners = np.full(n_ex, -1, dtype=np.int64)
     partners[dead] = by_age[np.frombuffer(elders, np.int64)]
     saddles[dead] = sad
-    if descending:
-        pers[dead] = values[ex_vertices[dead]] - values[sad]
-    else:
-        pers[dead] = values[sad] - values[ex_vertices[dead]]
+    # float64 gathers, so a float32 field gives its float64 cast's persistence
+    at_ex = values[ex_vertices[dead]].astype(np.float64)
+    at_sad = values[sad].astype(np.float64)
+    pers[dead] = at_ex - at_sad if descending else at_sad - at_ex
     return pers, saddles, partners
 
 
@@ -635,11 +648,11 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     path on the descending (value, id) order, ties still to the lower id).
     Each vertex moves to its first neighbor in that order while one
     precedes it; the terminal vertices are the extrema, numbered densely in
-    vertex order. Values must be finite.
+    vertex order. Values must be finite; float32 ones are read as stored.
     """
     if kind not in ("minimum", "maximum"):
         raise ValueError(f"kind must be 'minimum' or 'maximum', got {kind!r}")
-    values = np.asarray(step, dtype=np.float64).reshape(-1)
+    values = step_values(step).reshape(-1)
     if values.size != domain.vertex_count:
         raise ValueError("step length does not match the domain")
     bad = first_non_finite(values)
@@ -651,11 +664,10 @@ def label_manifolds(step, domain: GridDomain, kind: ExtremumKind) -> ManifoldLab
     ptr = _descent_pointers(asc, rank, domain)
     del asc
     label, ex_vertices = _basins(ptr)  # in ptr's buffer
-    sizes = _sizes(label, ex_vertices.size)
 
     pers, saddles, partners = _merge_sweep(values, rank, domain, label, ex_vertices, descending)
     extrema = ExtremumColumns(kind, ex_vertices, values[ex_vertices], pers)
-    return ManifoldLabeling(domain, label, extrema, sizes, saddles, partners)
+    return ManifoldLabeling(domain, label, extrema, saddles, partners)
 
 
 def persistence_pairs(step, domain: GridDomain, kind: ExtremumKind):
@@ -690,14 +702,14 @@ def simplify(
         raise ValueError(f"threshold_pct must be in [0, 100], got {threshold_pct}")
     if value_range is not None and not 0.0 <= value_range < math.inf:
         raise ValueError(f"value_range must be a finite non-negative number, got {value_range}")
-    values = np.asarray(step, dtype=np.float64).reshape(-1)
+    values = step_values(step).reshape(-1)
     if values.size != labeling.domain.vertex_count:
         raise ValueError("step length does not match the labeling's domain")
     ex = labeling.extrema
     if (values[ex.vertex] != ex.value).any():
         raise ValueError("labeling was not produced from this step")
     if value_range is None:
-        value_range = float(values.max() - values.min())
+        value_range = float(values.max()) - float(values.min())
     threshold = threshold_pct / 100.0 * value_range
 
     cancel = ex.persistence < threshold
@@ -714,10 +726,9 @@ def simplify(
     del root
 
     label = remap[labeling.label]
-    sizes = _sizes(label, survivors.size)
     extrema = ex.take(survivors)
     saddles = labeling._saddles[survivors]
     partners = labeling._partners[survivors]
     merged = partners >= 0
     partners[merged] = remap[partners[merged]]
-    return ManifoldLabeling(labeling.domain, label, extrema, sizes, saddles, partners)
+    return ManifoldLabeling(labeling.domain, label, extrema, saddles, partners)

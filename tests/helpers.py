@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import extrack
-from extrack.correspond import matrix_to_doc
+from extrack.correspond import doc_to_matrix
 from extrack.features import FeatureSet
 from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
                            minimum_image_distance, sampling_offsets, stencil_vertices)
@@ -81,8 +81,7 @@ def fake_labeling(domain: GridDomain, label, kind="minimum", values=None) -> Man
         v = int(np.flatnonzero(label == i)[0])
         val = 0.0 if values is None else float(values[i])
         extrema.append(Extremum(i, v, val, math.inf, kind))
-    sizes = np.bincount(label, minlength=n)
-    return ManifoldLabeling(domain, label.copy(), extremum_columns(kind, extrema), sizes)
+    return ManifoldLabeling(domain, label.copy(), extremum_columns(kind, extrema))
 
 
 def brute_combinatorial_ball(domain: GridDomain, center: int, depth: int) -> list[int]:
@@ -415,9 +414,35 @@ def row(m, i: int) -> tuple[np.ndarray, np.ndarray]:
 # the column-array code in extrack.trackgraph and extrack.correspond.
 
 
+def matrix_to_doc(m, t: int) -> dict:
+    """The JSON document of a matrix file, built from Python lists: the
+    oracle of ``correspond.save_matrix``."""
+    return {
+        "t": int(t),
+        "kind": m.kind,
+        "direction": m.direction,
+        "strategy": m.strategy,
+        "rows": int(m.rows),
+        "cols": int(m.cols),
+        "denominators": m.row_denominators.tolist(),
+        "entries": [list(e) for e in zip(m.i.tolist(), m.j.tolist(), m.counts.tolist())],
+    }
+
+
 def oracle_matrix_json(m, t: int) -> str:
     """A matrix file's text through the standard library encoder."""
     return json.dumps(matrix_to_doc(m, t), sort_keys=True, indent=2) + "\n"
+
+
+def load_matrix(path):
+    """The matrix and step of a matrix file."""
+    return doc_to_matrix(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def unassigned_mass(m) -> np.ndarray:
+    """Per-row share of the denominator that no stored entry accounts for,
+    e.g. mass pointing outside the other step's features."""
+    return (m.row_denominators - m.row_sums()) / m.row_denominators
 
 
 def oracle_extremum_layers(labelings):

@@ -16,7 +16,8 @@ from extrack import cli, correspond, features, field, morse, synth, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, ScalarFieldSeries, load_labels, load_series, save_series
 from extrack.synth import GaussianBlob, GaussianScript, generate, random_script, save_script
-from helpers import oracle_compare_report, oracle_matrix_json, random_series, run_python
+from helpers import (load_matrix, oracle_compare_report, oracle_matrix_json, random_series,
+                     run_python)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,36 @@ class TestRun:
         main(["run", "--input", str(ridge_file), "--out", str(b), "--jobs", "8"])
         assert read_tree(a) == read_tree(b)
 
+    @pytest.mark.parametrize("flags", [[], ["--global-range"]], ids=["step-range", "global-range"])
+    @pytest.mark.parametrize("case", ["noise", "range-pair"])
+    def test_float32_series_runs_as_its_float64_cast(self, tmp_path, case, flags):
+        # every range is taken in float64, so a float32 series and its float64
+        # cast write the same labels, matrices and graph. In "range-pair" two
+        # equal minima are split by a wall at the series maximum: the younger
+        # one's persistence is the exact range, 1 - 1e-8, so it survives
+        # 100 %, where a range rounded to float32 (1.0) would cancel it
+        if case == "noise":
+            series = random_series(np.random.default_rng(52), (12, 10), 3, (True, False))
+            domain, steps, pct, kept = series.domain, series.steps, "5", None
+        else:
+            step = np.tile(np.array([1e-8, 0.5, 1.0, 0.5, 1e-8], np.float32), 3)
+            domain, steps, pct, kept = GridDomain((3, 5)), (step, step), "100", {0, 1}
+        steps = tuple(s.astype(np.float32) for s in steps)
+        trees = []
+        for name, dtype, fmt in (("f32", np.float32, "raw-f32"), ("f64", np.float64, "raw-f64")):
+            path, out = tmp_path / f"{name}.xtrk", tmp_path / name
+            save_series(ScalarFieldSeries(domain, tuple(s.astype(dtype) for s in steps)), path)
+            assert main(["run", "--input", str(path), "--format", fmt, "--out", str(out),
+                         "--persistence-pct", pct, "--dump-labels", *flags]) == 0
+            tree = read_tree(out)
+            del tree["graph.json"]  # it echoes the input's path and format
+            trees.append(tree)
+        assert trees[0] == trees[1]
+        assert "graph.dot" in trees[0] and "labels_0001.xtrk" in trees[0]
+        assert sum("overlap_" in n for n in trees[0]) == 2 * (len(steps) - 1)
+        if kept is not None:
+            assert set(load_labels(tmp_path / "f32" / "labels_0000.xtrk")[0].tolist()) == kept
+
     def test_dump_labels(self, ridge_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--input", str(ridge_file), "--out", str(out), "--dump-labels"])
@@ -285,7 +316,7 @@ class TestFeaturePipeline:
         assert len(paths) == 8
         loaded = []
         for p in paths:
-            m, t = correspond.load_matrix(p)
+            m, t = load_matrix(p)
             again = tmp_path / "again.json"
             correspond.save_matrix(m, t, again)
             assert again.read_bytes() == p.read_bytes(), p.name
@@ -367,7 +398,7 @@ class TestMatrixPairs:
         for p in pairs:
             twin = p.with_name(p.name.replace("overlap_", "correspondence_"))
             for path in (p, twin):
-                m, t = correspond.load_matrix(path)
+                m, t = load_matrix(path)
                 assert path.read_text() == oracle_matrix_json(m, t), path.name
             a, b = p.read_text().splitlines(), twin.read_text().splitlines()
             k = a.index('  "kind": "overlap",')

@@ -13,9 +13,7 @@ from extrack.correspond import (
     _keys_and_counts,
     binary_correspondence,
     doc_to_matrix,
-    load_matrix,
     manifold_overlap,
-    matrix_to_doc,
     normalize,
     sampling_overlap,
     save_matrix,
@@ -28,6 +26,8 @@ from helpers import (
     brute_combinatorial_ball,
     entry,
     fake_labeling,
+    load_matrix,
+    matrix_to_doc,
     neighborhood,
     oracle_matrix_json,
     oracle_sampling_overlap,
@@ -426,16 +426,18 @@ class TestSerialization:
         a, b = p.read_bytes(), twin.read_bytes()
         assert b == a.replace(b'"kind": "overlap"', b'"kind": "correspondence"')
 
-    def test_doc_shape_is_stable(self):
+    def test_doc_shape_is_stable(self, tmp_path):
         dom = GridDomain((4, 4))
         lab = fake_labeling(dom, [0] * 16)
         fwd, _ = manifold_overlap(lab, lab)
-        doc = matrix_to_doc(fwd, 5)
-        assert doc == {
+        p = tmp_path / "m.json"
+        save_matrix(fwd, 5, p)
+        want = {
             "t": 5, "kind": "overlap", "direction": "forward",
             "strategy": "manifold-overlap", "rows": 1, "cols": 1,
             "denominators": [16], "entries": [[0, 0, 16]],
         }
+        assert json.loads(p.read_text()) == matrix_to_doc(fwd, 5) == want
 
 
 def matrix_doc(**changes):
@@ -549,7 +551,7 @@ class TestMatrixInvariants:
             lab_t = label_manifolds(step_t, dom, "minimum")
             lab_n = simplify(label_manifolds(step_n, dom, "minimum"), step_n, 20.0)
             wide = [ManifoldLabeling(dom, lab.label.astype(np.int64), lab.extrema,
-                                     lab.sizes.copy(), lab._saddles, lab._partners)
+                                     lab._saddles, lab._partners)
                     for lab in (lab_t, lab_n)]
             assert lab_t.label.dtype == lab_n.label.dtype == np.int32
             assert lab_n.n_extrema > 1 and wide[0].label.dtype == np.int64

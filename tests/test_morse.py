@@ -264,7 +264,7 @@ class TestExtremumColumns:
         lab = label_manifolds(values, dom, "minimum")
         again = ManifoldLabeling(dom, lab.label.copy(),
                                  extremum_columns("minimum", tuple(lab.extrema)),
-                                 lab.sizes.copy(), lab._saddles, lab._partners)
+                                 lab._saddles, lab._partners)
         for name in ("vertex", "value", "persistence"):
             got, want = getattr(again.extrema, name), getattr(lab.extrema, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -273,8 +273,7 @@ class TestExtremumColumns:
         assert persistence_pairs(values, dom, "minimum") == oracle_merge_tree(values, dom, "minimum")
         with pytest.raises(AssertionError):  # ids are implicit: 0..n-1 in order
             ManifoldLabeling(dom, lab.label.copy(),
-                             extremum_columns("minimum", tuple(lab.extrema)[::-1]),
-                             lab.sizes.copy())
+                             extremum_columns("minimum", tuple(lab.extrema)[::-1]))
 
 
 class TestPersistencePairs:
@@ -370,6 +369,18 @@ class TestSimplify:
         # with a widened range the 0.5% bar rises above persistence 9
         s = simplify(lab, vals, 0.5, value_range=2000.0)
         assert [e.vertex for e in s.extrema] == [0]
+
+    def test_float32_range_is_taken_in_float64(self):
+        # two equal minima split by a wall at the maximum: the younger one's
+        # persistence is the exact range, 1 - 1e-8, so it survives 100 %,
+        # where the range rounded to float32 (1.0) would cancel it
+        step = np.tile(np.array([1e-8, 0.5, 1.0, 0.5, 1e-8], np.float32), 3)
+        dom = GridDomain((3, 5))
+        for s in (step, step.astype(np.float64)):
+            lab = label_manifolds(s, dom, "minimum")
+            assert lab.extrema.vertex.tolist() == [0, 4]
+            assert lab.extrema.persistence[1] == 1.0 - float(np.float32(1e-8))
+            assert simplify(lab, s, 100.0).n_extrema == 2
 
     @pytest.mark.parametrize("value_range", [math.nan, -5.0, -1e-300, math.inf, -math.inf])
     def test_bad_value_range_rejected(self, value_range):
@@ -667,33 +678,66 @@ class TestAgainstOracles:
         assert s.label.reshape(step.shape).tolist() == case["simplified"]
 
 
-def test_labeling_memory_is_linear_in_the_field():
+@pytest.mark.parametrize("kind", ["minimum", "maximum"])
+@pytest.mark.parametrize("dims,periodic", [((9, 11), (True, False)), ((2, 7), (True, True)),
+                                           ((3, 8), (True, False)), ((2, 3, 5), (True, True, False)),
+                                           ((6, 5, 4), (False, True, False))])
+def test_float32_step_labels_as_its_float64_cast(dims, periodic, kind):
+    # a float32 step is read as stored; every output equals that of its
+    # float64 cast: float32 differences of values many binades apart round,
+    # so persistence and the step's range must be taken in float64
+    rng = np.random.default_rng(sum(dims))
+    dom = GridDomain(dims, periodic=periodic)
+    v = dom.vertex_count
+    spread = rng.standard_normal(v) * 10.0 ** rng.integers(-8, 3, v)
+    ties = np.round(2 * rng.standard_normal(v)) + 1e-7 * rng.integers(0, 2, v)
+    for values in (spread, ties):
+        step = values.astype(np.float32)
+        cast = step.astype(np.float64)
+        for pct in (0.0, 1.0, 30.0):
+            got, want = (simplify(label_manifolds(s, dom, kind), s, pct) for s in (step, cast))
+            assert got.label.tobytes() == want.label.tobytes()
+            for name in ("vertex", "value", "persistence"):
+                assert getattr(got.extrema, name).tobytes() == getattr(want.extrema, name).tobytes()
+            assert np.array_equal(got._saddles, want._saddles)
+            assert np.array_equal(got._partners, want._partners)
+            assert np.array_equal(got.sizes, want.sizes)
+        assert persistence_pairs(step, dom, kind) == persistence_pairs(cast, dom, kind)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_labeling_memory_is_linear_in_the_field(dtype):
     # white noise: one extremum per ~15 vertices in 3D and ~7 in 2D, so any
     # per-edge or (V, K) table shows up as a multiple of the field's bytes;
     # maxima must not add a negated copy of the field. Both grids have a
-    # periodic first axis, the axis the sweep cuts its sub-slabs along.
+    # periodic first axis, the axis the sweep cuts its sub-slabs along. A
+    # float32 step is read as stored, with no float64 copy: it keeps the
+    # bound of the float64 field's bytes.
     for dims in ((48, 48, 48), (512, 512)):
         dom = GridDomain(dims, periodic=(True,) + (False,) * (len(dims) - 1))
-        step = np.random.default_rng(3).standard_normal(dom.vertex_count)
+        noise = np.random.default_rng(3).standard_normal(dom.vertex_count)
+        step = noise.astype(dtype)
         for kind in ("minimum", "maximum"):
             peak = peak_over_field(lambda: simplify(label_manifolds(step, dom, kind), step, 1.0),
-                                   step)
+                                   noise)
             assert peak <= 30, (dims, kind)
             assert peak <= 16, (dims, kind)
             assert peak <= 8, (dims, kind)
             assert peak <= 3.5, (dims, kind, peak)
 
 
-def test_plateau_labeling_memory_is_linear_in_the_field():
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_plateau_labeling_memory_is_linear_in_the_field(dtype):
     # a constant field is one run of ties over the whole order, and a
     # quantized one a few long runs: sorting the runs by id must stay
-    # within the bound white noise keeps
+    # within the bound white noise keeps, in the float64 field's bytes
     for dims in ((48, 48, 48), (512, 512)):
         dom = GridDomain(dims, periodic=(True,) + (False,) * (len(dims) - 1))
         noise = np.random.default_rng(3).standard_normal(dom.vertex_count)
-        for name, step in (("constant", np.zeros(dom.vertex_count)),
-                           ("quantized", np.round(2 * noise))):
+        for name, field64 in (("constant", np.zeros(dom.vertex_count)),
+                              ("quantized", np.round(2 * noise))):
+            step = field64.astype(dtype)
             for kind in ("minimum", "maximum"):
                 peak = peak_over_field(
-                    lambda: simplify(label_manifolds(step, dom, kind), step, 1.0), step)
+                    lambda: simplify(label_manifolds(step, dom, kind), step, 1.0), field64)
                 assert peak <= 3.5, (dims, name, kind, peak)

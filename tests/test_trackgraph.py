@@ -929,14 +929,15 @@ def test_library_takes_columns_only():
         text = path.read_text(encoding="utf-8")
         assert "def from_objects" not in text and "class TotalOrder" not in text, path.name
     assert not hasattr(extrack, "TotalOrder") and not hasattr(morse, "TotalOrder")
-    for owner, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support")),
+    for owner, names in ((OverlapMatrix, ("row", "_at", "entry", "prob", "items", "support",
+                                          "unassigned_mass")),
                          (TrackingGraph, ("layer", "edge_set", "_with_derived_tracks")),
                          (NodeColumns, ("track", "with_tracks", "build", "__iter__")),
                          (features.FeatureSet, ("covered",)),
                          (features.singleton_features(0, 2), ("index_sets", "labels", "feature_ids")),
                          (features, ("save_features", "_members")),
                          (field, ("euclidean_ball", "vertex_neighbors")),
-                         (correspond, ("sampling_neighborhood",)),
+                         (correspond, ("sampling_neighborhood", "matrix_to_doc", "load_matrix")),
                          (extrack, ("euclidean_ball", "vertex_neighbors", "sampling_neighborhood")),
                          (EdgeColumns.concat([]), ("t", "i", "j", "build", "with_rows")),
                          (trackgraph, ("_edge_rows",)),
@@ -945,6 +946,9 @@ def test_library_takes_columns_only():
                          (field.ScalarFieldSeries, ("timestamps",)),
                          (field, ("_positions",))):
         assert not [n for n in names if hasattr(owner, n)], owner
+    # a labeling's basin sizes are derived from its labels, not stored
+    assert [f.name for f in dataclasses.fields(morse.ManifoldLabeling)] == [
+        "domain", "label", "extrema", "_saddles", "_partners"]
     # a node's track belongs to the graph (TrackingGraph.tracks), not to the node
     assert [f.name for f in dataclasses.fields(NodeColumns)] == ["t", "id", "kind", "vertex",
                                                                   "value", "pos"]
