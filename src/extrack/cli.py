@@ -31,7 +31,7 @@ import numpy as np
 
 from . import correspond, features, field, synth, trackgraph
 from .field import GridDomain, ScalarFieldSeries, SeriesFormatError
-from .morse import ManifoldLabeling, label_manifolds, simplify
+from .morse import ManifoldLabeling, _run_starts, label_manifolds, simplify
 
 log = logging.getLogger("extrack")
 
@@ -440,8 +440,7 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
 def _n_distinct(a: np.ndarray) -> int:
     """The number of distinct values in a, counted without ``np.unique``,
     whose plain form imports ``numpy.ma``."""
-    a = np.sort(a)
-    return int(a.size and 1 + np.count_nonzero(a[1:] != a[:-1]))
+    return int(np.count_nonzero(_run_starts(np.sort(a))))
 
 
 def compare(config: PipelineConfig, strategies) -> int:

@@ -25,7 +25,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .field import open_output, sampling_offsets, stencil_vertices
-from .morse import ManifoldLabeling, _chunks, _id_dtype
+from .morse import ManifoldLabeling, _chunks, _id_dtype, _run_starts
 
 Direction = Literal["forward", "backward"]
 Strategy = Literal["sampling-euclidean", "sampling-combinatorial", "manifold-overlap", "binary"]
@@ -41,13 +41,13 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
     entry adds its count from cc, or 1 without cc, and repeated (i, j) sum.
     Both come back as int64.
 
-    The entries are counted ``_chunk_size`` at a time, with int32 keys
-    while rows * cols < 2**31, and the chunks' sorted runs are then merged,
-    so memory grows with the distinct (i, j) plus one chunk, not with the
-    entry count.
+    Keys are built ``_chunk_size`` entries at a time, int32 while rows *
+    cols < 2**31, and one merge of sorted runs sums the repeats. Entries
+    without counts are counted per chunk first, so memory grows with the
+    distinct (i, j) plus one chunk, not with the entry count; entries with
+    counts, which their caller holds whole, go to the merge as they are.
     """
     ii, jj = np.asarray(ii), np.asarray(jj)
-    cc = None if cc is None else np.asarray(cc, dtype=np.int64)
     dt = _id_dtype(rows * cols)
     keys, counts = [np.empty(0, dt)], [np.empty(0, np.int64)]
     for s in _chunks(ii.size):
@@ -59,14 +59,11 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
         k += j
         if cc is None:
             k.sort()
-            u, at = _runs(k)
-            c = np.diff(at, append=k.size)
-        else:
-            order = np.argsort(k)
-            u, at = _runs(k[order])
-            c = np.add.reduceat(cc[s][order], at)
-        keys.append(u)
-        counts.append(c)
+            k, at = _runs(k)
+            counts.append(np.diff(at, append=i.size))
+        keys.append(k)
+    if cc is not None:
+        counts.append(np.asarray(cc, dtype=np.int64))
     if dt == np.int32 and max(c.max(initial=0) for c in counts) < 2**32:
         # each (key, count) packed into one int64, the key in its high half,
         # so that one in-place sort merges the runs
@@ -96,10 +93,7 @@ _HIGH = int(sys.byteorder == "little")
 def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the ascending k, and where the run of each
     starts."""
-    first = np.empty(k.size, bool)
-    first[:1] = True
-    np.not_equal(k[1:], k[:-1], out=first[1:])
-    at = np.flatnonzero(first)
+    at = np.flatnonzero(_run_starts(k))
     return k[at], at
 
 
@@ -116,6 +110,15 @@ def _ints(value, what: str) -> np.ndarray:
     unless every number in it is a JSON integer (no float, even if integral,
     no bool and no str)."""
     return _numbers(value, what, "i", "integers").astype(np.int64, copy=False)
+
+
+def _int(value, what: str) -> int:
+    """A document's value as an int; ``ValueError`` naming it unless it is
+    one JSON integer, not a list."""
+    a = _ints(value, what)
+    if a.ndim:
+        raise ValueError(f"{what} must be one integer, got a list")
+    return int(a)
 
 
 def _reals(value, what: str) -> np.ndarray:
@@ -208,7 +211,8 @@ class OverlapMatrix:
 
     def unkey(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) of each row-major key of this shape."""
-        return np.divmod(keys, max(self.cols, 1))
+        i = keys // max(self.cols, 1)  # numpy divides by a scalar faster than divmod does
+        return i, keys - i * max(self.cols, 1)
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -240,8 +244,10 @@ class OverlapMatrix:
 
     def transpose(self, row_denominators) -> "OverlapMatrix":
         direction = "backward" if self.direction == "forward" else "forward"
-        # int32 rows and columns where they fit: half the counter's input
-        i, j = (a.astype(_id_dtype(max(self.rows, self.cols))) for a in self.unkey(self.keys))
+        # int32 keys, rows and columns where they fit: a faster division,
+        # and half the counter's input
+        i, j = (a.astype(_id_dtype(max(self.rows, self.cols)), copy=False) for a in
+                self.unkey(self.keys.astype(_id_dtype(self.rows * self.cols), copy=False)))
         return OverlapMatrix(
             self.cols, self.rows, direction, self.strategy,
             *_keys_and_counts(self.cols, self.rows, j, i, self.counts),
@@ -345,28 +351,33 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     """The matrix of a document read from outside; every invariant of the
     type, integral shapes, steps, denominators and entries included, is
     checked with a ``ValueError``, so ``python -O`` loads no malformed
-    document either."""
+    document either, nor one nested other than as ``save_matrix`` writes it."""
     for key, names in (("kind", get_args(Kind)), ("direction", get_args(Direction)),
                        ("strategy", get_args(Strategy))):
         if doc[key] not in names:
             raise ValueError(f"unknown matrix {key} {doc[key]!r}")
-    rows, cols = (int(_ints(doc[key], repr(key))) for key in ("rows", "cols"))
+    rows, cols = (_int(doc[key], repr(key)) for key in ("rows", "cols"))
     if rows < 0 or cols < 0:
         raise ValueError(f"negative shape {rows} x {cols}")
     if rows * cols >= 2**63:  # every key i * cols + j must fit in int64
         raise ValueError(f"shape {rows} x {cols} has more cells than int64 keys can index")
-    denom = _ints(doc["denominators"], "'denominators'").reshape(-1)
+    denom = _ints(doc["denominators"], "'denominators'")
+    if denom.ndim != 1:
+        raise ValueError("'denominators' must be one list of integers")
     if denom.size != rows:
         raise ValueError(f"{denom.size} denominators for {rows} rows")
     if (denom < 1).any():
         raise ValueError("denominators must be positive")
-    ii, jj, cc = _ints(doc["entries"], "'entries'").reshape(-1, 3).T
+    entries = _ints(doc["entries"], "'entries'")
+    if entries.shape != (0,) and (entries.ndim != 2 or entries.shape[1] != 3):
+        raise ValueError("'entries' must be a list of [i, j, count] lists")
+    ii, jj, cc = entries.reshape(-1, 3).T
     if (cc < 1).any():
         raise ValueError("entry counts must be at least 1")
     keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
     if (counts > denom[keys // max(cols, 1)]).any():
         raise ValueError("an entry count exceeds its row denominator")
-    t = int(_ints(doc["t"], "'t'"))
+    t = _int(doc["t"], "'t'")
     if t < 0:
         raise ValueError(f"negative step t={t}")
     return OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],

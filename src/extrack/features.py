@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _ints, _keys_and_counts, normalize
+from .correspond import OverlapMatrix, _int, _ints, _keys_and_counts, normalize
 from .morse import ManifoldLabeling
 
 
@@ -89,8 +89,10 @@ def feature_overlap(
     k = features_t.membership(o.rows)[o.i]
     l = features_other.membership(o.cols)[o.j]
     keep = (k >= 0) & (l >= 0)
+    k = k[keep]  # one column at a time: at most three columns are held at once
+    l = l[keep]
     rows, cols = features_t.n_features, features_other.n_features
-    keys, counts = _keys_and_counts(rows, cols, k[keep], l[keep], o.counts[keep])
+    keys, counts = _keys_and_counts(rows, cols, k, l, o.counts[keep])
     fo = OverlapMatrix(rows, cols, o.direction, o.strategy, keys, counts,
                        feature_denominators(features_t, o))
     # partial partitions may leave mass outside the listed features
@@ -140,7 +142,7 @@ def load_features(path) -> list[FeatureSet]:
         order = np.argsort(ids, kind="stable")
         sets = [entry["features"][k]["extrema"] for k in order]
         members = _ints(list(chain.from_iterable(sets)), "feature 'extrema'")
-        out.append(FeatureSet(int(_ints(entry["t"], "'t'")), members, list(map(len, sets))))
+        out.append(FeatureSet(_int(entry["t"], "'t'"), members, list(map(len, sets))))
         # checked last, so the set's own errors come first
         if (np.diff(ids[order]) == 0).any():
             raise ValueError("feature ids must be unique")

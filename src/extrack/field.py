@@ -260,7 +260,8 @@ class ScalarFieldSeries:
             raise ValueError("a series needs at least one time step")
         steps = []
         for t, s in enumerate(self.steps):
-            arr = step_values(s)
+            given = np.asarray(s)
+            arr = step_values(given)
             if arr.size != self.domain.vertex_count:
                 raise ValueError(
                     f"step {t} has {arr.size} values, domain has {self.domain.vertex_count} vertices"
@@ -268,9 +269,11 @@ class ScalarFieldSeries:
             bad = first_non_finite(arr)
             if bad is not None:
                 raise NonFiniteValue(t, bad)
-            if arr.ndim != 1 or not isinstance(arr.base, bytes):  # someone could write it
+            if arr is not given:  # step_values' own copy, which no caller holds
+                arr = arr.reshape(-1)
+            elif arr.ndim != 1 or not isinstance(arr.base, bytes):  # someone could write it
                 arr = arr.flatten()
-                arr.flags.writeable = False
+            arr.flags.writeable = False
             steps.append(arr)
         object.__setattr__(self, "steps", tuple(steps))
 

@@ -362,22 +362,24 @@ def _boundary_pieces(domain: GridDomain):
     return slabs, len(number)
 
 
-def _firsts(code: np.ndarray, kb: int) -> np.ndarray:
-    """The first code of each run of equal ``code >> kb`` in sorted code."""
-    first = np.empty(code.size, dtype=bool)
+def _run_starts(a: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Mask of the positions of the sorted a where a run of equal
+    ``a >> shift`` starts, compared in chunks."""
+    first = np.empty(a.size, dtype=bool)
     first[:1] = True
-    for c in _chunks(code.size - 1):
+    for c in _chunks(a.size - 1):
         nxt = slice(c.start + 1, c.stop + 1)
-        np.not_equal(code[nxt] >> kb, code[c] >> kb, out=first[nxt])
-    return code[first]
+        x, y = a[nxt], a[c]
+        if shift:
+            x, y = x >> shift, y >> shift
+        np.not_equal(x, y, out=first[nxt])
+    return first
 
 
 def _saddle_vertices(rank: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The vertex of each of the ascending ``ranks``, read back from rank
     in chunks."""
-    new = np.empty(ranks.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    new = _run_starts(ranks)
     want, inv = ranks[new], np.cumsum(new) - 1
     hit = np.zeros(rank.size, dtype=bool)
     hit[want] = True
@@ -467,7 +469,7 @@ def _merge_sweep(values: np.ndarray, rank: np.ndarray, domain: GridDomain, label
                 runs[j] = None
                 waiting.clear()
                 both.sort()
-                runs[j] = _firsts(both, vb + cb)
+                runs[j] = both[_run_starts(both, vb + cb)]
 
     lab, r = label.reshape(domain.dims), rank.reshape(domain.dims)
     for src, dst, up, cls in pieces:
@@ -495,7 +497,7 @@ def _merge_sweep(values: np.ndarray, rank: np.ndarray, domain: GridDomain, label
             if code is pair:
                 pair = s = lower = None
             code.sort()
-            code = _firsts(code, vb + 1)
+            code = code[_run_starts(code, vb + 1)]
             # each running array's share, the tie class in place of the lower bit
             starts = np.arange(0, min(sort_span, n_pairs - p0), run_span, dtype=np.int64)
             shares = np.split(code, np.searchsorted(code, starts[1:] << vb + 1))

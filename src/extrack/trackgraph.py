@@ -489,16 +489,21 @@ def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
 
 def _column(records: list[dict], name: str, key: str, default=None):
     """``key`` of every record, ``default`` where it is absent, checked: an
-    integer key as int64, a node kind as one of the two, a number as float64."""
+    integer key as one int64 per record, a node kind as one of the two, a
+    position as one list of float64 per record and any other number as one
+    float64 per record."""
     c = [x.get(key, default) for x in records]
-    if key in ("t", "id", "vertex", "track", "i", "j"):
-        return _ints(c, f"{name} {key!r}")
-    if key != "kind":
-        return _reals(c, f"{name} {key!r}")
-    bad = [k for k in c if k not in ("extremum", "feature")]
-    if bad:
-        raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
-    return c
+    if key == "kind":
+        bad = [k for k in c if k not in ("extremum", "feature")]
+        if bad:
+            raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
+        return c
+    integer = key in ("t", "id", "vertex", "track", "i", "j")
+    a = (_ints if integer else _reals)(c, f"{name} {key!r}")
+    shape = "one list of numbers" if key == "pos" else "one integer" if integer else "one number"
+    if c and a.ndim != 1 + (key == "pos"):
+        raise ValueError(f"each {name} {key!r} must be {shape}")
+    return a
 
 
 def import_graph(text: str) -> TrackingGraph:
@@ -510,8 +515,9 @@ def doc_to_graph(doc) -> TrackingGraph:
     """The graph of a parsed graph document; stored track ids are kept as-is.
 
     The document comes from outside, so every check raises ``ValueError``
-    (also under ``python -O``): required keys, integers in the integer
-    keys, numbers in the others, a known node kind, each node (t, id)
+    (also under ``python -O``): required keys, one integer in each integer
+    key, one number in the others and one list of numbers in ``pos``, a
+    known node kind, each node (t, id)
     listed once with t >= 0, each edge (t, i, j) listed once between nodes
     that exist in layers t and t+1, and probabilities and strengths in
     (0, 1].
@@ -521,13 +527,10 @@ def doc_to_graph(doc) -> TrackingGraph:
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
     t, id, kind, vertex, value, pos, track = (_column(nd, "node", k) for k in _NODE_KEYS)
-    n = len(nd)
-    t, id = t.reshape(n), id.reshape(n)
     order = np.lexsort((id, t))
-    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str).reshape(n)[order],
-                        vertex.reshape(n)[order], value.reshape(n)[order],
-                        _pos_array(pos, n)[order])
-    tracks = track.reshape(n)[order]
+    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str)[order], vertex[order],
+                        value[order], _pos_array(pos, len(nd))[order])
+    tracks = track[order]
     del id, kind, vertex, value, pos, track
     # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
     if len(nodes) and nodes.t[0] < 0:

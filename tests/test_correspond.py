@@ -482,6 +482,17 @@ MALFORMED_DOCS = {
                                         entries=[[1, 0, 1]]), "shape 2 x 4611686018427387904"),
     "shape of 2**64 cells": (matrix_doc(rows=2**32, cols=2**32, entries=[]),
                              "shape 4294967296 x 4294967296"),
+    # each value nested as written: a reshape would hide the wrong nesting
+    "flat entries": (matrix_doc(entries=[0, 1, 1, 1, 0, 3]), "'entries' must be a list of"),
+    "short entry": (matrix_doc(entries=[[0, 1]]), "'entries' must be a list of"),
+    "empty entry": (matrix_doc(entries=[[]]), "'entries' must be a list of"),
+    "nested entries": (matrix_doc(entries=[[[0, 1, 1]], [[1, 0, 3]]]), "'entries' must be a list of"),
+    "scalar denominators": (matrix_doc(rows=1, denominators=2, entries=[[0, 1, 1]]),
+                            "'denominators' must be one list"),
+    "nested denominators": (matrix_doc(denominators=[[2, 3]]), "'denominators' must be one list"),
+    "listed rows": (matrix_doc(rows=[2]), "'rows' must be one integer"),
+    "listed columns": (matrix_doc(cols=[2]), "'cols' must be one integer"),
+    "listed step": (matrix_doc(t=[0]), "'t' must be one integer"),
 }
 
 
@@ -493,6 +504,12 @@ class TestLoadValidation:
         m, _ = doc_to_matrix(matrix_doc(rows=3, cols=4, denominators=[9, 9, 9],
                                         entries=[[2, 1, 1], [0, 3, 2], [2, 0, 4], [2, 1, 5]]))
         assert_oracle_entries(m, np.array([[0, 0, 0, 2], [0, 0, 0, 0], [4, 6, 0, 0]]))
+
+    def test_empty_lists_load(self):
+        m, _ = doc_to_matrix(matrix_doc(rows=0, denominators=[], entries=[]))
+        assert (m.rows, m.cols, m.keys.size) == (0, 2, 0)
+        m, _ = doc_to_matrix(matrix_doc(entries=[]))
+        assert m.keys.size == 0 and m.row_denominators.tolist() == [2, 3]
 
     def test_largest_keyed_shape_loads(self):
         # the last cell's key is 2**63 - 2, one below the int64 maximum
@@ -694,9 +711,10 @@ def dict_count(rows, cols, ii, jj, cc=None):
 
 
 class TestChunkedCounter:
-    """``_keys_and_counts`` counts its entries a chunk at a time and merges
-    the chunks' runs; a lowered chunk floor runs every input over many
-    chunks."""
+    """``_keys_and_counts`` builds its keys a chunk at a time, counts
+    entries without counts per chunk and merges the chunks' runs, or the
+    entries with counts as they are; a lowered chunk floor runs every input
+    over many chunks."""
 
     @pytest.fixture(params=[4, 64, None], ids=["chunk-4", "chunk-64", "chunk-default"])
     def chunk_min(self, request, monkeypatch):

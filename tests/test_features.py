@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from extrack.cli import main
 from extrack.correspond import (OverlapMatrix, binary_correspondence, manifold_overlap,
                                 sampling_overlap)
 from extrack.features import (
+    FeatureSet,
     feature_correspondence,
     feature_denominators,
     feature_overlap,
@@ -192,6 +194,33 @@ class TestLift:
         b = feature_overlap(fn, ft, bwd).to_dense()
         assert np.array_equal(a.T, b)
 
+    @pytest.mark.parametrize("group", [1, 3], ids=["singletons", "triples"])
+    def test_lift_memory_is_bounded_by_the_input_matrix(self, group):
+        # a 3D sampling matrix (balls of 33 vertices) lifted to features
+        # of `group` extrema each: beyond its output the lift holds at most
+        # three times the input's keys and counts, the entries it keeps
+        # going to the counter's merge uncounted
+        rng = np.random.default_rng(34)
+        dom = GridDomain((40, 40, 40), periodic=(True, False, False))
+        lab_t, lab_n = (label_manifolds(rng.standard_normal(dom.vertex_count), dom, "minimum")
+                        for _ in range(2))
+        o = sampling_overlap(lab_t, lab_n, "euclidean", 2.0, "forward")
+
+        def grouped(n):
+            sizes = np.full(n // group, group)
+            sizes[-1] += n % group  # the last feature takes the rest
+            return FeatureSet(0, np.arange(n), sizes)
+
+        ft, fn = grouped(o.rows), grouped(o.cols)
+        tracemalloc.start()
+        try:
+            fo = feature_overlap(ft, fn, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = peak - fo.keys.nbytes - fo.counts.nbytes - fo.row_denominators.nbytes
+        assert held <= 3 * (o.keys.nbytes + o.counts.nbytes), held / (o.keys.nbytes + o.counts.nbytes)
+
 
 class TestDenominators:
     def test_manifold_denominator_is_union_size(self):
@@ -336,6 +365,12 @@ class TestFeatureIO:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"{key} must be integers"):
+            load_features(p)
+
+    def test_step_must_be_one_integer(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"t": [0], "features": [{"id": 0, "extrema": [0]}]}))
+        with pytest.raises(ValueError, match="'t' must be one integer"):
             load_features(p)
 
 

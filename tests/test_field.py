@@ -195,6 +195,20 @@ class TestSeries:
         assert not s.steps[0].any() and not s.steps[1].any()
         assert np.shares_memory(s.steps[2], frozen)
 
+    @pytest.mark.parametrize("shape", [(512 * 512,), (512, 512)], ids=["flat", "2d"])
+    def test_a_non_float_step_is_copied_once(self, shape):
+        # an int step becomes one float64 copy, which no caller holds: the
+        # series keeps it, flat and read-only, with no second copy
+        d = GridDomain((512, 512))
+        step = np.random.default_rng(6).integers(-2**40, 2**40, shape)
+        peak = peak_over_field(lambda: ScalarFieldSeries(d, (step,)), np.zeros(d.vertex_count))
+        assert peak <= 1.1, peak
+        kept = ScalarFieldSeries(d, (step,)).steps[0]
+        assert kept.dtype == np.float64 and kept.shape == (d.vertex_count,)
+        assert np.array_equal(kept, step.reshape(-1).astype(np.float64))
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+
 
 class TestRawFormat:
     def test_round_trip_f64_bit_exact(self, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from extrack import morse
 from extrack.field import GridDomain
 from extrack.morse import (Extremum, ManifoldLabeling, _descent_pointers, _id_dtype,
-                           _merge_sweep, _resolve_roots, _spanning_forest, _total_order,
-                           label_manifolds, persistence_pairs, simplify)
+                           _merge_sweep, _resolve_roots, _run_starts, _spanning_forest,
+                           _total_order, label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
 from helpers import (extremum_columns, grid_series, neighborhood, oracle_descent_pointers,
                      oracle_extrema, oracle_merge_sweep, oracle_spanning_forest, peak_over_field)
@@ -58,6 +58,41 @@ def path_values(row):
     # 1D examples live on a duplicated-row 2xN grid; the labeling and
     # pairing behave exactly like the path graph (checked by oracle)
     return np.array(list(row) * 2, dtype=np.float64), GridDomain((2, len(row)))
+
+
+class TestRunStarts:
+    """``_run_starts`` marks where each run of equal ``a >> shift`` starts,
+    as the first indices of ``np.unique`` do."""
+
+    @pytest.mark.parametrize("chunk_min", [2, 5, None])
+    @pytest.mark.parametrize("shift", [0, 3, 40])
+    def test_matches_unique(self, monkeypatch, chunk_min, shift):
+        # runs of about three equal values, so that with small chunks many
+        # runs straddle a chunk boundary; a shift merges neighbouring values
+        # into one run, and 40 merges every int32 value into one
+        if chunk_min is not None:
+            monkeypatch.setattr(morse, "_CHUNK_MIN", chunk_min)
+        rng = np.random.default_rng(70)
+        for dtype in (np.int32, np.int64):
+            for n in (0, 1, 2, 3, 17, 200):
+                a = np.sort(rng.integers(0, max(1, n // 3), n)).astype(dtype)
+                if dtype == np.int64:
+                    a <<= 38  # values past 32 bits
+                first = _run_starts(a, shift)
+                assert first.dtype == bool and first.shape == a.shape
+                want = np.unique(a >> shift, return_index=True)[1]
+                assert np.flatnonzero(first).tolist() == want.tolist(), (dtype, n)
+
+    def test_empty_and_one_element(self):
+        assert _run_starts(np.zeros(0, np.int64)).tolist() == []
+        assert _run_starts(np.array([7]), 2).tolist() == [True]
+
+    def test_run_across_every_chunk(self, monkeypatch):
+        # one run longer than all the chunks it spans, then a second
+        monkeypatch.setattr(morse, "_CHUNK_MIN", 3)
+        a = np.array([4] * 20 + [5, 6, 6])
+        assert np.flatnonzero(_run_starts(a)).tolist() == [0, 20, 21]
+        assert np.flatnonzero(_run_starts(a, 1)).tolist() == [0, 21]
 
 
 class TestTotalOrder:

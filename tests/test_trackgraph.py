@@ -577,6 +577,19 @@ MALFORMED_GRAPHS = {
                                 "node 'pos' must be numbers, got a boolean"),
     "boolean strength": (graph_doc(strength=True), "edge 'strength' must be numbers"),
     "string pf": (graph_doc(pf="0.5"), "edge 'pf' must be numbers"),
+    # each value nested as written: a reshape would hide the wrong nesting
+    "scalar position": ({**graph_doc(), "nodes": [{**n, "pos": 3} for n in graph_doc()["nodes"]]},
+                        "each node 'pos' must be one list of numbers"),
+    "nested position": ({**graph_doc(), "nodes": [{**n, "pos": [[1]]}
+                                                  for n in graph_doc()["nodes"]]},
+                        "each node 'pos' must be one list of numbers"),
+    "listed node step": ({**graph_doc(), "nodes": [{**n, "t": [n["t"]]}
+                                                   for n in graph_doc()["nodes"]]},
+                         "each node 't' must be one integer"),
+    "listed value": ({**graph_doc(), "nodes": [{**n, "value": [0.0]} for n in graph_doc()["nodes"]]},
+                     "each node 'value' must be one number"),
+    "listed edge target": (graph_doc(j=[0]), "each edge 'j' must be one integer"),
+    "listed strength": (graph_doc(strength=[1.0]), "each edge 'strength' must be one number"),
 }
 
 
