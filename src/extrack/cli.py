@@ -491,8 +491,9 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        # parsed once: the text is dropped as soon as the tree stands
-        doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
+        # decoded once, one top-level value at a time: a graph's lists
+        # become columns as they are decoded, and the text is dropped then
+        doc = trackgraph.read_document(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:
         raise _path_error(args.path, e) from e
     except ValueError as e:  # also an integer literal past Python's digit limit

@@ -121,6 +121,15 @@ def _int(value, what: str) -> int:
     return int(a)
 
 
+def _real(value, what: str) -> float:
+    """A document's value as a float; ``ValueError`` naming it unless it is
+    one JSON number, not a list."""
+    a = _reals(value, what)
+    if a.ndim:
+        raise ValueError(f"{what} must be one number, got a list")
+    return float(a)
+
+
 def _reals(value, what: str) -> np.ndarray:
     """A document's number or list of numbers as float64; ``ValueError``
     naming it unless every value in it is a JSON number (no bool, no str)

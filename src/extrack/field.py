@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -107,10 +108,23 @@ class GridDomain:
     def coords_of(self, v: int) -> tuple[int, ...]:
         """Lattice coordinate of a linear vertex index (C order)."""
         self._check_vertex(v)
-        return tuple(int(c) for c in np.unravel_index(v, self.dims))
+        v = operator.index(v)  # a float is a TypeError, as in numpy
+        coords = []
+        for d in reversed(self.dims):
+            v, c = divmod(v, d)
+            coords.append(c)
+        return tuple(reversed(coords))
 
     def vertex_at(self, coords: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(int(c) for c in coords), self.dims))
+        """Linear index (C order) of a lattice coordinate, each entry
+        truncated as ``int`` truncates; one outside the grid is a ``ValueError``."""
+        coords = [int(c) for c in coords]
+        if len(coords) != self.rank or not all(0 <= c < d for c, d in zip(coords, self.dims)):
+            raise ValueError(f"coordinates {tuple(coords)} lie outside dims {self.dims}")
+        v = 0
+        for c, d in zip(coords, self.dims):
+            v = v * d + c
+        return v
 
     def position(self, v: int) -> tuple[float, ...]:
         """World position of a vertex (coordinate times spacing, per axis)."""

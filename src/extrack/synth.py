@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import _ints, _reals
+from .correspond import _int, _ints, _real, _reals
 from .field import GridDomain, ScalarFieldSeries, open_output
 from .morse import ExtremumKind, ManifoldLabeling
 
@@ -118,17 +118,25 @@ def load_script(path) -> GaussianScript:
     if periodic is not None and not all(type(p) is bool for p in periodic):
         raise ValueError(f"'periodic' must be booleans, got {periodic!r}")
     spacing = doc.get("spacing")
-    domain = GridDomain(_ints(doc["dims"], "'dims'").tolist(),
-                        None if spacing is None else _reals(spacing, "'spacing'").tolist(),
+    domain = GridDomain(_one_list(_ints(doc["dims"], "'dims'"), "'dims'", "integers"),
+                        None if spacing is None else
+                        _one_list(_reals(spacing, "'spacing'"), "'spacing'", "numbers"),
                         periodic)
     blobs = tuple(
         GaussianBlob(tuple(map(tuple, _reals(b["path"], "'path'").tolist())),
-                     float(_reals(b["amplitude"], "'amplitude'")),
-                     float(_reals(b["sigma"], "'sigma'")))
+                     _real(b["amplitude"], "'amplitude'"), _real(b["sigma"], "'sigma'"))
         for b in doc.get("blobs", [])
     )
-    return GaussianScript(domain, int(_ints(doc["n_steps"], "'n_steps'")),
-                          float(_reals(doc.get("base", 0.0), "'base'")), blobs)
+    return GaussianScript(domain, _int(doc["n_steps"], "'n_steps'"),
+                          _real(doc.get("base", 0.0), "'base'"), blobs)
+
+
+def _one_list(a: np.ndarray, what: str, noun: str) -> list:
+    """A script's list as read by ``_ints`` or ``_reals``; ``ValueError``
+    naming it unless it is one flat list."""
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be one list of {noun}")
+    return a.tolist()
 
 
 def random_script(

@@ -18,7 +18,8 @@ output and the ``GraphEdge`` views is derived from the rows in one place,
 ``TrackingGraph.edge_ends``. A node's track id is not stored with the
 node: it belongs to the graph, ``TrackingGraph.tracks``, derived from the
 edges when first read unless a document gave it, so a graph that only
-feeds the next filter never propagates tracks.
+feeds the next filter never propagates tracks. A graph document is read
+a chunk of records at a time (``read_document``), never as a whole tree.
 Every entry point takes columns; ``GraphNode``/``GraphEdge`` objects are
 read-only output views, built only when a caller reads
 ``TrackingGraph.nodes`` or ``.edges``.
@@ -28,9 +29,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Literal, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -473,42 +477,195 @@ def _json_chunks(g: TrackingGraph):
 
 _NODE_KEYS = ("t", "id", "kind", "vertex", "value", "pos", "track")
 _EDGE_KEYS = ("t", "i", "j", "strength")
+# each list of a graph document: the noun its messages use, the keys every
+# record needs, the columns read from it and the value of an absent key
+_LISTS = {
+    "nodes": ("node", _NODE_KEYS, _NODE_KEYS, None),
+    "edges": ("edge", _EDGE_KEYS, ("t", "i", "j", "pf", "pb", "strength"), float("nan")),
+}
 
 
-def _records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
-    """The ``name`` list of a graph document, each record holding ``keys``."""
-    records = doc.get(name) if isinstance(doc, dict) else None
-    if not isinstance(records, list):
-        raise ValueError(f"a graph document needs a {name!r} list")
-    for k, x in enumerate(records):
-        missing = [key for key in keys if key not in x] if isinstance(x, dict) else list(keys)
-        if missing:
-            raise ValueError(f"{name}[{k}] lacks {', '.join(missing)}")
-    return records
+class _ReadList(NamedTuple):
+    """One list of a graph document, read into checked columns. The
+    ``ValueError`` of each check is held until ``doc_to_graph`` reaches
+    that check: ``error`` for the list and its records' keys, else
+    ``columns`` holds the columns or the error that making them raised."""
+
+    error: ValueError | None
+    columns: list | ValueError | None
 
 
-def _column(records: list[dict], name: str, key: str, default=None):
-    """``key`` of every record, ``default`` where it is absent, checked: an
-    integer key as one int64 per record, a node kind as one of the two, a
-    position as one list of float64 per record and any other number as one
-    float64 per record."""
-    c = [x.get(key, default) for x in records]
+def _columns(name: str, records: list[dict]) -> list[np.ndarray]:
+    """The checked columns of the ``name`` list's records, each of which
+    holds every key it needs."""
+    what, keys, columns, default = _LISTS[name]
+    return [_column(list(map(itemgetter(key), records)) if key in keys
+                    else [x.get(key, default) for x in records], what, key)
+            for key in columns]
+
+
+def _read_list(name: str, records) -> _ReadList:
+    """The ``name`` list of a graph document (None if absent) as a ``_ReadList``."""
+    if isinstance(records, _ReadList):
+        return records
+    keys = _LISTS[name][1]
+    try:
+        if not isinstance(records, list):
+            raise ValueError(f"a graph document needs a {name!r} list")
+        for k, x in enumerate(records):
+            missing = [key for key in keys if key not in x] if isinstance(x, dict) else keys
+            if missing:
+                raise ValueError(f"{name}[{k}] lacks {', '.join(missing)}")
+    except ValueError as e:
+        return _ReadList(e, None)
+    try:
+        return _ReadList(None, _columns(name, records))
+    except ValueError as e:
+        return _ReadList(None, e)
+
+
+def _held(x):
+    """x, unless it is a held error, which is raised."""
+    if isinstance(x, ValueError):
+        raise x
+    return x
+
+
+def _column(c: list, name: str, key: str) -> np.ndarray:
+    """The values ``c`` of ``key``, one per record, checked: an integer key
+    as one int64 per record, a node kind as one of the two, a position as
+    one list of float64 per record and any other number as one float64 per
+    record."""
     if key == "kind":
         bad = [k for k in c if k not in ("extremum", "feature")]
         if bad:
             raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
-        return c
+        return np.asarray(c, str)
     integer = key in ("t", "id", "vertex", "track", "i", "j")
-    a = (_ints if integer else _reals)(c, f"{name} {key!r}")
+    a = (_positions if key == "pos" else _ints if integer else _reals)(c, f"{name} {key!r}")
     shape = "one list of numbers" if key == "pos" else "one integer" if integer else "one number"
     if c and a.ndim != 1 + (key == "pos"):
         raise ValueError(f"each {name} {key!r} must be {shape}")
     return a
 
 
+def _positions(c: list, what: str) -> np.ndarray:
+    """``_reals(c, what)`` of positions, read as one flat list where each is
+    a list of numbers of one length: numpy finds the shape of a nested list
+    item by item, several times slower."""
+    try:
+        sizes = set(map(len, c))
+        flat = _reals(list(chain.from_iterable(c)), what)
+        if len(sizes) == 1 and flat.ndim == 1:
+            return flat.reshape(len(c), sizes.pop())
+    except (TypeError, ValueError):
+        pass  # the nested read raises the error of the nested list
+    return _reals(c, what)
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+# the separator after a list item, with the whitespace around it
+_NEXT_ITEM = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match
+_CHUNK = 2048  # records decoded before they become columns
+
+
+def _token(text: str, i: int) -> tuple[str, int]:
+    """The character after the whitespace at ``i`` ("" at the end) and the
+    index past it."""
+    i = _SPACE(text, i).end()
+    return text[i:i + 1], i + 1
+
+
+def _decode_list(name: str, text: str, i: int) -> tuple[_ReadList, int]:
+    """The ``name`` value that starts at ``i`` as a ``_ReadList``, and the
+    index past it. A list is decoded ``_CHUNK`` records at a time, and each
+    chunk becomes columns before the next is decoded. A value this does not
+    read, from one that is not a list to a chunk whose checks fail, is
+    decoded whole and read by ``_read_list``, which finds the same columns
+    or holds the error that the whole list gives."""
+    need = frozenset(_LISTS[name][1])
+    parts, chunk = [], []
+    decode, add = _DECODER.raw_decode, chunk.append
+    try:
+        if text[i:i + 1] != "[":
+            raise ValueError("not a list")
+        j = _SPACE(text, i + 1).end()
+        if text[j:j + 1] == "]":
+            return _read_list(name, []), j + 1
+        while True:
+            record, j = decode(text, j)
+            if type(record) is not dict or not record.keys() >= need:
+                raise ValueError("a record lacks keys")
+            add(record)
+            sep = _NEXT_ITEM(text, j)
+            if sep is None:
+                raise ValueError("no comma")
+            j, last = sep.end(), sep[1] == "]"
+            if last or len(chunk) == _CHUNK:
+                parts.append(_columns(name, chunk))
+                chunk.clear()
+                if last:
+                    break
+        # chunks whose positions differ in length do not concatenate
+        return _ReadList(None, [np.concatenate(c) for c in zip(*parts)]), j
+    except ValueError:
+        parts = chunk = None  # dropped before the whole list is decoded
+    value, end = _DECODER.raw_decode(text, i)
+    return _read_list(name, value), end
+
+
+def _walk(text: str) -> dict | None:
+    """The top-level object of ``text`` with its lists read, decoded one
+    value at a time, or None where the walk stops: at a top level that is
+    not an object, at malformed JSON or at anything else ``raw_decode``
+    refuses, nesting too deep included."""
+    doc = {}
+    try:
+        c, i = _token(text, 0)
+        if c != "{":
+            return None
+        c, i = _token(text, i)
+        while c != "}":
+            if c != '"':
+                return None
+            key, i = json.decoder.scanstring(text, i)
+            c, i = _token(text, i)
+            if c != ":":
+                return None
+            i = _SPACE(text, i).end()
+            if key in _LISTS:
+                doc[key], i = _decode_list(key, text, i)
+            else:
+                doc[key], i = _DECODER.raw_decode(text, i)
+            c, i = _token(text, i)
+            if c == ",":
+                c, i = _token(text, i)
+                if c == "}":  # a trailing comma
+                    return None
+            elif c != "}":
+                return None
+    except (ValueError, RecursionError):  # the nesting limit counts this walk's frames too
+        return None
+    return doc if _SPACE(text, i).end() == len(text) else None
+
+
+def read_document(text: str):
+    """The JSON document ``text`` as ``json.loads`` reads it, except that
+    a top-level object's ``nodes`` and ``edges`` lists come read for
+    ``doc_to_graph``. The object is decoded one top-level value at a time,
+    and each list a chunk of records at a time, so a graph's records never
+    exist all at once. Text that this walk does not read goes to
+    ``json.loads``, which raises its own error, message and all, or
+    returns the tree."""
+    doc = _walk(text)
+    return json.loads(text) if doc is None else doc
+
+
 def import_graph(text: str) -> TrackingGraph:
-    """Inverse of the JSON export; stored track ids are kept as-is."""
-    return doc_to_graph(json.loads(text))
+    """Inverse of the JSON export; stored track ids are kept as-is. The
+    text is read one top-level value at a time (``read_document``)."""
+    return doc_to_graph(read_document(text))
 
 
 def doc_to_graph(doc) -> TrackingGraph:
@@ -520,16 +677,21 @@ def doc_to_graph(doc) -> TrackingGraph:
     known node kind, each node (t, id)
     listed once with t >= 0, each edge (t, i, j) listed once between nodes
     that exist in layers t and t+1, and probabilities and strengths in
-    (0, 1].
+    (0, 1]. The document is a ``json.loads`` tree or a ``read_document``
+    one; both are checked in the same order.
     """
-    nd, ed = _records(doc, "nodes", _NODE_KEYS), _records(doc, "edges", _EDGE_KEYS)
+    doc = doc if isinstance(doc, dict) else {}
+    nd, ed = _read_list("nodes", doc.get("nodes")), _read_list("edges", doc.get("edges"))
+    for part in (nd, ed):
+        if part.error is not None:
+            raise part.error
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
-    t, id, kind, vertex, value, pos, track = (_column(nd, "node", k) for k in _NODE_KEYS)
+    t, id, kind, vertex, value, pos, track = _held(nd.columns)
     order = np.lexsort((id, t))
-    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str)[order], vertex[order],
-                        value[order], _pos_array(pos, len(nd))[order])
+    nodes = NodeColumns(t[order], id[order], kind[order], vertex[order], value[order],
+                        _pos_array(pos, t.size)[order])
     tracks = track[order]
     del id, kind, vertex, value, pos, track
     # rows are (t, id)-sorted: a negative step comes first, a repeat next to its twin
@@ -539,8 +701,7 @@ def doc_to_graph(doc) -> TrackingGraph:
     if twice.size:
         k = twice[0]
         raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
-    t, i, j, pf, pb, strength = (_column(ed, "edge", k, float("nan"))
-                                 for k in ("t", "i", "j", "pf", "pb", "strength"))
+    t, i, j, pf, pb, strength = _held(ed.columns)
     src, dst = nodes.rows(t, i), nodes.rows(t + 1, j)
     absent = np.flatnonzero((src < 0) | (dst < 0))
     if absent.size:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import extrack
-from extrack.correspond import doc_to_matrix
+from extrack.correspond import _ints, _reals, doc_to_matrix
 from extrack.features import FeatureSet
 from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
                            minimum_image_distance, sampling_offsets, stencil_vertices)
@@ -357,6 +357,79 @@ def graph_of(nodes, edges, meta=None) -> TrackingGraph:
                for k in ("t", "i", "j", "p_forward", "p_backward", "strength"))
     return TrackingGraph(layer, edges_of(layer, *columns), meta,
                          np.array([n.track for n in nodes], np.int64))
+
+
+def _oracle_records(doc, name: str, keys: tuple[str, ...]) -> list[dict]:
+    records = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"a graph document needs a {name!r} list")
+    for k, x in enumerate(records):
+        missing = [key for key in keys if key not in x] if isinstance(x, dict) else list(keys)
+        if missing:
+            raise ValueError(f"{name}[{k}] lacks {', '.join(missing)}")
+    return records
+
+
+def oracle_column(records: list[dict], name: str, key: str, default=None):
+    """``key`` of every record, checked as the tree reader checks it."""
+    c = [x.get(key, default) for x in records]
+    if key == "kind":
+        bad = [k for k in c if k not in ("extremum", "feature")]
+        if bad:
+            raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
+        return c
+    integer = key in ("t", "id", "vertex", "track", "i", "j")
+    a = (_ints if integer else _reals)(c, f"{name} {key!r}")
+    shape = "one list of numbers" if key == "pos" else "one integer" if integer else "one number"
+    if c and a.ndim != 1 + (key == "pos"):
+        raise ValueError(f"each {name} {key!r} must be {shape}")
+    return a
+
+
+def oracle_import_graph(text: str) -> TrackingGraph:
+    """The tree reader: the whole document parsed by ``json.loads``, then
+    checked and read into columns key by key, raising the first error in
+    the order the library's reader must keep."""
+    doc = json.loads(text)
+    node_keys = ("t", "id", "kind", "vertex", "value", "pos", "track")
+    nd = _oracle_records(doc, "nodes", node_keys)
+    ed = _oracle_records(doc, "edges", ("t", "i", "j", "strength"))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("graph meta must be an object")
+    t, id, kind, vertex, value, pos, track = (oracle_column(nd, "node", k) for k in node_keys)
+    order = np.lexsort((id, t))
+    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str)[order], vertex[order],
+                        value[order], _pos_array(pos, len(nd))[order])
+    tracks = track[order]
+    if len(nodes) and nodes.t[0] < 0:
+        raise ValueError(f"node t{nodes.t[0]} #{nodes.id[0]} has a negative step")
+    twice = np.flatnonzero((np.diff(nodes.t) == 0) & (np.diff(nodes.id) == 0))
+    if twice.size:
+        k = twice[0]
+        raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
+    t, i, j, pf, pb, strength = (oracle_column(ed, "edge", k, float("nan"))
+                                 for k in ("t", "i", "j", "pf", "pb", "strength"))
+    src, dst = nodes.rows(t, i), nodes.rows(t + 1, j)
+    absent = np.flatnonzero((src < 0) | (dst < 0))
+    if absent.size:
+        k = absent[np.lexsort((j[absent], i[absent], t[absent]))[0]]
+        raise ValueError(f"edge t{t[k]} {i[k]} -> {j[k]} names a node that does not exist")
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    twice = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+    if twice.size:
+        a, b = src[twice[0]], dst[twice[0]]
+        raise ValueError(f"edge t{nodes.t[a]} {nodes.id[a]} -> {nodes.id[b]} is listed twice")
+    e = EdgeColumns(src, dst, pf[order], pb[order], strength[order])
+    if not ((e.strength > 0.0) & (e.strength <= 1.0)).all():
+        raise ValueError("edge strengths must lie in (0, 1]")
+    for name, p in (("pf", e.pf), ("pb", e.pb)):
+        if ((p <= 0.0) | (p > 1.0)).any():
+            raise ValueError(f"edge {name} values must lie in (0, 1]")
+    if (np.isnan(e.pf) & np.isnan(e.pb)).any():
+        raise ValueError("an edge needs pf or pb")
+    return TrackingGraph(nodes, e, meta, tracks)
 
 
 def nodes_at(g, t: int) -> list[GraphNode]:

@@ -107,9 +107,17 @@ class TestSynth:
         ("sigma", float("inf"), "sigma must be positive and finite, got inf"),
         ("path", [[3.0, "3"]], "'path' must be numbers"),
         ("path", [[3.0, 3.0, 1.0]], "blob path points must have 2 coordinates"),
+        ("n_steps", [2], "'n_steps' must be one integer, got a list"),
+        ("amplitude", [1.0], "'amplitude' must be one number, got a list"),
+        ("sigma", [2.0], "'sigma' must be one number, got a list"),
+        ("base", [0.0], "'base' must be one number, got a list"),
+        ("dims", [[8, 8]], "'dims' must be one list of integers"),
+        ("dims", 8, "'dims' must be one list of integers"),
+        ("spacing", [[1.0, 1.0]], "'spacing' must be one list of numbers"),
     ], ids=["fractional-dims", "fractional-steps", "bool-steps", "bool-spacing", "str-base",
             "str-periodic", "bool-amplitude", "str-sigma", "inf-sigma", "str-path",
-            "3d-path"])
+            "3d-path", "listed-steps", "listed-amplitude", "listed-sigma", "listed-base",
+            "nested-dims", "scalar-dims", "nested-spacing"])
     def test_script_numbers_are_read_strictly(self, tmp_path, capsys, key, value, message):
         # each used to be coerced and exit 0: 8.7 read as 8, 1.9 steps as 1,
         # true as 1.0, "2" as 2.0, "no" as periodic, an infinite sigma as a
@@ -694,7 +702,7 @@ class TestStageReports:
         ("compare", (field, "save_labels"), ["--dump-labels"],
          "stage 'dump-labels' at t=0 ran"),
         ("synth", (synth, "generate"), ["--preset", "ridge"], "stage 'synth' ran"),
-        ("inspect", (json, "loads"), [], "stage 'inspect' ran"),
+        ("inspect", (json.JSONDecoder, "raw_decode"), [], "stage 'inspect' ran"),
         ("inspect", (correspond, "doc_to_matrix"), [], "stage 'inspect' ran"),
     ], ids=["load_features", "representative_extremum", "save_labels", "write_report",
             "compare_save_labels", "synth_generate", "inspect_loads", "inspect_doc_to_matrix"])
@@ -1014,13 +1022,23 @@ class TestInspect:
 
     @pytest.mark.parametrize("name", ["graph.json", "correspondence_forward_0000.json"])
     def test_document_is_parsed_once(self, ridge_file, tmp_path, monkeypatch, name):
+        # decoded one value at a time: no span of the text is decoded
+        # twice, and the tree reader never runs
         out = tmp_path / "out"
         main(["run", "--input", str(ridge_file), "--out", str(out)])
-        calls = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        spans = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def recorded(self, s, idx=0):
+            value, end = raw_decode(self, s, idx)
+            spans.append((idx, end))
+            return value, end
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", recorded)
+        monkeypatch.setattr(json, "loads", lambda *a, **k: pytest.fail("read as a whole tree"))
         assert main(["inspect", str(out / name)]) == 0
-        assert len(calls) == 1
+        spans.sort()
+        assert spans and all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
     def test_rejects_other_json(self, tmp_path):
         p = tmp_path / "other.json"

@@ -60,6 +60,43 @@ class TestGridDomain:
         assert tuple(pos[7]) == d.position(7)
 
 
+    @pytest.mark.parametrize("domain", [
+        GridDomain((5, 7), spacing=(0.5, 3.0)),
+        GridDomain((4, 3, 6), spacing=(1.0, 0.25, 2.0), periodic=(True, False, True)),
+    ], ids=["2d", "periodic-3d"])
+    def test_lattice_helpers_match_numpy(self, domain):
+        # integer arithmetic against numpy's index helpers, on every vertex,
+        # with Python and numpy integers alike
+        pos = domain.positions(np.arange(domain.vertex_count))
+        for v in range(domain.vertex_count):
+            want = tuple(int(c) for c in np.unravel_index(v, domain.dims))
+            for x in (v, np.int64(v), np.int32(v), np.uint16(v)):
+                got = domain.coords_of(x)
+                assert got == want and all(type(c) is int for c in got)
+            assert domain.position(np.int64(v)) == tuple(pos[v])
+            for coords in (want, tuple(np.int64(c) for c in want), np.array(want)):
+                got = domain.vertex_at(coords)
+                assert got == int(np.ravel_multi_index(want, domain.dims)) == v
+                assert type(got) is int
+
+    def test_lattice_helpers_refuse_as_numpy_does(self):
+        d = GridDomain((3, 4))
+        for v in (-1, 12, 99, np.int64(-1), np.int64(12)):
+            with pytest.raises(IndexError, match=f"vertex {v} out of range for 12 vertices"):
+                d.coords_of(v)
+            with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+                d.position(v)
+        for v in (1.0, np.float64(2.0), 5.5):
+            with pytest.raises(TypeError):
+                d.coords_of(v)
+        for coords in ((3, 0), (0, 4), (-1, 0), (0, -2), (1,), (1, 2, 0)):
+            with pytest.raises(ValueError):
+                d.vertex_at(coords)
+        # a coordinate is truncated, as int() truncates
+        assert d.vertex_at((1.9, 2.2)) == d.vertex_at((1, 2)) == 6
+        assert d.vertex_at((-0.5, 3.7)) == 3
+
+
 class TestNeighbors:
     def test_2d_interior_has_six(self):
         d = GridDomain((4, 4))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from extrack import correspond, trackgraph
+from extrack.cli import main
 from extrack.correspond import OverlapMatrix, _keys_and_counts
 from extrack.field import GridDomain
 from extrack.trackgraph import (
@@ -35,7 +36,9 @@ from helpers import (
     oracle_assemble,
     oracle_export_dot,
     oracle_export_json,
+    oracle_column,
     oracle_extremum_layers,
+    oracle_import_graph,
     oracle_propagate_tracks,
     oracle_semantic_filter,
     oracle_threshold_filter,
@@ -665,6 +668,230 @@ class TestImportValidation:
         r = run_python(str(script), str(docs), optimize=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout == ""
+
+
+def outcome(call):
+    """What ``call()`` returns, or the exception it raises."""
+    try:
+        return call()
+    except Exception as e:
+        return e
+
+
+def assert_same_read(new, old):
+    """Two readers' outcomes agree: the same exception type and message, or
+    the same columns, dtypes included, tracks, meta and export."""
+    if isinstance(old, Exception):
+        assert type(new) is type(old) and str(new) == str(old), (new, old)
+        return
+    assert not isinstance(new, Exception), new
+    for a, b in ((new.node_columns, old.node_columns), (new.edge_columns, old.edge_columns)):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+    np.testing.assert_array_equal(new.tracks, old.tracks)
+    assert new.meta == old.meta
+    assert export(new, "json") == export(old, "json")
+
+
+@pytest.fixture(params=[1, 2, 5, None], ids=["chunk1", "chunk2", "chunk5", "default-chunk"])
+def chunk(request, monkeypatch):
+    """Records decoded per chunk of a list: every size splits the small
+    documents differently."""
+    if request.param is not None:
+        monkeypatch.setattr(trackgraph, "_CHUNK", request.param)
+
+
+def several_layers() -> TrackingGraph:
+    rng = np.random.default_rng(97)
+    dom = GridDomain((6, 7))
+    layers = random_layers(rng, dom, [4, 7, 0, 5, 6])
+    fwd = [random_cm(rng, len(a), len(b), "forward") for a, b in zip(layers, layers[1:])]
+    bwd = [random_cm(rng, len(b), len(a), "backward") for a, b in zip(layers, layers[1:])]
+    return assemble(layers, fwd, bwd, ConnectivityPolicy(bidirectional=False), strategy="s")
+
+
+def reserialized(text: str, how: str) -> str:
+    """An exported document written out again another way."""
+    doc = json.loads(text)
+    if how == "as exported":
+        return text
+    if how == "shuffled keys":
+        keys = list(doc)
+        np.random.default_rng(len(text)).shuffle(keys)
+        return json.dumps({k: doc[k] for k in keys})
+    if how == "compact":
+        return json.dumps(doc, separators=(",", ":"))
+    if how == "tabs and CRLF":
+        return " \n\t" + json.dumps(doc, indent="\t").replace("\n", "\r\n") + "\r\n"
+    if how == "repeated keys":
+        # the earlier of two values is dropped, even one that would be refused
+        head = '{"nodes": [{"t": -1}], "edges": 3, "meta": [],'
+        tail = json.dumps(doc["meta"])
+        return head + text.strip()[1:-1] + ', "meta": ' + tail + "}"
+    if how == "extra top-level keys":
+        return json.dumps({"aa": "edges", **doc, "zz": {"nodes": [{"t": 0.5}]}, "x": [1, 2]})
+    if how == "extra record keys":
+        for x in doc["nodes"] + doc["edges"]:
+            x["note"] = [1, {"t": "x"}]
+        return json.dumps(doc)
+    if how == "escaped key":
+        return text.replace('"nodes":', '"\\u006eodes":', 1)
+    if how == "no meta":
+        del doc["meta"]
+        return json.dumps(doc)
+    if how == "empty lists":
+        return json.dumps({**doc, "nodes": [], "edges": []})
+    raise AssertionError(how)
+
+
+REWRITES = ["as exported", "shuffled keys", "compact", "tabs and CRLF", "repeated keys",
+            "extra top-level keys", "extra record keys", "escaped key", "no meta", "empty lists"]
+
+# documents the chunks of a list read apart: each needs the whole list's
+# error, or the whole list's columns
+_NODE = graph_doc()["nodes"][0]
+CHUNKED_DOCS = {
+    "positions of two lengths": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "pos": [0.0] * (1 + (k > 2))} for k in range(6)]},
+    "key missing in a later chunk": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k} if k < 5 else {"t": 0} for k in range(6)]},
+    "fraction before a missing key": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "t": 0.5 if k == 0 else 0} if k < 5 else {"t": 0} for k in range(6)]},
+    "fraction before a boolean": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "t": 0.5 if k == 0 else True if k == 5 else 0} for k in range(6)]},
+    "step before a kind": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "kind": "banana" if k == 0 else "extremum", "t": "0" if k == 5 else 0}
+        for k in range(6)]},
+    "kinds of two widths": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "kind": "feature" if k < 3 else "extremum"} for k in range(6)]},
+    "integers then floats": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "value": k if k < 3 else k / 3, "pos": [k, 2**64 if k == 4 else k]}
+        for k in range(6)]},
+    "integer past int64 in a later chunk": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": 2**63 if k == 5 else k} for k in range(6)]},
+    "positions nested in a later chunk": {"meta": {}, "edges": [], "nodes": [
+        {**_NODE, "id": k, "pos": [[0.0]] if k == 5 else [0.0]} for k in range(6)]},
+    "records not objects": {"meta": {}, "edges": [], "nodes": [1, 2, 3]},
+}
+
+MALFORMED_JSON = {
+    "number as a key": '{"nodes": [], 1: [], "edges": []}',
+    "trailing comma": '{"nodes": [], "edges": [],}',
+    "trailing comma in a list": '{"nodes": [], "edges": [{"t": 0, "i": 0, "j": 0, '
+                                '"strength": 1.0},]}',
+    "missing colon": '{"nodes" [], "edges": []}',
+    "missing comma between records": '{"nodes": [{"t": 0} {"t": 1}], "edges": []}',
+    "extra data": '{"nodes": [], "edges": []} []',
+    "record error, then a syntax error": '{"nodes": [{"t": 0}], "edges": [], "meta": {} x}',
+    "syntax error in a later record": json.dumps(graph_doc()).replace('"track": 0}]',
+                                                                      '"track": 0,}]'),
+    "cut off": json.dumps(graph_doc())[:-40],
+    "empty text": "",
+    "byte order mark": "\ufeff" + json.dumps(graph_doc()),
+    "digits past the limit": '{"nodes": [], "edges": [], "x": ' + "1" * 5000 + "}",
+    "digits past the limit in a record": '{"nodes": [{"t": ' + "1" * 5000 + "}], "
+                                         '"edges": []}',
+}
+
+
+class TestReader:
+    """``import_graph`` reads the document a chunk of records at a time; it
+    must find what the tree reader finds, or raise what it raises."""
+
+    @pytest.mark.parametrize("how", REWRITES)
+    @pytest.mark.parametrize("graph", ["special", "several layers"])
+    def test_reads_what_the_tree_reader_reads(self, chunk, graph, how):
+        if graph == "special":
+            g = special_graph(2, "feature")
+            e = g.edge_columns
+            g = TrackingGraph(g.node_columns, e.take(e.strength > 0), g.meta, g.tracks)
+        else:
+            g = several_layers()
+        text = reserialized(export(g, "json"), how)
+        old = outcome(lambda: oracle_import_graph(text))
+        assert not isinstance(old, Exception), old
+        assert_same_read(outcome(lambda: import_graph(text)), old)
+        assert_same_read(outcome(lambda: trackgraph.doc_to_graph(json.loads(text))), old)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+    def test_malformed_graphs_raise_what_the_tree_reader_raises(self, chunk, name):
+        text = json.dumps(MALFORMED_GRAPHS[name][0])
+        old = outcome(lambda: oracle_import_graph(text))
+        assert isinstance(old, ValueError)
+        assert_same_read(outcome(lambda: import_graph(text)), old)
+        assert_same_read(outcome(lambda: trackgraph.doc_to_graph(json.loads(text))), old)
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_DOCS))
+    def test_chunks_read_as_the_whole_list(self, chunk, name):
+        for text in (json.dumps(CHUNKED_DOCS[name]), json.dumps(CHUNKED_DOCS[name], indent=1)):
+            old = outcome(lambda: oracle_import_graph(text))
+            assert_same_read(outcome(lambda: import_graph(text)), old)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+    def test_malformed_json_raises_what_json_loads_raises(self, chunk, name):
+        text = MALFORMED_JSON[name]
+        old = outcome(lambda: json.loads(text))
+        assert isinstance(old, ValueError)
+        assert_same_read(outcome(lambda: oracle_import_graph(text)), old)
+        assert_same_read(outcome(lambda: import_graph(text)), old)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS) + sorted(MALFORMED_JSON))
+    def test_inspect_reports_what_the_tree_reader_raises(self, tmp_path, capsys, name):
+        if name in MALFORMED_GRAPHS:
+            text = json.dumps(MALFORMED_GRAPHS[name][0])
+            want = f"malformed graph document: {outcome(lambda: oracle_import_graph(text))!r}"
+        else:
+            text = MALFORMED_JSON[name]
+            want = f"unreadable JSON: {outcome(lambda: json.loads(text))}"
+        p = tmp_path / "g.json"
+        p.write_text(text, encoding="utf-8")
+        assert main(["inspect", str(p)]) == 3
+        assert capsys.readouterr().err == f"error: {p}: {want}\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"nodes"', "3"])
+    def test_a_top_level_other_than_an_object(self, text):
+        old = outcome(lambda: oracle_import_graph(text))
+        assert str(old) == "a graph document needs a 'nodes' list"
+        assert_same_read(outcome(lambda: import_graph(text)), old)
+
+    @pytest.mark.parametrize("pos", [
+        [[1, 2.5], [3, 4]], [[2**63, 1], [0, 0]], [[2**70, 0.5], [1, 1]], [[], []], [[1]],
+        [[1], [2, 3]], [[1, True], [0, 0]], [[1, "2"]], [3, 4], [[[1]], [[2]]], [{"a": 1}],
+        ["ab", "cd"], [[1, 2], "ab"], [[10**400, 1]], [None], [[None, 1]],
+    ])
+    def test_positions_read_flat_as_nested(self, pos):
+        records = [{"pos": p} for p in pos]
+        old = outcome(lambda: oracle_column(records, "node", "pos"))
+        new = outcome(lambda: trackgraph._column(pos, "node", "pos"))
+        if isinstance(old, Exception):
+            assert type(new) is type(old) and str(new) == str(old)
+        else:
+            assert new.dtype == old.dtype and new.shape == old.shape
+            np.testing.assert_array_equal(new, old)
+
+    def test_import_peaks_below_its_text(self):
+        # a graph of 10k nodes: the tree reader holds about 3x the text,
+        # this one a chunk of records and the columns
+        n = 5000
+        rng = np.random.default_rng(98)
+        layers = [NodeColumns.for_step(t, "extremum", rng.integers(0, 2**40, n),
+                                       rng.standard_normal(n), rng.random((n, 2)) * 100)
+                  for t in (0, 1)]
+        nodes = NodeColumns.concat(layers)
+        i, p = np.arange(n), rng.integers(1, 8, n) / 8
+        text = export(TrackingGraph(nodes, edges_of(nodes, np.zeros(n), i, rng.permutation(n),
+                                                    p, p, p)), "json")
+        peaks = []
+        for read in (import_graph, oracle_import_graph):
+            tracemalloc.start()
+            try:
+                read(text)
+                peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.6 < peaks[1], peaks
 
 
 def random_cm(rng, rows, cols, direction, density=0.5):
