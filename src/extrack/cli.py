@@ -505,7 +505,7 @@ def cmd_inspect(args) -> int:
             w(f"{m.kind} matrix, {m.strategy}, {m.direction} at t={t}\n")
             w(f"shape {m.rows} x {m.cols}, {m.counts.size} stored entries\n")
             denom = m.row_denominators.tolist()
-            head = (m.i[:20], m.j[:20], m.counts[:20])
+            head = (*m.unkey(m.keys[:20]), m.counts[:20])
             for i, j, c in zip(*(a.tolist() for a in head)):
                 w(f"  ({i} -> {j}): {c}/{denom[i]} = {c / denom[i]:.4f}\n")
             if m.counts.size > 20:

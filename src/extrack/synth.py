@@ -85,8 +85,7 @@ def generate(script: GaussianScript) -> ScalarFieldSeries:
                     delta = np.minimum(delta, period - delta)
                 d2 = d2 + (delta**2).reshape([-1 if b == a else 1 for b in range(domain.rank)])
             d2 = d2.reshape(-1)
-            np.negative(d2, out=d2)
-            d2 /= 2.0 * blob.sigma**2
+            d2 /= -(2.0 * blob.sigma**2)
             np.exp(d2, out=d2)
             d2 *= blob.amplitude
             f += d2

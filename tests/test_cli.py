@@ -4,6 +4,7 @@ import logging
 import resource
 import shutil
 import signal
+import struct
 import subprocess
 import tracemalloc
 import weakref
@@ -34,6 +35,20 @@ MATRIX = {"t": 0, "kind": "overlap", "direction": "forward", "strategy": "binary
 
 def read_tree(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+
+
+def main_under_python_O(*argvs) -> list:
+    """``[exit code, stdout]`` of ``main(argv)`` for each argv, all run in
+    one ``python -O`` child, which strips every assert."""
+    script = ("import contextlib, io, json, sys\nfrom extrack.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        code = main(argv)\n"
+              "    print(json.dumps([code, out.getvalue()]))\n")
+    r = run_python("-c", script, json.dumps(argvs), optimize=True)
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    return [json.loads(line) for line in r.stdout.splitlines()]
 
 
 class TestSynth:
@@ -332,6 +347,21 @@ class TestFeaturePipeline:
         assert sum((m.row_sums() < m.row_denominators).any() for m in loaded) == 2
 
 
+    def test_labels_and_id_order_write_the_same_files(self, ridge_file, tmp_path):
+        # features are taken in id order and their labels are not read; both
+        # runs read one path, which graph.json echoes
+        fpath = tmp_path / "features.json"
+        trees = []
+        for feats in ([{"id": 0, "extrema": [0]}, {"id": 1, "extrema": [1]}],
+                      [{"id": 1, "label": "shallow", "extrema": [1]},
+                       {"id": 0, "label": "deep", "extrema": [0]}]):
+            fpath.write_text(json.dumps([{"t": 0, "features": feats}]))
+            out = tmp_path / f"out{len(trees)}"
+            assert main(["run", "--input", str(ridge_file), "--out", str(out),
+                         "--features", str(fpath)]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_no_extremum_object_is_built(self, ridge_file, tmp_path, monkeypatch, command):
         # feature nodes read their representative's vertex and value from
@@ -481,6 +511,7 @@ class TestConfigFile:
             f"input = {ridge_file}\n"
             "strategy = binary\n"
             "persistence-pct = 50\n"
+            f"out = {tmp_path / 'file_out'}\n"
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out),
@@ -488,6 +519,12 @@ class TestConfigFile:
         echo = json.loads((out / "graph.json").read_text())["meta"]["config"]
         assert echo["strategy"] == "binary"
         assert echo["persistence_pct"] == 0.5
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--strategy", "manifold-overlap"]) == 0
+        echo = json.loads((out / "graph.json").read_text())["meta"]["config"]
+        assert echo["strategy"] == "manifold-overlap"
+        assert echo["persistence_pct"] == 50
+        assert not (tmp_path / "file_out").exists()
 
     def test_every_key_form_reads_as_its_flag(self, ridge_file, tmp_path):
         # a list, two switches, a point, an int, a float and a choice
@@ -588,6 +625,14 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_nan_semantic_setting_is_a_config_error_under_python_O(self, ridge_file,
+                                                                   tmp_path):
+        out = tmp_path / "out"
+        [(code, _)] = main_under_python_O(["run", "--input", str(ridge_file),
+                                           "--value-min", "nan", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_p_min_outside_the_unit_interval(self, ridge_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--input", str(ridge_file), "--out", str(out), "--p-min", "2"]) == 2
@@ -622,6 +667,18 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + b"\x00" * 60)
         assert main(["run", "--input", str(bad), "--out", str(tmp_path / "out")]) == 3
         assert "offset 0" in capsys.readouterr().err
+
+    def test_non_finite_input_names_step_vertex_and_offset(self, ridge_file, tmp_path,
+                                                            capsys):
+        # inf at step 1, vertex 3 of the 40x40 float64 ridge, past its
+        # 44-byte header
+        data = bytearray(ridge_file.read_bytes())
+        struct.pack_into("<d", data, 44 + (1600 + 3) * 8, float("inf"))
+        bad = tmp_path / "inf.xtrk"
+        bad.write_bytes(bytes(data))
+        assert main(["run", "--input", str(bad), "--out", str(tmp_path / "out")]) == 3
+        assert (f"error: {bad}: non-finite value at step 1, vertex 3 (byte offset 12868)\n"
+                in capsys.readouterr().err)
 
     def test_truncated_payload(self, ridge_file, tmp_path, capsys):
         data = ridge_file.read_bytes()
@@ -818,7 +875,7 @@ class TestGraphWork:
         assert "2 tracks" in capsys.readouterr().out
         assert counts == {"propagations": 0, "row searches": 2}  # one search per edge end
 
-    def test_semantic_flags_drop_a_node_and_its_edge(self, ridge_file, tmp_path):
+    def test_semantic_flags_drop_a_node_and_its_edge(self, ridge_file, tmp_path, capsys):
         # the box drops node t0 #1 and with it edge t0 1 -> 1; the rest stays
         out = tmp_path / "out"
         assert main(["run", "--input", str(ridge_file), "--out", str(out), *SEMANTIC_FLAGS]) == 0
@@ -826,6 +883,10 @@ class TestGraphWork:
         assert [(n["t"], n["id"], n["track"]) for n in doc["nodes"]] == \
             [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
         assert [(e["t"], e["i"], e["j"]) for e in doc["edges"]] == [(0, 0, 0)]
+        capsys.readouterr()
+        assert main(["inspect", str(out / "graph.json")]) == 0
+        assert capsys.readouterr().out.startswith(
+            "tracking graph: 2 layers, 3 nodes, 1 edges, 2 tracks\n")
 
 
 class TestCompare:
@@ -1008,6 +1069,110 @@ class TestInspect:
         assert main(["inspect", str(out / "graph.json")]) == 0
         text = capsys.readouterr().out
         assert "2 layers, 4 nodes, 2 edges, 2 tracks" in text
+
+    @pytest.mark.parametrize("extra", [["--features"],
+                                       ["--strategy", "sampling-combinatorial", "--d", "2"]],
+                             ids=["partial-features", "sampling-combinatorial"])
+    def test_every_written_document_inspects(self, ridge_file, tmp_path, capsys, extra):
+        # with --features, step 1 lists no features and extremum 1 of step 0
+        # is in none
+        if extra == ["--features"]:
+            fpath = tmp_path / "features.json"
+            fpath.write_text(json.dumps([{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]))
+            extra = ["--features", str(fpath)]
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out), *extra]) == 0
+        strategy = "manifold-overlap" if "--features" in extra else extra[1]
+        paths = sorted(out.glob("*.json"))
+        assert len(paths) == (9 if "--features" in extra else 5)
+        for p in paths:
+            capsys.readouterr()
+            assert main(["inspect", str(p)]) == 0, p.name
+            if p.name == "graph.json":
+                want = "tracking graph: 2 layers, "
+            else:
+                kind, direction, t = p.stem.split("_")[-3:]
+                want = f"{kind} matrix, {strategy}, {direction} at t={int(t)}\n"
+            assert capsys.readouterr().out.startswith(want), p.name
+
+    def test_matrix_lists_its_first_20_entries(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk", 2)),
+                     "--out", str(out)]) == 0
+        p = out / "correspondence_backward_0001.json"
+        doc = json.loads(p.read_text())
+        capsys.readouterr()
+        assert main(["inspect", str(p)]) == 0
+        den = doc["denominators"]
+        head = [f"  ({i} -> {j}): {c}/{den[i]} = {c / den[i]:.4f}"
+                for i, j, c in doc["entries"][:20]]
+        assert doc["rows"] > 1 and len(doc["entries"]) > 20
+        assert capsys.readouterr().out.splitlines()[2:] == \
+            [*head, f"  ... {len(doc['entries']) - 20} more"]
+
+    def test_graph_summary_ignores_layout_and_key_order(self, ridge_file, tmp_path, capsys):
+        # graph.json is read one top-level value at a time: the same graph
+        # written compact, and with its top-level keys reversed, reads the same
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(ridge_file), "--out", str(out)]) == 0
+        doc = json.loads((out / "graph.json").read_text())
+        capsys.readouterr()
+        assert main(["inspect", str(out / "graph.json")]) == 0
+        want = capsys.readouterr().out
+        assert want.startswith("tracking graph: 2 layers, 4 nodes, 2 edges, 2 tracks\n")
+        for text in (json.dumps(doc, separators=(",", ":")),
+                     json.dumps(dict(reversed(list(doc.items()))))):
+            p = tmp_path / "g.json"
+            p.write_text(text)
+            assert main(["inspect", str(p)]) == 0
+            assert capsys.readouterr().out == want, text[:40]
+
+    def test_malformed_documents_are_data_errors_under_python_O(self, tmp_path):
+        # the checks are not asserts, which -O strips
+        node = {"t": 0, "id": 0, "kind": "extremum", "vertex": 0, "value": 0.0, "pos": [0.0],
+                "track": 0}
+        docs = {
+            "keys past int64": json.dumps({**MATRIX, "rows": 2, "cols": 2**62,
+                                           "denominators": [1, 1], "entries": [[1, 0, 1]]}),
+            "boolean among counts": json.dumps({**MATRIX, "cols": 3, "denominators": [4],
+                                                "entries": [[0, 1, 2], [0, 2, True]]}),
+            "flat entries": json.dumps({**MATRIX, "entries": [0, 1, 1]}),
+            "unknown kind, numeric strings": json.dumps(
+                {"meta": {}, "edges": [], "nodes": [{**node, "kind": "banana", "value": "1.5",
+                                                     "pos": ["2.0"]}]}),
+            "scalar pos": json.dumps({"meta": {}, "edges": [], "nodes": [{**node, "pos": 3}]}),
+            "keys missing, then cut off": '{"meta": {}, "nodes": [{"t": 0}], "edges": [],',
+        }
+        argvs = []
+        for k, text in enumerate(docs.values()):
+            p = tmp_path / f"{k}.json"
+            p.write_text(text)
+            argvs.append(["inspect", str(p)])
+        codes = [code for code, _ in main_under_python_O(*argvs)]
+        assert dict(zip(docs, codes)) == dict.fromkeys(docs, 3)
+
+    def test_graph_summaries_under_python_O(self, tmp_path):
+        # node ids 2**62 apart, and nodes and edges listed out of (t, i, j)
+        # order; equally strong edges are listed in (t, i, j) order
+        node = {"kind": "extremum", "vertex": 0, "value": 0.0, "pos": [0.0], "track": 0}
+        far = {"meta": {}, "nodes": [{**node, "t": t, "id": i}
+                                     for t, i in ((0, 0), (0, 2**62), (3, 0), (4, 0))],
+               "edges": [{"t": 3, "i": 0, "j": 0, "pf": 1.0, "strength": 1.0}]}
+        unordered = {"meta": {}, "nodes": [{**node, "t": t, "id": i}
+                                           for t, i in ((2, 0), (1, 1), (0, 1), (1, 0), (0, 0))],
+                     "edges": [{"t": t, "i": i, "j": j, "pf": 1.0, "strength": 0.5}
+                               for t, i, j in ((1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))]}
+        argvs = []
+        for name, doc in (("far", far), ("unordered", unordered)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            argvs.append(["inspect", str(tmp_path / f"{name}.json")])
+        assert main_under_python_O(*argvs) == [
+            [0, "tracking graph: 5 layers, 4 nodes, 1 edges, 1 tracks\n"
+                "  t3 0 -> 0  strength 1.0000\n"],
+            [0, "tracking graph: 3 layers, 5 nodes, 4 edges, 1 tracks\n"
+                "  t0 0 -> 0  strength 0.5000\n  t0 0 -> 1  strength 0.5000\n"
+                "  t0 1 -> 0  strength 0.5000\n  t1 1 -> 0  strength 0.5000\n"],
+        ]
 
     def test_integer_past_the_digit_limit_is_a_data_error(self, tmp_path, capsys):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for an
@@ -1271,6 +1436,7 @@ class TestEntryPoint:
 
     def test_usage_error_exits_2(self):
         exe = shutil.which("extrack")
+        assert exe, "console script not installed"
         r = subprocess.run([exe], capture_output=True, text=True)
         assert r.returncode == 2
         r = subprocess.run([exe, "run", "--strategy", "telepathy"],

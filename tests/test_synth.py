@@ -71,6 +71,30 @@ class TestGenerate:
             elif abs(c - 17) <= 2:
                 assert lab.label[v] == lab.label[dom.vertex_at((5, 17))]
 
+    def test_steps_equal_the_two_step_exponent(self):
+        # generate divides each squared distance by -(2 sigma^2) in place;
+        # negating first and dividing by 2 sigma^2 gives the same bits, as
+        # IEEE division takes the sign exactly
+        rng = np.random.default_rng(14)
+        for dims, periodic in [((13, 9), (True, False)), ((7, 6, 5), (False, True, True)),
+                               ((11, 10), (True, True))]:
+            script = random_script(rng, dims, 3, n_blobs=6, periodic=periodic,
+                                   sign=float(rng.choice([-1.0, 1.0])))
+            dom = script.domain
+            coords = np.indices(dom.dims).reshape(dom.rank, -1)
+            for t, step in enumerate(generate(script).steps):
+                want = np.full(dom.vertex_count, script.base)
+                for blob in script.blobs:
+                    d2 = 0.0
+                    for a, c in enumerate(blob.path[t]):
+                        delta = np.abs(coords[a] * dom.spacing[a] - c)
+                        if periodic[a]:
+                            period = dom.dims[a] * dom.spacing[a]
+                            delta = np.minimum(delta % period, period - delta % period)
+                        d2 = d2 + delta**2
+                    want += blob.amplitude * np.exp(np.negative(d2) / (2.0 * blob.sigma**2))
+                assert step.tobytes() == want.tobytes()
+
     def test_periodic_wrap_pulls_across_seam(self):
         dom = GridDomain((4, 16), periodic=(False, True))
         blob = GaussianBlob(((1.0, 0.0),), -5.0, 2.0)
