@@ -7,10 +7,12 @@ Subcommands:
   inspect  summarize a matrix or graph JSON document
 
 Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
-assertion failure, 5 out of memory or disk. Every step of run and compare
-is a named stage, as is the whole of synth and of inspect, and any other
-failure inside one names the stage and step. A flat key=value config file
-can preset any run flag, read by that flag's own parser; explicit flags win.
+assertion failure, 5 out of memory or disk, 141 (128 + SIGPIPE) when the
+reader of stdout or of an output FIFO closes it early. Every step of run
+and compare is a named stage, as is the whole of synth and of inspect, and
+any other failure inside one names the stage and step. A flat key=value
+config file can preset any run flag, read by that flag's own parser;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import json
 import logging
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -172,13 +175,14 @@ def _stage(name: str, fn, steps=None, jobs: int = 1):
     order, on up to ``jobs`` threads; returns the result or the per-step
     results in step order and logs the stage's wall time.
 
-    Configuration, data and stage errors pass through; any other exception
-    becomes a ``StageError`` naming the stage and, per step, the step.
+    Configuration, data and stage errors pass through, as does a closed
+    pipe; any other exception becomes a ``StageError`` naming the stage
+    and, per step, the step.
     """
     def call(t=None):
         try:
             return fn() if steps is None else fn(t)
-        except (ConfigError, DataError, StageError):
+        except (ConfigError, DataError, StageError, BrokenPipeError):
             raise
         except Exception as e:
             raise StageError(name, t, e) from e
@@ -464,9 +468,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth needs --preset or --script")
     if args.preset is not None and args.script is not None:
         raise ConfigError("give either --preset or --script, not both")
-    if args.preset is not None:
-        if args.preset != "ridge":
-            raise ConfigError(f"unknown preset {args.preset!r}")
+    if args.preset is not None:  # argparse admits "ridge" alone
         script = synth.ridge_script()
     else:
         try:
@@ -665,6 +667,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _command(args) -> int:
+    if args.command == "run":
+        return run(_config_from_args(args))
+    if args.command == "compare":
+        strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+        for k, s in enumerate(strategies):
+            if s not in STRATEGIES:
+                raise ConfigError(f"unknown strategy {s!r}")
+            if s in strategies[:k]:
+                raise ConfigError(f"strategy {s!r} is listed twice in --strategies")
+        if not strategies:
+            raise ConfigError("empty strategy list")
+        return compare(_config_from_args(args), strategies)
+    if args.command == "synth":
+        return _stage("synth", lambda: cmd_synth(args))
+    return _stage("inspect", lambda: cmd_inspect(args))
+
+
+def _closed_pipe() -> int:
+    """End quietly with 141, the status a shell reports for a writer that
+    SIGPIPE ends. If stdout is the closed pipe, what it still buffers goes
+    to the null device, so that the interpreter's flush at exit does not
+    fail on it as well."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    return 141
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -672,21 +706,11 @@ def main(argv=None) -> int:
         format="%(message)s",
     )
     try:
-        if args.command == "run":
-            return run(_config_from_args(args))
-        if args.command == "compare":
-            strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-            for k, s in enumerate(strategies):
-                if s not in STRATEGIES:
-                    raise ConfigError(f"unknown strategy {s!r}")
-                if s in strategies[:k]:
-                    raise ConfigError(f"strategy {s!r} is listed twice in --strategies")
-            if not strategies:
-                raise ConfigError("empty strategy list")
-            return compare(_config_from_args(args), strategies)
-        if args.command == "synth":
-            return _stage("synth", lambda: cmd_synth(args))
-        return _stage("inspect", lambda: cmd_inspect(args))
+        code = _command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        return _closed_pipe()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -39,13 +39,14 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
     """Ascending row-major keys ``i * cols + j`` and their counts, one per
     (i, j), of a rows x cols matrix from (i, j) entries in any order; each
     entry adds its count from cc, or 1 without cc, and repeated (i, j) sum.
-    Both come back as int64.
+    The keys come back in ``_id_dtype(rows * cols)``, int32 while rows *
+    cols < 2**31, and the counts as int64.
 
-    Keys are built ``_chunk_size`` entries at a time, int32 while rows *
-    cols < 2**31, and one merge of sorted runs sums the repeats. Entries
-    without counts are counted per chunk first, so memory grows with the
-    distinct (i, j) plus one chunk, not with the entry count; entries with
-    counts, which their caller holds whole, go to the merge as they are.
+    Keys are built ``_chunk_size`` entries at a time, and one merge of
+    sorted runs sums the repeats. Entries without counts are counted per
+    chunk first, so memory grows with the distinct (i, j) plus one chunk,
+    not with the entry count; entries with counts, which their caller holds
+    whole, go to the merge as they are.
     """
     ii, jj = np.asarray(ii), np.asarray(jj)
     dt = _id_dtype(rows * cols)
@@ -83,7 +84,7 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
         order = np.argsort(k)
         u, at = _runs(k[order])
         c = np.add.reduceat(c[order], at)
-    return u.astype(np.int64), c
+    return u, c
 
 
 # the int32 half of an int64 that holds its high bits
@@ -177,6 +178,8 @@ def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
 class OverlapMatrix:
     """Sparse integer counts over row denominators, one ascending row-major
     key ``i * cols + j`` per stored entry; only this type packs the keys.
+    Every builder keeps them in ``_id_dtype(rows * cols)``, as the counter
+    builds them.
 
     ``kind`` picks what ``values`` and ``to_dense`` return: the counts of
     an overlap matrix, or the probabilities ``probs`` of a correspondence
@@ -205,23 +208,30 @@ class OverlapMatrix:
             a.flags.writeable = False
 
     @property
+    def _width(self) -> int:
+        # the key divisor: cols, or 1 where the shape has no cell, as cols
+        # then need not fit the keys' type
+        return self.cols if self.rows and self.cols else 1
+
+    @property
     def i(self) -> np.ndarray:
         """Row of every stored entry."""
-        return self.keys // max(self.cols, 1)
+        return self.keys // self._width
 
     @property
     def j(self) -> np.ndarray:
         """Column of every stored entry."""
-        return self.keys % max(self.cols, 1)
+        return self.keys % self._width
 
     def key(self, i, j) -> np.ndarray:
-        """Row-major key of each (i, j) of this shape."""
+        """Row-major key of each (i, j) of this shape, as int64, so that
+        ``_find`` compares any query exactly."""
         return np.asarray(i, np.int64) * self.cols + j
 
     def unkey(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) of each row-major key of this shape."""
-        i = keys // max(self.cols, 1)  # numpy divides by a scalar faster than divmod does
-        return i, keys - i * max(self.cols, 1)
+        """(i, j) of each row-major key of this shape, in the keys' type."""
+        i = keys // self._width  # numpy divides by a scalar faster than divmod does
+        return i, keys - i * self._width
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -253,10 +263,7 @@ class OverlapMatrix:
 
     def transpose(self, row_denominators) -> "OverlapMatrix":
         direction = "backward" if self.direction == "forward" else "forward"
-        # int32 keys, rows and columns where they fit: a faster division,
-        # and half the counter's input
-        i, j = (a.astype(_id_dtype(max(self.rows, self.cols)), copy=False) for a in
-                self.unkey(self.keys.astype(_id_dtype(self.rows * self.cols), copy=False)))
+        i, j = self.unkey(self.keys)
         return OverlapMatrix(
             self.cols, self.rows, direction, self.strategy,
             *_keys_and_counts(self.cols, self.rows, j, i, self.counts),
@@ -301,13 +308,15 @@ def sampling_overlap(
     offsets = sampling_offsets(domain, mode, d, lattice_units)
     centers = labeling_t.extrema.vertex
     step = max(1, domain.vertex_count // offsets.shape[0])
+    dt = _id_dtype(n * cols)
     keys, counts, denom = [], [], []
     for lo in range(0, n, step):
         ids, inside = stencil_vertices(domain, offsets, centers[lo:lo + step])
         size = inside.sum(axis=1)
         rows = np.repeat(np.arange(size.size), size)  # relative to the block
         k, c = _keys_and_counts(size.size, cols, rows, labeling_other.label[ids[inside]])
-        keys.append(k + lo * cols)
+        # a block's keys may be int32 inside a matrix whose keys are not
+        keys.append(k.astype(dt, copy=False) + lo * cols)
         counts.append(c)
         denom.append(size)
     # blocks cover ascending row ranges, so their keys ascend overall
@@ -345,7 +354,8 @@ def binary_correspondence(
     manifold of the other step that contains its vertex."""
     _check_pair(labeling_t, labeling_other)
     n, cols = labeling_t.n_extrema, labeling_other.n_extrema
-    keys = np.arange(n, dtype=np.int64) * cols + labeling_other.label[labeling_t.extrema.vertex]
+    keys = np.arange(n, dtype=_id_dtype(n * cols)) * cols
+    keys += labeling_other.label[labeling_t.extrema.vertex]  # in place: the keys' type stays
     one = np.ones(n, dtype=np.int64)
     return _complete_rows(OverlapMatrix(n, cols, direction, "binary", keys, one, one,
                                         "correspondence"))
@@ -384,7 +394,7 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     if (cc < 1).any():
         raise ValueError("entry counts must be at least 1")
     keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
-    if (counts > denom[keys // max(cols, 1)]).any():
+    if keys.size and (counts > denom[keys // cols]).any():
         raise ValueError("an entry count exceeds its row denominator")
     t = _int(doc["t"], "'t'")
     if t < 0:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .correspond import OverlapMatrix, _int, _ints, _keys_and_counts, normalize
-from .morse import ManifoldLabeling
+from .morse import ManifoldLabeling, _id_dtype
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +64,12 @@ class FeatureSet:
         return self.sizes.size
 
     def membership(self, n_extrema: int) -> np.ndarray:
-        """Extremum id -> feature position, -1 where uncovered."""
+        """Extremum id -> feature position, -1 where uncovered, in
+        ``_id_dtype(n_features)``."""
         bad = self.members[(self.members < 0) | (self.members >= n_extrema)]
         if bad.size:
             raise ValueError(f"extremum id {bad[0]} out of range (step has {n_extrema})")
-        out = np.full(n_extrema, -1, dtype=np.int64)
+        out = np.full(n_extrema, -1, dtype=_id_dtype(self.n_features))
         out[self.members] = self.owner
         return out
 

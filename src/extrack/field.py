@@ -15,6 +15,7 @@ import io
 import math
 import operator
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from itertools import product
@@ -393,22 +394,28 @@ def load_series(path: str | Path, format: SeriesFormat) -> ScalarFieldSeries:
 
 
 class _Output(io.FileIO):
-    """A file whose failed writes name it (the OS error does not) and delete it."""
+    """A file whose failed writes name it (the OS error does not) and delete
+    it if it is a regular file: a FIFO or a device is not the program's."""
+
+    def __init__(self, path):
+        super().__init__(path, "w")
+        self._regular = stat.S_ISREG(os.fstat(self.fileno()).st_mode)
 
     def write(self, b):
         try:
             return super().write(b)
         except OSError as e:
             e.filename = str(self.name)
-            with contextlib.suppress(OSError):  # the failed write is the error to report
-                os.unlink(self.name)
+            if self._regular:
+                with contextlib.suppress(OSError):  # the failed write is the error to report
+                    os.unlink(self.name)
             raise
 
 
 def open_output(path) -> io.BufferedWriter:
     """``open(path, "wb")``, whose failed writes, the flush at close's too,
-    name path and delete the file."""
-    return io.BufferedWriter(_Output(path, "w"))
+    name path and delete the file if it is a regular one."""
+    return io.BufferedWriter(_Output(path))
 
 
 def _write_raw(path, domain: GridDomain, steps, code: int, version: int) -> None:

@@ -279,8 +279,11 @@ def _pair_edges(first_t: int, first_next: int, fwd: OverlapMatrix, bwd: OverlapM
         # and halving is exact, as in sum([pf, pb]) / 2
         both = ~np.isnan(pf) & ~np.isnan(pb)
         strength = np.where(both, (pf + pb) / 2, np.fmax(pf, pb))
-    # matrix keys ascend row-major, so the rows come out (src, dst)-sorted
-    return EdgeColumns(first_t + i, first_next + j, pf, pb, strength)
+    # matrix keys ascend row-major, so the rows come out (src, dst)-sorted;
+    # node rows are int64, whatever type the matrix keys have
+    return EdgeColumns(first_t + i.astype(np.int64, copy=False),
+                       first_next + j.astype(np.int64, copy=False),
+                       pf, pb, strength)
 
 
 def assemble(

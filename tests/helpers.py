@@ -117,14 +117,16 @@ def oracle_sampling_overlap(lab_t, lab_other, domain: GridDomain, mode, d, latti
     return counts, denom
 
 
-def run_python(*args, optimize=False, preexec_fn=None):
+def run_python(*args, optimize=False, preexec_fn=None, stdout=subprocess.PIPE):
     """``python [-O] args`` in a child that imports this checkout's extrack;
     ``-O`` strips every ``assert``, and ``preexec_fn`` runs in the child
-    before it starts Python (to set its own resource limits, say)."""
+    before it starts Python (to set its own resource limits, say). The
+    child's stdout is captured, or goes to the given file descriptor."""
     src = str(Path(extrack.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     flags = ["-O"] if optimize else []
-    return subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *flags, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120,
                           preexec_fn=preexec_fn)
 

@@ -1,9 +1,11 @@
 import gc
 import json
 import logging
+import os
 import resource
 import shutil
 import signal
+import stat
 import struct
 import subprocess
 import tracemalloc
@@ -809,6 +811,46 @@ class TestStageReports:
         # the file whose write failed is not left cut off
         named = Path(message.format(out=out).rsplit(": ", 1)[1])
         assert not named.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["inspect-graph", "inspect-matrix", "compare"])
+    def test_a_closed_stdout_ends_quietly_with_141(self, ridge_file, tmp_path, monkeypatch,
+                                                   command, flags):
+        # the reader of the child's stdout is gone before the child writes:
+        # no bad data, so 128 + SIGPIPE and no word on stderr, not even an
+        # "Exception ignored" line when a buffered stdout is flushed at exit
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        out = tmp_path / "out"
+        if command == "compare":
+            argv = ["compare", "--input", str(ridge_file), "--out", str(out)]
+        else:
+            assert main(["run", "--input", str(ridge_file), "--out", str(out)]) == 0
+            name = "graph.json" if command == "inspect-graph" else "overlap_forward_0000.json"
+            argv = ["inspect", str(out / name)]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = run_python(*flags, "-m", "extrack", *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (141, "")
+
+    def test_a_fifo_out_whose_reader_closes_early_is_kept(self, tmp_path, capsys):
+        # 1 MiB of series through a FIFO whose reader takes one byte and
+        # closes it: the run ends as for a closed stdout, and the FIFO, which
+        # the program did not create, is not deleted
+        script = tmp_path / "big.json"
+        save_script(GaussianScript(GridDomain((256, 256)), 2, 0.0, ()), script)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["head", "-c", "1", str(fifo)], stdout=subprocess.DEVNULL)
+        try:
+            code = main(["synth", "--script", str(script), "--out", str(fifo)])
+        finally:
+            reader.kill()  # blocked on its open, were the FIFO never opened
+            reader.wait()
+        assert (code, capsys.readouterr().err) == (141, "")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_assertion_in_one_step_names_the_step(self, ridge_file, tmp_path, monkeypatch,
                                                   capsys):

@@ -19,7 +19,7 @@ from extrack.correspond import (
     save_matrix,
 )
 from extrack.field import GridDomain, sampling_offsets
-from extrack.morse import ExtremumColumns, ManifoldLabeling, label_manifolds, simplify
+from extrack.morse import ExtremumColumns, ManifoldLabeling, _id_dtype, label_manifolds, simplify
 from extrack.synth import oracle_overlap
 from helpers import (
     assert_oracle_entries,
@@ -516,6 +516,13 @@ class TestLoadValidation:
         m, _ = doc_to_matrix(matrix_doc(rows=1, cols=2**63 - 1, denominators=[1],
                                         entries=[[0, 2**63 - 2, 1]]))
         assert m.keys.tolist() == [2**63 - 2] and m.j.tolist() == [2**63 - 2]
+        assert m.keys.dtype == np.int64
+
+    def test_rows_without_cells_load_with_int32_keys(self):
+        # no cell, so int32 keys, though the columns are past int32
+        m, _ = doc_to_matrix(matrix_doc(rows=0, cols=2**40, denominators=[], entries=[]))
+        assert (m.rows, m.cols, m.keys.dtype) == (0, 2**40, np.int32)
+        assert m.i.size == m.j.size == m.to_dense().size == 0
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
     def test_malformed_document_raises_value_error(self, name, tmp_path):
@@ -657,7 +664,8 @@ class TestKeysAndCounts:
             jj = rng.integers(0, max(cols, 1), n)
             cc = rng.integers(1, 5, n) if with_counts else None
             keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
-            assert keys.dtype == counts.dtype == np.int64 and keys.size == counts.size
+            assert keys.dtype == _id_dtype(rows * cols) and counts.dtype == np.int64
+            assert keys.size == counts.size
             assert (np.diff(keys) > 0).all(), "row-major order, each key once"
             assert ((keys >= 0) & (keys < rows * cols)).all()
             expect = np.zeros((rows, cols), dtype=np.int64)
@@ -735,7 +743,7 @@ class TestChunkedCounter:
             cc = {None: None, "small": rng.integers(1, 9, n),
                   "huge": rng.integers(1, 9, n) * 2**40}[weights]
             keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
-            assert keys.dtype == counts.dtype == np.int64
+            assert keys.dtype == _id_dtype(rows * cols) and counts.dtype == np.int64
             want_keys, want_counts = dict_count(rows, cols, ii, jj, cc)
             assert keys.tolist() == want_keys and counts.tolist() == want_counts
 
@@ -745,7 +753,7 @@ class TestChunkedCounter:
     ])
     def test_key_type_switch(self, chunk_min, rows, cols):
         # the largest keys sit right below rows * cols, past int32 once the
-        # shape reaches 2**31 cells
+        # shape reaches 2**31 cells; the keys come back in the type built
         rng = np.random.default_rng(61)
         ii = np.concatenate([rng.integers(0, rows, 200), np.full(20, rows - 1)])
         jj = np.concatenate([rng.integers(0, cols, 200), cols - 1 - np.arange(20) % 3])
@@ -754,6 +762,8 @@ class TestChunkedCounter:
             want_keys, want_counts = dict_count(rows, cols, ii, jj, cc)
             assert keys.tolist() == want_keys and counts.tolist() == want_counts
             assert keys[-1] == rows * cols - 1
+            assert keys.dtype == (np.int32 if rows * cols < 2**31 else np.int64)
+            assert counts.dtype == np.int64
 
     @pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, -1), (0, 6)])
     def test_entry_outside_the_matrix_in_a_late_chunk(self, chunk_min, i, j):
@@ -823,3 +833,52 @@ class TestChunkedCounter:
         held = sum(a.nbytes for m in out for a in (m.keys, m.counts, m.row_denominators))
         assert out[0].keys.size > 50_000
         assert peak - held <= 2 * labs[0].label.nbytes
+
+
+class TestKeyType:
+    """Every matrix keeps its keys in ``_id_dtype(rows * cols)``, the type
+    the counter builds them in: int32 below 2**31 cells, else int64."""
+
+    def test_every_builder_keeps_the_counters_key_type(self):
+        rng = np.random.default_rng(66)
+        lab_t, lab_n, _ = random_labeling_pair(rng, (9, 8), (True, False))
+        fwd, bwd = manifold_overlap(lab_t, lab_n)
+        ft = features.FeatureSet(0, np.arange(lab_t.n_extrema), [1] * lab_t.n_extrema)
+        fn = features.singleton_features(1, lab_n.n_extrema)
+        built = [fwd, bwd, fwd.transpose(lab_n.sizes),
+                 sampling_overlap(lab_t, lab_n, "euclidean", 1.5, "forward"),
+                 binary_correspondence(lab_t, lab_n, "forward"),
+                 features.feature_overlap(ft, fn, fwd),
+                 doc_to_matrix(matrix_to_doc(fwd, 0))[0]]
+        for m in built:
+            assert m.keys.dtype == _id_dtype(m.rows * m.cols) == np.int32
+        assert ft.membership(lab_t.n_extrema).dtype == np.int32
+
+    def test_sampling_blocks_widen_to_the_matrix_key_type(self):
+        # every vertex of a 215 x 216 grid is its own basin: the matrix has
+        # 2**31 cells or more, but each block of rows has fewer, so a block's
+        # int32 keys must widen before they take the block's row offset
+        dom = GridDomain((215, 216))
+        n = dom.vertex_count
+        block = n // len(sampling_offsets(dom, "euclidean", 1.0, False))
+        assert block * n < 2**31 <= n * n
+        perm = np.random.default_rng(67).permutation(n)
+
+        def own_basins(label):
+            extrema = ExtremumColumns("minimum", np.argsort(label), np.zeros(n), np.full(n, np.inf))
+            return ManifoldLabeling(dom, label, extrema)
+
+        m = sampling_overlap(own_basins(np.arange(n)), own_basins(perm), "euclidean", 1.0,
+                             "forward")
+        # row i is vertex i's ball: itself and its axis neighbors in the grid
+        x, y = np.unravel_index(np.arange(n), dom.dims)
+        i, v = [], []
+        for dx, dy in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
+            inside = (0 <= x + dx) & (x + dx < 215) & (0 <= y + dy) & (y + dy < 216)
+            i.append(np.flatnonzero(inside))
+            v.append(np.ravel_multi_index((x[inside] + dx, y[inside] + dy), dom.dims))
+        i, v = np.concatenate(i), np.concatenate(v)
+        keys = np.sort(i.astype(np.int64) * n + perm[v])
+        assert m.keys.dtype == np.int64 and keys[-1] >= 2**31
+        assert np.array_equal(m.keys, keys) and (m.counts == 1).all()
+        assert np.array_equal(m.row_denominators, np.bincount(i, minlength=n))

@@ -107,6 +107,7 @@ class TestFeatureSet:
         assert index_sets(fs) == ((1, 4), (3,))
         assert {i for s in index_sets(fs) for i in s} == {1, 3, 4}
         assert fs.membership(6).tolist() == [-1, 0, -1, 1, 0, -1]
+        assert fs.membership(6).dtype == np.int32
         with pytest.raises(ValueError, match="out of range"):
             fs.membership(4)
 
