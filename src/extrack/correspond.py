@@ -79,11 +79,13 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
         c = np.add.reduceat(packed, at)
         del packed, halves
     else:
-        k, c = np.concatenate(keys), np.concatenate(counts)
-        del keys, counts
+        k = np.concatenate(keys)
+        del keys
         order = np.argsort(k)
-        u, at = _runs(k[order])
-        c = np.add.reduceat(c[order], at)
+        k.sort()
+        u, at = _runs(k)
+        del k  # before the counts are gathered
+        c = np.add.reduceat(np.concatenate(counts)[order], at)
     return u, c
 
 
@@ -106,47 +108,19 @@ def _find(keys: np.ndarray, at) -> np.ndarray:
     return np.where(keys[k] == at, k, -1)
 
 
-def _ints(value, what: str) -> np.ndarray:
+def _ints(value, what: str, ndim: int | None = None) -> np.ndarray:
     """A document's integer value or list as int64; ``ValueError`` naming it
     unless every number in it is a JSON integer (no float, even if integral,
-    no bool and no str)."""
-    return _numbers(value, what, "i", "integers").astype(np.int64, copy=False)
+    no bool and no str) that int64 holds and, with ``ndim``, unless it is
+    one integer (0), one flat list (1) or one list of flat lists (2)."""
+    return _numbers(value, what, ndim, "integer").astype(np.int64, copy=False)
 
 
-def _int(value, what: str) -> int:
-    """A document's value as an int; ``ValueError`` naming it unless it is
-    one JSON integer, not a list."""
-    a = _ints(value, what)
-    if a.ndim:
-        raise ValueError(f"{what} must be one integer, got a list")
-    return int(a)
-
-
-def _real(value, what: str) -> float:
-    """A document's value as a float; ``ValueError`` naming it unless it is
-    one JSON number, not a list."""
-    a = _reals(value, what)
-    if a.ndim:
-        raise ValueError(f"{what} must be one number, got a list")
-    return float(a)
-
-
-def _reals(value, what: str) -> np.ndarray:
-    """A document's number or list of numbers as float64; ``ValueError``
-    naming it unless every value in it is a JSON number (no bool, no str)
-    that a float64 holds. An integer is read as a float64 whatever its size,
-    also outside int64, where numpy alone reads uint64 or object values."""
-    a = np.asarray(value)
-    if a.dtype.kind in "uO" and all(type(x) in (int, float) for x in _flat(value, a.ndim)):
-        def real(x):
-            try:
-                return float(x)
-            except OverflowError:
-                raise ValueError(f"{what} must be numbers, got {x}, "
-                                 "which does not fit in float64") from None
-
-        return np.array([real(x) for x in _flat(value, a.ndim)], np.float64).reshape(a.shape)
-    return _numbers(value, what, "if", "numbers").astype(np.float64, copy=False)
+def _reals(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """``_ints`` of numbers, as float64: every value must be a JSON number
+    (no bool, no str) that a float64 holds, an integer of any size included,
+    which numpy alone reads as uint64 or object values outside int64."""
+    return _numbers(value, what, ndim, "number").astype(np.float64, copy=False)
 
 
 def _flat(value, ndim: int):
@@ -157,21 +131,57 @@ def _flat(value, ndim: int):
     return flat
 
 
-def _numbers(value, what: str, kinds: str, noun: str) -> np.ndarray:
-    a = np.asarray(value)
+def _numbers(value, what: str, ndim: int | None, noun: str) -> np.ndarray:
+    try:
+        a = np.asarray(value)
+    except ValueError:  # an "inhomogeneous shape", or more than 64 dimensions
+        raise ValueError(f"{what} must be {noun}s, got lists nested unevenly or too deep") from None
     # numpy reads true and false among numbers as 1 and 0, and an integer
     # outside int64 as uint64, float64 or object: passes over the parsed
     # values find them
     if a.ndim and bool in map(type, _flat(value, a.ndim)):
-        raise ValueError(f"{what} must be {noun}, got a boolean")
-    if a.size and a.dtype.kind not in kinds:
-        if "f" not in kinds:  # a real-valued key reads any integer (see _reals)
-            big = next((x for x in _flat(value, a.ndim)
-                        if type(x) is int and not -2**63 <= x < 2**63), None)
-            if big is not None:
-                raise ValueError(f"{what} must be {noun}, got {big}, which does not fit in int64")
-        raise ValueError(f"{what} must be {noun}, got {a.dtype} values")
+        raise ValueError(f"{what} must be {noun}s, got a boolean")
+    real = noun == "number"
+    if real and a.dtype.kind in "uO" and {*map(type, _flat(value, a.ndim))} <= {int, float}:
+        def read(x):
+            try:
+                return float(x)
+            except OverflowError:
+                raise ValueError(f"{what} must be numbers, got {x}, "
+                                 "which does not fit in float64") from None
+
+        a = np.array([read(x) for x in _flat(value, a.ndim)], np.float64).reshape(a.shape)
+    elif a.size and a.dtype.kind not in ("if" if real else "i"):
+        big = None if real else next((x for x in _flat(value, a.ndim)
+                                      if type(x) is int and not -2**63 <= x < 2**63), None)
+        if big is not None:
+            raise ValueError(f"{what} must be integers, got {big}, which does not fit in int64")
+        raise ValueError(f"{what} must be {noun}s, got {a.dtype} values")
+    if ndim is not None and a.ndim != ndim:
+        shape = f"list of {'lists of ' * (ndim - 1)}{noun}s" if ndim else f"{noun}, got a list"
+        raise ValueError(f"{what} must be one {shape}")
     return a
+
+
+def _records(value, name: str, keys, where: str) -> list:
+    """The ``name`` list of a document, ``value``; ``ValueError`` unless it
+    is a list ("``where`` needs a 'name' list") of objects that each hold
+    every one of ``keys`` (see ``_lacks``)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} needs a {name!r} list")
+    need = frozenset(keys)
+    for k, x in enumerate(value):
+        if type(x) is not dict or not x.keys() >= need:
+            _lacks(x, keys, f"{name}[{k}]")
+    return value
+
+
+def _lacks(x, keys, what: str) -> None:
+    """``ValueError`` "``what`` lacks ..." naming those of ``keys`` that x,
+    a record of a document, does not hold: all of them if x is no object."""
+    missing = [key for key in keys if type(x) is not dict or key not in x]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +234,9 @@ class OverlapMatrix:
         return self.keys % self._width
 
     def key(self, i, j) -> np.ndarray:
-        """Row-major key of each (i, j) of this shape, as int64, so that
-        ``_find`` compares any query exactly."""
-        return np.asarray(i, np.int64) * self.cols + j
+        """Row-major key of each (i, j) of this shape, in the keys' type, so
+        that ``_find`` compares the stored keys as they are."""
+        return np.asarray(i, self.keys.dtype) * self._width + np.asarray(j, self.keys.dtype)
 
     def unkey(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) of each row-major key of this shape, in the keys' type."""
@@ -368,21 +378,21 @@ def normalize(o: OverlapMatrix) -> OverlapMatrix:
 
 def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     """The matrix of a document read from outside; every invariant of the
-    type, integral shapes, steps, denominators and entries included, is
-    checked with a ``ValueError``, so ``python -O`` loads no malformed
+    type, keys, integral shapes, steps, denominators and entries included,
+    is checked with a ``ValueError``, so ``python -O`` loads no malformed
     document either, nor one nested other than as ``save_matrix`` writes it."""
+    _lacks(doc, ("t", "kind", "direction", "strategy", "rows", "cols", "denominators",
+                 "entries"), "a matrix document")
     for key, names in (("kind", get_args(Kind)), ("direction", get_args(Direction)),
                        ("strategy", get_args(Strategy))):
         if doc[key] not in names:
             raise ValueError(f"unknown matrix {key} {doc[key]!r}")
-    rows, cols = (_int(doc[key], repr(key)) for key in ("rows", "cols"))
+    rows, cols = (int(_ints(doc[key], repr(key), 0)) for key in ("rows", "cols"))
     if rows < 0 or cols < 0:
         raise ValueError(f"negative shape {rows} x {cols}")
     if rows * cols >= 2**63:  # every key i * cols + j must fit in int64
         raise ValueError(f"shape {rows} x {cols} has more cells than int64 keys can index")
-    denom = _ints(doc["denominators"], "'denominators'")
-    if denom.ndim != 1:
-        raise ValueError("'denominators' must be one list of integers")
+    denom = _ints(doc["denominators"], "'denominators'", 1)
     if denom.size != rows:
         raise ValueError(f"{denom.size} denominators for {rows} rows")
     if (denom < 1).any():
@@ -396,7 +406,7 @@ def doc_to_matrix(doc: dict) -> tuple[OverlapMatrix, int]:
     keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
     if keys.size and (counts > denom[keys // cols]).any():
         raise ValueError("an entry count exceeds its row denominator")
-    t = _int(doc["t"], "'t'")
+    t = int(_ints(doc["t"], "'t'", 0))
     if t < 0:
         raise ValueError(f"negative step t={t}")
     return OverlapMatrix(rows, cols, doc["direction"], doc["strategy"],

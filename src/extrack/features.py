@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _int, _ints, _keys_and_counts, normalize
+from .correspond import OverlapMatrix, _ints, _keys_and_counts, _records, normalize
 from .morse import ManifoldLabeling, _id_dtype
 
 
@@ -131,21 +131,31 @@ def representative_extremum(features: FeatureSet, labeling: ManifoldLabeling) ->
 def load_features(path) -> list[FeatureSet]:
     """Read feature sets from JSON: one object or a list of objects of the
     form {t, features: [{id, label?, extrema: [...]}, ...]}, features in
-    stable ``id`` order; a label is accepted and not read. A step, a
-    feature id or an extremum id that is not an integer, or a feature id
-    listed twice in a step, raises ``ValueError``."""
+    stable ``id`` order; a label is accepted and not read. A step or feature
+    that lacks a key, a value that is not an integer or is nested otherwise,
+    or a feature id listed twice raises ``ValueError`` naming its key or list."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        doc = [doc]
     out = []
-    for entry in doc:
-        ids = _ints([f["id"] for f in entry["features"]], "feature 'id'")
+    for s, entry in enumerate(_records(doc if isinstance(doc, list) else [doc], "steps",
+                                       ("t", "features"), "a feature file")):
+        feats = _records(entry["features"], "features", ("id", "extrema"), f"steps[{s}]")
+        ids = _each([f["id"] for f in feats], "feature 'id'", 0)
         order = np.argsort(ids, kind="stable")
-        sets = [entry["features"][k]["extrema"] for k in order]
-        members = _ints(list(chain.from_iterable(sets)), "feature 'extrema'")
-        out.append(FeatureSet(_int(entry["t"], "'t'"), members, list(map(len, sets))))
+        sets = [feats[k]["extrema"] for k in order]
+        members = _each(sets, "feature 'extrema'", 1)
+        out.append(FeatureSet(int(_ints(entry["t"], "'t'", 0)), members, list(map(len, sets))))
         # checked last, so the set's own errors come first
         if (np.diff(ids[order]) == 0).any():
             raise ValueError("feature ids must be unique")
     out.sort(key=lambda fs: fs.t)
     return out
+
+
+def _each(values: list, what: str, ndim: int) -> np.ndarray:
+    """``_ints`` of one key's values, one per record, as one flat array;
+    each value is one integer (``ndim`` 0) or one list of them (1). The
+    first value nested otherwise is read alone, which raises its error."""
+    odd = [x for x in values if (type(x) is list) != bool(ndim)]
+    if odd:
+        _ints(odd[0], what, ndim)
+    return _ints(list(chain.from_iterable(values)) if ndim else values, what, 1)

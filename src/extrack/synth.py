@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import _int, _ints, _real, _reals
+from .correspond import _ints, _lacks, _reals, _records
 from .field import GridDomain, ScalarFieldSeries, open_output
 from .morse import ExtremumKind, ManifoldLabeling
 
@@ -111,31 +111,25 @@ def save_script(script: GaussianScript, path) -> None:
 
 def load_script(path) -> GaussianScript:
     """Read a script as strictly as every other document; ``ValueError``
-    names the first key whose value is not of its JSON type."""
+    names the first key or list that is missing or whose value is not of
+    its JSON type and nesting."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    _lacks(doc, ("dims", "n_steps"), "a script")
     periodic = doc.get("periodic")
-    if periodic is not None and not all(type(p) is bool for p in periodic):
-        raise ValueError(f"'periodic' must be booleans, got {periodic!r}")
+    if periodic is not None and not (type(periodic) is list
+                                     and all(type(p) is bool for p in periodic)):
+        raise ValueError(f"'periodic' must be booleans in one list, got {periodic!r}")
     spacing = doc.get("spacing")
-    domain = GridDomain(_one_list(_ints(doc["dims"], "'dims'"), "'dims'", "integers"),
-                        None if spacing is None else
-                        _one_list(_reals(spacing, "'spacing'"), "'spacing'", "numbers"),
+    domain = GridDomain(_ints(doc["dims"], "'dims'", 1).tolist(),
+                        None if spacing is None else _reals(spacing, "'spacing'", 1).tolist(),
                         periodic)
-    blobs = tuple(
-        GaussianBlob(tuple(map(tuple, _reals(b["path"], "'path'").tolist())),
-                     _real(b["amplitude"], "'amplitude'"), _real(b["sigma"], "'sigma'"))
-        for b in doc.get("blobs", [])
-    )
-    return GaussianScript(domain, _int(doc["n_steps"], "'n_steps'"),
-                          _real(doc.get("base", 0.0), "'base'"), blobs)
-
-
-def _one_list(a: np.ndarray, what: str, noun: str) -> list:
-    """A script's list as read by ``_ints`` or ``_reals``; ``ValueError``
-    naming it unless it is one flat list."""
-    if a.ndim != 1:
-        raise ValueError(f"{what} must be one list of {noun}")
-    return a.tolist()
+    blobs = tuple(GaussianBlob(_reals(b["path"], "'path'", 2).tolist(),
+                               float(_reals(b["amplitude"], "'amplitude'", 0)),
+                               float(_reals(b["sigma"], "'sigma'", 0)))
+                  for b in _records(doc.get("blobs", []), "blobs",
+                                    ("amplitude", "sigma", "path"), "a script"))
+    return GaussianScript(domain, int(_ints(doc["n_steps"], "'n_steps'", 0)),
+                          float(_reals(doc.get("base", 0.0), "'base'", 0)), blobs)
 
 
 def random_script(

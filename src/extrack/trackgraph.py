@@ -38,7 +38,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _rows
+from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _records, _rows
 from .field import GridDomain, minimum_image_distance, open_output
 from .morse import ManifoldLabeling, _resolve_roots
 
@@ -511,14 +511,8 @@ def _read_list(name: str, records) -> _ReadList:
     """The ``name`` list of a graph document (None if absent) as a ``_ReadList``."""
     if isinstance(records, _ReadList):
         return records
-    keys = _LISTS[name][1]
     try:
-        if not isinstance(records, list):
-            raise ValueError(f"a graph document needs a {name!r} list")
-        for k, x in enumerate(records):
-            missing = [key for key in keys if key not in x] if isinstance(x, dict) else keys
-            if missing:
-                raise ValueError(f"{name}[{k}] lacks {', '.join(missing)}")
+        _records(records, name, _LISTS[name][1], "a graph document")
     except ValueError as e:
         return _ReadList(e, None)
     try:
@@ -587,7 +581,7 @@ def _decode_list(name: str, text: str, i: int) -> tuple[_ReadList, int]:
     read, from one that is not a list to a chunk whose checks fail, is
     decoded whole and read by ``_read_list``, which finds the same columns
     or holds the error that the whole list gives."""
-    need = frozenset(_LISTS[name][1])
+    keys = _LISTS[name][1]
     parts, chunk = [], []
     decode, add = _DECODER.raw_decode, chunk.append
     try:
@@ -598,15 +592,13 @@ def _decode_list(name: str, text: str, i: int) -> tuple[_ReadList, int]:
             return _read_list(name, []), j + 1
         while True:
             record, j = decode(text, j)
-            if type(record) is not dict or not record.keys() >= need:
-                raise ValueError("a record lacks keys")
             add(record)
             sep = _NEXT_ITEM(text, j)
             if sep is None:
                 raise ValueError("no comma")
             j, last = sep.end(), sep[1] == "]"
             if last or len(chunk) == _CHUNK:
-                parts.append(_columns(name, chunk))
+                parts.append(_columns(name, _records(chunk, name, keys, "a graph document")))
                 chunk.clear()
                 if last:
                     break

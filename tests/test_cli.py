@@ -39,18 +39,52 @@ def read_tree(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
 
-def main_under_python_O(*argvs) -> list:
-    """``[exit code, stdout]`` of ``main(argv)`` for each argv, all run in
-    one ``python -O`` child, which strips every assert."""
+def main_under_python_O(*argvs, stderr: bool = False) -> list:
+    """``[exit code, stdout]`` of ``main(argv)`` for each argv, with its
+    stderr last if ``stderr``, all run in one ``python -O`` child, which
+    strips every assert."""
     script = ("import contextlib, io, json, sys\nfrom extrack.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
-              "    out = io.StringIO()\n"
-              "    with contextlib.redirect_stdout(out):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
               "        code = main(argv)\n"
-              "    print(json.dumps([code, out.getvalue()]))\n")
+              "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
     r = run_python("-c", script, json.dumps(argvs), optimize=True)
-    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
-    return [json.loads(line) for line in r.stdout.splitlines()]
+    runs = [json.loads(line) for line in r.stdout.splitlines()]
+    assert r.returncode == 0 and "Traceback" not in r.stderr + "".join(e for *_, e in runs), \
+        r.stderr
+    return [run[:3 if stderr else 2] for run in runs]
+
+
+# documents nested otherwise or lacking a key, each with the message that
+# names its key or list; they used to fail in the words of Python's own
+# TypeError, KeyError or AttributeError, and a `blobs` object to load as no
+# blobs. (key, value) changes of a script:
+SCRIPT_SHAPES = {
+    "flat-path": ("path", [1, 2], "'path' must be one list of lists of numbers"),
+    "scalar-periodic": ("periodic", True, "'periodic' must be booleans in one list"),
+    "blob-without-sigma": ("blobs", [{"amplitude": 1.0, "path": [[3.0, 3.0]]}],
+                           "blobs[0] lacks sigma"),
+    "blobs-object": ("blobs", {}, "a script needs a 'blobs' list"),
+}
+# and whole feature files
+FEATURE_SHAPES = {
+    "listed-id": ({"t": 0, "features": [{"id": [1], "extrema": [0]}]},
+                  "feature 'id' must be one integer, got a list"),
+    "scalar-extrema": ({"t": 0, "features": [{"id": 0, "extrema": 0}]},
+                       "feature 'extrema' must be one list of integers"),
+    "features-object": ({"t": 0, "features": {"id": 1}}, "steps[0] needs a 'features' list"),
+    "feature-without-extrema": ({"t": 0, "features": [{"id": 0}]}, "features[0] lacks extrema"),
+}
+
+
+def script_doc(key, value) -> dict:
+    """A one-blob script of one step on an 8 x 8 grid, with ``key`` of the
+    blob, if it has one, or of the script set to ``value``."""
+    blob = {"amplitude": 1.0, "sigma": 2.0, "path": [[3.0, 3.0]]}
+    doc = {"dims": [8, 8], "n_steps": 1, "blobs": [blob]}
+    (blob if key in blob else doc)[key] = value
+    return doc
 
 
 class TestSynth:
@@ -131,10 +165,11 @@ class TestSynth:
         ("dims", [[8, 8]], "'dims' must be one list of integers"),
         ("dims", 8, "'dims' must be one list of integers"),
         ("spacing", [[1.0, 1.0]], "'spacing' must be one list of numbers"),
+        *SCRIPT_SHAPES.values(),
     ], ids=["fractional-dims", "fractional-steps", "bool-steps", "bool-spacing", "str-base",
             "str-periodic", "bool-amplitude", "str-sigma", "inf-sigma", "str-path",
             "3d-path", "listed-steps", "listed-amplitude", "listed-sigma", "listed-base",
-            "nested-dims", "scalar-dims", "nested-spacing"])
+            "nested-dims", "scalar-dims", "nested-spacing", *SCRIPT_SHAPES])
     def test_script_numbers_are_read_strictly(self, tmp_path, capsys, key, value, message):
         # each used to be coerced and exit 0: 8.7 read as 8, 1.9 steps as 1,
         # true as 1.0, "2" as 2.0, "no" as periodic, an infinite sigma as a
@@ -410,17 +445,24 @@ class TestFeaturePipeline:
         assert (f"error: {fpath}: step 0: extremum id {bad} out of range (step has 2)"
                 in capsys.readouterr().err)
 
-    def test_non_integral_feature_file_is_a_data_error(self, ridge_file, tmp_path, capsys):
-        # it used to read as step 0, feature 0, extrema [0, 1] and exit 0
+    @pytest.mark.parametrize("text, message", [
+        ('{"t": 0.9, "features": [{"id": 0.4, "extrema": [0.6, true]}]}',
+         "feature 'id' must be integers"),
+        *((json.dumps(doc), message) for doc, message in FEATURE_SHAPES.values()),
+    ], ids=["fractional", *FEATURE_SHAPES])
+    def test_malformed_feature_file_is_a_data_error(self, ridge_file, tmp_path, capsys, text,
+                                                    message):
+        # the fractional file used to read as step 0, feature 0, extrema
+        # [0, 1] and exit 0
         fpath = tmp_path / "features.json"
-        fpath.write_text('{"t": 0.9, "features": [{"id": 0.4, "extrema": [0.6, true]}]}')
+        fpath.write_text(text)
         argv = ["run", "--input", str(ridge_file), "--out", str(tmp_path / "out"),
                 "--features", str(fpath)]
         assert main(argv) == 3
-        assert "bad feature file: feature 'id' must be integers" in capsys.readouterr().err
+        assert f"bad feature file: {message}" in capsys.readouterr().err
         r = run_python("-m", "extrack", *argv, optimize=True)
         assert r.returncode == 3, r.stderr
-        assert "feature 'id' must be integers" in r.stderr
+        assert message in r.stderr
 
 
 class TestMatrixPairs:
@@ -601,6 +643,27 @@ class TestConfigFile:
 class TestExitCodes:
     def test_no_input_is_a_config_error(self):
         assert main(["run"]) == 2
+
+    def test_documents_name_their_faults_under_python_O(self, tmp_path):
+        # each used to exit 3 in Python's own words, such as the stage failure
+        # "'list' object has no attribute 'get'" of a script that is a list
+        scripts = [(script_doc(key, value), message)
+                   for key, value, message in SCRIPT_SHAPES.values()]
+        scripts.append(([script_doc("dims", [8, 8])], "a script lacks dims, n_steps"))
+        out = tmp_path / "x.xtrk"
+        argvs, messages = [], []
+        for k, (doc, message) in enumerate(scripts):
+            (tmp_path / f"{k}.json").write_text(json.dumps(doc))
+            argvs.append(["synth", "--script", str(tmp_path / f"{k}.json"), "--out", str(out)])
+            messages.append(f"bad script: {message}")
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({k: v for k, v in MATRIX.items() if k != "rows"}))
+        argvs.append(["inspect", str(matrix)])
+        messages.append("malformed matrix document: ValueError('a matrix document lacks rows')")
+        runs = main_under_python_O(*argvs, stderr=True)
+        for message, (code, _, err) in zip(messages, runs, strict=True):
+            assert code == 3 and message in err, (message, err)
+        assert not out.exists()
 
     def test_invalid_persistence_pct(self, ridge_file):
         assert main(["run", "--input", str(ridge_file), "--persistence-pct", "150"]) == 2

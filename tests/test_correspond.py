@@ -493,6 +493,9 @@ MALFORMED_DOCS = {
     "listed rows": (matrix_doc(rows=[2]), "'rows' must be one integer"),
     "listed columns": (matrix_doc(cols=[2]), "'cols' must be one integer"),
     "listed step": (matrix_doc(t=[0]), "'t' must be one integer"),
+    # a missing key is named, as in a graph document
+    "missing rows": ({k: v for k, v in matrix_doc().items() if k != "rows"},
+                     "a matrix document lacks rows"),
 }
 
 
@@ -834,6 +837,25 @@ class TestChunkedCounter:
         assert out[0].keys.size > 50_000
         assert peak - held <= 2 * labs[0].label.nbytes
 
+    def test_general_merge_memory_is_bounded_by_the_entries(self):
+        # a shape of 2**31 cells or more takes int64 keys and the general
+        # merge. Beyond its output it holds at most 2.2 times the entries'
+        # keys and counts; keeping the keys until the counts were gathered
+        # held 2.4 times them.
+        rng = np.random.default_rng(68)
+        n = 400_000
+        ii, jj = rng.integers(0, 60000, (2, n))
+        ii[:n // 4], jj[:n // 4] = ii[n // 4:n // 2], jj[n // 4:n // 2]  # repeats
+        cc = rng.integers(1, 5, n)
+        tracemalloc.start()
+        try:
+            keys, counts = _keys_and_counts(60000, 60000, ii, jj, cc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.dtype == np.int64 and keys.size < n
+        assert peak - keys.nbytes - counts.nbytes <= 2.2 * 16 * n
+
 
 class TestKeyType:
     """Every matrix keeps its keys in ``_id_dtype(rows * cols)``, the type
@@ -853,6 +875,29 @@ class TestKeyType:
         for m in built:
             assert m.keys.dtype == _id_dtype(m.rows * m.cols) == np.int32
         assert ft.membership(lab_t.n_extrema).dtype == np.int32
+
+    def test_queries_take_the_keys_type(self):
+        # key(i, j) builds its queries in the keys' type, so probs_at
+        # compares int32 keys as stored; int64 queries made searchsorted
+        # widen a copy of every key on each lookup
+        rng = np.random.default_rng(69)
+        keys = np.unique(rng.integers(0, 2**30, 300_000)).astype(np.int32)
+        m = OverlapMatrix(2**15, 2**15, "forward", "manifold-overlap", keys,
+                          np.ones(keys.size, np.int64), np.full(2**15, 10, np.int64))
+        i, j = (a.astype(np.int64) for a in m.unkey(keys[::100]))
+        m.probs  # derived before the count
+        tracemalloc.start()
+        try:
+            q = m.key(i, j)
+            p = m.probs_at(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.dtype == np.int32 and np.array_equal(q, keys[::100])
+        assert np.array_equal(p, m.probs[::100])
+        # probs_at copies the probabilities once; an int64 copy of the keys
+        # would add twice their bytes
+        assert peak < m.probs.nbytes + keys.nbytes
 
     def test_sampling_blocks_widen_to_the_matrix_key_type(self):
         # every vertex of a 215 x 216 grid is its own basin: the matrix has
