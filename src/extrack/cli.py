@@ -356,7 +356,7 @@ def _write_matrices(out: Path, pairs, prefix: str = "") -> None:
 
 def _pipeline(config: PipelineConfig, out: Path, strategies):
     """Load, label, dump the labels and load the features once, then yield
-    each strategy's (matrices, feature matrices or None, filtered graph)."""
+    each strategy's (name, matrices, feature matrices or None, graph)."""
     series = _stage("load", lambda: _load_input(config))
     domain, steps = series.domain, list(series.steps)
     del series  # each step is held once, by steps, until it is labeled
@@ -375,13 +375,14 @@ def _pipeline(config: PipelineConfig, out: Path, strategies):
         g = _build_graph(layers, domain, pairs if fpairs is None else fpairs, config, strategy)
         if k == len(strategies) - 1:
             layers.cache_clear()  # the last graph holds its own copy of the nodes
-        yield pairs, fpairs, g
+        yield strategy, pairs, fpairs, g
+        del pairs, fpairs, g  # before the next strategy's are built
 
 
 def run(config: PipelineConfig) -> int:
     """Full pipeline; writes artifacts into the output directory."""
     out = _output_dir(config.out)
-    for pairs, fpairs, g in _pipeline(config, out, [config.strategy]):
+    for _, pairs, fpairs, g in _pipeline(config, out, [config.strategy]):
         _stage("export", lambda: _write_outputs(out, pairs, fpairs, g))
     return 0
 
@@ -394,22 +395,20 @@ def _write_outputs(out: Path, pairs, fpairs, g) -> None:
     trackgraph.save_graph(g, "dot", out / "graph.dot")
 
 
-def _write_report(out: Path, strategies, per_strategy) -> None:
-    """compare.json and compare.txt from each strategy's (matrix, step) list,
-    in (direction, step) order, and report entry: every binary entry is looked
-    up by its row-major key in each strategy's matrix of the same position."""
+def _write_report(out: Path, strategies, binary, per_strategy) -> None:
+    """compare.json and compare.txt from binary's (matrix, step) list, in
+    (direction, step) order, and each strategy's probabilities at the
+    entries of each of those matrices (NaN where it has none) and report entry."""
     def cat(parts, dtype=np.int64):
         return np.concatenate([np.empty(0, dtype), *parts])
 
     names = sorted(per_strategy)
-    binary = per_strategy["binary"][0] if "binary" in per_strategy else []
     sizes = [b.keys.size for b, _ in binary]
     columns = [(np.repeat([b.direction for b, _ in binary], sizes), json.dumps),
                cat(b.i for b, _ in binary), cat(b.j for b, _ in binary)]
     summary = {s: dict(per_strategy[s][1]) for s in names}
     for s, entry in summary.items():
-        p = cat((m.probs_at(b.keys) for (m, _), (b, _) in zip(per_strategy[s][0], binary)),
-                np.float64)
+        p = cat(per_strategy[s][0], np.float64)
         hit = p[~np.isnan(p)]  # in key order, so np.mean sums as it always has
         if "binary" in per_strategy:
             entry["binary_retention_pct"] = round(100.0 * hit.size / p.size, 3) if p.size else 100.0
@@ -444,16 +443,22 @@ def _write_report(out: Path, strategies, per_strategy) -> None:
 def compare(config: PipelineConfig, strategies) -> int:
     """Run several strategies on shared labelings and node layers; write a report."""
     out = _output_dir(config.out)
-    per_strategy = {}
-    for strategy, (pairs, _, g) in zip(strategies, _pipeline(config, out, strategies)):
+    binary, per_strategy = [], {}
+    # binary first: each other strategy's matrices and graph go once looked up
+    order = sorted(strategies, key=lambda s: s != "binary")
+    for strategy, pairs, fpairs, g in _pipeline(config, out, order):
         # backward before forward, the order of their (direction, step) keys
         mats = [(b, t + 1) for t, (_, b) in enumerate(pairs)] + [(f, t) for t, (f, _) in enumerate(pairs)]
-        per_strategy[strategy] = _stage("report", lambda: (mats, {
+        if strategy == "binary":
+            binary = mats
+        per_strategy[strategy] = _stage("report", lambda: (
+            [m.probs_at(b.keys) for (m, _), (b, _) in zip(mats, binary)], {
             "correspondence_entries": sum(m.keys.size for m, _ in mats),
             "graph_edges": len(g.edge_columns),
             "tracks": np.unique(g.tracks, return_counts=True)[1].size,  # no numpy.ma import
         }))
-    _stage("report", lambda: _write_report(out, strategies, per_strategy))
+        del pairs, fpairs, g, mats
+    _stage("report", lambda: _write_report(out, strategies, binary, per_strategy))
     return 0
 
 

@@ -253,7 +253,10 @@ class OverlapMatrix:
 
     def probs_at(self, keys) -> np.ndarray:
         """The probability at each row-major key, NaN where no entry is stored."""
-        return np.append(self.probs, np.nan)[_find(self.keys, keys)]  # -1 reads the NaN
+        at = _find(self.keys, keys)
+        out = np.full(at.shape, np.nan)
+        out[at >= 0] = self.probs[at[at >= 0]]
+        return out
 
     @property
     def values(self) -> np.ndarray:
@@ -511,18 +514,22 @@ def save_matrix(m, t: int, path, twin=None) -> None:
     # each block's rows and columns come from its own keys
     entries = [lambda a, b: m.unkey(m.keys[a:b])[0], lambda a, b: m.unkey(m.keys[a:b])[1],
                m.counts]
-    with ExitStack() as stack:
-        files = [stack.enter_context(open_output(p)) for p, _ in docs]
-
-        def write(chunks):
-            for chunk in chunks:
+    shared = chain([f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode()],
+                   _json_list("%d", [m.row_denominators], m.rows),
+                   [f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode()],
+                   _json_list("[\n      %d,\n      %d,\n      %d\n    ]", entries, m.counts.size))
+    files = []
+    try:
+        with ExitStack() as stack:
+            for p, _ in docs:
+                files.append(stack.enter_context(open_output(p)))
+            for chunk in shared:
                 for fh in files:
                     fh.write(chunk)
-
-        write([f'{{\n  "cols": {int(m.cols)},\n  "denominators": '.encode()])
-        write(_json_list("%d", [m.row_denominators], m.rows))
-        write([f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode()])
-        write(_json_list("[\n      %d,\n      %d,\n      %d\n    ]", entries, m.counts.size))
-        for fh, (_, kind) in zip(files, docs):
-            fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
-                     f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
+            for fh, (_, kind) in zip(files, docs):
+                fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
+                         f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
+    except BaseException:
+        for fh in files:  # a failed pass leaves neither of its files cut off
+            fh.raw.discard()
+        raise

@@ -406,10 +406,14 @@ class _Output(io.FileIO):
             return super().write(b)
         except OSError as e:
             e.filename = str(self.name)
-            if self._regular:
-                with contextlib.suppress(OSError):  # the failed write is the error to report
-                    os.unlink(self.name)
+            self.discard()
             raise
+
+    def discard(self) -> None:
+        """Delete the file if it is a regular one."""
+        if self._regular:
+            with contextlib.suppress(OSError):  # the failure is the error to report
+                os.unlink(self.name)
 
 
 def open_output(path) -> io.BufferedWriter:

@@ -19,7 +19,8 @@ output and the ``GraphEdge`` views is derived from the rows in one place,
 node: it belongs to the graph, ``TrackingGraph.tracks``, derived from the
 edges when first read unless a document gave it, so a graph that only
 feeds the next filter never propagates tracks. A graph document is read
-a chunk of records at a time (``read_document``), never as a whole tree.
+a chunk of records at a time (``read_document``); one that fails a check
+is read again as a whole tree, which gives every reader error.
 Every entry point takes columns; ``GraphNode``/``GraphEdge`` objects are
 read-only output views, built only when a caller reads
 ``TrackingGraph.nodes`` or ``.edges``.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -488,44 +489,19 @@ _LISTS = {
 }
 
 
-class _ReadList(NamedTuple):
-    """One list of a graph document, read into checked columns. The
-    ``ValueError`` of each check is held until ``doc_to_graph`` reaches
-    that check: ``error`` for the list and its records' keys, else
-    ``columns`` holds the columns or the error that making them raised."""
-
-    error: ValueError | None
-    columns: list | ValueError | None
+class _Columns(list):
+    """A graph document's list as the checked columns that the walk read."""
 
 
-def _columns(name: str, records: list[dict]) -> list[np.ndarray]:
+def _columns(name: str, records: list) -> list[np.ndarray]:
     """The checked columns of the ``name`` list's records, each of which
-    holds every key it needs."""
+    holds every key it needs, or the ``_Columns`` the walk read."""
+    if isinstance(records, _Columns):
+        return records
     what, keys, columns, default = _LISTS[name]
     return [_column(list(map(itemgetter(key), records)) if key in keys
                     else [x.get(key, default) for x in records], what, key)
             for key in columns]
-
-
-def _read_list(name: str, records) -> _ReadList:
-    """The ``name`` list of a graph document (None if absent) as a ``_ReadList``."""
-    if isinstance(records, _ReadList):
-        return records
-    try:
-        _records(records, name, _LISTS[name][1], "a graph document")
-    except ValueError as e:
-        return _ReadList(e, None)
-    try:
-        return _ReadList(None, _columns(name, records))
-    except ValueError as e:
-        return _ReadList(None, e)
-
-
-def _held(x):
-    """x, unless it is a held error, which is raised."""
-    if isinstance(x, ValueError):
-        raise x
-    return x
 
 
 def _column(c: list, name: str, key: str) -> np.ndarray:
@@ -574,40 +550,31 @@ def _token(text: str, i: int) -> tuple[str, int]:
     return text[i:i + 1], i + 1
 
 
-def _decode_list(name: str, text: str, i: int) -> tuple[_ReadList, int]:
-    """The ``name`` value that starts at ``i`` as a ``_ReadList``, and the
-    index past it. A list is decoded ``_CHUNK`` records at a time, and each
-    chunk becomes columns before the next is decoded. A value this does not
-    read, from one that is not a list to a chunk whose checks fail, is
-    decoded whole and read by ``_read_list``, which finds the same columns
-    or holds the error that the whole list gives."""
-    keys = _LISTS[name][1]
+def _decode_list(name: str, text: str, i: int) -> tuple[_Columns, int]:
+    """The ``name`` list that starts at ``i`` as ``_Columns``, and the index
+    past it. The list is decoded ``_CHUNK`` records at a time, and each chunk
+    becomes columns before the next is decoded. ``ValueError`` at the first
+    thing this does not read: a value that is not a list, a chunk whose
+    checks fail, or chunks whose positions do not concatenate."""
+    if text[i:i + 1] != "[":
+        raise ValueError("not a list")
     parts, chunk = [], []
     decode, add = _DECODER.raw_decode, chunk.append
-    try:
-        if text[i:i + 1] != "[":
-            raise ValueError("not a list")
-        j = _SPACE(text, i + 1).end()
-        if text[j:j + 1] == "]":
-            return _read_list(name, []), j + 1
-        while True:
-            record, j = decode(text, j)
-            add(record)
-            sep = _NEXT_ITEM(text, j)
-            if sep is None:
-                raise ValueError("no comma")
-            j, last = sep.end(), sep[1] == "]"
-            if last or len(chunk) == _CHUNK:
-                parts.append(_columns(name, _records(chunk, name, keys, "a graph document")))
-                chunk.clear()
-                if last:
-                    break
-        # chunks whose positions differ in length do not concatenate
-        return _ReadList(None, [np.concatenate(c) for c in zip(*parts)]), j
-    except ValueError:
-        parts = chunk = None  # dropped before the whole list is decoded
-    value, end = _DECODER.raw_decode(text, i)
-    return _read_list(name, value), end
+    j = _SPACE(text, i + 1).end()
+    if text[j:j + 1] == "]":
+        return _Columns(_columns(name, [])), j + 1
+    while True:
+        record, j = decode(text, j)
+        add(record)
+        sep = _NEXT_ITEM(text, j)
+        if sep is None:
+            raise ValueError("no comma")
+        j, last = sep.end(), sep[1] == "]"
+        if last or len(chunk) == _CHUNK:
+            parts.append(_columns(name, _records(chunk, name, _LISTS[name][1], "a graph document")))
+            chunk.clear()
+            if last:
+                return _Columns([np.concatenate(c) for c in zip(*parts)]), j
 
 
 def _walk(text: str) -> dict | None:
@@ -647,12 +614,12 @@ def _walk(text: str) -> dict | None:
 
 def read_document(text: str):
     """The JSON document ``text`` as ``json.loads`` reads it, except that
-    a top-level object's ``nodes`` and ``edges`` lists come read for
-    ``doc_to_graph``. The object is decoded one top-level value at a time,
-    and each list a chunk of records at a time, so a graph's records never
-    exist all at once. Text that this walk does not read goes to
-    ``json.loads``, which raises its own error, message and all, or
-    returns the tree."""
+    a top-level object's ``nodes`` and ``edges`` lists come as checked
+    columns for ``doc_to_graph``. The object is decoded one top-level value
+    at a time, and each list a chunk of records at a time, so a graph's
+    records never exist all at once. Text that this walk does not read, a
+    record that fails a check included, is read again whole by
+    ``json.loads``, which raises its own error or returns the tree."""
     doc = _walk(text)
     return json.loads(text) if doc is None else doc
 
@@ -673,17 +640,18 @@ def doc_to_graph(doc) -> TrackingGraph:
     listed once with t >= 0, each edge (t, i, j) listed once between nodes
     that exist in layers t and t+1, and probabilities and strengths in
     (0, 1]. The document is a ``json.loads`` tree or a ``read_document``
-    one; both are checked in the same order.
+    one, whose lists come as columns that passed their checks: no list
+    error comes from the walk.
     """
     doc = doc if isinstance(doc, dict) else {}
-    nd, ed = _read_list("nodes", doc.get("nodes")), _read_list("edges", doc.get("edges"))
-    for part in (nd, ed):
-        if part.error is not None:
-            raise part.error
+    nd, ed = doc.get("nodes"), doc.get("edges")
+    for name, records in (("nodes", nd), ("edges", ed)):
+        if not isinstance(records, _Columns):
+            _records(records, name, _LISTS[name][1], "a graph document")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("graph meta must be an object")
-    t, id, kind, vertex, value, pos, track = _held(nd.columns)
+    t, id, kind, vertex, value, pos, track = _columns("nodes", nd)
     order = np.lexsort((id, t))
     nodes = NodeColumns(t[order], id[order], kind[order], vertex[order], value[order],
                         _pos_array(pos, t.size)[order])
@@ -696,7 +664,7 @@ def doc_to_graph(doc) -> TrackingGraph:
     if twice.size:
         k = twice[0]
         raise ValueError(f"node t{nodes.t[k]} #{nodes.id[k]} is listed twice")
-    t, i, j, pf, pb, strength = _held(ed.columns)
+    t, i, j, pf, pb, strength = _columns("edges", ed)
     src, dst = nodes.rows(t, i), nodes.rows(t + 1, j)
     absent = np.flatnonzero((src < 0) | (dst < 0))
     if absent.size:

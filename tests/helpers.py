@@ -717,8 +717,8 @@ def oracle_compare_report(strategies, per_strategy) -> tuple[str, str]:
     """The texts of compare.json and compare.txt from one dict per strategy
     keyed (direction, step, i, j), one dict per binary pair and
     ``json.dumps``. ``per_strategy`` maps each strategy to its (matrix,
-    step) list and its report entry, as ``cli._write_report`` receives them;
-    only the entry's ``graph_edges`` and ``tracks`` are read."""
+    step) list and its report entry; only the entry's ``graph_edges`` and
+    ``tracks`` are read."""
     probs = {}
     for strategy, (mats, _) in per_strategy.items():
         probs[strategy] = {}

@@ -35,6 +35,14 @@ MATRIX = {"t": 0, "kind": "overlap", "direction": "forward", "strategy": "binary
           "rows": 1, "cols": 2, "denominators": [2], "entries": [[0, 1, 1]]}
 
 
+def limit_file_size():
+    """Limit this process's files to 1 KiB, so that a longer write fails
+    with EFBIG, as one on a full disk fails with ENOSPC."""
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
 def read_tree(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
@@ -860,11 +868,6 @@ class TestStageReports:
                                                        message):
         # a write past the child's 1 KiB file size limit fails with EFBIG,
         # as one on a full disk fails with ENOSPC; both used to exit 3 as bad data
-        def limit_file_size():
-            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
-            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
-            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-
         out = tmp_path / ("big.xtrk" if argv[0] == "synth" else "out")
         if argv[0] == "run":
             argv = [*argv, "--input", str(ridge_file)]
@@ -874,6 +877,20 @@ class TestStageReports:
         # the file whose write failed is not left cut off
         named = Path(message.format(out=out).rsplit(": ", 1)[1])
         assert not named.exists()
+
+    def test_a_full_disk_leaves_no_matrix_cut_off(self, tmp_path):
+        # the first overlap goes over the limit on its entries, while its
+        # correspondence twin, written in the same pass, holds only the
+        # denominators so far: both go, not just the file whose write failed
+        series = noisy_file(tmp_path / "noisy.xtrk", n_steps=2)
+        out = tmp_path / "out"
+        r = run_python("-m", "extrack", "run", "--input", str(series), "--out", str(out),
+                       preexec_fn=limit_file_size)
+        assert r.returncode == 5, r.stderr
+        assert r.stderr == (f"error: stage 'export' ran over the file size limit: "
+                            f"{out}/overlap_forward_0000.json: File too large\n")
+        for p in out.iterdir():
+            json.loads(p.read_text())
 
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["inspect-graph", "inspect-matrix", "compare"])
@@ -1061,13 +1078,22 @@ class TestCompareReport:
                                                  series, extra):
         if extra == ["--features"]:
             extra = ["--features", str(inputs["features"])]
-        oracle = []
-        real = cli._write_report
+        oracle, mats = [], {}
+        real_pairs, real_write = cli._pair_matrices, cli._write_report
 
-        def write_and_judge(out, strategies, per_strategy):
-            oracle.append(oracle_compare_report(strategies, per_strategy))
-            real(out, strategies, per_strategy)
+        def pair_matrices(labs, config, strategy):
+            # the (matrix, step) list of each strategy, as the report reads it
+            pairs = real_pairs(labs, config, strategy)
+            mats[strategy] = [(m, t + (m.direction == "backward"))
+                              for t, pair in enumerate(pairs) for m in pair]
+            return pairs
 
+        def write_and_judge(out, strategies, binary, per_strategy):
+            oracle.append(oracle_compare_report(strategies, {
+                s: (mats[s], entry) for s, (_, entry) in per_strategy.items()}))
+            real_write(out, strategies, binary, per_strategy)
+
+        monkeypatch.setattr(cli, "_pair_matrices", pair_matrices)
         monkeypatch.setattr(cli, "_write_report", write_and_judge)
         out = tmp_path / "cmp"
         assert main(["compare", "--input", str(inputs[series]), "--out", str(out), *extra]) == 0
@@ -1111,7 +1137,10 @@ class TestCompareReport:
         for strategies in (["sampling-euclidean", "binary", "manifold-overlap",
                             "sampling-combinatorial"], ["manifold-overlap"]):
             chosen = {s: per_strategy[s] for s in strategies}
-            cli._write_report(tmp_path, strategies, chosen)
+            binary = chosen["binary"][0] if "binary" in chosen else []
+            cli._write_report(tmp_path, strategies, binary, {
+                s: ([m.probs_at(b.keys) for (m, _), (b, _) in zip(mats, binary)], entry)
+                for s, (mats, entry) in chosen.items()})
             capsys.readouterr()
             want_json, want_txt = oracle_compare_report(strategies, chosen)
             assert (tmp_path / "compare.json").read_bytes() == want_json.encode()
@@ -1122,6 +1151,43 @@ class TestCompareReport:
         assert full["strategies"]["sampling-combinatorial"]["binary_retention_pct"] == 0.0
         assert full["strategies"]["sampling-combinatorial"]["mean_prob_on_binary_pairs"] is None
         assert alone["binary_pairs"] == [] and "binary_retention_pct" not in str(alone)
+
+    def test_each_strategy_is_freed_before_the_next_is_built(self, inputs, tmp_path,
+                                                             monkeypatch):
+        # binary runs first, whatever the --strategies order, and a later
+        # strategy's matrices, feature matrices and graph are freed once its
+        # part of the report is taken, before the next correspondence stage
+        built, freed, left = [], [], []  # build order; weak references; live ones
+        real = {name: getattr(cli, name)
+                for name in ("_pair_matrices", "_feature_pair_matrices", "_build_graph")}
+
+        def watched(name):
+            def call(*args):
+                if name == "_pair_matrices":
+                    left.append(sum(r() is not None for r in freed))
+                    built.append(args[-1])
+                out = real[name](*args)
+                if built[-1] != "binary":
+                    freed.extend(map(weakref.ref, [out] if name == "_build_graph"
+                                     else [m for pair in out for m in pair]))
+                return out
+            return call
+
+        for name in real:
+            monkeypatch.setattr(cli, name, watched(name))
+        write_report = cli._write_report
+
+        def check_then_write(*args):
+            left.append(sum(r() is not None for r in freed))
+            write_report(*args)
+
+        monkeypatch.setattr(cli, "_write_report", check_then_write)
+        assert main(["compare", "--input", str(inputs["noisy"]), "--out", str(tmp_path / "cmp"),
+                     "--features", str(inputs["features"]),
+                     "--strategies", "manifold-overlap,sampling-euclidean,binary"]) == 0
+        assert built == ["binary", "manifold-overlap", "sampling-euclidean"]
+        assert len(freed) == 2 * (6 + 6 + 1)  # per strategy: 3 pairs of each kind, a graph
+        assert left == [0, 0, 0, 0]  # at each correspondence stage and at the report
 
     def test_one_step_keeps_the_binary_keys(self, inputs, tmp_path):
         out = tmp_path / "cmp"

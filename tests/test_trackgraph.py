@@ -894,6 +894,42 @@ class TestReader:
         assert peaks[0] <= 1.6 < peaks[1], peaks
 
 
+class TestStreamedRead:
+    """A valid document is read by the walk alone; one that fails a check
+    is read again whole, once."""
+
+    @pytest.mark.parametrize("how", ["as exported", "compact", "shuffled keys", "tabs and CRLF"])
+    def test_valid_documents_never_reach_json_loads(self, chunk, monkeypatch, how):
+        text = reserialized(export(several_layers(), "json"), how)
+        want = oracle_import_graph(text)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("json.loads read the document")
+
+        with monkeypatch.context() as m:
+            m.setattr(trackgraph.json, "loads", refused)
+            got = outcome(lambda: import_graph(text))
+        assert_same_read(got, want)
+
+    def test_a_failed_chunk_reads_the_text_again_once(self, chunk, monkeypatch):
+        doc = json.loads(export(several_layers(), "json"))
+        doc["nodes"][-1]["vertex"] = 2.5  # the last record fails its chunk's check
+        text = json.dumps(doc)
+        want = outcome(lambda: oracle_import_graph(text))
+        assert str(want) == "node 'vertex' must be integers, got float64 values"
+        read, loads = [], json.loads
+
+        def counted(s, *args, **kwargs):
+            read.append(s)
+            return loads(s, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(trackgraph.json, "loads", counted)
+            got = outcome(lambda: import_graph(text))
+        assert_same_read(got, want)
+        assert read == [text]
+
+
 def random_cm(rng, rows, cols, direction, density=0.5):
     """Sparse probabilities count/denominator with small per-row
     denominators, so equal strengths (ties) are common."""
