@@ -44,6 +44,8 @@ from .field import GridDomain, minimum_image_distance, open_output
 from .morse import ManifoldLabeling, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
+# what a node stands for; ``NodeColumns.kind`` holds each node's index here
+NODE_KINDS = ("extremum", "feature")
 
 # DOT styling: probability bins (0,.25], (.25,.5], (.5,.75], (.75,1]
 _BIN_EDGES = (0.25, 0.5, 0.75)
@@ -94,7 +96,8 @@ def _pos_array(pos, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodeColumns:
-    """Nodes as parallel arrays, sorted by (t, id); ``pos`` has shape (n, rank)."""
+    """Nodes as parallel arrays, sorted by (t, id); ``pos`` has shape (n, rank)
+    and ``kind`` holds uint8 indices into ``NODE_KINDS``."""
 
     t: np.ndarray
     id: np.ndarray
@@ -107,7 +110,8 @@ class NodeColumns:
     def for_step(cls, t: int, kind: str, vertex, value, pos) -> "NodeColumns":
         """One time step's nodes with ids 0..n-1."""
         n = len(vertex)
-        return cls(np.full(n, t, np.int64), np.arange(n, dtype=np.int64), np.full(n, kind),
+        return cls(np.full(n, t, np.int64), np.arange(n, dtype=np.int64),
+                   np.full(n, NODE_KINDS.index(kind), np.uint8),
                    np.asarray(vertex, np.int64), np.asarray(value, np.float64),
                    _pos_array(pos, n))
 
@@ -202,7 +206,8 @@ class TrackingGraph:
     def nodes(self) -> tuple[GraphNode, ...]:
         n = self.node_columns
         pos = [tuple(p) for p in n.pos.tolist()]
-        return tuple(map(GraphNode, n.t.tolist(), n.id.tolist(), n.kind.tolist(),
+        kinds = map(NODE_KINDS.__getitem__, n.kind.tolist())
+        return tuple(map(GraphNode, n.t.tolist(), n.id.tolist(), kinds,
                          n.vertex.tolist(), n.value.tolist(), pos, self.tracks.tolist()))
 
     @cached_property
@@ -473,12 +478,13 @@ def _json_chunks(g: TrackingGraph):
                  + ',\n      "t": %d,\n      "track": %d,\n      "value": %s,'
                  '\n      "vertex": %d\n    }')
     yield from _json_list(node_tmpl, [
-        n.id, (n.kind, json.dumps), *(_json_floats(n.pos[:, a]) for a in range(rank)),
+        n.id, (n.kind, _KIND_JSON.__getitem__), *(_json_floats(n.pos[:, a]) for a in range(rank)),
         n.t, g.tracks, _json_floats(n.value), n.vertex,
     ], len(n))
     yield b"\n}\n"
 
 
+_KIND_JSON = tuple(map(json.dumps, NODE_KINDS))
 _NODE_KEYS = ("t", "id", "kind", "vertex", "value", "pos", "track")
 _EDGE_KEYS = ("t", "i", "j", "strength")
 # each list of a graph document: the noun its messages use, the keys every
@@ -506,14 +512,14 @@ def _columns(name: str, records: list) -> list[np.ndarray]:
 
 def _column(c: list, name: str, key: str) -> np.ndarray:
     """The values ``c`` of ``key``, one per record, checked: an integer key
-    as one int64 per record, a node kind as one of the two, a position as
-    one list of float64 per record and any other number as one float64 per
-    record."""
+    as one int64 per record, a node kind as one of ``NODE_KINDS``, read as
+    its index there, a position as one list of float64 per record and any
+    other number as one float64 per record."""
     if key == "kind":
-        bad = [k for k in c if k not in ("extremum", "feature")]
+        bad = [k for k in c if k not in NODE_KINDS]
         if bad:
             raise ValueError(f"node kind {bad[0]!r} is neither 'extremum' nor 'feature'")
-        return np.asarray(c, str)
+        return np.fromiter(map(NODE_KINDS.index, c), np.uint8, len(c))
     integer = key in ("t", "id", "vertex", "track", "i", "j")
     a = (_positions if key == "pos" else _ints if integer else _reals)(c, f"{name} {key!r}")
     shape = "one list of numbers" if key == "pos" else "one integer" if integer else "one number"

@@ -26,8 +26,8 @@ from extrack.field import (GridDomain, ScalarFieldSeries, _freudenthal_offsets,
                            minimum_image_distance, sampling_offsets, stencil_vertices)
 from extrack.morse import Extremum, ExtremumColumns, ManifoldLabeling
 from extrack.synth import _oracle_neighbors as brute_neighbors  # the one brute-force 1-ring
-from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, EdgeColumns, GraphEdge, GraphNode,
-                                NodeColumns, TrackingGraph, _pos_array)
+from extrack.trackgraph import (_BIN_WIDTHS, _TRACK_COLORS, NODE_KINDS, EdgeColumns, GraphEdge,
+                                GraphNode, NodeColumns, TrackingGraph, _pos_array)
 
 
 def grid_series(values_per_step, spacing=None, periodic=None) -> ScalarFieldSeries:
@@ -326,10 +326,11 @@ def layer_of(nodes) -> NodeColumns:
     """The columns of a sequence of ``GraphNode``, sorted by (t, id); the
     nodes' tracks are not node columns and are left out."""
     nodes = sorted(nodes, key=lambda n: (n.t, n.id))
-    return NodeColumns(*(np.array([getattr(n, k) for n in nodes], dtype).reshape(len(nodes))
-                         for k, dtype in (("t", np.int64), ("id", np.int64), ("kind", str),
-                                          ("vertex", np.int64), ("value", np.float64))),
-                       _pos_array([n.pos for n in nodes], len(nodes)))
+    kinds = np.array([NODE_KINDS.index(n.kind) for n in nodes], np.uint8)
+    t, id, vertex, value = (np.array([getattr(n, k) for n in nodes], dtype).reshape(len(nodes))
+                            for k, dtype in (("t", np.int64), ("id", np.int64),
+                                             ("vertex", np.int64), ("value", np.float64)))
+    return NodeColumns(t, id, kinds, vertex, value, _pos_array([n.pos for n in nodes], len(nodes)))
 
 
 def node_views(layer: NodeColumns) -> list[GraphNode]:
@@ -401,7 +402,8 @@ def oracle_import_graph(text: str) -> TrackingGraph:
         raise ValueError("graph meta must be an object")
     t, id, kind, vertex, value, pos, track = (oracle_column(nd, "node", k) for k in node_keys)
     order = np.lexsort((id, t))
-    nodes = NodeColumns(t[order], id[order], np.asarray(kind, str)[order], vertex[order],
+    kind = np.array([NODE_KINDS.index(k) for k in kind], np.uint8)
+    nodes = NodeColumns(t[order], id[order], kind[order], vertex[order],
                         value[order], _pos_array(pos, len(nd))[order])
     tracks = track[order]
     if len(nodes) and nodes.t[0] < 0:

@@ -1,6 +1,8 @@
+import errno
 import gc
 import json
 import logging
+import math
 import os
 import resource
 import shutil
@@ -8,6 +10,8 @@ import signal
 import stat
 import struct
 import subprocess
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -945,6 +949,267 @@ class TestStageReports:
         monkeypatch.setattr(cli, "label_manifolds", broken_second_step)
         assert main(["run", "--input", str(ridge_file), "--out", str(tmp_path / "out")]) == 4
         assert "stage 'labeling' failed at t=1: invariant broken" in capsys.readouterr().err
+
+
+# ``python -c`` script: ``extrack argv`` with the export's fork floor at 0
+FLOOR_0 = ("import sys\nfrom extrack import cli\ncli._FORK_RECORDS = 0\n"
+           "sys.exit(cli.main(sys.argv[1:]))\n")
+# whether a run may fork its writer here, as far as the machine goes
+SECOND_CPU = len(getattr(os, "sched_getaffinity", lambda _: ())(0)) > 1
+
+
+def wait_for(done, seconds: float = 30.0) -> None:
+    """Poll ``done()`` until it holds, for at most ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not done():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoPartError(Exception):
+    """An error that does not survive pickling: it is rebuilt from its one
+    argument, while its ``__init__`` takes two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def raiser(error):
+    def raise_():
+        raise error
+    return raise_
+
+
+class TestSharedExport:
+    """``run`` writes its outputs from one queue of jobs, largest first,
+    which a forked writer shares from ``cli._FORK_RECORDS`` records on. The
+    floor is set to 0 (a writer wherever one may fork) or to infinity (no
+    writer): the runs must end alike, in bytes, exit code, message and the
+    files left in --out, and leave no process behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    def run_at(self, monkeypatch, capsys, floor, argv, out: Path):
+        """(exit code, stderr with out as {out}, files left) of ``main``."""
+        monkeypatch.setattr(cli, "_FORK_RECORDS", floor)
+        code = main([*argv, "--out", str(out)])
+        assert_no_child()
+        return code, capsys.readouterr().err.replace(str(out), "{out}"), read_tree(out)
+
+    @pytest.mark.parametrize("case", ["2d", "2d-periodic", "3d", "features", "jobs-1", "jobs-2",
+                                      "float32"])
+    def test_a_writer_writes_the_same_files(self, ridge_file, tmp_path, monkeypatch, capsys,
+                                            forks, case):
+        series = noisy_file(tmp_path / "noisy.xtrk")
+        argv = ["run", "--input", str(series)]
+        if case == "2d":
+            argv = ["run", "--input", str(ridge_file), "--kind", "maximum"]
+        elif case == "3d":  # white noise, periodic along the second axis
+            save_series(random_series(np.random.default_rng(8), (10, 8, 6), 3,
+                                      (False, True, False)), series)
+            argv += ["--kind", "maximum", "--max-jump", "4"]
+        elif case == "features":
+            feats = tmp_path / "features.json"
+            feats.write_text('[{"t": 0, "features": [{"id": 0, "extrema": [0, 1]}]}]')
+            argv += ["--strategy", "sampling-euclidean", "--features", str(feats)]
+        elif case.startswith("jobs"):
+            argv += ["--jobs", case[-1]]
+        elif case == "float32":
+            steps = load_series(series, "raw-f64").steps
+            save_series(ScalarFieldSeries(GridDomain((48, 40), periodic=(True, False)),
+                                          tuple(s.astype(np.float32) for s in steps)), series)
+            argv += ["--format", "raw-f32"]
+        alone = self.run_at(monkeypatch, capsys, math.inf, argv, tmp_path / "alone")
+        assert forks == []
+        shared = self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "shared")
+        assert forks == [os.getpid()] * SECOND_CPU
+        assert alone[:2] == (0, "") and shared == alone
+
+    @pytest.mark.parametrize("case", ["graph", "features", "matrix", "dump-labels", "synth"])
+    def test_a_full_disk_ends_as_without_a_writer(self, ridge_file, tmp_path, case):
+        # the cases of test_a_full_disk_exits_5_naming_stage_and_path and
+        # test_a_full_disk_leaves_no_matrix_cut_off, and one with features,
+        # as shipped (no writer at this size) and with a writer: the same
+        # exit, message and files
+        argv, out = ["run", "--input", str(ridge_file)], "out"
+        if case == "features":
+            feats = tmp_path / "features.json"
+            feats.write_text('[{"t": 0, "features": [{"id": 0, "extrema": [0]}]}]')
+            argv += ["--features", str(feats)]
+        elif case == "matrix":
+            argv[2] = str(noisy_file(tmp_path / "noisy.xtrk", n_steps=2))
+        elif case == "dump-labels":
+            argv.append("--dump-labels")
+        elif case == "synth":
+            argv, out = ["synth", "--preset", "ridge"], "big.xtrk"
+        ends = []
+        for name, head in (("alone", ["-m", "extrack"]), ("shared", ["-c", FLOOR_0])):
+            where = tmp_path / name
+            where.mkdir()
+            r = run_python(*head, *argv, "--out", str(where / out), preexec_fn=limit_file_size)
+            left = {str(p.relative_to(where)): p.read_bytes() for p in where.rglob("*")
+                    if p.is_file()}
+            ends.append((r.returncode, r.stderr.replace(str(where), "{where}"), left))
+        assert ends[0][0] == 5 and "File too large" in ends[0][1]
+        assert ends[1] == ends[0]
+
+    @pytest.mark.parametrize("fail, code, message", [
+        (raiser(MemoryError()), 5, "stage 'export' ran out of memory"),
+        # numpy's allocation error, whose __init__ takes a shape and a dtype
+        (lambda: np.empty(1 << 50), 5, "stage 'export' ran out of memory"),
+        (raiser(AssertionError("invariant broken")), 4, "stage 'export' failed: invariant broken"),
+        (raiser(KeyError("missing")), 3, "stage 'export' failed: 'missing'"),
+        (raiser(TwoPartError("bad", "cell")), 3, "stage 'export' failed: bad: cell"),
+    ], ids=["memory", "numpy-memory", "assertion", "key", "unpicklable"])
+    def test_a_failure_in_the_writer_ends_as_without_one(self, tmp_path, monkeypatch, capsys,
+                                                         fail, code, message):
+        # the middle matrix fails; with a writer, this process's graph job
+        # waits for that failure, so the writer takes every matrix
+        argv = ["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk"))]
+        me, where = os.getpid(), tmp_path / "raised-in"
+        save_matrix, save_graph = correspond.save_matrix, trackgraph.save_graph
+
+        def failing(m, t, path, *twin):
+            if Path(path).name == "overlap_backward_0002.json":
+                with open(where, "a") as fh:
+                    fh.write("writer\n" if os.getpid() != me else "run\n")
+                fail()
+            save_matrix(m, t, path, *twin)
+
+        def waiting(*args):
+            if os.getpid() == me and cli._FORK_RECORDS == 0 and SECOND_CPU:
+                wait_for(lambda: where.exists() and "writer" in where.read_text())
+            save_graph(*args)
+
+        monkeypatch.setattr(correspond, "save_matrix", failing)
+        monkeypatch.setattr(trackgraph, "save_graph", waiting)
+        alone = self.run_at(monkeypatch, capsys, math.inf, argv, tmp_path / "alone")
+        shared = self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "shared")
+        assert alone[:2] == (code, f"error: {message}\n") and shared == alone
+        assert "graph.json" not in alone[2] and "overlap_forward_0000.json" in alone[2]
+        assert where.read_text() == "run\n" + ("writer\n" if SECOND_CPU else "run\n")
+
+    def test_without_a_writer_the_jobs_run_in_write_order(self, tmp_path, monkeypatch, capsys):
+        argv = ["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk", n_steps=3))]
+        written = []
+        save_matrix, save_graph = correspond.save_matrix, trackgraph.save_graph
+
+        def matrix(m, t, path, *twin):
+            written.append(Path(path).name)
+            save_matrix(m, t, path, *twin)
+
+        def graph(g, fmt, path):
+            written.append(Path(path).name)
+            save_graph(g, fmt, path)
+
+        monkeypatch.setattr(correspond, "save_matrix", matrix)
+        monkeypatch.setattr(trackgraph, "save_graph", graph)
+        assert self.run_at(monkeypatch, capsys, math.inf, argv, tmp_path / "out")[:2] == (0, "")
+        assert written == [f"overlap_{d}_{s:04d}.json" for t in range(2)
+                           for d, s in (("forward", t), ("backward", t + 1))] \
+            + ["graph.json", "graph.dot"]
+
+    def test_a_fork_that_fails_leaves_the_export_in_process(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # no process left to fork: the run writes what it writes without a
+        # writer and closes the pipes it made for one
+        argv = ["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk"))]
+        alone = self.run_at(monkeypatch, capsys, math.inf, argv, tmp_path / "alone")
+        tried = []
+
+        def no_fork():
+            tried.append(True)
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "shared") == alone
+        assert alone[:2] == (0, "") and tried == [True] * SECOND_CPU
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_fifo_graph_whose_reader_closes_early_is_kept(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # graph.json, 180 kB, is a FIFO whose reader takes one byte and
+        # closes it: 141, as for a closed stdout, with the FIFO kept and the
+        # files of every earlier job written
+        argv = ["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk"))]
+        ends = []
+        for floor, name in ((math.inf, "alone"), (0, "shared")):
+            fifo = tmp_path / name / "graph.json"
+            fifo.parent.mkdir()
+            os.mkfifo(fifo)
+            reader = subprocess.Popen(["head", "-c", "1", str(fifo)], stdout=subprocess.DEVNULL)
+            monkeypatch.setattr(cli, "_FORK_RECORDS", floor)
+            try:
+                code = main([*argv, "--out", str(fifo.parent)])
+            finally:
+                reader.kill()  # blocked on its open, were the FIFO never opened
+                reader.wait()
+            assert_no_child()
+            ends.append((code, capsys.readouterr().err, read_tree(fifo.parent)))
+            assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert ends[0][:2] == (141, "") and ends[1] == ends[0]
+        assert "overlap_backward_0003.json" in ends[0][2] and "graph.dot" not in ends[0][2]
+
+    def test_a_writer_that_ends_unreported_fails_the_stage(self, tmp_path, monkeypatch, capsys):
+        # the writer ends at its first matrix without a report: the files
+        # of that job and of every later one go, as if that job had failed
+        if not SECOND_CPU:
+            pytest.skip("a writer forks only where a second CPU is free")
+        argv = ["run", "--input", str(noisy_file(tmp_path / "noisy.xtrk"))]
+        me, gone = os.getpid(), tmp_path / "gone"
+        save_matrix, save_graph = correspond.save_matrix, trackgraph.save_graph
+
+        def ended(*args):
+            if os.getpid() != me:
+                gone.touch()
+                os._exit(7)
+            save_matrix(*args)
+
+        def waiting(*args):
+            if os.getpid() == me:
+                wait_for(gone.exists)
+            save_graph(*args)
+
+        monkeypatch.setattr(correspond, "save_matrix", ended)
+        monkeypatch.setattr(trackgraph, "save_graph", waiting)
+        code, err, left = self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "out")
+        assert (code, err) == (3, "error: stage 'export' failed: the writer process ended "
+                                  "with status 7\n")
+        assert "graph.json" not in left and "graph.dot" not in left
+        for text in left.values():
+            json.loads(text)
+
+    def test_no_writer_forks_beside_another_thread(self, ridge_file, tmp_path, monkeypatch,
+                                                   capsys, forks):
+        argv = ["run", "--input", str(ridge_file)]
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            beside = self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "beside")
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+        assert beside == self.run_at(monkeypatch, capsys, 0, argv, tmp_path / "alone")
+        assert forks == [os.getpid()] * SECOND_CPU
 
 
 SEMANTIC_FLAGS = ["--value-min", "-11", "--box-min", "0,0", "--box-max", "39,25",

@@ -332,6 +332,20 @@ class TestExport:
         again = export(import_graph(text), "json")
         assert again == text
 
+    def test_a_kind_is_one_byte_that_reads_as_its_name(self):
+        n = NodeColumns.concat([
+            NodeColumns.for_step(0, "extremum", [3], [1.0], [[0.0, 1.0]]),
+            NodeColumns.for_step(1, "feature", [4, 5], [2.0, 3.0], [[1.0, 1.0], [2.0, 2.0]]),
+        ])
+        assert n.kind.dtype == np.uint8 and n.kind.tolist() == [0, 1, 1]
+        g = TrackingGraph(n, EdgeColumns.concat([]))
+        names = ["extremum", "feature", "feature"]
+        assert [v.kind for v in g.nodes] == names
+        text = export(g, "json")
+        assert [x["kind"] for x in json.loads(text)["nodes"]] == names
+        back = import_graph(text).node_columns.kind
+        assert back.dtype == np.uint8 and back.tolist() == [0, 1, 1]
+
     def test_import_preserves_stored_tracks(self):
         g = self.graph()
         doc = json.loads(export(g, "json"))
