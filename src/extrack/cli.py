@@ -6,13 +6,15 @@ Subcommands:
   synth    generate a synthetic series file from a script or preset
   inspect  summarize a matrix or graph JSON document
 
-Exit codes: 0 ok, 2 bad configuration, 3 bad or missing data, 4 internal
-assertion failure, 5 out of memory or disk, 141 (128 + SIGPIPE) when the
-reader of stdout or of an output FIFO closes it early. Every step of run
-and compare is a named stage, as is the whole of synth and of inspect, and
-any other failure inside one names the stage and step. A flat key=value
-config file can preset any run flag, read by that flag's own parser;
-explicit flags win.
+Exit codes: 0 ok, 141 (128 + SIGPIPE) when the reader of stdout or of an
+output FIFO closes it early, and otherwise the code that the ``ExitError``
+ending the run carries: 2 for a ``ConfigError``, 3 for a ``DataError`` (bad
+or missing data), and for a ``StageError`` 5 out of memory or disk, 4 an
+internal assertion failure, 3 anything else. Every step of run and compare
+is a named stage, as is the whole of synth and of inspect, and a failure
+inside one that is not an ``ExitError`` becomes the ``StageError`` naming
+the stage and step. A flat key=value config file can preset any run flag,
+read by that flag's own parser; explicit flags win.
 
 run may write its outputs on two processes: from ``_FORK_RECORDS``
 records on, where os.fork exists, no other thread runs and a second CPU is
@@ -27,7 +29,6 @@ run may name another file and leave fewer.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import errno
 import functools
@@ -36,7 +37,6 @@ import logging
 import math
 import os
 import pickle
-import stat
 import sys
 import threading
 import time
@@ -75,12 +75,29 @@ def _invalid_choice(key: str, value) -> str:
             f"(choose from {', '.join(CHOICES[key])})")
 
 
-class ConfigError(Exception):
-    pass
+class ExitError(Exception):
+    """A failure that ends the program with its message and exit ``code``.
+    It holds only these, so it survives pickling."""
+
+    code = 3
+
+    def __init__(self, message: str, code: int | None = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
 
 
-class DataError(Exception):
-    pass
+class ConfigError(ExitError):
+    code = 2
+
+
+class DataError(ExitError):
+    code = 3
+
+
+class StageError(ExitError):
+    """A stage's failure that is neither bad configuration nor bad data;
+    ``_stage_error`` words it and picks its code, 3, 4 or 5."""
 
 
 # the errnos of a write that ran out of a resource, not into bad data
@@ -88,19 +105,19 @@ _EXHAUSTED = {errno.ENOSPC: "out of disk space", errno.EDQUOT: "over the disk qu
               errno.EFBIG: "over the file size limit"}
 
 
-class StageError(Exception):
-    def __init__(self, stage: str, t, cause: BaseException):
-        at = "" if t is None else f" at t={t}"
-        full = _EXHAUSTED.get(getattr(cause, "errno", None))
-        why = f"{cause.filename}: {_why(cause)}" if getattr(cause, "filename", None) else cause
-        if isinstance(cause, MemoryError):
-            super().__init__(f"stage {stage!r}{at} ran out of memory")
-        elif full:
-            super().__init__(f"stage {stage!r}{at} ran {full}: {why}")
-        else:
-            super().__init__(f"stage {stage!r} failed{at}: {why}")
-        self.cause = cause
-        self.exhausted = isinstance(cause, MemoryError) or full is not None
+def _stage_error(stage: str, t, e: Exception) -> StageError:
+    """e as the failure of the stage, at step t unless t is None: exit 5
+    for memory, disk space, quota or file size, 4 for a broken invariant
+    and 3 for anything else, naming the file of a failed file operation."""
+    at = "" if t is None else f" at t={t}"
+    full = _EXHAUSTED.get(getattr(e, "errno", None))
+    why = f"{e.filename}: {_why(e)}" if getattr(e, "filename", None) else e
+    if isinstance(e, MemoryError):
+        return StageError(f"stage {stage!r}{at} ran out of memory", 5)
+    if full:
+        return StageError(f"stage {stage!r}{at} ran {full}: {why}", 5)
+    code = 4 if isinstance(e, AssertionError) else 3
+    return StageError(f"stage {stage!r} failed{at}: {why}", code)
 
 
 # settings that steer how a run executes, not what it computes; the echo
@@ -188,17 +205,17 @@ def _stage(name: str, fn, steps=None, jobs: int = 1):
     order, on up to ``jobs`` threads; returns the result or the per-step
     results in step order and logs the stage's wall time.
 
-    Configuration, data and stage errors pass through, as does a closed
-    pipe; any other exception becomes a ``StageError`` naming the stage
-    and, per step, the step.
+    An ``ExitError`` passes through, as does a closed pipe; any other
+    exception becomes the ``_stage_error`` naming the stage and, per step,
+    the step.
     """
     def call(t=None):
         try:
             return fn() if steps is None else fn(t)
-        except (ConfigError, DataError, StageError, BrokenPipeError):
+        except (ExitError, BrokenPipeError):
             raise
         except Exception as e:
-            raise StageError(name, t, e) from e
+            raise _stage_error(name, t, e) from e
 
     t0 = time.perf_counter()
     if steps is None:
@@ -420,15 +437,19 @@ def _export_jobs(out: Path, pairs, fpairs, g) -> list:
 def _drain(jobs, indices) -> tuple:
     """Run the job of each index in turn, except those after this process's
     first failure in write order; returns the earliest failure as (index,
-    exception), or None, and the indices of the jobs that finished."""
+    exception), or None, and the indices of the jobs that finished. The
+    exception is a closed pipe or the ``_stage_error`` of stage 'export',
+    worded in the process where it happened."""
     failed, done = None, []
     for k in indices:
         if failed is not None and k > failed[0]:
             continue
         try:
             jobs[k][2]()
-        except Exception as e:
+        except BrokenPipeError as e:
             failed = (k, e)
+        except Exception as e:
+            failed = (k, _stage_error("export", None, e))
         else:
             done.append(k)
     return failed, done
@@ -464,19 +485,6 @@ def _take(queue: int, taken: list):
         yield k
 
 
-def _portable(e: Exception) -> Exception:
-    """e where it survives pickling, else the nearest exception that does:
-    a MemoryError, an AssertionError or an OSError of the same errno,
-    strerror and filename, or a RuntimeError of its message."""
-    with contextlib.suppress(Exception):
-        pickle.loads(pickle.dumps(e))
-        return e
-    if isinstance(e, OSError) and e.errno is not None:
-        return OSError(e.errno, e.strerror, e.filename)
-    cls = next((c for c in (MemoryError, AssertionError) if isinstance(e, c)), RuntimeError)
-    return cls(str(e))
-
-
 def _drain_with_writer(jobs) -> tuple | None:
     """``_drain`` of the jobs, largest first from one queue, by this
     process and a forked writer at once; returns the failure earliest in
@@ -495,8 +503,6 @@ def _drain_with_writer(jobs) -> tuple | None:
         try:
             os.close(report_r)
             failed, done = _drain(jobs, _take(queue, []))
-            if failed is not None:
-                failed = (failed[0], _portable(failed[1]))
             with os.fdopen(report_w, "wb") as fh:
                 pickle.dump((failed, done), fh)
             code = 0
@@ -517,7 +523,8 @@ def _drain_with_writer(jobs) -> tuple | None:
         their_done, theirs = sorted(set(range(len(jobs))) - set(taken)), None
         if their_done:
             code = os.waitstatus_to_exitcode(status)
-            theirs = (their_done[0], RuntimeError(f"the writer process ended with status {code}"))
+            theirs = (their_done[0], _stage_error(
+                "export", None, RuntimeError(f"the writer process ended with status {code}")))
     failures = [f for f in (failed, theirs) if f is not None]
     return min(failures, key=lambda f: f[0], default=None), done + their_done
 
@@ -535,7 +542,7 @@ def _write_outputs(out: Path, pairs, fpairs, g) -> None:
     ``_may_fork`` and a writer starts, largest first in it and a forked
     writer together. Either way the run ends as a write in write order
     would: the failure earliest in write order is raised, and the regular
-    files of every later job that finished are deleted."""
+    files of every later job that finished are discarded."""
     jobs = _export_jobs(out, pairs, fpairs, g)
     ended = _drain_with_writer(jobs) if _may_fork(sum(r for r, _, _ in jobs)) else None
     failed, done = ended if ended is not None else _drain(jobs, range(len(jobs)))
@@ -545,9 +552,7 @@ def _write_outputs(out: Path, pairs, fpairs, g) -> None:
     for j in done:
         if j >= k:
             for p in jobs[j][1]:
-                with contextlib.suppress(OSError):  # the failure is the error to report
-                    if stat.S_ISREG(os.stat(p).st_mode):
-                        os.unlink(p)
+                field.discard(p)
     raise e
 
 
@@ -866,17 +871,9 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         return _closed_pipe()
-    except ConfigError as e:
+    except ExitError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if e.exhausted:
-            return 5
-        return 4 if isinstance(e.cause, AssertionError) else 3
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return e.code
     except AssertionError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4

@@ -518,18 +518,13 @@ def save_matrix(m, t: int, path, twin=None) -> None:
                    _json_list("%d", [m.row_denominators], m.rows),
                    [f',\n  "direction": {json.dumps(m.direction)},\n  "entries": '.encode()],
                    _json_list("[\n      %d,\n      %d,\n      %d\n    ]", entries, m.counts.size))
-    files = []
-    try:
-        with ExitStack() as stack:
-            for p, _ in docs:
-                files.append(stack.enter_context(open_output(p)))
-            for chunk in shared:
-                for fh in files:
-                    fh.write(chunk)
-            for fh, (_, kind) in zip(files, docs):
-                fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
-                         f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
-    except BaseException:
-        for fh in files:  # a failed pass leaves neither of its files cut off
-            fh.raw.discard()
-        raise
+    # a failure inside both contexts, the flushes' too, discards both files
+    with ExitStack() as stack:
+        files = [stack.enter_context(open_output(p)) for p, _ in docs]
+        for chunk in shared:
+            for fh in files:
+                fh.write(chunk)
+        for fh, (_, kind) in zip(files, docs):
+            fh.write(f',\n  "kind": "{kind}",\n  "rows": {int(m.rows)},'
+                     f'\n  "strategy": {json.dumps(m.strategy)},\n  "t": {int(t)}\n}}\n'.encode())
+            fh.flush()

@@ -17,7 +17,7 @@ import operator
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Literal, Sequence
@@ -394,32 +394,38 @@ def load_series(path: str | Path, format: SeriesFormat) -> ScalarFieldSeries:
 
 
 class _Output(io.FileIO):
-    """A file whose failed writes name it (the OS error does not) and delete
-    it if it is a regular file: a FIFO or a device is not the program's."""
-
-    def __init__(self, path):
-        super().__init__(path, "w")
-        self._regular = stat.S_ISREG(os.fstat(self.fileno()).st_mode)
+    """A file whose failed writes name it: the OS error does not."""
 
     def write(self, b):
         try:
             return super().write(b)
         except OSError as e:
             e.filename = str(self.name)
-            self.discard()
             raise
 
-    def discard(self) -> None:
-        """Delete the file if it is a regular one."""
-        if self._regular:
-            with contextlib.suppress(OSError):  # the failure is the error to report
-                os.unlink(self.name)
+
+def discard(path) -> None:
+    """Delete path if it is a regular file: a FIFO or a device is not the
+    program's. A failure to delete is left unsaid, as the caller reports
+    the failure that made it delete."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
 
 
-def open_output(path) -> io.BufferedWriter:
-    """``open(path, "wb")``, whose failed writes, the flush at close's too,
-    name path and delete the file if it is a regular one."""
-    return io.BufferedWriter(_Output(path))
+@contextlib.contextmanager
+def open_output(path):
+    """``open(path, "wb")`` as a context whose failed writes, the flush at
+    close's too, name path. An exception raised in its block or at its
+    close discards the file, so no cut-off file is left; an open that fails
+    deletes nothing."""
+    fh = io.BufferedWriter(_Output(path, "w"))
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        discard(path)
+        raise
 
 
 def _write_raw(path, domain: GridDomain, steps, code: int, version: int) -> None:

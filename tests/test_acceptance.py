@@ -4,11 +4,9 @@ Run with ``pytest -v tests/test_acceptance.py``; the verbose listing gives
 the per-criterion verdicts. Each test also prints a PASS line on success.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from extrack.cli import main
 from extrack.correspond import (

@@ -22,7 +22,7 @@ import pytest
 from extrack import cli, correspond, features, field, morse, synth, trackgraph
 from extrack.cli import main
 from extrack.field import GridDomain, ScalarFieldSeries, load_labels, load_series, save_series
-from extrack.synth import GaussianBlob, GaussianScript, generate, random_script, save_script
+from extrack.synth import GaussianScript, generate, random_script, save_script
 from helpers import (load_matrix, oracle_compare_report, oracle_matrix_json, random_series,
                      run_python)
 
@@ -896,6 +896,77 @@ class TestStageReports:
         for p in out.iterdir():
             json.loads(p.read_text())
 
+    @pytest.mark.parametrize("argv, names, message", [
+        (["run"], ["overlap_forward_0000.json", "correspondence_forward_0000.json"],
+         "stage 'export'"),
+        (["run"], ["graph.json"], "stage 'export'"),
+        (["run"], ["graph.dot"], "stage 'export'"),
+        (["compare"], ["compare.json"], "stage 'report'"),
+        (["compare"], ["compare.txt"], "stage 'report'"),
+        (["run", "--dump-labels"], ["labels_0000.xtrk"], "stage 'dump-labels' at t=0"),
+        (["synth"], ["series.xtrk"], "stage 'synth'"),
+        (["synth", "--save-script", "{out}/script.json"], ["script.json"], "stage 'synth'"),
+        (["synth"], ["fifo"], "stage 'synth'"),
+    ], ids=["matrix", "graph-json", "graph-dot", "compare-json", "compare-txt", "labels",
+            "series", "script", "fifo"])
+    def test_no_writer_leaves_a_cut_off_file(self, ridge_file, tmp_path, monkeypatch, capsys,
+                                             argv, names, message):
+        # the first block of names[0] reaches the file, then the writer runs
+        # out of memory: every file of that writer goes, but a FIFO, which
+        # the program did not create, is kept
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(out=out) for a in argv]
+        if argv[0] == "synth":
+            series = names[0] if names[0] in ("series.xtrk", "fifo") else "series.xtrk"
+            argv += ["--preset", "ridge", "--out", str(out / series)]
+        else:
+            argv += ["--input", str(ridge_file), "--out", str(out)]
+        write = field._Output.write
+
+        def write_then_fail(self, b):
+            n = write(self, b)
+            if Path(self.name).name == names[0]:
+                raise MemoryError()
+            return n
+
+        monkeypatch.setattr(field._Output, "write", write_then_fail)
+        reader = None
+        if names == ["fifo"]:
+            os.mkfifo(out / "fifo")
+            reader = subprocess.Popen(["cat", str(out / "fifo")], stdout=subprocess.DEVNULL)
+        try:
+            code = main(argv)
+        finally:
+            if reader is not None:
+                reader.kill()  # blocked on its open, were the FIFO never opened
+                reader.wait()
+        assert (code, capsys.readouterr().err) == (5, f"error: {message} ran out of memory\n")
+        if reader is not None:
+            assert stat.S_ISFIFO((out / "fifo").stat().st_mode)
+        else:
+            assert not any((out / name).exists() for name in names)
+
+    def test_an_output_whose_open_fails_is_kept(self, ridge_file, tmp_path, monkeypatch,
+                                                capsys):
+        # an existing graph.json that cannot be opened for writing is not
+        # the run's to delete, unlike one that it opened and then failed to fill
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "graph.json").write_text("keep me")
+
+        class Refused(field._Output):
+            def __init__(self, path, *args):
+                if Path(path).name == "graph.json":
+                    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                super().__init__(path, *args)
+
+        monkeypatch.setattr(field, "_Output", Refused)
+        assert main(["run", "--input", str(ridge_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: stage 'export' failed: {out}/graph.json: "
+                                           f"Permission denied\n")
+        assert (out / "graph.json").read_text() == "keep me"
+
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["inspect-graph", "inspect-matrix", "compare"])
     def test_a_closed_stdout_ends_quietly_with_141(self, ridge_file, tmp_path, monkeypatch,
@@ -977,6 +1048,15 @@ class TwoPartError(Exception):
 
     def __init__(self, what, why):
         super().__init__(f"{what}: {why}")
+
+
+class FullDiskError(OSError):
+    """A full disk's error that does not survive pickling: it is rebuilt
+    from its errno, strerror and filename, while its ``__init__`` takes the
+    filename alone."""
+
+    def __init__(self, path):
+        super().__init__(errno.ENOSPC, "No space left on device", path)
 
 
 def raiser(error):
@@ -1075,7 +1155,13 @@ class TestSharedExport:
         (raiser(AssertionError("invariant broken")), 4, "stage 'export' failed: invariant broken"),
         (raiser(KeyError("missing")), 3, "stage 'export' failed: 'missing'"),
         (raiser(TwoPartError("bad", "cell")), 3, "stage 'export' failed: bad: cell"),
-    ], ids=["memory", "numpy-memory", "assertion", "key", "unpicklable"])
+        (raiser(FullDiskError("disk")), 5,
+         "stage 'export' ran out of disk space: disk: No space left on device"),
+        (raiser(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")), 3,
+         "stage 'export' failed: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+    ], ids=["memory", "numpy-memory", "assertion", "key", "unpicklable", "unpicklable-os",
+            "unicode"])
     def test_a_failure_in_the_writer_ends_as_without_one(self, tmp_path, monkeypatch, capsys,
                                                          fail, code, message):
         # the middle matrix fails; with a writer, this process's graph job

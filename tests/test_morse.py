@@ -10,8 +10,8 @@ from extrack.morse import (Extremum, ManifoldLabeling, _descent_pointers, _id_dt
                            _merge_sweep, _resolve_roots, _run_starts, _spanning_forest,
                            _total_order, label_manifolds, persistence_pairs, simplify)
 from extrack.synth import oracle_merge_tree
-from helpers import (extremum_columns, grid_series, neighborhood, oracle_descent_pointers,
-                     oracle_extrema, oracle_merge_sweep, oracle_spanning_forest, peak_over_field)
+from helpers import (extremum_columns, neighborhood, oracle_descent_pointers, oracle_extrema,
+                     oracle_merge_sweep, oracle_spanning_forest, peak_over_field)
 
 
 # Settings that force the sweep's splits, by name: "codes" narrows the packed
