@@ -377,6 +377,10 @@ def _pipeline(config: PipelineConfig, out: Path, strategies):
     each strategy's (name, matrices, feature matrices or None, graph)."""
     series = _stage("load", lambda: _load_input(config))
     domain, steps = series.domain, list(series.steps)
+    try:  # before labeling, which a wrong box would waste
+        config.predicate.check_rank(domain.rank)
+    except ValueError as e:
+        raise ConfigError(str(e).replace("_", "-")) from e
     del series  # each step is held once, by steps, until it is labeled
     labs = _label_all(steps, domain, config)
     if config.dump_labels:

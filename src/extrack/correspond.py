@@ -18,7 +18,6 @@ import re
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain
 from typing import Literal, get_args
 
@@ -243,19 +242,22 @@ class OverlapMatrix:
         i = keys // self._width  # numpy divides by a scalar faster than divmod does
         return i, keys - i * self._width
 
-    @cached_property
-    def probs(self) -> np.ndarray:
-        # derived on first use, so an overlap and its normalized twin
-        # never both hold a copy
-        probs = self.counts / self.row_denominators[self.i]
-        probs.flags.writeable = False
+    def _probs(self, at=slice(None)) -> np.ndarray:
+        """Each count at positions ``at`` of the stored entries over its row's denominator."""
+        probs = self.counts[at].astype(np.float64)  # divided in place, without cast buffers
+        probs /= self.row_denominators[self.keys[at] // self._width]
         return probs
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The probability of every stored entry, derived on each read and never stored."""
+        return self._probs()
 
     def probs_at(self, keys) -> np.ndarray:
         """The probability at each row-major key, NaN where no entry is stored."""
         at = _find(self.keys, keys)
         out = np.full(at.shape, np.nan)
-        out[at >= 0] = self.probs[at[at >= 0]]
+        out[at >= 0] = self._probs(at[at >= 0])
         return out
 
     @property

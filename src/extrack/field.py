@@ -405,10 +405,12 @@ class _Output(io.FileIO):
 
 
 def discard(path) -> None:
-    """Delete path if it is a regular file: a FIFO or a device is not the
-    program's. A failure to delete is left unsaid, as the caller reports
-    the failure that made it delete."""
+    """Delete the file at path if it is a regular file: a FIFO or a device
+    is not the program's. A symlink is kept and the file it resolves to is
+    deleted, as the program wrote through the link. A failure to delete is
+    left unsaid, as the caller reports the failure that made it delete."""
     with contextlib.suppress(OSError):
+        path = os.path.realpath(path)
         if stat.S_ISREG(os.stat(path).st_mode):
             os.unlink(path)
 

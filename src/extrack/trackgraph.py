@@ -269,9 +269,10 @@ def _pair_edges(first_t: int, first_next: int, fwd: OverlapMatrix, bwd: OverlapM
     """Edges between two consecutive layers, whose first node rows are
     ``first_t`` and ``first_next``, from one forward/backward matrix pair."""
     if policy.bidirectional:
-        pb = bwd.probs_at(bwd.key(fwd.j, fwd.i))  # each forward entry's transpose
+        i, j = fwd.unkey(fwd.keys)
+        pb = bwd.probs_at(bwd.key(j, i))  # each forward entry's transpose
         both = ~np.isnan(pb)  # probabilities are positive: NaN marks absence
-        i, j, pf, pb = fwd.i[both], fwd.j[both], fwd.probs[both], pb[both]
+        i, j, pf, pb = i[both], j[both], fwd._probs(both), pb[both]
     else:
         keys = np.union1d(fwd.keys, fwd.key(bwd.j, bwd.i))
         i, j = fwd.unkey(keys)
@@ -391,26 +392,34 @@ class SemanticPredicate:
         return {f.name: list(v) if isinstance(v, tuple) else v
                 for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
+    def check_rank(self, rank: int) -> None:
+        """Refuse a box corner whose coordinate count is not the grid's rank."""
+        for name in ("box_min", "box_max"):
+            box = getattr(self, name)
+            if box is not None and len(box) != rank:
+                raise ValueError(f"{name} has rank {len(box)}, but the grid has rank {rank}")
+
     def admits(self, value: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Mask of the nodes (values, positions) inside the value window and box."""
+        """Mask of the nodes (values, positions) inside the value window and
+        box; positions have one axis per box coordinate."""
         ok = np.ones(value.size, dtype=bool)
         if self.value_min is not None:
             ok &= ~(value < self.value_min)
         if self.value_max is not None:
             ok &= ~(value > self.value_max)
-        # like zip, compare only the axes both the box and the positions have
-        if self.box_min is not None:
-            k = min(len(self.box_min), pos.shape[1])
-            ok &= ~(pos[:, :k] < np.asarray(self.box_min[:k], np.float64)).any(axis=1)
-        if self.box_max is not None:
-            k = min(len(self.box_max), pos.shape[1])
-            ok &= ~(pos[:, :k] > np.asarray(self.box_max[:k], np.float64)).any(axis=1)
+        # an empty graph's positions may have no axes
+        if self.box_min is not None and pos.size:
+            ok &= ~(pos < np.asarray(self.box_min, np.float64)).any(axis=1)
+        if self.box_max is not None and pos.size:
+            ok &= ~(pos > np.asarray(self.box_max, np.float64)).any(axis=1)
         return ok
 
 
 def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPredicate) -> TrackingGraph:
     """Drop nodes outside the value/box constraints and edges that jump
-    farther than allowed (minimum-image distance on periodic axes)."""
+    farther than allowed (minimum-image distance on periodic axes). A box
+    whose rank is not the domain's is a ``ValueError``."""
+    predicate.check_rank(domain.rank)
     n, e = g.node_columns, g.edge_columns
     alive = predicate.admits(n.value, n.pos)
     keep = alive[e.src] & alive[e.dst]

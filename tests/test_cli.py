@@ -702,6 +702,29 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, box, message", [
+        ("run", {"box-min": "0,0,5", "box-max": "40,40,6"},
+         "box-min has rank 3, but the grid has rank 2"),
+        ("run", {"box-min": "5", "box-max": "6"}, "box-min has rank 1, but the grid has rank 2"),
+        ("compare", {"box-max": "40,40,6"}, "box-max has rank 3, but the grid has rank 2"),
+    ], ids=["rank-3", "rank-1", "compare"])
+    def test_box_of_another_rank_is_a_config_error(self, ridge_file, tmp_path, capsys, command,
+                                                   box, message):
+        # the box was cut to the axes it shares with the positions: one of
+        # rank 3 kept all 4 nodes of the 2D ridge and exited 0, and one of
+        # rank 1 filtered axis 0 alone; now nothing is labeled or written
+        out = tmp_path / "out"
+        flags = [f"--{key}={value}" for key, value in box.items()]
+        assert main([command, "--input", str(ridge_file), "--out", str(out), "--dump-labels",
+                     *flags]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {ridge_file}\n"
+                       + "".join(f"{key} = {value}\n" for key, value in box.items()))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_nan_semantic_setting_is_a_config_error_under_python_O(self, ridge_file,
                                                                    tmp_path):
         out = tmp_path / "out"
@@ -907,15 +930,23 @@ class TestStageReports:
         (["synth"], ["series.xtrk"], "stage 'synth'"),
         (["synth", "--save-script", "{out}/script.json"], ["script.json"], "stage 'synth'"),
         (["synth"], ["fifo"], "stage 'synth'"),
+        (["run"], ["graph.json -> ../target.json"], "stage 'export'"),
+        (["run"], ["overlap_forward_0000.json", "correspondence_forward_0000.json -> ../twin.json"],
+         "stage 'export'"),
     ], ids=["matrix", "graph-json", "graph-dot", "compare-json", "compare-txt", "labels",
-            "series", "script", "fifo"])
+            "series", "script", "fifo", "graph-json-link", "matrix-twin-link"])
     def test_no_writer_leaves_a_cut_off_file(self, ridge_file, tmp_path, monkeypatch, capsys,
                                              argv, names, message):
         # the first block of names[0] reaches the file, then the writer runs
         # out of memory: every file of that writer goes, but a FIFO, which
-        # the program did not create, is kept
+        # the program did not create, is kept; a name written "name -> target"
+        # is a symlink, which is kept while the file it points to goes
         out = tmp_path / "out"
         out.mkdir()
+        links = dict(name.split(" -> ") for name in names if " -> " in name)
+        names = [name.split(" -> ")[0] for name in names]
+        for name, target in links.items():
+            (out / name).symlink_to(target)
         argv = [a.format(out=out) for a in argv]
         if argv[0] == "synth":
             series = names[0] if names[0] in ("series.xtrk", "fifo") else "series.xtrk"
@@ -946,6 +977,8 @@ class TestStageReports:
             assert stat.S_ISFIFO((out / "fifo").stat().st_mode)
         else:
             assert not any((out / name).exists() for name in names)
+        for name, target in links.items():
+            assert (out / name).is_symlink() and not (out / target).exists()
 
     def test_an_output_whose_open_fails_is_kept(self, ridge_file, tmp_path, monkeypatch,
                                                 capsys):

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -8,6 +10,7 @@ from extrack.field import (
     GridDomain,
     ScalarFieldSeries,
     SeriesFormatError,
+    discard,
     load_labels,
     load_series,
     minimum_image_distance,
@@ -417,3 +420,17 @@ def test_label_dump_with_a_bad_domain_is_a_format_error(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(SeriesFormatError, match="invalid domain in header"):
         load_labels(p)
+
+
+def test_discard_through_a_link_deletes_only_a_regular_file(tmp_path):
+    # a writer wrote through the link, so the file behind it would be left
+    # cut off; the link stays, and so does a FIFO, which is not the program's
+    file, fifo = tmp_path / "file", tmp_path / "fifo"
+    file.write_bytes(b"cut")
+    os.mkfifo(fifo)
+    for target in (file, fifo):
+        link = tmp_path / f"to-{target.name}"
+        link.symlink_to(target)
+        discard(link)
+        assert link.is_symlink()
+    assert not file.exists() and stat.S_ISFIFO(fifo.stat().st_mode)

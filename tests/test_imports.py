@@ -1,10 +1,14 @@
-"""Every module of the package and of the tests reads each name it imports.
+"""Every module of the package and of the tests reads each name it imports,
+and every private name the package defines has a user.
 
-CI runs no linter, so this stands in for its unused-import rule: a name
-bound by ``import`` or ``from ... import`` must be read somewhere in its
-module. A name listed in the module's ``__all__`` counts as read, which
+CI runs no linter, so this stands in for two of its rules. Unused imports:
+a name bound by ``import`` or ``from ... import`` must be read somewhere in
+its module. A name listed in the module's ``__all__`` counts as read, which
 exempts the package's re-exports, and ``from __future__`` imports bind
-nothing.
+nothing. Unused private names: a top-level function, class or constant of
+the package whose name starts with one underscore must be named by another
+statement of the package, so that a helper a removed path leaves behind is
+found.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "extrack").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "extrack").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +54,54 @@ def test_every_import_is_read(path):
 ])
 def test_the_check_finds_what_is_never_read(source, unused):
     assert unused_imports(source) == unused
+
+
+def _defines(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def unnamed_privates(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private top-level name of the modules (their
+    sources by module name) that no other statement names: by reading it in
+    its own module, importing it from there, or as an attribute of the
+    module's name."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _defines(stmt)
+            defined += [(module, n) for n in sorted(own)
+                        if n.startswith("_") and not n.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    named |= {(node.module.rsplit(".", 1)[-1], a.name) for a in node.names}
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    named.add((node.value.id, node.attr))
+                elif isinstance(node, ast.Name) and node.id not in own:
+                    named.add((module, node.id))
+    return [f"{m}.{n}" for m, n in defined if (m, n) not in named]
+
+
+def test_every_private_name_has_a_user():
+    assert unnamed_privates({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+@pytest.mark.parametrize("sources, unnamed", [
+    ({"a": "def _f(): pass\n"}, ["a._f"]),
+    ({"a": "def _f(): pass\nx = _f()\n"}, []),
+    ({"a": "def _f(n): return _f(n - 1)\n"}, ["a._f"]),
+    ({"a": "_X = 1\nclass _C: pass\n_Y: int = 2\n_P, _Q = 3, 4\n"},
+     ["a._X", "a._C", "a._Y", "a._P", "a._Q"]),
+    ({"a": "_X = 1\n", "b": "from .a import _X\n"}, []),
+    ({"a": "_X = 1\n", "b": "from . import a\na._X\n"}, []),
+    ({"a": "_X = 1\n", "b": "_X = 2\nprint(_X)\n"}, ["a._X"]),
+    ({"a": "def f(): pass\n__all__ = []\n"}, []),
+])
+def test_the_check_finds_a_private_name_without_a_user(sources, unnamed):
+    assert unnamed_privates(sources) == unnamed

@@ -10,6 +10,7 @@ from extrack import correspond, trackgraph
 from extrack.cli import main
 from extrack.correspond import OverlapMatrix, _keys_and_counts
 from extrack.field import GridDomain
+from extrack.morse import label_manifolds, simplify
 from extrack.trackgraph import (
     ConnectivityPolicy,
     EdgeColumns,
@@ -132,6 +133,44 @@ class TestAssembly:
     def test_unknown_strength_rule_rejected(self):
         with pytest.raises(ValueError):
             ConnectivityPolicy(strength="median")
+
+    @pytest.mark.parametrize("bidirectional", [True, False], ids=["bidirectional", "any"])
+    @pytest.mark.parametrize("strategy", ["manifold-overlap", "sampling-euclidean"])
+    def test_assembly_stores_nothing_on_the_matrices(self, noise_pair, strategy,
+                                                     bidirectional):
+        # a probability is derived where it is read: once assembly returns,
+        # all it leaves allocated is the graph's columns, not a float64 per
+        # stored entry on each matrix it read
+        labs = noise_pair
+        if strategy == "manifold-overlap":
+            fwd, bwd = correspond.manifold_overlap(*labs)
+        else:
+            fwd = correspond.sampling_overlap(labs[0], labs[1], "euclidean", 2.0, "forward")
+            bwd = correspond.sampling_overlap(labs[1], labs[0], "euclidean", 2.0, "backward")
+        layers = extremum_layers(labs)
+        policy = ConnectivityPolicy(bidirectional)
+        # a first call may import modules; one on other matrices keeps these as built
+        assemble(mk_layers([1, 1]), [cm([[1.0]], "forward")], [cm([[1.0]], "backward")], policy)
+        tracemalloc.start()
+        try:
+            g = assemble(layers, [fwd], [bwd], policy)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        columns = [*dataclasses.astuple(g.node_columns), *dataclasses.astuple(g.edge_columns)]
+        entries = fwd.keys.size + bwd.keys.size
+        assert len(g.edge_columns) and entries > 10_000
+        assert held - sum(a.nbytes for a in columns) < entries, (held, entries)
+
+
+@pytest.fixture(scope="module")
+def noise_pair():
+    """Two 256^2 white-noise steps, the first axis periodic, labeled and
+    simplified at 1 % persistence."""
+    rng = np.random.default_rng(36)
+    domain = GridDomain((256, 256), periodic=(True, False))
+    return [simplify(label_manifolds(v, domain, "minimum"), v, 1.0)
+            for v in rng.random((2, domain.vertex_count))]
 
 
 class TestTrackPropagation:
@@ -285,6 +324,25 @@ class TestSemanticFilter:
         assert edge_set(semantic_filter(g, dom, SemanticPredicate(max_jump=1.0))) == {(0, 0, 0)}
         no_wrap = GridDomain((2, 10))
         assert edge_set(semantic_filter(g, no_wrap, SemanticPredicate(max_jump=1.0))) == set()
+
+    @pytest.mark.parametrize("box", [dict(box_min=(0.0, 0.0, 5.0)), dict(box_max=(6.0,)),
+                                     dict(box_min=(0.0,), box_max=(6.0,))])
+    def test_box_of_another_rank_rejected(self, box):
+        # a box used to be cut to the axes it shares with the positions, so
+        # one of rank 3 kept every node of a 2D graph
+        name, corner = next(iter(box.items()))
+        empty = TrackingGraph(NodeColumns.concat([]), EdgeColumns.concat([]))
+        for g in (self.graph(), empty):
+            with pytest.raises(ValueError,
+                               match=f"^{name} has rank {len(corner)}, but the grid has rank 2$"):
+                semantic_filter(g, GridDomain((4, 4)), SemanticPredicate(**box))
+
+    def test_box_on_an_empty_graph(self):
+        empty = TrackingGraph(NodeColumns.concat([]), EdgeColumns.concat([]))
+        assert empty.node_columns.pos.shape == (0, 0)  # no axes
+        pred = SemanticPredicate(box_min=(0.0, 0.0), box_max=(1.5, 1.5))
+        out = semantic_filter(empty, GridDomain((4, 4)), pred)
+        assert len(out.node_columns) == len(out.edge_columns) == 0
 
     def test_inverted_ranges_rejected(self):
         with pytest.raises(ValueError, match="value"):
