@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -45,7 +44,9 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
     sorted runs sums the repeats. Entries without counts are counted per
     chunk first, so memory grows with the distinct (i, j) plus one chunk,
     not with the entry count; entries with counts, which their caller holds
-    whole, go to the merge as they are.
+    whole, go to the merge as they are. The merge is one in-place sort of
+    ``key << bits(max count) | count`` in int64 wherever those bits fit in
+    63, for int32 and int64 keys alike; only wider shapes take an argsort.
     """
     ii, jj = np.asarray(ii), np.asarray(jj)
     dt = _id_dtype(rows * cols)
@@ -64,19 +65,24 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
         keys.append(k)
     if cc is not None:
         counts.append(np.asarray(cc, dtype=np.int64))
-    if dt == np.int32 and max(c.max(initial=0) for c in counts) < 2**32:
-        # each (key, count) packed into one int64, the key in its high half,
-        # so that one in-place sort merges the runs
-        packed = np.empty(sum(map(len, keys)), np.int64)
-        halves = packed.view(np.int32).reshape(-1, 2)
-        np.concatenate(keys, out=halves[:, _HIGH])
-        np.concatenate(counts, out=halves[:, 1 - _HIGH], casting="unsafe")
-        del keys, counts
+    shift = int(max(c.max(initial=0) for c in counts)).bit_length()  # bits of the largest count
+    if max(rows * cols - 1, 0).bit_length() + shift <= 63:
+        # each (key, count) packed into one int64, the key above the count's
+        # bits, so that one in-place sort merges the runs
+        packed = np.concatenate(keys, dtype=np.int64)
+        del keys
+        packed <<= shift
+        at = 0
+        for c in counts:
+            packed[at:at + c.size] |= c
+            at += c.size
+        del counts
         packed.sort()
-        u, at = _runs(halves[:, _HIGH])
-        packed &= 2**32 - 1  # the counts alone
+        at = np.flatnonzero(_run_starts(packed, shift))
+        u = (packed[at] >> shift).astype(dt, copy=False)
+        packed &= (1 << shift) - 1  # the counts alone
         c = np.add.reduceat(packed, at)
-        del packed, halves
+        del packed
     else:
         k = np.concatenate(keys)
         del keys
@@ -86,10 +92,6 @@ def _keys_and_counts(rows: int, cols: int, ii, jj, cc=None):
         del k  # before the counts are gathered
         c = np.add.reduceat(np.concatenate(counts)[order], at)
     return u, c
-
-
-# the int32 half of an int64 that holds its high bits
-_HIGH = int(sys.byteorder == "little")
 
 
 def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +268,9 @@ class OverlapMatrix:
         return self.probs if self.kind == "correspondence" else self.counts
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
-        out[self.i, self.j] = self.values
+        values = self.values
+        out = np.zeros((self.rows, self.cols), dtype=values.dtype)
+        out[self.i, self.j] = values
         return out
 
     def row_sums(self) -> np.ndarray:

@@ -11,7 +11,8 @@ into that strict order (``asc`` and its inverse ``rank``, int32 while
 vertex ids fit), by ascending value for minima and by descending value for
 maxima, ties to the lower id either way, and then compares only ranks;
 maxima run the minima path on that order, with no negated copy of the
-field.
+field. The order is one in-place sort of int64 keys that pack a value's
+top bits above its vertex id, with a re-sort where two values share a top.
 
 Both descent and the merge sweep walk the grid one Freudenthal offset at a
 time through ``field.offset_slices``, so labeling needs O(V) memory and no
@@ -96,56 +97,48 @@ def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, n
     ``asc`` lists the vertex ids in that order, equal to
     ``np.argsort(w, kind="stable")`` (``np.argsort(-w, kind="stable")``
     when descending), and ``rank`` is its inverse; both have
-    ``_id_dtype(w.size)``. The default (unstable, SIMD) argsort does the
-    work, read backwards when descending, and only the runs of equal
-    values are re-sorted by id (``_sort_runs``); the ties are found in
-    chunks, so no sorted copy of w is made.
+    ``_id_dtype(w.size)``. One in-place sort of int64 keys does the work:
+    each packs the top 63 - b bits of the value's IEEE bits made monotone
+    (-0.0 as 0.0, negated when descending, a float32's in the top half)
+    above the b = bits(V - 1) bits of the id. Values are read only where
+    neighbouring keys share a top, and the runs of equal tops that hold two
+    different values are re-sorted by (value, id).
     """
     n = w.size
-    dt = _id_dtype(n)
-    asc = np.argsort(w).astype(dt)
-    if descending:
-        asc = asc[::-1].copy()
-    tie = np.empty(max(n - 1, 0), dtype=bool)  # position p + 1 equals position p
+    dt, b = _id_dtype(n), max(n - 1, 0).bit_length()
+    packed = np.empty(n, np.int64)
+    for c in _chunks(n):
+        k = packed[c]  # built in place
+        k[...] = w[c].view(f"i{w.itemsize}")
+        k <<= 64 - 8 * w.itemsize  # the sign bit to bit 63
+        if descending:
+            k ^= -2**63  # the bits of -w
+        np.subtract(-2**63, k, out=k, where=k < 0)  # sign and magnitude to two's complement
+        k >>= b + 1
+        k <<= b
+        k |= np.arange(c.start, c.stop)
+    packed.sort()
+    asc = np.empty(n, dt)
+    for c in _chunks(n):
+        np.bitwise_and(packed[c], (1 << b) - 1, out=asc[c], casting="unsafe")
+    hits = [np.empty(0, np.int64)]  # positions p of two different values under one top
     for c in _chunks(n - 1):
-        np.equal(w[asc[c.start + 1:c.stop + 1]], w[asc[c]], out=tie[c])
-    if tie.any():
-        _sort_runs(asc, tie)
-    del tie
+        k = packed[c.start + 1:c.stop + 1] ^ packed[c]  # a new array: k views packed no more
+        k >>= b
+        p = np.flatnonzero(k == 0) + c.start
+        hits.append(p[w[asc[p]] != w[asc[p + 1]]])
+    lo = packed[np.concatenate(hits)] >> b << b  # the least key under each such top
+    lo = lo[_run_starts(lo)]
+    start = np.searchsorted(packed, lo)
+    size = np.searchsorted(packed, lo + (1 << b)) - start
+    del packed
+    pos = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())  # of those runs
+    ids = asc[pos]
+    asc[pos] = ids[np.lexsort((ids, -w[ids] if descending else w[ids]))]
     rank = np.empty(n, dtype=dt)
     for c in _chunks(n):
         rank[asc[c]] = np.arange(c.start, c.stop, dtype=dt)
     return asc, rank
-
-
-def _sort_runs(asc: np.ndarray, tie: np.ndarray) -> None:
-    """Sort each run of tied positions of asc by vertex id, in place.
-
-    ``tie[p]`` says that positions p and p + 1 hold equal values. A chunk
-    of positions that ends inside a run is extended to that run's end, so
-    each chunk holds whole runs and sorts them at once under a
-    ``run * n + id`` key.
-    """
-    n, size = asc.size, _chunk_size(asc.size)
-    p = 0
-    while p < n:
-        q = min(p + size, n)
-        while q < n and tie[q - 1]:  # q is inside a run: move it to the run's end
-            window = tie[q - 1:q - 1 + size]
-            k = int(np.argmin(window))  # the first False, if any
-            q += window.size if window[k] else k
-        inside = tie[p:q - 1]
-        if inside.any():
-            key = np.zeros(q - p, np.int64)
-            # run numbers, summed in place (a cumsum of bools makes an int64 copy)
-            np.logical_not(inside, out=key[1:], casting="unsafe")
-            np.cumsum(key, out=key)
-            key *= n
-            key += asc[p:q]
-            key.sort()
-            key %= n
-            asc[p:q] = key
-        p = q
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _records, _rows
 from .field import GridDomain, minimum_image_distance, open_output
-from .morse import ManifoldLabeling, _resolve_roots
+from .morse import ManifoldLabeling, _chunks, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
 # what a node stands for; ``NodeColumns.kind`` holds each node's index here
@@ -164,6 +164,8 @@ class EdgeColumns:
         if not parts:
             rows, probs = np.empty(0, np.int64), np.empty(0)
             return cls(rows, rows, probs, probs, probs)
+        if len(parts) == 1:  # as it is: a copy would double the edges' memory
+            return parts[0]
         return cls(*(np.concatenate([getattr(p, f) for p in parts])
                      for f in ("src", "dst", "pf", "pb", "strength")))
 
@@ -187,11 +189,12 @@ class TrackingGraph:
         if tracks is not None:
             assert tracks.shape == (len(n),)
             self.tracks = tracks  # takes the place of the derived value
-        # edges may only span one step, between known nodes
-        assert ((e.src >= 0) & (e.src < len(n)) & (e.dst >= 0) & (e.dst < len(n))).all()
-        assert (n.t[e.dst] == n.t[e.src] + 1).all()
-        assert ((e.strength >= 0.0) & (e.strength <= 1.0)).all()
-        assert (~np.isnan(e.pf) | ~np.isnan(e.pb)).all()
+        for c in _chunks(len(e)):  # edges may only span one step, between known nodes
+            src, dst = e.src[c], e.dst[c]
+            assert ((src >= 0) & (src < len(n)) & (dst >= 0) & (dst < len(n))).all()
+            assert (n.t[dst] == n.t[src] + 1).all()
+            assert ((e.strength[c] >= 0.0) & (e.strength[c] <= 1.0)).all()
+            assert (~np.isnan(e.pf[c]) | ~np.isnan(e.pb[c])).all()
 
     @cached_property
     def tracks(self) -> np.ndarray:
@@ -428,7 +431,7 @@ def semantic_filter(g: TrackingGraph, domain: GridDomain, predicate: SemanticPre
     return _refiltered(g, alive, keep, "semantic", predicate.settings())
 
 
-def _chunks(g: TrackingGraph, format: str):
+def _document_chunks(g: TrackingGraph, format: str):
     if format == "json":
         return _json_chunks(g)
     if format == "dot":
@@ -440,13 +443,13 @@ def export(g: TrackingGraph, format: Literal["json", "dot"]) -> str:
     """The graph document as text; ``save_graph`` writes the same bytes."""
     # decoding chunk by chunk, rather than decoding one joined bytes object,
     # never holds the document's bytes and its text at once
-    return "".join([c.decode("ascii") for c in _chunks(g, format)])
+    return "".join([c.decode("ascii") for c in _document_chunks(g, format)])
 
 
 def save_graph(g: TrackingGraph, format: Literal["json", "dot"], path) -> None:
     """Write ``export(g, format)`` to path block by block, as ASCII with
     ``\\n`` line ends, without holding the document whole."""
-    chunks = _chunks(g, format)
+    chunks = _document_chunks(g, format)
     with open_output(path) as fh:
         fh.writelines(chunks)
 

@@ -307,6 +307,17 @@ class TestNormalization:
             sums = c.to_dense().sum(axis=1)
             assert np.abs(sums - 1.0).max() < 1e-12
 
+    def test_to_dense_derives_the_probabilities_once(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        lab_t, lab_n, _ = random_labeling_pair(rng)
+        c = normalize(manifold_overlap(lab_t, lab_n)[0])
+        calls, derive = [], OverlapMatrix._probs
+        monkeypatch.setattr(OverlapMatrix, "_probs",
+                            lambda self, *at: calls.append(at) or derive(self, *at))
+        dense = c.to_dense()
+        assert len(calls) == 1
+        assert np.array_equal(dense[c.i, c.j], c.probs)
+
     def test_binary_support_inside_probabilistic_support(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -767,6 +778,37 @@ class TestChunkedCounter:
             assert keys[-1] == rows * cols - 1
             assert keys.dtype == (np.int32 if rows * cols < 2**31 else np.int64)
             assert counts.dtype == np.int64
+
+    @pytest.mark.parametrize("rows, cols, top, with_counts, bits", [
+        (2**15, 2**15 + 1, 2**31, True, 63),  # int32 keys, packed
+        (2**15, 2**15 + 1, 2**32, True, 64),  # int32 keys, the argsort merge
+        (2**20, 2**20, 2**22, True, 63),  # int64 keys
+        (2**20, 2**20, 2**23, True, 64),
+        (2**31, 2**31, 1, False, 63),
+        (2**31, 2**31, 2, False, 64),
+        (2**32, 2**31, 1, False, 64),
+    ])
+    def test_packed_merge_at_its_bit_bound(self, chunk_min, rows, cols, top, with_counts, bits):
+        # bits(rows * cols - 1) + bits(max count) of 63 packs each (key,
+        # count) into one int64; 64 takes the argsort merge. Without counts
+        # the largest count is the top copies of the last cell at the front,
+        # in one chunk, beside distinct random cells
+        assert (rows * cols - 1).bit_length() + top.bit_length() == bits
+        rng = np.random.default_rng(72)
+        ii, jj = rng.integers(0, rows, 300), rng.integers(0, cols, 300)
+        front = 1 if with_counts else top
+        ii[:front], jj[:front] = rows - 1, cols - 1
+        cc = None
+        if with_counts:
+            ii[-100:], jj[-100:] = ii[:100], jj[:100]  # repeats, summed past top
+            cc = rng.integers(1, top + 1, ii.size)
+            cc[0] = top
+        want_keys, want_counts = dict_count(rows, cols, ii, jj, cc)
+        assert with_counts or max(want_counts) == top
+        keys, counts = _keys_and_counts(rows, cols, ii, jj, cc)
+        assert keys.dtype == _id_dtype(rows * cols) and counts.dtype == np.int64
+        assert keys.tolist() == want_keys and counts.tolist() == want_counts
+        assert keys[-1] == rows * cols - 1
 
     @pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, -1), (0, 6)])
     def test_entry_outside_the_matrix_in_a_late_chunk(self, chunk_min, i, j):

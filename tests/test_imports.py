@@ -1,5 +1,6 @@
 """Every module of the package and of the tests reads each name it imports,
-and every private name the package defines has a user.
+every private name the package defines has a user, and the package imports
+nothing but the standard library, numpy and its own modules.
 
 CI runs no linter, so this stands in for two of its rules. Unused imports:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
@@ -8,10 +9,13 @@ exempts the package's re-exports, and ``from __future__`` imports bind
 nothing. Unused private names: a top-level function, class or constant of
 the package whose name starts with one underscore must be named by another
 statement of the package, so that a helper a removed path leaves behind is
-found.
+found. Foreign imports: numpy is the package's one runtime dependency, so
+each module it imports must be in ``sys.stdlib_module_names``, be numpy,
+or be relative.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,33 @@ def test_every_private_name_has_a_user():
 ])
 def test_the_check_finds_a_private_name_without_a_user(sources, unnamed):
     assert unnamed_privates(sources) == unnamed
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level module of each import that is neither the standard
+    library's, numpy's nor relative, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module.split(".")[0])
+    return [m for m in dict.fromkeys(found) if m != "numpy" and m not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_the_package_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, foreign", [
+    ("import scipy\n", ["scipy"]),
+    ("from scipy.sparse import csr_matrix\n", ["scipy"]),
+    ("def f():\n    import pandas as pd\n", ["pandas"]),
+    ("from .field import GridDomain\n", []),
+    ("from . import morse\n", []),
+    ("import numpy.linalg\n", []),
+    ("from __future__ import annotations\nimport os.path, json\n", []),
+])
+def test_the_check_finds_a_foreign_import(source, foreign):
+    assert foreign_imports(source) == foreign

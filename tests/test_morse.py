@@ -166,6 +166,84 @@ class TestTotalOrder:
                 assert np.array_equal(ptr, oracle_descent_pointers(x, dom)), name
 
 
+def packed_tops(w: np.ndarray) -> list[int]:
+    """The top bits ``_total_order`` keeps of each value of w, computed
+    from the definition: the IEEE bits as a signed magnitude (so -0.0 is
+    0), a float32's moved to the top of 64 bits, shifted right past
+    bits(V - 1) + 1 bits."""
+    size = 8 * w.itemsize
+    keep = (w.size - 1).bit_length() + 1
+    tops = []
+    for u in w.view(f"u{w.itemsize}").tolist():
+        magnitude = u & ((1 << (size - 1)) - 1)
+        tops.append((-magnitude if u >> (size - 1) else magnitude) << (64 - size) >> keep)
+    return tops
+
+
+def collisions(w: np.ndarray) -> int:
+    """How many tops of w hold two or more different values."""
+    values = {}
+    for top, x in zip(packed_tops(w), w.tolist()):
+        values.setdefault(top, set()).add(x)
+    return sum(len(v) > 1 for v in values.values())
+
+
+class TestPackedOrder:
+    """``_total_order`` sorts keys that hold only the top bits of each value,
+    so different values may share a key's top; such runs are re-sorted by
+    value. It is judged against the stable argsort."""
+
+    @staticmethod
+    def fields(dtype, v):
+        rng = np.random.default_rng(v)
+        one, two = dtype(1), dtype(2)
+        tiny = np.nextafter(dtype(0), dtype(1))  # the least subnormal
+        big = dtype(1e308) if dtype == np.float64 else np.finfo(dtype).max
+        ulps = np.nextafter(np.full(6, one), two)  # runs of adjacent values
+        for _ in range(5):
+            ulps = np.append(ulps, np.nextafter(ulps[-6:], two))
+        pools = {
+            "adjacent": ulps,
+            "power of two": np.concatenate([np.nextafter(np.full(3, two), 0), [two],
+                                            np.nextafter(np.full(3, two), 4)]),
+            "zeros and subnormals": np.array([0.0, -0.0, tiny, -tiny, 2 * tiny, -3 * tiny]),
+            "extremes": np.concatenate([[big, -big], np.nextafter([big, -big], 0)]),
+        }
+        pools["all"] = np.concatenate(list(pools.values()) + [[-1.0, 0.5]])
+        # drawn with repeats, these fields hold plateaus
+        fields = {name: rng.choice(pool.astype(dtype), v) for name, pool in pools.items()}
+        # distinct values, two adjacent ones under each float64 top, at ids
+        # that differ in any bit
+        top = 2 ** ((v - 1).bit_length() + 1)  # the ulps of 1.0 under one float64 top
+        ulp = rng.permutation(np.arange(v) // 2 * top + np.arange(v) % 2)
+        ints = f"i{one.itemsize}"
+        fields["pairs"] = (np.asarray(one).view(ints) + ulp).astype(ints).view(dtype)
+        return fields
+
+    @pytest.mark.parametrize("chunk_min", [None, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("v", [2**10 - 1, 2**10, 2**10 + 1])
+    def test_matches_the_stable_argsort(self, v, dtype, chunk_min, monkeypatch):
+        if chunk_min is not None:
+            monkeypatch.setattr(morse, "_CHUNK_MIN", chunk_min)
+        fields = self.fields(dtype, v)
+        for name, w in fields.items():
+            assert w.dtype == dtype
+            for descending in (False, True):
+                asc, rank = _total_order(w, descending)
+                assert asc.dtype == rank.dtype == np.int32, name
+                want = np.argsort(-w if descending else w, kind="stable")
+                assert np.array_equal(asc, want), (name, descending)
+                assert np.array_equal(rank[asc], np.arange(v)), (name, descending)
+        # a float64's low bits go, so some of its tops hold two values; a
+        # float32's bits all stay in the top half
+        hit = {name: collisions(w) for name, w in fields.items()}
+        if dtype == np.float64:
+            assert all(hit.values()), hit
+        else:
+            assert not any(hit.values()), hit
+
+
 class TestLabelManifolds:
     def test_single_minimum_bowl(self):
         vals = [[5, 4, 5], [4, 1, 4], [5, 4, 5]]

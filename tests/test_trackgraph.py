@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from extrack import correspond, trackgraph
+from extrack import correspond, morse, trackgraph
 from extrack.cli import main
 from extrack.correspond import OverlapMatrix, _keys_and_counts
 from extrack.field import GridDomain
@@ -561,6 +561,42 @@ class TestGraphInvariants:
                  GraphNode(1, 0, "extremum", 0, 0.0, (0.0,)))
         with pytest.raises(AssertionError):
             graph_of(nodes, (GraphEdge(0, 0, 0, None, None, 0.5),))
+
+    @pytest.mark.parametrize("bad", ["src", "dst", "step", "strength", "probabilities"])
+    def test_a_bad_edge_in_the_last_block_is_caught(self, bad, monkeypatch):
+        # the checks run over blocks of edges, so the last edge counts too
+        monkeypatch.setattr(morse, "_CHUNK_MIN", 4)
+        nodes = NodeColumns.concat(mk_layers([3, 3, 3]))
+        m = 50
+        src, dst = np.arange(m) % 3, 3 + np.arange(m) % 3
+        pf, pb, strength = np.full(m, 0.5), np.full(m, np.nan), np.full(m, 0.5)
+        TrackingGraph(nodes, EdgeColumns(src, dst, pf, pb, strength))
+        src[-1], dst[-1], strength[-1], pf[-1] = {
+            "src": (-1, 3, 0.5, 0.5), "dst": (0, 9, 0.5, 0.5), "step": (0, 6, 0.5, 0.5),
+            "strength": (0, 3, 1.5, 0.5), "probabilities": (0, 3, 0.5, np.nan)}[bad]
+        with pytest.raises(AssertionError):
+            TrackingGraph(nodes, EdgeColumns(src, dst, pf, pb, strength))
+
+    def test_the_checks_hold_one_block_of_edges(self):
+        # 2**20 edges between two steps of 1000 nodes: checking every edge at
+        # once gathered both ends' steps as int64, 17 bytes per edge
+        rng = np.random.default_rng(71)
+        m = 1 << 20
+        p = rng.random(m)
+        edges = EdgeColumns(rng.integers(0, 1000, m), rng.integers(1000, 2000, m), p, p, p)
+        nodes = NodeColumns.concat(mk_layers([1000, 1000]))
+        tracemalloc.start()
+        try:
+            TrackingGraph(nodes, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * m
+
+    def test_a_lone_part_is_not_copied(self):
+        e = EdgeColumns(np.arange(3), np.arange(3, 6), np.full(3, 0.5), np.full(3, np.nan),
+                        np.full(3, 0.5))
+        assert np.shares_memory(EdgeColumns.concat([e]).src, e.src)
 
     def test_extremum_layers_carry_positions(self):
         from extrack.morse import label_manifolds
