@@ -101,8 +101,8 @@ def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, n
     each packs the top 63 - b bits of the value's IEEE bits made monotone
     (-0.0 as 0.0, negated when descending, a float32's in the top half)
     above the b = bits(V - 1) bits of the id. Values are read only where
-    neighbouring keys share a top, and the runs of equal tops that hold two
-    different values are re-sorted by (value, id).
+    neighbouring keys share a top, and a run of equal tops that holds two
+    different values is re-sorted stably by value alone: its ids ascend.
     """
     n = w.size
     dt, b = _id_dtype(n), max(n - 1, 0).bit_length()
@@ -121,20 +121,32 @@ def _total_order(w: np.ndarray, descending: bool = False) -> tuple[np.ndarray, n
     asc = np.empty(n, dt)
     for c in _chunks(n):
         np.bitwise_and(packed[c], (1 << b) - 1, out=asc[c], casting="unsafe")
-    hits = [np.empty(0, np.int64)]  # positions p of two different values under one top
+    hits = [np.empty(0, np.int64)]  # the least key under each top of two different values
     for c in _chunks(n - 1):
         k = packed[c.start + 1:c.stop + 1] ^ packed[c]  # a new array: k views packed no more
         k >>= b
         p = np.flatnonzero(k == 0) + c.start
-        hits.append(p[w[asc[p]] != w[asc[p + 1]]])
-    lo = packed[np.concatenate(hits)] >> b << b  # the least key under each such top
+        lo = packed[p[w[asc[p]] != w[asc[p + 1]]]] >> b << b
+        hits.append(lo[_run_starts(lo)])  # each top once per chunk
+    lo = np.concatenate(hits)
+    del hits
     lo = lo[_run_starts(lo)]
     start = np.searchsorted(packed, lo)
-    size = np.searchsorted(packed, lo + (1 << b)) - start
-    del packed
-    pos = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())  # of those runs
-    ids = asc[pos]
-    asc[pos] = ids[np.lexsort((ids, -w[ids] if descending else w[ids]))]
+    lo += 1 << b  # the least key above it
+    end = np.searchsorted(packed, lo)
+    del packed, lo
+    # runs go a batch of up to a chunk's positions at a time, a longer run alone;
+    # a run's values all sort before the next run's: one stable sort serves a batch
+    done = np.cumsum(end - start)  # positions in the runs up to each run's end
+    r, cap = 0, _chunk_size(n)
+    while r < start.size:
+        before = done[r] - end[r] + start[r]  # positions in the runs before run r
+        r1 = max(r + 1, int(np.searchsorted(done, before + cap, "right")))
+        pos = (slice(start[r], end[r]) if r1 == r + 1 else np.arange(before, done[r1 - 1])
+               + np.repeat(end[r:r1] - done[r:r1], end[r:r1] - start[r:r1]))
+        ids = asc[pos]
+        asc[pos] = ids[np.argsort(-w[ids] if descending else w[ids], kind="stable")]
+        r = r1
     rank = np.empty(n, dtype=dt)
     for c in _chunks(n):
         rank[asc[c]] = np.arange(c.start, c.stop, dtype=dt)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .correspond import OverlapMatrix, _find, _ints, _json_list, _reals, _records, _rows
 from .field import GridDomain, minimum_image_distance, open_output
-from .morse import ManifoldLabeling, _chunks, _resolve_roots
+from .morse import ManifoldLabeling, _chunks, _id_dtype, _resolve_roots
 
 Strength = Literal["max", "avg", "min"]
 # what a node stands for; ``NodeColumns.kind`` holds each node's index here
@@ -131,7 +131,8 @@ class NodeColumns:
         return self.t.size
 
     def rows(self, t: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Row of each (t, id) pair, -1 where no such node exists."""
+        """Row of each (t, id) pair, -1 where no such node exists, in
+        ``_id_dtype(len(self))``, the type of every edge's node rows."""
         # a node's key packs two ranks below len(self) + 1: the first row of
         # its step and the position of its id among the sorted ids, so it is
         # exact for any int64 values and ascends, as rows are (t, id)-sorted.
@@ -140,7 +141,8 @@ class NodeColumns:
         known = np.sort(self.id)
         base = known.size + 1
         key = np.searchsorted(self.t, self.t) * base + np.searchsorted(known, self.id)
-        return _find(key, _find(self.t, t) * base + _find(known, ids) % base)
+        rows = _find(key, _find(self.t, t) * base + _find(known, ids) % base)
+        return rows.astype(_id_dtype(len(self)), copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +152,7 @@ class EdgeColumns:
     Edge k joins node row ``src[k]`` of the graph's ``NodeColumns`` to node
     row ``dst[k]`` one step later; as nodes are (t, id)-sorted, this is
     (t, i, j) order. ``pf``/``pb`` are NaN where that direction has no
-    matrix entry.
+    matrix entry. Rows have ``_id_dtype`` of the node count.
     """
 
     src: np.ndarray
@@ -162,7 +164,7 @@ class EdgeColumns:
     @classmethod
     def concat(cls, parts: Sequence["EdgeColumns"]) -> "EdgeColumns":
         if not parts:
-            rows, probs = np.empty(0, np.int64), np.empty(0)
+            rows, probs = np.empty(0, _id_dtype(0)), np.empty(0)
             return cls(rows, rows, probs, probs, probs)
         if len(parts) == 1:  # as it is: a copy would double the edges' memory
             return parts[0]
@@ -267,8 +269,8 @@ def _propagate_tracks(nodes: NodeColumns, edges: EdgeColumns) -> np.ndarray:
     return fresh_id[root]
 
 
-def _pair_edges(first_t: int, first_next: int, fwd: OverlapMatrix, bwd: OverlapMatrix,
-                policy: ConnectivityPolicy) -> EdgeColumns:
+def _pair_edges(first_t: np.integer, first_next: np.integer, fwd: OverlapMatrix,
+                bwd: OverlapMatrix, policy: ConnectivityPolicy) -> EdgeColumns:
     """Edges between two consecutive layers, whose first node rows are
     ``first_t`` and ``first_next``, from one forward/backward matrix pair."""
     if policy.bidirectional:
@@ -290,9 +292,9 @@ def _pair_edges(first_t: int, first_next: int, fwd: OverlapMatrix, bwd: OverlapM
         both = ~np.isnan(pf) & ~np.isnan(pb)
         strength = np.where(both, (pf + pb) / 2, np.fmax(pf, pb))
     # matrix keys ascend row-major, so the rows come out (src, dst)-sorted;
-    # node rows are int64, whatever type the matrix keys have
-    return EdgeColumns(first_t + i.astype(np.int64, copy=False),
-                       first_next + j.astype(np.int64, copy=False),
+    # node rows take the type of first_t, whatever type the matrix keys have
+    return EdgeColumns(first_t + i.astype(first_t.dtype, copy=False),
+                       first_next + j.astype(first_t.dtype, copy=False),
                        pf, pb, strength)
 
 
@@ -315,7 +317,8 @@ def assemble(
     for t, x in enumerate(layers):
         if not np.array_equal(x.id, np.arange(len(x))):
             raise ValueError(f"layer {t} has node ids other than 0..{len(x) - 1}")
-    first = np.cumsum([0] + [len(x) for x in layers]).tolist()
+    first = np.cumsum([0] + [len(x) for x in layers])
+    first = first.astype(_id_dtype(first[-1]))  # node rows, in the type of their ids
     parts = []
     for t in range(len(layers) - 1):
         fwd, bwd = cm_forward[t], cm_backward[t]
@@ -336,7 +339,7 @@ def _refiltered(g: TrackingGraph, keep_nodes: np.ndarray | None, keep_edges: np.
     nodes, edges = g.node_columns, g.edge_columns.take(keep_edges)  # tracks are derived anew
     if keep_nodes is not None:
         nodes = nodes.take(keep_nodes)
-        row = np.cumsum(keep_nodes) - 1  # a kept node's row among the kept
+        row = np.cumsum(keep_nodes, dtype=_id_dtype(len(nodes))) - 1  # a kept node's row
         edges = replace(edges, src=row[edges.src], dst=row[edges.dst])
     meta = {**g.meta, "thresholds": {**g.meta.get("thresholds", {})}}
     meta["thresholds"][key] = threshold

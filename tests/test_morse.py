@@ -218,6 +218,9 @@ class TestPackedOrder:
         ulp = rng.permutation(np.arange(v) // 2 * top + np.arange(v) % 2)
         ints = f"i{one.itemsize}"
         fields["pairs"] = (np.asarray(one).view(ints) + ulp).astype(ints).view(dtype)
+        # one run of two values over the whole order, as a plateau with a
+        # value one ulp above it here and there makes
+        fields["bumped plateau"] = np.where(rng.random(v) < 0.01, np.nextafter(one, two), one)
         return fields
 
     @pytest.mark.parametrize("chunk_min", [None, 4])
@@ -242,6 +245,34 @@ class TestPackedOrder:
             assert all(hit.values()), hit
         else:
             assert not any(hit.values()), hit
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_runs_are_re_sorted_a_bounded_batch_at_a_time(self, descending, monkeypatch):
+        # runs of two to six values one ulp apart below and above a bumped
+        # plateau over three chunks long: the plateau is sorted alone, and
+        # the short runs each once, in batches of at most a chunk's positions
+        monkeypatch.setattr(morse, "_CHUNK_MIN", 4)
+        rng = np.random.default_rng(7)
+        runs = [np.arange(size) for size in np.resize([2, 3, 4, 5, 6], 100)]
+        runs[50] = (rng.random(300) < 0.1).astype(np.int64)  # the plateau, bumped
+        v = sum(r.size for r in runs)
+        top = 2 ** ((v - 1).bit_length() + 1)  # the ulps of 1.0 under one float64 top
+        # mid-top, so that the tops of -w group the same runs
+        ulps = np.concatenate([k * top + top // 2 + r for k, r in enumerate(runs)])
+        w = rng.permutation(np.asarray(1.0).view(np.int64) + ulps).view(np.float64)
+        assert collisions(w) == len(runs)
+        cap = morse._chunk_size(v)
+        assert 3 * cap < 300
+        want = np.argsort(-w if descending else w, kind="stable")
+        sizes, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: sizes.append(a.size) or argsort(a, **kw))
+        asc, rank = _total_order(w, descending)
+        monkeypatch.undo()
+        assert np.array_equal(asc, want)
+        assert np.array_equal(rank[asc], np.arange(v))
+        batches = [size for size in sizes if size != 300]
+        assert len(batches) == len(sizes) - 1
+        assert sum(batches) == v - 300 and max(batches) <= cap and len(batches) > 2
 
 
 class TestLabelManifolds:
@@ -646,16 +677,17 @@ class TestAgainstOracles:
                                       (2, 3, 30), (6, 5, 7)])
     def test_descending_and_split_sweeps_match(self, dims, monkeypatch):
         # maxima on the descending order of the values themselves, then both
-        # kinds with narrowed codes; plateaus, signed zeros and distinct
-        # values on every periodic combination, so periodic axes of length
-        # 2 and 3 in 2D and 3D
+        # kinds with narrowed codes; plateaus, signed zeros, distinct values
+        # and plateaus of three values one ulp apart on every periodic
+        # combination, so periodic axes of length 2 and 3 in 2D and 3D
         rng = np.random.default_rng(3 * sum(dims) + len(dims))
         for periodic in product((False, True), repeat=len(dims)):
             dom = GridDomain(dims, periodic=periodic)
             v = dom.vertex_count
             for values in (rng.integers(0, 3, v).astype(float),
                            rng.choice([-0.0, 0.0, 1.0], v),
-                           rng.permutation(v).astype(float)):
+                           rng.permutation(v).astype(float),
+                           rng.choice([np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2)], v)):
                 check_sweep(values, dom, descending=True)
                 assert (persistence_pairs(values, dom, "maximum")
                         == oracle_merge_tree(values, dom, "maximum")), periodic
@@ -843,12 +875,21 @@ def test_labeling_memory_is_linear_in_the_field(dtype):
 def test_plateau_labeling_memory_is_linear_in_the_field(dtype):
     # a constant field is one run of ties over the whole order, and a
     # quantized one a few long runs: sorting the runs by id must stay
-    # within the bound white noise keeps, in the float64 field's bytes
+    # within the bound white noise keeps, in the float64 field's bytes. A
+    # plateau of 1.0 with every 1000th vertex one ulp above (below) it is
+    # one run of two values under one top, which the total order re-sorts
+    # by value; with every other vertex one ulp above, every neighbour in
+    # the packed order holds the other value
     for dims in ((48, 48, 48), (512, 512)):
         dom = GridDomain(dims, periodic=(True,) + (False,) * (len(dims) - 1))
         noise = np.random.default_rng(3).standard_normal(dom.vertex_count)
+        up, down, alternating = np.ones((3, dom.vertex_count))
+        up[::1000], down[::1000] = np.nextafter(1.0, 2), np.nextafter(1.0, 0)
+        alternating[::2] = np.nextafter(1.0, 2)
         for name, field64 in (("constant", np.zeros(dom.vertex_count)),
-                              ("quantized", np.round(2 * noise))):
+                              ("quantized", np.round(2 * noise)),
+                              ("bumped up", up), ("bumped down", down),
+                              ("alternating", alternating)):
             step = field64.astype(dtype)
             for kind in ("minimum", "maximum"):
                 peak = peak_over_field(

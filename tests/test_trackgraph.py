@@ -162,6 +162,29 @@ class TestAssembly:
         assert len(g.edge_columns) and entries > 10_000
         assert held - sum(a.nbytes for a in columns) < entries, (held, entries)
 
+    @pytest.mark.parametrize("keys", [np.int32, np.int64])
+    def test_edge_rows_are_in_the_node_id_type(self, noise_pair, keys):
+        # an edge's two ends are node rows, so they take the type of node
+        # ids, whatever type the matrix keys have: from assembly, from both
+        # filters (the semantic one renumbers the rows) and from an import
+        fwd, bwd = (dataclasses.replace(m, keys=m.keys.astype(keys))
+                    for m in correspond.manifold_overlap(*noise_pair))
+        g = assemble(extremum_layers(noise_pair), [fwd], [bwd], ConnectivityPolicy(False))
+        values = np.sort(g.node_columns.value)
+        graphs = {
+            "assemble": g,
+            "threshold": threshold_filter(g, 0.2),
+            "semantic": semantic_filter(g, noise_pair[0].domain,
+                                        SemanticPredicate(value_max=values[values.size // 2])),
+            "import": import_graph(export(g, "json")),
+        }
+        assert len(graphs["semantic"].node_columns) < len(g.node_columns)
+        for name, h in graphs.items():
+            e = h.edge_columns
+            assert len(e), name
+            dt = morse._id_dtype(len(h.node_columns))
+            assert e.src.dtype == e.dst.dtype == dt == np.int32, name
+
 
 @pytest.fixture(scope="module")
 def noise_pair():
